@@ -314,7 +314,6 @@ impl<M: Clone> SenderAgent for ParticleSender<M> {
                     &branches,
                     now,
                     filter.entry,
-                    filter.config().fold_loss_node,
                     &cfg.planner,
                     utility,
                     own_flow,

@@ -108,12 +108,35 @@ pub struct BufferParams {
 }
 
 /// Per-hypothesis mutable buffer state: the queue and AQM running state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct BufferState {
     pub(crate) queue: VecDeque<Queued>,
     pub(crate) queued_bits: Bits,
     /// Discipline running state (variant mirrors the params' kind).
     pub aqm: AqmState,
+}
+
+impl Clone for BufferState {
+    fn clone(&self) -> BufferState {
+        BufferState {
+            queue: self.queue.clone(),
+            queued_bits: self.queued_bits,
+            aqm: self.aqm.clone(),
+        }
+    }
+
+    /// Refill in place, keeping the queue's allocation: planner rollouts
+    /// overwrite the same scratch network once per branch and candidate.
+    fn clone_from(&mut self, source: &BufferState) {
+        let BufferState {
+            queue,
+            queued_bits,
+            aqm,
+        } = source;
+        self.queue.clone_from(queue);
+        self.queued_bits = *queued_bits;
+        self.aqm.clone_from(aqm);
+    }
 }
 
 /// Outcome of offering a packet to a buffer.

@@ -22,10 +22,24 @@ pub struct DelayParams {
 }
 
 /// Packets currently held by a DELAY element.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct DelayState {
     /// Packets in flight, FIFO (fixed delay preserves order).
     pub(crate) in_flight: VecDeque<(Time, Packet)>,
+}
+
+impl Clone for DelayState {
+    fn clone(&self) -> DelayState {
+        DelayState {
+            in_flight: self.in_flight.clone(),
+        }
+    }
+
+    /// Refill in place, keeping the deque's allocation.
+    fn clone_from(&mut self, source: &DelayState) {
+        let DelayState { in_flight } = source;
+        self.in_flight.clone_from(in_flight);
+    }
 }
 
 impl DelayParams {
@@ -124,10 +138,24 @@ pub struct JitterParams {
 }
 
 /// Jittered packets currently held by a JITTER element.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct JitterState {
     /// Jittered packets in flight, FIFO by due time.
     pub(crate) in_flight: VecDeque<(Time, Packet)>,
+}
+
+impl Clone for JitterState {
+    fn clone(&self) -> JitterState {
+        JitterState {
+            in_flight: self.in_flight.clone(),
+        }
+    }
+
+    /// Refill in place, keeping the deque's allocation.
+    fn clone_from(&mut self, source: &JitterState) {
+        let JitterState { in_flight } = source;
+        self.in_flight.clone_from(in_flight);
+    }
 }
 
 impl JitterParams {

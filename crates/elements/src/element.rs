@@ -91,7 +91,7 @@ pub enum ElementParams {
 
 /// The mutable half of an element: the compact per-hypothesis state a
 /// `Network` clone copies. Variants mirror [`ElementParams`] one-to-one.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum ElementState {
     /// Queue contents and AQM running state.
     Buffer(BufferState),
@@ -113,6 +113,36 @@ pub enum ElementState {
     Diverter,
     /// RECEIVER is stateless (deliveries live in the transient log).
     Receiver,
+}
+
+impl Clone for ElementState {
+    fn clone(&self) -> ElementState {
+        match self {
+            ElementState::Buffer(b) => ElementState::Buffer(b.clone()),
+            ElementState::Link(l) => ElementState::Link(l.clone()),
+            ElementState::Delay(d) => ElementState::Delay(d.clone()),
+            ElementState::Loss => ElementState::Loss,
+            ElementState::Jitter(j) => ElementState::Jitter(j.clone()),
+            ElementState::Pinger(p) => ElementState::Pinger(*p),
+            ElementState::Gate(g) => ElementState::Gate(*g),
+            ElementState::Either(e) => ElementState::Either(*e),
+            ElementState::Diverter => ElementState::Diverter,
+            ElementState::Receiver => ElementState::Receiver,
+        }
+    }
+
+    /// Refill in place: when both sides are the same kind (always, for
+    /// two networks of one structure) the queue-carrying variants keep
+    /// their allocations.
+    fn clone_from(&mut self, source: &ElementState) {
+        match (self, source) {
+            (ElementState::Buffer(a), ElementState::Buffer(b)) => a.clone_from(b),
+            (ElementState::Link(a), ElementState::Link(b)) => a.clone_from(b),
+            (ElementState::Delay(a), ElementState::Delay(b)) => a.clone_from(b),
+            (ElementState::Jitter(a), ElementState::Jitter(b)) => a.clone_from(b),
+            (a, b) => *a = b.clone(),
+        }
+    }
 }
 
 impl Element {

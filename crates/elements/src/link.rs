@@ -299,7 +299,7 @@ pub struct LinkParams {
 }
 
 /// Per-hypothesis mutable link state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct LinkState {
     /// Packet currently being serialized.
     pub in_service: Option<Packet>,
@@ -307,6 +307,28 @@ pub struct LinkState {
     pub busy_until: Time,
     /// Internal unbounded FIFO, used only when the params' `feed` is `None`.
     pub backlog: VecDeque<Packet>,
+}
+
+impl Clone for LinkState {
+    fn clone(&self) -> LinkState {
+        LinkState {
+            in_service: self.in_service,
+            busy_until: self.busy_until,
+            backlog: self.backlog.clone(),
+        }
+    }
+
+    /// Refill in place, keeping the backlog's allocation.
+    fn clone_from(&mut self, source: &LinkState) {
+        let LinkState {
+            in_service,
+            busy_until,
+            backlog,
+        } = source;
+        self.in_service = *in_service;
+        self.busy_until = *busy_until;
+        self.backlog.clone_from(backlog);
+    }
 }
 
 impl LinkParams {

@@ -43,9 +43,11 @@
 //!
 //! Deliveries and drops accumulate in logs that are **not** part of the
 //! network's identity ([`PartialEq`]/[`Hash`] ignore them). Drain them
-//! with [`Network::take_deliveries`]/[`Network::take_drops`] after every
-//! step; the belief engine must do so before compacting, or observations
-//! would be silently discarded when branches merge.
+//! after every step — with [`Network::take_deliveries`]/
+//! [`Network::take_drops`], or in place with [`Network::drain_logs`] when
+//! the same network is drained again and again; the belief engine must do
+//! so before compacting, or observations would be silently discarded
+//! when branches merge.
 
 use crate::buffer::{Admission, AqmState, BufferKind, BufferParams, BufferState, Queued};
 use crate::choice::{ChoiceKind, ChoiceSpec};
@@ -128,13 +130,42 @@ impl NetworkStructure {
 
 /// The compact mutable half of a network: everything a hypothesis fork
 /// needs to copy.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct NetworkState {
     elements: Vec<ElementState>,
     now: Time,
     pending: Option<ChoiceSpec>,
     deliveries: Vec<(NodeId, Delivery)>,
     drops: Vec<DropRecord>,
+}
+
+impl Clone for NetworkState {
+    fn clone(&self) -> NetworkState {
+        NetworkState {
+            elements: self.elements.clone(),
+            now: self.now,
+            pending: self.pending,
+            deliveries: self.deliveries.clone(),
+            drops: self.drops.clone(),
+        }
+    }
+
+    /// Refill in place: `Vec::clone_from` overwrites element by element,
+    /// so every queue and log keeps its allocation.
+    fn clone_from(&mut self, source: &NetworkState) {
+        let NetworkState {
+            elements,
+            now,
+            pending,
+            deliveries,
+            drops,
+        } = source;
+        self.elements.clone_from(elements);
+        self.now = *now;
+        self.pending = *pending;
+        self.deliveries.clone_from(deliveries);
+        self.drops.clone_from(drops);
+    }
 }
 
 /// A composed network of elements: an `Arc`-shared [`NetworkStructure`]
@@ -152,6 +183,18 @@ impl Clone for Network {
             structure: Arc::clone(&self.structure),
             state: self.state.clone(),
         }
+    }
+
+    /// Overwrite `self` with `source`, reusing `self`'s allocations — what
+    /// the planner's scratch networks do once per branch and candidate. It
+    /// is the same unit of work as [`Network::clone`] and counts as one
+    /// state clone.
+    fn clone_from(&mut self, source: &Network) {
+        augur_sim::perf::count_state_clone();
+        if !Arc::ptr_eq(&self.structure, &source.structure) {
+            self.structure = Arc::clone(&source.structure);
+        }
+        self.state.clone_from(&source.state);
     }
 }
 
@@ -429,6 +472,20 @@ impl Network {
     /// Drain the drop log.
     pub fn take_drops(&mut self) -> Vec<DropRecord> {
         std::mem::take(&mut self.state.drops)
+    }
+
+    /// Drain both logs in place: `(deliveries, drops)`, each emptied when
+    /// its iterator is dropped, consumed or not. Unlike the `take_*`
+    /// pair this leaves the logs' allocations with the network, so a
+    /// network that is drained after every step (a belief hypothesis, a
+    /// planner rollout) does not allocate again at its next delivery.
+    pub fn drain_logs(
+        &mut self,
+    ) -> (
+        std::vec::Drain<'_, (NodeId, Delivery)>,
+        std::vec::Drain<'_, DropRecord>,
+    ) {
+        (self.state.deliveries.drain(..), self.state.drops.drain(..))
     }
 
     /// True iff both transient logs are empty (precondition for
@@ -1485,6 +1542,68 @@ mod tests {
             "running mutates only the state half"
         );
         assert_ne!(fork, net, "diverged state compares unequal");
+    }
+
+    #[test]
+    fn clone_from_overwrites_everything_and_counts_one_state_clone() {
+        // Room for one queued packet: of three injected, one is in
+        // service, one queued and one tail-dropped.
+        let (mut b, entry, _) = simple_path(12_000, 12_000);
+        for i in 0..3 {
+            b.inject(entry, pkt(i));
+        }
+        b.run_until(Time::from_secs(1));
+        assert!(!b.logs_empty(), "source carries a delivery and a drop");
+
+        // The target has different state of its own, logs included, in
+        // the same structure allocation; the refill must replace it all.
+        let mut a = b.clone();
+        a.inject(entry, pkt(7));
+        a.run_until(Time::from_secs(4));
+        assert_ne!(a, b);
+
+        let before = augur_sim::perf::snapshot();
+        a.clone_from(&b);
+        let d = augur_sim::perf::snapshot().since(&before);
+        assert_eq!(d.state_clones, 1, "clone_from is one state copy");
+        assert_eq!(d.structures_built, 0);
+        assert_eq!(a, b);
+        assert_eq!(fingerprint(&a), fingerprint(&b));
+        assert_eq!(a.take_deliveries(), b.clone().take_deliveries());
+        assert_eq!(a.take_drops(), b.clone().take_drops());
+
+        // Across separately built structures the target adopts the
+        // source's allocation.
+        let (mut c, _, _) = simple_path(12_000, 12_000);
+        assert!(!c.shares_structure(&b));
+        c.clone_from(&b);
+        assert!(c.shares_structure(&b));
+        assert_eq!(c, b);
+        // And the refilled copy runs on exactly like the original.
+        c.run_until(Time::from_secs(5));
+        b.run_until(Time::from_secs(5));
+        assert_eq!(c, b);
+        assert_eq!(c.take_deliveries(), b.take_deliveries());
+    }
+
+    #[test]
+    fn drain_logs_empties_both_logs_even_unconsumed() {
+        let (mut net, entry, _) = simple_path(12_000, 12_000);
+        for i in 0..3 {
+            net.inject(entry, pkt(i));
+        }
+        net.run_until(Time::from_secs(1));
+        let mut twin = net.clone();
+        let (deliveries, drops) = net.drain_logs();
+        let (deliveries, drops): (Vec<_>, Vec<_>) = (deliveries.collect(), drops.collect());
+        assert_eq!(deliveries, twin.take_deliveries());
+        assert_eq!(drops, twin.take_drops());
+        assert!(net.logs_empty());
+
+        net.run_until(Time::from_secs(2));
+        assert!(!net.logs_empty());
+        let _ = net.drain_logs();
+        assert!(net.logs_empty(), "dropping the iterators still drains");
     }
 
     #[test]

@@ -226,26 +226,24 @@ impl<M: Clone + Eq + Hash> Belief<M> {
     /// are conditioned at the next [`Belief::advance`].
     pub fn inject(&mut self, pkt: Packet) {
         let idx = ObservationIndex::new(&[]);
-        let frontier: Vec<Work<M>> = self
-            .branches
-            .drain(..)
-            .map(|h| Work { h, matched: 0 })
-            .collect();
+        let frontier = std::mem::take(&mut self.branches);
         let mut out = Vec::with_capacity(frontier.len());
+        let mut stack = Vec::new();
         let mut stats = AdvanceStats::default();
         // The replayed hypothetical networks would otherwise emit
         // ground-truth-looking trace events; keep the log about the
         // real network only.
         let _quiet = augur_obs::suppress();
-        for mut w in frontier {
-            w.h.net.inject(self.entry, pkt);
-            self.settle(w, self.now, &idx, true, &mut out, &mut stats);
+        for mut h in frontier {
+            h.net.inject(self.entry, pkt);
+            stack.push(Work { h, matched: 0 });
+            self.settle(self.now, &idx, true, &mut stack, &mut out, &mut stats);
         }
         assert!(
             !out.is_empty(),
             "all branches died during inject — topology delivers instantly?"
         );
-        self.branches = out.into_iter().map(|w| w.h).collect();
+        self.branches = out;
     }
 
     /// Advance every branch to `until`, conditioning on the window's
@@ -262,24 +260,22 @@ impl<M: Clone + Eq + Hash> Belief<M> {
         );
         let idx = ObservationIndex::new(obs);
         let mut stats = AdvanceStats::default();
-        let frontier: Vec<Work<M>> = self
-            .branches
-            .drain(..)
-            .map(|h| Work { h, matched: 0 })
-            .collect();
+        let frontier = std::mem::take(&mut self.branches);
         augur_sim::perf::count_hypothesis_updates(frontier.len() as u64);
-        let mut done: Vec<Work<M>> = Vec::with_capacity(frontier.len());
+        let mut done = Vec::with_capacity(frontier.len());
+        let mut stack = Vec::new();
         {
             // Hypothetical replay must not leak trace events.
             let _quiet = augur_obs::suppress();
-            for w in frontier {
-                self.settle(w, until, &idx, false, &mut done, &mut stats);
+            for h in frontier {
+                stack.push(Work { h, matched: 0 });
+                self.settle(until, &idx, false, &mut stack, &mut done, &mut stats);
             }
         }
         if done.is_empty() {
             return Err(BeliefError::Dead { at: until });
         }
-        self.branches = done.into_iter().map(|w| w.h).collect();
+        self.branches = done;
         if self.branches.iter().map(|h| h.weight).sum::<f64>() <= 0.0 {
             return Err(BeliefError::Dead { at: until });
         }
@@ -335,18 +331,18 @@ impl<M: Clone + Eq + Hash> Belief<M> {
         );
     }
 
-    /// Run one branch (and any forks it spawns) to `until`, collecting the
-    /// survivors into `out`. Depth-first with an explicit stack.
+    /// Run the branch on `stack` (and any forks it spawns) to `until`,
+    /// collecting the survivors into `out`. Depth-first; `stack` comes
+    /// back empty, so one allocation serves every branch of a window.
     fn settle(
         &self,
-        work: Work<M>,
         until: Time,
         idx: &ObservationIndex,
         injecting: bool,
-        out: &mut Vec<Work<M>>,
+        stack: &mut Vec<Work<M>>,
+        out: &mut Vec<Hypothesis<M>>,
         stats: &mut AdvanceStats,
     ) {
-        let mut stack = vec![work];
         while let Some(mut w) = stack.pop() {
             loop {
                 let step = w.h.net.run_until(until);
@@ -365,7 +361,7 @@ impl<M: Clone + Eq + Hash> Belief<M> {
                         // During injection the window is zero-width and the
                         // matched count is checked by the enclosing advance.
                         if injecting || w.matched == idx.len() {
-                            out.push(w);
+                            out.push(w.h);
                         } else {
                             stats.killed += 1;
                         }
@@ -382,9 +378,11 @@ impl<M: Clone + Eq + Hash> Belief<M> {
                         }
                         Resolution::Fork => {
                             stats.forks += 1;
-                            let opts: Vec<usize> = spec.live_options().collect();
-                            debug_assert!(!opts.is_empty());
-                            for &o in &opts[..opts.len() - 1] {
+                            // Every live option but the last goes to a
+                            // cloned child; the last continues in place.
+                            let mut live = spec.live_options();
+                            let mut o = live.next().expect("a choice has a live option");
+                            for next in live {
                                 let mut child = Work {
                                     h: w.h.clone(),
                                     matched: w.matched,
@@ -392,10 +390,10 @@ impl<M: Clone + Eq + Hash> Belief<M> {
                                 child.h.weight *= spec.prob(o);
                                 child.h.net.resolve(o);
                                 stack.push(child);
+                                o = next;
                             }
-                            let last = *opts.last().unwrap();
-                            w.h.weight *= spec.prob(last);
-                            w.h.net.resolve(last);
+                            w.h.weight *= spec.prob(o);
+                            w.h.net.resolve(o);
                         }
                     },
                 }

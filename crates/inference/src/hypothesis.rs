@@ -9,7 +9,6 @@
 //! static parameters such as the loss rate).
 
 use augur_elements::Network;
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// One weighted network configuration.
@@ -35,30 +34,55 @@ pub struct Hypothesis<M> {
 /// planner's top-K selection in particular — must see the same branch
 /// order on every run for whole simulations to be reproducible.
 ///
+/// Each hypothesis is hashed exactly once per call. Hashing a whole
+/// network is the expensive step, and under the uniform prior nearly
+/// every comparison is a weight tie, so the one hash both groups the
+/// merge candidates and serves as the tie-break of the output order.
+///
 /// # Panics
 /// Panics (debug) if any network still holds undrained logs: compaction
 /// would silently discard them.
 pub fn compact<M: Clone + Eq + Hash>(branches: &mut Vec<Hypothesis<M>>) -> usize {
     let before = branches.len();
-    let mut merged: HashMap<(Network, M), f64> = HashMap::with_capacity(before);
-    for h in branches.drain(..) {
-        debug_assert!(
-            h.net.logs_empty(),
-            "compacting a network with undrained logs"
-        );
-        *merged.entry((h.net, h.meta)).or_insert(0.0) += h.weight;
+    let mut keyed: Vec<(u64, Hypothesis<M>)> = branches
+        .drain(..)
+        .map(|h| {
+            debug_assert!(
+                h.net.logs_empty(),
+                "compacting a network with undrained logs"
+            );
+            (stable_hash(&h), h)
+        })
+        .collect();
+    // Stable, so identical hypotheses stay in input order and their
+    // weights are summed in that order.
+    keyed.sort_by_key(|&(key, _)| key);
+    // Equal hypotheses hash equally and are now adjacent; `run` is where
+    // the survivors of the current hash value start (more than one only
+    // if distinct hypotheses collide).
+    let (mut run, mut run_key) = (0, None);
+    for (key, h) in keyed {
+        if run_key != Some(key) {
+            (run, run_key) = (branches.len(), Some(key));
+        }
+        match branches[run..]
+            .iter_mut()
+            .find(|s| s.net == h.net && s.meta == h.meta)
+        {
+            Some(survivor) => survivor.weight += h.weight,
+            None => branches.push(h),
+        }
     }
-    branches.extend(merged.into_iter().map(|((net, meta), weight)| Hypothesis {
-        net,
-        meta,
-        weight,
-    }));
-    branches.sort_by(|a, b| {
-        b.weight
-            .total_cmp(&a.weight)
-            .then_with(|| stable_hash(a).cmp(&stable_hash(b)))
-    });
+    // The survivors stand in ascending-hash order, so a stable sort on
+    // weight alone leaves them in (weight desc, hash asc) order.
+    branches.sort_by(|a, b| b.weight.total_cmp(&a.weight));
     before - branches.len()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How often this thread has called [`stable_hash`].
+    static STABLE_HASH_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// A run-to-run deterministic hash of a hypothesis's identity.
@@ -66,6 +90,8 @@ pub fn compact<M: Clone + Eq + Hash>(branches: &mut Vec<Hypothesis<M>>) -> usize
 /// exactly what reproducibility needs.
 fn stable_hash<M: Hash>(h: &Hypothesis<M>) -> u64 {
     use std::hash::Hasher;
+    #[cfg(test)]
+    STABLE_HASH_CALLS.with(|calls| calls.set(calls.get() + 1));
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     h.net.hash(&mut hasher);
     h.meta.hash(&mut hasher);
@@ -189,6 +215,81 @@ mod tests {
         // And the order really is the comparator's: hashes ascend.
         let hashes: Vec<u64> = first.iter().map(stable_hash).collect();
         assert!(hashes.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// `compact` as it was before it cached the key: a `RandomState` merge
+    /// map, then a sort whose comparator hashes both whole hypotheses at
+    /// every weight tie. The reference the cached-key order is pinned to.
+    fn reference_compact<M: Clone + Eq + Hash>(branches: &mut Vec<Hypothesis<M>>) -> usize {
+        let before = branches.len();
+        let mut merged: std::collections::HashMap<(Network, M), f64> =
+            std::collections::HashMap::with_capacity(before);
+        for h in branches.drain(..) {
+            *merged.entry((h.net, h.meta)).or_insert(0.0) += h.weight;
+        }
+        branches.extend(merged.into_iter().map(|((net, meta), weight)| Hypothesis {
+            net,
+            meta,
+            weight,
+        }));
+        branches.sort_by(|a, b| {
+            b.weight
+                .total_cmp(&a.weight)
+                .then_with(|| stable_hash(a).cmp(&stable_hash(b)))
+        });
+        before - branches.len()
+    }
+
+    #[test]
+    fn compact_order_matches_reference_on_the_tie_heavy_paper_belief() {
+        use crate::{BeliefConfig, ModelPrior};
+        use augur_sim::Time;
+        // The uniform paper prior after one window: thousands of
+        // branches on a handful of distinct weights, so nearly every
+        // comparison is decided by the hash tie-break.
+        let mut belief = ModelPrior::paper().belief(BeliefConfig::default());
+        belief.advance(Time::from_secs(2), &[]).unwrap();
+        let settled = belief.branches().to_vec();
+        let distinct_weights = {
+            let mut w: Vec<u64> = settled.iter().map(|h| h.weight.to_bits()).collect();
+            w.sort_unstable();
+            w.dedup();
+            w.len()
+        };
+        assert!(settled.len() > 100 * distinct_weights, "not tie-heavy");
+
+        // Every branch twice, the second copy far from the first and with
+        // another weight, so merging and summation order are exercised.
+        let mut input = settled.clone();
+        input.extend(settled.iter().rev().cloned().map(|mut h| {
+            h.weight *= 0.5;
+            h
+        }));
+        let mut expected = input.clone();
+        assert_eq!(reference_compact(&mut expected), settled.len());
+        assert_eq!(compact(&mut input), settled.len());
+        assert_eq!(input.len(), expected.len());
+        for (got, want) in input.iter().zip(&expected) {
+            assert!(
+                got.net == want.net && got.meta == want.meta,
+                "order drifted"
+            );
+            assert_eq!(got.weight.to_bits(), want.weight.to_bits());
+        }
+    }
+
+    #[test]
+    fn compact_hashes_each_hypothesis_once() {
+        // Ties, merges and distinct weights together: 40 inputs, 20
+        // survivors.
+        let mut v: Vec<Hypothesis<u32>> = (0..40)
+            .map(|i| hyp(0.1, i % 20, if i % 3 == 0 { 0.5 } else { 0.25 }))
+            .collect();
+        let inputs = v.len();
+        let before = STABLE_HASH_CALLS.with(|calls| calls.get());
+        assert_eq!(compact(&mut v), 20);
+        let calls = STABLE_HASH_CALLS.with(|calls| calls.get()) - before;
+        assert_eq!(calls, inputs, "one stable_hash per input hypothesis");
     }
 
     #[test]

@@ -89,8 +89,9 @@ pub fn harvest(
     obs: &ObservationIndex,
     matched: &mut usize,
 ) -> bool {
-    let deliveries = net.take_deliveries();
-    net.take_drops();
+    // In place: a hypothesis is harvested after every step of every
+    // window, and its logs keep their allocation for the next one.
+    let (deliveries, _drops) = net.drain_logs();
     for (node, d) in deliveries {
         if node == observed_rx && d.packet.flow == own_flow {
             match obs.time_of(d.packet.seq) {
