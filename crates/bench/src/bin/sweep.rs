@@ -129,6 +129,16 @@ fn parse_from(args: impl Iterator<Item = String>) -> Options {
                 usage()
             })
         }
+        // Zero workers run nothing; a zero branch cap leaves the belief
+        // nothing to normalize.
+        fn at_least_one(name: &str, raw: String) -> usize {
+            let n: usize = numeric(name, raw);
+            if n == 0 {
+                eprintln!("{name} must be at least 1");
+                usage()
+            }
+            n
+        }
         let set_source = |opts: &mut Options, source: Source| {
             if opts.source.is_some() {
                 eprintln!("give exactly one of a preset or --spec");
@@ -148,16 +158,9 @@ fn parse_from(args: impl Iterator<Item = String>) -> Options {
             "--export-specs" => opts.export_specs = Some(PathBuf::from(value("--export-specs"))),
             "--export-traces" => opts.export_traces = Some(PathBuf::from(value("--export-traces"))),
             "--check" => opts.check = true,
-            "--workers" => {
-                let n: usize = numeric("--workers", value("--workers"));
-                if n == 0 {
-                    eprintln!("--workers must be at least 1");
-                    usage()
-                }
-                opts.workers = Some(n);
-            }
+            "--workers" => opts.workers = Some(at_least_one("--workers", value("--workers"))),
             "--duration" => opts.duration = Some(numeric("--duration", value("--duration"))),
-            "--branches" => opts.branches = Some(numeric("--branches", value("--branches"))),
+            "--branches" => opts.branches = Some(at_least_one("--branches", value("--branches"))),
             "--replicates" => {
                 opts.replicates = Some(numeric("--replicates", value("--replicates")))
             }
@@ -187,11 +190,13 @@ fn apply_overrides(grid: &mut SweepGrid, opts: &Options, label: &str) {
     if let Some(secs) = opts.duration {
         grid.base.duration = Dur::from_secs(secs);
     }
-    // AUGUR_BRANCHES is ambient; only an explicit --branches on a grid
-    // with no branch cap is a hard authoring error.
+    // AUGUR_BRANCHES is ambient: an unparsable or zero value is ignored,
+    // and only an explicit --branches on a grid with no branch cap is a
+    // hard authoring error.
     let env_branches = std::env::var("AUGUR_BRANCHES")
         .ok()
-        .and_then(|s| s.parse().ok());
+        .and_then(|s| s.parse().ok())
+        .filter(|&b: &usize| b >= 1);
     if let Some(b) = opts.branches.or(env_branches) {
         let mut applied = false;
         if let Some(cap) = grid.base.sender.max_branches_mut() {

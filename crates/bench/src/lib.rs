@@ -18,8 +18,6 @@
 //! Each binary prints its figure as an ASCII chart, writes CSV under
 //! `experiments/`, and prints the shape checks EXPERIMENTS.md records.
 
-use augur_elements::ModelParams;
-use augur_inference::{Belief, BeliefConfig, ModelPrior};
 use augur_trace::Series;
 use std::fs;
 use std::path::PathBuf;
@@ -40,17 +38,6 @@ pub fn save_csv(name: &str, series: &[&Series]) {
     let file = fs::File::create(&path).expect("create csv");
     augur_trace::write_wide(std::io::BufWriter::new(file), series).expect("write csv");
     println!("  wrote {}", path.display());
-}
-
-/// The paper's prior as a belief, with a configurable branch cap.
-/// (The scenario runner's `spec_ground_truth`/`spec_isender` replaced
-/// the old binary-local harness constructors; this remains for the
-/// feature-gated criterion benches.)
-pub fn paper_belief(max_branches: usize) -> Belief<ModelParams> {
-    ModelPrior::paper().belief(BeliefConfig {
-        max_branches,
-        ..BeliefConfig::default()
-    })
 }
 
 /// Render a one-line pass/fail check.

@@ -115,7 +115,7 @@ pub fn discounted_stream_sum(r_packets_per_sec: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use augur_sim::{Bits, Packet};
+    use augur_sim::{Bits, Packet, SimRng};
 
     fn delivery(flow: FlowId, at_ms: u64, sent_ms: u64) -> Delivery {
         Delivery {
@@ -126,12 +126,34 @@ mod tests {
 
     #[test]
     fn paper_identity_holds_across_rates() {
-        // Σ e^(−t/(1000 r)) ≈ 1000 r + 0.5 for r > 1/100 pkt/s (TXT3).
-        for r in [0.01, 0.1, 1.0, 10.0, 100.0] {
+        // Σ e^(−t/(1000 r)) ≈ 1000 r + 0.5 for r > 1/100 pkt/s (TXT3):
+        // at the decades, and at 64 rates drawn log-uniformly from
+        // [0.01, 1000) pkt/s.
+        let seed = 0x7137;
+        let mut rng = SimRng::seed_from_u64(seed);
+        let drawn = (0..64).map(|_| 0.01 * 1e5f64.powf(rng.uniform_f64()));
+        for r in [0.01, 0.1, 1.0, 10.0, 100.0].into_iter().chain(drawn) {
             let exact = discounted_stream_sum(r);
             let approx = 1000.0 * r + 0.5;
             let rel = (exact - approx).abs() / exact;
-            assert!(rel < 0.01, "r={r}: exact={exact} approx={approx}");
+            assert!(
+                rel < 0.01,
+                "seed {seed:#x}: r={r}: exact={exact} approx={approx}"
+            );
+        }
+    }
+
+    #[test]
+    fn discount_never_grows_with_delay() {
+        let seed = 0xD15C;
+        let mut rng = SimRng::seed_from_u64(seed);
+        let u = DiscountedThroughput::own_only();
+        for _ in 0..64 {
+            let (tau, later) = (1e6 * rng.uniform_f64(), 1e6 * rng.uniform_f64());
+            assert!(
+                u.discount(tau) >= u.discount(tau + later),
+                "seed {seed:#x}: tau={tau} ms, {later} ms later"
+            );
         }
     }
 

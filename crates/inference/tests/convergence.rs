@@ -5,10 +5,20 @@
 //! ISENDER can usually quickly pare down the prior to a smaller list of
 //! possibilities as it homes in on a good estimate of the network
 //! parameters".
+//!
+//! The same scripted driver, on `SimRng`-generated schedules, checks the
+//! invariants every belief update must keep: weights stay a probability
+//! distribution, and analytic loss folding is the same Bayesian update
+//! as explicit forking.
 
 use augur_elements::{build_model, GateSpec, ModelParams, Step};
-use augur_inference::{BeliefConfig, ModelPrior, Observation, ParticleConfig, ParticleFilter};
+use augur_inference::{
+    normalize, prune, Belief, BeliefConfig, Hypothesis, ModelPrior, Observation, ParticleConfig,
+    ParticleFilter,
+};
 use augur_sim::{BitRate, Bits, Dur, FlowId, Packet, Ppm, SimRng, Time};
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Ground truth matching one grid point of `ModelPrior::small()`:
 /// c = 12,000 bps, r = 0.7c, p as given, buffer 96,000 bits, empty, cross
@@ -306,4 +316,124 @@ fn branch_dedup_counts_are_pinned_on_a_small_exact_sweep() {
         (342, 194, 0, 4),
         "branch accounting drifted"
     );
+}
+
+/// Run `check` on 64 generated cases; a failing case names its seed.
+fn for_each_case(base_seed: u64, check: impl Fn(&mut SimRng)) {
+    for case in 0..64 {
+        let seed = SimRng::derive_seed(base_seed, case);
+        let run = || check(&mut SimRng::seed_from_u64(seed));
+        assert!(
+            catch_unwind(AssertUnwindSafe(run)).is_ok(),
+            "failing case {case}: SimRng seed {seed:#x}"
+        );
+    }
+}
+
+/// A generated scripted run inside the small prior's support: the true
+/// loss rate is 0 or 20 %, the sender pings every 1–4 s for 8–20 s, and
+/// the truth's sampled choices come from a stream of their own.
+/// `belief` sees every window's ACKs and mirrors every send; `after`
+/// runs after each advance.
+fn generated_run(
+    rng: &mut SimRng,
+    belief: &mut Belief<ModelParams>,
+    mut after: impl FnMut(&Belief<ModelParams>, Time),
+) {
+    let mut truth = ground_truth(if rng.uniform_u64(0, 1) == 1 { 0.2 } else { 0.0 });
+    let send_every = rng.uniform_u64(1, 4);
+    let t_end_s = rng.uniform_u64(8, 20);
+    let mut truth_rng = rng.fork();
+    let mut send_seq = 0u64;
+    drive(
+        &mut truth,
+        &mut truth_rng,
+        send_every,
+        t_end_s,
+        |t, acks| {
+            belief.advance(t, acks).expect("truth is inside the prior");
+            after(belief, t);
+            let s = t.as_micros() / 1_000_000;
+            if s % send_every == 0 && s < t_end_s {
+                belief.inject(Packet::new(
+                    FlowId::SELF,
+                    send_seq,
+                    Bits::from_bytes(1_500),
+                    t,
+                ));
+                send_seq += 1;
+            }
+        },
+    );
+}
+
+#[test]
+fn weights_sum_to_one_after_every_advance() {
+    for_each_case(0x5041, |rng| {
+        let mut belief = ModelPrior::small().belief(BeliefConfig::default());
+        generated_run(rng, &mut belief, |belief, t| {
+            let total: f64 = belief.branches().iter().map(|h| h.weight).sum();
+            assert!((total - 1.0).abs() < 1e-9, "weights sum to {total} at {t}");
+        });
+    });
+}
+
+#[test]
+fn fold_and_fork_agree_on_the_posterior() {
+    // Analytic last-mile folding and explicit forking of the sender's own
+    // loss decisions are the same Bayesian update: same marginal, more
+    // branches.
+    let posterior = |rng: &mut SimRng, fold_self_loss: bool| {
+        let probe = ground_truth(0.0);
+        let mut belief = Belief::new(
+            ModelPrior::small().hypotheses(),
+            probe.entry,
+            probe.rx_self,
+            BeliefConfig {
+                fold_loss_node: Some(probe.loss),
+                fold_self_loss,
+                ..BeliefConfig::default()
+            },
+        );
+        generated_run(rng, &mut belief, |_, _| {});
+        belief
+            .marginal(|h| (h.meta.link_rate, h.meta.loss))
+            .into_iter()
+            .map(|(k, w)| (k, (w * 1e9).round() as i64))
+            .collect::<BTreeMap<_, _>>()
+    };
+    for_each_case(0xF01D, |rng| {
+        let mut same_run = rng.clone();
+        assert_eq!(posterior(rng, true), posterior(&mut same_run, false));
+    });
+}
+
+#[test]
+fn prune_keeps_the_heaviest_and_normalize_restores_a_distribution() {
+    let net = ground_truth(0.0).net;
+    for_each_case(0x9121, |rng| {
+        let weights: Vec<f64> = (0..rng.uniform_u64(2, 49))
+            .map(|_| 1e-12 + rng.uniform_f64() * (1.0 - 1e-12))
+            .collect();
+        let mut branches: Vec<Hypothesis<usize>> = weights
+            .iter()
+            .enumerate()
+            .map(|(meta, &weight)| Hypothesis {
+                net: net.clone(),
+                meta,
+                weight,
+            })
+            .collect();
+        let keep = (weights.len() / 2).max(1);
+        assert_eq!(prune(&mut branches, keep, 0.0), weights.len() - keep);
+        // Exactly the `keep` heaviest survive.
+        let mut sorted = weights.clone();
+        sorted.sort_by(|a, b| b.total_cmp(a));
+        let kept: Vec<f64> = branches.iter().map(|h| h.weight).collect();
+        assert_eq!(kept, sorted[..keep]);
+        let evidence = normalize(&mut branches);
+        assert!((evidence - sorted[..keep].iter().sum::<f64>()).abs() < 1e-12);
+        let total: f64 = branches.iter().map(|h| h.weight).sum();
+        assert!((total - 1.0).abs() < 1e-9, "weights sum to {total}");
+    });
 }

@@ -20,7 +20,8 @@
 //! * **P020** panic hygiene — decode/validate paths contracted to
 //!   return positioned errors must not `unwrap`/`expect`/`panic!`;
 //! * **C030** counter coverage — every `WorkCounters` field has a bump
-//!   helper, a production increment site, and a perf-suite pin;
+//!   helper, a production increment site, and a pinned value in
+//!   `crates/scenario/tests/work_counters.rs`;
 //! * **W000** waiver hygiene — waivers anchor to exact `file:line`
 //!   positions and fail the build when stale.
 //!
@@ -42,12 +43,14 @@ use std::path::{Path, PathBuf};
 
 /// Directories scanned under the workspace root, relative. `crates/*`
 /// is expanded per crate; integration-test and fixture trees are
-/// deliberately excluded (test code may break production invariants).
+/// deliberately excluded (test code may break production invariants),
+/// except [`rules::PIN_FILE`], which C030 reads.
 const SCAN_ROOTS: &[&str] = &["src", "examples"];
 
 /// Collect every production `.rs` file under the workspace root:
-/// `src/`, `examples/`, and each `crates/<name>/src/`, lexed and
-/// test-gated, sorted by path for deterministic diagnostics.
+/// `src/`, `examples/`, and each `crates/<name>/src/`, plus the counter
+/// pin file — lexed and test-gated, sorted by path for deterministic
+/// diagnostics.
 pub fn collect_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut paths: Vec<PathBuf> = Vec::new();
     for dir in SCAN_ROOTS {
@@ -71,6 +74,10 @@ pub fn collect_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
                 walk_rs(&src, &mut paths)?;
             }
         }
+    }
+    let pins = root.join(rules::PIN_FILE);
+    if pins.is_file() {
+        paths.push(pins);
     }
     paths.sort();
     let mut files = Vec::with_capacity(paths.len());

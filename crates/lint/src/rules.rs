@@ -73,7 +73,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "C030",
         summary: "counter coverage: every WorkCounters field needs a bump helper, an \
-                  increment site outside augur_sim::perf, and a pin in a perf suite",
+                  increment site outside augur_sim::perf, and a pinned value in \
+                  crates/scenario/tests/work_counters.rs",
     },
     RuleInfo {
         id: "C031",
@@ -90,8 +91,8 @@ pub const RULES: &[RuleInfo] = &[
 
 /// The one file allowed to touch `std::time` — the sanctioned clock.
 pub const PERF_FILE: &str = "crates/sim/src/perf.rs";
-/// Where counter pins live: the perf suites.
-pub const SUITES_FILE: &str = "crates/perf/src/suites.rs";
+/// Where counter pins live: the committed work-counter constants.
+pub const PIN_FILE: &str = "crates/scenario/tests/work_counters.rs";
 /// Where the structured-event schema lives: the obs event definitions.
 pub const EVENT_FILE: &str = "crates/obs/src/event.rs";
 /// The crate that defines (but must not be the sole emitter of) events.
@@ -273,7 +274,7 @@ pub fn scan_file(f: &SourceFile, out: &mut Vec<Violation>) {
 /// Counter-coverage (C030): parse `WorkCounters` out of
 /// `crates/sim/src/perf.rs`, map each field to its `count_*` bump
 /// helper, and require an increment site outside the perf module plus a
-/// pin (field-name mention) in the perf suites.
+/// pin (field-name mention) in [`PIN_FILE`].
 pub fn scan_counters(files: &[SourceFile], out: &mut Vec<Violation>) {
     let Some(perf) = files.iter().find(|f| f.rel_path == PERF_FILE) else {
         out.push(Violation {
@@ -299,7 +300,7 @@ pub fn scan_counters(files: &[SourceFile], out: &mut Vec<Violation>) {
         return;
     }
     let helpers = bump_helpers(&perf.toks);
-    let suites = files.iter().find(|f| f.rel_path == SUITES_FILE);
+    let pins = files.iter().find(|f| f.rel_path == PIN_FILE);
     for (name, line, col) in &fields {
         let at = |message: String| Violation {
             path: PERF_FILE.to_string(),
@@ -340,11 +341,11 @@ pub fn scan_counters(files: &[SourceFile], out: &mut Vec<Violation>) {
                  augur_sim::perf — a counter nothing bumps measures nothing"
             )));
         }
-        match suites {
-            Some(s) if s.src.contains(name.as_str()) => {}
+        match pins {
+            Some(p) if p.src.contains(name.as_str()) => {}
             _ => out.push(at(format!(
-                "WorkCounters field `{name}` is not pinned by any perf suite \
-                 ({SUITES_FILE}) — unpinned counters can drift silently"
+                "WorkCounters field `{name}` is not pinned in {PIN_FILE} — \
+                 unpinned counters can drift silently"
             ))),
         }
     }
@@ -653,14 +654,35 @@ mod tests {
              pub fn count_orphan() { bump(|c| &c.orphan, 1); }",
         );
         let user = file("crates/elements/src/network.rs", "fn f() { count_ev(); }");
-        let suites = file(super::SUITES_FILE, "// pins: evs");
+        let pins = file(
+            super::PIN_FILE,
+            "#[test]\nfn pinned() { assert_eq!(work.evs, 3); }",
+        );
+        let mut files = vec![perf, user, pins];
         let mut out = Vec::new();
-        scan_counters(&[perf, user, suites], &mut out);
+        scan_counters(&files, &mut out);
         // `evs` is bumped and pinned; `orphan` is neither incremented
         // outside perf nor pinned.
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|v| v.rule == "C030"));
         assert!(out.iter().all(|v| v.message.contains("orphan")));
+        assert!(out[1].message.contains(super::PIN_FILE));
+        // Diagnostics point at the field definition in perf.rs.
+        assert!(out.iter().all(|v| v.path == super::PERF_FILE));
+        assert_eq!((out[1].line, out[1].col), (1, 45));
+
+        // Without the pin file every field is unpinned — a positioned
+        // diagnostic per field, not a panic.
+        files.pop();
+        let mut out = Vec::new();
+        scan_counters(&files, &mut out);
+        let unpinned: Vec<&Violation> = out
+            .iter()
+            .filter(|v| v.message.contains("is not pinned"))
+            .collect();
+        assert_eq!(unpinned.len(), 2);
+        assert_eq!((unpinned[0].line, unpinned[0].col), (1, 31));
+        assert!(unpinned[0].message.contains("`evs`"));
     }
 
     #[test]

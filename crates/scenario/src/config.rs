@@ -679,6 +679,15 @@ fn expect_u32(v: &Value, what: &str) -> Result<u32, ConfigError> {
     })
 }
 
+/// A population size (branch cap, particle count): zero decodes but
+/// leaves the belief engine nothing to normalize, so it panics mid-run.
+fn expect_count(v: &Value, what: &str) -> Result<usize, ConfigError> {
+    match expect_u64(v, what)? {
+        0 => err(v.line, v.col, format!("`{what}` must be at least 1, got 0")),
+        n => Ok(n as usize),
+    }
+}
+
 fn expect_bool(v: &Value, what: &str) -> Result<bool, ConfigError> {
     match v.payload {
         Payload::Bool(b) => Ok(b),
@@ -1172,12 +1181,12 @@ fn decode_sender(t: &Table, at: (u32, u32)) -> Result<SenderSpec, ConfigError> {
         "isender-exact" => SenderSpec::IsenderExact {
             alpha: expect_f64(&d.req("alpha", at)?.value, "alpha")?,
             latency_penalty: expect_f64(&d.req("latency_penalty", at)?.value, "latency_penalty")?,
-            max_branches: expect_u64(&d.req("max_branches", at)?.value, "max_branches")? as usize,
+            max_branches: expect_count(&d.req("max_branches", at)?.value, "max_branches")?,
         },
         "isender-particle" => SenderSpec::IsenderParticle {
             alpha: expect_f64(&d.req("alpha", at)?.value, "alpha")?,
             latency_penalty: expect_f64(&d.req("latency_penalty", at)?.value, "latency_penalty")?,
-            n_particles: expect_u64(&d.req("n_particles", at)?.value, "n_particles")? as usize,
+            n_particles: expect_count(&d.req("n_particles", at)?.value, "n_particles")?,
         },
         "tcp-reno" => SenderSpec::TcpReno {
             max_window: expect_u64(&d.req("max_window", at)?.value, "max_window")?,
@@ -2306,6 +2315,31 @@ mod tests {
                 .contains("`flows` must be between 1 and 65536 (wire flow ids are u16), got 0"),
             "got: {e}"
         );
+    }
+
+    #[test]
+    fn zero_branch_cap_is_rejected_at_decode_time() {
+        let toml = grid_to_toml(&presets::by_name("fig3").unwrap())
+            .replace("max_branches = 50000\n", "max_branches = 0\n");
+        let e = parse_grid(&toml).unwrap_err();
+        assert_eq!(e.message, "`max_branches` must be at least 1, got 0");
+        let line = toml.lines().position(|l| l == "max_branches = 0").unwrap();
+        assert_eq!((e.line as usize, e.col), (line + 1, 16));
+    }
+
+    #[test]
+    fn zero_particle_count_in_a_sender_axis_is_rejected_at_decode_time() {
+        let toml = grid_to_toml(&presets::by_name("scaling").unwrap())
+            .replace("n_particles = 1000", "n_particles = 0");
+        let e = parse_grid(&toml).unwrap_err();
+        assert_eq!(e.message, "`n_particles` must be at least 1, got 0");
+        let (line, text) = toml
+            .lines()
+            .enumerate()
+            .find(|(_, l)| l.contains("n_particles = 0"))
+            .unwrap();
+        let col = text.find("n_particles = 0").unwrap() + "n_particles = ".len() + 1;
+        assert_eq!((e.line as usize, e.col as usize), (line + 1, col));
     }
 
     #[test]

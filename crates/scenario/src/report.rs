@@ -33,8 +33,9 @@ impl RunStatus {
 /// excluded from [`SweepReport::table`]: exported artifacts must be a
 /// pure function of the spec and seed. `work` *is* such a pure function
 /// (deterministic counters from `augur_sim::perf`), but it stays out of
-/// the table too so sweep CSVs remain byte-stable across harness
-/// versions; the `perf` CLI exports it through `BENCH_*.json` instead.
+/// the table too so sweep CSVs remain byte-stable when a counter is
+/// added or an optimisation lowers one; `tests/work_counters.rs` pins it
+/// and `benchmark trace` reports it per layer.
 #[derive(Debug, Clone)]
 pub struct RunSummary {
     /// Run index in the expanded grid.

@@ -327,8 +327,8 @@ impl SweepRunner {
 
 /// Execute one run to completion and summarize it, building the prior
 /// from scratch ([`SweepRunner`] shares prototypes across runs via
-/// [`PriorCache`] instead — the `perf` CLI's sweep suite measures the
-/// difference).
+/// [`PriorCache`] instead; `tests/work_counters.rs` pins the
+/// enumeration counts of both paths).
 pub fn execute_run(run: &RunSpec) -> RunSummary {
     execute_run_traced(run).0
 }
@@ -343,9 +343,9 @@ pub fn execute_run_traced(run: &RunSpec) -> (RunSummary, RunArtifact) {
 }
 
 /// [`execute_run_traced`] drawing prior hypotheses from `priors` (cache
-/// misses build fresh). Wall time and work-done counters come from the
-/// `augur-perf` facade (`augur_sim::perf`): the counter delta around the
-/// run is that run's work — runs execute entirely on one thread — and is
+/// misses build fresh). Wall time and work-done counters come from
+/// `augur_sim::perf`: the counter delta around the run is that run's
+/// work — runs execute entirely on one thread — and is
 /// deterministic for any worker count, unlike the stopwatch reading.
 pub fn execute_run_traced_in(run: &RunSpec, priors: &PriorCache) -> (RunSummary, RunArtifact) {
     let (summary, trace, _) = execute_run_observed_in(run, priors);
@@ -890,6 +890,35 @@ enum PeerAgent {
     Tcp(TcpPeerAgent),
 }
 
+impl PeerAgent {
+    /// The agent a [`PeerSpec`] describes, sending `packet_size`
+    /// packets. `restarting` builds the belief-carrying peer for its α.
+    fn build(
+        peer: &PeerSpec,
+        packet_size: augur_sim::Bits,
+        restarting: impl FnOnce(f64) -> RestartingSender,
+    ) -> PeerAgent {
+        let tcp = |max_window: u64, cc: Box<dyn augur_tcp::CongestionControl>| {
+            PeerAgent::Tcp(TcpPeerAgent::new(
+                TcpConfig {
+                    packet_size,
+                    max_window,
+                    ..TcpConfig::default()
+                },
+                cc,
+            ))
+        };
+        match *peer {
+            PeerSpec::Isender { alpha } => PeerAgent::Model(restarting(alpha)),
+            PeerSpec::Aimd { timeout } => {
+                PeerAgent::Aimd(AimdSender::new(timeout).with_packet_size(packet_size))
+            }
+            PeerSpec::TcpReno { max_window } => tcp(max_window, Box::<Reno>::default()),
+            PeerSpec::TcpCubic { max_window } => tcp(max_window, Box::<Cubic>::default()),
+        }
+    }
+}
+
 /// N senders sharing one network (§3.5), via the multi-agent loop. Flow
 /// A is the scenario's sender; peer `i` of the [`CoexistSpec`] transmits
 /// as flow `i + 1`. Model topologies build the single shared bottleneck;
@@ -1005,26 +1034,11 @@ fn many_flow_run(run: &RunSpec, mf: &ManyFlowSpec) -> (RunSummary, RunArtifact) 
         mf.flows,
         SimRng::derive_seed(run.seed, STREAM_TRUTH),
     );
-    let tcp_peer = |max_window: u64, cc: Box<dyn augur_tcp::CongestionControl>| {
-        PeerAgent::Tcp(TcpPeerAgent::new(
-            TcpConfig {
-                packet_size: topology.packet_size,
-                max_window,
-                ..TcpConfig::default()
-            },
-            cc,
-        ))
-    };
     let mut store: Vec<PeerAgent> = (0..mf.flows)
-        .map(|i| match mf.mix[i % mf.mix.len()] {
-            PeerSpec::Isender { .. } => {
+        .map(|i| {
+            PeerAgent::build(&mf.mix[i % mf.mix.len()], topology.packet_size, |_| {
                 unreachable!("isender mix entries are rejected at decode time")
-            }
-            PeerSpec::Aimd { timeout } => {
-                PeerAgent::Aimd(AimdSender::new(timeout).with_packet_size(topology.packet_size))
-            }
-            PeerSpec::TcpReno { max_window } => tcp_peer(max_window, Box::<Reno>::default()),
-            PeerSpec::TcpCubic { max_window } => tcp_peer(max_window, Box::<Cubic>::default()),
+            })
         })
         .collect();
     let mut agents: Vec<&mut dyn SenderAgent> = store
@@ -1099,28 +1113,11 @@ fn coexist_model_run(run: &RunSpec, cx: &CoexistSpec) -> (RunSummary, RunArtifac
             sender_config(spec),
         )
     };
-    let tcp_peer = |max_window: u64, cc: Box<dyn augur_tcp::CongestionControl>| {
-        PeerAgent::Tcp(TcpPeerAgent::new(
-            TcpConfig {
-                packet_size: topology.packet_size,
-                max_window,
-                ..TcpConfig::default()
-            },
-            cc,
-        ))
-    };
     let mut primary = restarting(alpha, latency_penalty);
     let mut peers: Vec<PeerAgent> = cx
         .peers
         .iter()
-        .map(|p| match *p {
-            PeerSpec::Isender { alpha } => PeerAgent::Model(restarting(alpha, 0.0)),
-            PeerSpec::Aimd { timeout } => {
-                PeerAgent::Aimd(AimdSender::new(timeout).with_packet_size(topology.packet_size))
-            }
-            PeerSpec::TcpReno { max_window } => tcp_peer(max_window, Box::<Reno>::default()),
-            PeerSpec::TcpCubic { max_window } => tcp_peer(max_window, Box::<Cubic>::default()),
-        })
+        .map(|p| PeerAgent::build(p, topology.packet_size, |alpha| restarting(alpha, 0.0)))
         .collect();
 
     let t_end = Time::ZERO + spec.duration;
@@ -1186,28 +1183,7 @@ fn coexist_graph_run(
         .peers
         .iter()
         .enumerate()
-        .map(|(i, p)| match *p {
-            PeerSpec::Isender { alpha } => PeerAgent::Model(restarting(i + 1, alpha, 0.0)),
-            PeerSpec::Aimd { timeout } => {
-                PeerAgent::Aimd(AimdSender::new(timeout).with_packet_size(g.packet_size))
-            }
-            PeerSpec::TcpReno { max_window } | PeerSpec::TcpCubic { max_window } => {
-                let cc: Box<dyn augur_tcp::CongestionControl> =
-                    if matches!(p, PeerSpec::TcpReno { .. }) {
-                        Box::<Reno>::default()
-                    } else {
-                        Box::<Cubic>::default()
-                    };
-                PeerAgent::Tcp(TcpPeerAgent::new(
-                    TcpConfig {
-                        packet_size: g.packet_size,
-                        max_window,
-                        ..TcpConfig::default()
-                    },
-                    cc,
-                ))
-            }
-        })
+        .map(|(i, p)| PeerAgent::build(p, g.packet_size, |alpha| restarting(i + 1, alpha, 0.0)))
         .collect();
     let table: Vec<FlowEndpoint> = compiled
         .entries

@@ -1,12 +1,11 @@
 //! Canonical text formatting for numbers and JSON strings.
 //!
-//! Every deterministic artifact in the workspace — sweep CSVs, the
-//! `BENCH_<suite>.json` reports, and the structured event logs — must
-//! serialize the same value to the same bytes, forever, on every
-//! platform and at any `--workers`. This module is the single authority
-//! for that formatting; the writers in `augur-trace`, `augur-perf`, and
-//! `augur-obs` all delegate here instead of growing private copies that
-//! could drift into non-comparable output.
+//! Every deterministic artifact in the workspace — sweep CSVs and the
+//! structured event logs — must serialize the same value to the same
+//! bytes, forever, on every platform and at any `--workers`. This
+//! module is the single authority for that formatting; the writers in
+//! `augur-trace` and `augur-obs` delegate here instead of growing
+//! private copies that could drift into non-comparable output.
 
 /// A finite `f64` as Rust's shortest round-trip decimal (`Display`),
 /// which is deterministic and parses back to the identical bits.

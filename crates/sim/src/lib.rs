@@ -5,9 +5,9 @@
 //! in: integer virtual [`Time`], integer physical units ([`BitRate`],
 //! [`Bits`], [`Ppm`]), [`Packet`]s and [`Delivery`] observations, a
 //! deterministic [`EventQueue`], a seeded [`SimRng`], the always-on
-//! work counters / stopwatch of [`perf`] (re-exported by `augur-perf`),
-//! and the canonical number/JSON formatting of [`canon`] that every
-//! deterministic artifact writer shares.
+//! work counters / stopwatch of [`perf`], and the canonical number/JSON
+//! formatting of [`canon`] that every deterministic artifact writer
+//! shares.
 //!
 //! Design rules (see DESIGN.md §4.1):
 //!

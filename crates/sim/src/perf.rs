@@ -4,9 +4,10 @@
 //! This module lives in `augur-sim` — the workspace's dependency-free
 //! root — so the hot paths of every other crate (the network event loop,
 //! link-rate integration, belief updates) can bump a counter without
-//! taking a dependency on the benchmarking subsystem. The `augur-perf`
-//! crate re-exports everything here as its clock/counters facade and
-//! builds the benchmark harness, suites, and `perf` CLI on top.
+//! taking a dependency on anything above it. The sweep runner stamps
+//! each run's counter delta into `RunSummary::work`; the standalone
+//! `benchmark/` package reads the same counters for its per-layer
+//! metrics.
 //!
 //! # Design
 //!
@@ -20,9 +21,9 @@
 //! across threads sum the per-run [`WorkCounters`] instead.
 //!
 //! Counter values are pure functions of the simulated work — never of
-//! wall time, scheduling, or thread count — so they can be exported in
-//! machine-readable artifacts and diffed across reruns; the CI
-//! `perf-smoke` job does exactly that. Wall time ([`Stopwatch`]) is
+//! wall time, scheduling, or thread count — so they can be pinned as
+//! committed constants (`crates/scenario/tests/work_counters.rs`) and
+//! compared exactly between two commits. Wall time ([`Stopwatch`]) is
 //! diagnostic-only and must never flow into deterministic outputs.
 
 use std::cell::Cell;
@@ -63,7 +64,7 @@ pub struct WorkCounters {
     /// (topology, element parameters, rate schedules).
     pub structures_built: u64,
     /// Agent wakes dispatched by the flow driver (one `on_wake` call
-    /// per count) — the many-flow scaling suites pin these.
+    /// per count).
     pub flow_wakes: u64,
 }
 

@@ -253,8 +253,8 @@ mod tests {
 
     #[test]
     fn derived_streams_have_disjoint_output_prefixes() {
-        // The perf suites seed every workload through derive_seed and
-        // rely on the sub-streams behaving as unrelated generators: a
+        // Sweeps seed every run through derive_seed and rely on the
+        // sub-streams behaving as unrelated generators: a
         // shared output prefix between any two streams would correlate
         // supposedly-independent replicates. 64 streams × 32-draw
         // prefixes from one base seed must all be distinct values —

@@ -16,5 +16,5 @@ pub mod table;
 pub use ascii_plot::{render, PlotConfig};
 pub use csv::{write_long, write_wide};
 pub use series::Series;
-pub use stats::{percentile_of_sorted, summarize, try_percentile_of_sorted, Summary};
+pub use stats::{percentile_of_sorted, summarize, Summary};
 pub use table::{Cell, Table};

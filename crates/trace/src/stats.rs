@@ -56,9 +56,7 @@ pub fn summarize(samples: &[f64]) -> Summary {
 /// **Preconditions:** `sorted` must be non-empty and ascending (NaN-free
 /// — sort with `total_cmp` first), and `pct` must lie in `[0, 100]`.
 /// `pct = 0` returns the minimum, `pct = 100` the maximum, and a rank
-/// landing between two samples interpolates linearly. Use
-/// [`try_percentile_of_sorted`] where emptiness or an out-of-range
-/// percentile is a data-dependent possibility rather than a bug.
+/// landing between two samples interpolates linearly.
 ///
 /// # Panics
 /// Panics on empty data or a percentile outside `[0, 100]`.
@@ -68,22 +66,6 @@ pub fn percentile_of_sorted(sorted: &[f64], pct: f64) -> f64 {
         (0.0..=100.0).contains(&pct),
         "percentile {pct} out of range"
     );
-    percentile_unchecked(sorted, pct)
-}
-
-/// Non-panicking [`percentile_of_sorted`]: `None` on empty data or a
-/// percentile outside `[0, 100]`, `Some` of the identical value
-/// otherwise. The perf harness summarizes measurement batches through
-/// this variant so a degenerate batch count surfaces as a missing
-/// statistic, not a panic mid-benchmark.
-pub fn try_percentile_of_sorted(sorted: &[f64], pct: f64) -> Option<f64> {
-    if sorted.is_empty() || !(0.0..=100.0).contains(&pct) {
-        return None;
-    }
-    Some(percentile_unchecked(sorted, pct))
-}
-
-fn percentile_unchecked(sorted: &[f64], pct: f64) -> f64 {
     if sorted.len() == 1 {
         return sorted[0];
     }
@@ -136,25 +118,6 @@ mod tests {
         for pct in [0.0, 37.5, 50.0, 100.0] {
             assert_eq!(percentile_of_sorted(&[42.0], pct), 42.0);
         }
-    }
-
-    #[test]
-    fn try_percentile_matches_panicking_variant() {
-        let sorted = [1.0, 2.0, 4.0, 8.0, 16.0];
-        for pct in [0.0, 10.0, 50.0, 62.5, 99.0, 100.0] {
-            assert_eq!(
-                try_percentile_of_sorted(&sorted, pct),
-                Some(percentile_of_sorted(&sorted, pct))
-            );
-        }
-    }
-
-    #[test]
-    fn try_percentile_rejects_bad_inputs_without_panicking() {
-        assert_eq!(try_percentile_of_sorted(&[], 50.0), None);
-        assert_eq!(try_percentile_of_sorted(&[1.0], -0.001), None);
-        assert_eq!(try_percentile_of_sorted(&[1.0], 100.001), None);
-        assert_eq!(try_percentile_of_sorted(&[1.0], f64::NAN), None);
     }
 
     #[test]

@@ -30,9 +30,6 @@
 //! * [`scenario`] — experiments as data: declarative scenario specs,
 //!   cartesian sweep grids, a parallel deterministic sweep runner, and
 //!   CSV/JSONL report export.
-//! * [`perf`] — the benchmarking & counters subsystem: a
-//!   dependency-free harness, the always-on work-counters facade, named
-//!   suites, and the `perf` CLI emitting `BENCH_<suite>.json`.
 //!
 //! # Quickstart
 //!
@@ -62,7 +59,6 @@
 pub use augur_core as core;
 pub use augur_elements as elements;
 pub use augur_inference as inference;
-pub use augur_perf as perf;
 pub use augur_scenario as scenario;
 pub use augur_sim as sim;
 pub use augur_tcp as tcp;
