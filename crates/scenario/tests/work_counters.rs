@@ -8,7 +8,9 @@
 //! does not (whole sweeps, the many-flow drive) the value is a committed
 //! constant: a change that deliberately lowers a counter edits the
 //! constant in the same commit, and `git log -p` on this file is the
-//! history of how much work the shipped workloads cost.
+//! history of how much work the shipped workloads cost. Each pinned
+//! sweep also commits the FNV-1a digest of its CSV, so a refactor that
+//! moves a report byte fails here before any shipped-size comparison.
 //!
 //! `augur-lint` C030 requires every `WorkCounters` field to be named in
 //! this file.
@@ -25,12 +27,20 @@ fn work_of<R>(f: impl FnOnce() -> R) -> (WorkCounters, R) {
     (perf::snapshot().since(&before), out)
 }
 
-/// Everything one serial sweep costs: the prior enumeration the runner
-/// does up front on the calling thread, plus every run's own work.
-fn sweep_work(runs: &[RunSpec]) -> WorkCounters {
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// What one serial sweep leaves behind and costs: the digest of its CSV,
+/// and the prior enumeration the runner does up front on the calling
+/// thread plus every run's own work.
+fn sweep_pin(runs: &[RunSpec]) -> (u64, WorkCounters) {
     let (mut work, report) = work_of(|| SweepRunner::serial().run(runs));
     work += report.total_work();
-    work
+    (fnv1a(report.to_csv_string().as_bytes()), work)
 }
 
 #[test]
@@ -148,18 +158,21 @@ fn fig3_replicate_grid_enumerates_its_prior_once_shared_and_once_per_run_cold() 
 fn smoke_sweep_counters_are_pinned() {
     let runs = presets::smoke(Dur::from_secs(5), 2).expand();
     assert_eq!(
-        sweep_work(&runs),
-        WorkCounters {
-            events_processed: 825_365,
-            packets_forwarded: 632_575,
-            hypothesis_updates: 736,
-            particle_resamples: 3,
-            rate_integrations: 285_487,
-            networks_built: 1,
-            state_clones: 23_472,
-            structures_built: 12,
-            flow_wakes: 19,
-        }
+        sweep_pin(&runs),
+        (
+            0xD9FC_7782_60C8_5538,
+            WorkCounters {
+                events_processed: 825_365,
+                packets_forwarded: 632_575,
+                hypothesis_updates: 736,
+                particle_resamples: 3,
+                rate_integrations: 285_487,
+                networks_built: 1,
+                state_clones: 23_472,
+                structures_built: 12,
+                flow_wakes: 19,
+            }
+        )
     );
 }
 
@@ -167,18 +180,21 @@ fn smoke_sweep_counters_are_pinned() {
 fn dumbbell_cross_sweep_counters_are_pinned() {
     let runs = presets::dumbbell_cross(Dur::from_secs(5), 2, 256).expand();
     assert_eq!(
-        sweep_work(&runs),
-        WorkCounters {
-            events_processed: 213_360,
-            packets_forwarded: 220_838,
-            hypothesis_updates: 758,
-            particle_resamples: 0,
-            rate_integrations: 117_572,
-            networks_built: 0,
-            state_clones: 8_080,
-            structures_built: 258,
-            flow_wakes: 34,
-        }
+        sweep_pin(&runs),
+        (
+            0xD03A_F72E_6377_97C7,
+            WorkCounters {
+                events_processed: 213_360,
+                packets_forwarded: 220_838,
+                hypothesis_updates: 758,
+                particle_resamples: 0,
+                rate_integrations: 117_572,
+                networks_built: 0,
+                state_clones: 8_080,
+                structures_built: 258,
+                flow_wakes: 34,
+            }
+        )
     );
 }
 
@@ -186,18 +202,21 @@ fn dumbbell_cross_sweep_counters_are_pinned() {
 fn parking_lot_sweep_counters_are_pinned() {
     let runs = presets::parking_lot(Dur::from_secs(5), 2, 256).expand();
     assert_eq!(
-        sweep_work(&runs),
-        WorkCounters {
-            events_processed: 208_154,
-            packets_forwarded: 215_322,
-            hypothesis_updates: 668,
-            particle_resamples: 0,
-            rate_integrations: 115_080,
-            networks_built: 0,
-            state_clones: 7_640,
-            structures_built: 130,
-            flow_wakes: 70,
-        }
+        sweep_pin(&runs),
+        (
+            0x3B6F_18E2_72BB_AAFC,
+            WorkCounters {
+                events_processed: 208_154,
+                packets_forwarded: 215_322,
+                hypothesis_updates: 668,
+                particle_resamples: 0,
+                rate_integrations: 115_080,
+                networks_built: 0,
+                state_clones: 7_640,
+                structures_built: 130,
+                flow_wakes: 70,
+            }
+        )
     );
 }
 
@@ -205,18 +224,87 @@ fn parking_lot_sweep_counters_are_pinned() {
 fn replay_cellular_sweep_counters_are_pinned() {
     let runs = presets::replay_cellular(Dur::from_secs(5)).expand();
     assert_eq!(
-        sweep_work(&runs),
-        WorkCounters {
-            events_processed: 15_203,
-            packets_forwarded: 17_806,
-            hypothesis_updates: 0,
-            particle_resamples: 0,
-            rate_integrations: 5_479,
-            networks_built: 0,
-            state_clones: 0,
-            structures_built: 12,
-            flow_wakes: 0,
-        }
+        sweep_pin(&runs),
+        (
+            0xD6CE_CD1B_E503_0518,
+            WorkCounters {
+                events_processed: 15_203,
+                packets_forwarded: 17_806,
+                hypothesis_updates: 0,
+                particle_resamples: 0,
+                rate_integrations: 5_479,
+                networks_built: 0,
+                state_clones: 0,
+                structures_built: 12,
+                flow_wakes: 0,
+            }
+        )
+    );
+}
+
+#[test]
+fn fig3_sweep_counters_are_pinned() {
+    let runs = presets::fig3(Dur::from_secs(4), 64).expand();
+    assert_eq!(
+        sweep_pin(&runs),
+        (
+            0xC02A_0666_602D_D12E,
+            WorkCounters {
+                events_processed: 301_875,
+                packets_forwarded: 273_516,
+                hypothesis_updates: 19_440,
+                particle_resamples: 0,
+                rate_integrations: 98_802,
+                networks_built: 1,
+                state_clones: 27_912,
+                structures_built: 4_764,
+                flow_wakes: 12,
+            }
+        )
+    );
+}
+
+#[test]
+fn coexist_fairness_sweep_counters_are_pinned() {
+    let runs = presets::coexist_fairness(Dur::from_secs(20), 2, 256).expand();
+    assert_eq!(
+        sweep_pin(&runs),
+        (
+            0xB1B1_17BB_25E4_3E0F,
+            WorkCounters {
+                events_processed: 1_368_676,
+                packets_forwarded: 1_416_796,
+                hypothesis_updates: 4_266,
+                particle_resamples: 0,
+                rate_integrations: 756_864,
+                networks_built: 0,
+                state_clones: 51_480,
+                structures_built: 898,
+                flow_wakes: 124,
+            }
+        )
+    );
+}
+
+#[test]
+fn coexist_vs_tcp_sweep_counters_are_pinned() {
+    let runs = presets::coexist_vs_tcp(Dur::from_secs(20), 2, 256).expand();
+    assert_eq!(
+        sweep_pin(&runs),
+        (
+            0xF5C7_086A_5113_8B66,
+            WorkCounters {
+                events_processed: 1_662_458,
+                packets_forwarded: 1_720_370,
+                hypothesis_updates: 5_253,
+                particle_resamples: 0,
+                rate_integrations: 917_521,
+                networks_built: 0,
+                state_clones: 61_850,
+                structures_built: 1_158,
+                flow_wakes: 417,
+            }
+        )
     );
 }
 
