@@ -25,7 +25,9 @@
 //! has nothing to apply them to (a silently ignored parameter would
 //! yield a sweep that does not match what was asked for). Spec-file
 //! parse and validation failures exit with code 2 — distinct from a run
-//! failure — and name the offending file, line, and column.
+//! failure — and name the offending file, line, and column; an expanded
+//! run that breaks a workload × sender × topology rule
+//! (`ScenarioSpec::check`) exits 2 naming the grid point and the rule.
 //!
 //! Every run's seed derives from `(base seed, run index)`, so the CSV is
 //! byte-identical for any `--workers` value — `--workers 1` is the
@@ -339,6 +341,14 @@ fn main() {
             exit(2)
         }
     };
+    // Workload × sender × topology rules, per expanded run: an axis can
+    // produce a combination the decoder never saw in the base sections.
+    for run in &runs {
+        if let Err(rule) = run.spec.check() {
+            eprintln!("{label}: run {} ({}): {rule}", run.index, run.point());
+            exit(2)
+        }
+    }
 
     if opts.check {
         println!(

@@ -301,7 +301,7 @@ impl SenderAgent for AimdSender {
 mod tests {
     use super::*;
     use crate::DiscountedThroughput;
-    use crate::{build_shared_bottleneck, jain_index, run_multi_agent};
+    use crate::{build_many_flow_bottleneck, jain_index, run_multi_agent};
 
     const LINK_BPS: u64 = 24_000;
     const BUFFER_BITS: u64 = 96_000;
@@ -449,7 +449,7 @@ mod tests {
         // The §3.5 determinism contract: (bits_a, bits_b, restarts) is a
         // pure function of the seed, including the tie-break coin flips.
         let run = |seed: u64| {
-            let mut truth = build_shared_bottleneck(
+            let mut truth = build_many_flow_bottleneck(
                 BitRate::from_bps(LINK_BPS),
                 Bits::new(BUFFER_BITS),
                 Ppm::ZERO,
@@ -477,7 +477,7 @@ mod tests {
         // One AIMD sender alone on the link: every injected packet that
         // the link serves by t_end must be counted, including those that
         // complete after the sender's last wake.
-        let mut truth = build_shared_bottleneck(
+        let mut truth = build_many_flow_bottleneck(
             BitRate::from_bps(12_000),
             Bits::new(960_000),
             Ppm::ZERO,
@@ -503,7 +503,7 @@ mod tests {
 
     #[test]
     fn jain_of_symmetric_isenders_is_reasonable() {
-        let mut truth = build_shared_bottleneck(
+        let mut truth = build_many_flow_bottleneck(
             BitRate::from_bps(LINK_BPS),
             Bits::new(BUFFER_BITS),
             Ppm::ZERO,

@@ -16,7 +16,7 @@
 //! guarantees, unchanged from the sequential loops:
 //!
 //! * **Timer wakes.** After `on_wake` returns
-//!   [`WakeOutcome::next_wake`], the agent sleeps until that instant —
+//!   [`crate::WakeOutcome::next_wake`], the agent sleeps until that instant —
 //!   floored to strictly after the current wake (`now + 1µs`), so an
 //!   agent can never busy-loop the driver by re-requesting `now`.
 //! * **Acknowledgment wakes.** A delivery for flow `i` at time `d`
@@ -49,7 +49,7 @@
 //! start at t=0, where every flow wakes at once).
 
 use crate::experiment::{GroundTruth, RunTrace, WakeRecord};
-use crate::isender::{SenderAgent, WakeOutcome};
+use crate::isender::SenderAgent;
 use crate::multi::MultiFlowTruth;
 use augur_elements::{Network, NodeId};
 use augur_inference::{BeliefError, Observation};
@@ -256,83 +256,18 @@ impl WakeHeap {
     }
 }
 
-/// Uniform dispatch over a driver's agents — lets one `drive` loop
-/// serve both the `&mut [&mut dyn SenderAgent]` table and a single
-/// statically-typed sender without boxing it.
-trait AgentTable {
-    fn len(&self) -> usize;
-    fn own_flow(&self, i: usize) -> FlowId;
-    fn on_wake(
-        &mut self,
-        i: usize,
-        now: Time,
-        acks: &[Observation],
-    ) -> Result<WakeOutcome, BeliefError>;
-    fn population(&self, i: usize) -> usize;
-    fn effective_population(&self, i: usize) -> f64;
-}
-
-impl AgentTable for [&mut dyn SenderAgent] {
-    fn len(&self) -> usize {
-        <[_]>::len(self)
-    }
-    fn own_flow(&self, i: usize) -> FlowId {
-        self[i].own_flow()
-    }
-    fn on_wake(
-        &mut self,
-        i: usize,
-        now: Time,
-        acks: &[Observation],
-    ) -> Result<WakeOutcome, BeliefError> {
-        self[i].on_wake(now, acks)
-    }
-    fn population(&self, i: usize) -> usize {
-        self[i].population()
-    }
-    fn effective_population(&self, i: usize) -> f64 {
-        self[i].effective_population()
-    }
-}
-
-/// The N=1 table: one sender, no dynamic dispatch.
-struct Single<'a, S: SenderAgent + ?Sized>(&'a mut S);
-
-impl<S: SenderAgent + ?Sized> AgentTable for Single<'_, S> {
-    fn len(&self) -> usize {
-        1
-    }
-    fn own_flow(&self, _i: usize) -> FlowId {
-        self.0.own_flow()
-    }
-    fn on_wake(
-        &mut self,
-        _i: usize,
-        now: Time,
-        acks: &[Observation],
-    ) -> Result<WakeOutcome, BeliefError> {
-        self.0.on_wake(now, acks)
-    }
-    fn population(&self, _i: usize) -> usize {
-        self.0.population()
-    }
-    fn effective_population(&self, _i: usize) -> f64 {
-        self.0.effective_population()
-    }
-}
-
-/// The heap-scheduled co-simulation loop, generic over agent storage.
-fn drive<A: AgentTable + ?Sized>(
+/// The heap-scheduled co-simulation loop.
+fn drive(
     net: &mut Network,
     rng: &mut SimRng,
     flows: &[FlowEndpoint],
     routing: Routing,
-    agents: &mut A,
+    agents: &mut [&mut dyn SenderAgent],
     t_end: Time,
 ) -> Result<Vec<RunTrace>, BeliefError> {
     let n = agents.len();
     debug_assert!(n >= 1 && n <= flows.len());
-    let own0 = agents.own_flow(0);
+    let own0 = agents[0].own_flow();
     let mut traces: Vec<RunTrace> = vec![RunTrace::default(); n];
     let mut pending: Vec<Vec<Observation>> = vec![Vec::new(); n];
     let start = net.now();
@@ -418,7 +353,7 @@ fn drive<A: AgentTable + ?Sized>(
         // Stamp the dispatched flow so belief-engine events emitted from
         // inside `on_wake` carry the right attribution.
         augur_obs::set_flow(FlowId(i as u16));
-        let outcome = agents.on_wake(i, t_wake, &acks)?;
+        let outcome = agents[i].on_wake(t_wake, &acks)?;
         augur_obs::emit(
             t_wake,
             augur_obs::EventKind::Wake {
@@ -431,8 +366,8 @@ fn drive<A: AgentTable + ?Sized>(
             at: t_wake,
             acks: acks.len(),
             sent: outcome.sent.len(),
-            branches: agents.population(i),
-            effective: agents.effective_population(i),
+            branches: agents[i].population(),
+            effective: agents[i].effective_population(),
         });
         for pkt in &outcome.sent {
             // The loop owns wire identity in multi-agent runs: agent
@@ -588,11 +523,11 @@ impl<'a> FlowDriver<'a> {
             .map_err(DriverError::from)
     }
 
-    /// Run a single statically-typed sender until `t_end` — the N=1
-    /// path [`crate::run_closed_loop`] wraps.
-    pub fn run_single<S: SenderAgent + ?Sized>(
+    /// Run a single sender until `t_end` — the N=1 path
+    /// [`crate::run_closed_loop`] wraps.
+    pub fn run_single(
         self,
-        sender: &mut S,
+        sender: &mut dyn SenderAgent,
         t_end: Time,
     ) -> Result<RunTrace, BeliefError> {
         debug_assert!(!self.flows.is_empty());
@@ -601,7 +536,7 @@ impl<'a> FlowDriver<'a> {
             self.rng,
             &self.flows,
             self.routing,
-            &mut Single(sender),
+            &mut [sender],
             t_end,
         )?;
         Ok(traces.swap_remove(0))

@@ -96,9 +96,9 @@ pub struct GroundTruth {
 /// at each acknowledgment, its packets are injected at `truth.entry`
 /// with their own flow stamp, and cross-traffic deliveries plus all
 /// ground-truth drops are logged to the one trace.
-pub fn run_closed_loop<S: SenderAgent + ?Sized>(
+pub fn run_closed_loop(
     truth: &mut GroundTruth,
-    sender: &mut S,
+    sender: &mut dyn SenderAgent,
     t_end: Time,
 ) -> Result<RunTrace, BeliefError> {
     FlowDriver::closed_loop(truth).run_single(sender, t_end)

@@ -40,10 +40,7 @@ pub use coexist::{coexist_belief, AimdSender, BeliefFactory, RestartingSender, U
 pub use driver::{DriverError, FlowDriver, FlowEndpoint, FlowTableError};
 pub use experiment::{run_closed_loop, GroundTruth, RunTrace, WakeRecord};
 pub use isender::{ISender, ISenderConfig, ParticleSender, SenderAgent, WakeOutcome};
-pub use multi::{
-    build_many_flow_bottleneck, build_shared_bottleneck, jain_index, run_multi_agent,
-    MultiFlowTruth,
-};
+pub use multi::{build_many_flow_bottleneck, jain_index, run_multi_agent, MultiFlowTruth};
 pub use planner::{
     decide, decide_weighted, rollout, subsample_weighted, Action, Decision, PlannerConfig,
 };

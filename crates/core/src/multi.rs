@@ -13,10 +13,8 @@
 use crate::driver::{DriverError, FlowDriver, FlowEndpoint, FlowTableError};
 use crate::experiment::RunTrace;
 use crate::isender::SenderAgent;
-use augur_elements::{
-    Buffer, Diverter, Element, Link, Loss, Network, NetworkBuilder, NodeId, ReceiverEl,
-};
-use augur_sim::{BitRate, Bits, FlowId, Ppm, SimRng, Time};
+use augur_elements::{Buffer, Element, Link, Loss, Network, NetworkBuilder, NodeId, ReceiverEl};
+use augur_sim::{BitRate, Bits, Ppm, SimRng, Time};
 
 /// Ground truth for the multi-sender loop: a network plus a validated
 /// per-flow endpoint table (`flows[i]` is where `FlowId(i)` enters and
@@ -72,66 +70,13 @@ impl MultiFlowTruth {
     }
 }
 
-/// Build `buffer → link → loss → diverter(0) → rx_0 / diverter(1) → …`
-/// for `flows` competing senders: one drop-tail buffer and constant-rate
-/// link shared by all, then a diverter chain peeling off one flow per
-/// receiver.
-///
-/// The per-receiver diverter chain costs O(flow index) routing passes
-/// per delivery — the right shape for the 2–4 flow coexistence studies
-/// it was built for, with per-receiver queues visible to the topology.
-/// Many-flow scaling runs should use [`build_many_flow_bottleneck`],
-/// which shares one receiver across all flows.
-pub fn build_shared_bottleneck(
-    link: BitRate,
-    buffer: Bits,
-    loss: Ppm,
-    flows: usize,
-    seed: u64,
-) -> MultiFlowTruth {
-    assert!(flows >= 1, "a shared bottleneck needs at least one flow");
-    let mut b = NetworkBuilder::new();
-    let buf = b.add(Element::Buffer(Buffer::drop_tail(buffer)));
-    let link_n = b.add(Element::Link(Link::constant(link)));
-    let loss_n = b.add(Element::Loss(Loss { p: loss }));
-    b.connect(buf, link_n);
-    b.connect(link_n, loss_n);
-    let rxs: Vec<NodeId> = (0..flows)
-        .map(|_| b.add(Element::Receiver(ReceiverEl)))
-        .collect();
-    if flows == 1 {
-        b.connect(loss_n, rxs[0]);
-    } else {
-        // diverter(i).next → rx_i; its alt continues the chain, with the
-        // last alt edge going straight to the final receiver.
-        let mut upstream = loss_n;
-        for (i, &rx) in rxs.iter().take(flows - 1).enumerate() {
-            let div = b.add(Element::Diverter(Diverter {
-                flow: FlowId(i as u16),
-            }));
-            if upstream == loss_n {
-                b.connect(upstream, div);
-            } else {
-                b.connect_alt(upstream, div);
-            }
-            b.connect(div, rx);
-            upstream = div;
-        }
-        b.connect_alt(upstream, rxs[flows - 1]);
-    }
-    let table = rxs
-        .into_iter()
-        .map(|rx| FlowEndpoint { entry: buf, rx })
-        .collect();
-    MultiFlowTruth::new(b.build(), table, SimRng::seed_from_u64(seed))
-        .expect("shared bottleneck flow table is non-empty and in range")
-}
-
 /// Build `buffer → link → loss → rx` shared by *all* `flows` senders:
-/// the many-flow scaling shape. Every flow injects at the one drop-tail
-/// buffer and is acknowledged at the one receiver; the driver routes
-/// deliveries back to agents by [`FlowId`], so no per-flow topology is
-/// needed and a delivery costs O(1) routing passes regardless of N.
+/// the single-bottleneck shape of the coexistence studies (2–4 flows)
+/// and the many-flow scaling runs alike. Every flow injects at the one
+/// drop-tail buffer and is acknowledged at the one receiver; the driver
+/// routes deliveries back to agents by [`augur_sim::FlowId`], so no
+/// per-flow topology is needed and a delivery costs O(1) routing passes
+/// regardless of N.
 pub fn build_many_flow_bottleneck(
     link: BitRate,
     buffer: Bits,
@@ -159,7 +104,7 @@ pub fn build_many_flow_bottleneck(
 /// [`RunTrace`] per agent (same order). Agent `i`'s packets are
 /// re-stamped to `FlowId(i)` on injection and injected at the truth's
 /// i-th endpoint, so every agent may keep believing it is
-/// [`FlowId::SELF`] internally — the loop owns wire identity.
+/// [`augur_sim::FlowId::SELF`] internally — the loop owns wire identity.
 ///
 /// Thin wrapper over [`FlowDriver::over`] + [`FlowDriver::run`]. Errors
 /// propagate from any agent whose belief dies
@@ -187,7 +132,7 @@ pub fn jain_index(rates: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use augur_sim::Packet;
+    use augur_sim::{FlowId, Packet};
 
     #[test]
     fn jain_index_bounds() {
@@ -195,33 +140,6 @@ mod tests {
         assert!((jain_index(&[1.0, 0.0]) - 0.5).abs() < 1e-12);
         assert!((jain_index(&[3.0, 3.0, 3.0]) - 1.0).abs() < 1e-12);
         assert!(jain_index(&[0.0, 0.0]).is_nan());
-    }
-
-    #[test]
-    fn shared_bottleneck_routes_each_flow_to_its_receiver() {
-        for flows in 1..=4usize {
-            let mut truth = build_shared_bottleneck(
-                BitRate::from_bps(12_000),
-                Bits::new(96_000),
-                Ppm::ZERO,
-                flows,
-                7,
-            );
-            for f in 0..flows {
-                truth.net.inject(
-                    truth.entry_for(f),
-                    Packet::new(FlowId(f as u16), 0, Bits::new(12_000), Time::ZERO),
-                );
-            }
-            truth
-                .net
-                .run_until_sampled(Time::from_secs(20), &mut truth.rng);
-            let d = truth.net.take_deliveries();
-            assert_eq!(d.len(), flows);
-            for (node, del) in d {
-                assert_eq!(node, truth.rx_for(del.packet.flow.0 as usize));
-            }
-        }
     }
 
     #[test]

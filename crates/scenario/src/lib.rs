@@ -47,9 +47,8 @@ pub use config::{grid_to_toml, load_grid, parse_grid, parse_grid_at, ConfigError
 pub use grid::{Axis, RunSpec, SweepGrid};
 pub use report::{RunStatus, RunSummary, SweepReport};
 pub use runner::{
-    execute_run, execute_run_observed_in, execute_run_traced, execute_run_traced_in, spec_belief,
-    spec_belief_in, spec_ground_truth, spec_isender, PriorCache, RunArtifact, SweepRunner,
-    TcpPeerAgent,
+    execute_run, execute_run_traced_in, spec_ground_truth, spec_isender, PriorCache, RunArtifact,
+    SweepRunner, TcpPeerAgent,
 };
 pub use spec::{
     CoexistSpec, ObserveSpec, PeerSpec, PriorSpec, QueueSpec, ScenarioSpec, SenderSpec,

@@ -7,18 +7,35 @@
 //! land in a per-run slot. No state is shared between runs, so a sweep
 //! executed with one worker or N workers produces identical
 //! [`SweepReport`]s — the determinism test pins this.
+//!
+//! # Run paths
+//!
+//! [`execute_run_observed_in`] first holds the spec to
+//! [`ScenarioSpec::check`] and then takes one of three paths:
+//!
+//! * **Agent workloads** — closed-loop ISenders, coexistence over a
+//!   model or graph topology, many-flow scaling. `lower` turns the spec
+//!   into (ground truth, agents, horizon), `run_agents` drives that
+//!   through [`FlowDriver`] (the crate's only call into it), and
+//!   `summarize` turns the per-flow [`RunTrace`]s into the
+//!   [`RunSummary`].
+//! * **`closed_loop_tcp`** — a TCP bulk transfer over a model or
+//!   cellular path runs on [`augur_tcp::TcpRunner`]'s own loop. The same
+//!   endpoint as a [`TcpPeerAgent`] at N=1 through the driver is
+//!   byte-identical but measurably slower and larger on
+//!   `replay-cellular` (ROADMAP item 4), so the private loop stays until
+//!   the element core has a timer index.
+//! * **`scripted_ping`** — open loop: sends follow a fixed script and no
+//!   agent decides anything, so there is nothing for the driver to
+//!   schedule; it meters the belief update alone.
 
 use crate::grid::RunSpec;
 use crate::report::{RunStatus, RunSummary, SweepReport};
-use crate::spec::{
-    CoexistSpec, ManyFlowSpec, PeerSpec, PriorSpec, ScenarioSpec, SenderSpec, TopologySpec,
-    WorkloadSpec,
-};
+use crate::spec::{PeerSpec, PriorSpec, ScenarioSpec, SenderSpec, TopologySpec, WorkloadSpec};
 use augur_core::{
-    build_many_flow_bottleneck, build_shared_bottleneck, coexist_belief, jain_index,
-    run_closed_loop, run_multi_agent, AimdSender, DiscountedThroughput, DriverError, FlowEndpoint,
-    GroundTruth, ISender, ISenderConfig, MultiFlowTruth, ParticleSender, RestartingSender,
-    RunTrace, SenderAgent, Utility, WakeOutcome,
+    build_many_flow_bottleneck, coexist_belief, jain_index, AimdSender, DiscountedThroughput,
+    DriverError, FlowDriver, FlowEndpoint, GroundTruth, ISender, ISenderConfig, MultiFlowTruth,
+    ParticleSender, RestartingSender, RunTrace, SenderAgent, Utility, WakeOutcome,
 };
 use augur_elements::{
     build_cellular_with_buffer, DropReason, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
@@ -28,7 +45,7 @@ use augur_inference::{
 };
 use augur_obs::EventRecord;
 use augur_sim::perf::{self, Stopwatch, WorkCounters};
-use augur_sim::{Dur, FlowId, Packet, SimRng, Time};
+use augur_sim::{Bits, Dur, FlowId, Packet, SimRng, Time};
 use augur_tcp::{Cubic, Reno, TcpConfig, TcpEndpoint, TcpTrace};
 use augur_trace::percentile_of_sorted;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -48,8 +65,8 @@ pub enum RunArtifact {
     /// The run kind produces no trace (scripted workloads, which
     /// summarize inline).
     None,
-    /// An ISender closed loop's full [`RunTrace`] (for coexistence runs,
-    /// the primary flow's).
+    /// An agent workload's full [`RunTrace`] (for coexistence and
+    /// many-flow runs, the primary flow's).
     ClosedLoop(RunTrace),
     /// A TCP run's [`TcpTrace`] (RTT samples, goodput curve, drops).
     Tcp(TcpTrace),
@@ -114,16 +131,6 @@ impl PriorCache {
                 .or_insert_with_key(|prior: &PriorSpec| Arc::new(prior.hypotheses()));
         }
         PriorCache { map }
-    }
-
-    /// Number of cached priors.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True iff no priors are cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// The prior's hypotheses: cloned from the shared prototypes on a
@@ -330,23 +337,15 @@ impl SweepRunner {
 /// [`PriorCache`] instead; `tests/work_counters.rs` pins the
 /// enumeration counts of both paths).
 pub fn execute_run(run: &RunSpec) -> RunSummary {
-    execute_run_traced(run).0
+    execute_run_traced_in(run, &PriorCache::empty()).0
 }
 
-/// [`execute_run`], additionally returning the run's [`RunArtifact`]
-/// (ISender closed loops leave a [`RunTrace`], TCP runs a [`TcpTrace`];
-/// scripted workloads summarize inline). Figure binaries use the
-/// artifact for time-resolved plots and shape checks on top of the
-/// summary.
-pub fn execute_run_traced(run: &RunSpec) -> (RunSummary, RunArtifact) {
-    execute_run_traced_in(run, &PriorCache::empty())
-}
-
-/// [`execute_run_traced`] drawing prior hypotheses from `priors` (cache
-/// misses build fresh). Wall time and work-done counters come from
-/// `augur_sim::perf`: the counter delta around the run is that run's
-/// work — runs execute entirely on one thread — and is
-/// deterministic for any worker count, unlike the stopwatch reading.
+/// [`execute_run`] drawing prior hypotheses from `priors` (cache misses
+/// build fresh), additionally returning the run's [`RunArtifact`]:
+/// agent workloads leave the primary flow's [`RunTrace`], TCP runs a
+/// [`TcpTrace`]; scripted workloads summarize inline. Figure binaries
+/// use the artifact for time-resolved plots and shape checks on top of
+/// the summary.
 pub fn execute_run_traced_in(run: &RunSpec, priors: &PriorCache) -> (RunSummary, RunArtifact) {
     let (summary, trace, _) = execute_run_observed_in(run, priors);
     (summary, trace)
@@ -356,29 +355,33 @@ pub fn execute_run_traced_in(run: &RunSpec, priors: &PriorCache) -> (RunSummary,
 /// structured event log (empty unless the spec's [`crate::ObserveSpec`]
 /// arms a channel). The sink is armed for exactly the duration of the
 /// run on the executing thread, so per-run logs are independent of
-/// worker count and scheduling.
-pub fn execute_run_observed_in(
+/// worker count and scheduling. Wall time and work-done counters come
+/// from `augur_sim::perf`: the counter delta around the run is that
+/// run's work — runs execute entirely on one thread — and is
+/// deterministic for any worker count, unlike the stopwatch reading.
+///
+/// # Panics
+/// Panics if the spec breaks a [`ScenarioSpec::check`] rule — `sweep`
+/// rejects such a grid with exit 2 before any run starts.
+fn execute_run_observed_in(
     run: &RunSpec,
     priors: &PriorCache,
 ) -> (RunSummary, RunArtifact, Vec<EventRecord>) {
+    if let Err(rule) = run.spec.check() {
+        panic!("run {} ({}): {rule}", run.index, run.point());
+    }
     augur_obs::start_run(run.spec.observe.obs_config());
     let watch = Stopwatch::start();
     let counters_before = perf::snapshot();
     let (mut summary, trace) = match (&run.spec.workload, &run.spec.sender) {
-        (WorkloadSpec::ClosedLoop, SenderSpec::IsenderExact { .. })
-        | (WorkloadSpec::ClosedLoop, SenderSpec::IsenderParticle { .. }) => {
-            closed_loop_isender(run, priors)
-        }
-        (WorkloadSpec::ClosedLoop, SenderSpec::TcpReno { .. })
-        | (WorkloadSpec::ClosedLoop, SenderSpec::TcpCubic { .. }) => {
+        (WorkloadSpec::ClosedLoop, SenderSpec::TcpReno { .. } | SenderSpec::TcpCubic { .. }) => {
             let (summary, trace) = closed_loop_tcp(run);
             (summary, RunArtifact::Tcp(trace))
         }
         (WorkloadSpec::ScriptedPing { interval }, _) => {
             (scripted_ping(run, *interval, priors), RunArtifact::None)
         }
-        (WorkloadSpec::Coexist(cx), _) => coexist_run(run, cx),
-        (WorkloadSpec::ManyFlows(mf), _) => many_flow_run(run, mf),
+        _ => agent_run(run, priors),
     };
     summary.work = perf::snapshot().since(&counters_before);
     // Scripted runs meter their own wall clock (belief updates only);
@@ -436,15 +439,9 @@ pub fn spec_ground_truth(spec: &ScenarioSpec, seed: u64) -> GroundTruth {
     }
 }
 
-/// Build the exact belief for a spec. All Figure-2 models share the fixed
-/// `FIG2_*` node ids, so no topology probe is built.
-pub fn spec_belief(spec: &ScenarioSpec, max_branches: usize) -> Belief<ModelParams> {
-    spec_belief_in(spec, max_branches, &PriorCache::empty())
-}
-
-/// [`spec_belief`] drawing the prior's hypotheses from `priors` (cache
-/// misses enumerate from scratch).
-pub fn spec_belief_in(
+/// Build the exact belief for a spec, drawing the prior's hypotheses
+/// from `priors` (cache misses enumerate from scratch).
+fn spec_belief_in(
     spec: &ScenarioSpec,
     max_branches: usize,
     priors: &PriorCache,
@@ -470,13 +467,17 @@ pub fn spec_belief_in(
 /// # Panics
 /// Panics unless the spec's sender is [`SenderSpec::IsenderExact`].
 pub fn spec_isender(spec: &ScenarioSpec) -> ISender<ModelParams> {
+    spec_isender_in(spec, &PriorCache::empty())
+}
+
+fn spec_isender_in(spec: &ScenarioSpec, priors: &PriorCache) -> ISender<ModelParams> {
     match &spec.sender {
         SenderSpec::IsenderExact {
             alpha,
             latency_penalty,
             max_branches,
         } => ISender::new(
-            spec_belief(spec, *max_branches),
+            spec_belief_in(spec, *max_branches, priors),
             utility_of(*alpha, *latency_penalty),
             sender_config(spec),
         ),
@@ -519,91 +520,322 @@ fn sender_config(spec: &ScenarioSpec) -> ISenderConfig {
     }
 }
 
-fn closed_loop_isender(run: &RunSpec, priors: &PriorCache) -> (RunSummary, RunArtifact) {
-    let spec = &run.spec;
-    let mut truth = spec_ground_truth(spec, run.seed);
-    let t_end = Time::ZERO + spec.duration;
+/// The ground truth an agent workload runs against, which fixes how the
+/// driver accounts deliveries and drops.
+enum Truth {
+    /// One sender with closed-loop accounting: cross-traffic deliveries
+    /// and every drop land on its trace.
+    ClosedLoop(GroundTruth),
+    /// Agent `i` transmits as `FlowId(i)`; deliveries and drops route to
+    /// their own flow's trace.
+    PerFlow(MultiFlowTruth),
+}
 
-    // The two engines share the decision cycle via SenderAgent; only the
-    // belief construction differs.
-    let (result, sends, population, alpha) = match &spec.sender {
-        SenderSpec::IsenderExact {
-            alpha,
-            latency_penalty,
-            max_branches,
-        } => {
-            let mut sender = ISender::new(
-                spec_belief_in(spec, *max_branches, priors),
-                utility_of(*alpha, *latency_penalty),
-                sender_config(spec),
-            );
-            let result = run_closed_loop(&mut truth, &mut sender, t_end);
-            (
-                result,
-                sender.sent_log.len() as u64,
-                sender.population() as u64,
-                *alpha,
-            )
-        }
-        SenderSpec::IsenderParticle {
-            alpha,
-            latency_penalty,
-            n_particles,
-        } => {
-            let mut sender = ParticleSender::new(
-                build_filter(spec, *n_particles, run.seed, priors),
-                utility_of(*alpha, *latency_penalty),
-                sender_config(spec),
-            );
-            let result = run_closed_loop(&mut truth, &mut sender, t_end);
-            (
-                result,
-                sender.sent_log.len() as u64,
-                sender.population() as u64,
-                *alpha,
-            )
-        }
-        other => unreachable!("closed_loop_isender over {}", other.label()),
-    };
+/// Every agent kind a workload can put on a flow, kept concrete so send
+/// and restart counts can be read back after the loop.
+enum Agent {
+    Exact(ISender<ModelParams>),
+    Particle(ParticleSender<ModelParams>),
+    Restarting(RestartingSender),
+    Aimd(AimdSender),
+    Tcp(TcpPeerAgent),
+}
 
-    let mut summary = blank_summary(run);
-    summary.sends = sends;
-    summary.population = population;
-    match result {
-        Ok(trace) => {
-            summarize_closed_loop(&mut summary, &trace, spec, alpha);
-            (summary, RunArtifact::ClosedLoop(trace))
+impl Agent {
+    /// The agent a [`PeerSpec`] describes, sending `packet_size`
+    /// packets. `restarting` builds the belief-carrying peer for its α.
+    fn from_peer(
+        peer: &PeerSpec,
+        packet_size: Bits,
+        restarting: impl FnOnce(f64) -> RestartingSender,
+    ) -> Agent {
+        let tcp = |max_window: u64, cc: Box<dyn augur_tcp::CongestionControl>| {
+            Agent::Tcp(TcpPeerAgent::new(
+                TcpConfig {
+                    packet_size,
+                    max_window,
+                    ..TcpConfig::default()
+                },
+                cc,
+            ))
+        };
+        match *peer {
+            PeerSpec::Isender { alpha } => Agent::Restarting(restarting(alpha)),
+            PeerSpec::Aimd { timeout } => {
+                Agent::Aimd(AimdSender::new(timeout).with_packet_size(packet_size))
+            }
+            PeerSpec::TcpReno { max_window } => tcp(max_window, Box::<Reno>::default()),
+            PeerSpec::TcpCubic { max_window } => tcp(max_window, Box::<Cubic>::default()),
         }
-        Err(_) => {
-            summary.status = RunStatus::BeliefDied;
-            (summary, RunArtifact::None)
+    }
+
+    fn as_dyn(&mut self) -> &mut dyn SenderAgent {
+        match self {
+            Agent::Exact(s) => s,
+            Agent::Particle(s) => s,
+            Agent::Restarting(s) => s,
+            Agent::Aimd(s) => s,
+            Agent::Tcp(s) => s,
+        }
+    }
+
+    /// Packets transmitted so far — what a run whose belief died reports,
+    /// its trace being lost with the error.
+    fn sent(&self) -> u64 {
+        match self {
+            Agent::Exact(s) => s.sent_log.len() as u64,
+            Agent::Particle(s) => s.sent_log.len() as u64,
+            Agent::Restarting(s) => s.sends.len() as u64,
+            Agent::Aimd(s) => s.sends.len() as u64,
+            Agent::Tcp(s) => s.trace.segments_sent,
+        }
+    }
+
+    /// Belief restarts so far (0 for agents that never restart).
+    fn restarts(&self) -> u64 {
+        match self {
+            Agent::Restarting(s) => s.restarts as u64,
+            _ => 0,
         }
     }
 }
 
-fn summarize_closed_loop(
+/// Lower an agent workload to what [`run_agents`] executes: the ground
+/// truth, one agent per driven flow (agent `i` transmits as flow `i`;
+/// agent 0 is the scenario's sender and the summarized primary) and the
+/// horizon.
+///
+/// * Closed loop (§4): the spec's model network with closed-loop
+///   accounting and the one exact or particle ISender.
+/// * Coexist (§3.5): the scenario's sender plus one agent per
+///   [`PeerSpec`]. A model topology becomes the single shared bottleneck;
+///   a graph topology compiles to its declared multi-bottleneck network,
+///   each flow injecting at its own source. Every belief-carrying agent
+///   holds the dedicated coexistence prior over the slowest link on *its
+///   own* route (the single-bottleneck abstraction the paper's sender
+///   would bring to a network it cannot see into).
+/// * Many flows: N belief-free agents over the shared bottleneck, agent
+///   `i` built from `mix[i % mix.len()]`; the scenario's `sender` and
+///   `prior` sections are inert.
+fn lower(run: &RunSpec, priors: &PriorCache) -> (Truth, Vec<Agent>, Time) {
+    let spec = &run.spec;
+    let packet_size = spec.topology.packet_size();
+    let truth_seed = SimRng::derive_seed(run.seed, STREAM_TRUTH);
+    let (truth, agents) = match &spec.workload {
+        WorkloadSpec::ClosedLoop => {
+            let agent = match &spec.sender {
+                SenderSpec::IsenderParticle {
+                    alpha,
+                    latency_penalty,
+                    n_particles,
+                } => Agent::Particle(ParticleSender::new(
+                    build_filter(spec, *n_particles, run.seed, priors),
+                    utility_of(*alpha, *latency_penalty),
+                    sender_config(spec),
+                )),
+                _ => Agent::Exact(spec_isender_in(spec, priors)),
+            };
+            let truth = Truth::ClosedLoop(spec_ground_truth(spec, run.seed));
+            (truth, vec![agent])
+        }
+        WorkloadSpec::Coexist(cx) => {
+            let SenderSpec::IsenderExact {
+                alpha,
+                latency_penalty,
+                max_branches,
+            } = spec.sender
+            else {
+                unreachable!("ScenarioSpec::check requires an exact-belief coexist primary")
+            };
+            let flows = 1 + cx.peers.len();
+            // Per flow, the (link bps, buffer bits) its belief models.
+            let (truth, bottlenecks): (_, Vec<(u64, u64)>) = match &spec.topology {
+                TopologySpec::Graph(g) => {
+                    let compiled = augur_topo::compile(g)
+                        .unwrap_or_else(|e| panic!("invalid graph topology: {e}"));
+                    let table = compiled
+                        .entries
+                        .iter()
+                        .zip(&compiled.rxs)
+                        .map(|(&entry, &rx)| FlowEndpoint { entry, rx })
+                        .collect();
+                    let truth =
+                        MultiFlowTruth::new(compiled.net, table, SimRng::seed_from_u64(truth_seed))
+                            .unwrap_or_else(|e| panic!("invalid graph flow table: {e}"));
+                    let bottlenecks = compiled
+                        .bottlenecks
+                        .iter()
+                        .map(|&l| (g.links[l].rate.as_bps(), g.links[l].buffer.as_u64()))
+                        .collect();
+                    (truth, bottlenecks)
+                }
+                topology => {
+                    let m = topology.model("coexist workload");
+                    let truth = build_many_flow_bottleneck(
+                        m.link_rate,
+                        m.buffer_capacity,
+                        m.loss,
+                        flows,
+                        truth_seed,
+                    );
+                    let bottleneck = (m.link_rate.as_bps(), m.buffer_capacity.as_u64());
+                    (truth, vec![bottleneck; flows])
+                }
+            };
+            let restarting = |flow: usize, alpha: f64, latency_penalty: f64| {
+                let (link_bps, buffer_bits) = bottlenecks[flow];
+                RestartingSender::new(
+                    Box::new(move || coexist_belief(link_bps, buffer_bits, max_branches)),
+                    Box::new(move || utility_of(alpha, latency_penalty) as Box<dyn Utility + Send>),
+                    sender_config(spec),
+                )
+            };
+            let mut agents = vec![Agent::Restarting(restarting(0, alpha, latency_penalty))];
+            agents.extend(cx.peers.iter().enumerate().map(|(i, p)| {
+                Agent::from_peer(p, packet_size, |alpha| restarting(i + 1, alpha, 0.0))
+            }));
+            (Truth::PerFlow(truth), agents)
+        }
+        WorkloadSpec::ManyFlows(mf) => {
+            let m = spec.topology.model("many-flows workload");
+            let truth = build_many_flow_bottleneck(
+                m.link_rate,
+                m.buffer_capacity,
+                m.loss,
+                mf.flows,
+                truth_seed,
+            );
+            let agents = (0..mf.flows)
+                .map(|i| {
+                    Agent::from_peer(&mf.mix[i % mf.mix.len()], packet_size, |_| {
+                        unreachable!("spec decoding rejects belief-carrying mix entries")
+                    })
+                })
+                .collect();
+            (Truth::PerFlow(truth), agents)
+        }
+        WorkloadSpec::ScriptedPing { .. } => {
+            unreachable!("execute_run_observed_in sends scripted workloads to scripted_ping")
+        }
+    };
+    (truth, agents, Time::ZERO + spec.duration)
+}
+
+/// Drive the agents over the truth until `t_end`; one [`RunTrace`] per
+/// agent, same order.
+fn run_agents(
+    truth: &mut Truth,
+    agents: &mut [Agent],
+    t_end: Time,
+) -> Result<Vec<RunTrace>, BeliefError> {
+    let mut table: Vec<&mut dyn SenderAgent> = agents.iter_mut().map(Agent::as_dyn).collect();
+    let driver = match truth {
+        Truth::ClosedLoop(truth) => FlowDriver::closed_loop(truth),
+        Truth::PerFlow(truth) => FlowDriver::over(truth),
+    };
+    driver.run(&mut table, t_end).map_err(|e| match e {
+        DriverError::Belief(b) => b,
+        DriverError::AgentCount { .. } => unreachable!("lower builds one agent per flow: {e}"),
+    })
+}
+
+/// The agent path: lower, run, summarize. The primary flow's trace is
+/// the run artifact. Many-flow runs report `many-flow` as the sender and
+/// the mix label as the peer; coexist runs report the peer list and both
+/// sides' belief restarts; graph topologies add per-class goodput.
+fn agent_run(run: &RunSpec, priors: &PriorCache) -> (RunSummary, RunArtifact) {
+    let spec = &run.spec;
+    let (mut truth, mut agents, t_end) = lower(run, priors);
+    let result = run_agents(&mut truth, &mut agents, t_end);
+
+    let mut summary = blank_summary(run);
+    // α weighs the other traffic in the realized utility. A many-flow
+    // run leaves the sender section inert: it reports its mix instead
+    // and weighs every flow alike.
+    let mut alpha = spec.sender.alpha().unwrap_or(1.0);
+    match &spec.workload {
+        WorkloadSpec::ManyFlows(mf) => {
+            summary.sender = "many-flow".to_string();
+            summary.peer = mf.label();
+            alpha = 1.0;
+        }
+        WorkloadSpec::Coexist(cx) => summary.peer = cx.label(),
+        _ => {}
+    }
+    summary.population = agents[0].as_dyn().population() as u64;
+    let mut traces = match result {
+        Ok(traces) => traces,
+        Err(_) => {
+            summary.status = RunStatus::BeliefDied;
+            summary.sends = agents[0].sent();
+            return (summary, RunArtifact::None);
+        }
+    };
+    let rates = summarize(
+        &mut summary,
+        &traces,
+        matches!(truth, Truth::PerFlow(_)),
+        spec.duration.as_secs_f64(),
+        spec.topology.packet_size().as_f64(),
+        alpha,
+    );
+    if matches!(spec.workload, WorkloadSpec::Coexist(_)) {
+        summary.restarts_a = Some(agents[0].restarts());
+        summary.restarts_b = Some(agents[1..].iter().map(Agent::restarts).sum());
+    }
+    if let TopologySpec::Graph(g) = &spec.topology {
+        summary.class_goodput = class_goodput_label(&g.flows, &rates);
+    }
+    (summary, RunArtifact::ClosedLoop(traces.swap_remove(0)))
+}
+
+/// The one trace → summary function: `traces[0]` is the primary flow.
+/// Goodput is unique bits per flow (loss-based peers retransmit, and a
+/// duplicate delivery of an already-received segment is not useful
+/// throughput — the single-sender TCP path dedups the same way via the
+/// endpoint's in-order accounting), overflow drops count across every
+/// trace, delays are the primary's. With per-flow accounting the other
+/// flows' goodput, Jain fairness over every flow and `own + α · others`
+/// utility are reported; with closed-loop accounting the "others" are
+/// the cross-traffic deliveries logged on the one trace. Returns the
+/// per-flow rates.
+fn summarize(
     summary: &mut RunSummary,
-    trace: &RunTrace,
-    spec: &ScenarioSpec,
+    traces: &[RunTrace],
+    per_flow: bool,
+    dur_s: f64,
+    pkt_bits: f64,
     alpha: f64,
-) {
-    let dur_s = spec.duration.as_secs_f64();
-    let pkt_bits = spec.topology.packet_size().as_f64();
-    summary.delivered = trace.acks.len() as u64;
-    summary.throughput_pps = trace.acks.len() as f64 / dur_s;
-    summary.goodput_bps = trace.acks.len() as f64 * pkt_bits / dur_s;
-    let cross_bits: u64 = trace.cross_deliveries.iter().map(|(_, _, b)| *b).sum();
-    summary.utility = summary.goodput_bps + alpha * cross_bits as f64 / dur_s;
-    summary.overflow_drops = trace
-        .drops
+) -> Vec<f64> {
+    let unique_bits = |trace: &RunTrace| {
+        let mut seen = BTreeSet::new();
+        trace.acks.iter().filter(|o| seen.insert(o.seq)).count() as f64 * pkt_bits
+    };
+    let rates: Vec<f64> = traces.iter().map(|t| unique_bits(t) / dur_s).collect();
+    let primary = &traces[0];
+    summary.sends = primary.sends.len() as u64;
+    summary.delivered = primary.acks.len() as u64;
+    summary.throughput_pps = summary.delivered as f64 / dur_s;
+    summary.goodput_bps = rates[0];
+    if per_flow {
+        let others: f64 = rates[1..].iter().sum();
+        summary.goodput_b_bps = others;
+        summary.jain = jain_index(&rates);
+        summary.utility = rates[0] + alpha * others;
+    } else {
+        let cross_bits: u64 = primary.cross_deliveries.iter().map(|(_, _, b)| *b).sum();
+        summary.utility = summary.goodput_bps + alpha * cross_bits as f64 / dur_s;
+    }
+    summary.overflow_drops = traces
         .iter()
+        .flat_map(|t| t.drops.iter())
         .filter(|d| d.reason == DropReason::BufferFull)
         .count() as u64;
-    let send_at: BTreeMap<u64, Time> = trace.sends.iter().map(|&(seq, t)| (seq, t)).collect();
+    let send_at: BTreeMap<u64, Time> = primary.sends.iter().map(|&(seq, t)| (seq, t)).collect();
     // A retransmitted seq keeps only its latest send time; an ACK of the
     // original copy can predate that retransmit, so such pairs carry no
     // usable delay and are skipped.
-    let mut delays: Vec<f64> = trace
+    let mut delays: Vec<f64> = primary
         .acks
         .iter()
         .filter_map(|o| {
@@ -615,6 +847,24 @@ fn summarize_closed_loop(
         .collect();
     delays.sort_by(|a, b| a.total_cmp(b));
     set_delay_percentiles(summary, &delays);
+    rates
+}
+
+/// Aggregate per-flow goodputs by declared flow class, formatted
+/// `class=bits_per_s` in class declaration order.
+fn class_goodput_label(flows: &[augur_topo::FlowSpec], rates: &[f64]) -> String {
+    let mut classes: Vec<(&str, f64)> = Vec::new();
+    for (f, r) in flows.iter().zip(rates) {
+        match classes.iter_mut().find(|(c, _)| *c == f.class.as_str()) {
+            Some((_, sum)) => *sum += r,
+            None => classes.push((f.class.as_str(), *r)),
+        }
+    }
+    classes
+        .iter()
+        .map(|(c, r)| format!("{c}={r:.3}"))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// The spec's TCP flavor as a window cap and congestion controller.
@@ -622,7 +872,10 @@ fn tcp_flavor(spec: &ScenarioSpec) -> (u64, Box<dyn augur_tcp::CongestionControl
     match &spec.sender {
         SenderSpec::TcpReno { max_window } => (*max_window, Box::new(Reno::default())),
         SenderSpec::TcpCubic { max_window } => (*max_window, Box::new(Cubic::default())),
-        other => unreachable!("tcp run over {}", other.label()),
+        other => unreachable!(
+            "execute_run_observed_in sends only tcp senders here, got {}",
+            other.label()
+        ),
     }
 }
 
@@ -650,10 +903,8 @@ fn closed_loop_tcp(run: &RunSpec) -> (RunSummary, TcpTrace) {
                 TcpRunner::with_congestion_control(cell.net, cell.entry, cell.rx, cfg, seed, cc);
             runner.run(t_end)
         }
-        // Spec decoding rejects tcp senders over graph topologies; the
-        // multi-flow path is `coexist_graph_run` (TCP peers included).
         TopologySpec::Graph(_) => {
-            panic!("tcp senders run over model or cellular topologies, not a graph")
+            unreachable!("ScenarioSpec::check allows only the coexist workload over a graph")
         }
     };
 
@@ -733,12 +984,9 @@ impl Engine {
 /// Open-loop scripted drive (EXT-C): transmit every `interval`, update
 /// the belief on the resulting acknowledgments, and measure how well the
 /// posterior locates the true link rate. TCP senders have no belief to
-/// measure, so a scripted TCP spec is an authoring error.
-fn scripted_ping(run: &RunSpec, interval: augur_sim::Dur, priors: &PriorCache) -> RunSummary {
-    assert!(
-        interval > augur_sim::Dur::ZERO,
-        "scripted workload needs a positive interval"
-    );
+/// measure and a zero interval never reaches the horizon, so
+/// [`ScenarioSpec::check`] rejects both.
+fn scripted_ping(run: &RunSpec, interval: Dur, priors: &PriorCache) -> RunSummary {
     let spec = &run.spec;
     let mut engine = match &spec.sender {
         SenderSpec::IsenderExact { max_branches, .. } => {
@@ -747,8 +995,8 @@ fn scripted_ping(run: &RunSpec, interval: augur_sim::Dur, priors: &PriorCache) -
         SenderSpec::IsenderParticle { n_particles, .. } => {
             Engine::Particle(build_filter(spec, *n_particles, run.seed, priors))
         }
-        other => panic!(
-            "scripted workload over belief-free sender {}",
+        other => unreachable!(
+            "ScenarioSpec::check rejects scripted-ping over belief-free sender {}",
             other.label()
         ),
     };
@@ -880,381 +1128,4 @@ impl SenderAgent for TcpPeerAgent {
     fn effective_population(&self) -> f64 {
         0.0
     }
-}
-
-/// The peer side of a coexistence run, kept concrete so restart counts
-/// can be read back after the loop.
-enum PeerAgent {
-    Model(RestartingSender),
-    Aimd(AimdSender),
-    Tcp(TcpPeerAgent),
-}
-
-impl PeerAgent {
-    /// The agent a [`PeerSpec`] describes, sending `packet_size`
-    /// packets. `restarting` builds the belief-carrying peer for its α.
-    fn build(
-        peer: &PeerSpec,
-        packet_size: augur_sim::Bits,
-        restarting: impl FnOnce(f64) -> RestartingSender,
-    ) -> PeerAgent {
-        let tcp = |max_window: u64, cc: Box<dyn augur_tcp::CongestionControl>| {
-            PeerAgent::Tcp(TcpPeerAgent::new(
-                TcpConfig {
-                    packet_size,
-                    max_window,
-                    ..TcpConfig::default()
-                },
-                cc,
-            ))
-        };
-        match *peer {
-            PeerSpec::Isender { alpha } => PeerAgent::Model(restarting(alpha)),
-            PeerSpec::Aimd { timeout } => {
-                PeerAgent::Aimd(AimdSender::new(timeout).with_packet_size(packet_size))
-            }
-            PeerSpec::TcpReno { max_window } => tcp(max_window, Box::<Reno>::default()),
-            PeerSpec::TcpCubic { max_window } => tcp(max_window, Box::<Cubic>::default()),
-        }
-    }
-}
-
-/// N senders sharing one network (§3.5), via the multi-agent loop. Flow
-/// A is the scenario's sender; peer `i` of the [`CoexistSpec`] transmits
-/// as flow `i + 1`. Model topologies build the single shared bottleneck;
-/// graph topologies compile their declared multi-bottleneck network, one
-/// agent per declared flow.
-fn coexist_run(run: &RunSpec, cx: &CoexistSpec) -> (RunSummary, RunArtifact) {
-    assert!(
-        !cx.peers.is_empty(),
-        "coexist workload needs at least one peer"
-    );
-    match &run.spec.topology {
-        TopologySpec::Graph(g) => coexist_graph_run(run, cx, g),
-        _ => coexist_model_run(run, cx),
-    }
-}
-
-/// The coexistence primary's knobs; the primary must be an exact-belief
-/// ISender (its prior is the dedicated coexistence prior).
-fn coexist_primary_knobs(spec: &ScenarioSpec) -> (f64, f64, usize) {
-    match spec.sender {
-        SenderSpec::IsenderExact {
-            alpha,
-            latency_penalty,
-            max_branches,
-        } => (alpha, latency_penalty, max_branches),
-        ref other => panic!(
-            "coexist workload needs an exact-belief ISender primary, got {}",
-            other.label()
-        ),
-    }
-}
-
-// The coexistence prior models the competitor as a pinger of 1500-byte
-// packets and grids buffer fullness in 1500-byte steps; a different wire
-// packet size would make the reported restart counts measure that
-// mismatch instead of the adaptive-peer misfit.
-fn assert_coexist_packet(packet_size: augur_sim::Bits) {
-    assert_eq!(
-        packet_size,
-        augur_sim::Bits::from_bytes(1_500),
-        "coexist workload requires 1500-byte packets (the coexistence prior's grid)"
-    );
-}
-
-/// Shared multi-flow summarization: per-flow unique-bits goodput
-/// (loss-based peers retransmit, and a duplicate delivery of an
-/// already-received segment is not useful throughput — the single-sender
-/// TCP path dedups the same way via the endpoint's in-order accounting),
-/// Jain fairness over every flow, overflow drops across flows, and the
-/// primary's delay percentiles. Returns the per-flow rates and the
-/// primary's trace.
-fn summarize_multi_flow(
-    summary: &mut RunSummary,
-    mut traces: Vec<RunTrace>,
-    dur_s: f64,
-    pkt_bits: f64,
-    alpha: f64,
-) -> (Vec<f64>, RunTrace) {
-    let unique_bits = |trace: &RunTrace| {
-        let mut seen = BTreeSet::new();
-        trace.acks.iter().filter(|o| seen.insert(o.seq)).count() as f64 * pkt_bits
-    };
-    let rates: Vec<f64> = traces.iter().map(|t| unique_bits(t) / dur_s).collect();
-    let ra = rates[0];
-    let rb: f64 = rates[1..].iter().sum();
-    summary.sends = traces[0].sends.len() as u64;
-    summary.delivered = traces[0].acks.len() as u64;
-    summary.throughput_pps = summary.delivered as f64 / dur_s;
-    summary.goodput_bps = ra;
-    summary.goodput_b_bps = rb;
-    summary.jain = jain_index(&rates);
-    summary.utility = ra + alpha * rb;
-    summary.overflow_drops = traces
-        .iter()
-        .flat_map(|t| t.drops.iter())
-        .filter(|d| d.reason == DropReason::BufferFull)
-        .count() as u64;
-    let send_at: BTreeMap<u64, Time> = traces[0].sends.iter().map(|&(seq, t)| (seq, t)).collect();
-    // Same retransmission guard as `summarize_closed_loop`: skip ACKs
-    // whose only recorded send time is a later retransmit.
-    let mut delays: Vec<f64> = traces[0]
-        .acks
-        .iter()
-        .filter_map(|o| {
-            send_at
-                .get(&o.seq)
-                .filter(|&&t| t <= o.at)
-                .map(|t| o.at.since(*t).as_secs_f64())
-        })
-        .collect();
-    delays.sort_by(|a, b| a.total_cmp(b));
-    set_delay_percentiles(summary, &delays);
-    let trace_a = traces.swap_remove(0);
-    (rates, trace_a)
-}
-
-/// The many-flow scaling workload: N belief-free agents over one shared
-/// bottleneck ([`build_many_flow_bottleneck`] — a single receiver, with
-/// acknowledgments routed back to agents by flow id), driven through the
-/// heap-scheduled flow driver. Agent `i` is built from
-/// `mix[i % mix.len()]`; the scenario's `sender` and `prior` sections
-/// are inert, so the summary reports `many-flow` as the sender and the
-/// mix label as the peer. Flow 0's trace is the run artifact;
-/// `goodput_bps` is flow 0's rate, `goodput_b_bps` the rest, and `jain`
-/// spans all N flows.
-fn many_flow_run(run: &RunSpec, mf: &ManyFlowSpec) -> (RunSummary, RunArtifact) {
-    let spec = &run.spec;
-    let topology = spec.topology.model("many-flows workload");
-    let mut truth = build_many_flow_bottleneck(
-        topology.link_rate,
-        topology.buffer_capacity,
-        topology.loss,
-        mf.flows,
-        SimRng::derive_seed(run.seed, STREAM_TRUTH),
-    );
-    let mut store: Vec<PeerAgent> = (0..mf.flows)
-        .map(|i| {
-            PeerAgent::build(&mf.mix[i % mf.mix.len()], topology.packet_size, |_| {
-                unreachable!("isender mix entries are rejected at decode time")
-            })
-        })
-        .collect();
-    let mut agents: Vec<&mut dyn SenderAgent> = store
-        .iter_mut()
-        .map(|p| match p {
-            PeerAgent::Model(m) => m as &mut dyn SenderAgent,
-            PeerAgent::Aimd(a) => a,
-            PeerAgent::Tcp(t) => t,
-        })
-        .collect();
-
-    let t_end = Time::ZERO + spec.duration;
-    let result = run_multi_agent(&mut truth, &mut agents, t_end);
-
-    let mut summary = blank_summary(run);
-    summary.sender = "many-flow".to_string();
-    summary.peer = mf.label();
-    match result {
-        Ok(traces) => {
-            let dur_s = spec.duration.as_secs_f64();
-            let (_, trace_a) = summarize_multi_flow(
-                &mut summary,
-                traces,
-                dur_s,
-                topology.packet_size.as_f64(),
-                1.0,
-            );
-            (summary, RunArtifact::ClosedLoop(trace_a))
-        }
-        Err(DriverError::Belief(_)) => {
-            summary.status = RunStatus::BeliefDied;
-            (summary, RunArtifact::None)
-        }
-        Err(e @ DriverError::AgentCount { .. }) => {
-            unreachable!("one agent is built per declared flow: {e}")
-        }
-    }
-}
-
-/// Sum of belief restarts across the peer agents (0 for belief-free
-/// peers).
-fn peer_restarts(peers: &[PeerAgent]) -> u64 {
-    peers
-        .iter()
-        .map(|p| match p {
-            PeerAgent::Model(m) => m.restarts as u64,
-            _ => 0,
-        })
-        .sum()
-}
-
-/// Coexistence over the single shared bottleneck built from the model
-/// topology's link rate, buffer capacity, and loss.
-fn coexist_model_run(run: &RunSpec, cx: &CoexistSpec) -> (RunSummary, RunArtifact) {
-    let spec = &run.spec;
-    let topology = spec.topology.model("coexist workload");
-    let (alpha, latency_penalty, max_branches) = coexist_primary_knobs(spec);
-    assert_coexist_packet(topology.packet_size);
-    let link_bps = topology.link_rate.as_bps();
-    let buffer_bits = topology.buffer_capacity.as_u64();
-    let mut truth = build_shared_bottleneck(
-        topology.link_rate,
-        topology.buffer_capacity,
-        topology.loss,
-        1 + cx.peers.len(),
-        SimRng::derive_seed(run.seed, STREAM_TRUTH),
-    );
-    let restarting = |alpha: f64, latency_penalty: f64| {
-        RestartingSender::new(
-            Box::new(move || coexist_belief(link_bps, buffer_bits, max_branches)),
-            Box::new(move || utility_of(alpha, latency_penalty) as Box<dyn Utility + Send>),
-            sender_config(spec),
-        )
-    };
-    let mut primary = restarting(alpha, latency_penalty);
-    let mut peers: Vec<PeerAgent> = cx
-        .peers
-        .iter()
-        .map(|p| PeerAgent::build(p, topology.packet_size, |alpha| restarting(alpha, 0.0)))
-        .collect();
-
-    let t_end = Time::ZERO + spec.duration;
-    let result = run_agents(&mut truth, &mut primary, &mut peers, t_end);
-
-    let mut summary = blank_summary(run);
-    summary.peer = cx.label();
-    summary.population = primary.population() as u64;
-    match result {
-        Ok(traces) => {
-            let dur_s = spec.duration.as_secs_f64();
-            let (_, trace_a) = summarize_multi_flow(
-                &mut summary,
-                traces,
-                dur_s,
-                topology.packet_size.as_f64(),
-                alpha,
-            );
-            summary.restarts_a = Some(primary.restarts as u64);
-            summary.restarts_b = Some(peer_restarts(&peers));
-            (summary, RunArtifact::ClosedLoop(trace_a))
-        }
-        Err(_) => {
-            summary.status = RunStatus::BeliefDied;
-            (summary, RunArtifact::None)
-        }
-    }
-}
-
-/// Coexistence over a compiled [`GraphTopology`]: one agent per declared
-/// flow, each injecting at its own source and traversing its own route.
-/// The primary drives flow 0; peer `i` drives flow `i + 1`. Every
-/// belief-carrying agent models the slowest link on *its own* route with
-/// the dedicated coexistence prior (the single-bottleneck abstraction
-/// the paper's sender would bring to a network it cannot see into).
-fn coexist_graph_run(
-    run: &RunSpec,
-    cx: &CoexistSpec,
-    g: &augur_topo::GraphTopology,
-) -> (RunSummary, RunArtifact) {
-    let spec = &run.spec;
-    let (alpha, latency_penalty, max_branches) = coexist_primary_knobs(spec);
-    assert_coexist_packet(g.packet_size);
-    assert_eq!(
-        g.flows.len(),
-        1 + cx.peers.len(),
-        "graph topology declares {} flows for {} agents (primary + peers)",
-        g.flows.len(),
-        1 + cx.peers.len()
-    );
-    let compiled = augur_topo::compile(g).unwrap_or_else(|e| panic!("invalid graph topology: {e}"));
-    let restarting = |flow: usize, alpha: f64, latency_penalty: f64| {
-        let bottleneck = &g.links[compiled.bottlenecks[flow]];
-        let (link_bps, buffer_bits) = (bottleneck.rate.as_bps(), bottleneck.buffer.as_u64());
-        RestartingSender::new(
-            Box::new(move || coexist_belief(link_bps, buffer_bits, max_branches)),
-            Box::new(move || utility_of(alpha, latency_penalty) as Box<dyn Utility + Send>),
-            sender_config(spec),
-        )
-    };
-    let mut primary = restarting(0, alpha, latency_penalty);
-    let mut peers: Vec<PeerAgent> = cx
-        .peers
-        .iter()
-        .enumerate()
-        .map(|(i, p)| PeerAgent::build(p, g.packet_size, |alpha| restarting(i + 1, alpha, 0.0)))
-        .collect();
-    let table: Vec<FlowEndpoint> = compiled
-        .entries
-        .iter()
-        .zip(&compiled.rxs)
-        .map(|(&entry, &rx)| FlowEndpoint { entry, rx })
-        .collect();
-    let mut truth =
-        MultiFlowTruth::new(compiled.net, table, SimRng::derive(run.seed, STREAM_TRUTH))
-            .unwrap_or_else(|e| panic!("invalid graph flow table: {e}"));
-
-    let t_end = Time::ZERO + spec.duration;
-    let result = run_agents(&mut truth, &mut primary, &mut peers, t_end);
-
-    let mut summary = blank_summary(run);
-    summary.peer = cx.label();
-    summary.population = primary.population() as u64;
-    match result {
-        Ok(traces) => {
-            let dur_s = spec.duration.as_secs_f64();
-            let (rates, trace_a) =
-                summarize_multi_flow(&mut summary, traces, dur_s, g.packet_size.as_f64(), alpha);
-            summary.class_goodput = class_goodput_label(&g.flows, &rates);
-            summary.restarts_a = Some(primary.restarts as u64);
-            summary.restarts_b = Some(peer_restarts(&peers));
-            (summary, RunArtifact::ClosedLoop(trace_a))
-        }
-        Err(_) => {
-            summary.status = RunStatus::BeliefDied;
-            (summary, RunArtifact::None)
-        }
-    }
-}
-
-/// Run the primary plus peers through the multi-agent loop.
-fn run_agents(
-    truth: &mut MultiFlowTruth,
-    primary: &mut RestartingSender,
-    peers: &mut [PeerAgent],
-    t_end: Time,
-) -> Result<Vec<RunTrace>, BeliefError> {
-    let mut agents: Vec<&mut dyn SenderAgent> = Vec::with_capacity(1 + peers.len());
-    agents.push(primary);
-    for p in peers {
-        agents.push(match p {
-            PeerAgent::Model(m) => m,
-            PeerAgent::Aimd(a) => a,
-            PeerAgent::Tcp(t) => t,
-        });
-    }
-    run_multi_agent(truth, &mut agents, t_end).map_err(|e| match e {
-        DriverError::Belief(b) => b,
-        // Agent/flow counts are validated when the spec is decoded and
-        // when the ground truth is built, before any run starts.
-        DriverError::AgentCount { .. } => unreachable!("agent count validated upstream: {e}"),
-    })
-}
-
-/// Aggregate per-flow goodputs by declared flow class, formatted
-/// `class=bits_per_s` in class declaration order.
-fn class_goodput_label(flows: &[augur_topo::FlowSpec], rates: &[f64]) -> String {
-    let mut classes: Vec<(&str, f64)> = Vec::new();
-    for (f, r) in flows.iter().zip(rates) {
-        match classes.iter_mut().find(|(c, _)| *c == f.class.as_str()) {
-            Some((_, sum)) => *sum += r,
-            None => classes.push((f.class.as_str(), *r)),
-        }
-    }
-    classes
-        .iter()
-        .map(|(c, r)| format!("{c}={r:.3}"))
-        .collect::<Vec<_>>()
-        .join(" ")
 }

@@ -63,18 +63,6 @@ impl TopologySpec {
         }
     }
 
-    /// Mutable access to the model parameters (sweep axes write here), or
-    /// an error naming `what` (see [`TopologySpec::try_model`]).
-    pub fn try_model_mut(&mut self, what: &str) -> Result<&mut ModelParams, String> {
-        match self {
-            TopologySpec::Model(m) => Ok(m),
-            other => Err(format!(
-                "{what} requires a model topology, got {}",
-                other.kind_label()
-            )),
-        }
-    }
-
     /// [`TopologySpec::try_model`] for in-code call sites whose specs are
     /// already validated.
     ///
@@ -99,18 +87,6 @@ impl TopologySpec {
                 "{what} requires a model topology, got {}",
                 other.kind_label()
             ),
-        }
-    }
-
-    /// The graph topology, for scenario kinds that require one; an error
-    /// naming `what` otherwise.
-    pub fn try_graph(&self, what: &str) -> Result<&GraphTopology, String> {
-        match self {
-            TopologySpec::Graph(g) => Ok(g),
-            other => Err(format!(
-                "{what} requires a graph topology, got {}",
-                other.kind_label()
-            )),
         }
     }
 
@@ -503,6 +479,82 @@ impl ScenarioSpec {
     /// runner's TCP-over-cellular and compiled-graph paths instead.
     pub fn build_truth(&self) -> ModelNet {
         build_model(*self.topology.model("build_truth"))
+    }
+
+    /// Every workload × sender × topology compatibility rule, in one
+    /// place: `Err` names the rule this scenario breaks. The runner's
+    /// lowering assumes a checked spec — `sweep` checks every expanded
+    /// run before any starts (and before `--check` prints `OK`), and
+    /// `execute_run*` refuses an unchecked one up front. The config
+    /// decoder's positioned errors cover what a spec file's base sections
+    /// can break; this also covers every expanded grid point and
+    /// hand-built specs.
+    pub fn check(&self) -> Result<(), String> {
+        let sender = self.sender.label();
+        let belief_sender = matches!(
+            self.sender,
+            SenderSpec::IsenderExact { .. } | SenderSpec::IsenderParticle { .. }
+        );
+        match (&self.workload, &self.topology) {
+            (WorkloadSpec::ClosedLoop, TopologySpec::Model(_)) => Ok(()),
+            (WorkloadSpec::ClosedLoop, TopologySpec::Cellular { .. }) if !belief_sender => Ok(()),
+            (_, TopologySpec::Cellular { .. }) if belief_sender => Err(format!(
+                "sender kind `{sender}` cannot run over a cellular topology (only tcp-reno / \
+                 tcp-cubic can)"
+            )),
+            (_, TopologySpec::Cellular { .. }) => {
+                Err("cellular topologies only support the closed-loop workload".into())
+            }
+            (WorkloadSpec::ScriptedPing { .. }, _) if !belief_sender => Err(format!(
+                "the scripted-ping workload measures a belief update; sender kind `{sender}` \
+                 carries no belief"
+            )),
+            (WorkloadSpec::ScriptedPing { interval }, topology) => {
+                topology.try_model("the scripted-ping workload")?;
+                if *interval == Dur::ZERO {
+                    return Err("the scripted-ping `interval_s` must be > 0 seconds".into());
+                }
+                Ok(())
+            }
+            (WorkloadSpec::ManyFlows(_), topology) => {
+                topology.try_model("the many-flows workload").map(|_| ())
+            }
+            (WorkloadSpec::Coexist(cx), topology) => {
+                if !matches!(self.sender, SenderSpec::IsenderExact { .. }) {
+                    return Err(format!(
+                        "the coexist workload needs an exact-belief isender primary, got `{sender}`"
+                    ));
+                }
+                let agents = 1 + cx.peers.len();
+                if let TopologySpec::Graph(g) = topology {
+                    if g.flows.len() != agents {
+                        return Err(format!(
+                            "graph topology declares {} flows but this workload drives {agents} \
+                             agents (primary + {} peers)",
+                            g.flows.len(),
+                            cx.peers.len()
+                        ));
+                    }
+                }
+                // The coexistence prior models the competitor as a pinger
+                // of 1500-byte packets and grids buffer fullness in
+                // 1500-byte steps; another wire size would make the
+                // restart counts measure that mismatch instead of the
+                // adaptive-peer misfit.
+                if topology.packet_size() != Bits::from_bytes(1_500) {
+                    return Err(format!(
+                        "the coexist workload requires 1500-byte packets (`packet_bits = 12000`, \
+                         the coexistence prior's grid), got {} bits",
+                        topology.packet_size().as_u64()
+                    ));
+                }
+                Ok(())
+            }
+            (_, TopologySpec::Graph(_)) => Err(
+                "graph topologies only support the coexist workload (one agent per declared flow)"
+                    .into(),
+            ),
+        }
     }
 }
 

@@ -8,7 +8,9 @@
 //!    `sweep --export-specs experiments/specs` is the fix when this
 //!    fails;
 //! 3. spec files can reach configurations the presets don't, like N > 2
-//!    coexistence peers, and those run deterministically.
+//!    coexistence peers, and those run deterministically;
+//! 4. a spec that decodes but expands to a run the runner cannot execute
+//!    fails `ScenarioSpec::check` with the rule it breaks.
 
 use augur_scenario::{
     grid_to_toml, load_grid, parse_grid, parse_grid_at, presets, traces, SweepGrid, SweepRunner,
@@ -258,4 +260,64 @@ count = 2
     let report = SweepRunner::serial().run(&grid.expand());
     assert_eq!(report.runs.len(), 4);
     assert!(report.runs.iter().all(|r| r.sends > 0));
+}
+
+#[test]
+fn incompatible_grid_points_are_check_errors_not_run_time_panics() {
+    // Each shape decodes and expands cleanly, then used to panic inside
+    // the runner: (shipped spec, text to replace, replacement, rule).
+    let particle_axis_point =
+        r#"{ kind = "isender-particle", alpha = 1.0, latency_penalty = 0.0, n_particles = 1000 }"#;
+    let cases = [
+        (
+            "coexist-fairness",
+            "packet_bits = 12000",
+            "packet_bits = 8000",
+            "requires 1500-byte packets",
+        ),
+        (
+            "coexist-fairness",
+            "kind = \"isender-exact\"\nalpha = 1.0\nlatency_penalty = 0.0\nmax_branches = 50000",
+            "kind = \"isender-particle\"\nalpha = 1.0\nlatency_penalty = 0.0\nn_particles = 1000",
+            "needs an exact-belief isender primary, got `isender-particle`",
+        ),
+        (
+            "coexist-fairness",
+            "kind = \"isender-exact\"\nalpha = 1.0\nlatency_penalty = 0.0\nmax_branches = 50000",
+            "kind = \"tcp-reno\"\nmax_window = 64",
+            "needs an exact-belief isender primary, got `tcp-reno`",
+        ),
+        (
+            "scaling",
+            "interval_s = 2.0",
+            "interval_s = 0.0",
+            "`interval_s` must be > 0",
+        ),
+        (
+            "scaling",
+            particle_axis_point,
+            r#"{ kind = "tcp-reno", max_window = 64 }"#,
+            "sender kind `tcp-reno` carries no belief",
+        ),
+    ];
+    for (spec, from, to, rule) in cases {
+        let text = std::fs::read_to_string(specs_dir().join(format!("{spec}.toml"))).unwrap();
+        assert!(
+            text.contains(from),
+            "{spec}: `{from}` not in the shipped spec"
+        );
+        let grid = parse_grid(&text.replace(from, to))
+            .unwrap_or_else(|e| panic!("{spec} with `{to}` should still decode: {e}"));
+        let err = grid
+            .expand()
+            .iter()
+            .find_map(|run| run.spec.check().err())
+            .unwrap_or_else(|| panic!("{spec} with `{to}` passed the check"));
+        assert!(err.contains(rule), "{spec} with `{to}`: {err}");
+    }
+    for name in presets::NAMES {
+        for run in presets::by_name(name).unwrap().expand() {
+            assert_eq!(run.spec.check(), Ok(()), "{name} run {}", run.index);
+        }
+    }
 }

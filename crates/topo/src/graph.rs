@@ -588,7 +588,7 @@ pub fn compile(topo: &GraphTopology) -> Result<CompiledTopo, TopoError> {
         }
         // diverter(f).next → f's target; its alt continues the chain,
         // with the last alt edge going straight to the final flow's
-        // target (cf. `build_shared_bottleneck`).
+        // target.
         let mut upstream = tail;
         for (j, &fi) in on.iter().take(on.len() - 1).enumerate() {
             let div = b.add(Element::Diverter(Diverter {
