@@ -321,3 +321,134 @@ fn incompatible_grid_points_are_check_errors_not_run_time_panics() {
         }
     }
 }
+
+#[test]
+fn preset_constructors_are_the_shipped_files_plus_their_arguments() {
+    // Every constructor, called with non-default arguments, against the
+    // shipped file mutated by hand — direct field assignment only, so
+    // this pins the constructors without leaning on the override
+    // methods they may be built from.
+    use augur_scenario::{Axis, SenderSpec};
+    use augur_sim::Dur;
+    let secs = Dur::from_secs;
+    // (constructed grid, shipped file, duration, base branch cap, replicates)
+    type Case = (
+        SweepGrid,
+        &'static str,
+        Option<Dur>,
+        Option<usize>,
+        Option<usize>,
+    );
+    let cases: Vec<Case> = vec![
+        (presets::fig1(secs(7)), "fig1", Some(secs(7)), None, None),
+        (
+            presets::fig3(secs(3), 77),
+            "fig3",
+            Some(secs(3)),
+            Some(77),
+            None,
+        ),
+        (
+            presets::tab1(secs(9), 77),
+            "tab1",
+            Some(secs(9)),
+            Some(77),
+            None,
+        ),
+        (presets::txt1(secs(11)), "txt1", Some(secs(11)), None, None),
+        (presets::txt2(secs(11)), "txt2", Some(secs(11)), None, None),
+        (
+            presets::ext_aqm(secs(11)),
+            "ext-aqm",
+            Some(secs(11)),
+            None,
+            None,
+        ),
+        (
+            presets::smoke(secs(3), 5),
+            "smoke",
+            Some(secs(3)),
+            None,
+            Some(5),
+        ),
+        (
+            presets::coexist_fairness(secs(3), 5, 77),
+            "coexist-fairness",
+            Some(secs(3)),
+            Some(77),
+            Some(5),
+        ),
+        (
+            presets::coexist_vs_tcp(secs(3), 5, 77),
+            "coexist-vs-tcp",
+            Some(secs(3)),
+            Some(77),
+            Some(5),
+        ),
+        (
+            presets::dumbbell_cross(secs(3), 5, 77),
+            "dumbbell-cross",
+            Some(secs(3)),
+            Some(77),
+            Some(5),
+        ),
+        (
+            presets::parking_lot(secs(3), 5, 77),
+            "parking-lot",
+            Some(secs(3)),
+            Some(77),
+            Some(5),
+        ),
+        (
+            presets::ext_scaling_flows(secs(3), 5),
+            "ext-scaling-flows",
+            Some(secs(3)),
+            None,
+            Some(5),
+        ),
+        (
+            presets::replay_cellular(secs(3)),
+            "replay-cellular",
+            Some(secs(3)),
+            None,
+            None,
+        ),
+    ];
+    let shipped = |name: &str| load_grid(&specs_dir().join(format!("{name}.toml"))).unwrap();
+    for (built, name, duration, branches, replicates) in cases {
+        let mut want = shipped(name);
+        if let Some(d) = duration {
+            want.base.duration = d;
+        }
+        if let Some(b) = branches {
+            match &mut want.base.sender {
+                SenderSpec::IsenderExact { max_branches, .. } => *max_branches = b,
+                other => panic!("{name}: no branch cap on {other:?}"),
+            }
+        }
+        if let Some(k) = replicates {
+            let seeds = want.axes.iter_mut().find_map(|a| match a {
+                Axis::Seeds(count) => Some(count),
+                _ => None,
+            });
+            *seeds.unwrap_or_else(|| panic!("{name}: no seeds axis")) = k;
+        }
+        assert_grid_eq(name, &built, &want);
+    }
+    // ext_scaling's arguments are the prior sizes and the particle count.
+    let mut want = shipped("scaling");
+    for axis in &mut want.axes {
+        match axis {
+            Axis::PriorSize(sizes) => *sizes = vec![51, 201],
+            Axis::Sender(senders) => {
+                for s in senders {
+                    if let SenderSpec::IsenderParticle { n_particles, .. } = s {
+                        *n_particles = 33;
+                    }
+                }
+            }
+            other => panic!("scaling: unexpected axis {other:?}"),
+        }
+    }
+    assert_grid_eq("scaling", &presets::ext_scaling(vec![51, 201], 33), &want);
+}
