@@ -22,13 +22,15 @@
 
 use augur_bench::{check, save_csv};
 use augur_core::RunTrace;
+use augur_scenario::grid::ambient_max_branches;
 use augur_scenario::{presets, SweepRunner};
 use augur_sim::{Dur, Time};
 use augur_trace::{render, PlotConfig, Series};
 
 fn main() {
     let t_end = Time::from_secs(300);
-    let max_branches = branch_budget();
+    // Branch cap, overridable for quick runs: `AUGUR_BRANCHES=2000`.
+    let max_branches = ambient_max_branches().unwrap_or(50_000);
     println!("FIG3: α sweep over [0.9, 1.0, 2.5, 5.0], 300 s, branch cap {max_branches}");
 
     let grid = presets::fig3(Dur::from_secs(300), max_branches);
@@ -158,12 +160,4 @@ fn main() {
         ramp5 <= ramp1 + 0.05,
         format!("100-130s rate: alpha=5 {ramp5:.2} vs alpha=1 {ramp1:.2}"),
     );
-}
-
-/// Branch cap, overridable for quick runs: `AUGUR_BRANCHES=2000`.
-fn branch_budget() -> usize {
-    std::env::var("AUGUR_BRANCHES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50_000)
 }

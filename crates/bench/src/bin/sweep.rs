@@ -7,18 +7,16 @@
 //! cargo run --release --bin sweep -- fig3 --duration 60 --branches 2000 --workers 1
 //! cargo run --release --bin sweep -- --spec experiments/specs/fig3.toml
 //! cargo run --release --bin sweep -- --spec my_experiment.toml --check
-//! cargo run --release --bin sweep -- --export-specs experiments/specs
 //! cargo run --release --bin sweep -- scaling --jsonl
 //! ```
 //!
-//! Presets (see `augur_scenario::presets::NAMES`): `fig1`, `fig3`,
-//! `tab1`, `txt1`, `txt2`, `scaling`, `smoke`, `coexist-fairness`,
-//! `coexist-vs-tcp`, `ext-aqm`, and `replay-cellular`. The preset may be
-//! given positionally or via `--preset`; `--spec <file.toml>` loads the
-//! same grid shape from a spec file instead (`--export-specs <dir>`
-//! writes the canonical file for every preset, `--export-traces <dir>`
-//! the canonical CSV for every shipped synthetic rate trace). `--check`
-//! parses, validates, and expands the grid without running it.
+//! A preset (see `augur_scenario::presets::NAMES`) is the spec file
+//! `experiments/specs/<name>.toml` compiled into the binary, so it runs
+//! from any directory; give it positionally or via `--preset`.
+//! `--spec <file.toml>` loads a grid from a spec file on disk instead —
+//! to change a shipped sweep, edit its file. `--export-traces <dir>`
+//! writes the canonical CSV for every shipped synthetic rate trace.
+//! `--check` parses, validates, and expands the grid without running it.
 //!
 //! `--duration`, `--branches`, and `--replicates` override the grid the
 //! same way for presets and spec files, and are rejected when the grid
@@ -34,7 +32,8 @@
 //! reference execution.
 
 use augur_bench::out_dir;
-use augur_scenario::{grid_to_toml, load_grid, presets, traces, Axis, SweepGrid, SweepRunner};
+use augur_scenario::grid::ambient_max_branches;
+use augur_scenario::{load_grid, presets, traces, SweepGrid, SweepRunner};
 use augur_sim::Dur;
 use std::fs;
 use std::io::BufWriter;
@@ -49,7 +48,6 @@ enum Source {
 
 struct Options {
     source: Option<Source>,
-    export_specs: Option<PathBuf>,
     export_traces: Option<PathBuf>,
     check: bool,
     workers: Option<usize>,
@@ -66,7 +64,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: sweep [--preset] <{}>\n\
          \x20      sweep --spec <file.toml>\n\
-         \x20      sweep --export-specs <dir>\n\
          \x20      sweep --export-traces <dir>\n\
          \x20 options: [--check] [--workers N] [--duration SECS] [--branches B] \
          [--replicates K] [--jsonl] [--trace-events [DIR]] [--belief-snapshots SECS] \
@@ -91,7 +88,6 @@ fn parse_from(args: impl Iterator<Item = String>) -> Options {
     let mut args = args.peekable();
     let mut opts = Options {
         source: None,
-        export_specs: None,
         export_traces: None,
         check: false,
         workers: None,
@@ -131,8 +127,8 @@ fn parse_from(args: impl Iterator<Item = String>) -> Options {
                 usage()
             })
         }
-        // Zero workers run nothing; a zero branch cap leaves the belief
-        // nothing to normalize.
+        // Zero workers or replicates run nothing; a zero branch cap
+        // leaves the belief nothing to normalize.
         fn at_least_one(name: &str, raw: String) -> usize {
             let n: usize = numeric(name, raw);
             if n == 0 {
@@ -157,14 +153,13 @@ fn parse_from(args: impl Iterator<Item = String>) -> Options {
                 let path = value("--spec");
                 set_source(&mut opts, Source::Spec(PathBuf::from(path)));
             }
-            "--export-specs" => opts.export_specs = Some(PathBuf::from(value("--export-specs"))),
             "--export-traces" => opts.export_traces = Some(PathBuf::from(value("--export-traces"))),
             "--check" => opts.check = true,
             "--workers" => opts.workers = Some(at_least_one("--workers", value("--workers"))),
             "--duration" => opts.duration = Some(numeric("--duration", value("--duration"))),
             "--branches" => opts.branches = Some(at_least_one("--branches", value("--branches"))),
             "--replicates" => {
-                opts.replicates = Some(numeric("--replicates", value("--replicates")))
+                opts.replicates = Some(at_least_one("--replicates", value("--replicates")))
             }
             "--jsonl" => opts.jsonl = true,
             "--belief-snapshots" => {
@@ -190,59 +185,22 @@ fn parse_from(args: impl Iterator<Item = String>) -> Options {
 /// the grid cannot consume.
 fn apply_overrides(grid: &mut SweepGrid, opts: &Options, label: &str) {
     if let Some(secs) = opts.duration {
-        grid.base.duration = Dur::from_secs(secs);
+        grid.set_duration(Dur::from_secs(secs));
     }
     // AUGUR_BRANCHES is ambient: an unparsable or zero value is ignored,
     // and only an explicit --branches on a grid with no branch cap is a
     // hard authoring error.
-    let env_branches = std::env::var("AUGUR_BRANCHES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&b: &usize| b >= 1);
-    if let Some(b) = opts.branches.or(env_branches) {
-        let mut applied = false;
-        if let Some(cap) = grid.base.sender.max_branches_mut() {
-            *cap = b;
-            applied = true;
-        }
-        for axis in &mut grid.axes {
-            if let Axis::Sender(senders) = axis {
-                for s in senders {
-                    if let Some(cap) = s.max_branches_mut() {
-                        *cap = b;
-                        applied = true;
-                    }
-                }
-            }
-        }
-        if !applied && opts.branches.is_some() {
+    if let Some(b) = opts.branches.or_else(ambient_max_branches) {
+        if !grid.set_max_branches(b) && opts.branches.is_some() {
             eprintln!("{label} does not take --branches (no exact-belief sender in the grid)");
             usage()
         }
     }
     if let Some(k) = opts.replicates {
-        let mut applied = false;
-        for axis in &mut grid.axes {
-            if let Axis::Seeds(count) = axis {
-                *count = k;
-                applied = true;
-            }
-        }
-        if !applied {
+        if !grid.set_replicates(k) {
             eprintln!("{label} does not take --replicates (no seeds axis in the grid)");
             usage()
         }
-    }
-}
-
-/// Write the canonical spec file for every preset into `dir`.
-fn export_specs(dir: &PathBuf) {
-    fs::create_dir_all(dir).expect("create spec dir");
-    for name in presets::NAMES {
-        let grid = presets::by_name(name).expect("registry names resolve");
-        let path = dir.join(format!("{name}.toml"));
-        fs::write(&path, grid_to_toml(&grid)).expect("write spec file");
-        println!("  wrote {}", path.display());
     }
 }
 
@@ -259,7 +217,7 @@ fn export_traces(dir: &PathBuf) {
 
 fn main() {
     let opts = parse_args();
-    if opts.export_specs.is_some() || opts.export_traces.is_some() {
+    if let Some(dir) = &opts.export_traces {
         // Export writes the canonical default artifacts; a run flag here
         // would be silently ignored, so reject the combination.
         if opts.source.is_some()
@@ -273,15 +231,10 @@ fn main() {
             || opts.belief_snapshots.is_some()
             || opts.progress
         {
-            eprintln!("--export-specs/--export-traces take no preset, spec, or run flags");
+            eprintln!("--export-traces takes no preset, spec, or run flags");
             usage()
         }
-        if let Some(dir) = &opts.export_specs {
-            export_specs(dir);
-        }
-        if let Some(dir) = &opts.export_traces {
-            export_traces(dir);
-        }
+        export_traces(dir);
         return;
     }
     let (mut grid, label) = match &opts.source {

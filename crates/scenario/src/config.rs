@@ -1,5 +1,4 @@
-//! Spec files: load a whole [`SweepGrid`] from a TOML file, and write
-//! the canonical TOML for any grid.
+//! Spec files: load a whole [`SweepGrid`] from TOML text or a file.
 //!
 //! The workspace builds offline, so this module carries its own parser
 //! for the TOML subset the spec schema needs (the same reasoning that
@@ -14,10 +13,12 @@
 //!
 //! The schema mirrors the spec types one-to-one — `[scenario]`,
 //! `[topology]`, `[prior]`, `[sender]`, `[workload]`, and one `[[axis]]`
-//! per sweep dimension. [`grid_to_toml`] emits it canonically, and the
-//! round-trip `grid == parse(emit(grid))` is pinned by tests for every
-//! preset, so the shipped files under `experiments/specs/` can never
-//! drift from the presets they mirror.
+//! per sweep dimension. The files under `experiments/specs/` are the
+//! only definition of the shipped sweeps: [`crate::presets`] compiles
+//! their text in and decodes it here, with each `../traces/<stem>.csv`
+//! reference answered by the [`traces`] generators, so a preset needs
+//! no file on disk. There is no writer: a sweep is changed by editing
+//! its spec file.
 
 use crate::grid::{Axis, SweepGrid};
 use crate::spec::{
@@ -29,7 +30,6 @@ use augur_elements::{CellularParams, GateSpec, ModelParams, RateProcess, TraceEn
 use augur_inference::ModelPrior;
 use augur_sim::{BitRate, Bits, Dur, Ppm};
 use augur_topo::{FlowSpec, GraphTopology, LinkSpec};
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// A parse or decode failure, located in the source text.
@@ -803,13 +803,24 @@ fn expect_rate_bps(v: &Value, what: &str) -> Result<BitRate, ConfigError> {
     Ok(BitRate::from_bps(bps))
 }
 
+/// Where a `file = "…"` trace reference gets its samples.
+#[derive(Clone, Copy)]
+enum TraceSource<'a> {
+    /// The named CSV file; a relative path resolves against this
+    /// directory (the current one when `None`).
+    Files(Option<&'a Path>),
+    /// The [`traces`] generator behind `../traces/<stem>.csv` — what the
+    /// specs compiled into [`crate::presets`] load from, so decoding
+    /// them reads nothing from disk.
+    Generators,
+}
+
 /// Decode a `{ file = "…", end = "loop" | "hold-last" }` trace
-/// reference, loading and validating the CSV (relative paths resolve
-/// against `base`, the spec file's directory).
+/// reference, loading and validating its samples from `source`.
 fn decode_trace(
     d: &mut Dec<'_>,
     at: (u32, u32),
-    base: Option<&Path>,
+    source: TraceSource<'_>,
 ) -> Result<RateProcess, ConfigError> {
     let file_e = d.req("file", at)?;
     let file = expect_str(&file_e.value, "file")?;
@@ -825,39 +836,47 @@ fn decode_trace(
             )
         }
     };
-    let resolved = match base {
-        Some(dir) => dir.join(file),
-        None => PathBuf::from(file),
+    let fail = |message: String| ConfigError {
+        line: file_e.value.line,
+        col: file_e.value.col,
+        message,
     };
-    let at_file = (file_e.value.line, file_e.value.col);
-    let src = std::fs::read_to_string(&resolved).map_err(|e| ConfigError {
-        line: at_file.0,
-        col: at_file.1,
-        message: format!("cannot read trace file {}: {e}", resolved.display()),
-    })?;
-    // Loader errors are positioned inside the CSV; carry that position in
-    // the message and point the spec error at the `file` value.
-    let samples = traces::parse_trace_csv(&src).map_err(|te| ConfigError {
-        line: at_file.0,
-        col: at_file.1,
-        message: format!("{}:{te}", resolved.display()),
-    })?;
+    // `origin` names where the samples came from in error messages.
+    let (samples, origin) = match source {
+        TraceSource::Generators => {
+            let stem = file
+                .strip_prefix("../traces/")
+                .and_then(|name| name.strip_suffix(".csv"));
+            let samples = stem
+                .and_then(traces::by_name)
+                .ok_or_else(|| fail(format!("no shipped trace generator behind {file}")))?;
+            (samples, file.to_string())
+        }
+        TraceSource::Files(base) => {
+            let resolved = base.map_or_else(|| PathBuf::from(file), |dir| dir.join(file));
+            let origin = resolved.display().to_string();
+            let src = std::fs::read_to_string(&resolved)
+                .map_err(|e| fail(format!("cannot read trace file {origin}: {e}")))?;
+            // Loader errors are positioned inside the CSV; carry that
+            // position in the message and point the spec error at the
+            // `file` value.
+            let samples =
+                traces::parse_trace_csv(&src).map_err(|te| fail(format!("{origin}:{te}")))?;
+            (samples, origin)
+        }
+    };
     let rate = RateProcess::Trace {
         label: file.to_string(),
         samples,
         end,
     };
-    if let Err(message) = rate.check() {
-        return err(
-            at_file.0,
-            at_file.1,
-            format!("{}: {message}", resolved.display()),
-        );
+    match rate.check() {
+        Ok(()) => Ok(rate),
+        Err(message) => Err(fail(format!("{origin}: {message}"))),
     }
-    Ok(rate)
 }
 
-fn decode_rate(v: &Value, base: Option<&Path>) -> Result<RateProcess, ConfigError> {
+fn decode_rate(v: &Value, source: TraceSource<'_>) -> Result<RateProcess, ConfigError> {
     let t = expect_table(v, "rate")?;
     let mut d = Dec::new(t, "rate");
     let kind_e = d.req("kind", (v.line, v.col))?;
@@ -921,7 +940,7 @@ fn decode_rate(v: &Value, base: Option<&Path>) -> Result<RateProcess, ConfigErro
             }
             RateProcess::Schedule { steps, period }
         }
-        "trace" => decode_trace(&mut d, (v.line, v.col), base)?,
+        "trace" => decode_trace(&mut d, (v.line, v.col), source)?,
         other => {
             return err(
                 kind_e.value.line,
@@ -1019,7 +1038,7 @@ fn decode_flow(v: &Value, what: &str) -> Result<FlowSpec, ConfigError> {
 fn decode_topology(
     t: &Table,
     at: (u32, u32),
-    base: Option<&Path>,
+    source: TraceSource<'_>,
 ) -> Result<TopologySpec, ConfigError> {
     let mut d = Dec::new(t, "topology");
     let kind_e = d.req("kind", at)?;
@@ -1053,7 +1072,7 @@ fn decode_topology(
                     &d.req("buffer_bits", at)?.value,
                     "buffer_bits",
                 )?),
-                rate: decode_rate(&d.req("rate", at)?.value, base)?,
+                rate: decode_rate(&d.req("rate", at)?.value, source)?,
                 arq_loss: Ppm::new(expect_u32(
                     &d.req("arq_loss_ppm", at)?.value,
                     "arq_loss_ppm",
@@ -1332,7 +1351,7 @@ fn decode_observe(t: &Table, _at: (u32, u32)) -> Result<ObserveSpec, ConfigError
     Ok(spec)
 }
 
-fn decode_axis(t: &Table, at: (u32, u32), base: Option<&Path>) -> Result<Axis, ConfigError> {
+fn decode_axis(t: &Table, at: (u32, u32), source: TraceSource<'_>) -> Result<Axis, ConfigError> {
     let mut d = Dec::new(t, "axis");
     let kind_e = d.req("kind", at)?;
     let kind = expect_str(&kind_e.value, "kind")?;
@@ -1360,7 +1379,7 @@ fn decode_axis(t: &Table, at: (u32, u32), base: Option<&Path>) -> Result<Axis, C
             let rates = map_array(values_e, |v, w| {
                 let vt = expect_table(v, w)?;
                 let mut vd = Dec::new(vt, w);
-                let rate = decode_trace(&mut vd, (v.line, v.col), base)?;
+                let rate = decode_trace(&mut vd, (v.line, v.col), source)?;
                 vd.finish()?;
                 Ok(rate)
             })?;
@@ -1409,6 +1428,11 @@ fn decode_axis(t: &Table, at: (u32, u32), base: Option<&Path>) -> Result<Axis, C
         }
     };
     d.finish()?;
+    // An empty axis empties the whole grid: `--check` would print OK for
+    // a sweep of zero runs.
+    if axis.is_empty() {
+        return err(at.0, at.1, "axis has no points");
+    }
     Ok(axis)
 }
 
@@ -1422,6 +1446,17 @@ pub fn parse_grid(src: &str) -> Result<SweepGrid, ConfigError> {
 /// [`parse_grid`] with an explicit base directory for relative paths in
 /// the spec (trace files) — [`load_grid`] passes the spec file's parent.
 pub fn parse_grid_at(src: &str, base: Option<&Path>) -> Result<SweepGrid, ConfigError> {
+    decode_grid(src, TraceSource::Files(base))
+}
+
+/// Decode a spec compiled into [`crate::presets`]: its trace references
+/// load from the [`traces`] generators, so no file is read and the
+/// working directory does not matter.
+pub(crate) fn parse_embedded(src: &str) -> Result<SweepGrid, ConfigError> {
+    decode_grid(src, TraceSource::Generators)
+}
+
+fn decode_grid(src: &str, source: TraceSource<'_>) -> Result<SweepGrid, ConfigError> {
     let root = Parser::new(src).parse_document()?;
     let mut d = Dec::new(&root, "root");
     let at = (1, 1);
@@ -1439,7 +1474,7 @@ pub fn parse_grid_at(src: &str, base: Option<&Path>) -> Result<SweepGrid, Config
     let topology = decode_topology(
         expect_table(&topo_e.value, "topology")?,
         (topo_e.value.line, topo_e.value.col),
-        base,
+        source,
     )?;
     let prior_e = d.req("prior", at)?;
     let prior = decode_prior(
@@ -1482,7 +1517,7 @@ pub fn parse_grid_at(src: &str, base: Option<&Path>) -> Result<SweepGrid, Config
         for t in tables {
             // Each [[axis]] table carries its own header position, so a
             // missing key in the third axis points at the third header.
-            axes.push(decode_axis(t, (t.line, t.col), base)?);
+            axes.push(decode_axis(t, (t.line, t.col), source)?);
         }
     }
     d.finish()?;
@@ -1681,569 +1716,60 @@ pub fn load_grid(path: &Path) -> Result<SweepGrid, ConfigError> {
     parse_grid_at(&src, path.parent())
 }
 
-// ---------------------------------------------------------------------
-// Canonical emission.
-// ---------------------------------------------------------------------
-
-/// Quote a string for emission, escaping exactly what the parser's
-/// string scanner decodes (`\"`, `\\`, `\n`, `\t`) — scenario names and
-/// trace file paths (where backslashes actually occur) must survive a
-/// round trip instead of silently corrupting.
-fn fmt_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format a float so the parser reads back the same `f64` (Rust's
-/// shortest round-trip formatting, with a `.0` forced onto integral
-/// values so the value stays a TOML float).
-///
-/// # Panics
-/// Panics on non-finite values — the schema has no NaN/inf literals, so
-/// emitting one would produce a file the parser rejects.
-pub(crate) fn fmt_f64(v: f64) -> String {
-    assert!(v.is_finite(), "spec floats must be finite, got {v}");
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-fn fmt_dur(d: Dur) -> String {
-    fmt_f64(d.as_secs_f64())
-}
-
-fn fmt_gate(g: &GateSpec) -> String {
-    match g {
-        GateSpec::AlwaysOn => "{ kind = \"always-on\" }".into(),
-        GateSpec::SquareWave {
-            half_period,
-            initially_connected,
-        } => format!(
-            "{{ kind = \"square-wave\", half_period_s = {}, initially_connected = {} }}",
-            fmt_dur(*half_period),
-            initially_connected
-        ),
-        GateSpec::Intermittent {
-            mtts,
-            epoch,
-            initially_connected,
-        } => format!(
-            "{{ kind = \"intermittent\", mtts_s = {}, epoch_s = {}, initially_connected = {} }}",
-            fmt_dur(*mtts),
-            fmt_dur(*epoch),
-            initially_connected
-        ),
-    }
-}
-
-fn fmt_queue(q: &QueueSpec) -> String {
-    match q {
-        QueueSpec::DropTail => "{ kind = \"drop-tail\" }".into(),
-        QueueSpec::Red {
-            min_th,
-            max_th,
-            max_p,
-            w_shift,
-        } => format!(
-            "{{ kind = \"red\", min_th_bits = {}, max_th_bits = {}, max_p_ppm = {}, w_shift = {} }}",
-            min_th.as_u64(),
-            max_th.as_u64(),
-            max_p.as_u32(),
-            w_shift
-        ),
-        QueueSpec::CoDel { target, interval } => format!(
-            "{{ kind = \"codel\", target_s = {}, interval_s = {} }}",
-            fmt_dur(*target),
-            fmt_dur(*interval)
-        ),
-    }
-}
-
-fn fmt_rate(r: &RateProcess) -> String {
-    match r {
-        RateProcess::Const(bps) => format!("{{ kind = \"constant\", bps = {} }}", bps.as_bps()),
-        RateProcess::Schedule { steps, period } => {
-            let steps = steps
-                .iter()
-                .map(|(at, bps)| format!("{{ at_s = {}, bps = {} }}", fmt_dur(*at), bps.as_bps()))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "{{ kind = \"schedule\", period_s = {}, steps = [{steps}] }}",
-                fmt_dur(*period)
-            )
-        }
-        RateProcess::Trace { label, end, .. } => {
-            format!("{{ kind = \"trace\", {} }}", fmt_trace_fields(label, *end))
-        }
-    }
-}
-
-/// A trace reference emits its file path, not its samples — the spec
-/// file stays a reference into `experiments/traces/`, and parsing loads
-/// the CSV back (the round-trip tests pin the equality).
-fn fmt_trace_fields(label: &str, end: TraceEnd) -> String {
-    format!("file = {}, end = \"{}\"", fmt_str(label), end.label())
-}
-
-fn fmt_sender(s: &SenderSpec) -> Vec<String> {
-    match s {
-        SenderSpec::IsenderExact {
-            alpha,
-            latency_penalty,
-            max_branches,
-        } => vec![
-            "kind = \"isender-exact\"".into(),
-            format!("alpha = {}", fmt_f64(*alpha)),
-            format!("latency_penalty = {}", fmt_f64(*latency_penalty)),
-            format!("max_branches = {max_branches}"),
-        ],
-        SenderSpec::IsenderParticle {
-            alpha,
-            latency_penalty,
-            n_particles,
-        } => vec![
-            "kind = \"isender-particle\"".into(),
-            format!("alpha = {}", fmt_f64(*alpha)),
-            format!("latency_penalty = {}", fmt_f64(*latency_penalty)),
-            format!("n_particles = {n_particles}"),
-        ],
-        SenderSpec::TcpReno { max_window } => vec![
-            "kind = \"tcp-reno\"".into(),
-            format!("max_window = {max_window}"),
-        ],
-        SenderSpec::TcpCubic { max_window } => vec![
-            "kind = \"tcp-cubic\"".into(),
-            format!("max_window = {max_window}"),
-        ],
-    }
-}
-
-fn fmt_sender_inline(s: &SenderSpec) -> String {
-    format!("{{ {} }}", fmt_sender(s).join(", "))
-}
-
-fn fmt_peer(p: &PeerSpec) -> String {
-    match p {
-        PeerSpec::Isender { alpha } => {
-            format!("{{ kind = \"isender\", alpha = {} }}", fmt_f64(*alpha))
-        }
-        PeerSpec::Aimd { timeout } => {
-            format!("{{ kind = \"aimd\", timeout_s = {} }}", fmt_dur(*timeout))
-        }
-        PeerSpec::TcpReno { max_window } => {
-            format!("{{ kind = \"tcp-reno\", max_window = {max_window} }}")
-        }
-        PeerSpec::TcpCubic { max_window } => {
-            format!("{{ kind = \"tcp-cubic\", max_window = {max_window} }}")
-        }
-    }
-}
-
-fn fmt_int_list<I: IntoIterator<Item = u64>>(items: I) -> String {
-    let body = items
-        .into_iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!("[{body}]")
-}
-
-fn push_axis(out: &mut String, axis: &Axis) {
-    out.push_str("\n[[axis]]\n");
-    let (kind, values) = match axis {
-        Axis::Alpha(v) => (
-            "alpha",
-            Some(format!(
-                "[{}]",
-                v.iter().map(|x| fmt_f64(*x)).collect::<Vec<_>>().join(", ")
-            )),
-        ),
-        Axis::LatencyPenalty(v) => (
-            "latency-penalty",
-            Some(format!(
-                "[{}]",
-                v.iter().map(|x| fmt_f64(*x)).collect::<Vec<_>>().join(", ")
-            )),
-        ),
-        Axis::LinkRate(v) => (
-            "link-rate",
-            Some(fmt_int_list(v.iter().map(|r| r.as_bps()))),
-        ),
-        Axis::CrossRate(v) => (
-            "cross-rate",
-            Some(fmt_int_list(v.iter().map(|r| r.as_bps()))),
-        ),
-        Axis::BufferCapacity(v) => (
-            "buffer-capacity",
-            Some(fmt_int_list(v.iter().map(|b| b.as_u64()))),
-        ),
-        Axis::InitialFullness(v) => (
-            "initial-fullness",
-            Some(fmt_int_list(v.iter().map(|b| b.as_u64()))),
-        ),
-        Axis::Loss(v) => (
-            "loss",
-            Some(fmt_int_list(v.iter().map(|p| p.as_u32() as u64))),
-        ),
-        Axis::Sender(v) => (
-            "sender",
-            Some(format!(
-                "[\n{}\n]",
-                v.iter()
-                    .map(|s| format!("  {},", fmt_sender_inline(s)))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            )),
-        ),
-        Axis::Peer(v) => (
-            "peer",
-            Some(format!(
-                "[\n{}\n]",
-                v.iter()
-                    .map(|p| format!("  {},", fmt_peer(p)))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            )),
-        ),
-        Axis::Queue(v) => (
-            "queue",
-            Some(format!(
-                "[\n{}\n]",
-                v.iter()
-                    .map(|q| format!("  {},", fmt_queue(q)))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            )),
-        ),
-        Axis::RateTrace(v) => (
-            "rate-trace",
-            Some(format!(
-                "[\n{}\n]",
-                v.iter()
-                    .map(|r| match r {
-                        RateProcess::Trace { label, end, .. } =>
-                            format!("  {{ {} }},", fmt_trace_fields(label, *end)),
-                        other => unreachable!("rate-trace axis over {other:?}"),
-                    })
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            )),
-        ),
-        Axis::PriorSize(v) => (
-            "prior-size",
-            Some(fmt_int_list(v.iter().map(|n| *n as u64))),
-        ),
-        Axis::Flows(v) => ("flows", Some(fmt_int_list(v.iter().map(|n| *n as u64)))),
-        Axis::Seeds(k) => {
-            let _ = writeln!(out, "kind = \"seeds\"\ncount = {k}");
-            return;
-        }
-    };
-    let _ = writeln!(out, "kind = \"{kind}\"");
-    if let Some(values) = values {
-        let _ = writeln!(out, "values = {values}");
-    }
-}
-
-/// Emit the canonical spec file for a grid. `parse_grid` reads the
-/// result back to an identical grid — pinned per preset by the
-/// round-trip tests.
-pub fn grid_to_toml(grid: &SweepGrid) -> String {
-    let base = &grid.base;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# Scenario spec for `sweep --spec` (canonical form; regenerate with\n\
-         # `sweep --export-specs <dir>`).\n\
-         \n\
-         [scenario]\n\
-         name = {}\n\
-         duration_s = {}\n\
-         base_seed = 0x{:X}",
-        fmt_str(&base.name),
-        fmt_dur(base.duration),
-        base.base_seed
-    );
-
-    out.push_str("\n[topology]\n");
-    match &base.topology {
-        TopologySpec::Model(m) => {
-            let _ = writeln!(
-                out,
-                "kind = \"model\"\n\
-                 link_bps = {}\n\
-                 cross_bps = {}\n\
-                 cross_active = {}\n\
-                 gate = {}\n\
-                 loss_ppm = {}\n\
-                 buffer_bits = {}\n\
-                 initial_fullness_bits = {}\n\
-                 packet_bits = {}",
-                m.link_rate.as_bps(),
-                m.cross_rate.as_bps(),
-                m.cross_active,
-                fmt_gate(&m.gate),
-                m.loss.as_u32(),
-                m.buffer_capacity.as_u64(),
-                m.initial_fullness.as_u64(),
-                m.packet_size.as_u64(),
-            );
-        }
-        TopologySpec::Cellular { params, queue } => {
-            let _ = writeln!(
-                out,
-                "kind = \"cellular\"\n\
-                 buffer_bits = {}\n\
-                 rate = {}\n\
-                 arq_loss_ppm = {}\n\
-                 arq_retry_delay_s = {}\n\
-                 propagation_s = {}\n\
-                 queue = {}",
-                params.buffer_capacity.as_u64(),
-                fmt_rate(&params.rate),
-                params.arq_loss.as_u32(),
-                fmt_dur(params.arq_retry_delay),
-                fmt_dur(params.propagation),
-                fmt_queue(queue),
-            );
-        }
-        TopologySpec::Graph(g) => {
-            let _ = writeln!(
-                out,
-                "kind = \"graph\"\npacket_bits = {}\nnodes = [{}]",
-                g.packet_size.as_u64(),
-                g.nodes
-                    .iter()
-                    .map(|n| fmt_str(n))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            );
-            out.push_str("links = [\n");
-            for l in &g.links {
-                let _ = write!(
-                    out,
-                    "  {{ name = {}, from = {}, to = {}, bps = {}, delay_s = {}, \
-                     buffer_bits = {}",
-                    fmt_str(&l.name),
-                    fmt_str(&l.from),
-                    fmt_str(&l.to),
-                    l.rate.as_bps(),
-                    fmt_dur(l.delay),
-                    l.buffer.as_u64(),
-                );
-                // Drop-tail is the decode-side default; emitting it
-                // anyway would only widen the lines.
-                if l.queue != QueueSpec::DropTail {
-                    let _ = write!(out, ", queue = {}", fmt_queue(&l.queue));
-                }
-                out.push_str(" },\n");
-            }
-            out.push_str("]\nflows = [\n");
-            for f in &g.flows {
-                let _ = write!(
-                    out,
-                    "  {{ name = {}, class = {}, src = {}, dst = {}",
-                    fmt_str(&f.name),
-                    fmt_str(&f.class),
-                    fmt_str(&f.src),
-                    fmt_str(&f.dst),
-                );
-                if let Some(path) = &f.path {
-                    let _ = write!(
-                        out,
-                        ", path = [{}]",
-                        path.iter()
-                            .map(|n| fmt_str(n))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
-                }
-                out.push_str(" },\n");
-            }
-            out.push_str("]\n");
-        }
-    }
-
-    out.push_str("\n[prior]\n");
-    match &base.prior {
-        PriorSpec::Paper => out.push_str("kind = \"paper\"\n"),
-        PriorSpec::Small => out.push_str("kind = \"small\"\n"),
-        PriorSpec::FineLinkRate { n, lo_bps, hi_bps } => {
-            let _ = writeln!(
-                out,
-                "kind = \"fine-link-rate\"\nn = {n}\nlo_bps = {lo_bps}\nhi_bps = {hi_bps}"
-            );
-        }
-        PriorSpec::Custom(p) => {
-            let _ = writeln!(
-                out,
-                "kind = \"custom\"\n\
-                 link_rates_bps = {}\n\
-                 cross_fracs_ppm = {}\n\
-                 losses_ppm = {}\n\
-                 buffer_capacities_bits = {}",
-                fmt_int_list(p.link_rates.iter().map(|r| r.as_bps())),
-                fmt_int_list(p.cross_fracs_ppm.iter().map(|f| *f as u64)),
-                fmt_int_list(p.losses.iter().map(|l| l.as_u32() as u64)),
-                fmt_int_list(p.buffer_capacities.iter().map(|b| b.as_u64())),
-            );
-            if let Some(step) = p.fullness_step {
-                let _ = writeln!(out, "fullness_step_bits = {}", step.as_u64());
-            }
-            let _ = writeln!(
-                out,
-                "mtts_s = {}\n\
-                 epoch_s = {}\n\
-                 gate_initial = [{}]\n\
-                 packet_bits = {}\n\
-                 cross_active = {}",
-                fmt_dur(p.mtts),
-                fmt_dur(p.epoch),
-                p.gate_initial
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                p.packet_size.as_u64(),
-                p.cross_active,
-            );
-        }
-    }
-
-    out.push_str("\n[sender]\n");
-    for line in fmt_sender(&base.sender) {
-        out.push_str(&line);
-        out.push('\n');
-    }
-
-    out.push_str("\n[workload]\n");
-    match &base.workload {
-        WorkloadSpec::ClosedLoop => out.push_str("kind = \"closed-loop\"\n"),
-        WorkloadSpec::ScriptedPing { interval } => {
-            let _ = writeln!(
-                out,
-                "kind = \"scripted-ping\"\ninterval_s = {}",
-                fmt_dur(*interval)
-            );
-        }
-        WorkloadSpec::ManyFlows(mf) => {
-            let _ = writeln!(
-                out,
-                "kind = \"many-flows\"\nflows = {}\nmix = [\n{}\n]",
-                mf.flows,
-                mf.mix
-                    .iter()
-                    .map(|p| format!("  {},", fmt_peer(p)))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
-        }
-        WorkloadSpec::Coexist(cx) => {
-            let _ = writeln!(
-                out,
-                "kind = \"coexist\"\npeers = [\n{}\n]",
-                cx.peers
-                    .iter()
-                    .map(|p| format!("  {},", fmt_peer(p)))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
-        }
-    }
-
-    // Default-off observability stays implicit, so shipped spec files
-    // are byte-stable across the introduction of the `[observe]` table.
-    if base.observe.active() {
-        out.push_str("\n[observe]\n");
-        if base.observe.trace_events {
-            out.push_str("trace_events = true\n");
-        }
-        if let Some(every) = base.observe.snapshot_every {
-            let _ = writeln!(out, "snapshot_every_s = {}", fmt_dur(every));
-        }
-    }
-
-    for axis in &grid.axes {
-        push_axis(&mut out, axis);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::presets;
 
-    /// Grid equality via the Debug form — every spec type is Debug, and
-    /// the derived representation covers exactly the fields the decoder
-    /// must reproduce.
-    fn assert_grid_eq(a: &SweepGrid, b: &SweepGrid) {
-        assert_eq!(format!("{a:#?}"), format!("{b:#?}"));
-    }
-
-    /// Where the shipped spec files live — trace references in canonical
-    /// emissions are relative to this directory, so parsing them back
-    /// needs it as the base (and doubles as a pin that the committed
-    /// trace CSVs match the generators the presets embed).
-    fn shipped_specs_dir() -> std::path::PathBuf {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments/specs")
-    }
-
-    #[test]
-    fn every_preset_round_trips_through_toml() {
-        for name in presets::NAMES {
-            let grid = presets::by_name(name).unwrap();
-            let toml = grid_to_toml(&grid);
-            let parsed = parse_grid_at(&toml, Some(&shipped_specs_dir()))
-                .unwrap_or_else(|e| panic!("canonical {name} spec failed to parse: {e}\n{toml}"));
-            assert_grid_eq(&grid, &parsed);
-        }
+    /// The shipped spec text of a preset — the vehicle most decode-error
+    /// tests splice their fault into.
+    fn shipped(name: &str) -> &'static str {
+        presets::spec_text(name).unwrap()
     }
 
     #[test]
     fn observe_round_trips_and_defaults_off() {
-        // Default-off: no preset emits an [observe] table, so shipped
-        // spec files are byte-stable against the observability layer.
-        let grid = presets::by_name("fig3").unwrap();
-        let toml = grid_to_toml(&grid);
-        assert!(!toml.contains("[observe]"), "default spec grew [observe]");
-        // Armed: both keys survive the round trip.
-        let mut armed = grid;
-        armed.base.observe = crate::spec::ObserveSpec {
-            trace_events: true,
-            snapshot_every: Some(Dur::from_secs_f64(2.5)),
+        // Default-off: no shipped spec carries an [observe] table.
+        let text = shipped("fig3");
+        assert!(!text.contains("[observe]"), "shipped spec grew [observe]");
+        assert_eq!(
+            parse_grid(text).unwrap().base.observe,
+            ObserveSpec::default()
+        );
+        // Armed: both keys decode together, and each alone.
+        let observe = |keys: &str| {
+            parse_grid(&format!("{text}\n[observe]\n{keys}"))
+                .unwrap()
+                .base
+                .observe
         };
-        let toml = grid_to_toml(&armed);
-        assert!(toml.contains("[observe]\ntrace_events = true\nsnapshot_every_s = 2.5\n"));
-        let parsed = parse_grid_at(&toml, Some(&shipped_specs_dir())).unwrap();
-        assert_grid_eq(&armed, &parsed);
-        // Each key also round-trips alone.
-        armed.base.observe.snapshot_every = None;
-        let parsed = parse_grid_at(&grid_to_toml(&armed), Some(&shipped_specs_dir())).unwrap();
-        assert_grid_eq(&armed, &parsed);
+        let every = Some(Dur::from_secs_f64(2.5));
+        assert_eq!(
+            observe("trace_events = true\nsnapshot_every_s = 2.5\n"),
+            ObserveSpec {
+                trace_events: true,
+                snapshot_every: every,
+            }
+        );
+        assert_eq!(
+            observe("trace_events = true\n"),
+            ObserveSpec {
+                trace_events: true,
+                snapshot_every: None,
+            }
+        );
+        assert_eq!(
+            observe("snapshot_every_s = 2.5\n"),
+            ObserveSpec {
+                trace_events: false,
+                snapshot_every: every,
+            }
+        );
     }
 
     #[test]
     fn observe_zero_cadence_is_rejected() {
-        let toml = format!(
-            "{}\n[observe]\nsnapshot_every_s = 0.0\n",
-            grid_to_toml(&presets::by_name("fig3").unwrap())
-        );
+        let toml = format!("{}\n[observe]\nsnapshot_every_s = 0.0\n", shipped("fig3"));
         let e = parse_grid(&toml).unwrap_err();
         assert!(
             e.message.contains("`snapshot_every_s` must be > 0 seconds"),
@@ -2253,10 +1779,7 @@ mod tests {
 
     #[test]
     fn observe_unknown_key_is_rejected() {
-        let toml = format!(
-            "{}\n[observe]\nsnapshots = true\n",
-            grid_to_toml(&presets::by_name("fig3").unwrap())
-        );
+        let toml = format!("{}\n[observe]\nsnapshots = true\n", shipped("fig3"));
         let e = parse_grid(&toml).unwrap_err();
         assert!(
             e.message.contains("unknown key `snapshots` in [observe]"),
@@ -2283,8 +1806,7 @@ mod tests {
 
     #[test]
     fn unknown_key_is_located_and_named() {
-        let grid = presets::by_name("fig3").unwrap();
-        let toml = grid_to_toml(&grid).replace("alpha = 1.0", "alpha = 1.0\nalpa = 1.0");
+        let toml = shipped("fig3").replace("alpha = 1.0", "alpha = 1.0\nalpa = 1.0");
         let e = parse_grid(&toml).unwrap_err();
         assert!(
             e.message.contains("unknown key `alpa` in [sender]"),
@@ -2295,8 +1817,8 @@ mod tests {
 
     #[test]
     fn type_mismatch_names_the_expected_type() {
-        let toml = grid_to_toml(&presets::by_name("fig3").unwrap())
-            .replace("values = [0.9, 1.0, 2.5, 5.0]", "values = [0.9, \"high\"]");
+        let toml =
+            shipped("fig3").replace("values = [0.9, 1.0, 2.5, 5.0]", "values = [0.9, \"high\"]");
         let e = parse_grid(&toml).unwrap_err();
         assert!(
             e.message
@@ -2307,8 +1829,7 @@ mod tests {
 
     #[test]
     fn many_flows_flow_count_is_range_checked() {
-        let toml = grid_to_toml(&presets::by_name("ext-scaling-flows").unwrap())
-            .replace("flows = 10\n", "flows = 0\n");
+        let toml = shipped("ext-scaling-flows").replace("flows = 10\n", "flows = 0\n");
         let e = parse_grid(&toml).unwrap_err();
         assert!(
             e.message
@@ -2319,8 +1840,7 @@ mod tests {
 
     #[test]
     fn zero_branch_cap_is_rejected_at_decode_time() {
-        let toml = grid_to_toml(&presets::by_name("fig3").unwrap())
-            .replace("max_branches = 50000\n", "max_branches = 0\n");
+        let toml = shipped("fig3").replace("max_branches = 50000\n", "max_branches = 0\n");
         let e = parse_grid(&toml).unwrap_err();
         assert_eq!(e.message, "`max_branches` must be at least 1, got 0");
         let line = toml.lines().position(|l| l == "max_branches = 0").unwrap();
@@ -2329,8 +1849,7 @@ mod tests {
 
     #[test]
     fn zero_particle_count_in_a_sender_axis_is_rejected_at_decode_time() {
-        let toml = grid_to_toml(&presets::by_name("scaling").unwrap())
-            .replace("n_particles = 1000", "n_particles = 0");
+        let toml = shipped("scaling").replace("n_particles = 1000", "n_particles = 0");
         let e = parse_grid(&toml).unwrap_err();
         assert_eq!(e.message, "`n_particles` must be at least 1, got 0");
         let (line, text) = toml
@@ -2344,7 +1863,7 @@ mod tests {
 
     #[test]
     fn many_flows_mix_rejects_belief_carrying_agents() {
-        let toml = grid_to_toml(&presets::by_name("ext-scaling-flows").unwrap()).replace(
+        let toml = shipped("ext-scaling-flows").replace(
             "{ kind = \"aimd\", timeout_s = 8.0 }",
             "{ kind = \"isender\", alpha = 1.0 }",
         );
@@ -2359,7 +1878,7 @@ mod tests {
     fn flows_axis_requires_the_many_flows_workload() {
         let toml = format!(
             "{}\n[[axis]]\nkind = \"flows\"\nvalues = [10]\n",
-            grid_to_toml(&presets::by_name("fig3").unwrap())
+            shipped("fig3")
         );
         let e = parse_grid(&toml).unwrap_err();
         assert!(
@@ -2371,7 +1890,7 @@ mod tests {
 
     #[test]
     fn flows_axis_values_are_range_checked() {
-        let toml = grid_to_toml(&presets::by_name("ext-scaling-flows").unwrap())
+        let toml = shipped("ext-scaling-flows")
             .replace("values = [10, 100, 1000, 10000]", "values = [10, 70000]");
         let e = parse_grid(&toml).unwrap_err();
         assert!(
@@ -2385,7 +1904,7 @@ mod tests {
     fn duplicate_table_is_rejected() {
         let toml = format!(
             "{}\n[sender]\nkind = \"tcp-reno\"\nmax_window = 4\n",
-            grid_to_toml(&presets::by_name("fig3").unwrap())
+            shipped("fig3")
         );
         let e = parse_grid(&toml).unwrap_err();
         assert!(e.message.contains("duplicate table [sender]"), "got: {e}");
@@ -2410,7 +1929,7 @@ mod tests {
     fn unknown_axis_kind_lists_the_menu() {
         let toml = format!(
             "{}\n[[axis]]\nkind = \"warp\"\nvalues = [1]\n",
-            grid_to_toml(&presets::by_name("smoke").unwrap())
+            shipped("smoke")
         );
         let e = parse_grid(&toml).unwrap_err();
         assert!(e.message.contains("unknown axis kind `warp`"), "got: {e}");
@@ -2418,7 +1937,7 @@ mod tests {
 
     #[test]
     fn three_peer_coexist_spec_parses() {
-        let toml = grid_to_toml(&presets::by_name("coexist-fairness").unwrap()).replace(
+        let toml = shipped("coexist-fairness").replace(
             "peers = [\n  { kind = \"isender\", alpha = 1.0 },\n]",
             "peers = [\n  { kind = \"isender\", alpha = 1.0 },\n  { kind = \"aimd\", timeout_s = 8.0 },\n  { kind = \"tcp-reno\", max_window = 64 },\n]",
         );
@@ -2436,8 +1955,8 @@ mod tests {
     fn isender_over_cellular_is_rejected_at_parse_time() {
         // Splice fig1's cellular topology into fig3's ISender spec: the
         // runner could only panic on this, so --check must reject it.
-        let fig3 = grid_to_toml(&presets::by_name("fig3").unwrap());
-        let fig1 = grid_to_toml(&presets::by_name("fig1").unwrap());
+        let fig3 = shipped("fig3");
+        let fig1 = shipped("fig1");
         let cut = |src: &str, header: &str| -> String {
             let start = src.find(header).unwrap();
             let end = src[start + header.len()..]
@@ -2446,7 +1965,7 @@ mod tests {
                 .unwrap_or(src.len());
             src[start..end].to_string()
         };
-        let spliced = fig3.replace(&cut(&fig3, "[topology]"), &cut(&fig1, "[topology]"));
+        let spliced = fig3.replace(&cut(fig3, "[topology]"), &cut(fig1, "[topology]"));
         let e = parse_grid(&spliced).unwrap_err();
         assert!(
             e.message
@@ -2498,8 +2017,12 @@ mod tests {
     #[test]
     fn graph_spec_parses_and_round_trips() {
         let grid = parse_grid(&graph_spec(LINE_FLOWS, ONE_PEER, "")).unwrap();
-        assert!(matches!(grid.base.topology, TopologySpec::Graph(_)));
-        assert_grid_eq(&grid, &parse_grid(&grid_to_toml(&grid)).unwrap());
+        let TopologySpec::Graph(g) = &grid.base.topology else {
+            panic!("unexpected topology {:?}", grid.base.topology)
+        };
+        assert_eq!(g.nodes, ["a", "b", "c"]);
+        assert_eq!((g.links.len(), g.flows.len()), (3, 2));
+        assert!(g.links.iter().all(|l| l.queue == QueueSpec::DropTail));
     }
 
     #[test]
@@ -2582,7 +2105,7 @@ mod tests {
     /// The canonical fig1 spec with its schedule's `steps` list replaced
     /// — the vehicle for the malformed-schedule decode tests.
     fn fig1_with_steps(steps: &str) -> String {
-        let toml = grid_to_toml(&presets::by_name("fig1").unwrap());
+        let toml = shipped("fig1");
         let start = toml.find("steps = [").expect("fig1 has a schedule");
         let end = toml[start..].find(']').map(|i| start + i + 1).unwrap();
         format!("{}{}{}", &toml[..start], steps, &toml[end..])
@@ -2610,8 +2133,7 @@ mod tests {
 
     #[test]
     fn schedule_zero_period_is_rejected_at_decode_time() {
-        let toml = grid_to_toml(&presets::by_name("fig1").unwrap())
-            .replace("period_s = 20.0", "period_s = 0.0");
+        let toml = shipped("fig1").replace("period_s = 20.0", "period_s = 0.0");
         let e = parse_grid(&toml).unwrap_err();
         assert!(
             e.message.contains("`period_s` must be positive"),
@@ -2641,7 +2163,7 @@ mod tests {
         // `BitRate::from_bps(0)` would otherwise panic inside `--check`.
         let toml = format!(
             "{}\n[[axis]]\nkind = \"link-rate\"\nvalues = [0]\n",
-            grid_to_toml(&presets::by_name("smoke").unwrap())
+            shipped("smoke")
         );
         let e = parse_grid(&toml).unwrap_err();
         assert!(
@@ -2654,8 +2176,7 @@ mod tests {
     fn inverted_fine_link_rate_range_is_rejected_at_decode_time() {
         // Before this check, `--check` passed and PriorSpec::hypotheses
         // hit a u64 subtract-overflow mid-run.
-        let toml = grid_to_toml(&presets::by_name("scaling").unwrap())
-            .replace("lo_bps = 8000", "lo_bps = 32000");
+        let toml = shipped("scaling").replace("lo_bps = 8000", "lo_bps = 32000");
         let e = parse_grid(&toml).unwrap_err();
         assert!(
             e.message
@@ -2667,14 +2188,14 @@ mod tests {
 
     #[test]
     fn zero_hypothesis_fine_prior_is_rejected_at_decode_time() {
-        let toml = grid_to_toml(&presets::by_name("scaling").unwrap()).replace("n = 101", "n = 0");
+        let toml = shipped("scaling").replace("n = 101", "n = 0");
         let e = parse_grid(&toml).unwrap_err();
         assert!(e.message.contains("`n` must be at least 1"), "got: {e}");
     }
 
     #[test]
     fn missing_trace_file_is_a_positioned_error() {
-        let toml = grid_to_toml(&presets::by_name("fig1").unwrap()).replace(
+        let toml = shipped("fig1").replace(
             "rate = { kind = \"schedule\", period_s = 20.0, steps = [{ at_s = 0.0, bps = 4000000 }, { at_s = 8.0, bps = 1000000 }, { at_s = 14.0, bps = 250000 }, { at_s = 17.0, bps = 2000000 }] }",
             "rate = { kind = \"trace\", file = \"no-such-trace.csv\", end = \"loop\" }",
         );
@@ -2685,8 +2206,8 @@ mod tests {
 
     #[test]
     fn unknown_trace_end_policy_lists_the_menu() {
-        let toml = grid_to_toml(&presets::by_name("replay-cellular").unwrap())
-            .replace("end = \"loop\" }\narq", "end = \"wrap\" }\narq");
+        let toml =
+            shipped("replay-cellular").replace("end = \"loop\" }\narq", "end = \"wrap\" }\narq");
         let e = parse_grid(&toml).unwrap_err();
         assert!(
             e.message
@@ -2699,7 +2220,7 @@ mod tests {
     fn queue_axis_over_model_topology_is_rejected_with_a_position() {
         let toml = format!(
             "{}\n[[axis]]\nkind = \"queue\"\nvalues = [\n  {{ kind = \"drop-tail\" }},\n]\n",
-            grid_to_toml(&presets::by_name("fig3").unwrap())
+            shipped("fig3")
         );
         let e = parse_grid(&toml).unwrap_err();
         assert!(
@@ -2718,7 +2239,7 @@ mod tests {
         std::fs::write(dir.join("x.csv"), "time_s,bps\n0.0,1000\n1.0,2000\n").unwrap();
         let toml = format!(
             "{}\n[[axis]]\nkind = \"rate-trace\"\nvalues = [\n  {{ file = \"x.csv\", end = \"loop\" }},\n]\n",
-            grid_to_toml(&presets::by_name("fig3").unwrap())
+            shipped("fig3")
         );
         let e = parse_grid_at(&toml, Some(&dir)).unwrap_err();
         assert!(
@@ -2732,8 +2253,7 @@ mod tests {
     fn out_of_range_u32_is_an_error_not_a_wrap() {
         // 2^32 + 200000: a wrap would silently yield a valid-looking
         // 200000 ppm loss rate.
-        let toml = grid_to_toml(&presets::by_name("fig3").unwrap())
-            .replace("loss_ppm = 200000", "loss_ppm = 4295167296");
+        let toml = shipped("fig3").replace("loss_ppm = 200000", "loss_ppm = 4295167296");
         let e = parse_grid(&toml).unwrap_err();
         assert!(
             e.message.contains("`loss_ppm` must fit in a u32"),
@@ -2743,28 +2263,24 @@ mod tests {
 
     #[test]
     fn full_u64_seed_space_round_trips() {
-        let mut grid = presets::by_name("smoke").unwrap();
-        grid.base.base_seed = 0x9E37_79B9_7F4A_7C15; // >= 2^63
-        let parsed = parse_grid(&grid_to_toml(&grid)).unwrap();
-        assert_eq!(parsed.base.base_seed, 0x9E37_79B9_7F4A_7C15);
+        // >= 2^63: the seed must not pass through a signed 64-bit read.
+        let toml = shipped("smoke").replace("base_seed = 0x5A0E", "base_seed = 0x9E3779B97F4A7C15");
+        assert_eq!(
+            parse_grid(&toml).unwrap().base.base_seed,
+            0x9E37_79B9_7F4A_7C15
+        );
     }
 
     #[test]
     fn non_ascii_strings_survive_the_byte_scanner() {
-        let mut grid = presets::by_name("smoke").unwrap();
-        grid.base.name = "café-β".into();
-        let parsed = parse_grid(&grid_to_toml(&grid)).unwrap();
-        assert_eq!(parsed.base.name, "café-β");
-    }
-
-    #[test]
-    fn quotes_and_backslashes_are_escaped_on_emission() {
-        // Backslashes occur in Windows-style trace paths; unescaped
-        // emission would silently decode `\t` as a tab on re-parse.
-        let mut grid = presets::by_name("smoke").unwrap();
-        grid.base.name = "a\\tb \"q\"".into();
-        let parsed = parse_grid(&grid_to_toml(&grid)).unwrap();
-        assert_eq!(parsed.base.name, "a\\tb \"q\"");
+        let name = |literal: &str| {
+            let toml = shipped("smoke").replace("name = \"smoke\"", &format!("name = {literal}"));
+            parse_grid(&toml).unwrap().base.name
+        };
+        assert_eq!(name("\"café-β\""), "café-β");
+        // Backslashes occur in Windows-style trace paths: an escaped one
+        // stays a backslash and never decodes as the escape after it.
+        assert_eq!(name(r#""a\\tb \"q\"""#), "a\\tb \"q\"");
     }
 
     #[test]
@@ -2782,7 +2298,7 @@ mod tests {
         }
         let toml = format!(
             "{}\n[[axis]]\nkind = \"rate-trace\"\nvalues = [\n  {{ file = \"a/x.csv\", end = \"loop\" }},\n  {{ file = \"b/x.csv\", end = \"loop\" }},\n]\n",
-            grid_to_toml(&presets::by_name("fig1").unwrap())
+            shipped("fig1")
         );
         let e = parse_grid_at(&toml, Some(&dir)).unwrap_err();
         assert!(
@@ -2792,8 +2308,25 @@ mod tests {
     }
 
     #[test]
+    fn an_axis_with_no_points_is_rejected_at_its_header() {
+        // Either shape expands to zero runs, which `--check` used to
+        // report as OK.
+        for (name, from, to) in [
+            ("smoke", "count = 4", "count = 0"),
+            ("fig3", "values = [0.9, 1.0, 2.5, 5.0]", "values = []"),
+        ] {
+            let toml = shipped(name).replace(from, to);
+            let e = parse_grid(&toml).unwrap_err();
+            assert_eq!(e.message, "axis has no points", "{name}");
+            let lines: Vec<&str> = toml.lines().collect();
+            let header = lines.iter().rposition(|l| *l == "[[axis]]").unwrap();
+            assert_eq!((e.line as usize, e.col), (header + 1, 3), "{name}");
+        }
+    }
+
+    #[test]
     fn errors_in_a_later_axis_point_at_that_axis() {
-        let base = grid_to_toml(&presets::by_name("fig3").unwrap());
+        let base = shipped("fig3");
         let appended_header_line = base.lines().count() as u32 + 2; // blank line, then [[axis]]
         let toml = format!("{base}\n[[axis]]\nkind = \"seeds\"\n");
         let e = parse_grid(&toml).unwrap_err();

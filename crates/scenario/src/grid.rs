@@ -12,7 +12,7 @@ use crate::spec::{
     PeerSpec, PriorSpec, QueueSpec, ScenarioSpec, SenderSpec, TopologySpec, WorkloadSpec,
 };
 use augur_elements::RateProcess;
-use augur_sim::{BitRate, Bits, Ppm, SimRng};
+use augur_sim::{BitRate, Bits, Dur, Ppm, SimRng};
 
 /// One sweep dimension.
 #[derive(Debug, Clone)]
@@ -185,6 +185,14 @@ pub(crate) fn rate_point_label(rate: &RateProcess) -> String {
     }
 }
 
+/// The ambient `AUGUR_BRANCHES` branch cap for quick runs, for
+/// [`SweepGrid::set_max_branches`]. Unset, unparsable and zero all read
+/// as no cap: a belief with no branches has nothing to normalize.
+pub fn ambient_max_branches() -> Option<usize> {
+    let raw = std::env::var("AUGUR_BRANCHES").ok()?;
+    raw.parse().ok().filter(|&cap: &usize| cap >= 1)
+}
+
 /// One expanded run: a concrete spec, its position in the grid, and its
 /// derived seed.
 #[derive(Debug, Clone)]
@@ -234,6 +242,44 @@ impl SweepGrid {
         self
     }
 
+    /// Run every grid point for `duration` of simulated time.
+    pub fn set_duration(&mut self, duration: Dur) {
+        self.base.duration = duration;
+    }
+
+    /// Cap every exact-belief sender in the grid — the base sender and
+    /// each sender-axis point — at `max_branches`. False when the grid
+    /// has no such sender to take the cap.
+    pub fn set_max_branches(&mut self, max_branches: usize) -> bool {
+        let mut applied = false;
+        let mut cap = |sender: &mut SenderSpec| {
+            if let Some(cap) = sender.max_branches_mut() {
+                *cap = max_branches;
+                applied = true;
+            }
+        };
+        cap(&mut self.base.sender);
+        for axis in &mut self.axes {
+            if let Axis::Sender(senders) = axis {
+                senders.iter_mut().for_each(&mut cap);
+            }
+        }
+        applied
+    }
+
+    /// Run `replicates` seeds per grid point. False when the grid has no
+    /// seeds axis to take the count.
+    pub fn set_replicates(&mut self, replicates: usize) -> bool {
+        let mut applied = false;
+        for axis in &mut self.axes {
+            if let Axis::Seeds(count) = axis {
+                *count = replicates;
+                applied = true;
+            }
+        }
+        applied
+    }
+
     /// Total number of runs (product of axis lengths).
     pub fn len(&self) -> usize {
         self.axes.iter().map(Axis::len).product()
@@ -278,7 +324,6 @@ impl SweepGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use augur_sim::Dur;
 
     fn base() -> ScenarioSpec {
         let mut s = ScenarioSpec::paper_baseline("test");

@@ -18,9 +18,10 @@
 //! * [`SweepReport`] collects per-run [`RunSummary`]s (throughput, delay
 //!   percentiles, realized utility, overflow counts) and exports
 //!   deterministic CSV / JSON-lines through [`augur_trace::Table`];
-//! * [`config`] loads a whole grid from a TOML spec file (and writes the
-//!   canonical spec file for any grid), so new experiments are data
-//!   changes, not code changes — see `experiments/specs/`.
+//! * [`config`] loads a whole grid from a TOML spec file, so new
+//!   experiments are data changes, not code changes — the shipped
+//!   sweeps in [`presets`] are the files under `experiments/specs/`,
+//!   compiled in.
 //!
 //! # Example
 //!
@@ -43,7 +44,7 @@ pub mod spec;
 pub mod traces;
 
 pub use augur_topo::{FlowSpec, GraphTopology, LinkSpec};
-pub use config::{grid_to_toml, load_grid, parse_grid, parse_grid_at, ConfigError};
+pub use config::{load_grid, parse_grid, parse_grid_at, ConfigError};
 pub use grid::{Axis, RunSpec, SweepGrid};
 pub use report::{RunStatus, RunSummary, SweepReport};
 pub use runner::{

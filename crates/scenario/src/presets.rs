@@ -1,21 +1,36 @@
-//! The paper's sweeps as one-line grid declarations — shared by the
-//! generic `sweep` CLI and the per-figure experiment binaries.
+//! The shipped sweeps, shared by the generic `sweep` CLI and the
+//! per-figure experiment binaries.
+//!
+//! A preset *is* its spec file: `experiments/specs/<name>.toml` is
+//! compiled in and decoded on request, so there is exactly one
+//! definition of every shipped grid and `sweep <name>` cannot differ
+//! from `sweep --spec experiments/specs/<name>.toml`. What each sweep
+//! measures, and why its numbers are what they are, is written as
+//! comments in the file. The constructors below are the shipped grid
+//! with their arguments written over it by the same [`SweepGrid`]
+//! overrides `sweep --duration/--branches/--replicates` uses.
 
+use crate::config;
 use crate::grid::{Axis, SweepGrid};
-use crate::spec::{
-    CoexistSpec, ManyFlowSpec, ObserveSpec, PeerSpec, PriorSpec, QueueSpec, ScenarioSpec,
-    SenderSpec, TopologySpec, WorkloadSpec,
-};
-use crate::traces;
-use augur_elements::{CellularParams, GateSpec, ModelParams, RateProcess, TraceEnd};
-use augur_inference::ModelPrior;
-use augur_sim::{BitRate, Bits, Dur, Ppm};
-use augur_topo::GraphTopology;
+use crate::spec::SenderSpec;
+use augur_sim::Dur;
 
-/// Every named preset, in the order `--export-specs` writes them. Each
-/// name doubles as the canonical spec file stem under
-/// `experiments/specs/` and the default CSV stem under `experiments/`.
-pub const NAMES: [&str; 14] = [
+/// One list of names declares both tables, so a preset's name is its
+/// spec file's stem by construction.
+macro_rules! shipped_specs {
+    ($($name:literal),* $(,)?) => {
+        /// Every preset name. Each doubles as the spec file stem under
+        /// `experiments/specs/` and the default CSV stem under
+        /// `experiments/`.
+        pub const NAMES: [&str; 14] = [$($name),*];
+
+        /// The text of `experiments/specs/<name>.toml`, in [`NAMES`] order.
+        const SPECS: [&str; 14] =
+            [$(include_str!(concat!("../../../experiments/specs/", $name, ".toml"))),*];
+    };
+}
+
+shipped_specs![
     "fig1",
     "fig3",
     "tab1",
@@ -32,482 +47,158 @@ pub const NAMES: [&str; 14] = [
     "ext-scaling-flows",
 ];
 
-/// The canonical grid for a preset name, at the documented default
-/// durations/budgets (what `sweep <name>` runs with no overrides, and
-/// what the shipped spec files under `experiments/specs/` encode).
+/// The shipped spec text of a preset, as committed under
+/// `experiments/specs/`.
+pub(crate) fn spec_text(name: &str) -> Option<&'static str> {
+    let i = NAMES.iter().position(|n| *n == name)?;
+    Some(SPECS[i])
+}
+
+/// The shipped grid for a preset name: what `sweep <name>` runs with no
+/// overrides. Decoding reads no file — trace references load from the
+/// [`crate::traces`] generators.
+///
+/// # Panics
+/// Panics if the compiled-in spec does not decode — a broken file under
+/// `experiments/specs/`, caught by the tests, never by a user's input.
 pub fn by_name(name: &str) -> Option<SweepGrid> {
-    Some(match name {
-        "fig1" => fig1(Dur::from_secs(250)),
-        "fig3" => fig3(Dur::from_secs(300), 50_000),
-        "tab1" => tab1(Dur::from_secs(120), 50_000),
-        "txt1" => txt1(Dur::from_secs(90)),
-        "txt2" => txt2(Dur::from_secs(120)),
-        "scaling" => ext_scaling(vec![101, 1_001, 10_001], 1_000),
-        "smoke" => smoke(Dur::from_secs(20), 4),
-        "coexist-fairness" => coexist_fairness(Dur::from_secs(60), 4, 50_000),
-        "coexist-vs-tcp" => coexist_vs_tcp(Dur::from_secs(60), 2, 50_000),
-        "ext-aqm" => ext_aqm(Dur::from_secs(120)),
-        "replay-cellular" => replay_cellular(Dur::from_secs(60)),
-        "dumbbell-cross" => dumbbell_cross(Dur::from_secs(60), 4, 50_000),
-        "parking-lot" => parking_lot(Dur::from_secs(60), 4, 50_000),
-        "ext-scaling-flows" => ext_scaling_flows(Dur::from_secs(20), 2),
-        _ => return None,
-    })
-}
-
-/// The shared base of the coexistence presets: a 24 kbit/s bottleneck
-/// with a 96 kbit drop-tail buffer, an α = 1 exact ISender as flow A,
-/// and the given peer as flow B. The primary's prior is the dedicated
-/// coexistence prior (derived from the topology), so `prior` here is
-/// inert.
-fn coexist_base(
-    name: &str,
-    peer: PeerSpec,
-    duration: Dur,
-    max_branches: usize,
-    base_seed: u64,
-) -> ScenarioSpec {
-    ScenarioSpec {
-        name: name.into(),
-        topology: TopologySpec::Model(ModelParams::simple_link(
-            BitRate::from_bps(24_000),
-            Bits::new(96_000),
-        )),
-        prior: PriorSpec::Small,
-        sender: SenderSpec::IsenderExact {
-            alpha: 1.0,
-            latency_penalty: 0.0,
-            max_branches,
-        },
-        workload: WorkloadSpec::Coexist(CoexistSpec::with_peer(peer)),
-        duration,
-        base_seed,
-        observe: ObserveSpec::default(),
+    let text = spec_text(name)?;
+    match config::parse_embedded(text) {
+        Ok(grid) => Some(grid),
+        Err(e) => panic!("experiments/specs/{name}.toml:{e}"),
     }
 }
 
-/// EXT-A (§3.5's first open question): two ISenders, same prior and
-/// α = 1 utility, sharing one bottleneck — per-flow throughput, Jain
-/// index, and belief-restart counts across seed replicates.
-pub fn coexist_fairness(duration: Dur, replicates: usize, max_branches: usize) -> SweepGrid {
-    let base = coexist_base(
-        "coexist-fairness",
-        PeerSpec::Isender { alpha: 1.0 },
-        duration,
-        max_branches,
-        0xFA1,
-    );
-    SweepGrid::new(base).axis(Axis::Seeds(replicates))
-}
-
-/// EXT-B (§3.5's second open question): the deferential ISender against
-/// loss-based competitors — AIMD, TCP Reno, and TCP CUBIC — across seed
-/// replicates.
-pub fn coexist_vs_tcp(duration: Dur, replicates: usize, max_branches: usize) -> SweepGrid {
-    let base = coexist_base(
-        "coexist-vs-tcp",
-        PeerSpec::Aimd {
-            timeout: Dur::from_secs(8),
-        },
-        duration,
-        max_branches,
-        0xFB2,
-    );
-    SweepGrid::new(base)
-        .axis(Axis::Peer(vec![
-            PeerSpec::Aimd {
-                timeout: Dur::from_secs(8),
-            },
-            PeerSpec::TcpReno { max_window: 64 },
-            PeerSpec::TcpCubic { max_window: 64 },
-        ]))
-        .axis(Axis::Seeds(replicates))
-}
-
-/// The shared base of the graph-topology presets: the given topology's
-/// flow 0 is an α = 1 exact ISender (its coexistence prior is derived
-/// from its route's bottleneck link, so `prior` here is inert) and every
-/// other declared flow is an AIMD competitor.
-fn graph_base(
+/// The shipped grid `name` with the constructor's arguments applied.
+fn shipped(
     name: &str,
-    topology: GraphTopology,
     duration: Dur,
-    max_branches: usize,
-    base_seed: u64,
-) -> ScenarioSpec {
-    let peers = vec![
-        PeerSpec::Aimd {
-            timeout: Dur::from_secs(8),
-        };
-        topology.flows.len() - 1
-    ];
-    ScenarioSpec {
-        name: name.into(),
-        topology: TopologySpec::Graph(topology),
-        prior: PriorSpec::Small,
-        sender: SenderSpec::IsenderExact {
-            alpha: 1.0,
-            latency_penalty: 0.0,
-            max_branches,
-        },
-        workload: WorkloadSpec::Coexist(CoexistSpec { peers }),
-        duration,
-        base_seed,
-        observe: ObserveSpec::default(),
+    max_branches: Option<usize>,
+    replicates: Option<usize>,
+) -> SweepGrid {
+    let mut grid = by_name(name).expect("constructors name shipped specs");
+    grid.set_duration(duration);
+    if let Some(cap) = max_branches {
+        assert!(grid.set_max_branches(cap), "{name} has no branch cap");
     }
+    if let Some(k) = replicates {
+        assert!(grid.set_replicates(k), "{name} has no seeds axis");
+    }
+    grid
 }
 
-/// EXT-E: a three-pair dumbbell — the exact ISender and two AIMD cross
-/// flows colliding in one shared 24 kbit/s bottleneck queue behind fast
-/// access links — across seed replicates. The report's
-/// `class_goodput_bps` column splits goodput into the `primary` and
-/// `cross` classes.
-pub fn dumbbell_cross(duration: Dur, replicates: usize, max_branches: usize) -> SweepGrid {
-    let topo = augur_topo::dumbbell(
-        3,
-        BitRate::from_bps(96_000),
-        BitRate::from_bps(24_000),
-        Dur::from_millis(20),
-        Bits::new(96_000),
-        Bits::from_bytes(1_500),
-    );
-    let base = graph_base("dumbbell-cross", topo, duration, max_branches, 0xD0BB);
-    SweepGrid::new(base).axis(Axis::Seeds(replicates))
-}
-
-/// EXT-F: a three-hop parking lot — the exact ISender drives the `long`
-/// flow across all three 24 kbit/s links while an AIMD `short` flow
-/// competes on each hop — across seed replicates. The Jain and
-/// `class_goodput_bps` columns expose the long flow's multi-bottleneck
-/// disadvantage.
-pub fn parking_lot(duration: Dur, replicates: usize, max_branches: usize) -> SweepGrid {
-    let topo = augur_topo::parking_lot(
-        3,
-        BitRate::from_bps(24_000),
-        Dur::from_millis(10),
-        Bits::new(96_000),
-        Bits::from_bytes(1_500),
-    );
-    let base = graph_base("parking-lot", topo, duration, max_branches, 0x9A51);
-    SweepGrid::new(base).axis(Axis::Seeds(replicates))
-}
-
-/// Figure 3: one 300 s closed-loop run per α ∈ {0.9, 1, 2.5, 5} over the
-/// paper's ground truth (square-wave cross traffic) and prior.
-pub fn fig3(duration: Dur, max_branches: usize) -> SweepGrid {
-    let mut base = ScenarioSpec::paper_baseline("fig3");
-    base.duration = duration;
-    base.sender = SenderSpec::IsenderExact {
-        alpha: 1.0,
-        latency_penalty: 0.0,
-        max_branches,
-    };
-    SweepGrid::new(base).axis(Axis::Alpha(vec![0.9, 1.0, 2.5, 5.0]))
-}
-
-/// TXT2 (§4): α = 1 with and without the latency penalty, against cross
-/// traffic at 0.35 c and a half-full buffer to drain.
-pub fn txt2(duration: Dur) -> SweepGrid {
-    let topology = ModelParams::simple_link(BitRate::from_bps(12_000), Bits::new(96_000))
-        .with_cross_rate(BitRate::from_bps(4_200)) // 0.35c: room to work with
-        .with_initial_fullness(Bits::new(48_000)); // half-full backlog to drain
-    let prior = ModelPrior {
-        link_rates: vec![BitRate::from_bps(10_000), BitRate::from_bps(12_000)],
-        cross_fracs_ppm: vec![350_000, 700_000],
-        losses: vec![Ppm::ZERO],
-        buffer_capacities: vec![Bits::new(96_000)],
-        fullness_step: Some(Bits::new(24_000)),
-        mtts: Dur::from_secs(100),
-        epoch: Dur::from_secs(1),
-        gate_initial: vec![true],
-        packet_size: Bits::from_bytes(1_500),
-        cross_active: true,
-    };
-    let base = ScenarioSpec {
-        name: "txt2".into(),
-        topology: TopologySpec::Model(topology),
-        prior: PriorSpec::Custom(prior),
-        sender: SenderSpec::IsenderExact {
-            alpha: 1.0,
-            latency_penalty: 0.0,
-            max_branches: 50_000,
-        },
-        workload: WorkloadSpec::ClosedLoop,
-        duration,
-        base_seed: 0x72,
-        observe: ObserveSpec::default(),
-    };
-    SweepGrid::new(base).axis(Axis::LatencyPenalty(vec![0.0, 0.5]))
-}
-
-/// EXT-C (§3.2's cost remark): exact enumeration vs a fixed-budget
-/// particle filter across prior sizes, under a scripted 2 s ping
-/// workload for 30 simulated seconds.
-pub fn ext_scaling(sizes: Vec<usize>, n_particles: usize) -> SweepGrid {
-    let base = ScenarioSpec {
-        name: "scaling".into(),
-        topology: TopologySpec::Model(
-            ModelParams::simple_link(BitRate::from_bps(12_000), Bits::new(96_000))
-                .with_cross_rate(BitRate::from_bps(8_400)),
-        ),
-        prior: PriorSpec::FineLinkRate {
-            n: 101,
-            lo_bps: 8_000,
-            hi_bps: 16_000,
-        },
-        sender: SenderSpec::IsenderExact {
-            alpha: 1.0,
-            latency_penalty: 0.0,
-            max_branches: 1 << 20,
-        },
-        workload: WorkloadSpec::ScriptedPing {
-            interval: Dur::from_secs(2),
-        },
-        duration: Dur::from_secs(30),
-        base_seed: 0xE57,
-        observe: ObserveSpec::default(),
-    };
-    SweepGrid::new(base)
-        .axis(Axis::Sender(vec![
-            SenderSpec::IsenderExact {
-                alpha: 1.0,
-                latency_penalty: 0.0,
-                max_branches: 1 << 20,
-            },
-            SenderSpec::IsenderParticle {
-                alpha: 1.0,
-                latency_penalty: 0.0,
-                n_particles,
-            },
-        ]))
-        .axis(Axis::PriorSize(sizes))
-}
-
-/// EXT-SCALING-FLOWS: the many-flow driver under population growth —
-/// N ∈ {10, 100, 1000, 10000} belief-free agents (alternating AIMD and
-/// TCP Reno) sharing one 12 Mbit/s bottleneck via
-/// [`augur_core::build_many_flow_bottleneck`]. One row per flow count
-/// and seed; aggregate goodput, Jain index, and drops expose how the
-/// heap-scheduled [`augur_core::FlowDriver`] holds up as the agent
-/// population scales three orders of magnitude. The sender spec is
-/// inert (every agent comes from the workload mix).
-pub fn ext_scaling_flows(duration: Dur, replicates: usize) -> SweepGrid {
-    let base = ScenarioSpec {
-        name: "ext-scaling-flows".into(),
-        topology: TopologySpec::Model(ModelParams::simple_link(
-            BitRate::from_bps(12_000_000),
-            Bits::new(480_000),
-        )),
-        prior: PriorSpec::Small,
-        sender: SenderSpec::TcpReno { max_window: 64 },
-        workload: WorkloadSpec::ManyFlows(ManyFlowSpec {
-            flows: 10,
-            mix: vec![
-                PeerSpec::Aimd {
-                    timeout: Dur::from_secs(8),
-                },
-                PeerSpec::TcpReno { max_window: 64 },
-            ],
-        }),
-        duration,
-        base_seed: 0x5CA1E,
-        observe: ObserveSpec::default(),
-    };
-    SweepGrid::new(base)
-        .axis(Axis::Flows(vec![10, 100, 1_000, 10_000]))
-        .axis(Axis::Seeds(replicates))
-}
-
-/// FIG1 (bufferbloat): a TCP Reno bulk download over the LTE-like
-/// cellular path with its deep drop-tail buffer — per-ACK RTTs climb
-/// from the propagation floor into the seconds. The prior is inert
-/// (TCP senders carry no belief).
+/// FIG1 (bufferbloat): a TCP Reno bulk download over the LTE-like path.
 pub fn fig1(duration: Dur) -> SweepGrid {
-    SweepGrid::new(ScenarioSpec {
-        name: "fig1".into(),
-        topology: TopologySpec::Cellular {
-            params: CellularParams::lte_like(),
-            queue: QueueSpec::DropTail,
-        },
-        prior: PriorSpec::Small,
-        sender: SenderSpec::TcpReno { max_window: 1_000 },
-        workload: WorkloadSpec::ClosedLoop,
-        duration,
-        base_seed: 0xF1,
-        observe: ObserveSpec::default(),
-    })
+    shipped("fig1", duration, None, None)
 }
 
-/// TAB1 (Figure 2's table): the α = 1 exact ISender over the paper's
-/// ground truth and prior — the run whose posterior snapshots show each
-/// parameter concentrating on its actual value.
+/// Figure 3: one closed-loop run per α ∈ {0.9, 1, 2.5, 5}.
+pub fn fig3(duration: Dur, max_branches: usize) -> SweepGrid {
+    shipped("fig3", duration, Some(max_branches), None)
+}
+
+/// TAB1 (Figure 2's table): the α = 1 posterior-convergence run.
 pub fn tab1(duration: Dur, max_branches: usize) -> SweepGrid {
-    let mut base = ScenarioSpec::paper_baseline("tab1");
-    base.duration = duration;
-    base.base_seed = 0x7AB1;
-    base.sender = SenderSpec::IsenderExact {
-        alpha: 1.0,
-        latency_penalty: 0.0,
-        max_branches,
-    };
-    SweepGrid::new(base)
+    shipped("tab1", duration, Some(max_branches), None)
 }
 
-/// TXT1 (§4's simple configuration): a single ISender on a quiet
-/// unknown link — c = 12 kbit/s and a half-full buffer, neither known to
-/// the sender, no cross traffic and no loss anywhere in the prior.
+/// TXT1 (§4's simple configuration): one ISender on a quiet unknown link.
 pub fn txt1(duration: Dur) -> SweepGrid {
-    let topology = ModelParams {
-        link_rate: BitRate::from_bps(12_000),
-        cross_rate: BitRate::from_bps(8_400),
-        gate: GateSpec::AlwaysOn,
-        loss: Ppm::ZERO,
-        buffer_capacity: Bits::new(96_000),
-        initial_fullness: Bits::new(48_000),
-        packet_size: Bits::from_bytes(1_500),
-        cross_active: false,
-    };
-    let prior = ModelPrior {
-        link_rates: (5..=8).map(|k| BitRate::from_bps(k * 2_000)).collect(),
-        cross_fracs_ppm: vec![700_000],
-        losses: vec![Ppm::ZERO],
-        buffer_capacities: vec![Bits::new(96_000)],
-        fullness_step: Some(Bits::new(12_000)),
-        mtts: Dur::from_secs(100),
-        epoch: Dur::from_secs(1),
-        gate_initial: vec![true],
-        packet_size: Bits::from_bytes(1_500),
-        cross_active: false,
-    };
-    SweepGrid::new(ScenarioSpec {
-        name: "txt1".into(),
-        topology: TopologySpec::Model(topology),
-        prior: PriorSpec::Custom(prior),
-        sender: SenderSpec::IsenderExact {
-            alpha: 1.0,
-            latency_penalty: 0.0,
-            max_branches: 50_000,
-        },
-        workload: WorkloadSpec::ClosedLoop,
-        duration,
-        base_seed: 0x1,
-        observe: ObserveSpec::default(),
-    })
+    shipped("txt1", duration, None, None)
 }
 
-/// EXT-D (§3.5's AQM remark): the FIG1 download with the deep buffer's
-/// queue discipline swept over drop-tail, RED, and CoDel — the
-/// in-network fix to bufferbloat.
-pub fn ext_aqm(duration: Dur) -> SweepGrid {
-    let params = CellularParams::lte_like();
-    let capacity = params.buffer_capacity.as_u64();
-    let mut grid = fig1(duration);
-    grid.base.name = "ext-aqm".into();
-    grid.base.base_seed = 0xA0;
-    grid.axis(Axis::Queue(vec![
-        QueueSpec::DropTail,
-        QueueSpec::Red {
-            min_th: Bits::new(capacity / 12),
-            max_th: Bits::new(capacity / 4),
-            max_p: Ppm::from_prob(0.1),
-            w_shift: 9, // EWMA weight 1/512
-        },
-        QueueSpec::CoDel {
-            target: Dur::from_millis(5),
-            interval: Dur::from_millis(100),
-        },
-    ]))
+/// TXT2 (§4): α = 1 with and without the latency penalty.
+pub fn txt2(duration: Dur) -> SweepGrid {
+    shipped("txt2", duration, None, None)
 }
 
-/// A shipped synthetic trace as a looping rate process. The label is the
-/// path the canonical spec file references, relative to
-/// `experiments/specs/` — the preset embeds the generator's samples, so
-/// running it never touches the filesystem, while parsing the spec file
-/// loads the committed CSV; the round-trip tests pin that both agree.
-fn shipped_trace(stem: &str) -> RateProcess {
-    RateProcess::Trace {
-        label: format!("../traces/{stem}.csv"),
-        samples: traces::by_name(stem).expect("shipped trace registry"),
-        end: TraceEnd::Loop,
+/// EXT-C (§3.2's cost remark): exact enumeration vs a particle filter of
+/// `n_particles` across the prior `sizes`, at the shipped 30 s.
+pub fn ext_scaling(sizes: Vec<usize>, n_particles: usize) -> SweepGrid {
+    let mut grid = by_name("scaling").expect("constructors name shipped specs");
+    for axis in &mut grid.axes {
+        match axis {
+            Axis::PriorSize(shipped) => shipped.clone_from(&sizes),
+            Axis::Sender(senders) => {
+                for sender in senders {
+                    if let SenderSpec::IsenderParticle { n_particles: n, .. } = sender {
+                        *n = n_particles;
+                    }
+                }
+            }
+            _ => {}
+        }
     }
+    grid
 }
 
-/// Trace-driven cellular replay (the ROADMAP's last experiment-fidelity
-/// item): TCP Reno vs CUBIC bulk downloads over the LTE-like path with
-/// the radio link *replaying* synthetic measured-style rate traces
-/// instead of FIG1's 4-step periodic schedule, crossed with the EXT-D
-/// queue-discipline axis (drop-tail / RED / CoDel). Real cellular links
-/// vary faster and less regularly than any periodic schedule (Goyal et
-/// al., PAPERS.md) — the trace path exercises serialization across rate
-/// changes, which is exactly what the integrated-rate fix in
-/// `Link::start_service` makes honest.
-pub fn replay_cellular(duration: Dur) -> SweepGrid {
-    let mut params = CellularParams::lte_like();
-    params.rate = shipped_trace("lte-fade");
-    let capacity = params.buffer_capacity.as_u64();
-    let base = ScenarioSpec {
-        name: "replay-cellular".into(),
-        topology: TopologySpec::Cellular {
-            params,
-            queue: QueueSpec::DropTail,
-        },
-        prior: PriorSpec::Small, // inert: TCP senders carry no belief
-        sender: SenderSpec::TcpReno { max_window: 1_000 },
-        workload: WorkloadSpec::ClosedLoop,
-        duration,
-        base_seed: 0xCE11,
-        observe: ObserveSpec::default(),
-    };
-    SweepGrid::new(base)
-        .axis(Axis::Sender(vec![
-            SenderSpec::TcpReno { max_window: 1_000 },
-            SenderSpec::TcpCubic { max_window: 1_000 },
-        ]))
-        .axis(Axis::RateTrace(vec![
-            shipped_trace("lte-fade"),
-            shipped_trace("lte-scatter"),
-        ]))
-        .axis(Axis::Queue(vec![
-            QueueSpec::DropTail,
-            QueueSpec::Red {
-                min_th: Bits::new(capacity / 12),
-                max_th: Bits::new(capacity / 4),
-                max_p: Ppm::from_prob(0.1),
-                w_shift: 9, // EWMA weight 1/512
-            },
-            QueueSpec::CoDel {
-                target: Dur::from_millis(5),
-                interval: Dur::from_millis(100),
-            },
-        ]))
-}
-
-/// A quick smoke sweep: the Small prior over a short closed loop, exact
-/// vs particle, a few seed replicates — small enough for CI.
+/// A quick smoke sweep: exact vs particle over the Small prior.
 pub fn smoke(duration: Dur, replicates: usize) -> SweepGrid {
-    let mut base = ScenarioSpec::paper_baseline("smoke");
-    base.prior = PriorSpec::Small;
-    base.duration = duration;
-    base.base_seed = 0x5A0E;
-    SweepGrid::new(base)
-        .axis(Axis::Sender(vec![
-            SenderSpec::IsenderExact {
-                alpha: 1.0,
-                latency_penalty: 0.0,
-                max_branches: 4_096,
-            },
-            SenderSpec::IsenderParticle {
-                alpha: 1.0,
-                latency_penalty: 0.0,
-                n_particles: 64,
-            },
-        ]))
-        .axis(Axis::Seeds(replicates))
+    shipped("smoke", duration, None, Some(replicates))
+}
+
+/// EXT-A (§3.5): two ISenders sharing one bottleneck.
+pub fn coexist_fairness(duration: Dur, replicates: usize, max_branches: usize) -> SweepGrid {
+    shipped(
+        "coexist-fairness",
+        duration,
+        Some(max_branches),
+        Some(replicates),
+    )
+}
+
+/// EXT-B (§3.5): the ISender against AIMD, TCP Reno and TCP CUBIC.
+pub fn coexist_vs_tcp(duration: Dur, replicates: usize, max_branches: usize) -> SweepGrid {
+    shipped(
+        "coexist-vs-tcp",
+        duration,
+        Some(max_branches),
+        Some(replicates),
+    )
+}
+
+/// EXT-D (§3.5's AQM remark): the FIG1 download under drop-tail, RED and
+/// CoDel.
+pub fn ext_aqm(duration: Dur) -> SweepGrid {
+    shipped("ext-aqm", duration, None, None)
+}
+
+/// Trace-driven cellular replay: TCP Reno and CUBIC over the shipped
+/// synthetic LTE traces, crossed with the EXT-D queue disciplines.
+pub fn replay_cellular(duration: Dur) -> SweepGrid {
+    shipped("replay-cellular", duration, None, None)
+}
+
+/// EXT-E: the ISender and two AIMD cross flows over a three-pair dumbbell.
+pub fn dumbbell_cross(duration: Dur, replicates: usize, max_branches: usize) -> SweepGrid {
+    shipped(
+        "dumbbell-cross",
+        duration,
+        Some(max_branches),
+        Some(replicates),
+    )
+}
+
+/// EXT-F: the ISender's long flow against one AIMD short flow per hop of
+/// a three-hop parking lot.
+pub fn parking_lot(duration: Dur, replicates: usize, max_branches: usize) -> SweepGrid {
+    shipped(
+        "parking-lot",
+        duration,
+        Some(max_branches),
+        Some(replicates),
+    )
+}
+
+/// EXT-SCALING-FLOWS: 10 to 10,000 belief-free agents on one bottleneck.
+pub fn ext_scaling_flows(duration: Dur, replicates: usize) -> SweepGrid {
+    shipped("ext-scaling-flows", duration, None, Some(replicates))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{PeerSpec, WorkloadSpec};
 
     #[test]
     fn fig3_grid_matches_the_paper() {

@@ -495,6 +495,16 @@ impl ScenarioSpec {
             self.sender,
             SenderSpec::IsenderExact { .. } | SenderSpec::IsenderParticle { .. }
         );
+        // An empty population leaves the belief nothing to normalize.
+        match self.sender {
+            SenderSpec::IsenderExact {
+                max_branches: 0, ..
+            } => return Err("`max_branches` must be at least 1".into()),
+            SenderSpec::IsenderParticle { n_particles: 0, .. } => {
+                return Err("`n_particles` must be at least 1".into())
+            }
+            _ => {}
+        }
         match (&self.workload, &self.topology) {
             (WorkloadSpec::ClosedLoop, TopologySpec::Model(_)) => Ok(()),
             (WorkloadSpec::ClosedLoop, TopologySpec::Cellular { .. }) if !belief_sender => Ok(()),

@@ -33,7 +33,7 @@
 //! (`sweep --export-traces` rewrites them; tests pin the equality).
 //! Both are authored to loop: the final sample closes the cycle.
 
-use crate::config::{fmt_f64, ConfigError};
+use crate::config::ConfigError;
 use augur_sim::{BitRate, Dur, SimRng};
 use std::fmt::Write as _;
 
@@ -85,6 +85,17 @@ pub fn lte_scatter() -> Vec<(Dur, BitRate)> {
             sample
         })
         .collect()
+}
+
+/// Format a float so parsing reads back the same `f64`: Rust's shortest
+/// round-trip formatting, with a `.0` forced onto integral values.
+fn fmt_f64(v: f64) -> String {
+    let s = format!("{v}");
+    if s.contains(['.', 'e', 'E']) {
+        s
+    } else {
+        format!("{s}.0")
+    }
 }
 
 /// The canonical CSV emission of a trace — what `--export-traces`

@@ -1,21 +1,21 @@
 //! The config layer's external contract:
 //!
-//! 1. every preset survives preset → written spec file → parsed spec
-//!    with an identical grid (so `sweep --spec` of a shipped file and
-//!    the built-in preset can never produce different CSVs);
-//! 2. the spec files shipped under `experiments/specs/` are byte-for-
-//!    byte the canonical emission of today's presets — regenerating with
-//!    `sweep --export-specs experiments/specs` is the fix when this
-//!    fails;
+//! 1. the spec files shipped under `experiments/specs/` are the presets:
+//!    the same set of names, each preset's compiled-in text decoding —
+//!    with no file access — to the grid `sweep --spec` loads from disk,
+//!    and each constructor being that grid with its arguments written
+//!    over it;
+//! 2. the committed trace CSVs and the topology builders agree with what
+//!    the shipped files say;
 //! 3. spec files can reach configurations the presets don't, like N > 2
 //!    coexistence peers, and those run deterministically;
 //! 4. a spec that decodes but expands to a run the runner cannot execute
 //!    fails `ScenarioSpec::check` with the rule it breaks.
 
 use augur_scenario::{
-    grid_to_toml, load_grid, parse_grid, parse_grid_at, presets, traces, SweepGrid, SweepRunner,
-    WorkloadSpec,
+    load_grid, parse_grid, presets, traces, SweepGrid, SweepRunner, TopologySpec, WorkloadSpec,
 };
+use augur_sim::{BitRate, Bits, Dur};
 use std::path::PathBuf;
 
 fn specs_dir() -> PathBuf {
@@ -35,33 +35,26 @@ fn assert_grid_eq(name: &str, a: &SweepGrid, b: &SweepGrid) {
 }
 
 #[test]
-fn presets_round_trip_through_written_spec_files() {
-    // Mirror the shipped layout — specs/ referencing ../traces/ — so the
-    // trace-replaying presets resolve their CSVs exactly as `sweep
-    // --spec experiments/specs/<name>.toml` would.
-    let dir = std::env::temp_dir().join("augur-spec-roundtrip");
-    let specs = dir.join("specs");
-    let trace_files = dir.join("traces");
-    std::fs::create_dir_all(&specs).unwrap();
-    std::fs::create_dir_all(&trace_files).unwrap();
-    for name in traces::NAMES {
-        let samples = traces::by_name(name).unwrap();
-        std::fs::write(
-            trace_files.join(format!("{name}.csv")),
-            traces::trace_to_csv(name, &samples),
-        )
-        .unwrap();
-    }
+fn presets_and_shipped_spec_files_are_the_same_sweeps() {
+    // The same names: nothing shipped that `sweep <name>` cannot run,
+    // no preset without its file.
+    let mut files: Vec<String> = std::fs::read_dir(specs_dir())
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    let mut names: Vec<String> = presets::NAMES.iter().map(|n| format!("{n}.toml")).collect();
+    names.sort();
+    assert_eq!(files, names, "experiments/specs/ vs presets::NAMES");
+    // The same grids: the compiled-in text (trace references answered
+    // by the generators) against the file on disk (by the committed
+    // CSVs), down to every run's coordinates and derived seed.
     for name in presets::NAMES {
-        let grid = presets::by_name(name).unwrap();
-        let path = specs.join(format!("{name}.toml"));
-        std::fs::write(&path, grid_to_toml(&grid)).unwrap();
-        let parsed = load_grid(&path)
-            .unwrap_or_else(|e| panic!("{name}: written spec failed to parse: {e}"));
-        assert_grid_eq(name, &grid, &parsed);
-        // The run lists (coords, derived seeds) must line up too.
-        let a = grid.expand();
-        let b = parsed.expand();
+        let preset = presets::by_name(name).unwrap();
+        let loaded = load_grid(&specs_dir().join(format!("{name}.toml")))
+            .unwrap_or_else(|e| panic!("{name}: shipped spec failed to parse: {e}"));
+        assert_grid_eq(name, &preset, &loaded);
+        let (a, b) = (preset.expand(), loaded.expand());
         assert_eq!(a.len(), b.len(), "{name}: run count differs");
         for (ra, rb) in a.iter().zip(&b) {
             assert_eq!(ra.seed, rb.seed, "{name}: seed differs at {}", ra.index);
@@ -71,19 +64,32 @@ fn presets_round_trip_through_written_spec_files() {
 }
 
 #[test]
-fn trace_rate_kind_round_trips_byte_identically() {
-    // grid → TOML → grid → TOML must be byte-stable for the `trace`
-    // rate kind (file references survive the loaded-samples detour).
-    let grid = presets::by_name("replay-cellular").unwrap();
-    let toml1 = grid_to_toml(&grid);
-    let parsed = parse_grid_at(&toml1, Some(&specs_dir()))
-        .unwrap_or_else(|e| panic!("replay-cellular: {e}"));
-    assert_grid_eq("replay-cellular", &grid, &parsed);
-    let toml2 = grid_to_toml(&parsed);
-    assert_eq!(
-        toml1, toml2,
-        "trace rate kind must round-trip byte-for-byte"
+fn topology_builders_reproduce_the_shipped_graph_specs() {
+    // The builders are the public topology-authoring API; the shipped
+    // files were written by them and must not drift apart.
+    let dumbbell = augur_topo::dumbbell(
+        3,
+        BitRate::from_bps(96_000),
+        BitRate::from_bps(24_000),
+        Dur::from_millis(20),
+        Bits::new(96_000),
+        Bits::from_bytes(1_500),
     );
+    let parking_lot = augur_topo::parking_lot(
+        3,
+        BitRate::from_bps(24_000),
+        Dur::from_millis(10),
+        Bits::new(96_000),
+        Bits::from_bytes(1_500),
+    );
+    for (name, built) in [("dumbbell-cross", dumbbell), ("parking-lot", parking_lot)] {
+        match presets::by_name(name).unwrap().base.topology {
+            TopologySpec::Graph(shipped) => {
+                assert_eq!(format!("{built:#?}"), format!("{shipped:#?}"), "{name}")
+            }
+            other => panic!("{name}: unexpected topology {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -141,40 +147,11 @@ fn replay_spec_runs_deterministically_across_worker_counts() {
 }
 
 #[test]
-fn shipped_spec_files_match_the_presets_exactly() {
-    let dir = specs_dir();
-    for name in presets::NAMES {
-        let path = dir.join(format!("{name}.toml"));
-        let shipped = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing shipped spec {} ({e}); regenerate with `sweep --export-specs \
-                 experiments/specs`",
-                path.display()
-            )
-        });
-        let canonical = grid_to_toml(&presets::by_name(name).unwrap());
-        assert_eq!(
-            shipped, canonical,
-            "{name}.toml drifted from its preset; regenerate with `sweep --export-specs \
-             experiments/specs`"
-        );
-    }
-    // And nothing extra is shipped: every file must be a known preset's.
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let file = entry.unwrap().file_name().into_string().unwrap();
-        let stem = file.trim_end_matches(".toml");
-        assert!(
-            presets::NAMES.contains(&stem),
-            "unexpected spec file {file}; add its preset to `presets::NAMES` or remove it"
-        );
-    }
-}
-
-#[test]
 fn three_flow_coexist_spec_runs_deterministically() {
     // A configuration only spec files can express today: the primary
     // ISender against TWO AIMD peers (three flows on one bottleneck).
-    let toml = grid_to_toml(&presets::by_name("coexist-fairness").unwrap()).replace(
+    let shipped = std::fs::read_to_string(specs_dir().join("coexist-fairness.toml")).unwrap();
+    let toml = shipped.replace(
         "peers = [\n  { kind = \"isender\", alpha = 1.0 },\n]",
         "peers = [\n  { kind = \"aimd\", timeout_s = 8.0 },\n  { kind = \"aimd\", timeout_s = 8.0 },\n]",
     );
@@ -314,6 +291,21 @@ fn incompatible_grid_points_are_check_errors_not_run_time_panics() {
             .find_map(|run| run.spec.check().err())
             .unwrap_or_else(|| panic!("{spec} with `{to}` passed the check"));
         assert!(err.contains(rule), "{spec} with `{to}`: {err}");
+    }
+    // An empty belief population cannot come from a file — the decoder
+    // refuses it with a position — only from an override or hand-built
+    // spec, where it used to panic in the first normalize.
+    let mut uncapped = presets::by_name("fig3").unwrap();
+    assert!(uncapped.set_max_branches(0));
+    for (grid, rule) in [
+        (uncapped, "`max_branches` must be at least 1"),
+        (
+            presets::ext_scaling(vec![101], 0),
+            "`n_particles` must be at least 1",
+        ),
+    ] {
+        let err = grid.expand().iter().find_map(|run| run.spec.check().err());
+        assert_eq!(err.as_deref(), Some(rule));
     }
     for name in presets::NAMES {
         for run in presets::by_name(name).unwrap().expand() {
