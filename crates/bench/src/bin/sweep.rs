@@ -23,9 +23,9 @@
 //! has nothing to apply them to (a silently ignored parameter would
 //! yield a sweep that does not match what was asked for). Spec-file
 //! parse and validation failures exit with code 2 — distinct from a run
-//! failure — and name the offending file, line, and column; an expanded
-//! run that breaks a workload × sender × topology rule
-//! (`ScenarioSpec::check`) exits 2 naming the grid point and the rule.
+//! failure — as `file:line:col: message`; that covers every rule of
+//! `SweepGrid::validate` (workload × sender × topology, an axis with no
+//! knob to turn), which blames a section or an `[[axis]]` header.
 //!
 //! Every run's seed derives from `(base seed, run index)`, so the CSV is
 //! byte-identical for any `--workers` value — `--workers 1` is the
@@ -272,36 +272,14 @@ fn main() {
         grid.base.observe.snapshot_every = Some(Dur::from_secs_f64(secs));
     }
 
-    // Expansion applies every axis to the base spec, so it catches the
-    // grid-level authoring errors the decoder cannot see in isolation
-    // (an alpha axis over a TCP sender, a peer axis without a coexist
-    // workload, …). Run it under a silenced panic hook whether or not
-    // --check was asked for: an invalid grid is always an exit-2
-    // authoring error, never a run failure.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let expanded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| grid.expand()));
-    std::panic::set_hook(prev_hook);
-    let runs = match expanded {
-        Ok(runs) => runs,
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("grid expansion panicked");
-            eprintln!("{label}: invalid grid: {msg}");
-            exit(2)
-        }
-    };
-    // Workload × sender × topology rules, per expanded run: an axis can
-    // produce a combination the decoder never saw in the base sections.
-    for run in &runs {
-        if let Err(rule) = run.spec.check() {
-            eprintln!("{label}: run {} ({}): {rule}", run.index, run.point());
-            exit(2)
-        }
+    // `load_grid` has validated the file as written; validate again the
+    // grid as it will run — a preset, or either one under the overrides
+    // above — so nothing invalid reaches `expand()` or a worker.
+    if let Err(rule) = grid.validate() {
+        eprintln!("{label}: {rule}");
+        exit(2)
     }
+    let runs = grid.expand();
 
     if opts.check {
         println!(

@@ -68,7 +68,7 @@ pub const RULES: &[RuleInfo] = &[
         id: "P020",
         summary: "panic hygiene: no unwrap()/expect()/panic!/unreachable! in decode/\
                   validate paths that must return positioned errors (scenario::config, \
-                  scenario::traces, topo::graph, core::multi)",
+                  scenario::grid, scenario::traces, topo::graph, core::multi)",
     },
     RuleInfo {
         id: "C030",
@@ -109,10 +109,12 @@ const HASH_SCOPE: &[&str] = &[
 ];
 
 /// Decode/validate paths contracted to return positioned errors, never
-/// panic: the TOML-subset config decoder, the trace-CSV loader, graph
-/// topology validation/compilation, and flow-table construction.
+/// panic: the TOML-subset config decoder, grid validation, the trace-CSV
+/// loader, graph topology validation/compilation, and flow-table
+/// construction.
 const PANIC_SCOPE: &[&str] = &[
     "crates/scenario/src/config.rs",
+    "crates/scenario/src/grid.rs",
     "crates/scenario/src/traces.rs",
     "crates/topo/src/graph.rs",
     "crates/core/src/multi.rs",

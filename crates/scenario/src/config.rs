@@ -19,11 +19,17 @@
 //! reference answered by the [`traces`] generators, so a preset needs
 //! no file on disk. There is no writer: a sweep is changed by editing
 //! its spec file.
+//!
+//! This module owns the format — what each key and `kind` is and what
+//! one value may be — and no rule about how sections and axes fit
+//! together: those live in [`SweepGrid::validate`], which every decoded
+//! grid must pass, and all the decoder adds is the position of the
+//! section or axis a broken rule blames.
 
-use crate::grid::{Axis, SweepGrid};
+use crate::grid::{rate_point_label, Axis, SweepGrid};
 use crate::spec::{
-    CoexistSpec, ManyFlowSpec, ObserveSpec, PeerSpec, PriorSpec, QueueSpec, ScenarioSpec,
-    SenderSpec, TopologySpec, WorkloadSpec,
+    Blame, CoexistSpec, ManyFlowSpec, ObserveSpec, PeerSpec, PriorSpec, QueueSpec, RuleError,
+    ScenarioSpec, SenderSpec, TopologySpec, WorkloadSpec,
 };
 use crate::traces;
 use augur_elements::{CellularParams, GateSpec, ModelParams, RateProcess, TraceEnd};
@@ -69,6 +75,13 @@ struct Value {
     line: u32,
     col: u32,
     payload: Payload,
+}
+
+impl Value {
+    /// An error at this value.
+    fn bad<T>(&self, message: impl Into<String>) -> Result<T, ConfigError> {
+        err(self.line, self.col, message)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -425,9 +438,9 @@ impl<'a> Parser<'a> {
             col: 1,
             ..Table::default()
         };
-        // Path of the table `key = value` lines currently land in; empty
-        // means the root.
-        let mut current: Vec<String> = Vec::new();
+        // The table `key = value` lines currently land in: the root until
+        // the first header, then whatever the latest header opened.
+        let mut current = &mut root;
         loop {
             self.skip_trivia();
             if self.peek().is_none() {
@@ -449,8 +462,7 @@ impl<'a> Parser<'a> {
                     }
                 }
                 self.expect_eol()?;
-                define_table(&mut root, &path, is_array)?;
-                current = path.into_iter().map(|(k, _, _)| k).collect();
+                current = open_table(&mut root, &path, is_array)?;
             } else {
                 let (key, kline, kcol) = self.bare_key()?;
                 self.skip_ws();
@@ -460,11 +472,10 @@ impl<'a> Parser<'a> {
                 self.skip_ws();
                 let value = self.value()?;
                 self.expect_eol()?;
-                let table = resolve_table(&mut root, &current);
-                if table.get(&key).is_some() {
+                if current.get(&key).is_some() {
                     return err(kline, kcol, format!("duplicate key `{key}`"));
                 }
-                table.entries.push(Entry {
+                current.entries.push(Entry {
                     key,
                     line: kline,
                     col: kcol,
@@ -475,122 +486,97 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Walk (creating implicit tables as needed) to the table at `path`,
-/// entering the last element of any array-of-tables on the way.
-fn resolve_table<'t>(root: &'t mut Table, path: &[String]) -> &'t mut Table {
-    let mut t = root;
-    for seg in path {
-        let idx = t
-            .entries
-            .iter()
-            .position(|e| &e.key == seg)
-            .expect("header resolution created the path");
-        t = match &mut t.entries[idx].value.payload {
-            Payload::Table(sub) => sub,
-            Payload::TableArray(subs) => subs.last_mut().expect("array headers push a table"),
-            _ => unreachable!("header resolution rejected non-table keys"),
-        };
-    }
-    t
-}
-
-/// Apply a `[path]` or `[[path]]` header to the document tree.
-fn define_table(
-    root: &mut Table,
+/// Apply a `[path]` or `[[path]]` header to the document tree — creating
+/// implicit parent tables as needed and entering the last element of any
+/// array-of-tables on the way — and return the table it opens.
+fn open_table<'t>(
+    root: &'t mut Table,
     path: &[(String, u32, u32)],
     is_array: bool,
-) -> Result<(), ConfigError> {
+) -> Result<&'t mut Table, ConfigError> {
     let mut t = root;
     for (i, (seg, line, col)) in path.iter().enumerate() {
+        let (line, col) = (*line, *col);
         let last = i + 1 == path.len();
-        let idx = t.entries.iter().position(|e| &e.key == seg);
-        match idx {
+        let fresh = |explicit| Table {
+            explicit,
+            line,
+            col,
+            ..Table::default()
+        };
+        // A new name enters the tree unopened — an implicit table, or an
+        // array with no element yet — so the arms below open fresh and
+        // existing entries the same way.
+        let idx = match t.entries.iter().position(|e| &e.key == seg) {
+            Some(idx) => idx,
             None => {
                 let payload = if last && is_array {
-                    Payload::TableArray(vec![Table {
-                        explicit: true,
-                        line: *line,
-                        col: *col,
-                        ..Table::default()
-                    }])
+                    Payload::TableArray(Vec::new())
                 } else {
-                    Payload::Table(Table {
-                        explicit: last,
-                        line: *line,
-                        col: *col,
-                        ..Table::default()
-                    })
+                    Payload::Table(fresh(false))
                 };
                 t.entries.push(Entry {
                     key: seg.clone(),
-                    line: *line,
-                    col: *col,
-                    value: Value {
-                        line: *line,
-                        col: *col,
-                        payload,
-                    },
+                    line,
+                    col,
+                    value: Value { line, col, payload },
                 });
-                let n = t.entries.len() - 1;
-                t = match &mut t.entries[n].value.payload {
-                    Payload::Table(sub) => sub,
-                    Payload::TableArray(subs) => subs.last_mut().unwrap(),
-                    _ => unreachable!(),
-                };
+                t.entries.len() - 1
             }
-            Some(idx) => {
-                let entry = &mut t.entries[idx];
-                match &mut entry.value.payload {
-                    Payload::Table(sub) => {
-                        if last {
-                            if is_array {
-                                return err(
-                                    *line,
-                                    *col,
-                                    format!("`{seg}` is a table, not an array of tables"),
-                                );
-                            }
-                            if sub.explicit {
-                                return err(*line, *col, format!("duplicate table [{seg}]"));
-                            }
-                            sub.explicit = true;
-                        }
-                        t = sub;
-                    }
-                    Payload::TableArray(subs) => {
-                        if last {
-                            if !is_array {
-                                return err(*line, *col, format!("duplicate table [{seg}]"));
-                            }
-                            subs.push(Table {
-                                explicit: true,
-                                line: *line,
-                                col: *col,
-                                ..Table::default()
-                            });
-                        }
-                        t = subs.last_mut().unwrap();
-                    }
-                    other => {
-                        return err(
-                            *line,
-                            *col,
-                            format!("key `{seg}` is a {}, not a table", other.type_name()),
-                        )
-                    }
+        };
+        t = match &mut t.entries[idx].value.payload {
+            Payload::Table(sub) => {
+                if last && is_array {
+                    return err(
+                        line,
+                        col,
+                        format!("`{seg}` is a table, not an array of tables"),
+                    );
+                }
+                if last && sub.explicit {
+                    return err(line, col, format!("duplicate table [{seg}]"));
+                }
+                sub.explicit |= last;
+                sub
+            }
+            Payload::TableArray(subs) => {
+                if last && !is_array {
+                    return err(line, col, format!("duplicate table [{seg}]"));
+                }
+                if last {
+                    subs.push(fresh(true));
+                }
+                match subs.last_mut() {
+                    Some(sub) => sub,
+                    None => return err(line, col, format!("`{seg}` has no table to extend")),
                 }
             }
-        }
+            other => {
+                return err(
+                    line,
+                    col,
+                    format!("key `{seg}` is a {}, not a table", other.type_name()),
+                )
+            }
+        };
     }
-    Ok(())
+    Ok(t)
 }
 
 // ---------------------------------------------------------------------
 // Typed decoding.
 // ---------------------------------------------------------------------
 
-/// A table being decoded: tracks which keys the decoder consumed so
-/// [`Dec::finish`] can flag the first unknown one.
+/// One arm of a `kind = "…"` menu: the name and the decoder of the
+/// keys that kind carries.
+type Arm<'f, T> = (
+    &'static str,
+    &'f dyn Fn(&mut Dec<'_>) -> Result<T, ConfigError>,
+);
+
+/// A table being decoded: errors about a missing key point at the table,
+/// and it tracks which keys the decoder consumed so [`Dec::finish`] can
+/// flag the first unknown one.
 struct Dec<'a> {
     table: &'a Table,
     /// Context name for messages, e.g. `sender` or `axis`.
@@ -599,29 +585,97 @@ struct Dec<'a> {
 }
 
 impl<'a> Dec<'a> {
-    fn new(table: &'a Table, ctx: impl Into<String>) -> Dec<'a> {
+    fn new(table: &'a Table, ctx: &str) -> Dec<'a> {
         Dec {
             table,
-            ctx: ctx.into(),
+            ctx: ctx.to_string(),
             used: vec![false; table.entries.len()],
         }
     }
 
-    fn get(&mut self, key: &str) -> Option<&'a Entry> {
-        let idx = self.table.entries.iter().position(|e| e.key == key)?;
-        self.used[idx] = true;
-        Some(&self.table.entries[idx])
-    }
-
-    fn req(&mut self, key: &str, at: (u32, u32)) -> Result<&'a Entry, ConfigError> {
-        match self.get(key) {
-            Some(e) => Ok(e),
-            None => err(at.0, at.1, format!("missing key `{key}` in [{}]", self.ctx)),
+    /// Decode the table that `v` must be; `what` names it in messages.
+    fn table(v: &'a Value, what: &str) -> Result<Dec<'a>, ConfigError> {
+        match &v.payload {
+            Payload::Table(t) => Ok(Dec::new(t, what)),
+            _ => mismatch(v, "table", what),
         }
     }
 
+    fn get(&mut self, key: &str) -> Option<&'a Value> {
+        let idx = self.table.entries.iter().position(|e| e.key == key)?;
+        self.used[idx] = true;
+        Some(&self.table.entries[idx].value)
+    }
+
+    /// An error at `key`'s value — at the table itself if it has no such
+    /// key.
+    fn bad<T>(&self, key: &str, message: impl Into<String>) -> Result<T, ConfigError> {
+        match self.table.get(key) {
+            Some(e) => e.value.bad(message),
+            None => err(self.table.line, self.table.col, message),
+        }
+    }
+
+    fn req(&mut self, key: &str) -> Result<&'a Value, ConfigError> {
+        match self.get(key) {
+            Some(v) => Ok(v),
+            None => self.bad(key, format!("missing key `{key}` in [{}]", self.ctx)),
+        }
+    }
+
+    /// The required `key`, decoded by `read`.
+    fn field<T>(
+        &mut self,
+        key: &str,
+        read: impl FnOnce(&'a Value, &str) -> Result<T, ConfigError>,
+    ) -> Result<T, ConfigError> {
+        read(self.req(key)?, key)
+    }
+
+    /// The optional `key`, decoded by `read` when present.
+    fn opt<T>(
+        &mut self,
+        key: &str,
+        read: impl FnOnce(&'a Value, &str) -> Result<T, ConfigError>,
+    ) -> Result<Option<T>, ConfigError> {
+        self.get(key).map(|v| read(v, key)).transpose()
+    }
+
+    /// The required array `key`, its elements decoded by `read`.
+    fn list<T>(
+        &mut self,
+        key: &str,
+        read: impl Fn(&'a Value, &str) -> Result<T, ConfigError>,
+    ) -> Result<Vec<T>, ConfigError> {
+        self.field(key, each(read))
+    }
+
+    /// Dispatch on the string `key` through `arms`. The menu an unknown
+    /// name is answered with is the arms themselves.
+    fn choose<T>(&mut self, key: &str, noun: &str, arms: &[Arm<'_, T>]) -> Result<T, ConfigError> {
+        let name = self.field(key, read_str)?;
+        match arms.iter().find(|(arm, _)| *arm == name) {
+            Some((_, decode)) => decode(self),
+            None => {
+                let menu: Vec<&str> = arms.iter().map(|(arm, _)| *arm).collect();
+                self.bad(
+                    key,
+                    format!("unknown {noun} `{name}` (expected {})", menu.join(", ")),
+                )
+            }
+        }
+    }
+
+    /// Decode a whole `{ kind = "…", … }` table: [`Dec::choose`] on
+    /// `kind`, then [`Dec::finish`].
+    fn by_kind<T>(mut self, noun: &str, arms: &[Arm<'_, T>]) -> Result<T, ConfigError> {
+        let out = self.choose("kind", noun, arms)?;
+        self.finish()?;
+        Ok(out)
+    }
+
     /// Error on the first key no decoder consumed.
-    fn finish(self) -> Result<(), ConfigError> {
+    fn finish(&self) -> Result<(), ConfigError> {
         for (entry, used) in self.table.entries.iter().zip(&self.used) {
             if !used {
                 return err(
@@ -635,172 +689,146 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn expect_f64(v: &Value, what: &str) -> Result<f64, ConfigError> {
+fn mismatch<T>(v: &Value, expected: &str, what: &str) -> Result<T, ConfigError> {
+    let found = v.payload.type_name();
+    v.bad(format!("expected {expected} for `{what}`, found {found}"))
+}
+
+fn read_f64(v: &Value, what: &str) -> Result<f64, ConfigError> {
     match v.payload {
         Payload::Float(f) => Ok(f),
         // Integers coerce: `alpha = 1` is unambiguous.
         Payload::Int(i) => Ok(i as f64),
-        ref other => err(
-            v.line,
-            v.col,
-            format!("expected float for `{what}`, found {}", other.type_name()),
-        ),
+        _ => mismatch(v, "float", what),
     }
 }
 
-fn expect_int(v: &Value, what: &str) -> Result<i128, ConfigError> {
-    match v.payload {
-        Payload::Int(i) => Ok(i),
-        ref other => err(
-            v.line,
-            v.col,
-            format!("expected integer for `{what}`, found {}", other.type_name()),
-        ),
-    }
+/// A checked integer read — an out-of-range value is an authoring error,
+/// never a silent wrap.
+fn read_int<T: TryFrom<i128>>(v: &Value, what: &str, ty: &str) -> Result<T, ConfigError> {
+    let Payload::Int(i) = v.payload else {
+        return mismatch(v, "integer", what);
+    };
+    T::try_from(i).or_else(|_| v.bad(format!("`{what}` must fit in a {ty}, got {i}")))
 }
 
-fn expect_u64(v: &Value, what: &str) -> Result<u64, ConfigError> {
-    let i = expect_int(v, what)?;
-    u64::try_from(i).map_err(|_| ConfigError {
-        line: v.line,
-        col: v.col,
-        message: format!("`{what}` must fit in a u64, got {i}"),
-    })
+fn read_u64(v: &Value, what: &str) -> Result<u64, ConfigError> {
+    read_int(v, what, "u64")
 }
 
-/// A checked 32-bit read for ppm rates and shift counts — an
-/// out-of-range value is an authoring error, never a silent wrap.
-fn expect_u32(v: &Value, what: &str) -> Result<u32, ConfigError> {
-    let i = expect_int(v, what)?;
-    u32::try_from(i).map_err(|_| ConfigError {
-        line: v.line,
-        col: v.col,
-        message: format!("`{what}` must fit in a u32, got {i}"),
-    })
+fn read_u32(v: &Value, what: &str) -> Result<u32, ConfigError> {
+    read_int(v, what, "u32")
 }
 
-/// A population size (branch cap, particle count): zero decodes but
-/// leaves the belief engine nothing to normalize, so it panics mid-run.
-fn expect_count(v: &Value, what: &str) -> Result<usize, ConfigError> {
-    match expect_u64(v, what)? {
-        0 => err(v.line, v.col, format!("`{what}` must be at least 1, got 0")),
+/// A population size (branch cap, particle count, prior size): zero
+/// decodes but leaves the belief engine nothing to normalize, so it
+/// panics mid-run.
+fn read_count(v: &Value, what: &str) -> Result<usize, ConfigError> {
+    match read_u64(v, what)? {
+        0 => v.bad(format!("`{what}` must be at least 1, got 0")),
         n => Ok(n as usize),
     }
 }
 
-fn expect_bool(v: &Value, what: &str) -> Result<bool, ConfigError> {
+/// A concurrent-flow count: every flow needs its own 16-bit wire id.
+fn read_flow_count(v: &Value, what: &str) -> Result<usize, ConfigError> {
+    match read_u64(v, what)? {
+        n @ 1..=0x1_0000 => Ok(n as usize),
+        n => v.bad(format!(
+            "`{what}` must be between 1 and 65536 (wire flow ids are u16), got {n}"
+        )),
+    }
+}
+
+fn read_bool(v: &Value, what: &str) -> Result<bool, ConfigError> {
     match v.payload {
         Payload::Bool(b) => Ok(b),
-        ref other => err(
-            v.line,
-            v.col,
-            format!("expected boolean for `{what}`, found {}", other.type_name()),
-        ),
+        _ => mismatch(v, "boolean", what),
     }
 }
 
-fn expect_str<'a>(v: &'a Value, what: &str) -> Result<&'a str, ConfigError> {
+fn read_str<'a>(v: &'a Value, what: &str) -> Result<&'a str, ConfigError> {
     match &v.payload {
         Payload::Str(s) => Ok(s),
-        other => err(
-            v.line,
-            v.col,
-            format!("expected string for `{what}`, found {}", other.type_name()),
-        ),
+        _ => mismatch(v, "string", what),
     }
 }
 
-fn expect_array<'a>(v: &'a Value, what: &str) -> Result<&'a [Value], ConfigError> {
+fn read_string(v: &Value, what: &str) -> Result<String, ConfigError> {
+    read_str(v, what).map(str::to_string)
+}
+
+fn read_array<'a>(v: &'a Value, what: &str) -> Result<&'a [Value], ConfigError> {
     match &v.payload {
         Payload::Array(items) => Ok(items),
-        other => err(
-            v.line,
-            v.col,
-            format!("expected array for `{what}`, found {}", other.type_name()),
-        ),
+        _ => mismatch(v, "array", what),
     }
 }
 
-fn expect_table<'a>(v: &'a Value, what: &str) -> Result<&'a Table, ConfigError> {
-    match &v.payload {
-        Payload::Table(t) => Ok(t),
-        other => err(
-            v.line,
-            v.col,
-            format!("expected table for `{what}`, found {}", other.type_name()),
-        ),
+/// The reader of an array whose elements `read` decodes, naming them
+/// `what[i]` in messages.
+fn each<'a, T>(
+    read: impl Fn(&'a Value, &str) -> Result<T, ConfigError>,
+) -> impl Fn(&'a Value, &str) -> Result<Vec<T>, ConfigError> {
+    move |v, what| {
+        let item = |(i, item)| read(item, &format!("{what}[{i}]"));
+        read_array(v, what)?.iter().enumerate().map(item).collect()
     }
 }
 
-fn dur_s(v: &Value, what: &str) -> Result<Dur, ConfigError> {
-    let s = expect_f64(v, what)?;
+/// A length of simulated time in float seconds, kept as whole
+/// microseconds — a value past `u64` microseconds would otherwise
+/// saturate silently in [`Dur::from_secs_f64`].
+fn read_seconds(v: &Value, what: &str) -> Result<Dur, ConfigError> {
+    let s = read_f64(v, what)?;
     if !s.is_finite() || s < 0.0 {
-        return err(v.line, v.col, format!("`{what}` must be >= 0 seconds"));
+        return v.bad(format!("`{what}` must be >= 0 seconds"));
+    }
+    if s * 1e6 >= u64::MAX as f64 {
+        return v.bad(format!(
+            "`{what}` = {s:e} seconds does not fit in 64-bit microseconds"
+        ));
     }
     Ok(Dur::from_secs_f64(s))
 }
 
-/// Decode each element of an array entry with `f`, labelling elements
-/// `key[i]` in error messages.
-fn map_array<T>(
-    entry: &Entry,
-    f: impl Fn(&Value, &str) -> Result<T, ConfigError>,
-) -> Result<Vec<T>, ConfigError> {
-    let items = expect_array(&entry.value, &entry.key)?;
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, v)| f(v, &format!("{}[{i}]", entry.key)))
-        .collect()
-}
-
-fn decode_gate(v: &Value) -> Result<GateSpec, ConfigError> {
-    let t = expect_table(v, "gate")?;
-    let mut d = Dec::new(t, "gate");
-    let kind_e = d.req("kind", (v.line, v.col))?;
-    let kind = expect_str(&kind_e.value, "kind")?;
-    let gate = match kind {
-        "always-on" => GateSpec::AlwaysOn,
-        "square-wave" => GateSpec::SquareWave {
-            half_period: dur_s(
-                &d.req("half_period_s", (v.line, v.col))?.value,
-                "half_period_s",
-            )?,
-            initially_connected: expect_bool(
-                &d.req("initially_connected", (v.line, v.col))?.value,
-                "initially_connected",
-            )?,
-        },
-        "intermittent" => GateSpec::Intermittent {
-            mtts: dur_s(&d.req("mtts_s", (v.line, v.col))?.value, "mtts_s")?,
-            epoch: dur_s(&d.req("epoch_s", (v.line, v.col))?.value, "epoch_s")?,
-            initially_connected: expect_bool(
-                &d.req("initially_connected", (v.line, v.col))?.value,
-                "initially_connected",
-            )?,
-        },
-        other => {
-            return err(
-                kind_e.value.line,
-                kind_e.value.col,
-                format!(
-                    "unknown gate kind `{other}` (expected always-on, square-wave, intermittent)"
-                ),
-            )
-        }
-    };
-    d.finish()?;
-    Ok(gate)
-}
-
 /// A positive bits-per-second read — [`BitRate::from_bps`] panics on
 /// zero, so the decoder must reject it with a positioned error first.
-fn expect_rate_bps(v: &Value, what: &str) -> Result<BitRate, ConfigError> {
-    let bps = expect_u64(v, what)?;
-    if bps == 0 {
-        return err(v.line, v.col, format!("`{what}` must be positive"));
+fn read_bps(v: &Value, what: &str) -> Result<BitRate, ConfigError> {
+    match read_u64(v, what)? {
+        0 => v.bad(format!("`{what}` must be positive")),
+        bps => Ok(BitRate::from_bps(bps)),
     }
-    Ok(BitRate::from_bps(bps))
+}
+
+fn read_bits(v: &Value, what: &str) -> Result<Bits, ConfigError> {
+    read_u64(v, what).map(Bits::new)
+}
+
+fn read_ppm(v: &Value, what: &str) -> Result<Ppm, ConfigError> {
+    read_u32(v, what).map(Ppm::new)
+}
+
+fn decode_gate(v: &Value, what: &str) -> Result<GateSpec, ConfigError> {
+    Dec::table(v, what)?.by_kind(
+        "gate kind",
+        &[
+            ("always-on", &|_| Ok(GateSpec::AlwaysOn)),
+            ("square-wave", &|d| {
+                Ok(GateSpec::SquareWave {
+                    half_period: d.field("half_period_s", read_seconds)?,
+                    initially_connected: d.field("initially_connected", read_bool)?,
+                })
+            }),
+            ("intermittent", &|d| {
+                Ok(GateSpec::Intermittent {
+                    mtts: d.field("mtts_s", read_seconds)?,
+                    epoch: d.field("epoch_s", read_seconds)?,
+                    initially_connected: d.field("initially_connected", read_bool)?,
+                })
+            }),
+        ],
+    )
 }
 
 /// Where a `file = "…"` trace reference gets its samples.
@@ -815,54 +843,43 @@ enum TraceSource<'a> {
     Generators,
 }
 
-/// Decode a `{ file = "…", end = "loop" | "hold-last" }` trace
+/// Decode the `file = "…", end = "loop" | "hold-last"` keys of a trace
 /// reference, loading and validating its samples from `source`.
-fn decode_trace(
-    d: &mut Dec<'_>,
-    at: (u32, u32),
-    source: TraceSource<'_>,
-) -> Result<RateProcess, ConfigError> {
-    let file_e = d.req("file", at)?;
-    let file = expect_str(&file_e.value, "file")?;
-    let end_e = d.req("end", at)?;
-    let end = match expect_str(&end_e.value, "end")? {
-        "loop" => TraceEnd::Loop,
-        "hold-last" => TraceEnd::HoldLast,
-        other => {
-            return err(
-                end_e.value.line,
-                end_e.value.col,
-                format!("unknown trace end policy `{other}` (expected loop, hold-last)"),
-            )
-        }
-    };
-    let fail = |message: String| ConfigError {
-        line: file_e.value.line,
-        col: file_e.value.col,
-        message,
-    };
+fn decode_trace(d: &mut Dec<'_>, source: TraceSource<'_>) -> Result<RateProcess, ConfigError> {
+    let file = d.field("file", read_str)?;
+    let end = d.choose(
+        "end",
+        "trace end policy",
+        &[
+            ("loop", &|_| Ok(TraceEnd::Loop)),
+            ("hold-last", &|_| Ok(TraceEnd::HoldLast)),
+        ],
+    )?;
     // `origin` names where the samples came from in error messages.
     let (samples, origin) = match source {
         TraceSource::Generators => {
             let stem = file
                 .strip_prefix("../traces/")
                 .and_then(|name| name.strip_suffix(".csv"));
-            let samples = stem
-                .and_then(traces::by_name)
-                .ok_or_else(|| fail(format!("no shipped trace generator behind {file}")))?;
-            (samples, file.to_string())
+            match stem.and_then(traces::by_name) {
+                Some(samples) => (samples, file.to_string()),
+                None => return d.bad("file", format!("no shipped trace generator behind {file}")),
+            }
         }
         TraceSource::Files(base) => {
             let resolved = base.map_or_else(|| PathBuf::from(file), |dir| dir.join(file));
             let origin = resolved.display().to_string();
-            let src = std::fs::read_to_string(&resolved)
-                .map_err(|e| fail(format!("cannot read trace file {origin}: {e}")))?;
+            let src = match std::fs::read_to_string(&resolved) {
+                Ok(src) => src,
+                Err(e) => return d.bad("file", format!("cannot read trace file {origin}: {e}")),
+            };
             // Loader errors are positioned inside the CSV; carry that
             // position in the message and point the spec error at the
             // `file` value.
-            let samples =
-                traces::parse_trace_csv(&src).map_err(|te| fail(format!("{origin}:{te}")))?;
-            (samples, origin)
+            match traces::parse_trace_csv(&src) {
+                Ok(samples) => (samples, origin),
+                Err(te) => return d.bad("file", format!("{origin}:{te}")),
+            }
         }
     };
     let rate = RateProcess::Trace {
@@ -872,142 +889,93 @@ fn decode_trace(
     };
     match rate.check() {
         Ok(()) => Ok(rate),
-        Err(message) => Err(fail(format!("{origin}: {message}"))),
+        Err(message) => d.bad("file", format!("{origin}: {message}")),
     }
 }
 
-fn decode_rate(v: &Value, source: TraceSource<'_>) -> Result<RateProcess, ConfigError> {
-    let t = expect_table(v, "rate")?;
-    let mut d = Dec::new(t, "rate");
-    let kind_e = d.req("kind", (v.line, v.col))?;
-    let kind = expect_str(&kind_e.value, "kind")?;
-    let rate = match kind {
-        "constant" => RateProcess::Const(expect_rate_bps(
-            &d.req("bps", (v.line, v.col))?.value,
-            "bps",
-        )?),
-        "schedule" => {
-            let period_e = d.req("period_s", (v.line, v.col))?;
-            let period = dur_s(&period_e.value, "period_s")?;
-            if period == Dur::ZERO {
-                return err(
-                    period_e.value.line,
-                    period_e.value.col,
-                    "`period_s` must be positive",
-                );
+/// The `period_s` and `steps` keys of a rate schedule. Every invariant
+/// violation points at the offending step — `--check` must reject here
+/// what `Link::new` would otherwise panic on.
+fn decode_schedule(d: &mut Dec<'_>) -> Result<RateProcess, ConfigError> {
+    let period = d.field("period_s", read_seconds)?;
+    if period == Dur::ZERO {
+        return d.bad("period_s", "`period_s` must be positive");
+    }
+    let mut steps: Vec<(Dur, BitRate)> = Vec::new();
+    for (i, sv) in d.field("steps", read_array)?.iter().enumerate() {
+        let mut sd = Dec::table(sv, &format!("steps[{i}]"))?;
+        let at = sd.field("at_s", read_seconds)?;
+        let bps = sd.field("bps", read_bps)?;
+        sd.finish()?;
+        match steps.last() {
+            None if at != Dur::ZERO => return sv.bad("the first step must have `at_s = 0`"),
+            Some(&(prev, _)) if at <= prev => {
+                return sv.bad(format!(
+                    "step offsets must be strictly increasing ({at} after {prev})"
+                ))
             }
-            let steps_e = d.req("steps", (v.line, v.col))?;
-            // Decoded step by step (not via map_array) so every invariant
-            // violation points at the offending step — `--check` must
-            // reject here what `Link::new` would otherwise panic on.
-            let items = expect_array(&steps_e.value, "steps")?;
-            let mut steps: Vec<(Dur, BitRate)> = Vec::with_capacity(items.len());
-            for (i, sv) in items.iter().enumerate() {
-                let what = format!("steps[{i}]");
-                let st = expect_table(sv, &what)?;
-                let mut sd = Dec::new(st, &what);
-                let at = dur_s(&sd.req("at_s", (sv.line, sv.col))?.value, "at_s")?;
-                let bps = expect_rate_bps(&sd.req("bps", (sv.line, sv.col))?.value, "bps")?;
-                sd.finish()?;
-                match steps.last() {
-                    None if at != Dur::ZERO => {
-                        return err(sv.line, sv.col, "the first step must have `at_s = 0`")
-                    }
-                    Some(&(prev, _)) if at <= prev => {
-                        return err(
-                            sv.line,
-                            sv.col,
-                            format!("step offsets must be strictly increasing ({at} after {prev})"),
-                        )
-                    }
-                    _ => {}
-                }
-                if at >= period {
-                    return err(
-                        sv.line,
-                        sv.col,
-                        format!("step offset {at} does not fit in the period {period}"),
-                    );
-                }
-                steps.push((at, bps));
+            _ if at >= period => {
+                return sv.bad(format!(
+                    "step offset {at} does not fit in the period {period}"
+                ))
             }
-            if steps.is_empty() {
-                return err(
-                    steps_e.value.line,
-                    steps_e.value.col,
-                    "`steps` must be non-empty",
-                );
-            }
-            RateProcess::Schedule { steps, period }
+            _ => steps.push((at, bps)),
         }
-        "trace" => decode_trace(&mut d, (v.line, v.col), source)?,
-        other => {
-            return err(
-                kind_e.value.line,
-                kind_e.value.col,
-                format!("unknown rate kind `{other}` (expected constant, schedule, trace)"),
-            )
-        }
-    };
-    d.finish()?;
-    Ok(rate)
+    }
+    if steps.is_empty() {
+        return d.bad("steps", "`steps` must be non-empty");
+    }
+    Ok(RateProcess::Schedule { steps, period })
 }
 
-fn decode_queue(v: &Value) -> Result<QueueSpec, ConfigError> {
-    let t = expect_table(v, "queue")?;
-    let mut d = Dec::new(t, "queue");
-    let kind_e = d.req("kind", (v.line, v.col))?;
-    let kind = expect_str(&kind_e.value, "kind")?;
-    let queue = match kind {
-        "drop-tail" => QueueSpec::DropTail,
-        "red" => QueueSpec::Red {
-            min_th: Bits::new(expect_u64(
-                &d.req("min_th_bits", (v.line, v.col))?.value,
-                "min_th_bits",
-            )?),
-            max_th: Bits::new(expect_u64(
-                &d.req("max_th_bits", (v.line, v.col))?.value,
-                "max_th_bits",
-            )?),
-            max_p: Ppm::new(expect_u32(
-                &d.req("max_p_ppm", (v.line, v.col))?.value,
-                "max_p_ppm",
-            )?),
-            w_shift: expect_u32(&d.req("w_shift", (v.line, v.col))?.value, "w_shift")?,
-        },
-        "codel" => QueueSpec::CoDel {
-            target: dur_s(&d.req("target_s", (v.line, v.col))?.value, "target_s")?,
-            interval: dur_s(&d.req("interval_s", (v.line, v.col))?.value, "interval_s")?,
-        },
-        other => {
-            return err(
-                kind_e.value.line,
-                kind_e.value.col,
-                format!("unknown queue kind `{other}` (expected drop-tail, red, codel)"),
-            )
-        }
-    };
-    d.finish()?;
-    Ok(queue)
+fn decode_rate(v: &Value, what: &str, source: TraceSource<'_>) -> Result<RateProcess, ConfigError> {
+    Dec::table(v, what)?.by_kind(
+        "rate kind",
+        &[
+            ("constant", &|d| {
+                d.field("bps", read_bps).map(RateProcess::Const)
+            }),
+            ("schedule", &decode_schedule),
+            ("trace", &|d| decode_trace(d, source)),
+        ],
+    )
+}
+
+fn decode_queue(v: &Value, what: &str) -> Result<QueueSpec, ConfigError> {
+    Dec::table(v, what)?.by_kind(
+        "queue kind",
+        &[
+            ("drop-tail", &|_| Ok(QueueSpec::DropTail)),
+            ("red", &|d| {
+                Ok(QueueSpec::Red {
+                    min_th: d.field("min_th_bits", read_bits)?,
+                    max_th: d.field("max_th_bits", read_bits)?,
+                    max_p: d.field("max_p_ppm", read_ppm)?,
+                    w_shift: d.field("w_shift", read_u32)?,
+                })
+            }),
+            ("codel", &|d| {
+                Ok(QueueSpec::CoDel {
+                    target: d.field("target_s", read_seconds)?,
+                    interval: d.field("interval_s", read_seconds)?,
+                })
+            }),
+        ],
+    )
 }
 
 /// One `{ name, from, to, bps, delay_s, buffer_bits[, queue] }` link of
 /// a graph topology; `queue` defaults to drop-tail.
 fn decode_link(v: &Value, what: &str) -> Result<LinkSpec, ConfigError> {
-    let t = expect_table(v, what)?;
-    let at = (v.line, v.col);
-    let mut d = Dec::new(t, what);
+    let mut d = Dec::table(v, what)?;
     let link = LinkSpec {
-        name: expect_str(&d.req("name", at)?.value, "name")?.to_string(),
-        from: expect_str(&d.req("from", at)?.value, "from")?.to_string(),
-        to: expect_str(&d.req("to", at)?.value, "to")?.to_string(),
-        rate: expect_rate_bps(&d.req("bps", at)?.value, "bps")?,
-        delay: dur_s(&d.req("delay_s", at)?.value, "delay_s")?,
-        buffer: Bits::new(expect_u64(&d.req("buffer_bits", at)?.value, "buffer_bits")?),
-        queue: match d.get("queue") {
-            Some(e) => decode_queue(&e.value)?,
-            None => QueueSpec::DropTail,
-        },
+        name: d.field("name", read_string)?,
+        from: d.field("from", read_string)?,
+        to: d.field("to", read_string)?,
+        rate: d.field("bps", read_bps)?,
+        delay: d.field("delay_s", read_seconds)?,
+        buffer: d.field("buffer_bits", read_bits)?,
+        queue: d.opt("queue", decode_queue)?.unwrap_or(QueueSpec::DropTail),
     };
     d.finish()?;
     Ok(link)
@@ -1016,429 +984,288 @@ fn decode_link(v: &Value, what: &str) -> Result<LinkSpec, ConfigError> {
 /// One `{ name, class, src, dst[, path] }` flow of a graph topology;
 /// without `path` the compiler routes it over the fewest hops.
 fn decode_flow(v: &Value, what: &str) -> Result<FlowSpec, ConfigError> {
-    let t = expect_table(v, what)?;
-    let at = (v.line, v.col);
-    let mut d = Dec::new(t, what);
+    let mut d = Dec::table(v, what)?;
     let flow = FlowSpec {
-        name: expect_str(&d.req("name", at)?.value, "name")?.to_string(),
-        class: expect_str(&d.req("class", at)?.value, "class")?.to_string(),
-        src: expect_str(&d.req("src", at)?.value, "src")?.to_string(),
-        dst: expect_str(&d.req("dst", at)?.value, "dst")?.to_string(),
-        path: match d.get("path") {
-            Some(e) => Some(map_array(e, |v, what| {
-                expect_str(v, what).map(str::to_string)
-            })?),
-            None => None,
-        },
+        name: d.field("name", read_string)?,
+        class: d.field("class", read_string)?,
+        src: d.field("src", read_string)?,
+        dst: d.field("dst", read_string)?,
+        path: d.opt("path", each(read_string))?,
     };
     d.finish()?;
     Ok(flow)
 }
 
 fn decode_topology(
-    t: &Table,
-    at: (u32, u32),
+    v: &Value,
+    what: &str,
     source: TraceSource<'_>,
 ) -> Result<TopologySpec, ConfigError> {
-    let mut d = Dec::new(t, "topology");
-    let kind_e = d.req("kind", at)?;
-    let kind = expect_str(&kind_e.value, "kind")?;
-    let topo = match kind {
-        "model" => {
-            let params = ModelParams {
-                link_rate: expect_rate_bps(&d.req("link_bps", at)?.value, "link_bps")?,
-                cross_rate: expect_rate_bps(&d.req("cross_bps", at)?.value, "cross_bps")?,
-                gate: decode_gate(&d.req("gate", at)?.value)?,
-                loss: Ppm::new(expect_u32(&d.req("loss_ppm", at)?.value, "loss_ppm")?),
-                buffer_capacity: Bits::new(expect_u64(
-                    &d.req("buffer_bits", at)?.value,
-                    "buffer_bits",
-                )?),
-                initial_fullness: Bits::new(expect_u64(
-                    &d.req("initial_fullness_bits", at)?.value,
-                    "initial_fullness_bits",
-                )?),
-                packet_size: Bits::new(expect_u64(
-                    &d.req("packet_bits", at)?.value,
-                    "packet_bits",
-                )?),
-                cross_active: expect_bool(&d.req("cross_active", at)?.value, "cross_active")?,
-            };
-            TopologySpec::Model(params)
-        }
-        "cellular" => TopologySpec::Cellular {
-            params: CellularParams {
-                buffer_capacity: Bits::new(expect_u64(
-                    &d.req("buffer_bits", at)?.value,
-                    "buffer_bits",
-                )?),
-                rate: decode_rate(&d.req("rate", at)?.value, source)?,
-                arq_loss: Ppm::new(expect_u32(
-                    &d.req("arq_loss_ppm", at)?.value,
-                    "arq_loss_ppm",
-                )?),
-                arq_retry_delay: dur_s(
-                    &d.req("arq_retry_delay_s", at)?.value,
-                    "arq_retry_delay_s",
-                )?,
-                propagation: dur_s(&d.req("propagation_s", at)?.value, "propagation_s")?,
-            },
-            queue: decode_queue(&d.req("queue", at)?.value)?,
-        },
-        "graph" => {
-            let g = GraphTopology {
-                nodes: map_array(d.req("nodes", at)?, |v, what| {
-                    expect_str(v, what).map(str::to_string)
-                })?,
-                links: map_array(d.req("links", at)?, decode_link)?,
-                flows: map_array(d.req("flows", at)?, decode_flow)?,
-                packet_size: Bits::new(expect_u64(
-                    &d.req("packet_bits", at)?.value,
-                    "packet_bits",
-                )?),
-            };
-            // Routing problems (unknown nodes, cycles, unreachable
-            // destinations, …) are authoring errors: surface them here,
-            // at `--check` time, not as a runner panic mid-sweep.
-            if let Err(e) = augur_topo::validate(&g) {
-                return err(at.0, at.1, format!("invalid graph topology: {e}"));
-            }
-            TopologySpec::Graph(g)
-        }
-        other => {
-            return err(
-                kind_e.value.line,
-                kind_e.value.col,
-                format!("unknown topology kind `{other}` (expected model, cellular, graph)"),
-            )
-        }
-    };
-    d.finish()?;
-    Ok(topo)
+    Dec::table(v, what)?.by_kind(
+        "topology kind",
+        &[
+            ("model", &|d| {
+                Ok(TopologySpec::Model(ModelParams {
+                    link_rate: d.field("link_bps", read_bps)?,
+                    cross_rate: d.field("cross_bps", read_bps)?,
+                    gate: d.field("gate", decode_gate)?,
+                    loss: d.field("loss_ppm", read_ppm)?,
+                    buffer_capacity: d.field("buffer_bits", read_bits)?,
+                    initial_fullness: d.field("initial_fullness_bits", read_bits)?,
+                    packet_size: d.field("packet_bits", read_bits)?,
+                    cross_active: d.field("cross_active", read_bool)?,
+                }))
+            }),
+            ("cellular", &|d| {
+                Ok(TopologySpec::Cellular {
+                    params: CellularParams {
+                        buffer_capacity: d.field("buffer_bits", read_bits)?,
+                        rate: d.field("rate", |v, what| decode_rate(v, what, source))?,
+                        arq_loss: d.field("arq_loss_ppm", read_ppm)?,
+                        arq_retry_delay: d.field("arq_retry_delay_s", read_seconds)?,
+                        propagation: d.field("propagation_s", read_seconds)?,
+                    },
+                    queue: d.field("queue", decode_queue)?,
+                })
+            }),
+            ("graph", &|d| {
+                let g = GraphTopology {
+                    nodes: d.list("nodes", read_string)?,
+                    links: d.list("links", decode_link)?,
+                    flows: d.list("flows", decode_flow)?,
+                    packet_size: d.field("packet_bits", read_bits)?,
+                };
+                // Routing problems (unknown nodes, cycles, unreachable
+                // destinations, …) are authoring errors: surface them
+                // here, at `--check` time, not as a runner panic mid-sweep.
+                match augur_topo::validate(&g) {
+                    Ok(()) => Ok(TopologySpec::Graph(g)),
+                    Err(e) => err(
+                        d.table.line,
+                        d.table.col,
+                        format!("invalid graph topology: {e}"),
+                    ),
+                }
+            }),
+        ],
+    )
 }
 
-fn decode_prior(t: &Table, at: (u32, u32)) -> Result<PriorSpec, ConfigError> {
-    let mut d = Dec::new(t, "prior");
-    let kind_e = d.req("kind", at)?;
-    let kind = expect_str(&kind_e.value, "kind")?;
-    let prior = match kind {
-        "paper" => PriorSpec::Paper,
-        "small" => PriorSpec::Small,
-        "fine-link-rate" => {
-            // PriorSpec::hypotheses asserts these at run time; `--check`
-            // must reject them here with a position instead.
-            let n_e = d.req("n", at)?;
-            let n = expect_u64(&n_e.value, "n")? as usize;
-            if n == 0 {
-                return err(
-                    n_e.value.line,
-                    n_e.value.col,
-                    "`n` must be at least 1 (the prior needs a hypothesis)",
-                );
-            }
-            let lo_e = d.req("lo_bps", at)?;
-            let lo_bps = expect_u64(&lo_e.value, "lo_bps")?;
-            let hi_bps = expect_u64(&d.req("hi_bps", at)?.value, "hi_bps")?;
-            if lo_bps > hi_bps {
-                return err(
-                    lo_e.value.line,
-                    lo_e.value.col,
-                    format!("`lo_bps` ({lo_bps}) must not exceed `hi_bps` ({hi_bps})"),
-                );
-            }
-            PriorSpec::FineLinkRate { n, lo_bps, hi_bps }
-        }
-        "custom" => {
-            let link_rates = map_array(d.req("link_rates_bps", at)?, expect_rate_bps)?;
-            let cross_fracs_ppm = map_array(d.req("cross_fracs_ppm", at)?, expect_u32)?;
-            let losses = map_array(d.req("losses_ppm", at)?, |v, w| {
-                Ok(Ppm::new(expect_u32(v, w)?))
-            })?;
-            let buffer_capacities = map_array(d.req("buffer_capacities_bits", at)?, |v, w| {
-                Ok(Bits::new(expect_u64(v, w)?))
-            })?;
-            let fullness_step = match d.get("fullness_step_bits") {
-                Some(e) => Some(Bits::new(expect_u64(&e.value, "fullness_step_bits")?)),
-                None => None,
-            };
-            let gate_initial = map_array(d.req("gate_initial", at)?, expect_bool)?;
-            PriorSpec::Custom(ModelPrior {
-                link_rates,
-                cross_fracs_ppm,
-                losses,
-                buffer_capacities,
-                fullness_step,
-                mtts: dur_s(&d.req("mtts_s", at)?.value, "mtts_s")?,
-                epoch: dur_s(&d.req("epoch_s", at)?.value, "epoch_s")?,
-                gate_initial,
-                packet_size: Bits::new(expect_u64(
-                    &d.req("packet_bits", at)?.value,
-                    "packet_bits",
-                )?),
-                cross_active: expect_bool(&d.req("cross_active", at)?.value, "cross_active")?,
-            })
-        }
-        other => {
-            return err(
-                kind_e.value.line,
-                kind_e.value.col,
-                format!(
-                    "unknown prior kind `{other}` (expected paper, small, fine-link-rate, custom)"
-                ),
-            )
-        }
-    };
-    d.finish()?;
-    Ok(prior)
+fn decode_prior(v: &Value, what: &str) -> Result<PriorSpec, ConfigError> {
+    Dec::table(v, what)?.by_kind(
+        "prior kind",
+        &[
+            ("paper", &|_| Ok(PriorSpec::Paper)),
+            ("small", &|_| Ok(PriorSpec::Small)),
+            ("fine-link-rate", &|d| {
+                // PriorSpec::hypotheses asserts these at run time;
+                // `--check` must reject them here with a position instead.
+                let n = d.field("n", read_count)?;
+                let lo_bps = d.field("lo_bps", read_u64)?;
+                let hi_bps = d.field("hi_bps", read_u64)?;
+                if lo_bps > hi_bps {
+                    return d.bad(
+                        "lo_bps",
+                        format!("`lo_bps` ({lo_bps}) must not exceed `hi_bps` ({hi_bps})"),
+                    );
+                }
+                Ok(PriorSpec::FineLinkRate { n, lo_bps, hi_bps })
+            }),
+            ("custom", &|d| {
+                Ok(PriorSpec::Custom(ModelPrior {
+                    link_rates: d.list("link_rates_bps", read_bps)?,
+                    cross_fracs_ppm: d.list("cross_fracs_ppm", read_u32)?,
+                    losses: d.list("losses_ppm", read_ppm)?,
+                    buffer_capacities: d.list("buffer_capacities_bits", read_bits)?,
+                    fullness_step: d.opt("fullness_step_bits", read_bits)?,
+                    gate_initial: d.list("gate_initial", read_bool)?,
+                    mtts: d.field("mtts_s", read_seconds)?,
+                    epoch: d.field("epoch_s", read_seconds)?,
+                    packet_size: d.field("packet_bits", read_bits)?,
+                    cross_active: d.field("cross_active", read_bool)?,
+                }))
+            }),
+        ],
+    )
 }
 
-fn decode_sender(t: &Table, at: (u32, u32)) -> Result<SenderSpec, ConfigError> {
-    let mut d = Dec::new(t, "sender");
-    let kind_e = d.req("kind", at)?;
-    let kind = expect_str(&kind_e.value, "kind")?;
-    let sender = match kind {
-        "isender-exact" => SenderSpec::IsenderExact {
-            alpha: expect_f64(&d.req("alpha", at)?.value, "alpha")?,
-            latency_penalty: expect_f64(&d.req("latency_penalty", at)?.value, "latency_penalty")?,
-            max_branches: expect_count(&d.req("max_branches", at)?.value, "max_branches")?,
-        },
-        "isender-particle" => SenderSpec::IsenderParticle {
-            alpha: expect_f64(&d.req("alpha", at)?.value, "alpha")?,
-            latency_penalty: expect_f64(&d.req("latency_penalty", at)?.value, "latency_penalty")?,
-            n_particles: expect_count(&d.req("n_particles", at)?.value, "n_particles")?,
-        },
-        "tcp-reno" => SenderSpec::TcpReno {
-            max_window: expect_u64(&d.req("max_window", at)?.value, "max_window")?,
-        },
-        "tcp-cubic" => SenderSpec::TcpCubic {
-            max_window: expect_u64(&d.req("max_window", at)?.value, "max_window")?,
-        },
-        other => {
-            return err(
-                kind_e.value.line,
-                kind_e.value.col,
-                format!(
-                    "unknown sender kind `{other}` (expected isender-exact, isender-particle, \
-                     tcp-reno, tcp-cubic)"
-                ),
-            )
-        }
-    };
-    d.finish()?;
-    Ok(sender)
+fn decode_sender(v: &Value, what: &str) -> Result<SenderSpec, ConfigError> {
+    Dec::table(v, what)?.by_kind(
+        "sender kind",
+        &[
+            ("isender-exact", &|d| {
+                Ok(SenderSpec::IsenderExact {
+                    alpha: d.field("alpha", read_f64)?,
+                    latency_penalty: d.field("latency_penalty", read_f64)?,
+                    max_branches: d.field("max_branches", read_count)?,
+                })
+            }),
+            ("isender-particle", &|d| {
+                Ok(SenderSpec::IsenderParticle {
+                    alpha: d.field("alpha", read_f64)?,
+                    latency_penalty: d.field("latency_penalty", read_f64)?,
+                    n_particles: d.field("n_particles", read_count)?,
+                })
+            }),
+            ("tcp-reno", &|d| {
+                let max_window = d.field("max_window", read_u64)?;
+                Ok(SenderSpec::TcpReno { max_window })
+            }),
+            ("tcp-cubic", &|d| {
+                let max_window = d.field("max_window", read_u64)?;
+                Ok(SenderSpec::TcpCubic { max_window })
+            }),
+        ],
+    )
 }
 
 fn decode_peer(v: &Value, what: &str) -> Result<PeerSpec, ConfigError> {
-    let t = expect_table(v, what)?;
-    let mut d = Dec::new(t, what);
-    let kind_e = d.req("kind", (v.line, v.col))?;
-    let kind = expect_str(&kind_e.value, "kind")?;
-    let peer = match kind {
-        "isender" => PeerSpec::Isender {
-            alpha: expect_f64(&d.req("alpha", (v.line, v.col))?.value, "alpha")?,
-        },
-        "aimd" => PeerSpec::Aimd {
-            timeout: dur_s(&d.req("timeout_s", (v.line, v.col))?.value, "timeout_s")?,
-        },
-        "tcp-reno" => PeerSpec::TcpReno {
-            max_window: expect_u64(&d.req("max_window", (v.line, v.col))?.value, "max_window")?,
-        },
-        "tcp-cubic" => PeerSpec::TcpCubic {
-            max_window: expect_u64(&d.req("max_window", (v.line, v.col))?.value, "max_window")?,
-        },
-        other => {
-            return err(
-                kind_e.value.line,
-                kind_e.value.col,
-                format!(
-                    "unknown peer kind `{other}` (expected isender, aimd, tcp-reno, tcp-cubic)"
-                ),
-            )
-        }
-    };
-    d.finish()?;
-    Ok(peer)
+    Dec::table(v, what)?.by_kind(
+        "peer kind",
+        &[
+            ("isender", &|d| {
+                let alpha = d.field("alpha", read_f64)?;
+                Ok(PeerSpec::Isender { alpha })
+            }),
+            ("aimd", &|d| {
+                let timeout = d.field("timeout_s", read_seconds)?;
+                Ok(PeerSpec::Aimd { timeout })
+            }),
+            ("tcp-reno", &|d| {
+                let max_window = d.field("max_window", read_u64)?;
+                Ok(PeerSpec::TcpReno { max_window })
+            }),
+            ("tcp-cubic", &|d| {
+                let max_window = d.field("max_window", read_u64)?;
+                Ok(PeerSpec::TcpCubic { max_window })
+            }),
+        ],
+    )
 }
 
-fn decode_workload(t: &Table, at: (u32, u32)) -> Result<WorkloadSpec, ConfigError> {
-    let mut d = Dec::new(t, "workload");
-    let kind_e = d.req("kind", at)?;
-    let kind = expect_str(&kind_e.value, "kind")?;
-    let workload = match kind {
-        "closed-loop" => WorkloadSpec::ClosedLoop,
-        "scripted-ping" => WorkloadSpec::ScriptedPing {
-            interval: dur_s(&d.req("interval_s", at)?.value, "interval_s")?,
-        },
-        "coexist" => {
-            let peers_e = d.req("peers", at)?;
-            let peers = map_array(peers_e, decode_peer)?;
-            if peers.is_empty() {
-                return err(
-                    peers_e.value.line,
-                    peers_e.value.col,
-                    "`peers` must name at least one competitor",
-                );
-            }
-            WorkloadSpec::Coexist(CoexistSpec { peers })
-        }
-        "many-flows" => {
-            let flows_e = d.req("flows", at)?;
-            let flows = expect_u64(&flows_e.value, "flows")? as usize;
-            if flows == 0 || flows > usize::from(u16::MAX) + 1 {
-                return err(
-                    flows_e.value.line,
-                    flows_e.value.col,
-                    format!(
-                        "`flows` must be between 1 and 65536 (wire flow ids are u16), got {flows}"
-                    ),
-                );
-            }
-            let mix_e = d.req("mix", at)?;
-            let mix = map_array(mix_e, decode_peer)?;
-            if mix.is_empty() {
-                return err(
-                    mix_e.value.line,
-                    mix_e.value.col,
-                    "`mix` must name at least one agent kind",
-                );
-            }
-            if mix.iter().any(|p| matches!(p, PeerSpec::Isender { .. })) {
-                return err(
-                    mix_e.value.line,
-                    mix_e.value.col,
-                    "`mix` agents must be belief-free (aimd, tcp-reno, tcp-cubic) — a \
-                     many-flow run cannot carry one belief engine per flow",
-                );
-            }
-            WorkloadSpec::ManyFlows(ManyFlowSpec { flows, mix })
-        }
-        other => {
-            return err(
-                kind_e.value.line,
-                kind_e.value.col,
-                format!(
-                    "unknown workload kind `{other}` (expected closed-loop, scripted-ping, \
-                     coexist, many-flows)"
-                ),
-            )
-        }
-    };
-    d.finish()?;
-    Ok(workload)
+fn decode_workload(v: &Value, what: &str) -> Result<WorkloadSpec, ConfigError> {
+    Dec::table(v, what)?.by_kind(
+        "workload kind",
+        &[
+            ("closed-loop", &|_| Ok(WorkloadSpec::ClosedLoop)),
+            ("scripted-ping", &|d| {
+                let interval = d.field("interval_s", read_seconds)?;
+                Ok(WorkloadSpec::ScriptedPing { interval })
+            }),
+            ("coexist", &|d| {
+                let peers = d.list("peers", decode_peer)?;
+                if peers.is_empty() {
+                    return d.bad("peers", "`peers` must name at least one competitor");
+                }
+                Ok(WorkloadSpec::Coexist(CoexistSpec { peers }))
+            }),
+            ("many-flows", &|d| {
+                let flows = d.field("flows", read_flow_count)?;
+                let mix = d.list("mix", decode_peer)?;
+                if mix.is_empty() {
+                    return d.bad("mix", "`mix` must name at least one agent kind");
+                }
+                if mix.iter().any(|p| matches!(p, PeerSpec::Isender { .. })) {
+                    return d.bad(
+                        "mix",
+                        "`mix` agents must be belief-free (aimd, tcp-reno, tcp-cubic) — a \
+                         many-flow run cannot carry one belief engine per flow",
+                    );
+                }
+                Ok(WorkloadSpec::ManyFlows(ManyFlowSpec { flows, mix }))
+            }),
+        ],
+    )
 }
 
 /// `[observe]` — optional observability arming: `trace_events` records
 /// the structured event stream, `snapshot_every_s` sets the posterior
 /// snapshot cadence. Both default off, matching `ObserveSpec::default()`.
-fn decode_observe(t: &Table, _at: (u32, u32)) -> Result<ObserveSpec, ConfigError> {
-    let mut d = Dec::new(t, "observe");
-    let mut spec = ObserveSpec::default();
-    if let Some(e) = d.get("trace_events") {
-        spec.trace_events = expect_bool(&e.value, "trace_events")?;
-    }
-    if let Some(e) = d.get("snapshot_every_s") {
-        let every = dur_s(&e.value, "snapshot_every_s")?;
-        if every == Dur::ZERO {
-            return err(
-                e.value.line,
-                e.value.col,
-                "`snapshot_every_s` must be > 0 seconds (omit the key to disable snapshots)",
-            );
-        }
-        spec.snapshot_every = Some(every);
+fn decode_observe(v: &Value, what: &str) -> Result<ObserveSpec, ConfigError> {
+    let mut d = Dec::table(v, what)?;
+    let spec = ObserveSpec {
+        trace_events: d.opt("trace_events", read_bool)?.unwrap_or_default(),
+        snapshot_every: d.opt("snapshot_every_s", read_seconds)?,
+    };
+    if spec.snapshot_every == Some(Dur::ZERO) {
+        return d.bad(
+            "snapshot_every_s",
+            "`snapshot_every_s` must be > 0 seconds (omit the key to disable snapshots)",
+        );
     }
     d.finish()?;
     Ok(spec)
 }
 
-fn decode_axis(t: &Table, at: (u32, u32), source: TraceSource<'_>) -> Result<Axis, ConfigError> {
-    let mut d = Dec::new(t, "axis");
-    let kind_e = d.req("kind", at)?;
-    let kind = expect_str(&kind_e.value, "kind")?;
-    let axis = match kind {
-        "alpha" => Axis::Alpha(map_array(d.req("values", at)?, expect_f64)?),
-        "latency-penalty" => Axis::LatencyPenalty(map_array(d.req("values", at)?, expect_f64)?),
-        "link-rate" => Axis::LinkRate(map_array(d.req("values", at)?, expect_rate_bps)?),
-        "cross-rate" => Axis::CrossRate(map_array(d.req("values", at)?, expect_rate_bps)?),
-        "buffer-capacity" => Axis::BufferCapacity(map_array(d.req("values", at)?, |v, w| {
-            Ok(Bits::new(expect_u64(v, w)?))
-        })?),
-        "initial-fullness" => Axis::InitialFullness(map_array(d.req("values", at)?, |v, w| {
-            Ok(Bits::new(expect_u64(v, w)?))
-        })?),
-        "loss" => Axis::Loss(map_array(d.req("values", at)?, |v, w| {
-            Ok(Ppm::new(expect_u32(v, w)?))
-        })?),
-        "sender" => Axis::Sender(map_array(d.req("values", at)?, |v, w| {
-            decode_sender(expect_table(v, w)?, (v.line, v.col))
-        })?),
-        "peer" => Axis::Peer(map_array(d.req("values", at)?, decode_peer)?),
-        "queue" => Axis::Queue(map_array(d.req("values", at)?, |v, _w| decode_queue(v))?),
-        "rate-trace" => {
-            let values_e = d.req("values", at)?;
-            let rates = map_array(values_e, |v, w| {
-                let vt = expect_table(v, w)?;
-                let mut vd = Dec::new(vt, w);
-                let rate = decode_trace(&mut vd, (v.line, v.col), source)?;
-                vd.finish()?;
-                Ok(rate)
-            })?;
-            // Sweep coordinates label each point by the trace's file
-            // stem; two points sharing a stem would be indistinguishable
-            // in every report row.
-            let mut stems: Vec<String> = rates.iter().map(crate::grid::rate_point_label).collect();
-            stems.sort();
-            if let Some(dup) = stems.windows(2).find(|w| w[0] == w[1]) {
-                return err(
-                    values_e.value.line,
-                    values_e.value.col,
-                    format!(
-                        "rate-trace axis points must have distinct file stems (`{}` repeats)",
-                        dup[0]
-                    ),
-                );
-            }
-            Axis::RateTrace(rates)
-        }
-        "prior-size" => Axis::PriorSize(map_array(d.req("values", at)?, |v, w| {
-            Ok(expect_u64(v, w)? as usize)
-        })?),
-        "flows" => Axis::Flows(map_array(d.req("values", at)?, |v, w| {
-            let n = expect_u64(v, w)? as usize;
-            if n == 0 || n > usize::from(u16::MAX) + 1 {
-                return err(
-                    v.line,
-                    v.col,
-                    format!("flow counts must be between 1 and 65536, got {n}"),
-                );
-            }
-            Ok(n)
-        })?),
-        "seeds" => Axis::Seeds(expect_u64(&d.req("count", at)?.value, "count")? as usize),
-        other => {
-            return err(
-                kind_e.value.line,
-                kind_e.value.col,
-                format!(
-                    "unknown axis kind `{other}` (expected alpha, latency-penalty, link-rate, \
-                     cross-rate, buffer-capacity, initial-fullness, loss, sender, peer, queue, \
-                     rate-trace, prior-size, flows, seeds)"
-                ),
-            )
-        }
-    };
-    d.finish()?;
+/// The arm of an axis kind whose points are a `values` list of what
+/// `read` decodes.
+fn values<T>(
+    read: impl Fn(&Value, &str) -> Result<T, ConfigError>,
+    wrap: fn(Vec<T>) -> Axis,
+) -> impl Fn(&mut Dec<'_>) -> Result<Axis, ConfigError> {
+    move |d| d.list("values", &read).map(wrap)
+}
+
+fn decode_axis(t: &Table, source: TraceSource<'_>) -> Result<Axis, ConfigError> {
+    let axis = Dec::new(t, "axis").by_kind(
+        "axis kind",
+        &[
+            ("alpha", &values(read_f64, Axis::Alpha)),
+            ("latency-penalty", &values(read_f64, Axis::LatencyPenalty)),
+            ("link-rate", &values(read_bps, Axis::LinkRate)),
+            ("cross-rate", &values(read_bps, Axis::CrossRate)),
+            ("buffer-capacity", &values(read_bits, Axis::BufferCapacity)),
+            (
+                "initial-fullness",
+                &values(read_bits, Axis::InitialFullness),
+            ),
+            ("loss", &values(read_ppm, Axis::Loss)),
+            ("sender", &values(decode_sender, Axis::Sender)),
+            ("peer", &values(decode_peer, Axis::Peer)),
+            ("queue", &values(decode_queue, Axis::Queue)),
+            ("rate-trace", &|d| {
+                let rates = d.list("values", |v, what| {
+                    let mut vd = Dec::table(v, what)?;
+                    let rate = decode_trace(&mut vd, source)?;
+                    vd.finish()?;
+                    Ok(rate)
+                })?;
+                // Sweep coordinates label each point by the trace's file
+                // stem; two points sharing a stem would be
+                // indistinguishable in every report row.
+                let mut stems: Vec<String> = rates.iter().map(rate_point_label).collect();
+                stems.sort();
+                if let Some(dup) = stems.windows(2).find(|w| w[0] == w[1]) {
+                    return d.bad(
+                        "values",
+                        format!(
+                            "rate-trace axis points must have distinct file stems (`{}` repeats)",
+                            dup[0]
+                        ),
+                    );
+                }
+                Ok(Axis::RateTrace(rates))
+            }),
+            ("prior-size", &values(read_count, Axis::PriorSize)),
+            ("flows", &values(read_flow_count, Axis::Flows)),
+            ("seeds", &|d| {
+                let count = d.field("count", read_u64)?;
+                Ok(Axis::Seeds(count as usize))
+            }),
+        ],
+    )?;
     // An empty axis empties the whole grid: `--check` would print OK for
     // a sweep of zero runs.
     if axis.is_empty() {
-        return err(at.0, at.1, "axis has no points");
+        return err(t.line, t.col, "axis has no points");
     }
     Ok(axis)
 }
 
-/// Parse spec-file text into a [`SweepGrid`]. Relative trace-file paths
-/// resolve against the current directory; use [`parse_grid_at`] (or
-/// [`load_grid`]) to resolve them against the spec file instead.
+/// Parse spec-file text into a [`SweepGrid`] that has passed
+/// [`SweepGrid::validate`]. Relative trace-file paths resolve against
+/// the current directory; use [`parse_grid_at`] (or [`load_grid`]) to
+/// resolve them against the spec file instead.
 pub fn parse_grid(src: &str) -> Result<SweepGrid, ConfigError> {
     parse_grid_at(src, None)
 }
@@ -1459,225 +1286,39 @@ pub(crate) fn parse_embedded(src: &str) -> Result<SweepGrid, ConfigError> {
 fn decode_grid(src: &str, source: TraceSource<'_>) -> Result<SweepGrid, ConfigError> {
     let root = Parser::new(src).parse_document()?;
     let mut d = Dec::new(&root, "root");
-    let at = (1, 1);
 
-    let scen_e = d.req("scenario", at)?;
-    let scen_t = expect_table(&scen_e.value, "scenario")?;
-    let scen_at = (scen_e.value.line, scen_e.value.col);
-    let mut sd = Dec::new(scen_t, "scenario");
-    let name = expect_str(&sd.req("name", scen_at)?.value, "name")?.to_string();
-    let duration = dur_s(&sd.req("duration_s", scen_at)?.value, "duration_s")?;
-    let base_seed = expect_u64(&sd.req("base_seed", scen_at)?.value, "base_seed")?;
+    let mut sd = Dec::table(d.req("scenario")?, "scenario")?;
+    let name = sd.field("name", read_string)?;
+    let duration = sd.field("duration_s", read_seconds)?;
+    let base_seed = sd.field("base_seed", read_u64)?;
     sd.finish()?;
 
-    let topo_e = d.req("topology", at)?;
-    let topology = decode_topology(
-        expect_table(&topo_e.value, "topology")?,
-        (topo_e.value.line, topo_e.value.col),
-        source,
-    )?;
-    let prior_e = d.req("prior", at)?;
-    let prior = decode_prior(
-        expect_table(&prior_e.value, "prior")?,
-        (prior_e.value.line, prior_e.value.col),
-    )?;
-    let sender_e = d.req("sender", at)?;
-    let sender = decode_sender(
-        expect_table(&sender_e.value, "sender")?,
-        (sender_e.value.line, sender_e.value.col),
-    )?;
-    let workload_e = d.req("workload", at)?;
-    let workload = decode_workload(
-        expect_table(&workload_e.value, "workload")?,
-        (workload_e.value.line, workload_e.value.col),
-    )?;
-    let observe = match d.get("observe") {
-        Some(obs_e) => decode_observe(
-            expect_table(&obs_e.value, "observe")?,
-            (obs_e.value.line, obs_e.value.col),
-        )?,
-        None => ObserveSpec::default(),
-    };
+    let topology = d.field("topology", |v, what| decode_topology(v, what, source))?;
+    let prior = d.field("prior", decode_prior)?;
+    let sender = d.field("sender", decode_sender)?;
+    let workload = d.field("workload", decode_workload)?;
+    let observe = d.opt("observe", decode_observe)?.unwrap_or_default();
 
-    let mut axes = Vec::new();
-    if let Some(axis_e) = d.get("axis") {
-        let tables = match &axis_e.value.payload {
-            Payload::TableArray(tables) => tables,
-            other => {
-                return err(
-                    axis_e.value.line,
-                    axis_e.value.col,
-                    format!(
-                        "expected `[[axis]]` array of tables, found {}",
-                        other.type_name()
-                    ),
-                )
-            }
-        };
-        for t in tables {
-            // Each [[axis]] table carries its own header position, so a
-            // missing key in the third axis points at the third header.
-            axes.push(decode_axis(t, (t.line, t.col), source)?);
-        }
-    }
-    d.finish()?;
-
-    // Cross-section validation the per-table decoders cannot see: only
-    // TCP bulk transfers run over the cellular path (the ISender's
-    // priors and the coexist/scripted harnesses all describe the model
-    // family), and graph topologies drive exactly one agent per declared
-    // flow, so reject bad combinations here rather than letting the
-    // runner panic mid-sweep.
-    match &topology {
-        TopologySpec::Cellular { .. } => {
-            let tcp_only = |s: &SenderSpec| {
-                matches!(s, SenderSpec::TcpReno { .. } | SenderSpec::TcpCubic { .. })
-            };
-            if !tcp_only(&sender) {
-                return err(
-                    sender_e.value.line,
-                    sender_e.value.col,
-                    format!(
-                        "sender kind `{}` cannot run over a cellular topology (only tcp-reno / \
-                         tcp-cubic can)",
-                        sender.label()
-                    ),
-                );
-            }
-            if !matches!(workload, WorkloadSpec::ClosedLoop) {
-                return err(
-                    workload_e.value.line,
-                    workload_e.value.col,
-                    "cellular topologies only support the closed-loop workload",
-                );
-            }
-            for (axis, t) in axes.iter().zip(axis_tables(&root)) {
-                if let Axis::Sender(senders) = axis {
-                    if let Some(bad) = senders.iter().find(|s| !tcp_only(s)) {
-                        return err(
-                            t.line,
-                            t.col,
-                            format!(
-                                "sender axis value `{}` cannot run over a cellular topology",
-                                bad.label()
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        TopologySpec::Graph(g) => {
-            let exact = |s: &SenderSpec| matches!(s, SenderSpec::IsenderExact { .. });
-            if !exact(&sender) {
-                return err(
-                    sender_e.value.line,
-                    sender_e.value.col,
-                    format!(
-                        "sender kind `{}` cannot drive a graph topology's primary flow (the \
-                         multi-flow harness needs an exact-belief isender)",
-                        sender.label()
-                    ),
-                );
-            }
-            match &workload {
-                WorkloadSpec::Coexist(cx) => {
-                    if 1 + cx.peers.len() != g.flows.len() {
-                        return err(
-                            workload_e.value.line,
-                            workload_e.value.col,
-                            format!(
-                                "graph topology declares {} flows but this workload drives {} \
-                                 agents (primary + {} peers)",
-                                g.flows.len(),
-                                1 + cx.peers.len(),
-                                cx.peers.len()
-                            ),
-                        );
-                    }
-                }
-                _ => {
-                    return err(
-                        workload_e.value.line,
-                        workload_e.value.col,
-                        "graph topologies only support the coexist workload (one agent per \
-                         declared flow)",
-                    )
-                }
-            }
-            for (axis, t) in axes.iter().zip(axis_tables(&root)) {
-                match axis {
-                    Axis::Sender(senders) => {
-                        if let Some(bad) = senders.iter().find(|s| !exact(s)) {
-                            return err(
-                                t.line,
-                                t.col,
-                                format!(
-                                    "sender axis value `{}` cannot drive a graph topology's \
-                                     primary flow",
-                                    bad.label()
-                                ),
-                            );
-                        }
-                    }
-                    Axis::Peer(_) if g.flows.len() != 2 => {
-                        return err(
-                            t.line,
-                            t.col,
-                            format!(
-                                "a peer axis replaces the peer list with one peer, but this \
-                                 graph topology declares {} flows (needs exactly 2)",
-                                g.flows.len()
-                            ),
-                        );
-                    }
-                    _ => {}
-                }
-            }
-        }
-        TopologySpec::Model(_) => {}
-    }
-    for (axis, t) in axes.iter().zip(axis_tables(&root)) {
-        // Axes that tweak a knob only one topology family has.
-        let model_only = match axis {
-            Axis::LinkRate(_) => Some("a link_bps axis"),
-            Axis::CrossRate(_) => Some("a cross_bps axis"),
-            Axis::BufferCapacity(_) => Some("a buffer_bits axis"),
-            Axis::InitialFullness(_) => Some("a fullness_bits axis"),
-            Axis::Loss(_) => Some("a loss_ppm axis"),
-            _ => None,
-        };
-        if let Some(what) = model_only {
-            if let Err(msg) = topology.try_model(what) {
-                return err(t.line, t.col, msg);
-            }
-        }
-        if matches!(axis, Axis::Flows(_)) && !matches!(workload, WorkloadSpec::ManyFlows(_)) {
-            return err(
-                t.line,
-                t.col,
-                "a flows axis requires the many-flows workload (it sets the flow count)",
+    // Each [[axis]] table carries its own header position, so an error
+    // in the third axis points at the third header.
+    let axis_tables: &[Table] = match d.get("axis").map(|v| &v.payload) {
+        None => &[],
+        Some(Payload::TableArray(tables)) => tables,
+        Some(other) => {
+            let found = other.type_name();
+            return d.bad(
+                "axis",
+                format!("expected `[[axis]]` array of tables, found {found}"),
             );
         }
-        if !matches!(topology, TopologySpec::Cellular { .. }) {
-            let cellular_only = match axis {
-                Axis::RateTrace(_) => Some("rate-trace"),
-                Axis::Queue(_) => Some("queue"),
-                _ => None,
-            };
-            if let Some(kind) = cellular_only {
-                return err(
-                    t.line,
-                    t.col,
-                    format!(
-                        "a {kind} axis requires a cellular topology (only its radio path has \
-                         that knob)"
-                    ),
-                );
-            }
-        }
-    }
+    };
+    let axes = axis_tables
+        .iter()
+        .map(|t| decode_axis(t, source))
+        .collect::<Result<Vec<Axis>, ConfigError>>()?;
+    d.finish()?;
 
-    Ok(SweepGrid {
+    let grid = SweepGrid {
         base: ScenarioSpec {
             name,
             topology,
@@ -1689,18 +1330,21 @@ fn decode_grid(src: &str, source: TraceSource<'_>) -> Result<SweepGrid, ConfigEr
             observe,
         },
         axes,
-    })
-}
-
-/// The `[[axis]]` tables of a parsed document, for validation passes
-/// that need each axis's source position after decoding.
-fn axis_tables(root: &Table) -> impl Iterator<Item = &Table> {
-    root.get("axis")
-        .into_iter()
-        .flat_map(|e| match &e.value.payload {
-            Payload::TableArray(tables) => tables.iter().collect::<Vec<_>>(),
-            _ => Vec::new(),
-        })
+    };
+    // Every rule that spans sections or axes lives in
+    // `SweepGrid::validate`; all this adds is where in the file the part
+    // it blames is — a section's header, or the k-th `[[axis]]` one.
+    let Err(RuleError { blame, rule }) = grid.validate() else {
+        return Ok(grid);
+    };
+    match (blame, axis_tables) {
+        (Blame::Topology, _) => d.bad("topology", rule),
+        (Blame::Prior, _) => d.bad("prior", rule),
+        (Blame::Sender, _) => d.bad("sender", rule),
+        (Blame::Workload, _) => d.bad("workload", rule),
+        (Blame::Axis(k), axes) if k < axes.len() => err(axes[k].line, axes[k].col, rule),
+        (Blame::Axis(_), _) => d.bad("axis", rule),
+    }
 }
 
 /// [`parse_grid`] over a file, with relative trace paths resolved
@@ -1894,8 +1538,9 @@ mod tests {
             .replace("values = [10, 100, 1000, 10000]", "values = [10, 70000]");
         let e = parse_grid(&toml).unwrap_err();
         assert!(
-            e.message
-                .contains("flow counts must be between 1 and 65536, got 70000"),
+            e.message.contains(
+                "`values[1]` must be between 1 and 65536 (wire flow ids are u16), got 70000"
+            ),
             "got: {e}"
         );
     }

@@ -9,9 +9,10 @@
 //! worker threads yields bit-identical results.
 
 use crate::spec::{
-    PeerSpec, PriorSpec, QueueSpec, ScenarioSpec, SenderSpec, TopologySpec, WorkloadSpec,
+    Blame, PeerSpec, PriorSpec, QueueSpec, RuleError, ScenarioSpec, SenderSpec, TopologySpec,
+    WorkloadSpec,
 };
-use augur_elements::RateProcess;
+use augur_elements::{CellularParams, RateProcess};
 use augur_sim::{BitRate, Bits, Dur, Ppm, SimRng};
 
 /// One sweep dimension.
@@ -121,51 +122,98 @@ impl Axis {
         }
     }
 
-    /// Write point `i` into the spec.
-    fn apply(&self, i: usize, spec: &mut ScenarioSpec) {
+    /// The section this axis writes, if any — the one it is to blame for
+    /// when a grid point breaks a rule the base spec keeps.
+    fn writes(&self) -> Option<Blame> {
         match self {
-            Axis::Alpha(v) => spec.sender.set_alpha(v[i]),
-            Axis::LatencyPenalty(v) => spec.sender.set_latency_penalty(v[i]),
-            Axis::LinkRate(v) => spec.topology.model_mut("link-rate axis").link_rate = v[i],
+            Axis::Alpha(_) | Axis::LatencyPenalty(_) | Axis::Sender(_) => Some(Blame::Sender),
+            Axis::LinkRate(_)
+            | Axis::CrossRate(_)
+            | Axis::BufferCapacity(_)
+            | Axis::InitialFullness(_)
+            | Axis::Loss(_)
+            | Axis::Queue(_)
+            | Axis::RateTrace(_) => Some(Blame::Topology),
+            Axis::Peer(_) | Axis::Flows(_) => Some(Blame::Workload),
+            Axis::PriorSize(_) => Some(Blame::Prior),
+            Axis::Seeds(_) => None,
+        }
+    }
+
+    /// Write point `i` into the spec. `Err` is the rule the axis breaks
+    /// by finding nothing of its kind in this spec to write to.
+    fn apply(&self, i: usize, spec: &mut ScenarioSpec) -> Result<(), String> {
+        let model = |topology| {
+            TopologySpec::try_model_mut(topology, format_args!("a {} axis", self.name()))
+        };
+        match self {
+            Axis::Alpha(v) => *utility(&mut spec.sender, "an alpha")?.0 = v[i],
+            Axis::LatencyPenalty(v) => *utility(&mut spec.sender, "a latency-penalty")?.1 = v[i],
+            Axis::LinkRate(v) => model(&mut spec.topology)?.link_rate = v[i],
             Axis::CrossRate(v) => {
-                let m = spec.topology.model_mut("cross-rate axis");
+                let m = model(&mut spec.topology)?;
                 m.cross_rate = v[i];
                 m.cross_active = true;
             }
-            Axis::BufferCapacity(v) => {
-                spec.topology
-                    .model_mut("buffer-capacity axis")
-                    .buffer_capacity = v[i]
-            }
-            Axis::InitialFullness(v) => {
-                spec.topology
-                    .model_mut("initial-fullness axis")
-                    .initial_fullness = v[i]
-            }
-            Axis::Loss(v) => spec.topology.model_mut("loss axis").loss = v[i],
+            Axis::BufferCapacity(v) => model(&mut spec.topology)?.buffer_capacity = v[i],
+            Axis::InitialFullness(v) => model(&mut spec.topology)?.initial_fullness = v[i],
+            Axis::Loss(v) => model(&mut spec.topology)?.loss = v[i],
             Axis::Sender(v) => spec.sender = v[i].clone(),
             Axis::Peer(v) => match &mut spec.workload {
                 WorkloadSpec::Coexist(cx) => cx.peers = vec![v[i]],
-                other => panic!("peer axis over non-coexist workload {other:?}"),
+                _ => return Err("a peer axis requires the coexist workload".into()),
             },
-            Axis::Queue(v) => match &mut spec.topology {
-                TopologySpec::Cellular { queue, .. } => *queue = v[i].clone(),
-                other => panic!("queue axis over non-cellular topology {other:?}"),
-            },
-            Axis::RateTrace(v) => match &mut spec.topology {
-                TopologySpec::Cellular { params, .. } => params.rate = v[i].clone(),
-                other => panic!("rate-trace axis over non-cellular topology {other:?}"),
-            },
+            Axis::Queue(v) => *cellular(&mut spec.topology, "queue")?.1 = v[i].clone(),
+            Axis::RateTrace(v) => cellular(&mut spec.topology, "rate-trace")?.0.rate = v[i].clone(),
             Axis::PriorSize(v) => match &mut spec.prior {
                 PriorSpec::FineLinkRate { n, .. } => *n = v[i],
-                other => panic!("prior-size axis over non-scalable prior {other:?}"),
+                _ => return Err("a prior-size axis requires a fine-link-rate prior".into()),
             },
             Axis::Flows(v) => match &mut spec.workload {
                 WorkloadSpec::ManyFlows(mf) => mf.flows = v[i],
-                other => panic!("flows axis over non-many-flows workload {other:?}"),
+                _ => return Err("a flows axis requires the many-flows workload".into()),
             },
             Axis::Seeds(_) => {} // the run index alone differentiates replicates
         }
+        Ok(())
+    }
+}
+
+/// The `(α, λ)` knobs of a sender with a utility function, for the axes
+/// that sweep them.
+fn utility<'a>(
+    sender: &'a mut SenderSpec,
+    axis: &str,
+) -> Result<(&'a mut f64, &'a mut f64), String> {
+    match sender {
+        SenderSpec::IsenderExact {
+            alpha,
+            latency_penalty,
+            ..
+        }
+        | SenderSpec::IsenderParticle {
+            alpha,
+            latency_penalty,
+            ..
+        } => Ok((alpha, latency_penalty)),
+        other => Err(format!(
+            "{axis} axis requires an isender (tcp senders have no utility function), got `{}`",
+            other.label()
+        )),
+    }
+}
+
+/// The radio path and queue discipline of a cellular topology, for the
+/// axes that sweep them.
+fn cellular<'a>(
+    topology: &'a mut TopologySpec,
+    axis: &str,
+) -> Result<(&'a mut CellularParams, &'a mut QueueSpec), String> {
+    match topology {
+        TopologySpec::Cellular { params, queue } => Ok((params, queue)),
+        _ => Err(format!(
+            "a {axis} axis requires a cellular topology (only its radio path has that knob)"
+        )),
     }
 }
 
@@ -290,34 +338,68 @@ impl SweepGrid {
         self.len() == 0
     }
 
+    /// Grid point `index` — the base spec with one point of every axis
+    /// applied, last axis fastest — and which point of each axis that is.
+    fn point(&self, index: usize) -> Result<(ScenarioSpec, Vec<usize>), RuleError> {
+        let mut rem = index;
+        let mut digits = vec![0usize; self.axes.len()];
+        for (d, axis) in self.axes.iter().enumerate().rev() {
+            digits[d] = rem % axis.len();
+            rem /= axis.len();
+        }
+        let mut spec = self.base.clone();
+        for (k, (axis, &i)) in self.axes.iter().zip(&digits).enumerate() {
+            axis.apply(i, &mut spec).map_err(|rule| RuleError {
+                blame: Blame::Axis(k),
+                rule,
+            })?;
+        }
+        Ok((spec, digits))
+    }
+
+    /// The one validity authority for a grid: the base spec, then every
+    /// grid point, must pass [`ScenarioSpec::check`], and every axis must
+    /// find its knob in the spec it is applied to. `Err` names the first
+    /// broken rule and blames a base section or — for a rule the base
+    /// keeps and a point breaks — the last axis that wrote the blamed
+    /// section. The config decoder runs this on every grid it builds, so
+    /// a grid from [`crate::load_grid`] is already valid.
+    pub fn validate(&self) -> Result<(), RuleError> {
+        self.base.check()?;
+        for index in 0..self.len() {
+            let (spec, _) = self.point(index)?;
+            spec.check().map_err(|mut e| {
+                let wrote = |axis: &Axis| axis.writes() == Some(e.blame);
+                if let Some(k) = self.axes.iter().rposition(wrote) {
+                    e.blame = Blame::Axis(k);
+                }
+                e
+            })?;
+        }
+        Ok(())
+    }
+
     /// Expand to the cartesian run list. The first axis varies slowest,
     /// the last fastest; run `index` enumerates in that order, and each
     /// run's seed is `SimRng::derive_seed(base.base_seed, index)`.
+    ///
+    /// # Panics
+    /// Panics with the rule if an axis has no knob to write in this
+    /// grid's spec — a hand-built grid that skipped
+    /// [`SweepGrid::validate`]; one decoded from a spec file cannot.
     pub fn expand(&self) -> Vec<RunSpec> {
-        let total = self.len();
-        let mut runs = Vec::with_capacity(total);
-        for index in 0..total {
-            // Decompose index into per-axis digits, last axis fastest.
-            let mut rem = index;
-            let mut digits = vec![0usize; self.axes.len()];
-            for (d, axis) in self.axes.iter().enumerate().rev() {
-                digits[d] = rem % axis.len();
-                rem /= axis.len();
-            }
-            let mut spec = self.base.clone();
-            let mut coords = Vec::with_capacity(self.axes.len());
-            for (axis, &i) in self.axes.iter().zip(&digits) {
-                axis.apply(i, &mut spec);
-                coords.push((axis.name().to_string(), axis.label(i)));
-            }
-            runs.push(RunSpec {
-                index,
-                seed: SimRng::derive_seed(self.base.base_seed, index as u64),
-                spec,
-                coords,
-            });
-        }
-        runs
+        (0..self.len())
+            .map(|index| {
+                let (spec, digits) = self.point(index).unwrap_or_else(|e| panic!("{e}"));
+                let coord = |(axis, &i): (&Axis, &usize)| (axis.name().to_string(), axis.label(i));
+                RunSpec {
+                    index,
+                    seed: SimRng::derive_seed(self.base.base_seed, index as u64),
+                    spec,
+                    coords: self.axes.iter().zip(&digits).map(coord).collect(),
+                }
+            })
+            .collect()
     }
 }
 
@@ -414,12 +496,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-coexist workload")]
+    #[should_panic(expected = "a peer axis requires the coexist workload")]
     fn peer_axis_over_plain_workload_is_a_spec_error() {
         let grid = SweepGrid::new(base()).axis(Axis::Peer(vec![PeerSpec::Aimd {
             timeout: augur_sim::Dur::from_secs(8),
         }]));
         let _ = grid.expand();
+    }
+
+    #[test]
+    fn alpha_axis_over_tcp_is_a_spec_error() {
+        let mut tcp = base();
+        tcp.sender = SenderSpec::TcpReno { max_window: 64 };
+        let grid = SweepGrid::new(tcp)
+            .axis(Axis::Seeds(2))
+            .axis(Axis::Alpha(vec![1.0]));
+        let err = grid.validate().unwrap_err();
+        assert_eq!(err.blame, Blame::Axis(1));
+        assert!(err.rule.contains("an alpha axis requires an isender"));
     }
 
     #[test]

@@ -52,6 +52,6 @@ pub use runner::{
     SweepRunner, TcpPeerAgent,
 };
 pub use spec::{
-    CoexistSpec, ObserveSpec, PeerSpec, PriorSpec, QueueSpec, ScenarioSpec, SenderSpec,
-    TopologySpec, WorkloadSpec,
+    Blame, CoexistSpec, ObserveSpec, PeerSpec, PriorSpec, QueueSpec, RuleError, ScenarioSpec,
+    SenderSpec, TopologySpec, WorkloadSpec,
 };

@@ -49,45 +49,36 @@ impl TopologySpec {
     }
 
     /// The model parameters, for scenario kinds that require the Figure-2
-    /// family; an error naming `what` and the actual topology kind
-    /// otherwise. Spec-decode boundaries call this so a mismatched spec
-    /// file fails with a positioned diagnostic instead of a mid-run
-    /// panic.
-    pub fn try_model(&self, what: &str) -> Result<&ModelParams, String> {
-        match self {
-            TopologySpec::Model(m) => Ok(m),
-            other => Err(format!(
-                "{what} requires a model topology, got {}",
-                other.kind_label()
-            )),
-        }
-    }
-
-    /// [`TopologySpec::try_model`] for in-code call sites whose specs are
-    /// already validated.
+    /// family — call sites whose specs are already validated.
     ///
     /// # Panics
     /// Panics for non-model topologies — `what` names the feature that
     /// needed the model (an authoring error, not a runtime condition).
     pub fn model(&self, what: &str) -> &ModelParams {
-        match self.try_model(what) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
+        match self {
+            TopologySpec::Model(m) => m,
+            other => panic!("{}", other.not_a_model(what)),
         }
     }
 
-    /// Mutable [`TopologySpec::model`].
-    ///
-    /// # Panics
-    /// Panics for non-model topologies (see [`TopologySpec::model`]).
-    pub fn model_mut(&mut self, what: &str) -> &mut ModelParams {
+    /// Mutable [`TopologySpec::model`] that reports instead of panicking:
+    /// `Err` is the rule naming `what` needed the model and the actual
+    /// topology kind, which a sweep axis over the wrong topology breaks.
+    pub fn try_model_mut(
+        &mut self,
+        what: impl std::fmt::Display,
+    ) -> Result<&mut ModelParams, String> {
         match self {
-            TopologySpec::Model(m) => m,
-            other => panic!(
-                "{what} requires a model topology, got {}",
-                other.kind_label()
-            ),
+            TopologySpec::Model(m) => Ok(m),
+            other => Err(other.not_a_model(what)),
         }
+    }
+
+    fn not_a_model(&self, what: impl std::fmt::Display) -> String {
+        format!(
+            "{what} requires a model topology, got {}",
+            self.kind_label()
+        )
     }
 
     /// The packet size senders should use over this topology: the model's
@@ -154,39 +145,6 @@ impl SenderSpec {
                 Some(*alpha)
             }
             _ => None,
-        }
-    }
-
-    /// Override α.
-    ///
-    /// # Panics
-    /// Panics for TCP senders, which have no utility function — sweeping α
-    /// over them is a spec authoring error, not a runtime condition.
-    pub fn set_alpha(&mut self, a: f64) {
-        match self {
-            SenderSpec::IsenderExact { alpha, .. } | SenderSpec::IsenderParticle { alpha, .. } => {
-                *alpha = a
-            }
-            other => panic!("alpha axis over utility-free sender {}", other.label()),
-        }
-    }
-
-    /// Override the latency penalty λ.
-    ///
-    /// # Panics
-    /// Panics for TCP senders (see [`SenderSpec::set_alpha`]).
-    pub fn set_latency_penalty(&mut self, lp: f64) {
-        match self {
-            SenderSpec::IsenderExact {
-                latency_penalty, ..
-            }
-            | SenderSpec::IsenderParticle {
-                latency_penalty, ..
-            } => *latency_penalty = lp,
-            other => panic!(
-                "latency-penalty axis over utility-free sender {}",
-                other.label()
-            ),
         }
     }
 
@@ -481,90 +439,132 @@ impl ScenarioSpec {
         build_model(*self.topology.model("build_truth"))
     }
 
-    /// Every workload × sender × topology compatibility rule, in one
-    /// place: `Err` names the rule this scenario breaks. The runner's
-    /// lowering assumes a checked spec — `sweep` checks every expanded
-    /// run before any starts (and before `--check` prints `OK`), and
-    /// `execute_run*` refuses an unchecked one up front. The config
-    /// decoder's positioned errors cover what a spec file's base sections
-    /// can break; this also covers every expanded grid point and
-    /// hand-built specs.
-    pub fn check(&self) -> Result<(), String> {
+    /// Every rule one scenario must satisfy to run — workload × sender ×
+    /// topology compatibility and non-empty belief populations — in one
+    /// place: `Err` carries the rule this scenario breaks and the section
+    /// it blames. [`crate::SweepGrid::validate`] applies it to the base
+    /// spec and every grid point (the config decoder turns its blame into
+    /// a `file:line:col`), the runner's lowering assumes a checked spec,
+    /// and `execute_run*` refuses an unchecked one up front.
+    pub fn check(&self) -> Result<(), RuleError> {
+        use {SenderSpec as S, TopologySpec as T, WorkloadSpec as W};
         let sender = self.sender.label();
-        let belief_sender = matches!(
-            self.sender,
-            SenderSpec::IsenderExact { .. } | SenderSpec::IsenderParticle { .. }
-        );
+        let exact_sender = matches!(self.sender, S::IsenderExact { .. });
+        let belief_sender = exact_sender || matches!(self.sender, S::IsenderParticle { .. });
         // An empty population leaves the belief nothing to normalize.
-        match self.sender {
-            SenderSpec::IsenderExact {
-                max_branches: 0, ..
-            } => return Err("`max_branches` must be at least 1".into()),
-            SenderSpec::IsenderParticle { n_particles: 0, .. } => {
-                return Err("`n_particles` must be at least 1".into())
+        let no_branches = matches!(
+            self.sender,
+            S::IsenderExact {
+                max_branches: 0,
+                ..
             }
-            _ => {}
-        }
-        match (&self.workload, &self.topology) {
-            (WorkloadSpec::ClosedLoop, TopologySpec::Model(_)) => Ok(()),
-            (WorkloadSpec::ClosedLoop, TopologySpec::Cellular { .. }) if !belief_sender => Ok(()),
-            (_, TopologySpec::Cellular { .. }) if belief_sender => Err(format!(
-                "sender kind `{sender}` cannot run over a cellular topology (only tcp-reno / \
-                 tcp-cubic can)"
-            )),
-            (_, TopologySpec::Cellular { .. }) => {
-                Err("cellular topologies only support the closed-loop workload".into())
-            }
-            (WorkloadSpec::ScriptedPing { .. }, _) if !belief_sender => Err(format!(
-                "the scripted-ping workload measures a belief update; sender kind `{sender}` \
-                 carries no belief"
-            )),
-            (WorkloadSpec::ScriptedPing { interval }, topology) => {
-                topology.try_model("the scripted-ping workload")?;
-                if *interval == Dur::ZERO {
-                    return Err("the scripted-ping `interval_s` must be > 0 seconds".into());
-                }
-                Ok(())
-            }
-            (WorkloadSpec::ManyFlows(_), topology) => {
-                topology.try_model("the many-flows workload").map(|_| ())
-            }
-            (WorkloadSpec::Coexist(cx), topology) => {
-                if !matches!(self.sender, SenderSpec::IsenderExact { .. }) {
-                    return Err(format!(
-                        "the coexist workload needs an exact-belief isender primary, got `{sender}`"
-                    ));
-                }
-                let agents = 1 + cx.peers.len();
-                if let TopologySpec::Graph(g) = topology {
-                    if g.flows.len() != agents {
-                        return Err(format!(
-                            "graph topology declares {} flows but this workload drives {agents} \
-                             agents (primary + {} peers)",
-                            g.flows.len(),
-                            cx.peers.len()
-                        ));
-                    }
-                }
-                // The coexistence prior models the competitor as a pinger
-                // of 1500-byte packets and grids buffer fullness in
-                // 1500-byte steps; another wire size would make the
-                // restart counts measure that mismatch instead of the
-                // adaptive-peer misfit.
-                if topology.packet_size() != Bits::from_bytes(1_500) {
-                    return Err(format!(
-                        "the coexist workload requires 1500-byte packets (`packet_bits = 12000`, \
-                         the coexistence prior's grid), got {} bits",
-                        topology.packet_size().as_u64()
-                    ));
-                }
-                Ok(())
-            }
-            (_, TopologySpec::Graph(_)) => Err(
+        );
+        let no_particles = matches!(self.sender, S::IsenderParticle { n_particles: 0, .. });
+        let no_hypotheses = matches!(self.prior, PriorSpec::FineLinkRate { n: 0, .. });
+        // The first arm that matches decides: a rule this spec breaks, or
+        // a workload × topology pairing with nothing left to break.
+        let (blame, rule) = match (&self.workload, &self.topology) {
+            _ if no_branches => (Blame::Sender, "`max_branches` must be at least 1".into()),
+            _ if no_particles => (Blame::Sender, "`n_particles` must be at least 1".into()),
+            _ if no_hypotheses => (
+                Blame::Prior,
+                "a fine-link-rate prior needs at least one hypothesis".into(),
+            ),
+            (W::ClosedLoop, T::Model(_)) => return Ok(()),
+            (W::ClosedLoop, T::Cellular { .. }) if !belief_sender => return Ok(()),
+            (_, T::Cellular { .. }) if belief_sender => (
+                Blame::Sender,
+                format!(
+                    "sender kind `{sender}` cannot run over a cellular topology (only tcp-reno / \
+                     tcp-cubic can)"
+                ),
+            ),
+            (_, T::Cellular { .. }) => (
+                Blame::Workload,
+                "cellular topologies only support the closed-loop workload".into(),
+            ),
+            (W::Coexist(_), _) if !exact_sender => (
+                Blame::Sender,
+                format!(
+                    "the coexist workload needs an exact-belief isender primary, got `{sender}`"
+                ),
+            ),
+            (W::Coexist(cx), T::Graph(g)) if g.flows.len() != 1 + cx.peers.len() => (
+                Blame::Workload,
+                format!(
+                    "graph topology declares {} flows but this workload drives {} agents \
+                     (primary + {} peers)",
+                    g.flows.len(),
+                    1 + cx.peers.len(),
+                    cx.peers.len()
+                ),
+            ),
+            // The coexistence prior models the competitor as a pinger of
+            // 1500-byte packets and grids buffer fullness in 1500-byte
+            // steps; another wire size would make the restart counts
+            // measure that mismatch instead of the adaptive-peer misfit.
+            (W::Coexist(_), topology) if topology.packet_size() != Bits::from_bytes(1_500) => (
+                Blame::Topology,
+                format!(
+                    "the coexist workload requires 1500-byte packets (`packet_bits = 12000`, the \
+                     coexistence prior's grid), got {} bits",
+                    topology.packet_size().as_u64()
+                ),
+            ),
+            (W::Coexist(_), _) => return Ok(()),
+            (_, T::Graph(_)) => (
+                Blame::Workload,
                 "graph topologies only support the coexist workload (one agent per declared flow)"
                     .into(),
             ),
-        }
+            // Only the model family is left for the last two workloads.
+            (W::ScriptedPing { .. }, _) if !belief_sender => (
+                Blame::Sender,
+                format!(
+                    "the scripted-ping workload measures a belief update; sender kind `{sender}` \
+                     carries no belief"
+                ),
+            ),
+            (W::ScriptedPing { interval }, _) if *interval == Dur::ZERO => (
+                Blame::Workload,
+                "the scripted-ping `interval_s` must be > 0 seconds".into(),
+            ),
+            (W::ScriptedPing { .. } | W::ManyFlows(_), _) => return Ok(()),
+        };
+        Err(RuleError { blame, rule })
+    }
+}
+
+/// The part of a spec a broken rule blames — what the config decoder's
+/// `file:line:col` points at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Blame {
+    /// The `[topology]` section.
+    Topology,
+    /// The `[prior]` section.
+    Prior,
+    /// The `[sender]` section.
+    Sender,
+    /// The `[workload]` section.
+    Workload,
+    /// The grid's `i`-th `[[axis]]` (only
+    /// [`crate::SweepGrid::validate`] blames one).
+    Axis(usize),
+}
+
+/// A validity rule a scenario or grid breaks, and the part it blames.
+/// Displays as the rule alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RuleError {
+    /// Where the fault lies.
+    pub blame: Blame,
+    /// The rule, as a sentence naming what was expected and what was found.
+    pub rule: String,
+}
+
+impl std::fmt::Display for RuleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.rule)
     }
 }
 
@@ -597,13 +597,6 @@ mod tests {
             hi_bps: 16_000,
         };
         assert_eq!(p.hypotheses()[0].meta.link_rate, BitRate::from_bps(12_000));
-    }
-
-    #[test]
-    #[should_panic(expected = "utility-free")]
-    fn alpha_over_tcp_is_a_spec_error() {
-        let mut s = SenderSpec::TcpReno { max_window: 64 };
-        s.set_alpha(1.0);
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //!    the shipped files say;
 //! 3. spec files can reach configurations the presets don't, like N > 2
 //!    coexistence peers, and those run deterministically;
-//! 4. a spec that decodes but expands to a run the runner cannot execute
-//!    fails `ScenarioSpec::check` with the rule it breaks.
+//! 4. a spec whose sections each decode but that holds a grid point the
+//!    runner cannot execute fails `parse_grid` with the rule it breaks,
+//!    at the line of the section or axis to blame.
 
 use augur_scenario::{
-    load_grid, parse_grid, presets, traces, SweepGrid, SweepRunner, TopologySpec, WorkloadSpec,
+    load_grid, parse_grid, presets, traces, Blame, SweepGrid, SweepRunner, TopologySpec,
+    WorkloadSpec,
 };
 use augur_sim::{BitRate, Bits, Dur};
 use std::path::PathBuf;
@@ -241,8 +243,15 @@ count = 2
 
 #[test]
 fn incompatible_grid_points_are_check_errors_not_run_time_panics() {
-    // Each shape decodes and expands cleanly, then used to panic inside
-    // the runner: (shipped spec, text to replace, replacement, rule).
+    // Each shape is well-formed section by section; the first five used
+    // to pass the decoder and fail `ScenarioSpec::check` on an expanded
+    // run, the next four panicked inside `expand()`, and the last two
+    // passed `--check` and panicked or saturated in the run. All are now
+    // `parse_grid` errors: (shipped spec, text to replace, replacement,
+    // rule, where the text of the blamed line starts).
+    const TCP_RENO: &str = "kind = \"tcp-reno\"\nmax_window = 64";
+    const EXACT: &str =
+        "kind = \"isender-exact\"\nalpha = 1.0\nlatency_penalty = 0.0\nmax_branches = 50000";
     let particle_axis_point =
         r#"{ kind = "isender-particle", alpha = 1.0, latency_penalty = 0.0, n_particles = 1000 }"#;
     let cases = [
@@ -251,66 +260,119 @@ fn incompatible_grid_points_are_check_errors_not_run_time_panics() {
             "packet_bits = 12000",
             "packet_bits = 8000",
             "requires 1500-byte packets",
+            "[topology]",
         ),
         (
             "coexist-fairness",
-            "kind = \"isender-exact\"\nalpha = 1.0\nlatency_penalty = 0.0\nmax_branches = 50000",
+            EXACT,
             "kind = \"isender-particle\"\nalpha = 1.0\nlatency_penalty = 0.0\nn_particles = 1000",
             "needs an exact-belief isender primary, got `isender-particle`",
+            "[sender]",
         ),
         (
             "coexist-fairness",
-            "kind = \"isender-exact\"\nalpha = 1.0\nlatency_penalty = 0.0\nmax_branches = 50000",
-            "kind = \"tcp-reno\"\nmax_window = 64",
+            EXACT,
+            TCP_RENO,
             "needs an exact-belief isender primary, got `tcp-reno`",
+            "[sender]",
         ),
         (
             "scaling",
             "interval_s = 2.0",
             "interval_s = 0.0",
             "`interval_s` must be > 0",
+            "[workload]",
         ),
         (
             "scaling",
             particle_axis_point,
             r#"{ kind = "tcp-reno", max_window = 64 }"#,
             "sender kind `tcp-reno` carries no belief",
+            "[[axis]]\nkind = \"sender\"",
+        ),
+        (
+            "fig3",
+            EXACT,
+            TCP_RENO,
+            "an alpha axis requires an isender",
+            "[[axis]]\nkind = \"alpha\"",
+        ),
+        (
+            "txt2",
+            EXACT,
+            TCP_RENO,
+            "a latency-penalty axis requires an isender",
+            "[[axis]]\nkind = \"latency-penalty\"",
+        ),
+        (
+            "coexist-vs-tcp",
+            "kind = \"coexist\"\npeers = [\n  { kind = \"aimd\", timeout_s = 8.0 },\n]",
+            "kind = \"closed-loop\"",
+            "a peer axis requires the coexist workload",
+            "[[axis]]\nkind = \"peer\"",
+        ),
+        (
+            "scaling",
+            "kind = \"fine-link-rate\"\nn = 101\nlo_bps = 8000\nhi_bps = 16000",
+            "kind = \"paper\"",
+            "a prior-size axis requires a fine-link-rate prior",
+            "[[axis]]\nkind = \"prior-size\"",
+        ),
+        (
+            "scaling",
+            "values = [101, 1001, 10001]",
+            "values = [0]",
+            "`values[0]` must be at least 1",
+            "values = [0]",
+        ),
+        (
+            "smoke",
+            "duration_s = 20.0",
+            "duration_s = 1e300",
+            "does not fit in 64-bit microseconds",
+            "duration_s = 1e300",
         ),
     ];
-    for (spec, from, to, rule) in cases {
+    for (spec, from, to, rule, blamed) in cases {
         let text = std::fs::read_to_string(specs_dir().join(format!("{spec}.toml"))).unwrap();
         assert!(
             text.contains(from),
             "{spec}: `{from}` not in the shipped spec"
         );
-        let grid = parse_grid(&text.replace(from, to))
-            .unwrap_or_else(|e| panic!("{spec} with `{to}` should still decode: {e}"));
-        let err = grid
-            .expand()
-            .iter()
-            .find_map(|run| run.spec.check().err())
-            .unwrap_or_else(|| panic!("{spec} with `{to}` passed the check"));
-        assert!(err.contains(rule), "{spec} with `{to}`: {err}");
+        let text = text.replace(from, to);
+        let err = match parse_grid(&text) {
+            Err(err) => err,
+            Ok(_) => panic!("{spec} with `{to}` decoded"),
+        };
+        assert!(err.message.contains(rule), "{spec} with `{to}`: {err}");
+        let upto = text.find(blamed).unwrap();
+        let line = text[..upto].lines().count() + 1;
+        assert_eq!(err.line as usize, line, "{spec} with `{to}`: {err}");
+        assert!(err.col > 0, "{spec} with `{to}`: {err}");
     }
     // An empty belief population cannot come from a file — the decoder
     // refuses it with a position — only from an override or hand-built
-    // spec, where it used to panic in the first normalize.
+    // grid, where it used to panic in the first normalize.
     let mut uncapped = presets::by_name("fig3").unwrap();
     assert!(uncapped.set_max_branches(0));
-    for (grid, rule) in [
-        (uncapped, "`max_branches` must be at least 1"),
+    for (grid, rule, blame) in [
+        (uncapped, "`max_branches` must be at least 1", Blame::Sender),
         (
             presets::ext_scaling(vec![101], 0),
             "`n_particles` must be at least 1",
+            Blame::Axis(0),
+        ),
+        (
+            presets::ext_scaling(vec![0], 1000),
+            "a fine-link-rate prior needs at least one hypothesis",
+            Blame::Axis(1),
         ),
     ] {
-        let err = grid.expand().iter().find_map(|run| run.spec.check().err());
-        assert_eq!(err.as_deref(), Some(rule));
+        let err = grid.validate().unwrap_err();
+        assert_eq!((err.rule.as_str(), err.blame), (rule, blame));
     }
     for name in presets::NAMES {
-        for run in presets::by_name(name).unwrap().expand() {
-            assert_eq!(run.spec.check(), Ok(()), "{name} run {}", run.index);
-        }
+        assert_eq!(presets::by_name(name).unwrap().validate(), Ok(()), "{name}");
     }
 }
 

@@ -84,7 +84,7 @@ fn scripted_sweep_is_reproducible_across_workers() {
         lo_bps: 8_000,
         hi_bps: 16_000,
     };
-    let topology = base.topology.model_mut("determinism test");
+    let topology = base.topology.try_model_mut("determinism test").unwrap();
     topology.loss = augur_sim::Ppm::ZERO;
     topology.gate = augur_elements::GateSpec::AlwaysOn;
     base.workload = augur_scenario::WorkloadSpec::ScriptedPing {
