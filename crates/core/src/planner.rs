@@ -6,27 +6,43 @@
 //! strategy on each possible network configuration, and choose the
 //! strategy that maximizes the expected value of the utility."
 //!
-//! Every belief branch is rolled forward once, under all candidates at
-//! the same time (the *branch-major* kernel, [`decide_weighted`]). A
+//! Every *distinct future* is rolled forward once, under all candidates
+//! at the same time (the *branch-major* kernel, [`decide_weighted`]). A
 //! candidate "send after δ" differs from doing nothing only from `now + δ`
-//! on, so the branch's idle trajectory is walked forward through the
+//! on, so a branch's idle trajectory is walked forward through the
 //! candidate instants in ascending order; at each one it is forked, the
 //! fork receives the hypothetical packet and runs on to a fixed horizon,
 //! and the idle trajectory — finished last — is itself the no-send
-//! baseline. The stretch before each send is therefore simulated once per
-//! branch, not once per candidate, and the cost of a decision stays
-//! linear in horizon × branches. Two scratch trajectories, refilled in
-//! place, serve the whole decision.
+//! baseline. The stretch before each send is therefore simulated once,
+//! not once per candidate. Two scratch trajectories, refilled in place,
+//! serve the whole decision.
 //!
-//! Sharing the prefix changes no number. A fork continues from exactly
-//! the state, delivery log and loss factors a rollout of that candidate
+//! Branches whose rollouts coincide share one. Last-mile loss "does not
+//! linger" (§3.1): a rollout resolves every `LossFate` to "delivered" and
+//! the loss rate only prices the delivery, so the posterior's siblings
+//! that differ in nothing but a fractional loss rate — three to five per
+//! state under the paper prior — go through the same events, as do the
+//! `meta`-only twins `compact()` keeps apart and a particle filter's
+//! resampled duplicates. The branches are grouped by
+//! [`Network::determinized_eq`] (sorted on its key, equal keys split by
+//! pairwise comparison, as `compact()` merges), the group's first member
+//! is rolled, and its trajectory records *which* packets crossed *which*
+//! LOSS node instead of a probability. The cost of a decision is linear
+//! in horizon × distinct rollouts, not horizon × branches.
+//!
+//! Neither sharing changes a number. A fork continues from exactly the
+//! state, delivery log and loss crossings a rollout of that candidate
 //! alone would have reached (stopping a network at an instant and
-//! resuming is the same as running through it), so every rollout report
-//! is the one the candidate-by-candidate evaluation produced; and each
-//! candidate's expected utility still accumulates `w × U` over the
-//! branches in branch order, one accumulator per grid position, so every
-//! floating-point sum adds the same terms in the same order. Results are
-//! stored by grid position: the grid need not be sorted.
+//! resuming is the same as running through it). A shared trajectory is
+//! re-priced for every member of its group from the member's own loss
+//! rates — 1 − p per crossing, multiplied in crossing order, the very
+//! operations a rollout of that member alone performed as it went — so
+//! the utility sees the report the candidate-by-candidate,
+//! branch-by-branch evaluation produced. Each branch's utilities are
+//! stored, and each candidate's expected utility then accumulates `w × U`
+//! over the branches in branch order, one accumulator per grid position,
+//! so every floating-point sum adds the same terms in the same order.
+//! Results are stored by grid position: the grid need not be sorted.
 //!
 //! Rollouts are **determinized** (certainty-equivalent): stochastic
 //! choices resolve to their nominal outcome, with last-mile loss folded
@@ -175,29 +191,46 @@ pub fn decide_weighted<M>(
     }
     sends.sort_by_key(|&(_, t_act)| t_act);
 
-    let mut idle_eu = 0.0;
-    let mut eus = vec![0.0; cfg.delay_grid.len()];
+    // One rollout per group of branches whose determinized futures
+    // coincide, re-priced for every member. `us` holds each branch's
+    // utilities, one row per branch: a column per grid slot, idle last.
+    let slots = cfg.delay_grid.len();
+    let mut us = vec![0.0; branches.len() * (slots + 1)];
     let mut scratch = RolloutScratch::default();
     // Rollouts replay hypothetical networks; their events must never
     // reach the ground-truth trace log.
     let _quiet = augur_obs::suppress();
     let hypothetical = |t_act| Packet::new(own_flow, seq, size, t_act);
-    for (h, w) in branches {
+    let net_of = |b: usize| &branches[b].0.net;
+    let grouped = rollout_groups(branches.len(), net_of, Network::determinized_key);
+    for group in grouped.chunk_by(|a, b| a.0 == b.0) {
+        let leader = group[0].0;
         roll_branch(
             &mut scratch,
-            &h.net,
+            net_of(leader),
             entry,
             hypothetical,
             &sends,
             t_end,
-            |slot, report| {
-                let u = w * utility.evaluate(report, now, own_flow);
-                match slot {
-                    Some(k) => eus[k] += u,
-                    None => idle_eu += u,
+            |slot, rolled| {
+                for &(_, b) in group {
+                    let report = rolled.priced_for(net_of(b));
+                    us[b * (slots + 1) + slot.unwrap_or(slots)] =
+                        utility.evaluate(report, now, own_flow);
                 }
             },
         );
+    }
+
+    // Every accumulator adds its `w × U` terms in branch order, whatever
+    // order the groups were rolled in.
+    let mut idle_eu = 0.0;
+    let mut eus = vec![0.0; slots];
+    for ((_, w), row) in branches.iter().zip(us.chunks_exact(slots + 1)) {
+        for (eu, u) in eus.iter_mut().zip(row) {
+            *eu += w * u;
+        }
+        idle_eu += w * row[slots];
     }
 
     choose(now, cfg, size, idle_eu, &eus)
@@ -290,6 +323,12 @@ pub fn rollout(
     seq: u64,
     size: Bits,
 ) -> RolloutReport {
+    if let Some(t_act) = send_at {
+        assert!(
+            t_act <= t_end,
+            "send at {t_act} exceeds rollout end {t_end}"
+        );
+    }
     let _quiet = augur_obs::suppress();
     let send = send_at.map(|t_act| (0, t_act));
     let mut wanted = RolloutReport::default();
@@ -300,13 +339,48 @@ pub fn rollout(
         |t_act| Packet::new(own_flow, seq, size, t_act),
         send.as_slice(),
         t_end,
-        |slot, report| {
+        |slot, rolled| {
             if slot.is_some() == send_at.is_some() {
-                wanted = report.clone();
+                wanted = rolled.priced_for(net).clone();
             }
         },
     );
     wanted
+}
+
+/// Partition the branches `0..n` into groups whose determinized rollouts
+/// coincide ([`Network::determinized_eq`]). Returns `(leader, member)`
+/// pairs in ascending order — each group is one contiguous run, headed by
+/// its leader, the group's lowest index.
+///
+/// As in `compact()`, `key` only brings candidates together: the pairs
+/// are sorted on it and every run of equal keys is split by pairwise
+/// equality, so a collision costs comparisons and never a wrong merge —
+/// and no hash container's order can reach a decision.
+fn rollout_groups<'a>(
+    n: usize,
+    net_of: impl Fn(usize) -> &'a Network,
+    key: impl Fn(&Network) -> u64,
+) -> Vec<(usize, usize)> {
+    let mut keyed: Vec<(u64, usize)> = (0..n).map(|b| (key(net_of(b)), b)).collect();
+    // Unstable sorts only: pairs are distinct, so the order is total, and
+    // a decision's allocation count must not depend on `n`.
+    keyed.sort_unstable();
+    let mut grouped: Vec<(usize, usize)> = Vec::with_capacity(n);
+    // `run` is where the entries of the current key value start.
+    let (mut run, mut run_key) = (0, None);
+    for (k, b) in keyed {
+        if run_key != Some(k) {
+            (run, run_key) = (grouped.len(), Some(k));
+        }
+        let leader = grouped[run..]
+            .iter()
+            .find(|&&(l, m)| l == m && net_of(l).determinized_eq(net_of(b)))
+            .map_or(b, |&(l, _)| l);
+        grouped.push((leader, b));
+    }
+    grouped.sort_unstable();
+    grouped
 }
 
 /// The two trajectories a decision rolls every branch with, allocated at
@@ -318,39 +392,46 @@ struct RolloutScratch {
 }
 
 /// One determinized trajectory: a network, what it has delivered and
-/// dropped since the decision instant, and the delivery probabilities
-/// folded loss has put on its packets so far.
+/// dropped since the decision instant, and which of its packets have
+/// crossed a fractional LOSS element so far.
 struct Trajectory {
     sim: Network,
+    /// Every delivery stands at probability 1 until [`Self::priced_for`]
+    /// folds a network's loss rates in.
     report: RolloutReport,
-    /// `((flow, seq), probability)` in first-seen order. A rollout meets a
-    /// handful of loss fates, so a scanned vector beats a map — and,
-    /// being ordered by insertion, lets no container order reach a
-    /// decision.
+    /// `((flow, seq), node)` of every `LossFate` resolved to "delivered",
+    /// in the order met. The probability is left out because it is the
+    /// one thing the networks sharing this trajectory differ in.
+    crossings: Vec<((FlowId, u64), NodeId)>,
+    /// Scratch of `priced_for`: `((flow, seq), probability)` in
+    /// first-crossing order. A rollout meets a handful of loss fates, so
+    /// a scanned vector beats a map — and, being ordered by insertion,
+    /// lets no container order reach a decision.
     probs: Vec<((FlowId, u64), f64)>,
 }
 
 impl Trajectory {
     /// Make `slot` a copy of the trajectory standing at `sim` with
-    /// `report` and `probs` so far, reusing the slot's allocations when
-    /// it has been filled before. Either way it is one state clone.
+    /// `report` and `crossings` so far, reusing the slot's allocations
+    /// when it has been filled before. Either way it is one state clone.
     fn refill<'a>(
         slot: &'a mut Option<Trajectory>,
         sim: &Network,
         report: &RolloutReport,
-        probs: &[((FlowId, u64), f64)],
+        crossings: &[((FlowId, u64), NodeId)],
     ) -> &'a mut Trajectory {
         if let Some(t) = slot {
             t.sim.clone_from(sim);
             t.report.deliveries.clone_from(&report.deliveries);
             t.report.drops.clone_from(&report.drops);
-            t.probs.clear();
-            t.probs.extend_from_slice(probs);
+            t.crossings.clear();
+            t.crossings.extend_from_slice(crossings);
         } else {
             *slot = Some(Trajectory {
                 sim: sim.clone(),
                 report: report.clone(),
-                probs: probs.to_vec(),
+                crossings: crossings.to_vec(),
+                probs: Vec::new(),
             });
         }
         slot.as_mut().expect("filled above")
@@ -370,16 +451,10 @@ impl Trajectory {
                 Step::Idle => return,
                 Step::Pending(spec) => match spec.kind {
                     ChoiceKind::LossFate => {
-                        // Nominal no-loss path; at the last-mile node the
-                        // (1 − p) factor is exact, elsewhere it is the
-                        // certainty-equivalent approximation.
+                        // Nominal no-loss path; `priced_for` puts the
+                        // (1 − p) factor on the delivery.
                         let pkt = spec.packet.expect("loss fate carries its packet");
-                        let survive = 1.0 - spec.p1.prob();
-                        let key = (pkt.flow, pkt.seq);
-                        match self.probs.iter_mut().rev().find(|(k, _)| *k == key) {
-                            Some((_, p)) => *p *= survive,
-                            None => self.probs.push((key, survive)),
-                        }
+                        self.crossings.push(((pkt.flow, pkt.seq), spec.node));
                         self.sim.resolve(0);
                     }
                     // Nominal outcomes for everything else: no jitter, gates
@@ -397,13 +472,26 @@ impl Trajectory {
         }
     }
 
-    /// Run to the horizon and attach the accumulated probabilities to the
-    /// deliveries. The trajectory is spent afterwards.
-    fn finish(&mut self, t_end: Time) -> &RolloutReport {
-        self.run_to(t_end);
-        if !self.probs.is_empty() {
+    /// The report as a rollout of `net` itself produces it: `net` is the
+    /// network this trajectory started from or a determinized-equivalent
+    /// one, so only the delivery probabilities are its own. Each crossing
+    /// multiplies 1 − p of the crossed node onto its packet, in crossing
+    /// order — at the last-mile node the factor is exact, elsewhere it
+    /// is the certainty-equivalent approximation.
+    fn priced_for(&mut self, net: &Network) -> &RolloutReport {
+        // No crossing: every probability is the 1.0 it was logged with.
+        if !self.crossings.is_empty() {
+            self.probs.clear();
+            for &(key, node) in &self.crossings {
+                let survive = 1.0 - net.loss_prob(node);
+                match self.probs.iter_mut().rev().find(|(k, _)| *k == key) {
+                    Some((_, p)) => *p *= survive,
+                    None => self.probs.push((key, survive)),
+                }
+            }
             for (d, p) in &mut self.report.deliveries {
                 let key = (d.packet.flow, d.packet.seq);
+                *p = 1.0;
                 if let Some((_, f)) = self.probs.iter().find(|(k, _)| *k == key) {
                     *p *= f;
                 }
@@ -415,8 +503,9 @@ impl Trajectory {
 
 /// The branch-major kernel: roll `net` forward once under every candidate
 /// in `sends` — `(slot, send time)`, ascending in send time — and under
-/// no send at all. `sink` receives each finished report with the
-/// candidate's slot, `None` for the idle baseline, which comes last.
+/// no send at all. `sink` receives each finished trajectory, to price for
+/// `net` and its equivalents, with the candidate's slot — `None` for the
+/// idle baseline, which comes last.
 fn roll_branch(
     scratch: &mut RolloutScratch,
     net: &Network,
@@ -424,16 +513,18 @@ fn roll_branch(
     hypothetical: impl Fn(Time) -> Packet,
     sends: &[(usize, Time)],
     t_end: Time,
-    mut sink: impl FnMut(Option<usize>, &RolloutReport),
+    mut sink: impl FnMut(Option<usize>, &mut Trajectory),
 ) {
     let idle = Trajectory::refill(&mut scratch.idle, net, &RolloutReport::default(), &[]);
     for &(slot, t_act) in sends {
         idle.run_to(t_act);
-        let fork = Trajectory::refill(&mut scratch.fork, &idle.sim, &idle.report, &idle.probs);
+        let fork = Trajectory::refill(&mut scratch.fork, &idle.sim, &idle.report, &idle.crossings);
         fork.sim.inject(entry, hypothetical(t_act));
-        sink(Some(slot), fork.finish(t_end));
+        fork.run_to(t_end);
+        sink(Some(slot), fork);
     }
-    sink(None, idle.finish(t_end));
+    idle.run_to(t_end);
+    sink(None, idle);
 }
 
 /// The candidate-major evaluation the branch-major kernel replaced, kept
@@ -537,23 +628,46 @@ mod reference {
 mod tests {
     use super::*;
     use crate::utility::DiscountedThroughput;
-    use augur_elements::{build_model, GateSpec, ModelParams, FIG2_ENTRY};
-    use augur_sim::{BitRate, Ppm, SimRng};
+    use augur_elements::{build_model, GateSpec, ModelParams, FIG2_ENTRY, FIG2_LOSS};
+    use augur_sim::{perf, BitRate, Ppm, SimRng};
 
     /// The kinds of small belief the kernel is checked on.
-    #[derive(Debug, Clone, Copy)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     enum Scene {
         QuietLink,
         LossyLastMile,
         PrefilledBuffer,
         IntermittentGate,
+        /// One state under five loss rates, a `meta`-only twin and one
+        /// other link rate: the scene whose rollouts are shared.
+        LossSiblings,
     }
 
-    /// Six `rng`-drawn hypotheses of one scene, warmed up to a common
-    /// `now` with some of the sender's own packets already in flight, so
-    /// rollouts start from queues, a busy link and mid-period timers.
+    /// The network of `params` warmed up to `now` with `in_flight` of the
+    /// sender's own packets sent at time zero, so rollouts start from
+    /// queues, a busy link and mid-period timers.
+    fn warmed_up(params: ModelParams, in_flight: u64, now: Time) -> Network {
+        let mut net = build_model(params).net;
+        for seq in 0..in_flight {
+            net.inject(
+                FIG2_ENTRY,
+                Packet::new(FlowId::SELF, seq, Bits::new(12_000), Time::ZERO),
+            );
+        }
+        while let Step::Pending(_) = net.run_until(now) {
+            net.resolve(0);
+        }
+        let _ = net.drain_logs();
+        net
+    }
+
+    /// `rng`-drawn hypotheses of one scene at a common `now`: six
+    /// unrelated ones, or the seven of [`Scene::LossSiblings`].
     fn seeded_branches(scene: Scene, rng: &mut SimRng) -> (Vec<Hypothesis<ModelParams>>, Time) {
         let now = Time::from_millis(rng.uniform_u64(700, 3_300));
+        if scene == Scene::LossSiblings {
+            return (loss_siblings(now, rng), now);
+        }
         let mut branches = Vec::new();
         for _ in 0..6 {
             let link_bps = 1_000 * rng.uniform_u64(10, 16);
@@ -582,24 +696,64 @@ mod tests {
                 packet_size: Bits::new(12_000),
                 cross_active: cross_on,
             };
-            let mut net = build_model(params).net;
-            for seq in 0..rng.uniform_u64(0, 3) {
-                net.inject(
-                    FIG2_ENTRY,
-                    Packet::new(FlowId::SELF, seq, Bits::new(12_000), Time::ZERO),
-                );
-            }
-            while let Step::Pending(_) = net.run_until(now) {
-                net.resolve(0);
-            }
-            let _ = net.drain_logs();
             branches.push(Hypothesis {
-                net,
+                net: warmed_up(params, rng.uniform_u64(0, 3), now),
                 meta: params,
                 weight: 0.1 + rng.uniform_f64(),
             });
         }
         (branches, now)
+    }
+
+    /// The loss rate, in ppm, of each branch [`loss_siblings`] builds.
+    /// Branches 1, 2, 3 and 5 (the `meta`-only twin of 2) share one
+    /// rollout; 6 has another link rate; p = 0 and p = 1 stand alone.
+    const SIBLING_LOSS_PPM: [u32; 7] = [0, 50_000, 100_000, 200_000, 1_000_000, 100_000, 100_000];
+    const SIBLING_GROUPS: usize = 4;
+
+    /// The posterior shape the paper prior leaves behind: one warmed-up
+    /// state whose hypotheses differ only in the last-mile loss rate,
+    /// plus a twin of one of them under another `meta` and one branch
+    /// that really is another network. Weights are drawn per branch and
+    /// the list starts at a drawn position, so no group is contiguous or
+    /// led by branch 0 by construction.
+    fn loss_siblings(now: Time, rng: &mut SimRng) -> Vec<Hypothesis<ModelParams>> {
+        let link_bps = 1_000 * rng.uniform_u64(10, 16);
+        let in_flight = rng.uniform_u64(1, 3);
+        let base = ModelParams {
+            link_rate: BitRate::from_bps(link_bps),
+            cross_rate: BitRate::from_bps(link_bps * rng.uniform_u64(4, 7) / 10),
+            gate: GateSpec::AlwaysOn,
+            loss: Ppm::ZERO,
+            buffer_capacity: Bits::new(96_000),
+            initial_fullness: Bits::new(12_000 * rng.uniform_u64(0, 4)),
+            packet_size: Bits::new(12_000),
+            cross_active: true,
+        };
+        let mut branches: Vec<Hypothesis<ModelParams>> = SIBLING_LOSS_PPM
+            .iter()
+            .enumerate()
+            .map(|(i, &ppm)| {
+                let params = ModelParams {
+                    loss: Ppm::new(ppm),
+                    link_rate: BitRate::from_bps(link_bps + if i == 6 { 1_000 } else { 0 }),
+                    ..base
+                };
+                Hypothesis {
+                    net: warmed_up(params, in_flight, now),
+                    // The twin is branch 2's network under a `meta` of
+                    // its own, as `compact()` would keep it.
+                    meta: ModelParams {
+                        cross_active: i != 5,
+                        ..params
+                    },
+                    weight: 0.1 + rng.uniform_f64(),
+                }
+            })
+            .collect();
+        assert!(branches[5].net == branches[2].net && branches[5].meta != branches[2].meta);
+        branches.rotate_left(rng.uniform_u64(0, 6) as usize);
+        branches
     }
 
     fn assert_same_decision(got: &Decision, want: &Decision, what: &str) {
@@ -636,14 +790,20 @@ mod tests {
             Scene::LossyLastMile,
             Scene::PrefilledBuffer,
             Scene::IntermittentGate,
+            Scene::LossSiblings,
         ] {
             for seed in 0..4 {
                 let mut rng = SimRng::seed_from_u64(seed);
                 let (branches, now) = seeded_branches(scene, &mut rng);
-                // Five planning branches of six: the subsample's own
-                // weights are part of the input.
-                let weighted = subsample_weighted(&branches, 5);
+                // Five planning branches of six — the subsample's own
+                // weights are part of the input — or every sibling.
+                let keep = match scene {
+                    Scene::LossSiblings => branches.len(),
+                    _ => 5,
+                };
+                let weighted = subsample_weighted(&branches, keep);
                 for cfg in [&PlannerConfig::default(), &unsorted] {
+                    let before = perf::snapshot();
                     let got = decide_weighted(
                         &weighted,
                         now,
@@ -654,6 +814,7 @@ mod tests {
                         9,
                         size,
                     );
+                    let clones = perf::snapshot().since(&before).state_clones;
                     let want = reference::decide_weighted(
                         &weighted,
                         now,
@@ -666,6 +827,16 @@ mod tests {
                     );
                     assert_same_decision(&got, &want, &format!("{scene:?} seed {seed}"));
                     some_send |= got.action != Action::Idle;
+                    // One idle trajectory and one fork per candidate, per
+                    // rolled group: seven siblings cost four groups' worth.
+                    if scene == Scene::LossSiblings {
+                        assert!(SIBLING_GROUPS < weighted.len());
+                        assert_eq!(
+                            clones,
+                            ((1 + cfg.delay_grid.len()) * SIBLING_GROUPS) as u64,
+                            "seed {seed}"
+                        );
+                    }
                 }
             }
         }
@@ -677,23 +848,80 @@ mod tests {
 
     #[test]
     fn rollout_matches_reference_rollout() {
-        let mut rng = SimRng::seed_from_u64(7);
-        let (branches, now) = seeded_branches(Scene::LossyLastMile, &mut rng);
-        let t_end = now + Dur::from_secs(16);
-        for h in &branches {
-            for send_at in [None, Some(now), Some(now + Dur::from_millis(1_500))] {
-                let size = Bits::new(12_000);
-                let got = rollout(&h.net, FIG2_ENTRY, FlowId::SELF, send_at, t_end, 9, size);
-                let want =
-                    reference::rollout(&h.net, FIG2_ENTRY, FlowId::SELF, send_at, t_end, 9, size);
-                assert_eq!(got.drops, want.drops);
-                assert_eq!(got.deliveries.len(), want.deliveries.len());
-                for (g, w) in got.deliveries.iter().zip(&want.deliveries) {
-                    assert_eq!(g.0, w.0);
-                    assert_eq!(g.1.to_bits(), w.1.to_bits());
+        for scene in [Scene::LossyLastMile, Scene::LossSiblings] {
+            let mut rng = SimRng::seed_from_u64(7);
+            let (branches, now) = seeded_branches(scene, &mut rng);
+            let t_end = now + Dur::from_secs(16);
+            for h in &branches {
+                for send_at in [None, Some(now), Some(now + Dur::from_millis(1_500))] {
+                    let size = Bits::new(12_000);
+                    let got = rollout(&h.net, FIG2_ENTRY, FlowId::SELF, send_at, t_end, 9, size);
+                    let want = reference::rollout(
+                        &h.net,
+                        FIG2_ENTRY,
+                        FlowId::SELF,
+                        send_at,
+                        t_end,
+                        9,
+                        size,
+                    );
+                    assert_eq!(got.drops, want.drops);
+                    assert_eq!(got.deliveries.len(), want.deliveries.len());
+                    // Every packet crosses the last-mile LOSS node once:
+                    // p = 1 delivers nothing, any other rate prices it all.
+                    let survive = 1.0 - h.net.loss_prob(FIG2_LOSS);
+                    assert_eq!(got.deliveries.is_empty(), h.meta.loss.is_one());
+                    assert!(got.deliveries.iter().all(|(_, p)| *p == survive));
+                    for (g, w) in got.deliveries.iter().zip(&want.deliveries) {
+                        assert_eq!(g.0, w.0);
+                        assert_eq!(g.1.to_bits(), w.1.to_bits());
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_key_collision_never_merges_distinct_rollouts() {
+        // Every network under one key: equality alone must form the groups.
+        for scene in [Scene::LossyLastMile, Scene::LossSiblings] {
+            let mut rng = SimRng::seed_from_u64(11);
+            let (branches, _) = seeded_branches(scene, &mut rng);
+            let net_of = |b: usize| &branches[b].net;
+            let honest = rollout_groups(branches.len(), net_of, Network::determinized_key);
+            let collided = rollout_groups(branches.len(), net_of, |_| 0);
+            assert_eq!(collided, honest, "{scene:?}");
+            for &(leader, b) in &collided {
+                assert!(net_of(leader).determinized_eq(net_of(b)));
+            }
+            let leaders: Vec<usize> = collided
+                .iter()
+                .filter(|&&(l, b)| l == b)
+                .map(|&(l, _)| l)
+                .collect();
+            for (i, &a) in leaders.iter().enumerate() {
+                for &b in &leaders[i + 1..] {
+                    assert!(!net_of(a).determinized_eq(net_of(b)), "{scene:?}");
+                }
+            }
+            if scene == Scene::LossSiblings {
+                assert_eq!(leaders.len(), SIBLING_GROUPS);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "send at 12.000000s exceeds rollout end 10.000000s")]
+    fn rollout_rejects_a_send_beyond_its_end() {
+        rollout(
+            &quiet_model(0.0, 0),
+            FIG2_ENTRY,
+            FlowId::SELF,
+            Some(Time::from_secs(12)),
+            Time::from_secs(10),
+            0,
+            Bits::new(12_000),
+        );
     }
 
     fn quiet_model(loss: f64, fullness_bits: u64) -> Network {

@@ -198,16 +198,42 @@ impl Clone for Network {
     }
 }
 
-impl PartialEq for Network {
-    fn eq(&self, other: &Self) -> bool {
+impl Network {
+    /// Identity with the structural half compared node by node through
+    /// `same_node`: what `==` and [`Network::determinized_eq`] share.
+    fn same_identity(
+        &self,
+        other: &Network,
+        same_node: impl Fn(&NodeParams, &NodeParams) -> bool,
+    ) -> bool {
         // Transient logs are deliberately excluded: drain them before
         // comparing (the belief engine does). Forked hypotheses share one
         // structure allocation, so the pointer check settles the
         // structural half for free.
+        let (a, b) = (&self.structure.nodes, &other.structure.nodes);
         self.state.now == other.state.now
             && self.state.pending == other.state.pending
             && self.state.elements == other.state.elements
-            && (Arc::ptr_eq(&self.structure, &other.structure) || self.structure == other.structure)
+            && (Arc::ptr_eq(&self.structure, &other.structure)
+                || a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same_node(a, b)))
+    }
+
+    /// The identity hash stream, each node seen through `view`: what
+    /// [`Hash`] and [`Network::determinized_key`] share.
+    fn hash_identity<H: Hasher>(&self, state: &mut H, view: impl Fn(NodeRef) -> NodeRef) {
+        self.state.now.hash(state);
+        self.state.pending.hash(state);
+        // The legacy Vec<Node> hash wrote a length prefix, then each node.
+        state.write_usize(self.structure.nodes.len());
+        for i in 0..self.structure.nodes.len() {
+            view(node_ref(&self.structure, &self.state.elements, i)).hash(state);
+        }
+    }
+}
+
+impl PartialEq for Network {
+    fn eq(&self, other: &Self) -> bool {
+        self.same_identity(other, |a, b| a == b)
     }
 }
 impl Eq for Network {}
@@ -241,6 +267,10 @@ enum ElementRef<'a> {
     Either(EitherRef<'a>),
     Diverter(&'a Diverter),
     Receiver(&'a ReceiverEl),
+    /// A LOSS element with 0 < p < 1, whatever its p: what
+    /// [`Network::determinized_key`] hashes in place of `Loss`. Last, so
+    /// the legacy discriminants above keep their values.
+    FractionalLoss,
 }
 
 #[derive(Hash)]
@@ -406,12 +436,67 @@ fn node_ref<'a>(s: &'a NetworkStructure, st: &'a [ElementState], i: usize) -> No
 
 impl Hash for Network {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.state.now.hash(state);
-        self.state.pending.hash(state);
-        // The legacy Vec<Node> hash wrote a length prefix, then each node.
-        state.write_usize(self.structure.nodes.len());
-        for i in 0..self.structure.nodes.len() {
-            node_ref(&self.structure, &self.state.elements, i).hash(state);
+        self.hash_identity(state, |node| node);
+    }
+}
+
+/// True iff a packet reaching this LOSS element raises a `LossFate`
+/// choice; p = 0 and p = 1 are settled inside `route` instead.
+fn is_fractional(l: &Loss) -> bool {
+    !l.p.is_zero() && !l.p.is_one()
+}
+
+// ----------------------------------------------------------------------
+// Determinized equivalence: identity up to the probability of fractional
+// LOSS elements.
+//
+// A determinized rollout (the planner's) resolves every `LossFate` to
+// "delivered" and only prices the delivery with 1 − p afterwards, so the
+// value of a fractional p never reaches an event: two networks equal in
+// everything else go through the same states and log the same deliveries
+// and drops. p = 0 and p = 1 stay classes of their own — `route` passes
+// the packet on, or drops it, without raising a choice at all.
+// ----------------------------------------------------------------------
+
+impl Network {
+    /// A fixed-key hash of everything [`Network::determinized_eq`]
+    /// compares: equivalent networks have equal keys, on every run.
+    /// Distinct networks may collide; settle a key match with
+    /// `determinized_eq`.
+    pub fn determinized_key(&self) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.hash_identity(&mut h, |mut node| {
+            if matches!(node.element, ElementRef::Loss(l) if is_fractional(l)) {
+                node.element = ElementRef::FractionalLoss;
+            }
+            node
+        });
+        h.finish()
+    }
+
+    /// [`PartialEq`] except that two LOSS elements at the same node, both
+    /// with 0 < p < 1, match whatever their probabilities. Like `==` it
+    /// ignores the transient logs.
+    pub fn determinized_eq(&self, other: &Network) -> bool {
+        self.same_identity(other, |a, b| match (&a.element, &b.element) {
+            (ElementParams::Loss(la), ElementParams::Loss(lb))
+                if is_fractional(la) && is_fractional(lb) =>
+            {
+                a.next == b.next && a.alt == b.alt
+            }
+            _ => a == b,
+        })
+    }
+
+    /// The loss probability of the LOSS element at `id` — the one
+    /// parameter `determinized_eq` lets differ.
+    ///
+    /// # Panics
+    /// Panics if the node is not a LOSS element.
+    pub fn loss_prob(&self, id: NodeId) -> f64 {
+        match &self.structure.nodes[id.0].element {
+            ElementParams::Loss(l) => l.p.prob(),
+            other => panic!("{id} is a {}, not a Loss", other.kind_name()),
         }
     }
 }
@@ -1482,6 +1567,68 @@ mod tests {
         assert!(!a.shares_structure(&b));
         assert_eq!(a, b);
         assert_eq!(fingerprint(&a), fingerprint(&b));
+    }
+
+    #[test]
+    fn determinized_equivalence_truth_table() {
+        // gate -> buffer -> link(rate) -> loss(p) -> receiver, two packets
+        // into the buffer at t = 0 (one goes into service, one queues) and
+        // run to t = 0.5 s. Nothing passes the gate: its state is its own.
+        let path = |rate_bps: u64, loss_ppm: u32, connected: bool| {
+            let entry = NodeId(1);
+            let mut b = NetworkBuilder::new();
+            b.chain(vec![
+                Element::Gate(Gate::square_wave(Dur::from_secs(100), connected)),
+                Element::Buffer(Buffer::drop_tail(Bits::new(96_000))),
+                Element::Link(Link::constant(BitRate::from_bps(rate_bps))),
+                Element::Loss(Loss {
+                    p: Ppm::new(loss_ppm),
+                }),
+                Element::Receiver(ReceiverEl),
+            ]);
+            let mut net = b.build();
+            net.inject(entry, pkt(0));
+            net.inject(entry, pkt(1));
+            net.run_until(Time::from_micros(500_000));
+            let _ = net.drain_logs();
+            (net, entry)
+        };
+        let base = path(12_000, 100_000, true).0;
+        let check = |other: &Network, equivalent: bool, what: &str| {
+            assert_eq!(base.determinized_eq(other), equivalent, "{what}");
+            assert_eq!(other.determinized_eq(&base), equivalent, "{what}");
+            if equivalent {
+                assert_eq!(base.determinized_key(), other.determinized_key(), "{what}");
+            }
+        };
+        check(&base.clone(), true, "itself");
+        check(&path(12_000, 100_000, true).0, true, "rebuilt");
+        let sibling = path(12_000, 200_000, true).0;
+        check(&sibling, true, "another fractional loss rate");
+        assert_ne!(base, sibling, "`==` still tells loss siblings apart");
+        assert_eq!(
+            (base.loss_prob(NodeId(3)), sibling.loss_prob(NodeId(3))),
+            (0.1, 0.2)
+        );
+
+        check(&path(12_000, 0, true).0, false, "p = 0 against fractional");
+        check(
+            &path(12_000, 1_000_000, true).0,
+            false,
+            "p = 1 against fractional",
+        );
+        check(&path(14_000, 100_000, true).0, false, "link rate");
+        check(&path(12_000, 200_000, false).0, false, "gate state");
+        let (mut fuller, entry) = path(12_000, 200_000, true);
+        fuller.inject(entry, pkt(2));
+        check(&fuller, false, "queue contents");
+        let (mut later, _) = path(12_000, 200_000, true);
+        later.run_until(Time::from_micros(600_000));
+        check(&later, false, "now");
+        // The certain rates are classes of their own, not one class.
+        assert!(!path(12_000, 0, true)
+            .0
+            .determinized_eq(&path(12_000, 1_000_000, true).0));
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! candidate: a complete network (parameters *and* dynamic state — queue
 //! contents, gate position, in-service packet) plus a probability weight
 //! and a metadata record `M` identifying which prior grid point it
-//! descends from (used for posterior reporting, and by the planner to read
-//! static parameters such as the loss rate).
+//! descends from. `M` is for posterior reporting only: the planner reads
+//! nothing from it — every parameter it needs, the loss rate included, is
+//! in the network — but [`compact`] keeps hypotheses of different `M`
+//! apart even when their networks are equal.
 
 use augur_elements::Network;
 use std::hash::Hash;

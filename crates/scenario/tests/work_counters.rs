@@ -162,13 +162,13 @@ fn smoke_sweep_counters_are_pinned() {
         (
             0xD9FC_7782_60C8_5538,
             WorkCounters {
-                events_processed: 825_365,
-                packets_forwarded: 632_575,
+                events_processed: 224_209,
+                packets_forwarded: 173_869,
                 hypothesis_updates: 736,
                 particle_resamples: 3,
-                rate_integrations: 285_487,
+                rate_integrations: 72_205,
                 networks_built: 1,
-                state_clones: 23_472,
+                state_clones: 6_852,
                 structures_built: 12,
                 flow_wakes: 19,
             }
@@ -184,13 +184,13 @@ fn dumbbell_cross_sweep_counters_are_pinned() {
         (
             0xD03A_F72E_6377_97C7,
             WorkCounters {
-                events_processed: 213_360,
-                packets_forwarded: 220_838,
+                events_processed: 208_758,
+                packets_forwarded: 216_002,
                 hypothesis_updates: 758,
                 particle_resamples: 0,
-                rate_integrations: 117_572,
+                rate_integrations: 115_186,
                 networks_built: 0,
-                state_clones: 8_080,
+                state_clones: 7_820,
                 structures_built: 258,
                 flow_wakes: 34,
             }
@@ -206,13 +206,13 @@ fn parking_lot_sweep_counters_are_pinned() {
         (
             0x3B6F_18E2_72BB_AAFC,
             WorkCounters {
-                events_processed: 208_154,
-                packets_forwarded: 215_322,
+                events_processed: 203_552,
+                packets_forwarded: 210_486,
                 hypothesis_updates: 668,
                 particle_resamples: 0,
-                rate_integrations: 115_080,
+                rate_integrations: 112_694,
                 networks_built: 0,
-                state_clones: 7_640,
+                state_clones: 7_380,
                 structures_built: 130,
                 flow_wakes: 70,
             }
@@ -250,13 +250,13 @@ fn fig3_sweep_counters_are_pinned() {
         (
             0xC02A_0666_602D_D12E,
             WorkCounters {
-                events_processed: 301_875,
-                packets_forwarded: 273_516,
+                events_processed: 290_602,
+                packets_forwarded: 263_499,
                 hypothesis_updates: 19_440,
                 particle_resamples: 0,
-                rate_integrations: 98_802,
+                rate_integrations: 95_254,
                 networks_built: 1,
-                state_clones: 27_912,
+                state_clones: 27_562,
                 structures_built: 4_764,
                 flow_wakes: 12,
             }
@@ -272,13 +272,13 @@ fn coexist_fairness_sweep_counters_are_pinned() {
         (
             0xB1B1_17BB_25E4_3E0F,
             WorkCounters {
-                events_processed: 1_368_676,
-                packets_forwarded: 1_416_796,
+                events_processed: 1_287_382,
+                packets_forwarded: 1_331_776,
                 hypothesis_updates: 4_266,
                 particle_resamples: 0,
-                rate_integrations: 756_864,
+                rate_integrations: 711_562,
                 networks_built: 0,
-                state_clones: 51_480,
+                state_clones: 47_340,
                 structures_built: 898,
                 flow_wakes: 124,
             }
@@ -294,13 +294,13 @@ fn coexist_vs_tcp_sweep_counters_are_pinned() {
         (
             0xF5C7_086A_5113_8B66,
             WorkCounters {
-                events_processed: 1_662_458,
-                packets_forwarded: 1_720_370,
+                events_processed: 1_623_071,
+                packets_forwarded: 1_678_931,
                 hypothesis_updates: 5_253,
                 particle_resamples: 0,
-                rate_integrations: 917_521,
+                rate_integrations: 897_106,
                 networks_built: 0,
-                state_clones: 61_850,
+                state_clones: 59_570,
                 structures_built: 1_158,
                 flow_wakes: 417,
             }
