@@ -433,11 +433,12 @@ mod tests {
             )],
             drops: vec![],
         };
+        let discounts = [want.delivery_discount(Time::from_millis(1_500), Time::ZERO)];
         let got = s
             .inner()
             .utility()
-            .evaluate(&report, Time::ZERO, FlowId::SELF);
-        let expect = want.evaluate(&report, Time::ZERO, FlowId::SELF);
+            .evaluate(&report, &discounts, FlowId::SELF);
+        let expect = want.evaluate(&report, &discounts, FlowId::SELF);
         assert!(
             (got - expect).abs() < 1e-9,
             "restarted utility {got} != configured {expect}"

@@ -6,49 +6,68 @@
 //! strategy on each possible network configuration, and choose the
 //! strategy that maximizes the expected value of the utility."
 //!
-//! Every *distinct future* is rolled forward once, under all candidates
-//! at the same time (the *branch-major* kernel, [`decide_weighted`]). A
-//! candidate "send after δ" differs from doing nothing only from `now + δ`
-//! on, so a branch's idle trajectory is walked forward through the
-//! candidate instants in ascending order; at each one it is forked, the
-//! fork receives the hypothetical packet and runs on to a fixed horizon,
-//! and the idle trajectory — finished last — is itself the no-send
-//! baseline. The stretch before each send is therefore simulated once,
-//! not once per candidate. Two scratch trajectories, refilled in place,
-//! serve the whole decision.
+//! Rollouts are **determinized** (certainty-equivalent): every stochastic
+//! choice resolves to its nominal outcome — no jitter, gates and EITHERs
+//! hold, ARQ delivers, RED takes its likelier branch — and a `LossFate`
+//! resolves to "delivered" while the loss rate only prices the delivery.
+//! At the last-mile node that price is exact, because a packet lost there
+//! leaves nothing behind ("does not linger", §3.1): the expectation over
+//! its two fates is the delivered future with the delivery weighted by
+//! 1 − p. Elsewhere a lost packet would have freed queue space and link
+//! time downstream, so the same weighting is the paper's approximation
+//! (`tests/planner_fates.rs` enumerates the fates and shows both). The
+//! horizon end is the same for every candidate action, so candidates are
+//! compared on equal terms.
 //!
-//! Branches whose rollouts coincide share one. Last-mile loss "does not
-//! linger" (§3.1): a rollout resolves every `LossFate` to "delivered" and
-//! the loss rate only prices the delivery, so the posterior's siblings
-//! that differ in nothing but a fractional loss rate — three to five per
-//! state under the paper prior — go through the same events, as do the
-//! `meta`-only twins `compact()` keeps apart and a particle filter's
-//! resampled duplicates. The branches are grouped by
+//! The kernel ([`decide_weighted`]) does each piece of work at the widest
+//! scope it is valid for.
+//!
+//! **Once per group of branches** — the rollout. Branches whose
+//! determinized futures coincide share one: the posterior's siblings that
+//! differ in nothing but a fractional loss rate (three to five per state
+//! under the paper prior), the `meta`-only twins `compact()` keeps apart,
+//! a particle filter's resampled duplicates. They are grouped by
 //! [`Network::determinized_eq`] (sorted on its key, equal keys split by
-//! pairwise comparison, as `compact()` merges), the group's first member
-//! is rolled, and its trajectory records *which* packets crossed *which*
-//! LOSS node instead of a probability. The cost of a decision is linear
-//! in horizon × distinct rollouts, not horizon × branches.
+//! pairwise comparison, as `compact()` merges) and the group's first
+//! member is rolled, so a decision costs horizon × distinct rollouts, not
+//! horizon × branches. The rollout starts by putting every memoryless
+//! switch on hold for good ([`Network::hold_switches`]): its epoch timer
+//! would only raise a choice to be resolved to "hold" and re-arm, so
+//! dropping those events changes no delivery and no drop.
 //!
-//! Neither sharing changes a number. A fork continues from exactly the
-//! state, delivery log and loss crossings a rollout of that candidate
-//! alone would have reached (stopping a network at an instant and
-//! resuming is the same as running through it). A shared trajectory is
-//! re-priced for every member of its group from the member's own loss
-//! rates — 1 − p per crossing, multiplied in crossing order, the very
-//! operations a rollout of that member alone performed as it went — so
-//! the utility sees the report the candidate-by-candidate,
-//! branch-by-branch evaluation produced. Each branch's utilities are
-//! stored, and each candidate's expected utility then accumulates `w × U`
-//! over the branches in branch order, one accumulator per grid position,
-//! so every floating-point sum adds the same terms in the same order.
-//! Results are stored by grid position: the grid need not be sorted.
+//! **Once per trajectory** — everything the group's members agree on. A
+//! candidate "send after δ" differs from doing nothing only from `now + δ`
+//! on, so the idle trajectory is walked forward through the candidate
+//! instants in ascending order; at each one it is forked, the fork
+//! receives the hypothetical packet and runs on to the horizon, and the
+//! idle trajectory — finished last — is itself the no-send baseline. The
+//! stretch before each send is simulated once, and a fork inherits the
+//! idle prefix's log. As a delivery is appended it is given its discount
+//! (the one `exp()`, a function of its instant alone) and the position of
+//! its packet among the packets that crossed a fractional LOSS node; a
+//! crossing records *which* packet met *which* node, never a probability.
+//! Two scratch trajectories, refilled in place, serve the whole decision.
 //!
-//! Rollouts are **determinized** (certainty-equivalent): stochastic
-//! choices resolve to their nominal outcome, with last-mile loss folded
-//! into a per-packet delivery probability instead of a fork (DESIGN.md
-//! §4.6). The horizon end is the same for every candidate action, so
-//! candidates are compared on equal terms.
+//! **Once per member** — only what its own loss rates touch. 1 − p is
+//! read once per crossed LOSS node, multiplied along the crossings in
+//! crossing order into one probability per packet, copied onto the
+//! deliveries by position, and the utility sums the deliveries left to
+//! right with the discounts supplied.
+//!
+//! None of this changes a number. A fork continues from exactly the state
+//! and log a rollout of that candidate alone would have reached (stopping
+//! a network at an instant and resuming is the same as running through
+//! it). A member's probabilities are the products a rollout of that
+//! member alone formed as it went — the same factors in the same order —
+//! and a discount is the same `exp()` of the same argument whoever asks,
+//! so the utility performs the floating-point operations of the
+//! candidate-by-candidate, branch-by-branch evaluation, in their order.
+//! Each branch's utilities are stored, and each candidate's expected
+//! utility then accumulates `w × U` over the branches in branch order,
+//! one accumulator per grid position: every `eus[k]` is bit-equal to
+//! `planner::reference`, which clones, resolves switch timers event by
+//! event and takes every `exp()` afresh. Results are stored by grid
+//! position: the grid need not be sorted.
 
 use crate::utility::{RolloutReport, Utility};
 use augur_elements::{ChoiceKind, Network, NodeId, Step};
@@ -201,6 +220,7 @@ pub fn decide_weighted<M>(
     // reach the ground-truth trace log.
     let _quiet = augur_obs::suppress();
     let hypothetical = |t_act| Packet::new(own_flow, seq, size, t_act);
+    let discount = |at| utility.delivery_discount(at, now);
     let net_of = |b: usize| &branches[b].0.net;
     let grouped = rollout_groups(branches.len(), net_of, Network::determinized_key);
     for group in grouped.chunk_by(|a, b| a.0 == b.0) {
@@ -210,13 +230,14 @@ pub fn decide_weighted<M>(
             net_of(leader),
             entry,
             hypothetical,
+            discount,
             &sends,
             t_end,
             |slot, rolled| {
                 for &(_, b) in group {
-                    let report = rolled.priced_for(net_of(b));
+                    let (report, discounts) = rolled.priced_for(net_of(b));
                     us[b * (slots + 1) + slot.unwrap_or(slots)] =
-                        utility.evaluate(report, now, own_flow);
+                        utility.evaluate(report, discounts, own_flow);
                 }
             },
         );
@@ -337,11 +358,13 @@ pub fn rollout(
         net,
         entry,
         |t_act| Packet::new(own_flow, seq, size, t_act),
+        // No utility is asked here: the discounts go unread.
+        |_| 1.0,
         send.as_slice(),
         t_end,
         |slot, rolled| {
             if slot.is_some() == send_at.is_some() {
-                wanted = rolled.priced_for(net).clone();
+                wanted = rolled.priced_for(net).0.clone();
             }
         },
     );
@@ -391,62 +414,107 @@ struct RolloutScratch {
     fork: Option<Trajectory>,
 }
 
-/// One determinized trajectory: a network, what it has delivered and
-/// dropped since the decision instant, and which of its packets have
-/// crossed a fractional LOSS element so far.
-struct Trajectory {
-    sim: Network,
-    /// Every delivery stands at probability 1 until [`Self::priced_for`]
-    /// folds a network's loss rates in.
+/// What a trajectory has logged since the decision instant — everything
+/// the networks sharing it agree on. A packet is known by `(flow, seq)`,
+/// which is unique within a network.
+#[derive(Default)]
+struct RolloutLog {
+    /// Every delivery stands at probability 1 until
+    /// [`Trajectory::priced_for`] folds a network's loss rates in.
     report: RolloutReport,
-    /// `((flow, seq), node)` of every `LossFate` resolved to "delivered",
+    /// The discount of each delivery, parallel to `report.deliveries`.
+    discounts: Vec<f64>,
+    /// Where each delivery's packet stands in `crossed`, parallel to
+    /// `report.deliveries`; `None` if it met no fractional LOSS element.
+    /// A delivery ends its packet, so every crossing that prices it has
+    /// been logged by then — the last one, as a rule, just before it.
+    packet_of: Vec<Option<usize>>,
+    /// The packets that had a `LossFate` resolved to "delivered", in
+    /// first-crossing order. A rollout meets a handful, so a vector
+    /// scanned from the tail beats a map — and, being ordered by
+    /// insertion, lets no container order reach a decision.
+    crossed: Vec<(FlowId, u64)>,
+    /// The LOSS nodes crossed, in the order first met.
+    loss_nodes: Vec<NodeId>,
+    /// `(index into crossed, index into loss_nodes)` of every crossing,
     /// in the order met. The probability is left out because it is the
     /// one thing the networks sharing this trajectory differ in.
-    crossings: Vec<((FlowId, u64), NodeId)>,
-    /// Scratch of `priced_for`: `((flow, seq), probability)` in
-    /// first-crossing order. A rollout meets a handful of loss fates, so
-    /// a scanned vector beats a map — and, being ordered by insertion,
-    /// lets no container order reach a decision.
-    probs: Vec<((FlowId, u64), f64)>,
+    crossings: Vec<(usize, usize)>,
+}
+
+impl RolloutLog {
+    /// Become a copy of `prefix`, keeping every allocation.
+    fn refill(&mut self, prefix: &RolloutLog) {
+        self.report.deliveries.clone_from(&prefix.report.deliveries);
+        self.report.drops.clone_from(&prefix.report.drops);
+        self.discounts.clone_from(&prefix.discounts);
+        self.packet_of.clone_from(&prefix.packet_of);
+        self.crossed.clone_from(&prefix.crossed);
+        self.loss_nodes.clone_from(&prefix.loss_nodes);
+        self.crossings.clone_from(&prefix.crossings);
+    }
+}
+
+/// The position of `item` in `list`, appended if it is new.
+fn position_or_push<T: PartialEq>(list: &mut Vec<T>, item: T) -> usize {
+    list.iter().rposition(|x| *x == item).unwrap_or_else(|| {
+        list.push(item);
+        list.len() - 1
+    })
+}
+
+/// One determinized trajectory: a network and its log.
+struct Trajectory {
+    sim: Network,
+    log: RolloutLog,
+    /// Scratch of `priced_for`: 1 − p per entry of `log.loss_nodes`.
+    survive: Vec<f64>,
+    /// Scratch of `priced_for`: the delivery probability per entry of
+    /// `log.crossed`.
+    probs: Vec<f64>,
 }
 
 impl Trajectory {
-    /// Make `slot` a copy of the trajectory standing at `sim` with
-    /// `report` and `crossings` so far, reusing the slot's allocations
-    /// when it has been filled before. Either way it is one state clone.
+    /// Make `slot` a copy of the trajectory standing at `sim` having
+    /// logged `prefix`, reusing the slot's allocations when it has been
+    /// filled before. Either way it is one state clone.
     fn refill<'a>(
         slot: &'a mut Option<Trajectory>,
         sim: &Network,
-        report: &RolloutReport,
-        crossings: &[((FlowId, u64), NodeId)],
+        prefix: &RolloutLog,
     ) -> &'a mut Trajectory {
-        if let Some(t) = slot {
-            t.sim.clone_from(sim);
-            t.report.deliveries.clone_from(&report.deliveries);
-            t.report.drops.clone_from(&report.drops);
-            t.crossings.clear();
-            t.crossings.extend_from_slice(crossings);
-        } else {
-            *slot = Some(Trajectory {
+        let t = match slot {
+            Some(t) => {
+                t.sim.clone_from(sim);
+                t
+            }
+            None => slot.insert(Trajectory {
                 sim: sim.clone(),
-                report: report.clone(),
-                crossings: crossings.to_vec(),
+                log: RolloutLog::default(),
+                survive: Vec::new(),
                 probs: Vec::new(),
-            });
-        }
-        slot.as_mut().expect("filled above")
+            }),
+        };
+        t.log.refill(prefix);
+        t
     }
 
     /// Run to `until`, resolving every choice to its nominal outcome and
-    /// moving the network's logs into the report.
-    fn run_to(&mut self, until: Time) {
+    /// moving the network's logs into the trajectory's, each delivery
+    /// valued by `discount` of its instant.
+    fn run_to(&mut self, until: Time, discount: impl Fn(Time) -> f64) {
+        let log = &mut self.log;
         loop {
             let step = self.sim.run_until(until);
             let (deliveries, drops) = self.sim.drain_logs();
-            self.report
-                .deliveries
-                .extend(deliveries.map(|(_, d)| (d, 1.0)));
-            self.report.drops.extend(drops);
+            for (_, d) in deliveries {
+                let key = (d.packet.flow, d.packet.seq);
+                log.packet_of
+                    .push(log.crossed.iter().rposition(|k| *k == key));
+                log.discounts.push(discount(d.at));
+                log.report.deliveries.push((d, 1.0));
+            }
+            log.report.drops.extend(drops);
             match step {
                 Step::Idle => return,
                 Step::Pending(spec) => match spec.kind {
@@ -454,12 +522,15 @@ impl Trajectory {
                         // Nominal no-loss path; `priced_for` puts the
                         // (1 − p) factor on the delivery.
                         let pkt = spec.packet.expect("loss fate carries its packet");
-                        self.crossings.push(((pkt.flow, pkt.seq), spec.node));
+                        log.crossings.push((
+                            position_or_push(&mut log.crossed, (pkt.flow, pkt.seq)),
+                            position_or_push(&mut log.loss_nodes, spec.node),
+                        ));
                         self.sim.resolve(0);
                     }
-                    // Nominal outcomes for everything else: no jitter, gates
-                    // hold their state, ARQ delivers, RED takes its more
-                    // likely branch.
+                    // Nominal outcomes for everything else: no jitter, ARQ
+                    // delivers, RED takes its more likely branch. A switch
+                    // holds — and, on hold since the start, never asks.
                     ChoiceKind::JitterFate
                     | ChoiceKind::GateSwitch
                     | ChoiceKind::EitherSwitch
@@ -472,32 +543,32 @@ impl Trajectory {
         }
     }
 
-    /// The report as a rollout of `net` itself produces it: `net` is the
-    /// network this trajectory started from or a determinized-equivalent
-    /// one, so only the delivery probabilities are its own. Each crossing
-    /// multiplies 1 − p of the crossed node onto its packet, in crossing
-    /// order — at the last-mile node the factor is exact, elsewhere it
-    /// is the certainty-equivalent approximation.
-    fn priced_for(&mut self, net: &Network) -> &RolloutReport {
+    /// The report as a rollout of `net` itself produces it, and the
+    /// discount of each of its deliveries: `net` is the network this
+    /// trajectory started from or a determinized-equivalent one, so only
+    /// the delivery probabilities are its own. Each crossing multiplies
+    /// 1 − p of the crossed node onto its packet, in crossing order.
+    fn priced_for(&mut self, net: &Network) -> (&RolloutReport, &[f64]) {
+        let log = &mut self.log;
         // No crossing: every probability is the 1.0 it was logged with.
-        if !self.crossings.is_empty() {
+        if !log.crossings.is_empty() {
+            self.survive.clear();
+            self.survive
+                .extend(log.loss_nodes.iter().map(|&n| 1.0 - net.loss_prob(n)));
+            // `crossed` is in first-crossing order: a packet's first
+            // crossing is the one that finds no entry for it yet.
             self.probs.clear();
-            for &(key, node) in &self.crossings {
-                let survive = 1.0 - net.loss_prob(node);
-                match self.probs.iter_mut().rev().find(|(k, _)| *k == key) {
-                    Some((_, p)) => *p *= survive,
-                    None => self.probs.push((key, survive)),
+            for &(packet, node) in &log.crossings {
+                match self.probs.get_mut(packet) {
+                    Some(p) => *p *= self.survive[node],
+                    None => self.probs.push(self.survive[node]),
                 }
             }
-            for (d, p) in &mut self.report.deliveries {
-                let key = (d.packet.flow, d.packet.seq);
-                *p = 1.0;
-                if let Some((_, f)) = self.probs.iter().find(|(k, _)| *k == key) {
-                    *p *= f;
-                }
+            for ((_, p), packet) in log.report.deliveries.iter_mut().zip(&log.packet_of) {
+                *p = packet.map_or(1.0, |i| self.probs[i]);
             }
         }
-        &self.report
+        (&log.report, &log.discounts)
     }
 }
 
@@ -506,31 +577,36 @@ impl Trajectory {
 /// no send at all. `sink` receives each finished trajectory, to price for
 /// `net` and its equivalents, with the candidate's slot — `None` for the
 /// idle baseline, which comes last.
+#[allow(clippy::too_many_arguments)]
 fn roll_branch(
     scratch: &mut RolloutScratch,
     net: &Network,
     entry: NodeId,
     hypothetical: impl Fn(Time) -> Packet,
+    discount: impl Fn(Time) -> f64 + Copy,
     sends: &[(usize, Time)],
     t_end: Time,
     mut sink: impl FnMut(Option<usize>, &mut Trajectory),
 ) {
-    let idle = Trajectory::refill(&mut scratch.idle, net, &RolloutReport::default(), &[]);
+    let idle = Trajectory::refill(&mut scratch.idle, net, &RolloutLog::default());
+    // Forks are copies of the idle network, so they hold as well.
+    idle.sim.hold_switches();
     for &(slot, t_act) in sends {
-        idle.run_to(t_act);
-        let fork = Trajectory::refill(&mut scratch.fork, &idle.sim, &idle.report, &idle.crossings);
+        idle.run_to(t_act, discount);
+        let fork = Trajectory::refill(&mut scratch.fork, &idle.sim, &idle.log);
         fork.sim.inject(entry, hypothetical(t_act));
-        fork.run_to(t_end);
+        fork.run_to(t_end, discount);
         sink(Some(slot), fork);
     }
-    idle.run_to(t_end);
+    idle.run_to(t_end, discount);
     sink(None, idle);
 }
 
 /// The candidate-major evaluation the branch-major kernel replaced, kept
 /// as the naive reference core: every candidate clones every branch and
-/// simulates it from the decision instant on its own, with a fresh report
-/// and an ordered probability map per rollout.
+/// simulates it from the decision instant on its own — switch timers
+/// firing and holding one event at a time — with a fresh report, an
+/// ordered probability map and freshly taken discounts per rollout.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -552,7 +628,12 @@ mod reference {
             let mut eu = 0.0;
             for (h, w) in branches {
                 let report = rollout(&h.net, entry, own_flow, send_at, t_end, seq, size);
-                eu += w * utility.evaluate(&report, now, own_flow);
+                let discounts: Vec<f64> = report
+                    .deliveries
+                    .iter()
+                    .map(|(d, _)| utility.delivery_discount(d.at, now))
+                    .collect();
+                eu += w * utility.evaluate(&report, &discounts, own_flow);
             }
             eu
         };
@@ -628,7 +709,10 @@ mod reference {
 mod tests {
     use super::*;
     use crate::utility::DiscountedThroughput;
-    use augur_elements::{build_model, GateSpec, ModelParams, FIG2_ENTRY, FIG2_LOSS};
+    use augur_elements::{
+        build_model, Buffer, DelayEl, Diverter, DropReason, Either, Element, GateSpec, Link, Loss,
+        ModelParams, NetworkBuilder, Pinger, ReceiverEl, FIG2_ENTRY, FIG2_LOSS,
+    };
     use augur_sim::{perf, BitRate, Ppm, SimRng};
 
     /// The kinds of small belief the kernel is checked on.
@@ -638,16 +722,65 @@ mod tests {
         LossyLastMile,
         PrefilledBuffer,
         IntermittentGate,
+        /// An INTERMITTENT gate whose epoch divides no grid delay, so its
+        /// timers fall between the candidate instants.
+        OddEpochGate,
+        /// A SQUAREWAVE gate that flips several times inside the horizon.
+        SquareWaveGate,
+        /// The cross traffic behind an EITHER in place of the gate.
+        EitherDetour,
         /// One state under five loss rates, a `meta`-only twin and one
         /// other link rate: the scene whose rollouts are shared.
         LossSiblings,
     }
 
-    /// The network of `params` warmed up to `now` with `in_flight` of the
-    /// sender's own packets sent at time zero, so rollouts start from
-    /// queues, a busy link and mid-period timers.
-    fn warmed_up(params: ModelParams, in_flight: u64, now: Time) -> Network {
-        let mut net = build_model(params).net;
+    const SCENES: [Scene; 8] = [
+        Scene::QuietLink,
+        Scene::LossyLastMile,
+        Scene::PrefilledBuffer,
+        Scene::IntermittentGate,
+        Scene::OddEpochGate,
+        Scene::SquareWaveGate,
+        Scene::EitherDetour,
+        Scene::LossSiblings,
+    ];
+
+    /// The Figure-2 topology with the gate replaced by an EITHER whose
+    /// switched route takes the cross traffic round the bottleneck. Node
+    /// ids up to the receivers are the Figure-2 ones.
+    fn either_model(params: ModelParams, epoch: Dur, initially_alt: bool) -> Network {
+        let mut b = NetworkBuilder::new();
+        let (pinger, _) = b.chain(vec![
+            Element::Pinger(Pinger::from_rate(
+                params.cross_rate,
+                params.packet_size,
+                FlowId::CROSS,
+                Time::ZERO,
+            )),
+            Element::Either(Either::new(Dur::from_secs(100), epoch, initially_alt)),
+            Element::Buffer(Buffer::drop_tail(params.buffer_capacity)),
+            Element::Link(Link::constant(params.link_rate)),
+            Element::Loss(Loss { p: params.loss }),
+            Element::Diverter(Diverter { flow: FlowId::SELF }),
+            Element::Receiver(ReceiverEl),
+        ]);
+        let either = NodeId(pinger.0 + 1);
+        let diverter = NodeId(pinger.0 + 5);
+        let rx_cross = b.add(Element::Receiver(ReceiverEl));
+        b.connect_alt(diverter, rx_cross);
+        let (detour, _) = b.chain(vec![
+            Element::Delay(DelayEl::new(Dur::from_millis(40))),
+            Element::Receiver(ReceiverEl),
+        ]);
+        b.connect_alt(either, detour);
+        assert_eq!(NodeId(pinger.0 + 2), FIG2_ENTRY);
+        b.build()
+    }
+
+    /// `net` warmed up to `now` with `in_flight` of the sender's own
+    /// packets sent at time zero, so rollouts start from queues, a busy
+    /// link and mid-period timers.
+    fn warmed_up(mut net: Network, in_flight: u64, now: Time) -> Network {
         for seq in 0..in_flight {
             net.inject(
                 FIG2_ENTRY,
@@ -676,16 +809,26 @@ mod tests {
                 link_rate: BitRate::from_bps(link_bps),
                 cross_rate: BitRate::from_bps(link_bps * rng.uniform_u64(4, 7) / 10),
                 gate: match scene {
-                    Scene::IntermittentGate => GateSpec::Intermittent {
+                    Scene::IntermittentGate | Scene::OddEpochGate => GateSpec::Intermittent {
                         mtts: Dur::from_secs(100),
-                        epoch: Dur::from_secs(1),
+                        epoch: match scene {
+                            Scene::OddEpochGate => Dur::from_millis(370),
+                            _ => Dur::from_secs(1),
+                        },
+                        initially_connected: rng.uniform_u64(0, 1) == 1,
+                    },
+                    Scene::SquareWaveGate => GateSpec::SquareWave {
+                        half_period: Dur::from_millis(100 * rng.uniform_u64(21, 45)),
                         initially_connected: rng.uniform_u64(0, 1) == 1,
                     },
                     _ => GateSpec::AlwaysOn,
                 },
                 loss: match scene {
                     Scene::LossyLastMile => Ppm::new(50_000 * rng.uniform_u64(1, 6) as u32),
-                    Scene::IntermittentGate => Ppm::new(50_000 * rng.uniform_u64(0, 2) as u32),
+                    Scene::IntermittentGate
+                    | Scene::OddEpochGate
+                    | Scene::SquareWaveGate
+                    | Scene::EitherDetour => Ppm::new(50_000 * rng.uniform_u64(0, 2) as u32),
                     _ => Ppm::ZERO,
                 },
                 buffer_capacity: Bits::new(96_000),
@@ -696,8 +839,14 @@ mod tests {
                 packet_size: Bits::new(12_000),
                 cross_active: cross_on,
             };
+            let net = match scene {
+                Scene::EitherDetour => {
+                    either_model(params, Dur::from_millis(430), rng.uniform_u64(0, 1) == 1)
+                }
+                _ => build_model(params).net,
+            };
             branches.push(Hypothesis {
-                net: warmed_up(params, rng.uniform_u64(0, 3), now),
+                net: warmed_up(net, rng.uniform_u64(0, 3), now),
                 meta: params,
                 weight: 0.1 + rng.uniform_f64(),
             });
@@ -740,7 +889,7 @@ mod tests {
                     ..base
                 };
                 Hypothesis {
-                    net: warmed_up(params, in_flight, now),
+                    net: warmed_up(build_model(params).net, in_flight, now),
                     // The twin is branch 2's network under a `meta` of
                     // its own, as `compact()` would keep it.
                     meta: ModelParams {
@@ -785,13 +934,7 @@ mod tests {
         };
         let size = Bits::new(12_000);
         let mut some_send = false;
-        for scene in [
-            Scene::QuietLink,
-            Scene::LossyLastMile,
-            Scene::PrefilledBuffer,
-            Scene::IntermittentGate,
-            Scene::LossSiblings,
-        ] {
+        for scene in SCENES {
             for seed in 0..4 {
                 let mut rng = SimRng::seed_from_u64(seed);
                 let (branches, now) = seeded_branches(scene, &mut rng);
@@ -876,6 +1019,48 @@ mod tests {
                         assert_eq!(g.0, w.0);
                         assert_eq!(g.1.to_bits(), w.1.to_bits());
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_rollout_holds_memoryless_gates_and_lets_square_waves_flip() {
+        let size = Bits::new(12_000);
+        let idle_rollout = |net: &Network, now: Time| {
+            let t_end = now + Dur::from_secs(16);
+            rollout(net, FIG2_ENTRY, FlowId::SELF, None, t_end, 9, size)
+        };
+        let mut rng = SimRng::seed_from_u64(3);
+        for scene in [
+            Scene::IntermittentGate,
+            Scene::OddEpochGate,
+            Scene::SquareWaveGate,
+        ] {
+            let (branches, now) = seeded_branches(scene, &mut rng);
+            for h in &branches {
+                let report = idle_rollout(&h.net, now);
+                let shut_out = report
+                    .drops
+                    .iter()
+                    .any(|d| d.reason == DropReason::GateClosed);
+                let let_in = report
+                    .deliveries
+                    .iter()
+                    .any(|(d, _)| d.packet.flow == FlowId::CROSS && d.packet.sent_at > now);
+                match h.meta.gate {
+                    // The warm-up held the initial position and so does
+                    // the rollout: sixteen seconds of one state.
+                    GateSpec::Intermittent {
+                        initially_connected,
+                        ..
+                    } => assert_eq!(
+                        (let_in, shut_out),
+                        (initially_connected, !initially_connected),
+                        "{scene:?}"
+                    ),
+                    // At most 4.5 s per half-period: both states are met.
+                    _ => assert!(let_in && shut_out, "{scene:?}"),
                 }
             }
         }

@@ -12,9 +12,9 @@
 //! The approximation identity pins down the timescale the prose elides:
 //! for a stream at `r` packets/s, packet `t` arrives τ = 1000·t/r ms in
 //! the future, and the stated summand e^(−t/(1000 r)) equals
-//! e^(−τ/10⁶). So the discount is **e^(−τ_ms/Θ) with Θ = 10⁶ ms**
-//! (DESIGN.md §4.5), and [`discounted_stream_sum`] reproduces the
-//! identity exactly (tested, and property-tested at the workspace level).
+//! e^(−τ/10⁶). So the discount is **e^(−τ_ms/Θ) with Θ = 10⁶ ms**, and
+//! [`discounted_stream_sum`] reproduces the identity exactly (tested, and
+//! property-tested at the workspace level).
 //!
 //! The utility "may include a parameter varying the relative value of
 //! cross traffic compared with our own" (α) and "can optionally penalize
@@ -36,11 +36,20 @@ pub struct RolloutReport {
     pub drops: Vec<DropRecord>,
 }
 
-/// An instantaneous utility function over a rollout.
+/// An instantaneous utility function over a rollout, in two parts: what
+/// a delivery's instant is worth, which every network that shares a
+/// rollout agrees on, and the total, which also weighs each network's own
+/// delivery probabilities. The planner asks for the first once per
+/// delivery of a trajectory and for the second once per network.
 pub trait Utility {
-    /// Total utility of the rollout as seen from `decision_time` for a
-    /// sender owning `own_flow`.
-    fn evaluate(&self, report: &RolloutReport, decision_time: Time, own_flow: FlowId) -> f64;
+    /// The factor by which a delivery at `at` is discounted when seen
+    /// from `decision_time`. It may depend on nothing else.
+    fn delivery_discount(&self, at: Time, decision_time: Time) -> f64;
+
+    /// Total utility of the rollout for a sender owning `own_flow`.
+    /// `discounts[i]` is [`Self::delivery_discount`] of
+    /// `report.deliveries[i]`.
+    fn evaluate(&self, report: &RolloutReport, discounts: &[f64], own_flow: FlowId) -> f64;
 }
 
 /// The paper's utility: discounted own throughput, plus α times the cross
@@ -85,11 +94,15 @@ impl DiscountedThroughput {
 }
 
 impl Utility for DiscountedThroughput {
-    fn evaluate(&self, report: &RolloutReport, decision_time: Time, own_flow: FlowId) -> f64 {
+    fn delivery_discount(&self, at: Time, decision_time: Time) -> f64 {
+        self.discount(at.saturating_since(decision_time).as_millis_f64())
+    }
+
+    fn evaluate(&self, report: &RolloutReport, discounts: &[f64], own_flow: FlowId) -> f64 {
+        assert_eq!(report.deliveries.len(), discounts.len());
         let mut u = 0.0;
-        for (d, prob) in &report.deliveries {
-            let tau_ms = d.at.saturating_since(decision_time).as_millis_f64();
-            let value = prob * d.packet.size.as_f64() * self.discount(tau_ms);
+        for ((d, prob), discount) in report.deliveries.iter().zip(discounts) {
+            let value = prob * d.packet.size.as_f64() * discount;
             if d.packet.flow == own_flow {
                 u += value;
             } else {
@@ -116,6 +129,16 @@ pub fn discounted_stream_sum(r_packets_per_sec: f64) -> f64 {
 mod tests {
     use super::*;
     use augur_sim::{Bits, Packet, SimRng};
+
+    /// `u` of `report` as seen from `now`, every discount taken afresh.
+    fn utility_at(u: &DiscountedThroughput, report: &RolloutReport, now: Time) -> f64 {
+        let discounts: Vec<f64> = report
+            .deliveries
+            .iter()
+            .map(|(d, _)| u.delivery_discount(d.at, now))
+            .collect();
+        u.evaluate(report, &discounts, FlowId::SELF)
+    }
 
     fn delivery(flow: FlowId, at_ms: u64, sent_ms: u64) -> Delivery {
         Delivery {
@@ -167,7 +190,7 @@ mod tests {
             ],
             drops: vec![],
         };
-        let total = u.evaluate(&report, Time::ZERO, FlowId::SELF);
+        let total = utility_at(&u, &report, Time::ZERO);
         let disc = u.discount(100.0);
         let want = 12_000.0 * disc * (1.0 + 0.5);
         assert!((total - want).abs() < 1e-6, "{total} vs {want}");
@@ -184,8 +207,8 @@ mod tests {
             deliveries: vec![(delivery(FlowId::SELF, 0, 0), 0.8)],
             drops: vec![],
         };
-        let a = u.evaluate(&full, Time::ZERO, FlowId::SELF);
-        let b = u.evaluate(&partial, Time::ZERO, FlowId::SELF);
+        let a = utility_at(&u, &full, Time::ZERO);
+        let b = utility_at(&u, &partial, Time::ZERO);
         assert!((b / a - 0.8).abs() < 1e-12);
     }
 
@@ -200,8 +223,8 @@ mod tests {
             deliveries: vec![(delivery(FlowId::SELF, 500_000, 0), 1.0)],
             drops: vec![],
         };
-        let ue = u.evaluate(&early, Time::ZERO, FlowId::SELF);
-        let ul = u.evaluate(&late, Time::ZERO, FlowId::SELF);
+        let ue = utility_at(&u, &early, Time::ZERO);
+        let ul = utility_at(&u, &late, Time::ZERO);
         assert!(ue > ul);
         // But the discount is gentle: a 1-second delay costs ~0.1%.
         assert!((1.0 - ul / ue) < 0.5);
@@ -217,7 +240,7 @@ mod tests {
             deliveries: vec![(delivery(FlowId::CROSS, 2_000, 0), 1.0)],
             drops: vec![],
         };
-        let total = u.evaluate(&report, Time::ZERO, FlowId::SELF);
+        let total = utility_at(&u, &report, Time::ZERO);
         assert!(total < 0.0, "penalty should dominate: {total}");
     }
 
@@ -229,7 +252,7 @@ mod tests {
             drops: vec![],
         };
         // Decision time after the delivery: τ clamps to 0.
-        let total = u.evaluate(&report, Time::from_millis(200), FlowId::SELF);
+        let total = utility_at(&u, &report, Time::from_millis(200));
         assert!((total - 12_000.0).abs() < 1e-9);
     }
 }

@@ -5,10 +5,11 @@
 //!   process with particular interarrival time (mean-time-to-switch)"
 //!   (§3.1). The memoryless process is realized as a per-epoch Bernoulli
 //!   switch (geometric interarrival, the discrete-time memoryless law),
-//!   with switch probability `1 − e^(−epoch/mtts)` so the mean time to
-//!   switch matches `mtts` as the epoch shrinks (DESIGN.md §4.4). Using a
-//!   finite per-epoch choice lets ground truth (sampled) and belief
-//!   branches (forked) share one mechanism.
+//!   with switch probability `1 − e^(−epoch/mtts)` — the probability that
+//!   an exponential interarrival of mean `mtts` ends within one epoch —
+//!   so the mean time to switch matches `mtts` as the epoch shrinks.
+//!   Using a finite per-epoch choice lets ground truth (sampled) and
+//!   belief branches (forked) share one mechanism.
 //! * SQUAREWAVE — "regularly alternates between connected and
 //!   disconnected with a certain period" (§3.1); deterministic.
 //! * EITHER — "sends traffic either to one element or another, switching
@@ -21,6 +22,12 @@
 //! Split representation: [`GateParams`] / [`EitherParams`] carry the
 //! switching law; [`GateState`] / [`EitherState`] carry the phase (current
 //! position plus next decision instant).
+//!
+//! A memoryless switch whose every decision is known to be "hold" — a
+//! planner rollout's nominal outcome — can be *disarmed*
+//! ([`GateState::disarm`], [`EitherState::disarm`]): it keeps its position
+//! and reports no timer from then on, which is the state an epoch timer
+//! that only ever re-arms itself leaves behind, minus the events.
 
 use augur_sim::{Dur, Ppm, Time};
 
@@ -80,6 +87,7 @@ impl GateParams {
     /// Apply a decision at `now`: flip if `switch`, then schedule the next
     /// decision.
     pub fn decide(&self, st: &mut GateState, switch: bool, now: Time) {
+        debug_assert!(st.next_timer().is_some(), "decision on a disarmed gate");
         debug_assert!(now >= st.next_decision);
         if switch {
             st.connected = !st.connected;
@@ -93,9 +101,14 @@ impl GateParams {
 }
 
 impl GateState {
-    /// The next decision instant.
+    /// The next decision instant; `None` once disarmed.
     pub fn next_timer(&self) -> Option<Time> {
-        Some(self.next_decision)
+        (self.next_decision != Time::MAX).then_some(self.next_decision)
+    }
+
+    /// Hold the current position for good: no decision is ever due again.
+    pub fn disarm(&mut self) {
+        self.next_decision = Time::MAX;
     }
 }
 
@@ -185,6 +198,7 @@ pub struct EitherState {
 impl EitherParams {
     /// Apply a decision at `now`.
     pub fn decide(&self, st: &mut EitherState, switch: bool, _now: Time) {
+        debug_assert!(st.next_timer().is_some(), "decision on a disarmed EITHER");
         if switch {
             st.on_alt = !st.on_alt;
         }
@@ -193,9 +207,14 @@ impl EitherParams {
 }
 
 impl EitherState {
-    /// Next decision instant.
+    /// Next decision instant; `None` once disarmed.
     pub fn next_timer(&self) -> Option<Time> {
-        Some(self.next_decision)
+        (self.next_decision != Time::MAX).then_some(self.next_decision)
+    }
+
+    /// Hold the current route for good: no decision is ever due again.
+    pub fn disarm(&mut self) {
+        self.next_decision = Time::MAX;
     }
 }
 

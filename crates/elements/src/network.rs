@@ -5,7 +5,7 @@
 //! with two successors. A [`Network`] is a *value*: cloneable, comparable
 //! and hashable, because the inference engine maintains thousands of them
 //! as belief-state hypotheses and compacts branches whose states have
-//! reconverged (§3.2, DESIGN.md §4.1).
+//! reconverged (§3.2).
 //!
 //! # Structure sharing
 //!
@@ -458,13 +458,61 @@ fn is_fractional(l: &Loss) -> bool {
 // the packet on, or drops it, without raising a choice at all.
 // ----------------------------------------------------------------------
 
+/// The hasher behind [`Network::determinized_key`]: one rotate, xor and
+/// odd multiply per word written. Its inputs are the program's own
+/// networks, never outside data, and every key match is settled by
+/// `determinized_eq`, so collision resistance buys nothing here.
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+}
+
 impl Network {
     /// A fixed-key hash of everything [`Network::determinized_eq`]
     /// compares: equivalent networks have equal keys, on every run.
     /// Distinct networks may collide; settle a key match with
-    /// `determinized_eq`.
+    /// `determinized_eq`. The value is pinned nowhere and only ever brings
+    /// candidates together, so it is a word-at-a-time multiply-rotate
+    /// hash rather than the SipHash behind [`Hash`]'s pinned fingerprints.
     pub fn determinized_key(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = KeyHasher(0);
         self.hash_identity(&mut h, |mut node| {
             if matches!(node.element, ElementRef::Loss(l) if is_fractional(l)) {
                 node.element = ElementRef::FractionalLoss;
@@ -497,6 +545,37 @@ impl Network {
         match &self.structure.nodes[id.0].element {
             ElementParams::Loss(l) => l.p.prob(),
             other => panic!("{id} is a {}, not a Loss", other.kind_name()),
+        }
+    }
+
+    /// Settle every memoryless switch (INTERMITTENT gate, EITHER) on
+    /// "hold" for good: a pending switch choice is resolved to hold and
+    /// the decision timers are disarmed, so they raise no further event.
+    /// It leaves exactly the trajectory of deliveries and drops that
+    /// resolving each `GateSwitch` / `EitherSwitch` choice to option 0
+    /// as it comes up does — such a timer only ever re-arms itself — and
+    /// is what a determinized rollout does to its private copy. SQUAREWAVE
+    /// gates keep their timers: their flips are deterministic and happen.
+    ///
+    /// The network's identity changes (the disarmed phase is part of
+    /// `==` and [`Hash`]): never call this on a belief hypothesis.
+    pub fn hold_switches(&mut self) {
+        if let Some(p) = &self.state.pending {
+            if matches!(p.kind, ChoiceKind::GateSwitch | ChoiceKind::EitherSwitch) {
+                self.resolve(0);
+            }
+        }
+        let nodes = self.structure.nodes.iter();
+        for (node, st) in nodes.zip(&mut self.state.elements) {
+            match (&node.element, st) {
+                (ElementParams::Gate(gp), ElementState::Gate(gs))
+                    if gp.switch_choice().is_some() =>
+                {
+                    gs.disarm()
+                }
+                (ElementParams::Either(_), ElementState::Either(es)) => es.disarm(),
+                _ => {}
+            }
         }
     }
 }
@@ -1845,6 +1924,117 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].0, rx_primary, "pre-switch packet on primary");
         assert_eq!(d[1].0, rx_alt, "post-switch packet on alt");
+    }
+
+    #[test]
+    fn hold_switches_disarms_memoryless_switches_only() {
+        use crate::gate::Either;
+        // pinger -> INTERMITTENT gate -> EITHER -> rx | rx_alt, with a
+        // SQUAREWAVE gate on the side when `square_wave` is set.
+        let build = |square_wave: bool| {
+            let mut b = NetworkBuilder::new();
+            let (_, either) = b.chain(vec![
+                Element::Pinger(Pinger::new(
+                    Dur::from_millis(700),
+                    Bits::new(100),
+                    FlowId::CROSS,
+                    Time::from_secs(1_000),
+                )),
+                Element::Gate(Gate::intermittent(
+                    Dur::from_secs(100),
+                    Dur::from_millis(300),
+                    true,
+                )),
+                Element::Either(Either::new(
+                    Dur::from_secs(100),
+                    Dur::from_millis(450),
+                    false,
+                )),
+            ]);
+            let rx = b.add(Element::Receiver(ReceiverEl));
+            let rx_alt = b.add(Element::Receiver(ReceiverEl));
+            b.connect(either, rx);
+            b.connect_alt(either, rx_alt);
+            if square_wave {
+                b.chain(vec![
+                    Element::Gate(Gate::square_wave(Dur::from_secs(3), true)),
+                    Element::Receiver(ReceiverEl),
+                ]);
+            }
+            b.build()
+        };
+
+        // Only hold-only timers before the pinger's far-off start: none
+        // is left, and the positions stand.
+        let original = build(false);
+        assert_eq!(original.next_event_time(), Some(Time::from_millis(300)));
+        let mut held = original.clone();
+        held.hold_switches();
+        assert_eq!(held.next_event_time(), Some(Time::from_secs(1_000)));
+        assert_eq!(held.run_until(Time::from_secs(900)), Step::Idle);
+        // A held network is another network; belief hypotheses are never
+        // held, so their `==` / `Hash` / `determinized_eq` see no change.
+        assert_ne!(held, original);
+        assert!(!held.determinized_eq(&original));
+        let mut again = original.clone();
+        again.hold_switches();
+        again.run_until(Time::from_secs(900));
+        assert_eq!(again, held);
+        assert_eq!(fingerprint(&again), fingerprint(&held));
+        assert_eq!(again.determinized_key(), held.determinized_key());
+
+        // A switch choice already pending is resolved to "hold".
+        let mut asked = original.clone();
+        assert!(matches!(
+            asked.run_until(Time::from_secs(1)),
+            Step::Pending(spec) if spec.kind == ChoiceKind::GateSwitch
+        ));
+        asked.hold_switches();
+        assert_eq!(asked.run_until(Time::from_secs(900)), Step::Idle);
+        assert_eq!(asked, held);
+
+        // A square wave's flips are deterministic events: they stay.
+        let mut flipping = build(true);
+        flipping.hold_switches();
+        assert_eq!(flipping.next_event_time(), Some(Time::from_secs(3)));
+    }
+
+    #[test]
+    fn a_held_network_delivers_and_drops_what_holding_each_choice_does() {
+        // pinger -> INTERMITTENT gate -> rx, from either gate position.
+        for connected in [true, false] {
+            let mut b = NetworkBuilder::new();
+            b.chain(vec![
+                Element::Pinger(Pinger::new(
+                    Dur::from_millis(700),
+                    Bits::new(100),
+                    FlowId::CROSS,
+                    Time::ZERO,
+                )),
+                Element::Gate(Gate::intermittent(
+                    Dur::from_secs(100),
+                    Dur::from_millis(300),
+                    connected,
+                )),
+                Element::Receiver(ReceiverEl),
+            ]);
+            let mut asked = b.build();
+            let mut held = asked.clone();
+            held.hold_switches();
+            let until = Time::from_secs(10);
+            let before = augur_sim::perf::snapshot();
+            while let Step::Pending(_) = asked.run_until(until) {
+                asked.resolve(0);
+            }
+            let asked_events = augur_sim::perf::snapshot().since(&before).events_processed;
+            let before = augur_sim::perf::snapshot();
+            assert_eq!(held.run_until(until), Step::Idle);
+            let held_events = augur_sim::perf::snapshot().since(&before).events_processed;
+            assert_eq!(held.take_deliveries(), asked.take_deliveries());
+            assert_eq!(held.take_drops(), asked.take_drops());
+            // 15 pings either way; 33 epoch timers only when asked.
+            assert_eq!((held_events, asked_events), (15, 15 + 33));
+        }
     }
 
     #[test]

@@ -162,7 +162,7 @@ fn smoke_sweep_counters_are_pinned() {
         (
             0xD9FC_7782_60C8_5538,
             WorkCounters {
-                events_processed: 224_209,
+                events_processed: 129_743,
                 packets_forwarded: 173_869,
                 hypothesis_updates: 736,
                 particle_resamples: 3,
@@ -250,7 +250,7 @@ fn fig3_sweep_counters_are_pinned() {
         (
             0xC02A_0666_602D_D12E,
             WorkCounters {
-                events_processed: 290_602,
+                events_processed: 177_233,
                 packets_forwarded: 263_499,
                 hypothesis_updates: 19_440,
                 particle_resamples: 0,
