@@ -13,7 +13,7 @@
 //! p95 RTT near its 100 ms interval; RED sits in between; goodput stays
 //! comparable (within ~2× of drop-tail).
 
-use augur_bench::{check, save_csv};
+use augur_bench::{check, finish, save_csv};
 use augur_scenario::{presets, SweepRunner};
 use augur_sim::{Dur, Time};
 use augur_tcp::TcpTrace;
@@ -92,4 +92,5 @@ fn main() {
         gp(codel_trace) >= gp(droptail_trace) / 2.0,
         format!("{:.0} vs {:.0} bps", gp(codel_trace), gp(droptail_trace)),
     );
+    finish();
 }

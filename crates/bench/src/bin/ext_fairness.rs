@@ -12,7 +12,7 @@
 //! fairness index, and the restart counts (a direct measurement of how
 //! badly the pinger model fits an adaptive peer).
 
-use augur_bench::{check, out_dir};
+use augur_bench::{check, finish, out_dir};
 use augur_scenario::{presets, SweepRunner};
 use augur_sim::Dur;
 use std::fs;
@@ -71,4 +71,5 @@ fn main() {
         restarts_a + restarts_b > 0,
         format!("{} total restarts", restarts_a + restarts_b),
     );
+    finish();
 }

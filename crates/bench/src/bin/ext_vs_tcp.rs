@@ -10,7 +10,7 @@
 //! both make progress — quantifying the paper's worry that a
 //! deferential sender may be out-competed by a loss-based one.
 
-use augur_bench::{check, out_dir};
+use augur_bench::{check, finish, out_dir};
 use augur_scenario::{presets, SweepRunner};
 use augur_sim::Dur;
 use std::fs;
@@ -71,4 +71,5 @@ fn main() {
         max_combined <= link_bps as f64 * 1.05,
         format!("max combined {max_combined:.0} bit/s of {link_bps}"),
     );
+    finish();
 }

@@ -3,8 +3,7 @@
 //! the Verizon LTE network" (bufferbloat).
 //!
 //! The paper measured a real LTE modem; we substitute the synthetic
-//! cellular path of `augur_elements::cellular` (DESIGN.md §5): a deep
-//! drop-tail buffer feeding a fading radio link whose stochastic losses
+//! cellular path of `augur_elements::cellular`: a deep drop-tail buffer feeding a fading radio link whose stochastic losses
 //! are hidden by link-layer ARQ. The experiment is the `presets::fig1`
 //! scenario (a `TopologySpec::Cellular` TCP Reno run, also shipped as
 //! `experiments/specs/fig1.toml`); this binary adds the log-axis RTT
@@ -13,7 +12,7 @@
 //! Shape targets: RTT starts near the propagation floor (~0.1 s) and
 //! climbs beyond several seconds; max/min ratio ≥ 30×.
 
-use augur_bench::{check, save_csv};
+use augur_bench::{check, finish, save_csv};
 use augur_scenario::{presets, SweepRunner};
 use augur_sim::{Dur, Time};
 use augur_trace::{render, PlotConfig, Series};
@@ -90,4 +89,5 @@ fn main() {
             .all(|d| d.reason == augur_elements::DropReason::BufferFull),
         format!("{} drops, all buffer overflows", trace.drops.len()),
     );
+    finish();
 }

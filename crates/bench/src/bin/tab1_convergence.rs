@@ -13,8 +13,9 @@
 //! because the posterior snapshots need the belief mid-run — a
 //! measurement the summary-only sweep path does not expose.
 
-use augur_bench::{check, save_csv};
+use augur_bench::{check, finish, save_csv};
 use augur_core::run_closed_loop;
+use augur_inference::Engine;
 use augur_scenario::{presets, spec_ground_truth, spec_isender};
 use augur_sim::{BitRate, Bits, Dur, Ppm, Time};
 use augur_trace::Series;
@@ -67,7 +68,7 @@ fn main() {
         let prob = |f: &dyn Fn(&augur_elements::ModelParams) -> bool| -> f64 {
             sender
                 .belief
-                .branches()
+                .members()
                 .iter()
                 .filter(|h| f(&h.meta))
                 .map(|h| h.weight)
@@ -120,4 +121,5 @@ fn main() {
         last.5 < 4_000,
         format!("{} branches from 4,760 grid points", last.5),
     );
+    finish();
 }

@@ -13,8 +13,9 @@
 //! the scenario runner's helpers because the checks read the posterior
 //! out of the belief after the run.
 
-use augur_bench::{check, save_csv};
+use augur_bench::{check, finish, save_csv};
 use augur_core::run_closed_loop;
+use augur_inference::Engine;
 use augur_scenario::{presets, spec_ground_truth, spec_isender};
 use augur_sim::{BitRate, Dur, Time};
 use augur_trace::{render, PlotConfig, Series};
@@ -86,4 +87,5 @@ fn main() {
             == 0,
         "zero own-flow drops",
     );
+    finish();
 }

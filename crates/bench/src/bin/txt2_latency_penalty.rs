@@ -11,7 +11,7 @@
 //! latency penalty is a sweep axis); this binary adds the plot and the
 //! shape checks.
 
-use augur_bench::{check, save_csv};
+use augur_bench::{check, finish, save_csv};
 use augur_core::RunTrace;
 use augur_scenario::{presets, SweepRunner};
 use augur_sim::{Dur, Time};
@@ -114,4 +114,5 @@ fn main() {
         pen_delay < plain_delay,
         format!("{pen_delay:.2}s vs {plain_delay:.2}s"),
     );
+    finish();
 }

@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 //! `augur-bench` — the experiment harness.
 //!
-//! One binary per paper artifact (see DESIGN.md §3 for the index):
+//! One binary per paper artifact:
 //!
 //! | binary                | artifact |
 //! |-----------------------|----------|
@@ -16,11 +16,13 @@
 //! | `ext_aqm`             | §3.5: AQM (RED/CoDel) vs deep FIFO under TCP |
 //!
 //! Each binary prints its figure as an ASCII chart, writes CSV under
-//! `experiments/`, and prints the shape checks EXPERIMENTS.md records.
+//! `experiments/`, prints its shape checks — the paper-shape acceptance
+//! criteria of the figure — and exits 1 if any of them failed.
 
 use augur_trace::Series;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Where experiment CSVs land (override with `AUGUR_OUT`).
 pub fn out_dir() -> PathBuf {
@@ -40,7 +42,23 @@ pub fn save_csv(name: &str, series: &[&Series]) {
     println!("  wrote {}", path.display());
 }
 
-/// Render a one-line pass/fail check.
+/// Whether any [`check`] of this process has failed. `Relaxed`: the flag
+/// publishes nothing but itself.
+static CHECK_FAILED: AtomicBool = AtomicBool::new(false);
+
+/// Render a one-line pass/fail check and remember a failure for
+/// [`finish`].
 pub fn check(name: &str, ok: bool, detail: impl std::fmt::Display) {
+    if !ok {
+        CHECK_FAILED.store(true, Ordering::Relaxed);
+    }
     println!("  [{}] {name}: {detail}", if ok { "PASS" } else { "FAIL" });
+}
+
+/// The last call of every figure binary's `main`: exit 1 if any shape
+/// check failed, so a figure that lost the paper's shape fails its caller.
+pub fn finish() {
+    if CHECK_FAILED.load(Ordering::Relaxed) {
+        std::process::exit(1);
+    }
 }

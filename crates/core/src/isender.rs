@@ -13,14 +13,21 @@
 //!    "send now" maximizes expected utility;
 //! 3. returns the packets it sent plus the instant it wants to be woken
 //!    if no acknowledgment arrives first.
+//!
+//! There is one sender, [`ISender<M, E>`], over whichever belief engine
+//! `E` stands behind the [`Engine`] seam: the exact [`Belief`] (the
+//! default, so `ISender<M>` names the paper's sender) or the
+//! [`ParticleFilter`] ([`ParticleSender`]). The wake cycle is written once
+//! and reaches the engine through `advance`, `inject` and — inside
+//! [`decide`] — `members`, so the policy cannot diverge between belief
+//! representations.
 
-use crate::planner::{
-    decide, decide_weighted, subsample_weighted, Action, Decision, PlannerConfig,
-};
+use crate::planner::{decide, Action, Decision, PlannerConfig};
 use crate::utility::Utility;
-use augur_inference::{Belief, BeliefError, Observation, ParticleFilter};
+use augur_inference::{Belief, BeliefError, Engine, Observation, ParticleFilter};
+use augur_obs::EventKind;
 use augur_sim::{Bits, Dur, FlowId, Packet, Time};
-use std::hash::Hash;
+use std::marker::PhantomData;
 
 /// ISender tuning.
 #[derive(Debug, Clone)]
@@ -74,45 +81,42 @@ impl WakeOutcome {
                 action: Action::Idle,
                 expected_utility: 0.0,
                 evaluations: Vec::new(),
+                members: 0,
             },
         }
     }
 }
 
-/// The model-based sender.
-pub struct ISender<M> {
+/// The model-based sender over belief engine `E`.
+pub struct ISender<M, E = Belief<M>> {
     /// The belief over network configurations (public for inspection by
     /// experiments and tests).
-    pub belief: Belief<M>,
+    pub belief: E,
     cfg: ISenderConfig,
     utility: Box<dyn Utility + Send>,
-    own_flow: FlowId,
     next_seq: u64,
     /// Log of (seq, send time) for every transmitted packet.
     pub sent_log: Vec<(u64, Time)>,
+    meta: PhantomData<fn() -> M>,
 }
 
-impl<M: Clone + Eq + Hash> ISender<M> {
+/// The ISender over a bootstrap particle filter instead of the exact
+/// belief — the scalable engine the paper sketches in §3.2. Only the
+/// belief update differs: particles are sampled trajectories that die on
+/// observation mismatch rather than forked branches.
+pub type ParticleSender<M> = ISender<M, ParticleFilter<M>>;
+
+impl<M, E: Engine<Meta = M>> ISender<M, E> {
     /// Create a sender over a prior belief with the given utility.
-    pub fn new(
-        belief: Belief<M>,
-        utility: Box<dyn Utility + Send>,
-        cfg: ISenderConfig,
-    ) -> ISender<M> {
-        let own_flow = belief.config().own_flow;
+    pub fn new(belief: E, utility: Box<dyn Utility + Send>, cfg: ISenderConfig) -> ISender<M, E> {
         ISender {
             belief,
             cfg,
             utility,
-            own_flow,
             next_seq: 0,
             sent_log: Vec::new(),
+            meta: PhantomData,
         }
-    }
-
-    /// The sender's flow id.
-    pub fn own_flow(&self) -> FlowId {
-        self.own_flow
     }
 
     /// Sequence number of the next packet to transmit.
@@ -130,80 +134,9 @@ impl<M: Clone + Eq + Hash> ISender<M> {
     pub fn utility(&self) -> &dyn Utility {
         self.utility.as_ref()
     }
-
-    /// Wake at `now` with the acknowledgments received since the previous
-    /// wake. Updates the belief, transmits while profitable, and schedules
-    /// the next timer.
-    pub fn on_wake(&mut self, now: Time, acks: &[Observation]) -> Result<WakeOutcome, BeliefError> {
-        self.belief.advance(now, acks)?;
-        let (cfg, utility, own_flow) = (&self.cfg, self.utility.as_ref(), self.own_flow);
-        Ok(wake_cycle(
-            now,
-            cfg,
-            own_flow,
-            &mut self.next_seq,
-            &mut self.sent_log,
-            &mut self.belief,
-            |belief, seq| {
-                decide(
-                    belief,
-                    &cfg.planner,
-                    utility,
-                    own_flow,
-                    seq,
-                    cfg.packet_size,
-                )
-            },
-            Belief::inject,
-        ))
-    }
 }
 
-/// The shared wake-time decision cycle: ask the planner while "send now"
-/// wins (up to the per-wake cap), injecting each hypothetical send into
-/// the belief engine, then map the final action to the next timer. Both
-/// [`ISender`] and [`ParticleSender`] delegate here so the policy cannot
-/// diverge between belief representations.
-#[allow(clippy::too_many_arguments)]
-fn wake_cycle<E>(
-    now: Time,
-    cfg: &ISenderConfig,
-    own_flow: FlowId,
-    next_seq: &mut u64,
-    sent_log: &mut Vec<(u64, Time)>,
-    engine: &mut E,
-    decide_fn: impl Fn(&E, u64) -> Decision,
-    inject_fn: impl Fn(&mut E, Packet),
-) -> WakeOutcome {
-    let mut sent = Vec::new();
-    let decision = loop {
-        let d = decide_fn(engine, *next_seq);
-        match d.action {
-            Action::SendNow if sent.len() < cfg.max_sends_per_wake => {
-                let pkt = Packet::new(own_flow, *next_seq, cfg.packet_size, now);
-                inject_fn(engine, pkt);
-                sent_log.push((*next_seq, now));
-                *next_seq += 1;
-                sent.push(pkt);
-            }
-            _ => break d,
-        }
-    };
-
-    let next_wake = match decision.action {
-        Action::SendNow => now + cfg.max_sleep, // send cap hit
-        Action::SleepUntil(t) => t.min(now + cfg.max_sleep),
-        // No send looks profitable: wait for news (ACKs wake earlier).
-        Action::Idle => now + cfg.max_sleep,
-    };
-    WakeOutcome {
-        sent,
-        next_wake,
-        decision,
-    }
-}
-
-impl<M> std::fmt::Debug for ISender<M> {
+impl<M, E> std::fmt::Debug for ISender<M, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ISender")
             .field("next_seq", &self.next_seq)
@@ -233,112 +166,70 @@ pub trait SenderAgent {
     fn effective_population(&self) -> f64;
 }
 
-impl<M: Clone + Eq + Hash> SenderAgent for ISender<M> {
+impl<M, E: Engine<Meta = M>> SenderAgent for ISender<M, E> {
     fn own_flow(&self) -> FlowId {
-        ISender::own_flow(self)
+        self.belief.own_flow()
     }
 
+    /// Updates the belief, transmits while the planner says "send now" (up
+    /// to the per-wake cap), telling the belief about each transmission,
+    /// then maps the final action to the next timer.
     fn on_wake(&mut self, now: Time, acks: &[Observation]) -> Result<WakeOutcome, BeliefError> {
-        ISender::on_wake(self, now, acks)
-    }
+        self.belief.advance(now, acks)?;
+        let (cfg, own_flow) = (&self.cfg, self.belief.own_flow());
+        let mut sent = Vec::new();
+        let decision = loop {
+            let d = decide(
+                &self.belief,
+                &cfg.planner,
+                self.utility.as_ref(),
+                own_flow,
+                self.next_seq,
+                cfg.packet_size,
+            );
+            match d.action {
+                Action::SendNow if sent.len() < cfg.max_sends_per_wake => {
+                    let pkt = Packet::new(own_flow, self.next_seq, cfg.packet_size, now);
+                    self.belief.inject(pkt);
+                    self.sent_log.push((self.next_seq, now));
+                    self.next_seq += 1;
+                    sent.push(pkt);
+                }
+                _ => break d,
+            }
+        };
 
-    fn population(&self) -> usize {
-        self.belief.branch_count()
-    }
-
-    fn effective_population(&self) -> f64 {
-        self.belief.effective_count()
-    }
-}
-
-/// The ISender over a bootstrap particle filter instead of the exact
-/// belief — the scalable engine the paper sketches in §3.2. The decision
-/// cycle is identical (the planner's determinized rollouts are
-/// representation-agnostic); only the belief update differs: particles are
-/// sampled trajectories that die on observation mismatch rather than
-/// forked branches.
-pub struct ParticleSender<M> {
-    /// The particle population (public for inspection by experiments).
-    pub filter: ParticleFilter<M>,
-    cfg: ISenderConfig,
-    utility: Box<dyn Utility + Send>,
-    own_flow: FlowId,
-    next_seq: u64,
-    /// Log of (seq, send time) for every transmitted packet.
-    pub sent_log: Vec<(u64, Time)>,
-}
-
-impl<M: Clone> ParticleSender<M> {
-    /// Create a sender over a particle filter with the given utility.
-    pub fn new(
-        filter: ParticleFilter<M>,
-        utility: Box<dyn Utility + Send>,
-        cfg: ISenderConfig,
-    ) -> ParticleSender<M> {
-        let own_flow = filter.config().own_flow;
-        ParticleSender {
-            filter,
-            cfg,
-            utility,
-            own_flow,
-            next_seq: 0,
-            sent_log: Vec::new(),
-        }
-    }
-
-    /// Sequence number of the next packet to transmit.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-}
-
-impl<M: Clone> SenderAgent for ParticleSender<M> {
-    fn own_flow(&self) -> FlowId {
-        self.own_flow
-    }
-
-    fn on_wake(&mut self, now: Time, acks: &[Observation]) -> Result<WakeOutcome, BeliefError> {
-        self.filter.advance(now, acks)?;
-        let (cfg, utility, own_flow) = (&self.cfg, self.utility.as_ref(), self.own_flow);
-        Ok(wake_cycle(
+        let (action, next_wake) = match decision.action {
+            Action::SendNow => ("send-now", now + cfg.max_sleep), // send cap hit
+            Action::SleepUntil(t) => ("sleep", t.min(now + cfg.max_sleep)),
+            // No send looks profitable: wait for news (ACKs wake earlier).
+            Action::Idle => ("idle", now + cfg.max_sleep),
+        };
+        // `evaluations` opens with the idle baseline, then the grid, whose
+        // first delay is zero.
+        augur_obs::emit(
             now,
-            cfg,
-            own_flow,
-            &mut self.next_seq,
-            &mut self.sent_log,
-            &mut self.filter,
-            |filter, seq| {
-                let branches =
-                    subsample_weighted(filter.particles(), cfg.planner.max_planning_branches);
-                decide_weighted(
-                    &branches,
-                    now,
-                    filter.entry,
-                    &cfg.planner,
-                    utility,
-                    own_flow,
-                    seq,
-                    cfg.packet_size,
-                )
+            EventKind::Decision {
+                flow: augur_obs::current_flow(),
+                action,
+                eu: decision.expected_utility,
+                idle_eu: decision.evaluations[0].1,
+                send_now_eu: decision.evaluations[1].1,
+                members: decision.members,
             },
-            ParticleFilter::inject,
-        ))
+        );
+        Ok(WakeOutcome {
+            sent,
+            next_wake,
+            decision,
+        })
     }
 
     fn population(&self) -> usize {
-        self.filter.particles().len()
+        self.belief.members().len()
     }
 
     fn effective_population(&self) -> f64 {
-        augur_inference::effective_count(self.filter.particles())
-    }
-}
-
-impl<M> std::fmt::Debug for ParticleSender<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParticleSender")
-            .field("next_seq", &self.next_seq)
-            .field("sent", &self.sent_log.len())
-            .finish()
+        self.belief.effective()
     }
 }

@@ -71,9 +71,8 @@
 
 use crate::utility::{RolloutReport, Utility};
 use augur_elements::{ChoiceKind, Network, NodeId, Step};
-use augur_inference::{Belief, Hypothesis};
+use augur_inference::{Engine, Hypothesis};
 use augur_sim::{Bits, Dur, FlowId, Packet, Time};
-use std::hash::Hash;
 
 /// Planner tuning.
 #[derive(Debug, Clone)]
@@ -143,6 +142,8 @@ pub struct Decision {
     pub expected_utility: f64,
     /// Expected utility of every candidate `(delay, EU)`; `None` = idle.
     pub evaluations: Vec<(Option<Dur>, f64)>,
+    /// How many weighted members the expectations were taken over.
+    pub members: usize,
 }
 
 /// Choose the action that maximizes expected utility for the next packet
@@ -155,19 +156,19 @@ pub struct Decision {
 /// information arrives anyway. This is what lets a deferential sender
 /// (large α) hold back entirely instead of burning packets (§4: "the
 /// sender becomes more and more deferential to the cross traffic").
-pub fn decide<M: Clone + Eq + Hash>(
-    belief: &Belief<M>,
+pub fn decide<E: Engine>(
+    belief: &E,
     cfg: &PlannerConfig,
     utility: &dyn Utility,
     own_flow: FlowId,
     seq: u64,
     size: Bits,
 ) -> Decision {
-    let branches = subsample_weighted(belief.branches(), cfg.max_planning_branches);
+    let branches = subsample_weighted(belief.members(), cfg.max_planning_branches);
     decide_weighted(
         &branches,
         belief.now(),
-        belief.entry,
+        belief.entry(),
         cfg,
         utility,
         own_flow,
@@ -254,12 +255,20 @@ pub fn decide_weighted<M>(
         idle_eu += w * row[slots];
     }
 
-    choose(now, cfg, size, idle_eu, &eus)
+    choose(now, cfg, size, branches.len(), idle_eu, &eus)
 }
 
 /// Pick the action from the expected utilities: `idle_eu` for sending
-/// nothing, `eus[k]` for sending after `cfg.delay_grid[k]`.
-fn choose(now: Time, cfg: &PlannerConfig, size: Bits, idle_eu: f64, eus: &[f64]) -> Decision {
+/// nothing, `eus[k]` for sending after `cfg.delay_grid[k]`, each taken over
+/// `members` branches.
+fn choose(
+    now: Time,
+    cfg: &PlannerConfig,
+    size: Bits,
+    members: usize,
+    idle_eu: f64,
+    eus: &[f64],
+) -> Decision {
     let mut evaluations = Vec::with_capacity(1 + eus.len());
     evaluations.push((None, idle_eu));
     // Idle is the incumbent with a margin: a send must clear it by a
@@ -287,6 +296,7 @@ fn choose(now: Time, cfg: &PlannerConfig, size: Bits, idle_eu: f64, eus: &[f64])
         },
         expected_utility: eu,
         evaluations,
+        members,
     }
 }
 
@@ -299,11 +309,17 @@ fn choose(now: Time, cfg: &PlannerConfig, size: Bits, idle_eu: f64, eus: &[f64])
 /// over the cumulative weights, deterministic (fixed half-step offset),
 /// each selected branch weighted by how many positions landed on it. This
 /// is an unbiased, reproducible quadrature of the belief — and works the
-/// same over an exact belief's branches or a particle population.
+/// same over an exact belief's branches or a particle population. Either
+/// way a member of weight zero (a dead particle) is never selected: it
+/// would be rolled out only to contribute `0 × U`.
 pub fn subsample_weighted<M>(branches: &[Hypothesis<M>], max: usize) -> Vec<(&Hypothesis<M>, f64)> {
     let total: f64 = branches.iter().map(|h| h.weight).sum();
     if branches.len() <= max {
-        return branches.iter().map(|h| (h, h.weight / total)).collect();
+        // Sized up front: a filtered iterator has no length to collect by.
+        let mut out = Vec::with_capacity(branches.len());
+        let live = branches.iter().filter(|h| h.weight > 0.0);
+        out.extend(live.map(|h| (h, h.weight / total)));
+        return out;
     }
     let mut out: Vec<(&Hypothesis<M>, f64)> = Vec::with_capacity(max);
     let step = total / max as f64;
@@ -643,7 +659,7 @@ mod reference {
             .iter()
             .map(|&delta| eu_of(Some(now + delta)))
             .collect();
-        choose(now, cfg, size, idle_eu, &eus)
+        choose(now, cfg, size, branches.len(), idle_eu, &eus)
     }
 
     pub fn rollout(
@@ -1093,6 +1109,78 @@ mod tests {
                 assert_eq!(leaders.len(), SIBLING_GROUPS);
             }
         }
+    }
+
+    #[test]
+    fn a_filters_dead_particles_are_not_planned_over() {
+        use augur_elements::FIG2_RX_SELF;
+        use augur_inference::{Observation, ParticleConfig, ParticleFilter};
+        // Two link rates, three to one; the truth is the likelier. One
+        // ACK kills every particle of the other rate — about a quarter of
+        // the population, too few to trigger the resample that would
+        // replace them.
+        let hypothesis = |link_bps: u64, weight: f64| {
+            let params = ModelParams {
+                link_rate: BitRate::from_bps(link_bps),
+                cross_rate: BitRate::from_bps(8_400),
+                gate: GateSpec::AlwaysOn,
+                loss: Ppm::from_prob(0.1),
+                buffer_capacity: Bits::new(96_000),
+                initial_fullness: Bits::ZERO,
+                packet_size: Bits::new(12_000),
+                cross_active: false,
+            };
+            let net = build_model(params).net;
+            Hypothesis {
+                net,
+                meta: params,
+                weight,
+            }
+        };
+        let mut filter = ParticleFilter::from_prior(
+            &[hypothesis(12_000, 3.0), hypothesis(10_000, 1.0)],
+            FIG2_ENTRY,
+            FIG2_RX_SELF,
+            ParticleConfig {
+                n_particles: 64,
+                fold_loss_node: Some(FIG2_LOSS),
+                own_flow: FlowId::SELF,
+            },
+            7,
+        );
+        let size = Bits::new(12_000);
+        filter.inject(Packet::new(FlowId::SELF, 0, size, Time::ZERO));
+        let (seq, at) = (0, Time::from_secs(1));
+        filter
+            .advance(Time::from_secs(2), &[Observation { seq, at }])
+            .unwrap();
+        let live: Vec<_> = filter.members().iter().filter(|h| h.weight > 0.0).collect();
+        assert!((32..64).contains(&live.len()), "{} live", live.len());
+        let live: Vec<_> = live.into_iter().cloned().collect();
+
+        let cfg = PlannerConfig::default();
+        let utility = DiscountedThroughput::with_alpha(1.0);
+        let before = perf::snapshot();
+        let got = decide(&filter, &cfg, &utility, FlowId::SELF, 1, size);
+        let between = perf::snapshot();
+        let want = decide_weighted(
+            &subsample_weighted(&live, cfg.max_planning_branches),
+            filter.now(),
+            filter.entry(),
+            &cfg,
+            &utility,
+            FlowId::SELF,
+            1,
+            size,
+        );
+        let after = perf::snapshot();
+        assert_same_decision(&got, &want, "dead particles planned over");
+        assert_eq!(got.members, live.len());
+        assert_eq!(
+            between.since(&before).state_clones,
+            after.since(&between).state_clones,
+            "dead particles rolled out"
+        );
     }
 
     #[test]

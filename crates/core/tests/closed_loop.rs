@@ -5,7 +5,7 @@
 
 use augur_core::{run_closed_loop, DiscountedThroughput, GroundTruth, ISender, ISenderConfig};
 use augur_elements::{build_model, GateSpec, ModelParams};
-use augur_inference::{BeliefConfig, ModelPrior};
+use augur_inference::{BeliefConfig, Engine, ModelPrior};
 use augur_sim::{BitRate, Bits, Dur, Ppm, SimRng, Time};
 
 fn quiet_truth(c_bps: u64) -> GroundTruth {

@@ -13,39 +13,32 @@
 //! branches; reconverged branches are compacted; a configurable cap prunes
 //! the lightest branches (the paper's computational limit, §3.2).
 //!
-//! # The last-mile loss fold (DESIGN.md §4.3)
+//! # The last-mile loss fold
 //!
-//! When the LOSS element sits at the *last mile* (nothing stateful
-//! downstream — the paper's own design point: "if stochastic loss is
-//! assumed to occur only at the 'last mile' … then the consequences of
-//! stochastic loss do not linger"), the two-way fork plus immediate
-//! conditioning collapses into a single weight multiplication:
-//!
-//! * the window's observations contain an ACK for this packet at exactly
-//!   this instant → resolve "delivered", weight × (1 − p);
-//! * otherwise → resolve "lost", weight × p.
-//!
-//! Cross-traffic packets at the same node are invisible to the sender and
-//! their fate leaves no state behind, so they are marginalized (resolved
-//! "delivered" with unchanged weight). Both folds are exact; disabling
-//! `fold_self_loss` (the ABL-2 ablation) replays them as explicit forks
-//! and must produce the identical posterior.
+//! A loss decision at the last-mile node is not forked but folded into
+//! the branch weight ([`crate::engine`] states the rule, shared with the
+//! particle filter). Disabling `fold_self_loss` (the ABL-2 ablation)
+//! replays the sender's own packets as explicit forks and must produce
+//! the identical posterior.
 
+use crate::engine::{fold, snapshot, Engine};
 use crate::hypothesis::{compact, effective_count, normalize, prune, Hypothesis};
 use crate::observe::{harvest, Observation, ObservationIndex};
-use augur_elements::{ChoiceKind, ChoiceSpec, NodeId, Step};
+use augur_elements::{NodeId, Step};
 use augur_obs::EventKind;
 use augur_sim::{FlowId, Packet, Time};
 use std::fmt;
 use std::hash::Hash;
+
+/// Branches lighter than this fraction of the heaviest are dropped at the
+/// end of every window.
+const MIN_REL_WEIGHT: f64 = 1e-9;
 
 /// Tuning knobs for the exact engine.
 #[derive(Debug, Clone)]
 pub struct BeliefConfig {
     /// Hard cap on the branch population (lowest weights pruned first).
     pub max_branches: usize,
-    /// Drop branches lighter than this fraction of the heaviest branch.
-    pub min_rel_weight: f64,
     /// The LOSS node eligible for analytic folding, if the topology has a
     /// last-mile loss element. `None` forks every loss decision.
     pub fold_loss_node: Option<NodeId>,
@@ -60,7 +53,6 @@ impl Default for BeliefConfig {
     fn default() -> Self {
         BeliefConfig {
             max_branches: 50_000,
-            min_rel_weight: 1e-9,
             fold_loss_node: None,
             fold_self_loss: true,
             own_flow: FlowId::SELF,
@@ -110,11 +102,6 @@ impl fmt::Display for BeliefError {
 
 impl std::error::Error for BeliefError {}
 
-enum Resolution {
-    Fold { option: usize, weight: f64 },
-    Fork,
-}
-
 struct Work<M> {
     h: Hypothesis<M>,
     matched: usize,
@@ -158,16 +145,6 @@ impl<M: Clone + Eq + Hash> Belief<M> {
         b
     }
 
-    /// Current time (end of the last advanced window).
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// The surviving branches.
-    pub fn branches(&self) -> &[Hypothesis<M>] {
-        &self.branches
-    }
-
     /// Number of branches.
     pub fn branch_count(&self) -> usize {
         self.branches.len()
@@ -181,43 +158,6 @@ impl<M: Clone + Eq + Hash> Belief<M> {
     /// The engine configuration.
     pub fn config(&self) -> &BeliefConfig {
         &self.cfg
-    }
-
-    /// The maximum-a-posteriori branch.
-    pub fn map_estimate(&self) -> &Hypothesis<M> {
-        self.branches
-            .iter()
-            .max_by(|a, b| a.weight.total_cmp(&b.weight))
-            .expect("belief is never empty")
-    }
-
-    /// Posterior marginal of an arbitrary statistic of the hypothesis.
-    ///
-    /// The return order is deterministic: descending weight, ties broken
-    /// by a fixed-key fingerprint of the key (the keys are only `Eq +
-    /// Hash`, not `Ord`), never by `HashMap` iteration order.
-    pub fn marginal<K: Eq + Hash, F: Fn(&Hypothesis<M>) -> K>(&self, f: F) -> Vec<(K, f64)> {
-        fn fingerprint<K: Hash>(k: &K) -> u64 {
-            use std::hash::Hasher;
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            k.hash(&mut h);
-            h.finish()
-        }
-        let mut acc: std::collections::HashMap<K, f64> = std::collections::HashMap::new();
-        for h in &self.branches {
-            *acc.entry(f(h)).or_insert(0.0) += h.weight;
-        }
-        let mut v: Vec<(K, f64)> = acc.into_iter().collect();
-        v.sort_by(|a, b| {
-            b.1.total_cmp(&a.1)
-                .then_with(|| fingerprint(&a.0).cmp(&fingerprint(&b.0)))
-        });
-        v
-    }
-
-    /// Posterior expectation of a numeric statistic.
-    pub fn expected<F: Fn(&Hypothesis<M>) -> f64>(&self, f: F) -> f64 {
-        self.branches.iter().map(|h| h.weight * f(h)).sum()
     }
 
     /// Inject one of the sender's own packets into every branch at the
@@ -280,11 +220,7 @@ impl<M: Clone + Eq + Hash> Belief<M> {
             return Err(BeliefError::Dead { at: until });
         }
         stats.compacted = compact(&mut self.branches);
-        stats.pruned = prune(
-            &mut self.branches,
-            self.cfg.max_branches,
-            self.cfg.min_rel_weight,
-        );
+        stats.pruned = prune(&mut self.branches, self.cfg.max_branches, MIN_REL_WEIGHT);
         stats.evidence = normalize(&mut self.branches);
         stats.branches = self.branches.len();
         let prev = self.now;
@@ -300,35 +236,8 @@ impl<M: Clone + Eq + Hash> Belief<M> {
                 branches: stats.branches,
             },
         );
-        if augur_obs::snapshot_due(prev, until) {
-            self.emit_posterior_snapshot(until);
-        }
+        snapshot(&self.branches, prev, until);
         Ok(stats)
-    }
-
-    /// Publish a posterior snapshot event: branch counts, entropy of the
-    /// normalized weights, and the weighted link-rate marginal. Pure
-    /// reads — no counters or RNG are touched, so arming snapshots
-    /// cannot perturb a run.
-    fn emit_posterior_snapshot(&self, at: Time) {
-        let mut entropy_bits = 0.0;
-        let mut rate_bps = 0.0;
-        for h in &self.branches {
-            if h.weight > 0.0 {
-                entropy_bits -= h.weight * h.weight.log2();
-            }
-            rate_bps += h.weight * h.net.first_link_rate_bps();
-        }
-        augur_obs::emit_snapshot(
-            at,
-            EventKind::Snapshot {
-                flow: augur_obs::current_flow(),
-                branches: self.branches.len(),
-                effective: self.effective_count(),
-                entropy_bits,
-                rate_bps,
-            },
-        );
     }
 
     /// Run the branch on `stack` (and any forks it spawns) to `until`,
@@ -343,6 +252,8 @@ impl<M: Clone + Eq + Hash> Belief<M> {
         out: &mut Vec<Hypothesis<M>>,
         stats: &mut AdvanceStats,
     ) {
+        let (last_mile, own_flow) = (self.cfg.fold_loss_node, self.cfg.own_flow);
+        let fold_own = self.cfg.fold_self_loss && !injecting;
         while let Some(mut w) = stack.pop() {
             loop {
                 let step = w.h.net.run_until(until);
@@ -367,8 +278,8 @@ impl<M: Clone + Eq + Hash> Belief<M> {
                         }
                         break;
                     }
-                    Step::Pending(spec) => match self.resolution(&spec, idx, injecting) {
-                        Resolution::Fold { option, weight } => {
+                    Step::Pending(spec) => match fold(&spec, last_mile, own_flow, fold_own, idx) {
+                        Some((option, weight)) => {
                             w.h.weight *= weight;
                             if w.h.weight <= 0.0 {
                                 stats.killed += 1;
@@ -376,7 +287,7 @@ impl<M: Clone + Eq + Hash> Belief<M> {
                             }
                             w.h.net.resolve(option);
                         }
-                        Resolution::Fork => {
+                        None => {
                             stats.forks += 1;
                             // Every live option but the last goes to a
                             // cloned child; the last continues in place.
@@ -400,38 +311,32 @@ impl<M: Clone + Eq + Hash> Belief<M> {
             }
         }
     }
+}
 
-    fn resolution(&self, spec: &ChoiceSpec, idx: &ObservationIndex, injecting: bool) -> Resolution {
-        if spec.kind == ChoiceKind::LossFate && Some(spec.node) == self.cfg.fold_loss_node {
-            let pkt = spec.packet.expect("loss fate carries its packet");
-            if pkt.flow == self.cfg.own_flow {
-                // Own packet at the last mile: condition immediately on
-                // whether its ACK was observed — unless we are mid-inject
-                // (the ACK cannot have arrived yet) or the ablation asks
-                // for explicit forking.
-                if self.cfg.fold_self_loss && !injecting {
-                    let p = spec.p1.prob();
-                    return match idx.time_of(pkt.seq) {
-                        Some(t) if t == spec.at => Resolution::Fold {
-                            option: 0,
-                            weight: 1.0 - p,
-                        },
-                        _ => Resolution::Fold {
-                            option: 1,
-                            weight: p,
-                        },
-                    };
-                }
-                return Resolution::Fork;
-            }
-            // Unobserved flow at the last mile: the fate leaves no trace in
-            // the network state, so both branches are identical — resolve
-            // "delivered" with unchanged weight (exact marginalization).
-            return Resolution::Fold {
-                option: 0,
-                weight: 1.0,
-            };
-        }
-        Resolution::Fork
+impl<M: Clone + Eq + Hash> Engine for Belief<M> {
+    type Meta = M;
+
+    fn advance(&mut self, until: Time, obs: &[Observation]) -> Result<(), BeliefError> {
+        Belief::advance(self, until, obs).map(drop)
+    }
+
+    fn inject(&mut self, pkt: Packet) {
+        Belief::inject(self, pkt);
+    }
+
+    fn members(&self) -> &[Hypothesis<M>] {
+        &self.branches
+    }
+
+    fn now(&self) -> Time {
+        self.now
+    }
+
+    fn entry(&self) -> NodeId {
+        self.entry
+    }
+
+    fn own_flow(&self) -> FlowId {
+        self.cfg.own_flow
     }
 }

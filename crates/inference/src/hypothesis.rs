@@ -244,14 +244,14 @@ mod tests {
 
     #[test]
     fn compact_order_matches_reference_on_the_tie_heavy_paper_belief() {
-        use crate::{BeliefConfig, ModelPrior};
+        use crate::{BeliefConfig, Engine, ModelPrior};
         use augur_sim::Time;
         // The uniform paper prior after one window: thousands of
         // branches on a handful of distinct weights, so nearly every
         // comparison is decided by the hash tie-break.
         let mut belief = ModelPrior::paper().belief(BeliefConfig::default());
         belief.advance(Time::from_secs(2), &[]).unwrap();
-        let settled = belief.branches().to_vec();
+        let settled = belief.members().to_vec();
         let distinct_weights = {
             let mut w: Vec<u64> = settled.iter().map(|h| h.weight.to_bits()).collect();
             w.sort_unstable();

@@ -14,18 +14,23 @@
 //!   resampling, O(particles) per update regardless of prior size.
 //! * [`observe`] defines the observation model (ACK = sequence number +
 //!   exact arrival time) and the consistency rule.
+//! * [`engine`] is the seam: the [`Engine`] trait is all the sender, the
+//!   planner and the scenario runner know about a posterior, so either
+//!   engine can stand behind them; what both engines do alike (the
+//!   last-mile loss fold, the posterior snapshot) is stated there once.
 //!
-//! Both engines share the hypothesis representation ([`hypothesis`]) and
-//! the last-mile loss fold (DESIGN.md §4.3).
+//! Both engines share the hypothesis representation ([`hypothesis`]).
 
+pub mod engine;
 pub mod exact;
 pub mod hypothesis;
 pub mod observe;
 pub mod particle;
 pub mod prior;
 
+pub use engine::Engine;
 pub use exact::{AdvanceStats, Belief, BeliefConfig, BeliefError};
 pub use hypothesis::{compact, effective_count, normalize, prune, Hypothesis};
 pub use observe::{harvest, Observation, ObservationIndex};
-pub use particle::{ParticleConfig, ParticleFilter, ParticleStats};
+pub use particle::{ParticleConfig, ParticleFilter};
 pub use prior::ModelPrior;

@@ -19,8 +19,8 @@
 //!    delivery.
 //!
 //! Exact-time matching is sound because ground truth and hypotheses run
-//! the same integer-valued element code (DESIGN.md §4.1): the true
-//! configuration predicts observations bit-for-bit.
+//! the same integer-valued element code: the true configuration predicts
+//! observations bit-for-bit.
 
 use augur_elements::{Network, NodeId};
 use augur_sim::{FlowId, Time};

@@ -5,29 +5,32 @@
 //!
 //! Each particle is a concrete network trajectory: parameters drawn from
 //! the prior, stochastic transitions *sampled* rather than forked. Because
-//! observations are exact-time events (DESIGN.md §4.1), the likelihood of
-//! a mismatch is zero — a particle either predicts the window's ACKs
-//! exactly (weight kept, last-mile loss folded analytically like the exact
-//! engine) or dies. Systematic resampling replenishes the population from
+//! observations are exact-time events (see [`crate::observe`]), the
+//! likelihood of a mismatch is zero — a particle either predicts the
+//! window's ACKs exactly (weight kept, last-mile loss folded analytically
+//! like the exact engine) or dies. Systematic resampling replenishes the population from
 //! the survivors when the effective sample size drops.
 //!
 //! Cost per update is O(particles), independent of the prior's size —
 //! the point of the EXT-C scaling experiment.
 
+use crate::engine::{fold, snapshot, Engine};
 use crate::exact::BeliefError;
 use crate::hypothesis::{effective_count, Hypothesis};
 use crate::observe::{harvest, Observation, ObservationIndex};
-use augur_elements::{ChoiceKind, NodeId, Step};
+use augur_elements::{NodeId, Step};
 use augur_obs::EventKind;
 use augur_sim::{FlowId, Packet, SimRng, Time};
+
+/// Resample when the effective sample size falls below this fraction of
+/// the population.
+const RESAMPLE_FRAC: f64 = 0.5;
 
 /// Tuning knobs for the particle filter.
 #[derive(Debug, Clone)]
 pub struct ParticleConfig {
     /// Population size.
     pub n_particles: usize,
-    /// Resample when ESS falls below this fraction of the population.
-    pub resample_frac: f64,
     /// The last-mile LOSS node to fold analytically (as in the exact
     /// engine); other nondeterminism is sampled.
     pub fold_loss_node: Option<NodeId>,
@@ -39,22 +42,10 @@ impl Default for ParticleConfig {
     fn default() -> Self {
         ParticleConfig {
             n_particles: 1_000,
-            resample_frac: 0.5,
             fold_loss_node: None,
             own_flow: FlowId::SELF,
         }
     }
-}
-
-/// Diagnostics from one [`ParticleFilter::advance`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParticleStats {
-    /// Particles killed by observation mismatch this window.
-    pub killed: usize,
-    /// Effective sample size after the update.
-    pub ess: f64,
-    /// Whether resampling ran.
-    pub resampled: bool,
 }
 
 /// A fixed-size population of sampled network trajectories.
@@ -107,150 +98,6 @@ impl<M: Clone> ParticleFilter<M> {
         }
     }
 
-    /// Current time.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// The filter's configuration.
-    pub fn config(&self) -> &ParticleConfig {
-        &self.cfg
-    }
-
-    /// The particle population.
-    pub fn particles(&self) -> &[Hypothesis<M>] {
-        &self.particles
-    }
-
-    /// Posterior expectation of a numeric statistic.
-    pub fn expected<F: Fn(&Hypothesis<M>) -> f64>(&self, f: F) -> f64 {
-        self.particles.iter().map(|h| h.weight * f(h)).sum()
-    }
-
-    /// The highest-weight particle.
-    pub fn map_estimate(&self) -> &Hypothesis<M> {
-        self.particles
-            .iter()
-            .max_by(|a, b| a.weight.total_cmp(&b.weight))
-            .expect("population is never empty")
-    }
-
-    /// Inject one of the sender's own packets into every live particle.
-    /// Dead particles (weight zero, possibly stopped mid-choice) are left
-    /// alone; resampling replaces them.
-    pub fn inject(&mut self, pkt: Packet) {
-        let idx = ObservationIndex::new(&[]);
-        // Sampled trajectories are hypothetical — keep them out of the
-        // ground-truth event log.
-        let _quiet = augur_obs::suppress();
-        for p in &mut self.particles {
-            if p.weight <= 0.0 {
-                continue;
-            }
-            p.net.inject(self.entry, pkt);
-            // Settle any synchronous choices by sampling.
-            Self::settle_one(
-                p,
-                self.now,
-                &idx,
-                &self.cfg,
-                self.observed_rx,
-                &mut self.rng,
-                true,
-            );
-        }
-    }
-
-    /// Advance to `until`, conditioning on the window's observations;
-    /// resample if diversity collapses.
-    pub fn advance(
-        &mut self,
-        until: Time,
-        obs: &[Observation],
-    ) -> Result<ParticleStats, BeliefError> {
-        assert!(until >= self.now);
-        let idx = ObservationIndex::new(obs);
-        let mut stats = ParticleStats::default();
-        let mut advanced = 0u64;
-        {
-            // Sampled replay must not leak trace events.
-            let _quiet = augur_obs::suppress();
-            for p in &mut self.particles {
-                if p.weight <= 0.0 {
-                    continue;
-                }
-                advanced += 1;
-                let ok = Self::settle_one(
-                    p,
-                    until,
-                    &idx,
-                    &self.cfg,
-                    self.observed_rx,
-                    &mut self.rng,
-                    false,
-                );
-                if !ok {
-                    p.weight = 0.0;
-                    stats.killed += 1;
-                }
-            }
-        }
-        augur_sim::perf::count_hypothesis_updates(advanced);
-        let total: f64 = self.particles.iter().map(|p| p.weight).sum();
-        if total <= 0.0 {
-            return Err(BeliefError::Dead { at: until });
-        }
-        for p in &mut self.particles {
-            p.weight /= total;
-        }
-        stats.ess = effective_count(&self.particles);
-        if stats.ess < self.cfg.resample_frac * self.cfg.n_particles as f64 {
-            self.resample();
-            stats.resampled = true;
-        }
-        let prev = self.now;
-        self.now = until;
-        if stats.resampled {
-            augur_obs::emit(
-                until,
-                EventKind::Resample {
-                    flow: augur_obs::current_flow(),
-                    ess: stats.ess,
-                    killed: stats.killed,
-                },
-            );
-        }
-        if augur_obs::snapshot_due(prev, until) {
-            self.emit_posterior_snapshot(until);
-        }
-        Ok(stats)
-    }
-
-    /// Publish a posterior snapshot event. Pure reads — no counters or
-    /// RNG draws — so arming snapshots cannot perturb a run.
-    fn emit_posterior_snapshot(&self, at: Time) {
-        let mut live = 0usize;
-        let mut entropy_bits = 0.0;
-        let mut rate_bps = 0.0;
-        for p in &self.particles {
-            if p.weight > 0.0 {
-                live += 1;
-                entropy_bits -= p.weight * p.weight.log2();
-                rate_bps += p.weight * p.net.first_link_rate_bps();
-            }
-        }
-        augur_obs::emit_snapshot(
-            at,
-            EventKind::Snapshot {
-                flow: augur_obs::current_flow(),
-                branches: live,
-                effective: effective_count(&self.particles),
-                entropy_bits,
-                rate_bps,
-            },
-        );
-    }
-
     /// Run one particle to `until`, sampling choices. Returns false if it
     /// became inconsistent with the observations.
     fn settle_one(
@@ -273,34 +120,15 @@ impl<M: Clone> ParticleFilter<M> {
                     return injecting || matched == idx.len();
                 }
                 Step::Pending(spec) => {
-                    let fold =
-                        spec.kind == ChoiceKind::LossFate && Some(spec.node) == cfg.fold_loss_node;
-                    if fold {
-                        let pkt = spec.packet.expect("loss fate carries its packet");
-                        if pkt.flow == cfg.own_flow && !injecting {
-                            let lp = spec.p1.prob();
-                            match idx.time_of(pkt.seq) {
-                                Some(t) if t == spec.at => {
-                                    p.weight *= 1.0 - lp;
-                                    p.net.resolve(0);
-                                }
-                                _ => {
-                                    p.weight *= lp;
-                                    p.net.resolve(1);
-                                }
-                            }
+                    match fold(&spec, cfg.fold_loss_node, cfg.own_flow, !injecting, idx) {
+                        Some((option, weight)) => {
+                            p.weight *= weight;
+                            p.net.resolve(option);
                             if p.weight <= 0.0 {
                                 return false;
                             }
-                        } else if pkt.flow != cfg.own_flow {
-                            // Unobserved last-mile fate: marginalize.
-                            p.net.resolve(0);
-                        } else {
-                            // Own packet mid-inject: sample like anything else.
-                            p.net.resolve(usize::from(rng.bernoulli(spec.p1)));
                         }
-                    } else {
-                        p.net.resolve(usize::from(rng.bernoulli(spec.p1)));
+                        None => p.net.resolve(usize::from(rng.bernoulli(spec.p1))),
                     }
                 }
             }
@@ -334,5 +162,100 @@ impl<M: Clone> ParticleFilter<M> {
             })
             .collect();
         self.particles = new;
+    }
+}
+
+impl<M: Clone> Engine for ParticleFilter<M> {
+    type Meta = M;
+
+    /// Advance to `until`, conditioning on the window's observations;
+    /// resample if diversity collapses.
+    fn advance(&mut self, until: Time, obs: &[Observation]) -> Result<(), BeliefError> {
+        assert!(until >= self.now);
+        let idx = ObservationIndex::new(obs);
+        let (mut advanced, mut killed) = (0u64, 0usize);
+        {
+            // Sampled replay must not leak trace events.
+            let _quiet = augur_obs::suppress();
+            for p in &mut self.particles {
+                if p.weight <= 0.0 {
+                    continue;
+                }
+                advanced += 1;
+                let ok = Self::settle_one(
+                    p,
+                    until,
+                    &idx,
+                    &self.cfg,
+                    self.observed_rx,
+                    &mut self.rng,
+                    false,
+                );
+                if !ok {
+                    p.weight = 0.0;
+                    killed += 1;
+                }
+            }
+        }
+        augur_sim::perf::count_hypothesis_updates(advanced);
+        let total: f64 = self.particles.iter().map(|p| p.weight).sum();
+        if total <= 0.0 {
+            return Err(BeliefError::Dead { at: until });
+        }
+        for p in &mut self.particles {
+            p.weight /= total;
+        }
+        let ess = effective_count(&self.particles);
+        let prev = self.now;
+        self.now = until;
+        if ess < RESAMPLE_FRAC * self.cfg.n_particles as f64 {
+            self.resample();
+            let flow = augur_obs::current_flow();
+            augur_obs::emit(until, EventKind::Resample { flow, ess, killed });
+        }
+        snapshot(&self.particles, prev, until);
+        Ok(())
+    }
+
+    /// Inject one of the sender's own packets into every live particle.
+    /// Dead particles (weight zero, possibly stopped mid-choice) are left
+    /// alone; resampling replaces them.
+    fn inject(&mut self, pkt: Packet) {
+        let idx = ObservationIndex::new(&[]);
+        // Sampled trajectories are hypothetical — keep them out of the
+        // ground-truth event log.
+        let _quiet = augur_obs::suppress();
+        for p in &mut self.particles {
+            if p.weight <= 0.0 {
+                continue;
+            }
+            p.net.inject(self.entry, pkt);
+            // Settle any synchronous choices by sampling.
+            Self::settle_one(
+                p,
+                self.now,
+                &idx,
+                &self.cfg,
+                self.observed_rx,
+                &mut self.rng,
+                true,
+            );
+        }
+    }
+
+    fn members(&self) -> &[Hypothesis<M>] {
+        &self.particles
+    }
+
+    fn now(&self) -> Time {
+        self.now
+    }
+
+    fn entry(&self) -> NodeId {
+        self.entry
+    }
+
+    fn own_flow(&self) -> FlowId {
+        self.cfg.own_flow
     }
 }

@@ -11,12 +11,15 @@
 //! distribution, and analytic loss folding is the same Bayesian update
 //! as explicit forking.
 
-use augur_elements::{build_model, GateSpec, ModelParams, Step};
+use augur_elements::{
+    build_model, GateSpec, ModelNet, ModelParams, Step, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
+};
 use augur_inference::{
-    normalize, prune, Belief, BeliefConfig, Hypothesis, ModelPrior, Observation, ParticleConfig,
-    ParticleFilter,
+    normalize, prune, Belief, BeliefConfig, BeliefError, Engine, Hypothesis, ModelPrior,
+    Observation, ParticleConfig, ParticleFilter,
 };
 use augur_sim::{BitRate, Bits, Dur, FlowId, Packet, Ppm, SimRng, Time};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -24,7 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// c = 12,000 bps, r = 0.7c, p as given, buffer 96,000 bits, empty, cross
 /// traffic always on (mtts 100 s means switching is unlikely in a short
 /// window, and the true gate here genuinely is intermittent-but-idle).
-fn ground_truth(loss: f64) -> augur_elements::ModelNet {
+fn ground_truth(loss: f64) -> ModelNet {
     build_model(ModelParams {
         link_rate: BitRate::from_bps(12_000),
         cross_rate: BitRate::from_bps(8_400),
@@ -45,7 +48,7 @@ fn ground_truth(loss: f64) -> augur_elements::ModelNet {
 /// `t_end`; deliver each window's ACKs to `update`, a callback receiving
 /// `(window_end, acks)`.
 fn drive<F: FnMut(Time, &[Observation])>(
-    truth: &mut augur_elements::ModelNet,
+    truth: &mut ModelNet,
     rng: &mut SimRng,
     send_every: u64,
     t_end_s: u64,
@@ -182,7 +185,6 @@ fn particle_filter_tracks_the_same_truth() {
         probe.rx_self,
         ParticleConfig {
             n_particles: 400,
-            resample_frac: 0.5,
             fold_loss_node: Some(probe.loss),
             own_flow: FlowId::SELF,
         },
@@ -330,32 +332,46 @@ fn for_each_case(base_seed: u64, check: impl Fn(&mut SimRng)) {
     }
 }
 
-/// A generated scripted run inside the small prior's support: the true
-/// loss rate is 0 or 20 %, the sender pings every 1–4 s for 8–20 s, and
-/// the truth's sampled choices come from a stream of their own.
-/// `belief` sees every window's ACKs and mirrors every send; `after`
-/// runs after each advance.
-fn generated_run(
+/// A ground truth inside the small prior's support with everything but
+/// the loss rate fixed: 0 or 20 %.
+fn lossy_or_clean_truth(rng: &mut SimRng) -> ModelNet {
+    ground_truth(if rng.uniform_u64(0, 1) == 1 { 0.2 } else { 0.0 })
+}
+
+/// A generated scripted run against `truth`: the sender pings every
+/// 1–4 s for 8–20 s, and the truth's sampled choices come from a stream
+/// of their own. `engine` — either one, reached through the seam — sees
+/// every window's ACKs and mirrors every send; `after` runs after each
+/// advance. An engine that dies is left alone for the rest of the run
+/// and its error returned.
+fn generated_run<E: Engine<Meta = ModelParams>>(
     rng: &mut SimRng,
-    belief: &mut Belief<ModelParams>,
-    mut after: impl FnMut(&Belief<ModelParams>, Time),
-) {
-    let mut truth = ground_truth(if rng.uniform_u64(0, 1) == 1 { 0.2 } else { 0.0 });
+    mut truth: ModelNet,
+    engine: &mut E,
+    mut after: impl FnMut(&E, Time),
+) -> Result<(), BeliefError> {
     let send_every = rng.uniform_u64(1, 4);
     let t_end_s = rng.uniform_u64(8, 20);
     let mut truth_rng = rng.fork();
     let mut send_seq = 0u64;
+    let mut outcome = Ok(());
     drive(
         &mut truth,
         &mut truth_rng,
         send_every,
         t_end_s,
         |t, acks| {
-            belief.advance(t, acks).expect("truth is inside the prior");
-            after(belief, t);
+            if outcome.is_err() {
+                return;
+            }
+            outcome = engine.advance(t, acks);
+            if outcome.is_err() {
+                return;
+            }
+            after(engine, t);
             let s = t.as_micros() / 1_000_000;
             if s % send_every == 0 && s < t_end_s {
-                belief.inject(Packet::new(
+                engine.inject(Packet::new(
                     FlowId::SELF,
                     send_seq,
                     Bits::from_bytes(1_500),
@@ -365,16 +381,19 @@ fn generated_run(
             }
         },
     );
+    outcome
 }
 
 #[test]
 fn weights_sum_to_one_after_every_advance() {
     for_each_case(0x5041, |rng| {
         let mut belief = ModelPrior::small().belief(BeliefConfig::default());
-        generated_run(rng, &mut belief, |belief, t| {
-            let total: f64 = belief.branches().iter().map(|h| h.weight).sum();
+        let truth = lossy_or_clean_truth(rng);
+        generated_run(rng, truth, &mut belief, |belief, t| {
+            let total: f64 = belief.members().iter().map(|h| h.weight).sum();
             assert!((total - 1.0).abs() < 1e-9, "weights sum to {total} at {t}");
-        });
+        })
+        .expect("truth is inside the prior");
     });
 }
 
@@ -395,7 +414,8 @@ fn fold_and_fork_agree_on_the_posterior() {
                 ..BeliefConfig::default()
             },
         );
-        generated_run(rng, &mut belief, |_, _| {});
+        let truth = lossy_or_clean_truth(rng);
+        generated_run(rng, truth, &mut belief, |_, _| {}).expect("truth is inside the prior");
         belief
             .marginal(|h| (h.meta.link_rate, h.meta.loss))
             .into_iter()
@@ -406,6 +426,75 @@ fn fold_and_fork_agree_on_the_posterior() {
         let mut same_run = rng.clone();
         assert_eq!(posterior(rng, true), posterior(&mut same_run, false));
     });
+}
+
+#[test]
+fn a_truth_drawn_from_the_prior_survives_in_both_engines() {
+    // The ground truth is a grid point of the prior itself, so with no
+    // branch cap the exact posterior can never lose it: after every
+    // window the true configuration keeps positive mass and the belief
+    // never dies. The particle filter runs the same generated run through
+    // the same seam; it may lose every particle (256 samples of sampled
+    // gate and loss fates), but where it survives its link-rate marginal
+    // must agree with the exact one.
+    const PARTICLES: usize = 256;
+    // Four standard deviations of a 256-sample estimate of a probability
+    // of one half — the widest the link-rate marginal's sampling error
+    // gets (it is exactly zero once one ACK has told the rates apart).
+    const TOLERANCE: f64 = 0.125;
+    let prior = ModelPrior::small();
+    let grid = prior.grid();
+    let hypotheses = prior.hypotheses();
+    let filter_survived = Cell::new(0usize);
+    for_each_case(0x7A07, |rng| {
+        let params = grid[rng.uniform_u64(0, grid.len() as u64 - 1) as usize];
+        let filter_seed = rng.uniform_u64(0, u64::MAX);
+        let mut same_run = rng.clone();
+
+        let mut belief = prior.belief(BeliefConfig {
+            max_branches: usize::MAX,
+            ..BeliefConfig::default()
+        });
+        generated_run(rng, build_model(params), &mut belief, |belief, t| {
+            let on_truth = belief.marginal(|h| h.meta);
+            let mass = on_truth.iter().find(|(meta, _)| *meta == params);
+            assert!(
+                mass.is_some_and(|(_, w)| *w > 0.0),
+                "the true configuration lost its mass at {t}: {params:?}"
+            );
+        })
+        .expect("the exact belief outlives a truth drawn from its prior");
+
+        let mut filter = ParticleFilter::from_prior(
+            &hypotheses,
+            FIG2_ENTRY,
+            FIG2_RX_SELF,
+            ParticleConfig {
+                n_particles: PARTICLES,
+                fold_loss_node: Some(FIG2_LOSS),
+                own_flow: FlowId::SELF,
+            },
+            filter_seed,
+        );
+        if generated_run(&mut same_run, build_model(params), &mut filter, |_, _| {}).is_err() {
+            return;
+        }
+        filter_survived.set(filter_survived.get() + 1);
+        let sampled: BTreeMap<BitRate, f64> =
+            filter.marginal(|h| h.meta.link_rate).into_iter().collect();
+        for (rate, exact) in belief.marginal(|h| h.meta.link_rate) {
+            let approx = sampled.get(&rate).copied().unwrap_or(0.0);
+            assert!(
+                (approx - exact).abs() <= TOLERANCE,
+                "P(c = {rate}): exact {exact}, {PARTICLES} particles {approx}"
+            );
+        }
+    });
+    assert!(
+        filter_survived.get() >= 32,
+        "the filter survived only {} of 64 runs: nothing was compared",
+        filter_survived.get()
+    );
 }
 
 #[test]

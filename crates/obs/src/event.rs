@@ -55,8 +55,8 @@ impl DropKind {
 
 /// One kind of structured event. See the emission sites: the flow
 /// driver (`wake`), the element network (`fire` / `deliver` / `enqueue`
-/// / `drop`), and the belief engines (`belief-update` / `resample` /
-/// `snapshot`).
+/// / `drop`), the belief engines (`belief-update` / `resample` /
+/// `snapshot`), and the model-based sender (`decision`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// The flow driver dispatched an agent wake: `acks` acknowledgments
@@ -142,6 +142,23 @@ pub enum EventKind {
         /// Posterior-mean bottleneck link rate, bits/s.
         rate_bps: f64,
     },
+    /// The decision a model-based sender's wake ended on, with the
+    /// expected-utility comparison behind it (§3.3).
+    Decision {
+        /// The deciding flow.
+        flow: FlowId,
+        /// What it chose: `send-now` (the wake stopped at its send cap),
+        /// `sleep` (a later send looked best) or `idle`.
+        action: &'static str,
+        /// Expected utility of the chosen action.
+        eu: f64,
+        /// Expected utility of sending nothing this horizon.
+        idle_eu: f64,
+        /// Expected utility of sending at once.
+        send_now_eu: f64,
+        /// Weighted posterior members the expectations were taken over.
+        members: usize,
+    },
 }
 
 impl EventKind {
@@ -156,6 +173,7 @@ impl EventKind {
             EventKind::BeliefUpdate { .. } => "belief-update",
             EventKind::Resample { .. } => "resample",
             EventKind::Snapshot { .. } => "snapshot",
+            EventKind::Decision { .. } => "decision",
         }
     }
 }
@@ -242,6 +260,24 @@ pub fn event_to_json(r: &EventRecord) -> String {
                 json_num(*rate_bps)
             );
         }
+        EventKind::Decision {
+            flow,
+            action,
+            eu,
+            idle_eu,
+            send_now_eu,
+            members,
+        } => {
+            let _ = write!(
+                out,
+                ",\"flow\":{},\"action\":{},\"eu\":{},\"idle_eu\":{},\"send_now_eu\":{},\"members\":{members}",
+                flow.0,
+                json_string(action),
+                json_num(*eu),
+                json_num(*idle_eu),
+                json_num(*send_now_eu)
+            );
+        }
     }
     out.push('}');
     out
@@ -292,12 +328,24 @@ mod tests {
                     rate_bps: 12_000.0,
                 },
             },
+            EventRecord {
+                at: Time::from_millis(4),
+                kind: EventKind::Decision {
+                    flow: FlowId(0),
+                    action: "sleep",
+                    eu: 1.5,
+                    idle_eu: 1.25,
+                    send_now_eu: -0.5,
+                    members: 12,
+                },
+            },
         ];
         assert_eq!(
             to_jsonl(&events),
             "{\"at_us\":1000,\"kind\":\"wake\",\"flow\":0,\"acks\":2,\"sent\":1}\n\
              {\"at_us\":2000,\"kind\":\"drop\",\"node\":3,\"flow\":1,\"seq\":42,\"reason\":\"buffer-full\"}\n\
-             {\"at_us\":3000,\"kind\":\"snapshot\",\"flow\":0,\"branches\":12,\"effective\":8.5,\"entropy_bits\":2.25,\"rate_bps\":12000}\n"
+             {\"at_us\":3000,\"kind\":\"snapshot\",\"flow\":0,\"branches\":12,\"effective\":8.5,\"entropy_bits\":2.25,\"rate_bps\":12000}\n\
+             {\"at_us\":4000,\"kind\":\"decision\",\"flow\":0,\"action\":\"sleep\",\"eu\":1.5,\"idle_eu\":1.25,\"send_now_eu\":-0.5,\"members\":12}\n"
         );
     }
 

@@ -41,7 +41,8 @@ use augur_elements::{
     build_cellular_with_buffer, DropReason, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
 };
 use augur_inference::{
-    Belief, BeliefConfig, BeliefError, Hypothesis, Observation, ParticleConfig, ParticleFilter,
+    Belief, BeliefConfig, BeliefError, Engine, Hypothesis, Observation, ParticleConfig,
+    ParticleFilter,
 };
 use augur_obs::EventRecord;
 use augur_sim::perf::{self, Stopwatch, WorkCounters};
@@ -944,43 +945,6 @@ fn set_delay_percentiles(summary: &mut RunSummary, sorted: &[f64]) {
     summary.delay_p99_s = percentile_of_sorted(sorted, 99.0);
 }
 
-/// The belief engines behind one dispatch for the scripted workload.
-enum Engine {
-    Exact(Belief<ModelParams>),
-    Particle(ParticleFilter<ModelParams>),
-}
-
-impl Engine {
-    fn advance(&mut self, t: Time, acks: &[Observation]) -> bool {
-        match self {
-            Engine::Exact(b) => b.advance(t, acks).is_ok(),
-            Engine::Particle(p) => p.advance(t, acks).is_ok(),
-        }
-    }
-
-    fn inject(&mut self, pkt: Packet) {
-        match self {
-            Engine::Exact(b) => b.inject(pkt),
-            Engine::Particle(p) => p.inject(pkt),
-        }
-    }
-
-    fn expected_link_bps(&self) -> f64 {
-        let f = |h: &Hypothesis<ModelParams>| h.meta.link_rate.as_bps() as f64;
-        match self {
-            Engine::Exact(b) => b.expected(f),
-            Engine::Particle(p) => p.expected(f),
-        }
-    }
-
-    fn population(&self) -> usize {
-        match self {
-            Engine::Exact(b) => b.branch_count(),
-            Engine::Particle(p) => p.particles().len(),
-        }
-    }
-}
-
 /// Open-loop scripted drive (EXT-C): transmit every `interval`, update
 /// the belief on the resulting acknowledgments, and measure how well the
 /// posterior locates the true link rate. TCP senders have no belief to
@@ -988,19 +952,28 @@ impl Engine {
 /// [`ScenarioSpec::check`] rejects both.
 fn scripted_ping(run: &RunSpec, interval: Dur, priors: &PriorCache) -> RunSummary {
     let spec = &run.spec;
-    let mut engine = match &spec.sender {
+    match &spec.sender {
         SenderSpec::IsenderExact { max_branches, .. } => {
-            Engine::Exact(spec_belief_in(spec, *max_branches, priors))
+            scripted_ping_over(run, interval, spec_belief_in(spec, *max_branches, priors))
         }
-        SenderSpec::IsenderParticle { n_particles, .. } => {
-            Engine::Particle(build_filter(spec, *n_particles, run.seed, priors))
-        }
+        SenderSpec::IsenderParticle { n_particles, .. } => scripted_ping_over(
+            run,
+            interval,
+            build_filter(spec, *n_particles, run.seed, priors),
+        ),
         other => unreachable!(
             "ScenarioSpec::check rejects scripted-ping over belief-free sender {}",
             other.label()
         ),
-    };
+    }
+}
 
+fn scripted_ping_over(
+    run: &RunSpec,
+    interval: Dur,
+    mut engine: impl Engine<Meta = ModelParams>,
+) -> RunSummary {
+    let spec = &run.spec;
     let mut truth = spec_ground_truth(spec, run.seed);
     let t_end = Time::ZERO + spec.duration;
     let pkt_size = spec.topology.packet_size();
@@ -1041,7 +1014,7 @@ fn scripted_ping(run: &RunSpec, interval: Dur, priors: &PriorCache) -> RunSummar
             // Wall-clock here measures the belief update alone — the cost
             // EXT-C studies — not prior construction or truth stepping.
             let update_watch = Stopwatch::start();
-            alive = engine.advance(t, &acks);
+            alive = engine.advance(t, &acks).is_ok();
             if let (true, Some(pkt)) = (alive, send) {
                 engine.inject(pkt);
             }
@@ -1060,9 +1033,9 @@ fn scripted_ping(run: &RunSpec, interval: Dur, priors: &PriorCache) -> RunSummar
         t = (t + interval).min(t_end);
     }
 
-    summary.population = engine.population() as u64;
+    summary.population = engine.members().len() as u64;
     if alive {
-        summary.rate_err_bps = (engine.expected_link_bps()
+        summary.rate_err_bps = (engine.expected(|h| h.meta.link_rate.as_bps() as f64)
             - spec.topology.model("scripted workload").link_rate.as_bps() as f64)
             .abs();
         let dur_s = spec.duration.as_secs_f64();

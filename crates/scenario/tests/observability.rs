@@ -15,7 +15,7 @@ use augur_sim::Dur;
 
 /// The coexist-fairness grid with observability armed: the multi-agent
 /// loop exercises every event source (wakes, fires, queue churn, drops,
-/// belief updates against a TCP peer).
+/// belief updates and planner decisions against a TCP peer).
 fn observed_grid() -> SweepGrid {
     let mut grid = presets::coexist_vs_tcp(Dur::from_secs(20), 2, 50_000);
     grid.base.observe = ObserveSpec {
@@ -57,6 +57,7 @@ fn event_logs_carry_every_event_family() {
         "\"kind\":\"enqueue\"",
         "\"kind\":\"belief-update\"",
         "\"kind\":\"snapshot\"",
+        "\"kind\":\"decision\"",
     ] {
         assert!(all.contains(kind), "no {kind} event in any coexist log");
     }

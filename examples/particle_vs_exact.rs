@@ -57,7 +57,6 @@ fn main() {
         probe.rx_self,
         ParticleConfig {
             n_particles: 200,
-            resample_frac: 0.5,
             fold_loss_node: Some(probe.loss),
             own_flow: FlowId::SELF,
         },
@@ -98,7 +97,7 @@ fn main() {
         println!(
             "t={s:>2}s  E[c | exact] = {e:>8.0} bps   E[c | particle] = {p:>8.0} bps   ({} branches / {} particles)",
             exact.branch_count(),
-            particle.particles().len(),
+            particle.members().len(),
         );
     }
     println!("\ntruth: c = 12000 bps — both engines should have converged to it.");

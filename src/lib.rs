@@ -75,7 +75,8 @@ pub mod prelude {
         ModelParams, Network, NetworkBuilder, NodeId, RateProcess, ReceiverEl, Step,
     };
     pub use augur_inference::{
-        Belief, BeliefConfig, Hypothesis, ModelPrior, Observation, ParticleConfig, ParticleFilter,
+        Belief, BeliefConfig, Engine, Hypothesis, ModelPrior, Observation, ParticleConfig,
+        ParticleFilter,
     };
     pub use augur_scenario::{
         Axis, PriorSpec, ScenarioSpec, SenderSpec, SweepGrid, SweepReport, SweepRunner,
