@@ -13,13 +13,18 @@
 //! p95 RTT near its 100 ms interval; RED sits in between; goodput stays
 //! comparable (within ~2× of drop-tail).
 
-use augur_bench::{check, finish, save_csv};
+use augur_bench::{figure, save_csv, Checks};
 use augur_scenario::{presets, SweepRunner};
 use augur_sim::{Dur, Time};
 use augur_tcp::TcpTrace;
 use augur_trace::{summarize, Series, Summary};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    figure(run)
+}
+
+fn run(c: &mut Checks) {
     println!("EXT-D: TCP Reno over the LTE-like path, queue discipline swapped, 120 s\n");
     let runs = presets::ext_aqm(Dur::from_secs(120)).expand();
     // Goodput windows derive from the spec, not a second literal.
@@ -71,26 +76,25 @@ fn main() {
     save_csv("ext_aqm_rtt", &[&s1, &s2, &s3]);
 
     println!("\nShape checks:");
-    check(
+    c.check(
         "drop-tail bloats (p95 RTT in the seconds)",
         droptail.p95 > 2.0,
         format!("p95 {:.3}s", droptail.p95),
     );
-    check(
+    c.check(
         "CoDel tames the standing queue (p95 < 1/4 of drop-tail)",
         codel.p95 < droptail.p95 / 4.0,
         format!("{:.3}s vs {:.3}s", codel.p95, droptail.p95),
     );
-    check(
+    c.check(
         "RED improves on drop-tail",
         red.p95 < droptail.p95,
         format!("{:.3}s vs {:.3}s", red.p95, droptail.p95),
     );
     let gp = |t: &TcpTrace| t.mean_goodput_bps(t_end);
-    check(
+    c.check(
         "CoDel keeps comparable goodput (>= half of drop-tail)",
         gp(codel_trace) >= gp(droptail_trace) / 2.0,
         format!("{:.0} vs {:.0} bps", gp(codel_trace), gp(droptail_trace)),
     );
-    finish();
 }

@@ -12,13 +12,18 @@
 //! fairness index, and the restart counts (a direct measurement of how
 //! badly the pinger model fits an adaptive peer).
 
-use augur_bench::{check, finish, out_dir};
+use augur_bench::{figure, out_dir, Checks};
 use augur_scenario::{presets, SweepRunner};
 use augur_sim::Dur;
 use std::fs;
 use std::io::BufWriter;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    figure(run)
+}
+
+fn run(c: &mut Checks) {
     println!("EXT-A: two ISenders sharing a 24 kbit/s bottleneck, 200 s\n");
     let grid = presets::coexist_fairness(Dur::from_secs(200), 1, 50_000);
     let runs = grid.expand();
@@ -51,25 +56,24 @@ fn main() {
     println!("  wrote {}", csv_path.display());
 
     println!("\nShape checks:");
-    check(
+    c.check(
         "both senders make progress",
         ra > 1_000.0 && rb > 1_000.0,
         format!("{ra:.0} / {rb:.0} bit/s"),
     );
-    check(
+    c.check(
         "link not overdriven",
         ra + rb <= link_bps as f64 * 1.05,
         format!("{:.0} <= {link_bps}", ra + rb),
     );
-    check(
+    c.check(
         "rough fairness (Jain >= 0.7)",
         r.jain >= 0.7,
         format!("{:.3}", r.jain),
     );
-    check(
+    c.check(
         "misspecification measured: restarts occurred (open question of §3.5)",
         restarts_a + restarts_b > 0,
         format!("{} total restarts", restarts_a + restarts_b),
     );
-    finish();
 }

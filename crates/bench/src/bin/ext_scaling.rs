@@ -15,10 +15,11 @@
 //! checks. Nothing here reads a clock: timing belongs to `benchmark/`, and
 //! a check on wall time fails whenever the engine gets faster.
 
-use augur_bench::{check, finish, out_dir};
+use augur_bench::{figure, out_dir, Checks};
 use augur_scenario::{presets, Axis, RunStatus, RunSummary, SweepRunner};
 use std::fs;
 use std::io::BufWriter;
+use std::process::ExitCode;
 
 /// Seed replicates per (engine, prior size) cell: particle survival at
 /// large priors is seed luck, so each cell is measured a few times and
@@ -42,7 +43,11 @@ fn survivors(cell: &[RunSummary]) -> Option<(f64, f64)> {
     ))
 }
 
-fn main() {
+fn main() -> ExitCode {
+    figure(run)
+}
+
+fn run(c: &mut Checks) {
     println!("EXT-C: exact enumeration vs particle filter, 30 s of inference\n");
     let sizes = vec![101usize, 1_001, 10_001, 100_001];
     let grid = presets::ext_scaling(sizes.clone(), 1_000).axis(Axis::Seeds(REPLICATES));
@@ -114,7 +119,7 @@ fn main() {
     let (n0, u0) = (sizes[0], exact_cells[0].0);
     let (n2, u2) = (sizes[2], exact_cells[2].0);
     let scale = (u2 / u0) / (n2 as f64 / n0 as f64);
-    check(
+    c.check(
         "exact cost grows ~linearly with the prior",
         (0.2..5.0).contains(&scale),
         format!("{n0}→{n2} hypotheses: {u0:.0}→{u2:.0} updates (per-hyp ratio {scale:.2})"),
@@ -123,12 +128,12 @@ fn main() {
     // before any ACK can reject it, so a prior of millions costs millions
     // of network simulations before it has learnt anything.
     let at_2m = u2 / n2 as f64 * 2e6;
-    check(
+    c.check(
         "extrapolated: millions of hypotheses are impractical (paper §3.2)",
         at_2m >= 2e6,
         format!("~{at_2m:.0} network trajectories advanced in 30 s at 2M hypotheses"),
     );
-    check(
+    c.check(
         "exact posterior locates the link rate",
         exact_cells.iter().all(|(_, err)| *err < 1_000.0),
         "posterior means within 1 kbps of truth",
@@ -137,7 +142,7 @@ fn main() {
         .iter()
         .filter_map(|c| c.map(|(u, _)| u))
         .collect();
-    check(
+    c.check(
         "particle cost flat across prior sizes (where it survives)",
         ok_updates.len() >= 2
             && ok_updates.iter().cloned().fold(f64::MIN, f64::max)
@@ -148,17 +153,16 @@ fn main() {
         .iter()
         .filter_map(|c| c.map(|(_, err)| err))
         .all(|err| err < 1_000.0);
-    check(
+    c.check(
         "particle filter accurate where coverage suffices",
         accurate,
         "posterior means within 1 kbps of truth",
     );
-    check(
+    c.check(
         "bootstrap filter degenerates when prior >> particle budget",
         particle
             .iter()
             .any(|cell| cell.iter().all(|r| r.status == RunStatus::BeliefDied)),
         "exact-match likelihood needs coverage (motivates belief compression)",
     );
-    finish();
 }

@@ -10,13 +10,18 @@
 //! both make progress — quantifying the paper's worry that a
 //! deferential sender may be out-competed by a loss-based one.
 
-use augur_bench::{check, finish, out_dir};
+use augur_bench::{figure, out_dir, Checks};
 use augur_scenario::{presets, SweepRunner};
 use augur_sim::Dur;
 use std::fs;
 use std::io::BufWriter;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    figure(run)
+}
+
+fn run(c: &mut Checks) {
     println!("EXT-B: ISender (alpha=1) vs loss-based senders on a 24 kbit/s bottleneck, 200 s\n");
     let grid = presets::coexist_vs_tcp(Dur::from_secs(200), 1, 50_000);
     let runs = grid.expand();
@@ -46,17 +51,17 @@ fn main() {
         .expect("aimd point present");
     let (rm, rt) = (aimd.goodput_bps, aimd.goodput_b_bps);
     println!("\nShape checks (vs AIMD):");
-    check(
+    c.check(
         "both flows make progress",
         rm > 500.0 && rt > 500.0,
         format!("{rm:.0} / {rt:.0} bit/s"),
     );
-    check(
+    c.check(
         "link well utilized (> 60%)",
         rm + rt > link_bps as f64 * 0.6,
         format!("{:.0} bit/s", rm + rt),
     );
-    check(
+    c.check(
         "loss-based sender out-competes the deferential ISender (the paper's worry)",
         rt > rm,
         format!("AIMD {rt:.0} > ISender {rm:.0}"),
@@ -66,10 +71,9 @@ fn main() {
         .iter()
         .map(|r| r.goodput_bps + r.goodput_b_bps)
         .fold(0.0_f64, f64::max);
-    check(
+    c.check(
         "no pairing overdrives the link",
         max_combined <= link_bps as f64 * 1.05,
         format!("max combined {max_combined:.0} bit/s of {link_bps}"),
     );
-    finish();
 }

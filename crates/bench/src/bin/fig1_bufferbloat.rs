@@ -12,12 +12,17 @@
 //! Shape targets: RTT starts near the propagation floor (~0.1 s) and
 //! climbs beyond several seconds; max/min ratio ≥ 30×.
 
-use augur_bench::{check, finish, save_csv};
+use augur_bench::{figure, save_csv, Checks};
 use augur_scenario::{presets, SweepRunner};
 use augur_sim::{Dur, Time};
 use augur_trace::{render, PlotConfig, Series};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    figure(run)
+}
+
+fn run(c: &mut Checks) {
     println!("FIG1: TCP Reno download over a synthetic LTE-like path, 250 s");
     let runs = presets::fig1(Dur::from_secs(250)).expand();
     // Goodput windows derive from the spec, not a second literal.
@@ -66,22 +71,22 @@ fn main() {
     );
 
     println!("\nShape checks:");
-    check(
+    c.check(
         "RTT floor near propagation delay",
         summary.min < 0.2,
         format!("min RTT {:.3}s (floor 0.053s)", summary.min),
     );
-    check(
+    c.check(
         "RTT climbs into the seconds (bufferbloat)",
         summary.max > 3.0,
         format!("max RTT {:.3}s", summary.max),
     );
-    check(
+    c.check(
         "RTT blow-up ratio >= 30x (paper: ~100x)",
         trace.rtt_blowup() >= 30.0,
         format!("max/min = {:.0}x", trace.rtt_blowup()),
     );
-    check(
+    c.check(
         "loss fully hidden by link-layer ARQ (no stochastic drops)",
         trace
             .drops
@@ -89,5 +94,4 @@ fn main() {
             .all(|d| d.reason == augur_elements::DropReason::BufferFull),
         format!("{} drops, all buffer overflows", trace.drops.len()),
     );
-    finish();
 }

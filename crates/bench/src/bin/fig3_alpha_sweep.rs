@@ -20,14 +20,19 @@
 //! * no buffer overflows for α ≥ 1;
 //! * every sender starts tentatively while the prior is wide.
 
-use augur_bench::{check, save_csv};
+use augur_bench::{figure, save_csv, Checks};
 use augur_core::RunTrace;
 use augur_scenario::grid::ambient_max_branches;
 use augur_scenario::{presets, SweepRunner};
 use augur_sim::{Dur, Time};
 use augur_trace::{render, PlotConfig, Series};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    figure(run)
+}
+
+fn run(c: &mut Checks) {
     let t_end = Time::from_secs(300);
     // Branch cap, overridable for quick runs: `AUGUR_BRANCHES=2000`.
     let max_branches = ambient_max_branches().unwrap_or(50_000);
@@ -94,24 +99,24 @@ fn main() {
     let get = |a: f64| phase_rates.iter().find(|(x, ..)| *x == a).unwrap();
 
     let (_, r1_low, _, _, ov_low) = *get(0.9);
-    check(
+    c.check(
         "alpha<1 sends at link speed despite cross traffic",
         (r1_low - link_rate).abs() < 0.25,
         format!("rate {r1_low:.2} vs link {link_rate:.2} pkt/s"),
     );
-    check(
+    c.check(
         "alpha<1 floods the buffer (overflows observed)",
         ov_low > 0,
         format!("{ov_low} overflow drops"),
     );
 
     let (_, r1_one, r2_one, _, _) = *get(1.0);
-    check(
+    c.check(
         "alpha=1 fills the residual ~30% while cross is on",
         r1_one > 0.15 && r1_one < 0.75,
         format!("rate {r1_one:.2} pkt/s (residual 0.30)"),
     );
-    check(
+    c.check(
         "alpha=1 uses the whole link when cross is off",
         (r2_one - link_rate).abs() < 0.3,
         format!("rate {r2_one:.2} pkt/s"),
@@ -119,7 +124,7 @@ fn main() {
 
     for &(a, expect_less_than) in &[(2.5, r1_one + 0.1), (5.0, r1_one + 0.1)] {
         let (_, r1, ..) = *get(a);
-        check(
+        c.check(
             &format!("alpha={a} defers at least as much as alpha=1 (cross on)"),
             r1 <= expect_less_than,
             format!("rate {r1:.2} vs alpha=1 {r1_one:.2}"),
@@ -128,7 +133,7 @@ fn main() {
 
     for &a in &[2.5, 5.0] {
         let (_, _, _, _, ov) = *get(a);
-        check(
+        c.check(
             &format!("alpha={a} never causes a buffer overflow"),
             ov == 0,
             format!("{ov} overflow drops"),
@@ -142,7 +147,7 @@ fn main() {
     // cross traffic from the ACK timings (an observability blackout).
     // See EXPERIMENTS.md FIG3 "Deviations". We check the ordering instead.
     let (_, _, _, _, ov_one) = *get(1.0);
-    check(
+    c.check(
         "alpha=1 overflows less than alpha<1 (paper: zero; see EXPERIMENTS.md)",
         ov_one < ov_low,
         format!("alpha=1: {ov_one} vs alpha=0.9: {ov_low}"),
@@ -155,7 +160,7 @@ fn main() {
         trace.send_rate(Time::from_secs(100), Time::from_secs(130))
     };
     let (ramp1, ramp5) = (ramp(1.0), ramp(5.0));
-    check(
+    c.check(
         "alpha=5 is slower than alpha=1 to conclude cross stopped",
         ramp5 <= ramp1 + 0.05,
         format!("100-130s rate: alpha=5 {ramp5:.2} vs alpha=1 {ramp1:.2}"),

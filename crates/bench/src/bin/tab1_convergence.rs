@@ -13,14 +13,19 @@
 //! because the posterior snapshots need the belief mid-run — a
 //! measurement the summary-only sweep path does not expose.
 
-use augur_bench::{check, finish, save_csv};
+use augur_bench::{figure, save_csv, Checks};
 use augur_core::run_closed_loop;
 use augur_inference::Engine;
 use augur_scenario::{presets, spec_ground_truth, spec_isender};
 use augur_sim::{BitRate, Bits, Dur, Ppm, Time};
 use augur_trace::Series;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    figure(run)
+}
+
+fn run(c: &mut Checks) {
     println!("TAB1: prior vs actual (Figure 2 table), posterior over time\n");
     println!(
         "  {:<22} {:<28} {:>10}",
@@ -96,30 +101,29 @@ fn main() {
 
     let last = checkpoints.last().unwrap();
     println!("\nShape checks:");
-    check(
+    c.check(
         "link speed identified (P > 0.95)",
         last.1 > 0.95,
         format!("P(c=12000) = {:.3} at {}s", last.1, last.0),
     );
-    check(
+    c.check(
         "cross rate identified (P > 0.8)",
         last.2 > 0.8,
         format!("P(r=0.7c) = {:.3}", last.2),
     );
-    check(
+    c.check(
         "loss rate concentrating on 0.2 (P > 0.5 among 5 values)",
         last.3 > 0.5,
         format!("P(p=0.2) = {:.3}", last.3),
     );
-    check(
+    c.check(
         "buffer capacity not excluded (P >= prior 0.25)",
         last.4 >= 0.2,
         format!("P(buf=96000) = {:.3}", last.4),
     );
-    check(
+    c.check(
         "prior pared down (paper: 'quickly pare down the prior')",
         last.5 < 4_000,
         format!("{} branches from 4,760 grid points", last.5),
     );
-    finish();
 }

@@ -13,14 +13,19 @@
 //! the scenario runner's helpers because the checks read the posterior
 //! out of the belief after the run.
 
-use augur_bench::{check, finish, save_csv};
+use augur_bench::{figure, save_csv, Checks};
 use augur_core::run_closed_loop;
 use augur_inference::Engine;
 use augur_scenario::{presets, spec_ground_truth, spec_isender};
 use augur_sim::{BitRate, Dur, Time};
 use augur_trace::{render, PlotConfig, Series};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    figure(run)
+}
+
+fn run(c: &mut Checks) {
     println!("TXT1: single ISender on an unknown link (no cross traffic, no loss), 90 s");
 
     let runs = presets::txt1(Dur::from_secs(90)).expand();
@@ -62,22 +67,22 @@ fn main() {
     println!("  posterior P(c=12000) = {p_c:.3}");
 
     println!("\nShape checks:");
-    check(
+    c.check(
         "steady state sends at the link speed",
         (steady - 1.0).abs() < 0.15,
         format!("{steady:.2} pkt/s vs link 1.00"),
     );
-    check(
+    c.check(
         "begins tentatively under uncertainty",
         early < steady + 0.2,
         format!("early {early:.2} <= steady {steady:.2}"),
     );
-    check(
+    c.check(
         "link speed inferred",
         p_c > 0.95,
         format!("P(c=12000) = {p_c:.3}"),
     );
-    check(
+    c.check(
         "no packets wasted on overflows",
         trace
             .drops
@@ -87,5 +92,4 @@ fn main() {
             == 0,
         "zero own-flow drops",
     );
-    finish();
 }

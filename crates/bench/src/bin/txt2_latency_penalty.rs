@@ -11,11 +11,12 @@
 //! latency penalty is a sweep axis); this binary adds the plot and the
 //! shape checks.
 
-use augur_bench::{check, finish, save_csv};
+use augur_bench::{figure, save_csv, Checks};
 use augur_core::RunTrace;
 use augur_scenario::{presets, SweepRunner};
 use augur_sim::{Dur, Time};
 use augur_trace::{render, PlotConfig, Series};
+use std::process::ExitCode;
 
 /// Mean cross-traffic delay in the second minute (steady state). Cross
 /// packets are emitted isochronously, one packet-service-time apart at
@@ -39,7 +40,11 @@ fn mean_cross_delay(trace: &RunTrace, topology: &augur_elements::ModelParams) ->
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
+    figure(run)
+}
+
+fn run(c: &mut Checks) {
     println!("TXT2: latency-penalty utility drains the buffer before filling the link, 120 s");
     let runs = presets::txt2(Dur::from_secs(120)).expand();
     let (_, traces) = SweepRunner::parallel().verbose().run_traced(&runs);
@@ -99,20 +104,19 @@ fn main() {
     println!("  mean cross delay 60-120s: plain {plain_delay:.2}s, penalized {pen_delay:.2}s");
 
     println!("\nShape checks:");
-    check(
+    c.check(
         "penalized sender holds back while the backlog drains",
         early_pen < early_plain,
         format!("{early_pen:.2} < {early_plain:.2} pkt/s in 0-8s"),
     );
-    check(
+    c.check(
         "penalized sender still uses the residual link afterwards",
         steady_pen > 0.3,
         format!("{steady_pen:.2} pkt/s steady"),
     );
-    check(
+    c.check(
         "cross traffic sees lower latency under the penalty",
         pen_delay < plain_delay,
         format!("{pen_delay:.2}s vs {plain_delay:.2}s"),
     );
-    finish();
 }

@@ -17,12 +17,14 @@
 //!
 //! Each binary prints its figure as an ASCII chart, writes CSV under
 //! `experiments/`, prints its shape checks — the paper-shape acceptance
-//! criteria of the figure — and exits 1 if any of them failed.
+//! criteria of the figure — and exits 1 if any of them failed: its `main`
+//! returns [`figure`]'s exit code, and only `figure` hands out the
+//! [`Checks`] a check is made on.
 
 use augur_trace::Series;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::process::ExitCode;
 
 /// Where experiment CSVs land (override with `AUGUR_OUT`).
 pub fn out_dir() -> PathBuf {
@@ -42,23 +44,32 @@ pub fn save_csv(name: &str, series: &[&Series]) {
     println!("  wrote {}", path.display());
 }
 
-/// Whether any [`check`] of this process has failed. `Relaxed`: the flag
-/// publishes nothing but itself.
-static CHECK_FAILED: AtomicBool = AtomicBool::new(false);
-
-/// Render a one-line pass/fail check and remember a failure for
-/// [`finish`].
-pub fn check(name: &str, ok: bool, detail: impl std::fmt::Display) {
-    if !ok {
-        CHECK_FAILED.store(true, Ordering::Relaxed);
-    }
-    println!("  [{}] {name}: {detail}", if ok { "PASS" } else { "FAIL" });
+/// The shape checks of one figure run: created by [`figure`] only, so a
+/// check can only be made where its outcome reaches the exit status.
+#[derive(Debug)]
+pub struct Checks {
+    failed: bool,
 }
 
-/// The last call of every figure binary's `main`: exit 1 if any shape
-/// check failed, so a figure that lost the paper's shape fails its caller.
-pub fn finish() {
-    if CHECK_FAILED.load(Ordering::Relaxed) {
-        std::process::exit(1);
+impl Checks {
+    /// Render a one-line pass/fail check and remember a failure.
+    pub fn check(&mut self, name: &str, ok: bool, detail: impl std::fmt::Display) {
+        self.failed |= !ok;
+        println!("  [{}] {name}: {detail}", if ok { "PASS" } else { "FAIL" });
+    }
+}
+
+/// Run a figure binary's body and turn its shape checks into the process
+/// exit status: failure if any check failed, so a figure that lost the
+/// paper's shape fails its caller. Every figure `main` is
+/// `fn main() -> ExitCode { figure(..) }`.
+#[must_use = "return it from `main`: it is the figure's exit status"]
+pub fn figure(body: impl FnOnce(&mut Checks)) -> ExitCode {
+    let mut checks = Checks { failed: false };
+    body(&mut checks);
+    if checks.failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }

@@ -10,8 +10,8 @@
 //! Split representation: [`BufferParams`] (capacity, discipline
 //! configuration) is immutable and shared across hypothesis networks;
 //! [`BufferState`] (queue contents, fullness, AQM running state) is the
-//! compact per-hypothesis half. The [`Buffer`] blueprint pairs them for
-//! construction and standalone use; the network builder splits it.
+//! compact per-hypothesis half. [`Buffer`]'s constructors return the pair
+//! with its initial state.
 
 use augur_sim::{Bits, Dur, Packet, Ppm, Time};
 use std::collections::VecDeque;
@@ -40,7 +40,7 @@ pub enum BufferKind {
 
 /// RED's configuration. The average queue it controls lives in
 /// [`AqmState::Red`], kept in 1/256-bit fixed point so the element stays
-/// integer-valued (`Eq + Hash`, DESIGN.md §4.1).
+/// integer-valued (`Eq + Hash`: hypotheses are compared and deduplicated).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RedParams {
     /// Minimum threshold, bits.
@@ -307,10 +307,8 @@ impl BufferState {
     }
 }
 
-/// A bounded queue with a selectable discipline: the construction
-/// blueprint pairing [`BufferParams`] with [`BufferState`]. The network
-/// builder splits it; standalone use (tests, direct simulation) drives
-/// the pair through the delegating methods below.
+/// A bounded queue with a selectable discipline as constructed:
+/// [`BufferParams`] with the matching empty [`BufferState`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Buffer {
     /// Immutable configuration.
@@ -354,54 +352,9 @@ impl Buffer {
         let state = params.initial_state();
         Buffer { params, state }
     }
-
-    /// Capacity in bits.
-    pub fn capacity(&self) -> Bits {
-        self.params.capacity
-    }
-
-    /// Bits currently queued.
-    pub fn fullness(&self) -> Bits {
-        self.state.fullness()
-    }
-
-    /// Packets currently queued.
-    pub fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// True iff nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.state.is_empty()
-    }
-
-    /// Would `pkt` fit right now?
-    pub fn fits(&self, pkt: &Packet) -> bool {
-        self.params.fits(&self.state, pkt)
-    }
-
-    /// See [`BufferParams::offer`].
-    pub fn offer(&mut self, pkt: Packet, now: Time) -> Admission {
-        self.params.offer(&mut self.state, pkt, now)
-    }
-
-    /// See [`BufferParams::force_enqueue`].
-    pub fn force_enqueue(&mut self, pkt: Packet, now: Time) {
-        self.params.force_enqueue(&mut self.state, pkt, now)
-    }
-
-    /// See [`BufferParams::pull`].
-    pub fn pull(&mut self, now: Time) -> PullResult {
-        self.params.pull(&mut self.state, now)
-    }
-
-    /// Split into the immutable/mutable halves.
-    pub fn split(self) -> (BufferParams, BufferState) {
-        (self.params, self.state)
-    }
 }
 
-/// Result of [`Buffer::pull`].
+/// Result of [`BufferParams::pull`].
 #[derive(Debug, Clone)]
 pub struct PullResult {
     /// The packet to put into service, if any.
@@ -422,30 +375,63 @@ mod tests {
     #[test]
     fn drop_tail_respects_capacity_in_bits() {
         let mut b = Buffer::drop_tail(Bits::new(25_000));
-        assert_eq!(b.offer(pkt(0, 12_000), Time::ZERO), Admission::Enqueued);
-        assert_eq!(b.offer(pkt(1, 12_000), Time::ZERO), Admission::Enqueued);
+        assert_eq!(
+            b.params.offer(&mut b.state, pkt(0, 12_000), Time::ZERO),
+            Admission::Enqueued
+        );
+        assert_eq!(
+            b.params.offer(&mut b.state, pkt(1, 12_000), Time::ZERO),
+            Admission::Enqueued
+        );
         // 24_000 queued; a third 12_000-bit packet exceeds 25_000.
-        assert_eq!(b.offer(pkt(2, 12_000), Time::ZERO), Admission::TailDrop);
+        assert_eq!(
+            b.params.offer(&mut b.state, pkt(2, 12_000), Time::ZERO),
+            Admission::TailDrop
+        );
         // But a 1_000-bit packet still fits.
-        assert_eq!(b.offer(pkt(3, 1_000), Time::ZERO), Admission::Enqueued);
-        assert_eq!(b.fullness(), Bits::new(25_000));
-        assert_eq!(b.len(), 3);
+        assert_eq!(
+            b.params.offer(&mut b.state, pkt(3, 1_000), Time::ZERO),
+            Admission::Enqueued
+        );
+        assert_eq!(b.state.fullness(), Bits::new(25_000));
+        assert_eq!(b.state.len(), 3);
     }
 
     #[test]
     fn pull_is_fifo_and_updates_fullness() {
         let mut b = Buffer::drop_tail(Bits::new(100_000));
         for i in 0..3 {
-            b.offer(pkt(i, 10_000), Time::from_secs(i));
+            b.params
+                .offer(&mut b.state, pkt(i, 10_000), Time::from_secs(i));
         }
-        let r = b.pull(Time::from_secs(10));
+        let r = b.params.pull(&mut b.state, Time::from_secs(10));
         assert_eq!(r.serve.unwrap().packet.seq, 0);
         assert!(r.dropped.is_empty());
-        assert_eq!(b.fullness(), Bits::new(20_000));
-        assert_eq!(b.pull(Time::from_secs(10)).serve.unwrap().packet.seq, 1);
-        assert_eq!(b.pull(Time::from_secs(10)).serve.unwrap().packet.seq, 2);
-        assert!(b.pull(Time::from_secs(10)).serve.is_none());
-        assert!(b.is_empty());
+        assert_eq!(b.state.fullness(), Bits::new(20_000));
+        assert_eq!(
+            b.params
+                .pull(&mut b.state, Time::from_secs(10))
+                .serve
+                .unwrap()
+                .packet
+                .seq,
+            1
+        );
+        assert_eq!(
+            b.params
+                .pull(&mut b.state, Time::from_secs(10))
+                .serve
+                .unwrap()
+                .packet
+                .seq,
+            2
+        );
+        assert!(b
+            .params
+            .pull(&mut b.state, Time::from_secs(10))
+            .serve
+            .is_none());
+        assert!(b.state.is_empty());
     }
 
     #[test]
@@ -457,7 +443,10 @@ mod tests {
             Ppm::from_prob(0.1),
             2,
         );
-        assert_eq!(b.offer(pkt(0, 10_000), Time::ZERO), Admission::Enqueued);
+        assert_eq!(
+            b.params.offer(&mut b.state, pkt(0, 10_000), Time::ZERO),
+            Admission::Enqueued
+        );
     }
 
     #[test]
@@ -469,9 +458,9 @@ mod tests {
             Ppm::from_prob(0.1),
             0, // w_shift 0: avg tracks queue instantly
         );
-        b.offer(pkt(0, 10_000), Time::ZERO);
+        b.params.offer(&mut b.state, pkt(0, 10_000), Time::ZERO);
         // Next arrival sees avg = 10_000 >= max_th = 2_000.
-        match b.offer(pkt(1, 10_000), Time::ZERO) {
+        match b.params.offer(&mut b.state, pkt(1, 10_000), Time::ZERO) {
             Admission::RedChoice(p) => assert!(p.is_one()),
             other => panic!("expected RedChoice, got {other:?}"),
         }
@@ -486,8 +475,8 @@ mod tests {
             Ppm::from_prob(0.2),
             0,
         );
-        b.offer(pkt(0, 15_000), Time::ZERO);
-        match b.offer(pkt(1, 1_000), Time::ZERO) {
+        b.params.offer(&mut b.state, pkt(0, 15_000), Time::ZERO);
+        match b.params.offer(&mut b.state, pkt(1, 1_000), Time::ZERO) {
             Admission::RedChoice(p) => {
                 // avg = 15_000 is halfway between thresholds → p = 0.1.
                 assert!((p.prob() - 0.1).abs() < 1e-3, "p = {p}");
@@ -503,8 +492,8 @@ mod tests {
             Dur::from_millis(5),
             Dur::from_millis(100),
         );
-        b.offer(pkt(0, 1_000), Time::ZERO);
-        let r = b.pull(Time::from_millis(1));
+        b.params.offer(&mut b.state, pkt(0, 1_000), Time::ZERO);
+        let r = b.params.pull(&mut b.state, Time::from_millis(1));
         assert_eq!(r.serve.unwrap().packet.seq, 0);
         assert!(r.dropped.is_empty());
     }
@@ -519,13 +508,13 @@ mod tests {
         // Enqueue many packets at t=0; dequeue them slowly so sojourn stays
         // far above target for longer than the interval.
         for i in 0..50 {
-            b.offer(pkt(i, 1_000), Time::ZERO);
+            b.params.offer(&mut b.state, pkt(i, 1_000), Time::ZERO);
         }
         let mut drops = 0;
         let mut served = 0;
         for k in 0..40u64 {
             let now = Time::from_millis(20 * (k + 1)); // sojourn >= 20ms > 5ms
-            let r = b.pull(now);
+            let r = b.params.pull(&mut b.state, now);
             drops += r.dropped.len();
             served += usize::from(r.serve.is_some());
         }
@@ -539,12 +528,14 @@ mod tests {
             Dur::from_millis(5),
             Dur::from_millis(100),
         );
-        b.offer(pkt(0, 1_000), Time::from_millis(0));
+        b.params
+            .offer(&mut b.state, pkt(0, 1_000), Time::from_millis(0));
         // Long sojourn starts the "above" clock...
-        let _ = b.pull(Time::from_millis(50));
+        let _ = b.params.pull(&mut b.state, Time::from_millis(50));
         // ...but a fresh packet with tiny sojourn resets it.
-        b.offer(pkt(1, 1_000), Time::from_millis(60));
-        let r = b.pull(Time::from_millis(61));
+        b.params
+            .offer(&mut b.state, pkt(1, 1_000), Time::from_millis(60));
+        let r = b.params.pull(&mut b.state, Time::from_millis(61));
         assert!(r.dropped.is_empty());
         assert_eq!(r.serve.unwrap().packet.seq, 1);
         if let AqmState::CoDel(run) = &b.state.aqm {
@@ -559,6 +550,7 @@ mod tests {
     #[should_panic(expected = "past capacity")]
     fn force_enqueue_checks_capacity() {
         let mut b = Buffer::drop_tail(Bits::new(1_000));
-        b.force_enqueue(pkt(0, 2_000), Time::ZERO);
+        b.params
+            .force_enqueue(&mut b.state, pkt(0, 2_000), Time::ZERO);
     }
 }

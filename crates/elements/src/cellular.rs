@@ -1,5 +1,5 @@
 //! A synthetic wide-area cellular ("LTE-like") path — the Figure-1
-//! substitute (DESIGN.md §5).
+//! substitute.
 //!
 //! The paper's Figure 1 measures RTT during a TCP download on Verizon LTE
 //! and finds it climbing from ~100 ms to 10 seconds. The mechanism the

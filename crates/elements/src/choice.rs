@@ -2,10 +2,10 @@
 //!
 //! Every source of randomness in the element language — stochastic loss,
 //! jitter, memoryless gate switching, link-layer ARQ, RED's drop decision —
-//! is expressed as a **binary choice point** surfaced to the driver
-//! (DESIGN.md §4.2). The ground-truth driver resolves choices by sampling
-//! with the seeded RNG; the belief engine resolves them by *forking* the
-//! hypothesis, one branch per option. The paper calls this forking: "when
+//! is expressed as a **binary choice point** surfaced to the driver. The
+//! ground-truth driver resolves choices by sampling with the seeded RNG;
+//! the belief engine resolves them by *forking* the hypothesis, one
+//! branch per option. The paper calls this forking: "when
 //! LOSS receives a packet, it forks the model into a case where the packet
 //! is lost and one where it is sent" (§3.2).
 //!
@@ -49,7 +49,8 @@ pub struct ChoiceSpec {
     /// The packet whose fate is being decided, when the decision concerns
     /// one (`LossFate`/`JitterFate`/`RedFate`); `None` for gate/ARQ
     /// decisions. The belief engine reads the flow and sequence number to
-    /// fold last-mile loss analytically (DESIGN.md §4.3).
+    /// fold last-mile loss analytically (the lost and the delivered branch
+    /// reconverge, so only their weights are kept).
     pub packet: Option<Packet>,
 }
 

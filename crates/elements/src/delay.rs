@@ -9,7 +9,8 @@
 //!
 //! Split representation: [`DelayParams`] / [`JitterParams`] hold the
 //! immutable configuration; [`DelayState`] / [`JitterState`] hold the
-//! in-flight sets. The blueprints pair them for construction.
+//! in-flight sets. [`DelayEl::new`] / [`JitterEl::new`] return the pair with
+//! nothing in flight.
 
 use augur_sim::{Dur, Packet, Ppm, Time};
 use std::collections::VecDeque;
@@ -79,7 +80,7 @@ impl DelayState {
     }
 }
 
-/// A fixed propagation delay: the construction blueprint.
+/// A fixed propagation delay as constructed.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DelayEl {
     /// Immutable configuration.
@@ -95,36 +96,6 @@ impl DelayEl {
             params: DelayParams { delay },
             state: DelayState::default(),
         }
-    }
-
-    /// See [`DelayParams::accept`].
-    pub fn accept(&mut self, pkt: Packet, now: Time) {
-        self.params.accept(&mut self.state, pkt, now)
-    }
-
-    /// See [`DelayState::next_timer`].
-    pub fn next_timer(&self) -> Option<Time> {
-        self.state.next_timer()
-    }
-
-    /// See [`DelayState::release`].
-    pub fn release(&mut self, now: Time) -> Option<Packet> {
-        self.state.release(now)
-    }
-
-    /// Number of packets in flight.
-    pub fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// True iff no packets are in flight.
-    pub fn is_empty(&self) -> bool {
-        self.state.is_empty()
-    }
-
-    /// Split into the immutable/mutable halves.
-    pub fn split(self) -> (DelayParams, DelayState) {
-        (self.params, self.state)
     }
 }
 
@@ -190,7 +161,7 @@ impl JitterState {
     }
 }
 
-/// Probabilistic extra delay: the construction blueprint.
+/// Probabilistic extra delay as constructed.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JitterEl {
     /// Immutable configuration.
@@ -207,36 +178,6 @@ impl JitterEl {
             state: JitterState::default(),
         }
     }
-
-    /// See [`JitterParams::hold`].
-    pub fn hold(&mut self, pkt: Packet, now: Time) {
-        self.params.hold(&mut self.state, pkt, now)
-    }
-
-    /// See [`JitterState::next_timer`].
-    pub fn next_timer(&self) -> Option<Time> {
-        self.state.next_timer()
-    }
-
-    /// See [`JitterState::release`].
-    pub fn release(&mut self, now: Time) -> Option<Packet> {
-        self.state.release(now)
-    }
-
-    /// Number of jittered packets in flight.
-    pub fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// True iff no jittered packets are in flight.
-    pub fn is_empty(&self) -> bool {
-        self.state.is_empty()
-    }
-
-    /// Split into the immutable/mutable halves.
-    pub fn split(self) -> (JitterParams, JitterState) {
-        (self.params, self.state)
-    }
 }
 
 #[cfg(test)]
@@ -251,30 +192,30 @@ mod tests {
     #[test]
     fn delay_releases_in_order_when_due() {
         let mut d = DelayEl::new(Dur::from_millis(100));
-        d.accept(pkt(0), Time::from_millis(0));
-        d.accept(pkt(1), Time::from_millis(10));
-        assert_eq!(d.next_timer(), Some(Time::from_millis(100)));
-        assert!(d.release(Time::from_millis(99)).is_none());
-        assert_eq!(d.release(Time::from_millis(100)).unwrap().seq, 0);
-        assert!(d.release(Time::from_millis(100)).is_none());
-        assert_eq!(d.release(Time::from_millis(110)).unwrap().seq, 1);
-        assert!(d.is_empty());
+        d.params.accept(&mut d.state, pkt(0), Time::from_millis(0));
+        d.params.accept(&mut d.state, pkt(1), Time::from_millis(10));
+        assert_eq!(d.state.next_timer(), Some(Time::from_millis(100)));
+        assert!(d.state.release(Time::from_millis(99)).is_none());
+        assert_eq!(d.state.release(Time::from_millis(100)).unwrap().seq, 0);
+        assert!(d.state.release(Time::from_millis(100)).is_none());
+        assert_eq!(d.state.release(Time::from_millis(110)).unwrap().seq, 1);
+        assert!(d.state.is_empty());
     }
 
     #[test]
     fn zero_delay_is_immediately_due() {
         let mut d = DelayEl::new(Dur::ZERO);
-        d.accept(pkt(0), Time::from_secs(2));
-        assert_eq!(d.release(Time::from_secs(2)).unwrap().seq, 0);
+        d.params.accept(&mut d.state, pkt(0), Time::from_secs(2));
+        assert_eq!(d.state.release(Time::from_secs(2)).unwrap().seq, 0);
     }
 
     #[test]
     fn jitter_holds_until_extra_elapsed() {
         let mut j = JitterEl::new(Ppm::from_prob(0.3), Dur::from_millis(250));
-        j.hold(pkt(5), Time::from_secs(1));
-        assert_eq!(j.len(), 1);
-        assert_eq!(j.next_timer(), Some(Time::from_micros(1_250_000)));
-        assert!(j.release(Time::from_millis(1_249)).is_none());
-        assert_eq!(j.release(Time::from_millis(1_250)).unwrap().seq, 5);
+        j.params.hold(&mut j.state, pkt(5), Time::from_secs(1));
+        assert_eq!(j.state.len(), 1);
+        assert_eq!(j.state.next_timer(), Some(Time::from_micros(1_250_000)));
+        assert!(j.state.release(Time::from_millis(1_249)).is_none());
+        assert_eq!(j.state.release(Time::from_millis(1_250)).unwrap().seq, 5);
     }
 }

@@ -1,11 +1,20 @@
-//! The element language: one enum covering every idealized network element
-//! of §3.1, each "corresponding to idealized versions of data structures
-//! and phenomena that occur in real networks".
+//! The element language: every idealized network element of §3.1, each
+//! "corresponding to idealized versions of data structures and phenomena
+//! that occur in real networks".
 //!
-//! Elements are pure state machines over integer state. The
-//! [`crate::network::Network`] owns the routing loop and the choice
-//! mechanism; this module defines the per-element state plus the small
-//! elements that need no file of their own (LOSS, DIVERTER, RECEIVER).
+//! An element *is* a pair: its immutable `…Params` (one variant of
+//! [`ElementParams`], shared by every hypothesis of a structure) and its
+//! per-hypothesis `…State` (the matching variant of [`ElementState`]).
+//! The behaviour is a method of the params taking the state —
+//! `params.offer(&mut state, pkt, now)` — and that is the only form there
+//! is: the [`crate::network::Network`] event loop, the unit tests and any
+//! standalone use all call it. The blueprints an [`Element`] wraps
+//! (`Buffer`, `Link`, `DelayEl`, …) are constructors: they validate their
+//! arguments and return the pair with its initial state, and
+//! [`Element::split`] hands the two halves to the network builder.
+//!
+//! This module holds the three enums plus the small elements that need no
+//! file of their own (LOSS, DIVERTER, RECEIVER).
 
 use crate::buffer::{Buffer, BufferParams, BufferState};
 use crate::delay::{DelayEl, DelayParams, DelayState, JitterEl, JitterParams, JitterState};
@@ -38,7 +47,8 @@ pub struct Diverter {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ReceiverEl;
 
-/// Any element.
+/// Any element as constructed: what [`crate::network::NetworkBuilder::add`]
+/// takes and at once splits.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Element {
     /// Tail-drop / RED / CoDel queue.
@@ -64,7 +74,8 @@ pub enum Element {
 }
 
 /// The immutable half of an element: configuration that is identical for
-/// every hypothesis network sharing a structure.
+/// every hypothesis network sharing a structure. The variant order is part
+/// of a network's identity hash stream (it writes the variant index).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ElementParams {
     /// Queue capacity and discipline configuration.
@@ -146,69 +157,31 @@ impl Clone for ElementState {
 }
 
 impl Element {
-    /// The element's next self-scheduled activity, if any.
-    pub fn next_timer(&self) -> Option<Time> {
-        match self {
-            Element::Buffer(_) | Element::Loss(_) | Element::Diverter(_) | Element::Receiver(_) => {
-                None
-            }
-            Element::Link(l) => l.next_timer(),
-            Element::Delay(d) => d.next_timer(),
-            Element::Jitter(j) => j.next_timer(),
-            Element::Pinger(p) => p.next_timer(),
-            Element::Gate(g) => g.next_timer(),
-            Element::Either(e) => e.next_timer(),
-        }
-    }
-
-    /// A short name for diagnostics.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Element::Buffer(_) => "Buffer",
-            Element::Link(_) => "Link",
-            Element::Delay(_) => "Delay",
-            Element::Loss(_) => "Loss",
-            Element::Jitter(_) => "Jitter",
-            Element::Pinger(_) => "Pinger",
-            Element::Gate(_) => "Gate",
-            Element::Either(_) => "Either",
-            Element::Diverter(_) => "Diverter",
-            Element::Receiver(_) => "Receiver",
-        }
-    }
-
-    /// Decompose a blueprint element into its immutable/mutable halves
-    /// (the network builder does this once per structure).
+    /// Decompose a blueprint into the two halves a network stores: what
+    /// [`crate::network::NetworkBuilder::add`] does with every element.
     pub fn split(self) -> (ElementParams, ElementState) {
         match self {
-            Element::Buffer(b) => {
-                let (p, s) = b.split();
-                (ElementParams::Buffer(p), ElementState::Buffer(s))
+            Element::Buffer(Buffer { params, state }) => {
+                (ElementParams::Buffer(params), ElementState::Buffer(state))
             }
-            Element::Link(l) => {
-                let (p, s) = l.split();
-                (ElementParams::Link(p), ElementState::Link(s))
+            Element::Link(Link { params, state }) => {
+                (ElementParams::Link(params), ElementState::Link(state))
             }
-            Element::Delay(d) => {
-                let (p, s) = d.split();
-                (ElementParams::Delay(p), ElementState::Delay(s))
+            Element::Delay(DelayEl { params, state }) => {
+                (ElementParams::Delay(params), ElementState::Delay(state))
             }
             Element::Loss(l) => (ElementParams::Loss(l), ElementState::Loss),
-            Element::Jitter(j) => {
-                let (p, s) = j.split();
-                (ElementParams::Jitter(p), ElementState::Jitter(s))
+            Element::Jitter(JitterEl { params, state }) => {
+                (ElementParams::Jitter(params), ElementState::Jitter(state))
             }
-            Element::Pinger(p) => {
-                let (pp, s) = p.split();
-                (ElementParams::Pinger(pp), ElementState::Pinger(s))
+            Element::Pinger(Pinger { params, state }) => {
+                (ElementParams::Pinger(params), ElementState::Pinger(state))
             }
-            Element::Gate(g) => {
-                let (p, s) = g.split();
-                (ElementParams::Gate(p), ElementState::Gate(s))
+            Element::Gate(Gate { params, state }) => {
+                (ElementParams::Gate(params), ElementState::Gate(state))
             }
-            Element::Either(e) => {
-                let (p, s) = e.split();
-                (ElementParams::Either(p), ElementState::Either(s))
+            Element::Either(Either { params, state }) => {
+                (ElementParams::Either(params), ElementState::Either(state))
             }
             Element::Diverter(d) => (ElementParams::Diverter(d), ElementState::Diverter),
             Element::Receiver(r) => (ElementParams::Receiver(r), ElementState::Receiver),
@@ -260,31 +233,30 @@ mod tests {
 
     #[test]
     fn stateless_elements_have_no_timer() {
-        assert!(Element::Loss(Loss {
-            p: Ppm::from_prob(0.5)
-        })
-        .next_timer()
-        .is_none());
-        assert!(Element::Diverter(Diverter { flow: FlowId::SELF })
-            .next_timer()
-            .is_none());
-        assert!(Element::Receiver(ReceiverEl).next_timer().is_none());
-        assert!(Element::Buffer(Buffer::drop_tail(Bits::new(1_000)))
-            .next_timer()
-            .is_none());
+        for element in [
+            Element::Loss(Loss {
+                p: Ppm::from_prob(0.5),
+            }),
+            Element::Diverter(Diverter { flow: FlowId::SELF }),
+            Element::Receiver(ReceiverEl),
+            Element::Buffer(Buffer::drop_tail(Bits::new(1_000))),
+        ] {
+            assert!(element.split().1.next_timer().is_none());
+        }
     }
 
     #[test]
     fn active_elements_report_timers() {
-        let p = Element::Pinger(Pinger::new(
+        let (_, pinger) = Element::Pinger(Pinger::new(
             Dur::from_secs(1),
             Bits::new(100),
             FlowId::CROSS,
             Time::from_secs(3),
-        ));
-        assert_eq!(p.next_timer(), Some(Time::from_secs(3)));
+        ))
+        .split();
+        assert_eq!(pinger.next_timer(), Some(Time::from_secs(3)));
 
-        let idle_link = Element::Link(Link::constant(BitRate::from_bps(100)));
+        let (_, idle_link) = Element::Link(Link::constant(BitRate::from_bps(100))).split();
         assert!(idle_link.next_timer().is_none());
     }
 
@@ -312,10 +284,9 @@ mod tests {
 
     #[test]
     fn kind_names() {
-        assert_eq!(
-            Element::Gate(Gate::square_wave(Dur::from_secs(1), true)).kind_name(),
-            "Gate"
-        );
-        assert_eq!(Element::Delay(DelayEl::new(Dur::ZERO)).kind_name(), "Delay");
+        let (gate, _) = Element::Gate(Gate::square_wave(Dur::from_secs(1), true)).split();
+        assert_eq!(gate.kind_name(), "Gate");
+        let (delay, _) = Element::Delay(DelayEl::new(Dur::ZERO)).split();
+        assert_eq!(delay.kind_name(), "Delay");
     }
 }

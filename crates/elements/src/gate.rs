@@ -112,8 +112,8 @@ impl GateState {
     }
 }
 
-/// A connectivity gate (INTERMITTENT or SQUAREWAVE): the construction
-/// blueprint pairing [`GateParams`] with [`GateState`].
+/// A connectivity gate (INTERMITTENT or SQUAREWAVE) as constructed:
+/// [`GateParams`] with the initial [`GateState`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Gate {
     /// Immutable switching law.
@@ -154,26 +154,6 @@ impl Gate {
                 next_decision: Time::ZERO + half_period,
             },
         }
-    }
-
-    /// The next decision instant.
-    pub fn next_timer(&self) -> Option<Time> {
-        self.state.next_timer()
-    }
-
-    /// See [`GateParams::switch_choice`].
-    pub fn switch_choice(&self) -> Option<Ppm> {
-        self.params.switch_choice()
-    }
-
-    /// See [`GateParams::decide`].
-    pub fn decide(&mut self, switch: bool, now: Time) {
-        self.params.decide(&mut self.state, switch, now)
-    }
-
-    /// Split into the immutable/mutable halves.
-    pub fn split(self) -> (GateParams, GateState) {
-        (self.params, self.state)
     }
 }
 
@@ -219,8 +199,8 @@ impl EitherState {
 }
 
 /// The EITHER combinator: routes to the primary successor normally, to the
-/// secondary while switched, flipping memorylessly per epoch. Construction
-/// blueprint pairing [`EitherParams`] with [`EitherState`].
+/// secondary while switched, flipping memorylessly per epoch. As
+/// constructed: [`EitherParams`] with the initial [`EitherState`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Either {
     /// Immutable configuration.
@@ -244,21 +224,6 @@ impl Either {
             },
         }
     }
-
-    /// Next decision instant.
-    pub fn next_timer(&self) -> Option<Time> {
-        self.state.next_timer()
-    }
-
-    /// See [`EitherParams::decide`].
-    pub fn decide(&mut self, switch: bool, now: Time) {
-        self.params.decide(&mut self.state, switch, now)
-    }
-
-    /// Split into the immutable/mutable halves.
-    pub fn split(self) -> (EitherParams, EitherState) {
-        (self.params, self.state)
-    }
 }
 
 #[cfg(test)]
@@ -279,24 +244,24 @@ mod tests {
     fn square_wave_flips_deterministically() {
         let mut g = Gate::square_wave(Dur::from_secs(100), true);
         assert!(g.state.connected);
-        assert!(g.switch_choice().is_none());
-        assert_eq!(g.next_timer(), Some(Time::from_secs(100)));
-        g.decide(true, Time::from_secs(100));
+        assert!(g.params.switch_choice().is_none());
+        assert_eq!(g.state.next_timer(), Some(Time::from_secs(100)));
+        g.params.decide(&mut g.state, true, Time::from_secs(100));
         assert!(!g.state.connected);
-        assert_eq!(g.next_timer(), Some(Time::from_secs(200)));
-        g.decide(true, Time::from_secs(200));
+        assert_eq!(g.state.next_timer(), Some(Time::from_secs(200)));
+        g.params.decide(&mut g.state, true, Time::from_secs(200));
         assert!(g.state.connected);
     }
 
     #[test]
     fn intermittent_exposes_choice() {
         let mut g = Gate::intermittent(Dur::from_secs(100), Dur::from_secs(1), true);
-        let p = g.switch_choice().unwrap();
+        let p = g.params.switch_choice().unwrap();
         assert!(p.prob() > 0.0 && p.prob() < 0.02);
-        g.decide(false, Time::from_secs(1));
+        g.params.decide(&mut g.state, false, Time::from_secs(1));
         assert!(g.state.connected);
-        assert_eq!(g.next_timer(), Some(Time::from_secs(2)));
-        g.decide(true, Time::from_secs(2));
+        assert_eq!(g.state.next_timer(), Some(Time::from_secs(2)));
+        g.params.decide(&mut g.state, true, Time::from_secs(2));
         assert!(!g.state.connected);
     }
 
@@ -304,10 +269,10 @@ mod tests {
     fn either_switches_route() {
         let mut e = Either::new(Dur::from_secs(10), Dur::from_secs(1), false);
         assert!(!e.state.on_alt);
-        e.decide(true, Time::from_secs(1));
+        e.params.decide(&mut e.state, true, Time::from_secs(1));
         assert!(e.state.on_alt);
-        e.decide(false, Time::from_secs(2));
+        e.params.decide(&mut e.state, false, Time::from_secs(2));
         assert!(e.state.on_alt);
-        assert_eq!(e.next_timer(), Some(Time::from_secs(3)));
+        assert_eq!(e.state.next_timer(), Some(Time::from_secs(3)));
     }
 }

@@ -16,6 +16,14 @@
 //! serves as ground truth (decisions sampled) and as belief-state
 //! hypothesis (decisions forked). See the module docs of [`network`] for
 //! the driver contract.
+//!
+//! An element has one representation: an immutable `…Params` that every
+//! hypothesis of a network shares and a per-hypothesis `…State`, with the
+//! behaviour a method of the params over the state (see [`element`]). The
+//! named blueprints (`Buffer`, `Link`, `Gate`, …) are constructors of
+//! that pair. A network's identity — `==` and the `Hash` that orders and
+//! deduplicates hypotheses — is defined over the pairs in [`network`],
+//! in one function.
 
 pub mod buffer;
 pub mod cellular;
@@ -45,5 +53,5 @@ pub use model::{
 pub use network::{
     DropReason, DropRecord, Network, NetworkBuilder, NetworkStructure, Step, BACKLOG_FLOW,
 };
-pub use node::{Node, NodeId, NodeParams};
+pub use node::{NodeId, NodeParams};
 pub use source::{Pinger, PingerParams, PingerState};

@@ -1,6 +1,6 @@
 //! THROUGHPUT — "a throughput-limited link, operating at a particular
 //! speed in bits per second" (§3.1) — generalized with two optional
-//! features needed by the Figure-1 reproduction (DESIGN.md §5):
+//! features needed by the Figure-1 reproduction:
 //!
 //! * a **rate process**: the speed may follow a piecewise-constant,
 //!   periodic schedule or a measured rate trace instead of being constant
@@ -385,8 +385,8 @@ impl LinkState {
     }
 }
 
-/// A throughput-limited link: the construction blueprint pairing
-/// [`LinkParams`] with [`LinkState`]. The network builder splits it.
+/// A throughput-limited link as constructed: [`LinkParams`] with an idle
+/// [`LinkState`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Link {
     /// Immutable configuration.
@@ -414,36 +414,6 @@ impl Link {
         let state = params.initial_state();
         Link { params, state }
     }
-
-    /// Is the link free to accept a packet right now?
-    pub fn idle(&self) -> bool {
-        self.state.idle()
-    }
-
-    /// See [`LinkParams::start_service`].
-    pub fn start_service(&mut self, pkt: Packet, now: Time) {
-        self.params.start_service(&mut self.state, pkt, now)
-    }
-
-    /// See [`LinkParams::start_retransmission`].
-    pub fn start_retransmission(&mut self, now: Time) {
-        self.params.start_retransmission(&mut self.state, now)
-    }
-
-    /// See [`LinkState::complete`].
-    pub fn complete(&mut self) -> Packet {
-        self.state.complete()
-    }
-
-    /// See [`LinkState::next_timer`].
-    pub fn next_timer(&self) -> Option<Time> {
-        self.state.next_timer()
-    }
-
-    /// Split into the immutable/mutable halves.
-    pub fn split(self) -> (LinkParams, LinkState) {
-        (self.params, self.state)
-    }
 }
 
 #[cfg(test)]
@@ -458,21 +428,22 @@ mod tests {
     #[test]
     fn constant_rate_service() {
         let mut l = Link::constant(BitRate::from_bps(12_000));
-        assert!(l.idle());
-        l.start_service(pkt(12_000), Time::from_secs(5));
-        assert!(!l.idle());
-        assert_eq!(l.next_timer(), Some(Time::from_secs(6)));
-        let p = l.complete();
+        assert!(l.state.idle());
+        l.params
+            .start_service(&mut l.state, pkt(12_000), Time::from_secs(5));
+        assert!(!l.state.idle());
+        assert_eq!(l.state.next_timer(), Some(Time::from_secs(6)));
+        let p = l.state.complete();
         assert_eq!(p.size, Bits::new(12_000));
-        assert!(l.idle());
+        assert!(l.state.idle());
     }
 
     #[test]
     #[should_panic(expected = "busy link")]
     fn double_start_panics() {
         let mut l = Link::constant(BitRate::from_bps(1_000));
-        l.start_service(pkt(100), Time::ZERO);
-        l.start_service(pkt(100), Time::ZERO);
+        l.params.start_service(&mut l.state, pkt(100), Time::ZERO);
+        l.params.start_service(&mut l.state, pkt(100), Time::ZERO);
     }
 
     #[test]
@@ -501,10 +472,12 @@ mod tests {
             Ppm::from_prob(0.5),
             Dur::from_millis(50),
         );
-        l.start_service(pkt(12_000), Time::ZERO);
+        l.params
+            .start_service(&mut l.state, pkt(12_000), Time::ZERO);
         assert_eq!(l.state.busy_until, Time::from_secs(1));
         // Simulate ARQ failure at completion: retransmit.
-        l.start_retransmission(Time::from_secs(1));
+        l.params
+            .start_retransmission(&mut l.state, Time::from_secs(1));
         assert_eq!(l.state.busy_until, Time::from_micros(2_050_000));
         assert!(l.state.in_service.is_some());
     }
@@ -609,7 +582,8 @@ mod tests {
             period: Dur::from_secs(1_000),
         };
         let mut l = Link::new(rp, Ppm::ZERO, Dur::ZERO);
-        l.start_service(pkt(24_000), Time::ZERO);
+        l.params
+            .start_service(&mut l.state, pkt(24_000), Time::ZERO);
         assert_eq!(l.state.busy_until, Time::from_secs(13));
         // Mid-segment start: 0.5 s at 12 kbit/s (6_000 bits), then
         // 6_000 bits at 1 kbit/s (6 s) — done at 7 s.
@@ -624,7 +598,8 @@ mod tests {
             Ppm::ZERO,
             Dur::ZERO,
         );
-        l2.start_service(pkt(12_000), Time::from_millis(500));
+        l2.params
+            .start_service(&mut l2.state, pkt(12_000), Time::from_millis(500));
         assert_eq!(l2.state.busy_until, Time::from_secs(7));
     }
 
@@ -696,9 +671,11 @@ mod tests {
         // 100 ms retry delay: a failure at 0.9 s retries at 1.0 s, wholly
         // inside the slow segment — 12_000 bits take 12 s, ending at 13 s.
         let mut l = Link::new(rp, Ppm::from_prob(0.5), Dur::from_millis(100));
-        l.start_service(pkt(12_000), Time::ZERO);
+        l.params
+            .start_service(&mut l.state, pkt(12_000), Time::ZERO);
         assert_eq!(l.state.busy_until, Time::from_secs(1));
-        l.start_retransmission(Time::from_millis(900));
+        l.params
+            .start_retransmission(&mut l.state, Time::from_millis(900));
         assert_eq!(l.state.busy_until, Time::from_secs(13));
     }
 }

@@ -9,23 +9,32 @@
 //!
 //! # Structure sharing
 //!
-//! A network is split into two halves:
+//! A network stores each element once, as the pair the element files
+//! define, in two parallel vectors:
 //!
-//! * [`NetworkStructure`] — the immutable topology and parameters: routing
-//!   (`next`/`alt` successors and buffer→link feeds), element
-//!   configuration, rate-process schedules and trace samples, gate
-//!   switching laws, buffer capacities and queue-discipline settings.
-//!   Built once per blueprint by [`NetworkBuilder::build`] and shared
-//!   behind an `Arc` by every hypothesis forked from it.
-//! * `NetworkState` (private) — the compact mutable half: queue contents,
-//!   in-flight packets, timers, gate/either phase, the clock, the pending
-//!   choice, and the transient logs.
+//! * [`NetworkStructure`] — one [`NodeParams`] per node: the element's
+//!   `…Params` (rate-process schedules and trace samples, gate switching
+//!   laws, buffer capacities and queue-discipline settings) plus its
+//!   `next`/`alt` successors and the buffer→link feeds.
+//!   [`NetworkBuilder::add`] splits every element as it arrives,
+//!   [`NetworkBuilder::build`] validates the graph, and every hypothesis
+//!   forked from the result shares it behind an `Arc`.
+//! * `NetworkState` (private) — one `ElementState` per node (queue
+//!   contents, in-flight packets, timers, gate/either phase) plus the
+//!   clock, the pending choice, and the transient logs.
 //!
 //! `Network::clone` therefore copies only the state and bumps the Arc —
 //! the belief engine's forks and the particle filter's resamples never
-//! re-copy schedules or topology. [`PartialEq`] and [`Hash`] preserve the
-//! pre-split semantics exactly (identity is the *combined* value), so
-//! branch compaction and dedup behave identically.
+//! re-copy schedules or topology. The event loop dispatches on a node's
+//! params and reaches its state through one typed accessor per kind
+//! (`buffer_state_mut`, `link_state_mut`, …).
+//!
+//! Identity ([`PartialEq`], [`Hash`]) is the *combined* value: clock,
+//! pending choice, and every node's params, state and wiring. The hash
+//! stream is defined in one place, `Network::hash_identity` with
+//! `hash_element`, and is pinned byte for byte by
+//! `hash_matches_legacy_fingerprints`, because the belief engine orders
+//! equal-weight branches by it.
 //!
 //! # Drivers
 //!
@@ -49,15 +58,16 @@
 //! so before compacting, or observations would be silently discarded
 //! when branches merge.
 
-use crate::buffer::{Admission, AqmState, BufferKind, BufferParams, BufferState, Queued};
+use crate::buffer::{Admission, AqmState, BufferKind, BufferParams, BufferState};
 use crate::choice::{ChoiceKind, ChoiceSpec};
-use crate::element::{Diverter, Element, ElementParams, ElementState, Loss, ReceiverEl};
-use crate::gate::GateKind;
-use crate::link::{LinkState, RateProcess};
-use crate::node::{Node, NodeId, NodeParams};
+use crate::delay::{DelayState, JitterState};
+use crate::element::{Element, ElementParams, ElementState, Loss};
+use crate::gate::{EitherState, GateState};
+use crate::link::{LinkParams, LinkState};
+use crate::node::{NodeId, NodeParams};
+use crate::source::PingerState;
 use augur_obs::{DropKind, EventKind};
-use augur_sim::{Bits, Delivery, Dur, FlowId, Packet, Ppm, SimRng, Time};
-use std::collections::VecDeque;
+use augur_sim::{Bits, Delivery, FlowId, Packet, SimRng, Time};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -114,8 +124,8 @@ pub enum Step {
 }
 
 /// The immutable half of a network: topology, wiring and element
-/// parameters, shared (behind an `Arc`) by every hypothesis built from
-/// the same blueprint.
+/// parameters, shared (behind an `Arc`) by every hypothesis forked from
+/// the same build.
 #[derive(Debug, PartialEq, Eq)]
 pub struct NetworkStructure {
     pub(crate) nodes: Vec<NodeParams>,
@@ -125,6 +135,20 @@ impl NetworkStructure {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    fn buffer_params(&self, id: NodeId) -> &BufferParams {
+        match &self.nodes[id.0].element {
+            ElementParams::Buffer(b) => b,
+            other => panic!("{id} is a {}, not a Buffer", other.kind_name()),
+        }
+    }
+
+    fn link_params(&self, id: NodeId) -> &LinkParams {
+        match &self.nodes[id.0].element {
+            ElementParams::Link(l) => l,
+            other => unreachable!("{id} is a {}, not a Link", other.kind_name()),
+        }
     }
 }
 
@@ -218,15 +242,21 @@ impl Network {
                 || a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same_node(a, b)))
     }
 
-    /// The identity hash stream, each node seen through `view`: what
-    /// [`Hash`] and [`Network::determinized_key`] share.
-    fn hash_identity<H: Hasher>(&self, state: &mut H, view: impl Fn(NodeRef) -> NodeRef) {
-        self.state.now.hash(state);
-        self.state.pending.hash(state);
-        // The legacy Vec<Node> hash wrote a length prefix, then each node.
-        state.write_usize(self.structure.nodes.len());
-        for i in 0..self.structure.nodes.len() {
-            view(node_ref(&self.structure, &self.state.elements, i)).hash(state);
+    /// The identity hash stream — what [`Hash`] and
+    /// [`Network::determinized_key`] share, and the one place that defines
+    /// it: `now`, the pending choice, the node count, then per node the
+    /// element ([`hash_element`]) and its two successors. This is the
+    /// stream `#[derive(Hash)]` wrote when a network was one `Vec` of
+    /// nodes holding combined elements; `hash_matches_legacy_fingerprints`
+    /// pins it, and with it every `(weight desc, hash asc)` branch order.
+    fn hash_identity<H: Hasher>(&self, h: &mut H, determinized: bool) {
+        self.state.now.hash(h);
+        self.state.pending.hash(h);
+        h.write_usize(self.structure.nodes.len());
+        for (node, st) in self.structure.nodes.iter().zip(&self.state.elements) {
+            hash_element(&node.element, st, determinized, h);
+            node.next.hash(h);
+            node.alt.hash(h);
         }
     }
 }
@@ -238,205 +268,59 @@ impl PartialEq for Network {
 }
 impl Eq for Network {}
 
-// ----------------------------------------------------------------------
-// Hash: reproduce the pre-split stream exactly.
-//
-// The legacy Network hashed (now, pending, Vec<Node>) where each Node was
-// (combined element, next, alt). The ref views below re-interleave the
-// split params/state halves in the legacy field order, and the enums
-// mirror the legacy variant order so the derived discriminant hashes
-// match. `hash_matches_legacy_fingerprints` pins the stream empirically.
-// ----------------------------------------------------------------------
-
-#[derive(Hash)]
-struct NodeRef<'a> {
-    element: ElementRef<'a>,
-    next: &'a Option<NodeId>,
-    alt: &'a Option<NodeId>,
-}
-
-#[derive(Hash)]
-enum ElementRef<'a> {
-    Buffer(BufferRef<'a>),
-    Link(LinkRef<'a>),
-    Delay(DelayRef<'a>),
-    Loss(&'a Loss),
-    Jitter(JitterRef<'a>),
-    Pinger(PingerRef<'a>),
-    Gate(GateRef<'a>),
-    Either(EitherRef<'a>),
-    Diverter(&'a Diverter),
-    Receiver(&'a ReceiverEl),
-    /// A LOSS element with 0 < p < 1, whatever its p: what
-    /// [`Network::determinized_key`] hashes in place of `Loss`. Last, so
-    /// the legacy discriminants above keep their values.
-    FractionalLoss,
-}
-
-#[derive(Hash)]
-struct BufferRef<'a> {
-    capacity: &'a Bits,
-    kind: BufferKindRef<'a>,
-    queue: &'a VecDeque<Queued>,
-    queued_bits: &'a Bits,
-}
-
-#[derive(Hash)]
-enum BufferKindRef<'a> {
-    DropTail,
-    Red(RedRef<'a>),
-    CoDel(CoDelRef<'a>),
-}
-
-#[derive(Hash)]
-struct RedRef<'a> {
-    min_th: &'a Bits,
-    max_th: &'a Bits,
-    max_p: &'a Ppm,
-    w_shift: &'a u32,
-    avg_x256: &'a u64,
-}
-
-#[derive(Hash)]
-struct CoDelRef<'a> {
-    target: &'a Dur,
-    interval: &'a Dur,
-    first_above: &'a Option<Time>,
-    dropping: &'a bool,
-    drop_next: &'a Time,
-    count: &'a u32,
-}
-
-#[derive(Hash)]
-struct LinkRef<'a> {
-    rate: &'a RateProcess,
-    arq_loss: &'a Ppm,
-    arq_retry_delay: &'a Dur,
-    feed: &'a Option<NodeId>,
-    in_service: &'a Option<Packet>,
-    busy_until: &'a Time,
-    backlog: &'a VecDeque<Packet>,
-}
-
-#[derive(Hash)]
-struct DelayRef<'a> {
-    delay: &'a Dur,
-    in_flight: &'a VecDeque<(Time, Packet)>,
-}
-
-#[derive(Hash)]
-struct JitterRef<'a> {
-    p: &'a Ppm,
-    extra: &'a Dur,
-    in_flight: &'a VecDeque<(Time, Packet)>,
-}
-
-#[derive(Hash)]
-struct PingerRef<'a> {
-    interval: &'a Dur,
-    size: &'a Bits,
-    flow: &'a FlowId,
-    next_at: &'a Time,
-    next_seq: &'a u64,
-}
-
-#[derive(Hash)]
-struct GateRef<'a> {
-    kind: &'a GateKind,
-    connected: &'a bool,
-    next_decision: &'a Time,
-}
-
-#[derive(Hash)]
-struct EitherRef<'a> {
-    epoch: &'a Dur,
-    p_switch: &'a Ppm,
-    on_alt: &'a bool,
-    next_decision: &'a Time,
-}
-
-/// The combined (params + state) view of node `i`, for hashing.
-fn node_ref<'a>(s: &'a NetworkStructure, st: &'a [ElementState], i: usize) -> NodeRef<'a> {
-    let node = &s.nodes[i];
-    let element = match (&node.element, &st[i]) {
-        (ElementParams::Buffer(p), ElementState::Buffer(b)) => {
-            let kind = match (&p.kind, &b.aqm) {
-                (BufferKind::DropTail, AqmState::DropTail) => BufferKindRef::DropTail,
-                (BufferKind::Red(rp), AqmState::Red { avg_x256 }) => BufferKindRef::Red(RedRef {
-                    min_th: &rp.min_th,
-                    max_th: &rp.max_th,
-                    max_p: &rp.max_p,
-                    w_shift: &rp.w_shift,
-                    avg_x256,
-                }),
-                (BufferKind::CoDel(cp), AqmState::CoDel(run)) => BufferKindRef::CoDel(CoDelRef {
-                    target: &cp.target,
-                    interval: &cp.interval,
-                    first_above: &run.first_above,
-                    dropping: &run.dropping,
-                    drop_next: &run.drop_next,
-                    count: &run.count,
-                }),
-                _ => unreachable!("buffer discipline params/state mismatch"),
-            };
-            ElementRef::Buffer(BufferRef {
-                capacity: &p.capacity,
-                kind,
-                queue: &b.queue,
-                queued_bits: &b.queued_bits,
-            })
-        }
-        (ElementParams::Link(p), ElementState::Link(l)) => ElementRef::Link(LinkRef {
-            rate: &p.rate,
-            arq_loss: &p.arq_loss,
-            arq_retry_delay: &p.arq_retry_delay,
-            feed: &p.feed,
-            in_service: &l.in_service,
-            busy_until: &l.busy_until,
-            backlog: &l.backlog,
-        }),
-        (ElementParams::Delay(p), ElementState::Delay(d)) => ElementRef::Delay(DelayRef {
-            delay: &p.delay,
-            in_flight: &d.in_flight,
-        }),
-        (ElementParams::Loss(l), ElementState::Loss) => ElementRef::Loss(l),
-        (ElementParams::Jitter(p), ElementState::Jitter(j)) => ElementRef::Jitter(JitterRef {
-            p: &p.p,
-            extra: &p.extra,
-            in_flight: &j.in_flight,
-        }),
-        (ElementParams::Pinger(p), ElementState::Pinger(ps)) => ElementRef::Pinger(PingerRef {
-            interval: &p.interval,
-            size: &p.size,
-            flow: &p.flow,
-            next_at: &ps.next_at,
-            next_seq: &ps.next_seq,
-        }),
-        (ElementParams::Gate(p), ElementState::Gate(g)) => ElementRef::Gate(GateRef {
-            kind: &p.kind,
-            connected: &g.connected,
-            next_decision: &g.next_decision,
-        }),
-        (ElementParams::Either(p), ElementState::Either(e)) => ElementRef::Either(EitherRef {
-            epoch: &p.epoch,
-            p_switch: &p.p_switch,
-            on_alt: &e.on_alt,
-            next_decision: &e.next_decision,
-        }),
-        (ElementParams::Diverter(d), ElementState::Diverter) => ElementRef::Diverter(d),
-        (ElementParams::Receiver(r), ElementState::Receiver) => ElementRef::Receiver(r),
-        _ => unreachable!("element params/state kind mismatch"),
-    };
-    NodeRef {
-        element,
-        next: &node.next,
-        alt: &node.alt,
+impl Hash for Network {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.hash_identity(state, false);
     }
 }
 
-impl Hash for Network {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.hash_identity(state, |node| node);
+/// One element's part of the identity stream: its variant index (the
+/// order of [`ElementParams`]' variants is therefore part of the stream),
+/// the params' fields, then the state's — every `…Params` and `…State`
+/// derives `Hash` in that field order. Only the buffer interleaves: its
+/// discipline's index, configuration and running state sit between the
+/// capacity and the queue. With `determinized`, a fractional LOSS writes
+/// an index no variant has and leaves its probability out.
+fn hash_element<H: Hasher>(
+    params: &ElementParams,
+    st: &ElementState,
+    determinized: bool,
+    h: &mut H,
+) {
+    use std::mem::discriminant;
+    use {ElementParams as P, ElementState as S};
+    match params {
+        // 10: the index one past the last variant, hashed as they are.
+        P::Loss(l) if determinized && is_fractional(l) => return h.write_isize(10),
+        _ => discriminant(params).hash(h),
+    }
+    match (params, st) {
+        (P::Buffer(p), S::Buffer(s)) => {
+            p.capacity.hash(h);
+            discriminant(&p.kind).hash(h);
+            match &p.kind {
+                BufferKind::DropTail => {}
+                BufferKind::Red(red) => red.hash(h),
+                BufferKind::CoDel(codel) => codel.hash(h),
+            }
+            match &s.aqm {
+                AqmState::DropTail => {}
+                AqmState::Red { avg_x256 } => avg_x256.hash(h),
+                AqmState::CoDel(run) => run.hash(h),
+            }
+            s.queue.hash(h);
+            s.queued_bits.hash(h);
+        }
+        (P::Link(p), S::Link(s)) => (p, s).hash(h),
+        (P::Delay(p), S::Delay(s)) => (p, s).hash(h),
+        (P::Loss(p), S::Loss) => p.hash(h),
+        (P::Jitter(p), S::Jitter(s)) => (p, s).hash(h),
+        (P::Pinger(p), S::Pinger(s)) => (p, s).hash(h),
+        (P::Gate(p), S::Gate(s)) => (p, s).hash(h),
+        (P::Either(p), S::Either(s)) => (p, s).hash(h),
+        (P::Diverter(p), S::Diverter) => p.hash(h),
+        (P::Receiver(_), S::Receiver) => {}
+        _ => unreachable!("element params/state kind mismatch"),
     }
 }
 
@@ -513,12 +397,7 @@ impl Network {
     /// hash rather than the SipHash behind [`Hash`]'s pinned fingerprints.
     pub fn determinized_key(&self) -> u64 {
         let mut h = KeyHasher(0);
-        self.hash_identity(&mut h, |mut node| {
-            if matches!(node.element, ElementRef::Loss(l) if is_fractional(l)) {
-                node.element = ElementRef::FractionalLoss;
-            }
-            node
-        });
+        self.hash_identity(&mut h, true);
         h.finish()
     }
 
@@ -565,15 +444,12 @@ impl Network {
                 self.resolve(0);
             }
         }
-        let nodes = self.structure.nodes.iter();
-        for (node, st) in nodes.zip(&mut self.state.elements) {
-            match (&node.element, st) {
-                (ElementParams::Gate(gp), ElementState::Gate(gs))
-                    if gp.switch_choice().is_some() =>
-                {
-                    gs.disarm()
+        for (i, node) in self.structure.nodes.iter().enumerate() {
+            match &node.element {
+                ElementParams::Gate(gp) if gp.switch_choice().is_some() => {
+                    self.state.gate_state_mut(NodeId(i)).disarm()
                 }
-                (ElementParams::Either(_), ElementState::Either(es)) => es.disarm(),
+                ElementParams::Either(_) => self.state.either_state_mut(NodeId(i)).disarm(),
                 _ => {}
             }
         }
@@ -608,10 +484,7 @@ impl Network {
     /// # Panics
     /// Panics if the node is not a buffer.
     pub fn buffer_params(&self, id: NodeId) -> &BufferParams {
-        match &self.structure.nodes[id.0].element {
-            ElementParams::Buffer(b) => b,
-            other => panic!("{id} is a {}, not a Buffer", other.kind_name()),
-        }
+        self.structure.buffer_params(id)
     }
 
     /// The buffer state at `id`.
@@ -774,65 +647,41 @@ impl NetworkState {
         let p = self.pending.take().expect("resolve with no pending choice");
         let nid = p.node;
         let now = self.now;
-        match p.kind {
-            ChoiceKind::LossFate => {
+        let node = &s.nodes[nid.0];
+        match (p.kind, &node.element) {
+            (ChoiceKind::LossFate, _) => {
                 let pkt = p.packet.expect("loss fate without packet");
                 if option == 0 {
-                    let next = s.nodes[nid.0].next.expect("loss must have successor");
-                    self.route(s, next, pkt);
+                    self.route(s, node.next.expect("loss must have successor"), pkt);
                 } else {
                     self.record_drop(nid, pkt, DropReason::Stochastic);
                 }
             }
-            ChoiceKind::JitterFate => {
+            (ChoiceKind::JitterFate, ElementParams::Jitter(jp)) => {
                 let pkt = p.packet.expect("jitter fate without packet");
                 if option == 0 {
-                    let next = s.nodes[nid.0].next.expect("jitter must have successor");
-                    self.route(s, next, pkt);
+                    self.route(s, node.next.expect("jitter must have successor"), pkt);
                 } else {
-                    match (&s.nodes[nid.0].element, &mut self.elements[nid.0]) {
-                        (ElementParams::Jitter(jp), ElementState::Jitter(js)) => {
-                            jp.hold(js, pkt, now)
-                        }
-                        _ => unreachable!("jitter fate at non-jitter node"),
-                    }
+                    jp.hold(self.jitter_state_mut(nid), pkt, now);
                 }
             }
-            ChoiceKind::GateSwitch => match (&s.nodes[nid.0].element, &mut self.elements[nid.0]) {
-                (ElementParams::Gate(gp), ElementState::Gate(gs)) => {
-                    gp.decide(gs, option == 1, now)
-                }
-                _ => unreachable!("gate switch at non-gate node"),
-            },
-            ChoiceKind::EitherSwitch => {
-                match (&s.nodes[nid.0].element, &mut self.elements[nid.0]) {
-                    (ElementParams::Either(ep), ElementState::Either(es)) => {
-                        ep.decide(es, option == 1, now)
-                    }
-                    _ => unreachable!("either switch at non-either node"),
-                }
+            (ChoiceKind::GateSwitch, ElementParams::Gate(gp)) => {
+                gp.decide(self.gate_state_mut(nid), option == 1, now)
             }
-            ChoiceKind::ArqFate => {
+            (ChoiceKind::EitherSwitch, ElementParams::Either(ep)) => {
+                ep.decide(self.either_state_mut(nid), option == 1, now)
+            }
+            (ChoiceKind::ArqFate, ElementParams::Link(lp)) => {
                 if option == 0 {
                     self.complete_service(s, nid);
                 } else {
-                    match (&s.nodes[nid.0].element, &mut self.elements[nid.0]) {
-                        (ElementParams::Link(lp), ElementState::Link(ls)) => {
-                            lp.start_retransmission(ls, now)
-                        }
-                        _ => unreachable!("arq fate at non-link node"),
-                    }
+                    lp.start_retransmission(self.link_state_mut(nid), now);
                 }
             }
-            ChoiceKind::RedFate => {
+            (ChoiceKind::RedFate, ElementParams::Buffer(bp)) => {
                 let pkt = p.packet.expect("red fate without packet");
                 if option == 0 {
-                    match (&s.nodes[nid.0].element, &mut self.elements[nid.0]) {
-                        (ElementParams::Buffer(bp), ElementState::Buffer(bs)) => {
-                            bp.force_enqueue(bs, pkt, now)
-                        }
-                        _ => unreachable!("red fate at non-buffer node"),
-                    }
+                    bp.force_enqueue(self.buffer_state_mut(nid), pkt, now);
                     augur_obs::emit(
                         now,
                         EventKind::Enqueue {
@@ -845,6 +694,7 @@ impl NetworkState {
                     self.record_drop(nid, pkt, DropReason::Aqm);
                 }
             }
+            (kind, other) => unreachable!("{kind:?} pending at a {}", other.kind_name()),
         }
     }
 
@@ -869,100 +719,63 @@ impl NetworkState {
     /// Fire the timer of node `nid` (its `next_timer()` equals `self.now`).
     fn fire(&mut self, s: &NetworkStructure, nid: NodeId) {
         let now = self.now;
-        match &s.nodes[nid.0].element {
+        let node = &s.nodes[nid.0];
+        let choice = |kind, p1| ChoiceSpec {
+            at: now,
+            node: nid,
+            kind,
+            p1,
+            packet: None,
+        };
+        // The packet the timer sends onward, if it sends one.
+        let released = match &node.element {
             ElementParams::Link(lp) => {
                 debug_assert_eq!(self.elements[nid.0].next_timer(), Some(now));
-                if !lp.arq_loss.is_zero() {
-                    self.pending = Some(ChoiceSpec {
-                        at: now,
-                        node: nid,
-                        kind: ChoiceKind::ArqFate,
-                        p1: lp.arq_loss,
-                        packet: None,
-                    });
-                } else {
+                if lp.arq_loss.is_zero() {
                     self.complete_service(s, nid);
+                } else {
+                    self.pending = Some(choice(ChoiceKind::ArqFate, lp.arq_loss));
                 }
+                None
             }
-            ElementParams::Delay(_) => {
-                let pkt = match &mut self.elements[nid.0] {
-                    ElementState::Delay(d) => d.release(now),
-                    _ => unreachable!("delay params over non-delay state"),
-                };
-                if let Some(pkt) = pkt {
-                    let next = s.nodes[nid.0].next.expect("delay must have successor");
-                    self.route(s, next, pkt);
-                }
-            }
-            ElementParams::Jitter(_) => {
-                let pkt = match &mut self.elements[nid.0] {
-                    ElementState::Jitter(j) => j.release(now),
-                    _ => unreachable!("jitter params over non-jitter state"),
-                };
-                if let Some(pkt) = pkt {
-                    let next = s.nodes[nid.0].next.expect("jitter must have successor");
-                    self.route(s, next, pkt);
-                }
-            }
-            ElementParams::Pinger(pp) => {
-                let pkt = match &mut self.elements[nid.0] {
-                    ElementState::Pinger(ps) => pp.emit(ps, now),
-                    _ => unreachable!("pinger params over non-pinger state"),
-                };
-                let next = s.nodes[nid.0].next.expect("pinger must have successor");
-                self.route(s, next, pkt);
-            }
-            ElementParams::Gate(gp) => match gp.switch_choice() {
-                Some(p_switch) => {
-                    self.pending = Some(ChoiceSpec {
-                        at: now,
-                        node: nid,
-                        kind: ChoiceKind::GateSwitch,
-                        p1: p_switch,
-                        packet: None,
-                    });
-                }
-                None => match &mut self.elements[nid.0] {
+            ElementParams::Delay(_) => self.delay_state_mut(nid).release(now),
+            ElementParams::Jitter(_) => self.jitter_state_mut(nid).release(now),
+            ElementParams::Pinger(pp) => Some(pp.emit(self.pinger_state_mut(nid), now)),
+            ElementParams::Gate(gp) => {
+                match gp.switch_choice() {
+                    Some(p_switch) => self.pending = Some(choice(ChoiceKind::GateSwitch, p_switch)),
                     // Square wave: always flip.
-                    ElementState::Gate(gs) => gp.decide(gs, true, now),
-                    _ => unreachable!("gate params over non-gate state"),
-                },
-            },
+                    None => gp.decide(self.gate_state_mut(nid), true, now),
+                }
+                None
+            }
             ElementParams::Either(ep) => {
-                self.pending = Some(ChoiceSpec {
-                    at: now,
-                    node: nid,
-                    kind: ChoiceKind::EitherSwitch,
-                    p1: ep.p_switch,
-                    packet: None,
-                });
+                self.pending = Some(choice(ChoiceKind::EitherSwitch, ep.p_switch));
+                None
             }
             other => unreachable!("timer fired on passive element {}", other.kind_name()),
+        };
+        if let Some(pkt) = released {
+            let next = node.next.expect("a timed element must have a successor");
+            self.route(s, next, pkt);
         }
     }
 
     /// Take the served packet off the link, route it onward, and pull the
     /// next packet from the feed buffer (if any).
     fn complete_service(&mut self, s: &NetworkStructure, link_id: NodeId) {
-        let feed = match &s.nodes[link_id.0].element {
-            ElementParams::Link(lp) => lp.feed,
-            other => unreachable!("complete_service on {}", other.kind_name()),
-        };
+        let lp = s.link_params(link_id);
         let pkt = self.link_state_mut(link_id).complete();
         // Refill the link first: upstream pull and downstream routing are
         // independent, and doing the pull first keeps any new pending
         // choice (raised while routing `pkt`) the last thing that happens.
-        if let Some(buf_id) = feed {
+        if let Some(buf_id) = lp.feed {
             self.pull_feed(s, buf_id, link_id);
         } else {
             let now = self.now;
-            match (&s.nodes[link_id.0].element, &mut self.elements[link_id.0]) {
-                (ElementParams::Link(lp), ElementState::Link(ls)) => {
-                    if let Some(next_pkt) = ls.backlog.pop_front() {
-                        lp.start_service(ls, next_pkt, now);
-                    }
-                }
-                _ => unreachable!(),
+            let ls = self.link_state_mut(link_id);
+            if let Some(next_pkt) = ls.backlog.pop_front() {
+                lp.start_service(ls, next_pkt, now);
             }
         }
         let next = s.nodes[link_id.0].next.expect("link must have successor");
@@ -972,21 +785,15 @@ impl NetworkState {
     /// Dequeue from `buf_id` into the (idle) link `link_id`.
     fn pull_feed(&mut self, s: &NetworkStructure, buf_id: NodeId, link_id: NodeId) {
         let now = self.now;
-        let bp = match &s.nodes[buf_id.0].element {
-            ElementParams::Buffer(bp) => bp,
-            other => unreachable!("pull_feed on {}", other.kind_name()),
-        };
-        let pull = bp.pull(self.buffer_state_mut(buf_id), now);
+        let pull = s
+            .buffer_params(buf_id)
+            .pull(self.buffer_state_mut(buf_id), now);
         for q in pull.dropped {
             self.record_drop(buf_id, q.packet, DropReason::Aqm);
         }
         if let Some(q) = pull.serve {
-            match (&s.nodes[link_id.0].element, &mut self.elements[link_id.0]) {
-                (ElementParams::Link(lp), ElementState::Link(ls)) => {
-                    lp.start_service(ls, q.packet, now)
-                }
-                _ => unreachable!("feed target is {}", s.nodes[link_id.0].element.kind_name()),
-            }
+            s.link_params(link_id)
+                .start_service(self.link_state_mut(link_id), q.packet, now);
         }
     }
 
@@ -1031,22 +838,14 @@ impl NetworkState {
                     };
                 }
                 ElementParams::Either(_) => {
-                    let on_alt = match &self.elements[at_node.0] {
-                        ElementState::Either(e) => e.on_alt,
-                        _ => unreachable!("either params over non-either state"),
-                    };
-                    at_node = if on_alt {
+                    at_node = if self.either_state_mut(at_node).on_alt {
                         alt.expect("either must have alt")
                     } else {
                         next.expect("either must have next")
                     };
                 }
                 ElementParams::Gate(_) => {
-                    let connected = match &self.elements[at_node.0] {
-                        ElementState::Gate(g) => g.connected,
-                        _ => unreachable!("gate params over non-gate state"),
-                    };
-                    if connected {
+                    if self.gate_state_mut(at_node).connected {
                         at_node = next.expect("gate must have next");
                     } else {
                         self.record_drop(at_node, pkt, DropReason::GateClosed);
@@ -1054,10 +853,7 @@ impl NetworkState {
                     }
                 }
                 ElementParams::Delay(dp) => {
-                    match &mut self.elements[at_node.0] {
-                        ElementState::Delay(ds) => dp.accept(ds, pkt, now),
-                        _ => unreachable!("delay params over non-delay state"),
-                    }
+                    dp.accept(self.delay_state_mut(at_node), pkt, now);
                     return;
                 }
                 ElementParams::Loss(l) => {
@@ -1095,19 +891,9 @@ impl NetworkState {
                     let link_id = next.expect("buffer must feed a link");
                     // Bypass an empty buffer when the link is idle: the
                     // packet starts serializing immediately.
-                    let empty = match &self.elements[at_node.0] {
-                        ElementState::Buffer(bs) => bs.is_empty(),
-                        _ => unreachable!("buffer params over non-buffer state"),
-                    };
-                    let bypass = empty
-                        && match &self.elements[link_id.0] {
-                            ElementState::Link(ls) => ls.idle(),
-                            _ => unreachable!(
-                                "buffer feeds {}",
-                                s.nodes[link_id.0].element.kind_name()
-                            ),
-                        };
-                    if bypass {
+                    if self.buffer_state_mut(at_node).is_empty()
+                        && self.link_state_mut(link_id).idle()
+                    {
                         at_node = link_id;
                         continue;
                     }
@@ -1159,17 +945,54 @@ impl NetworkState {
         }
     }
 
+    // The state of node `id`, typed: the structure says which kind it is.
+
     fn buffer_state_mut(&mut self, id: NodeId) -> &mut BufferState {
         match &mut self.elements[id.0] {
-            ElementState::Buffer(b) => b,
+            ElementState::Buffer(st) => st,
             _ => unreachable!("{id} is not a Buffer"),
         }
     }
 
     fn link_state_mut(&mut self, id: NodeId) -> &mut LinkState {
         match &mut self.elements[id.0] {
-            ElementState::Link(l) => l,
+            ElementState::Link(st) => st,
             _ => unreachable!("{id} is not a Link"),
+        }
+    }
+
+    fn delay_state_mut(&mut self, id: NodeId) -> &mut DelayState {
+        match &mut self.elements[id.0] {
+            ElementState::Delay(st) => st,
+            _ => unreachable!("{id} is not a Delay"),
+        }
+    }
+
+    fn jitter_state_mut(&mut self, id: NodeId) -> &mut JitterState {
+        match &mut self.elements[id.0] {
+            ElementState::Jitter(st) => st,
+            _ => unreachable!("{id} is not a Jitter"),
+        }
+    }
+
+    fn pinger_state_mut(&mut self, id: NodeId) -> &mut PingerState {
+        match &mut self.elements[id.0] {
+            ElementState::Pinger(st) => st,
+            _ => unreachable!("{id} is not a Pinger"),
+        }
+    }
+
+    fn gate_state_mut(&mut self, id: NodeId) -> &mut GateState {
+        match &mut self.elements[id.0] {
+            ElementState::Gate(st) => st,
+            _ => unreachable!("{id} is not a Gate"),
+        }
+    }
+
+    fn either_state_mut(&mut self, id: NodeId) -> &mut EitherState {
+        match &mut self.elements[id.0] {
+            ElementState::Either(st) => st,
+            _ => unreachable!("{id} is not an Either"),
         }
     }
 }
@@ -1177,7 +1000,8 @@ impl NetworkState {
 /// Builds and validates a [`Network`].
 #[derive(Debug, Default)]
 pub struct NetworkBuilder {
-    nodes: Vec<Node>,
+    nodes: Vec<NodeParams>,
+    elements: Vec<ElementState>,
     prefills: Vec<(NodeId, Bits, Bits)>, // (buffer, fill bits, packet size)
 }
 
@@ -1187,9 +1011,16 @@ impl NetworkBuilder {
         NetworkBuilder::default()
     }
 
-    /// Add an element; returns its node id.
+    /// Add an element — its params to the structure, its initial state to
+    /// the state; returns its node id.
     pub fn add(&mut self, element: Element) -> NodeId {
-        self.nodes.push(Node::new(element));
+        let (element, state) = element.split();
+        self.nodes.push(NodeParams {
+            element,
+            next: None,
+            alt: None,
+        });
+        self.elements.push(state);
         NodeId(self.nodes.len() - 1)
     }
 
@@ -1232,8 +1063,7 @@ impl NetworkBuilder {
         self
     }
 
-    /// Validate the graph, split elements into shared structure and
-    /// per-hypothesis state, wire buffer→link feeds, apply prefills, and
+    /// Validate the graph, wire buffer→link feeds, apply prefills, and
     /// start initial service. See module docs for the invariants.
     ///
     /// # Panics
@@ -1241,38 +1071,33 @@ impl NetworkBuilder {
     /// feeding a link, cycles, over-capacity prefill, …).
     pub fn build(self) -> Network {
         augur_sim::perf::count_structure_build();
-        let NetworkBuilder { nodes, prefills } = self;
+        let NetworkBuilder {
+            mut nodes,
+            elements,
+            prefills,
+        } = self;
         let n = nodes.len();
         assert!(n > 0, "empty network");
 
         // Successor discipline per element type.
         for (i, node) in nodes.iter().enumerate() {
             let id = NodeId(i);
-            let needs_alt = matches!(node.element, Element::Diverter(_) | Element::Either(_));
+            let kind = node.element.kind_name();
             match node.element {
-                Element::Receiver(_) => {
+                ElementParams::Receiver(_) => {
                     assert!(node.next.is_none(), "{id}: receiver must be terminal");
                     assert!(node.alt.is_none(), "{id}: receiver must be terminal");
                 }
+                ElementParams::Diverter(_) | ElementParams::Either(_) => {
+                    assert!(node.next.is_some(), "{id} ({kind}) has no successor");
+                    assert!(node.alt.is_some(), "{id} ({kind}) needs an alt successor");
+                }
                 _ => {
+                    assert!(node.next.is_some(), "{id} ({kind}) has no successor");
                     assert!(
-                        node.next.is_some(),
-                        "{id} ({}) has no successor",
-                        node.element.kind_name()
+                        node.alt.is_none(),
+                        "{id} ({kind}) must not have an alt successor"
                     );
-                    if needs_alt {
-                        assert!(
-                            node.alt.is_some(),
-                            "{id} ({}) needs an alt successor",
-                            node.element.kind_name()
-                        );
-                    } else {
-                        assert!(
-                            node.alt.is_none(),
-                            "{id} ({}) must not have an alt successor",
-                            node.element.kind_name()
-                        );
-                    }
                 }
             }
             if let Some(next) = node.next {
@@ -1283,16 +1108,14 @@ impl NetworkBuilder {
             }
         }
 
-        // Buffers must feed links; record the pull path (wired into the
-        // link params during the split below).
-        let mut feeds: Vec<Option<NodeId>> = vec![None; n];
-        for (i, node) in nodes.iter().enumerate() {
-            if let Element::Buffer(_) = node.element {
-                let next = node.next.unwrap();
-                match &nodes[next.0].element {
-                    Element::Link(_) => {
-                        assert!(feeds[next.0].is_none(), "link {next} fed by two buffers");
-                        feeds[next.0] = Some(NodeId(i));
+        // Buffers must feed links; the link records its pull path.
+        for i in 0..n {
+            if let ElementParams::Buffer(_) = nodes[i].element {
+                let next = nodes[i].next.expect("checked above");
+                match &mut nodes[next.0].element {
+                    ElementParams::Link(lp) => {
+                        assert!(lp.feed.is_none(), "link {next} fed by two buffers");
+                        lp.feed = Some(NodeId(i));
                     }
                     other => panic!("buffer n{i} must feed a Link, found {}", other.kind_name()),
                 }
@@ -1301,7 +1124,7 @@ impl NetworkBuilder {
 
         // Acyclicity (colors: 0 = white, 1 = gray, 2 = black).
         let mut color = vec![0u8; n];
-        fn dfs(nodes: &[Node], color: &mut [u8], i: usize) {
+        fn dfs(nodes: &[NodeParams], color: &mut [u8], i: usize) {
             color[i] = 1;
             for succ in [nodes[i].next, nodes[i].alt].into_iter().flatten() {
                 match color[succ.0] {
@@ -1318,24 +1141,7 @@ impl NetworkBuilder {
             }
         }
 
-        // Split each blueprint node into its immutable/mutable halves.
-        let mut params_nodes = Vec::with_capacity(n);
-        let mut elements = Vec::with_capacity(n);
-        for (i, node) in nodes.into_iter().enumerate() {
-            let (mut p, st) = node.element.split();
-            if let ElementParams::Link(lp) = &mut p {
-                lp.feed = feeds[i];
-            }
-            params_nodes.push(NodeParams {
-                element: p,
-                next: node.next,
-                alt: node.alt,
-            });
-            elements.push(st);
-        }
-        let structure = NetworkStructure {
-            nodes: params_nodes,
-        };
+        let structure = NetworkStructure { nodes };
         let mut state = NetworkState {
             elements,
             now: Time::ZERO,
@@ -1350,10 +1156,7 @@ impl NetworkBuilder {
                 pkt_size > Bits::ZERO,
                 "prefill packet size must be positive"
             );
-            let bp = match &structure.nodes[buf_id.0].element {
-                ElementParams::Buffer(b) => b,
-                other => panic!("{buf_id} is a {}, not a Buffer", other.kind_name()),
-            };
+            let bp = structure.buffer_params(buf_id);
             assert!(
                 fill <= bp.capacity,
                 "prefill {fill} exceeds capacity {} of {buf_id}",
@@ -1375,20 +1178,16 @@ impl NetworkBuilder {
         }
 
         // Kick: start serving prefilled backlog immediately.
-        for i in 0..n {
-            if let ElementParams::Link(lp) = &structure.nodes[i].element {
-                if let Some(buf_id) = lp.feed {
-                    let idle = match &state.elements[i] {
-                        ElementState::Link(ls) => ls.idle(),
-                        _ => unreachable!(),
-                    };
-                    let backlogged = match &state.elements[buf_id.0] {
-                        ElementState::Buffer(bs) => !bs.is_empty(),
-                        _ => unreachable!(),
-                    };
-                    if idle && backlogged {
-                        state.pull_feed(&structure, buf_id, NodeId(i));
-                    }
+        for (i, node) in structure.nodes.iter().enumerate() {
+            if let ElementParams::Link(LinkParams {
+                feed: Some(buf_id), ..
+            }) = node.element
+            {
+                let link_id = NodeId(i);
+                if state.link_state_mut(link_id).idle()
+                    && !state.buffer_state_mut(buf_id).is_empty()
+                {
+                    state.pull_feed(&structure, buf_id, link_id);
                 }
             }
         }
@@ -1405,10 +1204,11 @@ mod tests {
     use super::*;
     use crate::buffer::Buffer;
     use crate::delay::DelayEl;
+    use crate::element::{Diverter, ReceiverEl};
     use crate::gate::Gate;
-    use crate::link::Link;
+    use crate::link::{Link, RateProcess};
     use crate::source::Pinger;
-    use augur_sim::{BitRate, Dur};
+    use augur_sim::{BitRate, Dur, Ppm};
     use std::collections::hash_map::DefaultHasher;
 
     fn pkt(seq: u64) -> Packet {

@@ -1,6 +1,6 @@
-//! Nodes: an element plus its wiring in the network graph.
+//! Nodes: an element's parameters plus its wiring in the network graph.
 
-use crate::element::{Element, ElementParams};
+use crate::element::ElementParams;
 use std::fmt;
 
 /// Index of a node within a [`crate::network::Network`].
@@ -13,34 +13,12 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// A node in the element graph: the element itself plus up to two
+/// A node of the element graph: the element's parameters plus up to two
 /// successors. `next` is the primary output; `alt` is only used by the
 /// two-output combinators (DIVERTER routes non-matching flows to `alt`,
-/// EITHER routes to `alt` while switched).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Node {
-    /// The element's state machine.
-    pub element: Element,
-    /// Primary successor.
-    pub next: Option<NodeId>,
-    /// Secondary successor (DIVERTER / EITHER only).
-    pub alt: Option<NodeId>,
-}
-
-impl Node {
-    /// Wrap an element with no successors yet.
-    pub fn new(element: Element) -> Node {
-        Node {
-            element,
-            next: None,
-            alt: None,
-        }
-    }
-}
-
-/// The immutable half of a node: element parameters plus wiring. A
-/// `NetworkStructure` is a `Vec<NodeParams>` shared by every hypothesis
-/// network built from the same blueprint.
+/// EITHER routes to `alt` while switched). A `NetworkStructure` is a
+/// `Vec<NodeParams>` shared by every hypothesis network built from it; the
+/// node's mutable half is the `ElementState` at the same index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeParams {
     /// The element's immutable configuration.

@@ -55,8 +55,8 @@ impl PingerState {
     }
 }
 
-/// An isochronous packet source: the construction blueprint pairing
-/// [`PingerParams`] with [`PingerState`].
+/// An isochronous packet source as constructed: [`PingerParams`] with the
+/// [`PingerState`] of its first emission.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Pinger {
     /// Immutable configuration.
@@ -89,21 +89,6 @@ impl Pinger {
     pub fn from_rate(rate: BitRate, size: Bits, flow: FlowId, start_at: Time) -> Pinger {
         Pinger::new(rate.service_time(size), size, flow, start_at)
     }
-
-    /// The next emission time.
-    pub fn next_timer(&self) -> Option<Time> {
-        self.state.next_timer()
-    }
-
-    /// See [`PingerParams::emit`].
-    pub fn emit(&mut self, now: Time) -> Packet {
-        self.params.emit(&mut self.state, now)
-    }
-
-    /// Split into the immutable/mutable halves.
-    pub fn split(self) -> (PingerParams, PingerState) {
-        (self.params, self.state)
-    }
 }
 
 #[cfg(test)]
@@ -118,13 +103,13 @@ mod tests {
             FlowId::CROSS,
             Time::ZERO,
         );
-        let a = p.emit(Time::ZERO);
+        let a = p.params.emit(&mut p.state, Time::ZERO);
         assert_eq!(a.seq, 0);
-        assert_eq!(p.next_timer(), Some(Time::from_millis(500)));
-        let b = p.emit(Time::from_millis(500));
+        assert_eq!(p.state.next_timer(), Some(Time::from_millis(500)));
+        let b = p.params.emit(&mut p.state, Time::from_millis(500));
         assert_eq!(b.seq, 1);
         assert_eq!(b.sent_at, Time::from_millis(500));
-        assert_eq!(p.next_timer(), Some(Time::from_millis(1_000)));
+        assert_eq!(p.state.next_timer(), Some(Time::from_millis(1_000)));
     }
 
     #[test]
@@ -149,7 +134,7 @@ mod tests {
             FlowId::CROSS,
             Time::from_secs(5),
         );
-        let _ = p.emit(Time::from_secs(4));
+        let _ = p.params.emit(&mut p.state, Time::from_secs(4));
     }
 
     #[test]

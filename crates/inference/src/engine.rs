@@ -11,8 +11,8 @@
 //! an engine kind except where it builds one.
 //!
 //! What the two engines do identically is stated here once: the
-//! last-mile loss fold ([`fold`]) and the posterior snapshot
-//! ([`snapshot`]).
+//! last-mile loss fold (`fold`) and the posterior snapshot
+//! (`snapshot`).
 
 use crate::exact::BeliefError;
 use crate::hypothesis::{effective_count, Hypothesis};

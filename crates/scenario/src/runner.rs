@@ -10,7 +10,7 @@
 //!
 //! # Run paths
 //!
-//! [`execute_run_observed_in`] first holds the spec to
+//! `execute_run_observed_in` first holds the spec to
 //! [`ScenarioSpec::check`] and then takes one of three paths:
 //!
 //! * **Agent workloads** — closed-loop ISenders, coexistence over a

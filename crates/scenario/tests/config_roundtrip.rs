@@ -5,8 +5,9 @@
 //!    with no file access — to the grid `sweep --spec` loads from disk,
 //!    and each constructor being that grid with its arguments written
 //!    over it;
-//! 2. the committed trace CSVs and the topology builders agree with what
-//!    the shipped files say;
+//! 2. the committed trace CSVs agree with what the shipped files say, and
+//!    the shipped graph topologies compile to the shapes their names
+//!    promise;
 //! 3. spec files can reach configurations the presets don't, like N > 2
 //!    coexistence peers, and those run deterministically;
 //! 4. a spec whose sections each decode but that holds a grid point the
@@ -17,7 +18,6 @@ use augur_scenario::{
     load_grid, parse_grid, presets, traces, Blame, SweepGrid, SweepRunner, TopologySpec,
     WorkloadSpec,
 };
-use augur_sim::{BitRate, Bits, Dur};
 use std::path::PathBuf;
 
 fn specs_dir() -> PathBuf {
@@ -65,32 +65,36 @@ fn presets_and_shipped_spec_files_are_the_same_sweeps() {
     }
 }
 
-#[test]
-fn topology_builders_reproduce_the_shipped_graph_specs() {
-    // The builders are the public topology-authoring API; the shipped
-    // files were written by them and must not drift apart.
-    let dumbbell = augur_topo::dumbbell(
-        3,
-        BitRate::from_bps(96_000),
-        BitRate::from_bps(24_000),
-        Dur::from_millis(20),
-        Bits::new(96_000),
-        Bits::from_bytes(1_500),
-    );
-    let parking_lot = augur_topo::parking_lot(
-        3,
-        BitRate::from_bps(24_000),
-        Dur::from_millis(10),
-        Bits::new(96_000),
-        Bits::from_bytes(1_500),
-    );
-    for (name, built) in [("dumbbell-cross", dumbbell), ("parking-lot", parking_lot)] {
-        match presets::by_name(name).unwrap().base.topology {
-            TopologySpec::Graph(shipped) => {
-                assert_eq!(format!("{built:#?}"), format!("{shipped:#?}"), "{name}")
-            }
-            other => panic!("{name}: unexpected topology {other:?}"),
+/// The compiled topology of a shipped graph preset.
+fn compiled(name: &str) -> (augur_topo::GraphTopology, augur_topo::CompiledTopo) {
+    match presets::by_name(name).unwrap().base.topology {
+        TopologySpec::Graph(graph) => {
+            let compiled = augur_topo::compile(&graph).unwrap();
+            (graph, compiled)
         }
+        other => panic!("{name}: unexpected topology {other:?}"),
+    }
+}
+
+#[test]
+fn dumbbell_cross_flows_share_exactly_one_bottleneck() {
+    let (graph, c) = compiled("dumbbell-cross");
+    let shared = graph.links.iter().position(|l| l.name == "l-r").unwrap();
+    assert_eq!(c.routes.len(), 3);
+    for (f, route) in c.routes.iter().enumerate() {
+        assert_eq!(route.len(), 3, "flow {f} takes access → shared → access");
+        assert_eq!(route[1], shared);
+        assert_eq!(c.bottlenecks[f], shared);
+    }
+}
+
+#[test]
+fn parking_lot_long_flow_crosses_every_hop() {
+    let (graph, c) = compiled("parking-lot");
+    let hops: Vec<usize> = (0..graph.links.len()).collect();
+    assert_eq!(c.routes[0], hops, "the long flow takes every link in order");
+    for (i, route) in c.routes.iter().enumerate().skip(1) {
+        assert_eq!(route, &[i - 1], "short{} takes exactly its own hop", i - 1);
     }
 }
 

@@ -9,7 +9,7 @@
 //! formatting of [`canon`] that every deterministic artifact writer
 //! shares.
 //!
-//! Design rules (see DESIGN.md §4.1):
+//! Design rules:
 //!
 //! * **All simulated state is integer-valued.** Belief states are hashed
 //!   and compared for exact compaction, and the true hypothesis must

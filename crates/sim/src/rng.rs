@@ -2,9 +2,9 @@
 //!
 //! Every run of a simulation with the same seed produces the same event
 //! sequence. The inference engine never draws randomness for hypotheses —
-//! nondeterminism there is enumerated, not sampled (DESIGN.md §4.2) — so
-//! `SimRng` is used only by ground-truth drivers, workload generators, and
-//! the particle filter's resampling step.
+//! nondeterminism there is enumerated, one branch per outcome, not
+//! sampled — so `SimRng` is used only by ground-truth drivers, workload
+//! generators, and the particle filter's resampling step.
 
 use crate::time::Dur;
 use crate::units::Ppm;

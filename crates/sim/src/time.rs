@@ -2,9 +2,9 @@
 //!
 //! All simulation time is integer **microseconds** since the start of the
 //! run. Integer time is load-bearing for the whole system: belief states in
-//! `augur-inference` are compared and hashed for *exact* compaction
-//! (DESIGN.md §4.1), and ground truth and hypotheses must predict the same
-//! instants bit-for-bit. Floating-point time would break both.
+//! `augur-inference` are compared and hashed for *exact* compaction,
+//! and ground truth and hypotheses must predict the same instants
+//! bit-for-bit. Floating-point time would break both.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};

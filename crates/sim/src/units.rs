@@ -1,8 +1,9 @@
 //! Integer-valued physical units used throughout the element language.
 //!
 //! Everything that becomes part of a belief-state's identity must be an
-//! integer (DESIGN.md §4.1), so link rates are whole bits per second,
-//! packet sizes are whole bits, and probabilities are parts-per-million.
+//! integer (hypotheses are hashed and compared exactly), so link rates
+//! are whole bits per second, packet sizes are whole bits, and
+//! probabilities are parts-per-million.
 
 use crate::time::Dur;
 use std::fmt;

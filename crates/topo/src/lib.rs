@@ -17,22 +17,19 @@
 //!   every error names the offending node/link/flow) plus compilation
 //!   onto [`augur_elements::NetworkBuilder`]: one buffer → link → delay
 //!   pipeline per used link, diverter chains steering each flow to its
-//!   next hop, one receiver per flow;
-//! * [`builders`] — the canonical shapes: [`dumbbell`] (N source/sink
-//!   pairs squeezing through one shared link), [`parking_lot`] (a
-//!   multi-hop flow competing with single-hop cross flows on every
-//!   link), and small k-ary [`fat_tree`]s with deterministic up-down
-//!   routing.
+//!   next hop, one receiver per flow.
+//!
+//! A topology is written as the `[topology]` section of a spec file (the
+//! shipped `dumbbell-cross.toml` and `parking-lot.toml` are the canonical
+//! shapes) or built as a [`GraphTopology`] value.
 //!
 //! The compiled network drives `augur_core::run_multi_agent` through
 //! per-flow entry points, so flows genuinely traverse different hop
 //! sequences — see `augur-scenario`'s `TopologySpec::Graph`.
 
-pub mod builders;
 pub mod graph;
 pub mod queue;
 
-pub use builders::{dumbbell, fat_tree, parking_lot};
 pub use graph::{
     compile, resolve_routes, validate, CompiledTopo, FlowSpec, GraphTopology, LinkSpec, TopoError,
 };
