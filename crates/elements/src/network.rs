@@ -1208,17 +1208,14 @@ mod tests {
     use crate::gate::Gate;
     use crate::link::{Link, RateProcess};
     use crate::source::Pinger;
-    use augur_sim::{BitRate, Dur, Ppm};
-    use std::collections::hash_map::DefaultHasher;
+    use augur_sim::{BitRate, Dur, Ppm, StableHasher};
 
     fn pkt(seq: u64) -> Packet {
         Packet::new(FlowId::SELF, seq, Bits::new(12_000), Time::ZERO)
     }
 
     fn fingerprint(net: &Network) -> u64 {
-        let mut h = DefaultHasher::new();
-        net.hash(&mut h);
-        h.finish()
+        StableHasher::hash_of(net)
     }
 
     /// buffer(capacity) -> link(rate) -> receiver
@@ -1885,10 +1882,10 @@ mod tests {
 
     /// The split representation must produce the exact hash stream of the
     /// pre-split `Network` (one `Vec<Node>` of combined elements): these
-    /// constants were captured from that implementation with
-    /// `DefaultHasher`. They pin identity across the refactor — branch
-    /// dedup and compaction rely on it. If std's `DefaultHasher` ever
-    /// changes algorithm, re-capture and re-pin.
+    /// constants were captured from that implementation. They pin identity
+    /// across every refactor since — compaction's branch order, and so
+    /// every sweep CSV, rests on it — and they are permanent: the hash is
+    /// `augur_sim::StableHasher`, whose algorithm this workspace owns.
     #[test]
     fn hash_matches_legacy_fingerprints() {
         use crate::delay::JitterEl;

@@ -19,8 +19,8 @@ use crate::hypothesis::{effective_count, Hypothesis};
 use crate::observe::{Observation, ObservationIndex};
 use augur_elements::{ChoiceKind, ChoiceSpec, NodeId};
 use augur_obs::EventKind;
-use augur_sim::{FlowId, Packet, Time};
-use std::hash::{Hash, Hasher};
+use augur_sim::{FlowId, Packet, StableHasher, Time};
+use std::hash::Hash;
 
 /// A posterior over network configurations, as its users see it.
 pub trait Engine {
@@ -63,24 +63,19 @@ pub trait Engine {
     /// Posterior marginal of an arbitrary statistic of the hypothesis.
     ///
     /// The return order is deterministic: descending weight, ties broken
-    /// by a fixed-key fingerprint of the key (the keys are only `Eq +
-    /// Hash`, not `Ord`), never by `HashMap` iteration order.
+    /// by the [`StableHasher`] fingerprint of the key (the keys are only
+    /// `Eq + Hash`, not `Ord`), never by `HashMap` iteration order.
     fn marginal<K: Eq + Hash, F: Fn(&Hypothesis<Self::Meta>) -> K>(&self, f: F) -> Vec<(K, f64)> {
-        fn fingerprint<K: Hash>(k: &K) -> u64 {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            k.hash(&mut h);
-            h.finish()
-        }
         let mut acc: std::collections::HashMap<K, f64> = std::collections::HashMap::new();
         for h in self.members() {
             *acc.entry(f(h)).or_insert(0.0) += h.weight;
         }
-        let mut v: Vec<(K, f64)> = acc.into_iter().collect();
-        v.sort_by(|a, b| {
-            b.1.total_cmp(&a.1)
-                .then_with(|| fingerprint(&a.0).cmp(&fingerprint(&b.0)))
-        });
-        v
+        let mut v: Vec<(u64, K, f64)> = acc
+            .into_iter()
+            .map(|(k, w)| (StableHasher::hash_of(&k), k, w))
+            .collect();
+        v.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
+        v.into_iter().map(|(_, k, w)| (k, w)).collect()
     }
 
     /// Effective member count, `1/Σw²`.

@@ -4,13 +4,14 @@
 //! that the network could be in" (§3). A [`Hypothesis`] is one such
 //! candidate: a complete network (parameters *and* dynamic state — queue
 //! contents, gate position, in-service packet) plus a probability weight
-//! and a metadata record `M` identifying which prior grid point it
-//! descends from. `M` is for posterior reporting only: the planner reads
-//! nothing from it — every parameter it needs, the loss rate included, is
-//! in the network — but [`compact`] keeps hypotheses of different `M`
-//! apart even when their networks are equal.
+//! and a metadata record `M` naming the prior grid point it descends
+//! from. `M` is for posterior reporting only — every parameter the planner
+//! needs, the loss rate included, is in the network — but [`compact`],
+//! which hashes each hypothesis once (with [`StableHasher`]) and moves it
+//! once, keeps equal networks of different `M` apart.
 
 use augur_elements::Network;
+use augur_sim::StableHasher;
 use std::hash::Hash;
 
 /// One weighted network configuration.
@@ -31,54 +32,59 @@ pub struct Hypothesis<M> {
 /// network may become identical and can be compacted back into one state"
 /// (§3.2). Returns the number of branches eliminated.
 ///
-/// The surviving branches are re-ordered deterministically (weight
-/// descending, then a fixed-key state hash): everything downstream — the
-/// planner's top-K selection in particular — must see the same branch
-/// order on every run for whole simulations to be reproducible.
+/// The survivors are re-ordered deterministically, weight descending then
+/// [`StableHasher`] hash ascending: everything downstream — the planner's
+/// top-K selection in particular — must see the same branch order on
+/// every run for whole simulations to be reproducible.
 ///
-/// Each hypothesis is hashed exactly once per call. Hashing a whole
-/// network is the expensive step, and under the uniform prior nearly
-/// every comparison is a weight tie, so the one hash both groups the
-/// merge candidates and serves as the tie-break of the output order.
+/// Each hypothesis is hashed once and moved once. Hashing a whole network
+/// is the expensive step and under the uniform prior nearly every
+/// comparison is a weight tie, so the one hash both groups the merge
+/// candidates and breaks the ties; a hypothesis is 232 bytes, so only
+/// index tuples are sorted and the records follow in one pass of swaps.
 ///
 /// # Panics
 /// Panics (debug) if any network still holds undrained logs: compaction
 /// would silently discard them.
 pub fn compact<M: Clone + Eq + Hash>(branches: &mut Vec<Hypothesis<M>>) -> usize {
-    let before = branches.len();
-    let mut keyed: Vec<(u64, Hypothesis<M>)> = branches
-        .drain(..)
-        .map(|h| {
-            debug_assert!(
-                h.net.logs_empty(),
-                "compacting a network with undrained logs"
-            );
-            (stable_hash(&h), h)
-        })
-        .collect();
-    // Stable, so identical hypotheses stay in input order and their
-    // weights are summed in that order.
-    keyed.sort_by_key(|&(key, _)| key);
-    // Equal hypotheses hash equally and are now adjacent; `run` is where
-    // the survivors of the current hash value start (more than one only
-    // if distinct hypotheses collide).
-    let (mut run, mut run_key) = (0, None);
-    for (key, h) in keyed {
-        if run_key != Some(key) {
-            (run, run_key) = (branches.len(), Some(key));
+    debug_assert!(
+        branches.iter().all(|h| h.net.logs_empty()),
+        "compacting a network with undrained logs"
+    );
+    let mut keyed: Vec<(u64, usize)> = branches.iter().map(stable_hash).zip(0..).collect();
+    // The pairs are distinct, so this is the stable sort on the hash:
+    // identical hypotheses stand in input order, the order of summation.
+    keyed.sort_unstable();
+    // `(weight, hash, index)` per survivor; `run` is where the survivors of
+    // the current hash start (more than one only if hypotheses collide).
+    let mut survivors: Vec<(f64, u64, usize)> = Vec::with_capacity(keyed.len());
+    let (mut run, mut run_hash) = (0, None);
+    for (hash, i) in keyed {
+        if run_hash != Some(hash) {
+            (run, run_hash) = (survivors.len(), Some(hash));
         }
-        match branches[run..]
-            .iter_mut()
-            .find(|s| s.net == h.net && s.meta == h.meta)
-        {
-            Some(survivor) => survivor.weight += h.weight,
-            None => branches.push(h),
+        let h = &branches[i];
+        let same = |s: usize| branches[s].net == h.net && branches[s].meta == h.meta;
+        match survivors[run..].iter_mut().find(|s| same(s.2)) {
+            Some(survivor) => survivor.0 += h.weight,
+            None => survivors.push((h.weight, hash, i)),
         }
     }
-    // The survivors stand in ascending-hash order, so a stable sort on
-    // weight alone leaves them in (weight desc, hash asc) order.
-    branches.sort_by(|a, b| b.weight.total_cmp(&a.weight));
-    before - branches.len()
+    survivors.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+    // Swap survivor `j` into slot `j`. A slot below `j` gave its record
+    // away when it was filled; `survivors[..j]` says where that went.
+    for j in 0..survivors.len() {
+        let mut at = survivors[j].2;
+        while at < j {
+            at = survivors[at].2;
+        }
+        survivors[j].2 = at;
+        branches.swap(j, at);
+        branches[j].weight = survivors[j].0;
+    }
+    let eliminated = branches.len() - survivors.len();
+    branches.truncate(survivors.len());
+    eliminated
 }
 
 #[cfg(test)]
@@ -87,17 +93,11 @@ thread_local! {
     static STABLE_HASH_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// A run-to-run deterministic hash of a hypothesis's identity.
-/// `DefaultHasher::new()` uses fixed keys (unlike `RandomState`), which is
-/// exactly what reproducibility needs.
+/// A hypothesis's identity hash: the same on every run and toolchain.
 fn stable_hash<M: Hash>(h: &Hypothesis<M>) -> u64 {
-    use std::hash::Hasher;
     #[cfg(test)]
     STABLE_HASH_CALLS.with(|calls| calls.set(calls.get() + 1));
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    h.net.hash(&mut hasher);
-    h.meta.hash(&mut hasher);
-    hasher.finish()
+    StableHasher::hash_of(&(&h.net, &h.meta))
 }
 
 /// Rescale weights to sum to one. Returns the pre-normalization total
@@ -292,6 +292,86 @@ mod tests {
         assert_eq!(compact(&mut v), 20);
         let calls = STABLE_HASH_CALLS.with(|calls| calls.get()) - before;
         assert_eq!(calls, inputs, "one stable_hash per input hypothesis");
+    }
+
+    #[test]
+    fn compact_matches_reference_on_generated_multisets() {
+        use augur_sim::SimRng;
+        // Draws with replacement from a pool of twelve hypotheses — three
+        // networks under four metas, so `meta`-only and `net`-only twins —
+        // on weights from a set of four (ties everywhere) or arbitrary
+        // ones (rounding shows the order of summation): duplicates far
+        // apart, three-way merges and more, against the reference's order,
+        // `==` on the parts and the bits of every weight.
+        for case in 0..64 {
+            let seed = SimRng::derive_seed(0xC0A7, case);
+            let mut rng = SimRng::seed_from_u64(seed);
+            let tied = rng.uniform_u64(0, 1) == 1;
+            let mut input: Vec<Hypothesis<u32>> = (0..rng.uniform_u64(1, 80))
+                .map(|_| {
+                    let weight = if tied {
+                        [0.5, 0.25, 0.125, 0.1][rng.uniform_u64(0, 3) as usize]
+                    } else {
+                        rng.uniform_f64()
+                    };
+                    hyp(
+                        [0.0, 0.1, 0.2][rng.uniform_u64(0, 2) as usize],
+                        rng.uniform_u64(0, 3) as u32,
+                        weight,
+                    )
+                })
+                .collect();
+            let mut expected = input.clone();
+            let eliminated = reference_compact(&mut expected);
+            assert_eq!(compact(&mut input), eliminated, "seed {seed:#x}");
+            assert_eq!(input.len(), expected.len(), "seed {seed:#x}");
+            for (got, want) in input.iter().zip(&expected) {
+                assert!(
+                    got.net == want.net && got.meta == want.meta,
+                    "order drifted: seed {seed:#x}"
+                );
+                assert_eq!(
+                    got.weight.to_bits(),
+                    want.weight.to_bits(),
+                    "seed {seed:#x}"
+                );
+            }
+        }
+    }
+
+    /// A meta that tells the hasher nothing: over one network every
+    /// hypothesis then has the same `stable_hash`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Mute(u32);
+
+    impl Hash for Mute {
+        fn hash<H: std::hash::Hasher>(&self, _: &mut H) {}
+    }
+
+    #[test]
+    fn compact_never_merges_distinct_hypotheses_on_a_hash_collision() {
+        // The whole belief in one run of equal hashes: equality alone
+        // must tell the hypotheses apart, and still bring the equal ones
+        // together, first-seen first among equal weights.
+        let hyp = |meta: u32, weight: f64| Hypothesis {
+            net: tiny_net(0.1),
+            meta: Mute(meta),
+            weight,
+        };
+        let mut v = vec![
+            hyp(3, 0.125),
+            hyp(1, 0.25),
+            hyp(3, 0.0625),
+            hyp(2, 0.5),
+            hyp(1, 0.25),
+            hyp(4, 0.5),
+            hyp(3, 0.0625),
+        ];
+        let hashes: Vec<u64> = v.iter().map(stable_hash).collect();
+        assert!(hashes.windows(2).all(|w| w[0] == w[1]), "not a collision");
+        assert_eq!(compact(&mut v), 3);
+        let got: Vec<(u32, f64)> = v.iter().map(|h| (h.meta.0, h.weight)).collect();
+        assert_eq!(got, [(1, 0.5), (2, 0.5), (4, 0.5), (3, 0.25)]);
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //!   `ThreadId`;
 //! * **D003** hash-collection hygiene — no `HashMap`/`HashSet` in the
 //!   crates whose data reaches reports, traces, or belief state;
+//! * **D004** hasher hygiene — no `DefaultHasher`/`BuildHasherDefault`
+//!   outside tests; identity hashes use `augur_sim::StableHasher`;
 //! * **R010** RNG hygiene — `SimRng`/`derive_seed` are the only
 //!   randomness sources;
 //! * **P020** panic hygiene — decode/validate paths contracted to

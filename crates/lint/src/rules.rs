@@ -60,6 +60,12 @@ pub const RULES: &[RuleInfo] = &[
                   determinism justification",
     },
     RuleInfo {
+        id: "D004",
+        summary: "hasher hygiene: no DefaultHasher/BuildHasherDefault outside tests — \
+                  std does not guarantee DefaultHasher's algorithm, and identity \
+                  hashes reach branch order and every CSV; use augur_sim::StableHasher",
+    },
+    RuleInfo {
         id: "R010",
         summary: "RNG hygiene: the only randomness sources are augur_sim::SimRng and \
                   derive_seed (no rand/thread_rng/RandomState/OsRng/getrandom)",
@@ -223,6 +229,18 @@ pub fn scan_file(f: &SourceFile, out: &mut Vec<Violation>) {
                     "{} iteration order is seeded per process and may reach \
                      reports/traces/belief state; use BTreeMap/BTreeSet or a sorted \
                      Vec, or waive with a justification that order cannot escape",
+                    t.text
+                ),
+            ),
+            "DefaultHasher" | "BuildHasherDefault" => push(
+                out,
+                f,
+                t,
+                "D004",
+                format!(
+                    "identity hashes go through augur_sim::StableHasher; std does not \
+                     guarantee DefaultHasher's algorithm, so `{}` cannot sit behind a \
+                     pinned fingerprint or a branch order",
                     t.text
                 ),
             ),
@@ -589,6 +607,17 @@ mod tests {
             "use std::collections::HashMap;",
         );
         assert!(rules_fired(cold).is_empty());
+    }
+
+    #[test]
+    fn std_hashers_flagged_outside_tests() {
+        let f = file(
+            "crates/elements/src/network.rs",
+            "use std::collections::hash_map::DefaultHasher;\n\
+             type B = std::hash::BuildHasherDefault<DefaultHasher>;\n\
+             #[cfg(test)]\nmod tests { use std::collections::hash_map::DefaultHasher; }",
+        );
+        assert_eq!(rules_fired(f), vec!["D004", "D004", "D004"]);
     }
 
     #[test]
