@@ -431,7 +431,6 @@ mod tests {
                 },
                 1.0,
             )],
-            drops: vec![],
         };
         let discounts = [want.delivery_discount(Time::from_millis(1_500), Time::ZERO)];
         let got = s

@@ -30,23 +30,30 @@
 //! [`Network::determinized_eq`] (sorted on its key, equal keys split by
 //! pairwise comparison, as `compact()` merges) and the group's first
 //! member is rolled, so a decision costs horizon × distinct rollouts, not
-//! horizon × branches. The rollout starts by putting every memoryless
-//! switch on hold for good ([`Network::hold_switches`]): its epoch timer
-//! would only raise a choice to be resolved to "hold" and re-arm, so
-//! dropping those events changes no delivery and no drop.
+//! horizon × branches. A rollout simulates only what can change a
+//! delivery, and a utility values nothing else. It starts by
+//! determinizing its private copy ([`Network::determinize`]): every
+//! memoryless switch is put on hold for good — its epoch timer would only
+//! raise a choice to be resolved to "hold" and re-arm — and every
+//! cross-traffic source whose packets can only die on a gate so held shut
+//! is parked, its pings being drops and nothing else.
 //!
 //! **Once per trajectory** — everything the group's members agree on. A
 //! candidate "send after δ" differs from doing nothing only from `now + δ`
 //! on, so the idle trajectory is walked forward through the candidate
 //! instants in ascending order; at each one it is forked, the fork
 //! receives the hypothetical packet and runs on to the horizon, and the
-//! idle trajectory — finished last — is itself the no-send baseline. The
-//! stretch before each send is simulated once, and a fork inherits the
-//! idle prefix's log. As a delivery is appended it is given its discount
-//! (the one `exp()`, a function of its instant alone) and the position of
-//! its packet among the packets that crossed a fractional LOSS node; a
-//! crossing records *which* packet met *which* node, never a probability.
-//! Two scratch trajectories, refilled in place, serve the whole decision.
+//! idle trajectory — finished last — is itself the no-send baseline. A
+//! fork that the injection leaves unchanged — the packet tail-dropped on
+//! arrival, delivering nothing — *is* the idle trajectory from there on:
+//! it is not run, and its candidate is handed the finished idle
+//! trajectory. The stretch before each send is simulated once, and a fork
+//! inherits the idle prefix's log. As a delivery is appended it is given
+//! its discount (the one `exp()`, a function of its instant alone) and the
+//! position of its packet among the packets that crossed a fractional
+//! LOSS node; a crossing records *which* packet met *which* node, never a
+//! probability. Two scratch trajectories, refilled in place, and a list of
+//! the candidates left to the idle trajectory serve the whole decision.
 //!
 //! **Once per member** — only what its own loss rates touch. 1 − p is
 //! read once per crossed LOSS node, multiplied along the crossings in
@@ -57,7 +64,8 @@
 //! None of this changes a number. A fork continues from exactly the state
 //! and log a rollout of that candidate alone would have reached (stopping
 //! a network at an instant and resuming is the same as running through
-//! it). A member's probabilities are the products a rollout of that
+//! it), and a network equal to the idle one runs into the idle future. A
+//! member's probabilities are the products a rollout of that
 //! member alone formed as it went — the same factors in the same order —
 //! and a discount is the same `exp()` of the same argument whoever asks,
 //! so the utility performs the floating-point operations of the
@@ -66,8 +74,9 @@
 //! utility then accumulates `w × U` over the branches in branch order,
 //! one accumulator per grid position: every `eus[k]` is bit-equal to
 //! `planner::reference`, which clones, resolves switch timers event by
-//! event and takes every `exp()` afresh. Results are stored by grid
-//! position: the grid need not be sorted.
+//! event, fires every ping, rolls every fork and takes every `exp()`
+//! afresh. Results are stored by grid position: the grid need not be
+//! sorted.
 
 use crate::utility::{RolloutReport, Utility};
 use augur_elements::{ChoiceKind, Network, NodeId, Step};
@@ -216,7 +225,7 @@ pub fn decide_weighted<M>(
     // utilities, one row per branch: a column per grid slot, idle last.
     let slots = cfg.delay_grid.len();
     let mut us = vec![0.0; branches.len() * (slots + 1)];
-    let mut scratch = RolloutScratch::default();
+    let mut scratch = RolloutScratch::for_candidates(slots);
     // Rollouts replay hypothetical networks; their events must never
     // reach the ground-truth trace log.
     let _quiet = augur_obs::suppress();
@@ -347,7 +356,7 @@ pub fn subsample_weighted<M>(branches: &[Hypothesis<M>], max: usize) -> Vec<(&Hy
 
 /// Determinized rollout of one branch under one candidate: advance to
 /// `send_at` (if any), inject the hypothetical packet at `entry`,
-/// continue to `t_end`, and report everything delivered or dropped in
+/// continue to `t_end`, and report everything delivered in
 /// `[now, t_end]`. With `send_at = None` the rollout is the idle
 /// baseline: no hypothetical packet at all. This is the kernel
 /// [`decide_weighted`] runs, asked for a single report.
@@ -368,15 +377,16 @@ pub fn rollout(
     }
     let _quiet = augur_obs::suppress();
     let send = send_at.map(|t_act| (0, t_act));
+    let sends = send.as_slice();
     let mut wanted = RolloutReport::default();
     roll_branch(
-        &mut RolloutScratch::default(),
+        &mut RolloutScratch::for_candidates(sends.len()),
         net,
         entry,
         |t_act| Packet::new(own_flow, seq, size, t_act),
         // No utility is asked here: the discounts go unread.
         |_| 1.0,
-        send.as_slice(),
+        sends,
         t_end,
         |slot, rolled| {
             if slot.is_some() == send_at.is_some() {
@@ -423,11 +433,23 @@ fn rollout_groups<'a>(
 }
 
 /// The two trajectories a decision rolls every branch with, allocated at
-/// the first branch and refilled in place from then on.
-#[derive(Default)]
+/// the first branch and refilled in place from then on, and the slots of
+/// a branch's candidates whose forks are the idle trajectory, sized for
+/// every candidate up front.
 struct RolloutScratch {
     idle: Option<Trajectory>,
     fork: Option<Trajectory>,
+    unchanged: Vec<usize>,
+}
+
+impl RolloutScratch {
+    fn for_candidates(n: usize) -> RolloutScratch {
+        RolloutScratch {
+            idle: None,
+            fork: None,
+            unchanged: Vec::with_capacity(n),
+        }
+    }
 }
 
 /// What a trajectory has logged since the decision instant — everything
@@ -462,7 +484,6 @@ impl RolloutLog {
     /// Become a copy of `prefix`, keeping every allocation.
     fn refill(&mut self, prefix: &RolloutLog) {
         self.report.deliveries.clone_from(&prefix.report.deliveries);
-        self.report.drops.clone_from(&prefix.report.drops);
         self.discounts.clone_from(&prefix.discounts);
         self.packet_of.clone_from(&prefix.packet_of);
         self.crossed.clone_from(&prefix.crossed);
@@ -516,21 +537,19 @@ impl Trajectory {
     }
 
     /// Run to `until`, resolving every choice to its nominal outcome and
-    /// moving the network's logs into the trajectory's, each delivery
-    /// valued by `discount` of its instant.
+    /// moving the network's deliveries into the trajectory's log, each
+    /// valued by `discount` of its instant; drops are discarded.
     fn run_to(&mut self, until: Time, discount: impl Fn(Time) -> f64) {
         let log = &mut self.log;
         loop {
             let step = self.sim.run_until(until);
-            let (deliveries, drops) = self.sim.drain_logs();
-            for (_, d) in deliveries {
+            for (_, d) in self.sim.drain_logs().0 {
                 let key = (d.packet.flow, d.packet.seq);
                 log.packet_of
                     .push(log.crossed.iter().rposition(|k| *k == key));
                 log.discounts.push(discount(d.at));
                 log.report.deliveries.push((d, 1.0));
             }
-            log.report.drops.extend(drops);
             match step {
                 Step::Idle => return,
                 Step::Pending(spec) => match spec.kind {
@@ -592,7 +611,9 @@ impl Trajectory {
 /// in `sends` — `(slot, send time)`, ascending in send time — and under
 /// no send at all. `sink` receives each finished trajectory, to price for
 /// `net` and its equivalents, with the candidate's slot — `None` for the
-/// idle baseline, which comes last.
+/// idle baseline, which comes last, after the candidates whose injection
+/// left the network as it was and delivered nothing: theirs is the idle
+/// trajectory too.
 #[allow(clippy::too_many_arguments)]
 fn roll_branch(
     scratch: &mut RolloutScratch,
@@ -605,23 +626,32 @@ fn roll_branch(
     mut sink: impl FnMut(Option<usize>, &mut Trajectory),
 ) {
     let idle = Trajectory::refill(&mut scratch.idle, net, &RolloutLog::default());
-    // Forks are copies of the idle network, so they hold as well.
-    idle.sim.hold_switches();
+    // Forks are copies of the idle network, so they are determinized too.
+    idle.sim.determinize();
+    scratch.unchanged.clear();
     for &(slot, t_act) in sends {
         idle.run_to(t_act, discount);
         let fork = Trajectory::refill(&mut scratch.fork, &idle.sim, &idle.log);
         fork.sim.inject(entry, hypothetical(t_act));
+        if fork.sim.deliveries().is_empty() && fork.sim == idle.sim {
+            scratch.unchanged.push(slot);
+            continue;
+        }
         fork.run_to(t_end, discount);
         sink(Some(slot), fork);
     }
     idle.run_to(t_end, discount);
+    for &slot in &scratch.unchanged {
+        sink(Some(slot), idle);
+    }
     sink(None, idle);
 }
 
 /// The candidate-major evaluation the branch-major kernel replaced, kept
 /// as the naive reference core: every candidate clones every branch and
 /// simulates it from the decision instant on its own — switch timers
-/// firing and holding one event at a time — with a fresh report, an
+/// firing and holding one event at a time, every ping emitted, every
+/// dropped send rolled to the horizon — with a fresh report, an
 /// ordered probability map and freshly taken discounts per rollout.
 #[cfg(test)]
 mod reference {
@@ -698,7 +728,6 @@ mod reference {
             for (_, d) in sim.take_deliveries() {
                 report.deliveries.push((d, 1.0));
             }
-            report.drops.extend(sim.take_drops());
             match step {
                 Step::Idle => return,
                 Step::Pending(spec) => match spec.kind {
@@ -726,8 +755,8 @@ mod tests {
     use super::*;
     use crate::utility::DiscountedThroughput;
     use augur_elements::{
-        build_model, Buffer, DelayEl, Diverter, DropReason, Either, Element, GateSpec, Link, Loss,
-        ModelParams, NetworkBuilder, Pinger, ReceiverEl, FIG2_ENTRY, FIG2_LOSS,
+        build_model, Buffer, DelayEl, Diverter, Either, Element, GateSpec, Link, Loss, ModelParams,
+        NetworkBuilder, Pinger, ReceiverEl, BACKLOG_FLOW, FIG2_ENTRY, FIG2_LOSS,
     };
     use augur_sim::{perf, BitRate, Ppm, SimRng};
 
@@ -748,9 +777,15 @@ mod tests {
         /// One state under five loss rates, a `meta`-only twin and one
         /// other link rate: the scene whose rollouts are shared.
         LossSiblings,
+        /// An INTERMITTENT gate shut from the start: the rollouts park the
+        /// pinger behind it.
+        ClosedGate,
+        /// The entry buffer full at the decision instant: a send now is
+        /// tail-dropped on arrival and its fork is the idle trajectory.
+        FullBuffer,
     }
 
-    const SCENES: [Scene; 8] = [
+    const SCENES: [Scene; 10] = [
         Scene::QuietLink,
         Scene::LossyLastMile,
         Scene::PrefilledBuffer,
@@ -759,6 +794,8 @@ mod tests {
         Scene::SquareWaveGate,
         Scene::EitherDetour,
         Scene::LossSiblings,
+        Scene::ClosedGate,
+        Scene::FullBuffer,
     ];
 
     /// The Figure-2 topology with the gate replaced by an EITHER whose
@@ -810,6 +847,19 @@ mod tests {
         net
     }
 
+    /// Top the entry buffer up to capacity at `net.now()` with backlog
+    /// packets, numbered clear of the prefill's.
+    fn fill_entry_buffer(net: &mut Network) {
+        let capacity = net.buffer_params(FIG2_ENTRY).capacity;
+        for seq in 1_000.. {
+            if net.buffer_state(FIG2_ENTRY).fullness() + Bits::new(12_000) > capacity {
+                break;
+            }
+            let backlog = Packet::new(BACKLOG_FLOW, seq, Bits::new(12_000), net.now());
+            net.inject(FIG2_ENTRY, backlog);
+        }
+    }
+
     /// `rng`-drawn hypotheses of one scene at a common `now`: six
     /// unrelated ones, or the seven of [`Scene::LossSiblings`].
     fn seeded_branches(scene: Scene, rng: &mut SimRng) -> (Vec<Hypothesis<ModelParams>>, Time) {
@@ -825,14 +875,17 @@ mod tests {
                 link_rate: BitRate::from_bps(link_bps),
                 cross_rate: BitRate::from_bps(link_bps * rng.uniform_u64(4, 7) / 10),
                 gate: match scene {
-                    Scene::IntermittentGate | Scene::OddEpochGate => GateSpec::Intermittent {
-                        mtts: Dur::from_secs(100),
-                        epoch: match scene {
-                            Scene::OddEpochGate => Dur::from_millis(370),
-                            _ => Dur::from_secs(1),
-                        },
-                        initially_connected: rng.uniform_u64(0, 1) == 1,
-                    },
+                    Scene::IntermittentGate | Scene::OddEpochGate | Scene::ClosedGate => {
+                        GateSpec::Intermittent {
+                            mtts: Dur::from_secs(100),
+                            epoch: match scene {
+                                Scene::OddEpochGate => Dur::from_millis(370),
+                                _ => Dur::from_secs(1),
+                            },
+                            initially_connected: scene != Scene::ClosedGate
+                                && rng.uniform_u64(0, 1) == 1,
+                        }
+                    }
                     Scene::SquareWaveGate => GateSpec::SquareWave {
                         half_period: Dur::from_millis(100 * rng.uniform_u64(21, 45)),
                         initially_connected: rng.uniform_u64(0, 1) == 1,
@@ -844,12 +897,16 @@ mod tests {
                     Scene::IntermittentGate
                     | Scene::OddEpochGate
                     | Scene::SquareWaveGate
-                    | Scene::EitherDetour => Ppm::new(50_000 * rng.uniform_u64(0, 2) as u32),
+                    | Scene::EitherDetour
+                    | Scene::ClosedGate
+                    | Scene::FullBuffer => Ppm::new(50_000 * rng.uniform_u64(0, 2) as u32),
                     _ => Ppm::ZERO,
                 },
                 buffer_capacity: Bits::new(96_000),
                 initial_fullness: match scene {
-                    Scene::PrefilledBuffer => Bits::new(12_000 * rng.uniform_u64(1, 8)),
+                    Scene::PrefilledBuffer | Scene::FullBuffer => {
+                        Bits::new(12_000 * rng.uniform_u64(1, 8))
+                    }
                     _ => Bits::ZERO,
                 },
                 packet_size: Bits::new(12_000),
@@ -861,8 +918,12 @@ mod tests {
                 }
                 _ => build_model(params).net,
             };
+            let mut net = warmed_up(net, rng.uniform_u64(0, 3), now);
+            if scene == Scene::FullBuffer {
+                fill_entry_buffer(&mut net);
+            }
             branches.push(Hypothesis {
-                net: warmed_up(net, rng.uniform_u64(0, 3), now),
+                net,
                 meta: params,
                 weight: 0.1 + rng.uniform_f64(),
             });
@@ -1007,7 +1068,14 @@ mod tests {
 
     #[test]
     fn rollout_matches_reference_rollout() {
-        for scene in [Scene::LossyLastMile, Scene::LossSiblings] {
+        // The reference fires every ping and rolls every dropped send: it
+        // delivers what the kernel does, packet for packet.
+        for scene in [
+            Scene::LossyLastMile,
+            Scene::LossSiblings,
+            Scene::ClosedGate,
+            Scene::FullBuffer,
+        ] {
             let mut rng = SimRng::seed_from_u64(7);
             let (branches, now) = seeded_branches(scene, &mut rng);
             let t_end = now + Dur::from_secs(16);
@@ -1024,13 +1092,14 @@ mod tests {
                         9,
                         size,
                     );
-                    assert_eq!(got.drops, want.drops);
                     assert_eq!(got.deliveries.len(), want.deliveries.len());
                     // Every packet crosses the last-mile LOSS node once:
                     // p = 1 delivers nothing, any other rate prices it all.
                     let survive = 1.0 - h.net.loss_prob(FIG2_LOSS);
-                    assert_eq!(got.deliveries.is_empty(), h.meta.loss.is_one());
                     assert!(got.deliveries.iter().all(|(_, p)| *p == survive));
+                    if matches!(scene, Scene::LossyLastMile | Scene::LossSiblings) {
+                        assert_eq!(got.deliveries.is_empty(), h.meta.loss.is_one());
+                    }
                     for (g, w) in got.deliveries.iter().zip(&want.deliveries) {
                         assert_eq!(g.0, w.0);
                         assert_eq!(g.1.to_bits(), w.1.to_bits());
@@ -1056,14 +1125,16 @@ mod tests {
             let (branches, now) = seeded_branches(scene, &mut rng);
             for h in &branches {
                 let report = idle_rollout(&h.net, now);
-                let shut_out = report
-                    .drops
-                    .iter()
-                    .any(|d| d.reason == DropReason::GateClosed);
-                let let_in = report
+                // The pings emitted after `now` that were delivered. The
+                // pinger numbers every emission and only the gate stops
+                // one, so a gap in the numbers is a ping shut out.
+                let let_in: Vec<u64> = report
                     .deliveries
                     .iter()
-                    .any(|(d, _)| d.packet.flow == FlowId::CROSS && d.packet.sent_at > now);
+                    .filter(|(d, _)| d.packet.flow == FlowId::CROSS && d.packet.sent_at > now)
+                    .map(|(d, _)| d.packet.seq)
+                    .collect();
+                let shut_out = let_in.windows(2).any(|w| w[1] != w[0] + 1);
                 match h.meta.gate {
                     // The warm-up held the initial position and so does
                     // the rollout: sixteen seconds of one state.
@@ -1071,13 +1142,124 @@ mod tests {
                         initially_connected,
                         ..
                     } => assert_eq!(
-                        (let_in, shut_out),
-                        (initially_connected, !initially_connected),
+                        (!let_in.is_empty(), shut_out),
+                        (initially_connected, false),
                         "{scene:?}"
                     ),
                     // At most 4.5 s per half-period: both states are met.
-                    _ => assert!(let_in && shut_out, "{scene:?}"),
+                    _ => assert!(!let_in.is_empty() && shut_out, "{scene:?}"),
                 }
+            }
+        }
+    }
+
+    /// `decide_weighted` over `branches` with equal weights, and the
+    /// events it processed.
+    fn decide_counting_events(
+        branches: &[Hypothesis<ModelParams>],
+        now: Time,
+        cfg: &PlannerConfig,
+    ) -> (Decision, u64) {
+        let weighted = subsample_weighted(branches, branches.len());
+        let utility = DiscountedThroughput::with_alpha(0.7);
+        let before = perf::snapshot();
+        let size = Bits::new(12_000);
+        let d = decide_weighted(
+            &weighted,
+            now,
+            FIG2_ENTRY,
+            cfg,
+            &utility,
+            FlowId::SELF,
+            9,
+            size,
+        );
+        (d, perf::snapshot().since(&before).events_processed)
+    }
+
+    #[test]
+    fn a_closed_gate_costs_no_ping_and_a_dropped_send_no_fork() {
+        let cfg = PlannerConfig::default();
+        // Behind a gate held shut, a decision processes exactly the events
+        // it processes where the pinger never starts — and decides the
+        // same, bit for bit — although the reference fires every ping.
+        for in_flight in 0..3 {
+            let now = Time::from_millis(1_700);
+            let branch = |cross_active| {
+                let params = ModelParams {
+                    link_rate: BitRate::from_bps(12_000),
+                    cross_rate: BitRate::from_bps(8_400),
+                    gate: GateSpec::Intermittent {
+                        mtts: Dur::from_secs(100),
+                        epoch: Dur::from_secs(1),
+                        initially_connected: false,
+                    },
+                    loss: Ppm::from_prob(0.1),
+                    buffer_capacity: Bits::new(96_000),
+                    initial_fullness: Bits::new(24_000),
+                    packet_size: Bits::new(12_000),
+                    cross_active,
+                };
+                let net = warmed_up(build_model(params).net, in_flight, now);
+                [Hypothesis {
+                    net,
+                    meta: params,
+                    weight: 1.0,
+                }]
+            };
+            let (closed, silent) = (branch(true), branch(false));
+            let (got, events) = decide_counting_events(&closed, now, &cfg);
+            let (want, silent_events) = decide_counting_events(&silent, now, &cfg);
+            assert_same_decision(&got, &want, "closed gate against no cross traffic");
+            assert_eq!(events, silent_events, "{in_flight} in flight");
+            let t_end = now + cfg.horizon;
+            let reference_events = |net: &Network| {
+                let before = perf::snapshot();
+                reference::rollout(
+                    net,
+                    FIG2_ENTRY,
+                    FlowId::SELF,
+                    None,
+                    t_end,
+                    9,
+                    Bits::new(12_000),
+                );
+                perf::snapshot().since(&before).events_processed
+            };
+            assert!(
+                reference_events(&closed[0].net) >= reference_events(&silent[0].net) + 11,
+                "no ping to park"
+            );
+        }
+        // A send into a full buffer is dropped on arrival: deciding
+        // between it and idling costs one idle trajectory, where rolling
+        // its fork would cost two.
+        let send_now = PlannerConfig {
+            delay_grid: vec![Dur::ZERO],
+            ..PlannerConfig::default()
+        };
+        for seed in 0..4 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let (branches, now) = seeded_branches(Scene::FullBuffer, &mut rng);
+            for h in &branches {
+                let (_, events) = decide_counting_events(std::slice::from_ref(h), now, &send_now);
+                let before = perf::snapshot();
+                let t_end = now + send_now.horizon;
+                rollout(
+                    &h.net,
+                    FIG2_ENTRY,
+                    FlowId::SELF,
+                    None,
+                    t_end,
+                    9,
+                    Bits::new(12_000),
+                );
+                let idle_events = perf::snapshot().since(&before).events_processed;
+                assert!(idle_events > 0, "seed {seed}");
+                assert_eq!(
+                    events, idle_events,
+                    "seed {seed}: the dropped send was rolled"
+                );
             }
         }
     }

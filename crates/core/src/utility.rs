@@ -20,20 +20,20 @@
 //! cross traffic compared with our own" (α) and "can optionally penalize
 //! latency experienced by the cross traffic" (λ).
 
-use augur_elements::DropRecord;
 use augur_sim::{Delivery, FlowId, Time};
 
 /// The paper's discount timescale Θ, in milliseconds.
 pub const THETA_MS: f64 = 1e6;
 
 /// What a planning rollout produced: the raw material utilities evaluate.
+/// A utility values deliveries only — a drop is worth what it leaves
+/// undelivered — so a rollout reports nothing else, and two rollouts that
+/// deliver the same packets at the same instants are the same report.
 #[derive(Debug, Clone, Default)]
 pub struct RolloutReport {
     /// Deliveries within the horizon, each with the probability that it
     /// actually happens (the last-mile loss fold contributes `1 − p`).
     pub deliveries: Vec<(Delivery, f64)>,
-    /// Packets dropped within the horizon (buffer overflows, AQM).
-    pub drops: Vec<DropRecord>,
 }
 
 /// An instantaneous utility function over a rollout, in two parts: what
@@ -188,7 +188,6 @@ mod tests {
                 (delivery(FlowId::SELF, 100, 0), 1.0),
                 (delivery(FlowId::CROSS, 100, 0), 1.0),
             ],
-            drops: vec![],
         };
         let total = utility_at(&u, &report, Time::ZERO);
         let disc = u.discount(100.0);
@@ -201,11 +200,9 @@ mod tests {
         let u = DiscountedThroughput::own_only();
         let full = RolloutReport {
             deliveries: vec![(delivery(FlowId::SELF, 0, 0), 1.0)],
-            drops: vec![],
         };
         let partial = RolloutReport {
             deliveries: vec![(delivery(FlowId::SELF, 0, 0), 0.8)],
-            drops: vec![],
         };
         let a = utility_at(&u, &full, Time::ZERO);
         let b = utility_at(&u, &partial, Time::ZERO);
@@ -217,11 +214,9 @@ mod tests {
         let u = DiscountedThroughput::own_only();
         let early = RolloutReport {
             deliveries: vec![(delivery(FlowId::SELF, 1_000, 0), 1.0)],
-            drops: vec![],
         };
         let late = RolloutReport {
             deliveries: vec![(delivery(FlowId::SELF, 500_000, 0), 1.0)],
-            drops: vec![],
         };
         let ue = utility_at(&u, &early, Time::ZERO);
         let ul = utility_at(&u, &late, Time::ZERO);
@@ -238,7 +233,6 @@ mod tests {
         // wipes out its α-value (~12_000 · disc).
         let report = RolloutReport {
             deliveries: vec![(delivery(FlowId::CROSS, 2_000, 0), 1.0)],
-            drops: vec![],
         };
         let total = utility_at(&u, &report, Time::ZERO);
         assert!(total < 0.0, "penalty should dominate: {total}");
@@ -249,7 +243,6 @@ mod tests {
         let u = DiscountedThroughput::own_only();
         let report = RolloutReport {
             deliveries: vec![(delivery(FlowId::SELF, 100, 0), 1.0)],
-            drops: vec![],
         };
         // Decision time after the delivery: τ clamps to 0.
         let total = utility_at(&u, &report, Time::from_millis(200));

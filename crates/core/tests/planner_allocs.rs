@@ -1,6 +1,7 @@
 //! A decision's heap traffic must not scale with branches × candidates:
 //! the planner kernel allocates its two scratch trajectories at the first
-//! branch and refills them in place from then on.
+//! branch and refills them in place from then on, and sizes its list of
+//! forks left to the idle trajectory for every candidate up front.
 //!
 //! This test binary installs a counting global allocator (the library
 //! crates forbid `unsafe`; an integration test is its own crate). The
@@ -49,10 +50,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// A belief of `n` branches cycling through four distinct configurations
-/// (busy cross traffic, a lossy last mile, prefilled buffers), so that a
-/// longer belief repeats the shapes of a shorter one.
-fn belief(n: usize) -> Belief<(ModelParams, usize)> {
+/// A belief of `n` branches cycling through four configurations (busy
+/// cross traffic, a lossy last mile, prefilled buffers), so that a longer
+/// belief repeats the shapes of a shorter one. With `distinct`, branch `i`
+/// gets `i` bits more buffer — less than a packet, so every rollout keeps
+/// its shape's size — and no two branches share a rollout.
+fn belief(n: usize, distinct: bool) -> Belief<(ModelParams, usize)> {
     let shapes = [
         (12_000, 0.0, 0),
         (10_000, 0.2, 36_000),
@@ -67,7 +70,7 @@ fn belief(n: usize) -> Belief<(ModelParams, usize)> {
                 cross_rate: BitRate::from_bps(link_bps * 7 / 10),
                 gate: GateSpec::AlwaysOn,
                 loss: Ppm::from_prob(loss),
-                buffer_capacity: Bits::new(96_000),
+                buffer_capacity: Bits::new(96_000 + if distinct { i as u64 } else { 0 }),
                 initial_fullness: Bits::new(fullness),
                 packet_size: Bits::from_bytes(1_500),
                 cross_active: true,
@@ -91,8 +94,8 @@ fn belief(n: usize) -> Belief<(ModelParams, usize)> {
     )
 }
 
-fn allocations_of_one_decide(branches: usize, candidates: usize) -> u64 {
-    let belief = belief(branches);
+fn allocations_of_one_decide(branches: usize, candidates: usize, distinct: bool) -> u64 {
+    let belief = belief(branches, distinct);
     let cfg = PlannerConfig {
         delay_grid: (0..candidates as u64)
             .map(|k| Dur::from_millis(k * 4_000 / candidates as u64))
@@ -116,15 +119,15 @@ fn allocations_of_one_decide(branches: usize, candidates: usize) -> u64 {
 
 #[test]
 fn decide_allocations_do_not_scale_with_branches_or_candidates() {
-    let base = allocations_of_one_decide(8, 9);
+    let base = allocations_of_one_decide(8, 9, false);
     assert!(base > 0, "the counting allocator is not installed");
     // Eight times the branches, the same four shapes: after the first
     // cycle has sized the scratch, not one allocation more.
-    assert_eq!(allocations_of_one_decide(64, 9), base);
+    assert_eq!(allocations_of_one_decide(64, 9, false), base);
     // Twice the candidates: the scratch is the same; only a report may
     // cross one more growth step. Per-rollout allocation would add at
     // least one per (branch, extra candidate) — 72 here.
-    let doubled = allocations_of_one_decide(8, 18);
+    let doubled = allocations_of_one_decide(8, 18, false);
     eprintln!(
         "one decide: {base} allocations at 8 or 64 branches × 9 candidates, {doubled} at 8 × 18"
     );
@@ -135,4 +138,12 @@ fn decide_allocations_do_not_scale_with_branches_or_candidates() {
     // And the whole decision is a few dozen allocations, where the
     // candidate-major planner made about a dozen per rollout.
     assert!(base < 100, "{base} allocations in one decide");
+    // Every branch its own rollout, a quarter of them (the 96 000-bit
+    // prefills, topped up by the first ping) dropping the send now: the
+    // groups grow with the branches and the dropped forks fill the list
+    // of slots left to the idle trajectory, and still nothing is
+    // allocated per group or per dropped fork.
+    let distinct = allocations_of_one_decide(8, 9, true);
+    assert_eq!(allocations_of_one_decide(64, 9, true), distinct);
+    assert!(distinct < 100, "{distinct} allocations in one decide");
 }

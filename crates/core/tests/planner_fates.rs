@@ -98,7 +98,6 @@ fn fate_expectation(
         // This fate happened: what it delivered, it delivered.
         let report = RolloutReport {
             deliveries: path.delivered.iter().map(|d| (*d, 1.0)).collect(),
-            drops: Vec::new(),
         };
         let discounts: Vec<f64> = path
             .delivered

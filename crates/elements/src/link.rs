@@ -179,6 +179,13 @@ impl RateProcess {
     /// microsecond exactly like [`BitRate::service_time`].
     pub fn service_end(&self, start: Time, bits: Bits) -> Time {
         augur_sim::perf::count_rate_integration();
+        // A constant rate is one division, the walk's own last step —
+        // unless bits × 10⁶ overflows u64; the walk counts in u128.
+        if let RateProcess::Const(rate) = self {
+            if let Some(needed) = bits.as_u64().checked_mul(1_000_000) {
+                return start + Dur::from_micros(needed.div_ceil(rate.as_bps()));
+            }
+        }
         // Bit-microseconds still owed: bits × 1e6 / rate µs remain.
         let mut needed = bits.as_u64() as u128 * 1_000_000;
         let mut t = start;
@@ -654,6 +661,41 @@ mod tests {
             rp2.service_end(Time::from_micros(1), Bits::new(12_000)),
             Time::from_micros(6_000_001)
         );
+    }
+
+    /// `Const(r)` takes one division unless bits × 10⁶ overflows u64; a
+    /// one-step `Schedule` of the same rate takes the general walk,
+    /// boundary crossings and whole-cycle skips included. Both must give
+    /// the same instant, on both sides of the overflow and up to sizes
+    /// near `u64::MAX`.
+    #[test]
+    fn a_constant_rate_matches_a_one_step_schedule() {
+        use augur_sim::SimRng;
+        let seed = 0xC0_57;
+        let mut rng = SimRng::seed_from_u64(seed);
+        let last_fit = u64::MAX / 1_000_000;
+        for case in 0..512 {
+            let bits = match case % 4 {
+                0 => rng.uniform_u64(1, 1_000_000),
+                1 => rng.uniform_u64(1, last_fit),
+                2 => rng.uniform_u64(last_fit - 1_000, last_fit + 1_000),
+                _ => rng.uniform_u64(u64::MAX - 1_000_000, u64::MAX),
+            };
+            // The slowest rate that keeps the end under 2⁶¹ µs.
+            let slowest = (u128::from(bits) * 1_000_000).div_ceil(1 << 60);
+            let rate = BitRate::from_bps(rng.uniform_u64(slowest.max(1) as u64, u64::MAX));
+            let start = Time::from_micros(rng.uniform_u64(0, 1 << 60));
+            let schedule = RateProcess::Schedule {
+                steps: vec![(Dur::ZERO, rate)],
+                period: Dur::from_micros(rng.uniform_u64(1, 1_000_000_000)),
+            };
+            let bits = Bits::new(bits);
+            assert_eq!(
+                RateProcess::Const(rate).service_end(start, bits),
+                schedule.service_end(start, bits),
+                "seed {seed:#x} case {case}: {bits} at {rate} from {start}"
+            );
+        }
     }
 
     /// The retransmission variant of the frozen-rate bug: the retry's

@@ -427,18 +427,23 @@ impl Network {
         }
     }
 
-    /// Settle every memoryless switch (INTERMITTENT gate, EITHER) on
+    /// Put a determinized rollout's private copy in the form it runs in.
+    /// Every memoryless switch (INTERMITTENT gate, EITHER) is settled on
     /// "hold" for good: a pending switch choice is resolved to hold and
     /// the decision timers are disarmed, so they raise no further event.
-    /// It leaves exactly the trajectory of deliveries and drops that
-    /// resolving each `GateSwitch` / `EitherSwitch` choice to option 0
-    /// as it comes up does — such a timer only ever re-arms itself — and
-    /// is what a determinized rollout does to its private copy. SQUAREWAVE
-    /// gates keep their timers: their flips are deterministic and happen.
+    /// Then every PINGER whose packets can only die on a gate so held shut
+    /// (or a LOSS with p = 1) is parked, so it emits no more.
     ///
-    /// The network's identity changes (the disarmed phase is part of
-    /// `==` and [`Hash`]): never call this on a belief hypothesis.
-    pub fn hold_switches(&mut self) {
+    /// It leaves exactly the deliveries that resolving each `GateSwitch` /
+    /// `EitherSwitch` choice to option 0 as it comes up does: such a timer
+    /// only ever re-arms itself, and a parked source's packets would have
+    /// changed no state on their way to the drop. The drops themselves are
+    /// gone with the parked emissions. SQUAREWAVE gates keep their timers —
+    /// their flips are deterministic and happen — so they never park one.
+    ///
+    /// The network's identity changes (the disarmed and parked phases are
+    /// part of `==` and [`Hash`]): never call this on a belief hypothesis.
+    pub fn determinize(&mut self) {
         if let Some(p) = &self.state.pending {
             if matches!(p.kind, ChoiceKind::GateSwitch | ChoiceKind::EitherSwitch) {
                 self.resolve(0);
@@ -453,6 +458,37 @@ impl Network {
                 _ => {}
             }
         }
+        for (i, node) in self.structure.nodes.iter().enumerate() {
+            if let ElementParams::Pinger(pp) = &node.element {
+                if self.held_dead_end(pp.flow, node.next) {
+                    self.state.pinger_state_mut(NodeId(i)).park();
+                }
+            }
+        }
+    }
+
+    /// True iff a packet of `flow` arriving at `at` is dropped for certain
+    /// before it meets any state or choice, once every memoryless switch
+    /// holds: the walk passes only elements that forward it statelessly
+    /// (a DIVERTER, a held EITHER, a LOSS with p = 0) and ends at a
+    /// held-shut INTERMITTENT gate or a LOSS with p = 1. The graph is
+    /// acyclic, so the walk ends.
+    fn held_dead_end(&self, flow: FlowId, mut at: Option<NodeId>) -> bool {
+        use {ElementParams as P, ElementState as S};
+        while let Some(id) = at {
+            let node = &self.structure.nodes[id.0];
+            at = match (&node.element, &self.state.elements[id.0]) {
+                (P::Diverter(d), _) if d.flow == flow => node.next,
+                (P::Diverter(_), _) => node.alt,
+                (P::Either(_), S::Either(e)) if e.on_alt => node.alt,
+                (P::Either(_), _) => node.next,
+                (P::Loss(l), _) if l.p.is_zero() => node.next,
+                (P::Loss(l), _) => return l.p.is_one(),
+                (P::Gate(gp), S::Gate(g)) => return gp.switch_choice().is_some() && !g.connected,
+                _ => return false,
+            };
+        }
+        false
     }
 }
 
@@ -499,6 +535,11 @@ impl Network {
                 self.structure.nodes[id.0].element.kind_name()
             ),
         }
+    }
+
+    /// The delivery log as it stands, undrained.
+    pub fn deliveries(&self) -> &[(NodeId, Delivery)] {
+        &self.state.deliveries
     }
 
     /// Drain the delivery log.
@@ -607,13 +648,18 @@ impl Network {
 impl NetworkState {
     /// The earliest internal event and the node whose timer fires — the
     /// single O(nodes) scan per processed event (also behind
-    /// `Network::next_event_time`).
+    /// `Network::next_event_time`). Of equal instants the lowest node id
+    /// fires first: only a strictly earlier timer displaces the incumbent.
     fn next_internal_event(&self) -> Option<(Time, NodeId)> {
-        self.elements
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.next_timer().map(|t| (t, NodeId(i))))
-            .min()
+        let mut first = None;
+        for (i, e) in self.elements.iter().enumerate() {
+            match (e.next_timer(), first) {
+                (Some(t), Some((best, _))) if t >= best => {}
+                (Some(t), _) => first = Some((t, NodeId(i))),
+                (None, _) => {}
+            }
+        }
+        first
     }
 
     fn run_until(&mut self, s: &NetworkStructure, until: Time) -> Step {
@@ -1766,7 +1812,7 @@ mod tests {
         let original = build(false);
         assert_eq!(original.next_event_time(), Some(Time::from_millis(300)));
         let mut held = original.clone();
-        held.hold_switches();
+        held.determinize();
         assert_eq!(held.next_event_time(), Some(Time::from_secs(1_000)));
         assert_eq!(held.run_until(Time::from_secs(900)), Step::Idle);
         // A held network is another network; belief hypotheses are never
@@ -1774,7 +1820,7 @@ mod tests {
         assert_ne!(held, original);
         assert!(!held.determinized_eq(&original));
         let mut again = original.clone();
-        again.hold_switches();
+        again.determinize();
         again.run_until(Time::from_secs(900));
         assert_eq!(again, held);
         assert_eq!(fingerprint(&again), fingerprint(&held));
@@ -1786,13 +1832,13 @@ mod tests {
             asked.run_until(Time::from_secs(1)),
             Step::Pending(spec) if spec.kind == ChoiceKind::GateSwitch
         ));
-        asked.hold_switches();
+        asked.determinize();
         assert_eq!(asked.run_until(Time::from_secs(900)), Step::Idle);
         assert_eq!(asked, held);
 
         // A square wave's flips are deterministic events: they stay.
         let mut flipping = build(true);
-        flipping.hold_switches();
+        flipping.determinize();
         assert_eq!(flipping.next_event_time(), Some(Time::from_secs(3)));
     }
 
@@ -1817,7 +1863,7 @@ mod tests {
             ]);
             let mut asked = b.build();
             let mut held = asked.clone();
-            held.hold_switches();
+            held.determinize();
             let until = Time::from_secs(10);
             let before = augur_sim::perf::snapshot();
             while let Step::Pending(_) = asked.run_until(until) {
@@ -1828,9 +1874,107 @@ mod tests {
             assert_eq!(held.run_until(until), Step::Idle);
             let held_events = augur_sim::perf::snapshot().since(&before).events_processed;
             assert_eq!(held.take_deliveries(), asked.take_deliveries());
-            assert_eq!(held.take_drops(), asked.take_drops());
-            // 15 pings either way; 33 epoch timers only when asked.
-            assert_eq!((held_events, asked_events), (15, 15 + 33));
+            let gate_drops = |net: &mut Network| net.take_drops().len();
+            // 15 pings and 33 epoch timers when asked. Held open, the 15
+            // pings are delivered; held shut, the pinger is parked instead
+            // of having its 15 pings dropped at the gate.
+            let (held_pings, asked_drops) = if connected { (15, 0) } else { (0, 15) };
+            assert_eq!(
+                (held_events, gate_drops(&mut held)),
+                (held_pings, 0),
+                "connected: {connected}"
+            );
+            assert_eq!(
+                (asked_events, gate_drops(&mut asked)),
+                (15 + 33, asked_drops)
+            );
+        }
+    }
+
+    #[test]
+    fn determinize_parks_a_pinger_only_behind_a_gate_held_shut() {
+        use crate::gate::Either;
+        // pinger -> `path` -> rx, with every `Either` routing to an rx
+        // through its alt and every non-matching `Diverter` to another.
+        let parked = |path: Vec<Element>| {
+            let mut b = NetworkBuilder::new();
+            let mut elements = vec![Element::Pinger(Pinger::new(
+                Dur::from_millis(700),
+                Bits::new(100),
+                FlowId::CROSS,
+                Time::ZERO,
+            ))];
+            elements.extend(path);
+            elements.push(Element::Receiver(ReceiverEl));
+            let (first, last) = b.chain(elements);
+            for i in first.0..last.0 {
+                if matches!(
+                    b.nodes[i].element,
+                    ElementParams::Diverter(_) | ElementParams::Either(_)
+                ) {
+                    let rx = b.add(Element::Receiver(ReceiverEl));
+                    b.connect_alt(NodeId(i), rx);
+                }
+            }
+            let mut net = b.build();
+            net.determinize();
+            match &net.state.elements[first.0] {
+                ElementState::Pinger(p) => p.next_timer().is_none(),
+                _ => unreachable!(),
+            }
+        };
+        let held = |connected| {
+            Element::Gate(Gate::intermittent(
+                Dur::from_secs(100),
+                Dur::from_secs(1),
+                connected,
+            ))
+        };
+        let shut = || held(false);
+        let diverter = |flow| Element::Diverter(Diverter { flow });
+        let loss = |p| Element::Loss(Loss { p });
+        let either =
+            |on_alt| Element::Either(Either::new(Dur::from_secs(100), Dur::from_secs(1), on_alt));
+        let buffered = || {
+            vec![
+                Element::Buffer(Buffer::drop_tail(Bits::new(1_000))),
+                Element::Link(Link::constant(BitRate::from_bps(1_000))),
+            ]
+        };
+        for (path, want, what) in [
+            (vec![shut()], true, "held shut"),
+            (
+                vec![diverter(FlowId::CROSS), shut()],
+                true,
+                "the pinger's diverter branch",
+            ),
+            (vec![loss(Ppm::ZERO), shut()], true, "p = 0 first"),
+            (vec![either(false), shut()], true, "a held EITHER's route"),
+            (vec![loss(Ppm::ONE)], true, "p = 1"),
+            (vec![held(true)], false, "held open"),
+            (
+                vec![Element::Gate(Gate::square_wave(Dur::from_secs(100), false))],
+                false,
+                "a square wave",
+            ),
+            (
+                vec![diverter(FlowId::SELF), shut()],
+                false,
+                "the other flow's diverter branch",
+            ),
+            (
+                vec![either(true), shut()],
+                false,
+                "off a held EITHER's route",
+            ),
+            (
+                vec![loss(Ppm::from_prob(0.5)), shut()],
+                false,
+                "a loss choice first",
+            ),
+            ([buffered(), vec![shut()]].concat(), false, "a queue first"),
+        ] {
+            assert_eq!(parked(path), want, "{what}");
         }
     }
 

@@ -11,6 +11,11 @@
 //! Split representation: [`PingerParams`] (interval, size, flow) is
 //! immutable; [`PingerState`] (next emission instant and sequence number)
 //! is per-hypothesis.
+//!
+//! A pinger whose every packet is known to die on a gate held shut — in a
+//! planner rollout, where memoryless gates hold — can be *parked*
+//! ([`PingerState::park`]), as a held gate is disarmed: it reports no
+//! timer from then on.
 
 use augur_sim::{BitRate, Bits, Dur, FlowId, Packet, Time};
 
@@ -49,9 +54,16 @@ impl PingerParams {
 }
 
 impl PingerState {
-    /// The next emission time.
+    /// The next emission time; `None` once parked.
     pub fn next_timer(&self) -> Option<Time> {
-        Some(self.next_at)
+        (self.next_at != Time::MAX).then_some(self.next_at)
+    }
+
+    /// Emit nothing ever again — for a source every packet of which is
+    /// known to be dropped before it touches any state, which is what the
+    /// emissions would have left behind, minus the events.
+    pub fn park(&mut self) {
+        self.next_at = Time::MAX;
     }
 }
 
@@ -110,6 +122,8 @@ mod tests {
         assert_eq!(b.seq, 1);
         assert_eq!(b.sent_at, Time::from_millis(500));
         assert_eq!(p.state.next_timer(), Some(Time::from_millis(1_000)));
+        p.state.park();
+        assert_eq!(p.state.next_timer(), None);
     }
 
     #[test]
