@@ -38,12 +38,15 @@
 //!
 //! # Complexity
 //!
-//! Wakes live in a binary heap keyed `(Time, flow index, generation)`;
-//! reschedules push a fresh entry and invalidate the old one by bumping
-//! the slot's generation (lazy deletion — stale entries are discarded
-//! on pop). Deliveries are routed to slots by direct [`FlowId`]
-//! indexing. Advancing the ground truth between wakes is therefore
-//! O(events · log N), and each wake costs O(log N) amortized — there is
+//! Wakes live in an indexed 4-ary min-heap keyed `(Time, flow index)`
+//! with a position map beside it. Every flow outside the tied set (and
+//! not the one being dispatched) has exactly one entry, so the heap
+//! never holds more than N entries and never holds a stale one: a
+//! reschedule or an acknowledgment pull re-keys the flow's entry in
+//! place, and a pull back to the open instant moves the flow from the
+//! heap into the tied set. Deliveries are routed to slots by direct
+//! [`FlowId`] indexing. Advancing the ground truth between wakes is
+//! therefore O(events · log N), and each wake costs O(log N) — there is
 //! no O(N) scan anywhere in the steady-state path. The only O(N) work
 //! per *instant* is dispatching a fully tied instant (e.g. the common
 //! start at t=0, where every flow wakes at once).
@@ -54,8 +57,6 @@ use crate::multi::MultiFlowTruth;
 use augur_elements::{Network, NodeId};
 use augur_inference::{BeliefError, Observation};
 use augur_sim::{perf, Dur, FlowId, Packet, SimRng, Time};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
@@ -153,16 +154,26 @@ enum Routing {
     ClosedLoop,
 }
 
-/// The indexed wake schedule: a binary heap of `(Time, flow index,
-/// generation)` entries with lazy invalidation, plus the "tied set" of
-/// flows standing at the instant currently being dispatched.
+/// Position-map value of a flow that has no heap entry: it stands in
+/// the tied set or is being dispatched.
+const UNQUEUED: u32 = u32::MAX;
+
+/// Heap arity: a 4-ary heap is half as deep as a binary one, and the
+/// four children a sift compares sit side by side in memory.
+const ARITY: usize = 4;
+
+/// The indexed wake schedule: a 4-ary min-heap of `(Time, flow index)`
+/// with one entry per queued flow and a position map into it, plus the
+/// "tied set" of flows standing at the instant currently being
+/// dispatched.
 struct WakeHeap {
-    heap: BinaryHeap<Reverse<(Time, u32, u64)>>,
+    /// Min-heap of `(wake, flow)`: every flow outside the tied set,
+    /// except the one being dispatched, exactly once.
+    heap: Vec<(Time, u32)>,
+    /// `pos[i]` is flow `i`'s slot in `heap`, or [`UNQUEUED`].
+    pos: Vec<u32>,
     /// Authoritative next wake per flow.
     wake: Vec<Time>,
-    /// Generation per flow; a heap entry is valid iff its generation
-    /// matches (every reschedule bumps it, invalidating older entries).
-    gen: Vec<u64>,
     /// Flows whose wake equals `t_active`, ascending by index — the
     /// pool simultaneous wakes are drawn from.
     tied: Vec<u32>,
@@ -172,17 +183,18 @@ struct WakeHeap {
 
 impl WakeHeap {
     fn new(n: usize, start: Time) -> WakeHeap {
+        // Equal keys ascending by index already satisfy the heap order.
         WakeHeap {
-            heap: (0..n as u32).map(|i| Reverse((start, i, 0))).collect(),
+            heap: (0..n as u32).map(|i| (start, i)).collect(),
+            pos: (0..n as u32).collect(),
             wake: vec![start; n],
-            gen: vec![0; n],
             tied: Vec::new(),
             t_active: None,
         }
     }
 
-    /// Reschedule flow `i` to wake at `t` (O(log N): one heap push, one
-    /// generation bump; any previous entry for `i` goes stale).
+    /// Reschedule flow `i` to wake at `t` (O(log N): its one heap entry
+    /// is re-keyed in place, inserted, or moved to the tied set).
     fn set_wake(&mut self, i: usize, t: Time) {
         // A standing tied entry is authoritative — drop it before the
         // reschedule so the flow is not dispatched twice.
@@ -192,14 +204,28 @@ impl WakeHeap {
             }
         }
         self.wake[i] = t;
-        self.gen[i] += 1;
+        let slot = self.pos[i];
         if self.t_active == Some(t) {
-            // Pulled back into the instant being dispatched: join the
-            // tied set directly (ascending order preserved).
+            // Pulled back into the instant being dispatched: leave the
+            // heap and join the tied set directly (ascending order
+            // preserved).
+            if slot != UNQUEUED {
+                self.remove(slot as usize);
+            }
             let pos = self.tied.binary_search(&(i as u32)).unwrap_err();
             self.tied.insert(pos, i as u32);
+        } else if slot == UNQUEUED {
+            self.heap.push((t, i as u32));
+            self.sift_up(self.heap.len() - 1);
         } else {
-            self.heap.push(Reverse((t, i as u32, self.gen[i])));
+            let slot = slot as usize;
+            let earlier = t < self.heap[slot].0;
+            self.heap[slot].0 = t;
+            if earlier {
+                self.sift_up(slot);
+            } else {
+                self.sift_down(slot);
+            }
         }
     }
 
@@ -211,36 +237,85 @@ impl WakeHeap {
         }
     }
 
-    /// Earliest scheduled wake, discarding stale heap entries.
-    fn peek_valid(&mut self) -> Time {
-        while let Some(&Reverse((t, i, g))) = self.heap.peek() {
-            if self.gen[i as usize] == g {
-                return t;
-            }
-            self.heap.pop();
-        }
-        unreachable!("every flow keeps a valid heap entry between instants")
+    /// Earliest scheduled wake.
+    fn next_wake(&self) -> Time {
+        self.heap
+            .first()
+            .expect("every flow keeps a heap entry between instants")
+            .0
     }
 
     /// Open the instant `t` for dispatch: move every flow scheduled at
-    /// `t` into the tied set (ascending by index — the heap yields
-    /// equal-time entries in index order).
+    /// `t` into the tied set (ascending by index — equal-time entries
+    /// pop in index order).
     fn begin_instant(&mut self, t: Time) {
         debug_assert!(self.tied.is_empty());
         self.t_active = Some(t);
-        while let Some(&Reverse((tt, i, g))) = self.heap.peek() {
-            if self.gen[i as usize] != g {
-                self.heap.pop();
-                continue;
-            }
+        while let Some(&(tt, i)) = self.heap.first() {
             if tt > t {
                 break;
             }
             debug_assert_eq!(tt, t);
-            self.heap.pop();
+            self.remove(0);
             self.tied.push(i);
         }
         debug_assert!(!self.tied.is_empty());
+    }
+
+    /// Take the entry at `slot` out of the heap.
+    fn remove(&mut self, slot: usize) {
+        let gone = self.heap.swap_remove(slot);
+        self.pos[gone.1 as usize] = UNQUEUED;
+        if slot < self.heap.len() {
+            // The former last entry now sits at `slot`; either sift
+            // places it and updates its position.
+            if self.heap[slot] < gone {
+                self.sift_up(slot);
+            } else {
+                self.sift_down(slot);
+            }
+        }
+    }
+
+    fn sift_up(&mut self, mut slot: usize) {
+        let entry = self.heap[slot];
+        while slot > 0 {
+            let parent = (slot - 1) / ARITY;
+            if self.heap[parent] <= entry {
+                break;
+            }
+            self.place(slot, self.heap[parent]);
+            slot = parent;
+        }
+        self.place(slot, entry);
+    }
+
+    fn sift_down(&mut self, mut slot: usize) {
+        let entry = self.heap[slot];
+        let len = self.heap.len();
+        loop {
+            let first = ARITY * slot + 1;
+            if first >= len {
+                break;
+            }
+            let mut child = first;
+            for c in first + 1..(first + ARITY).min(len) {
+                if self.heap[c] < self.heap[child] {
+                    child = c;
+                }
+            }
+            if self.heap[child] >= entry {
+                break;
+            }
+            self.place(slot, self.heap[child]);
+            slot = child;
+        }
+        self.place(slot, entry);
+    }
+
+    fn place(&mut self, slot: usize, entry: (Time, u32)) {
+        self.heap[slot] = entry;
+        self.pos[entry.1 as usize] = slot as u32;
     }
 
     /// Draw the next flow to dispatch from the tied set: the sole
@@ -295,7 +370,7 @@ fn drive(
             // pulls its flow's wake forward, possibly before every
             // scheduled timer.
             loop {
-                let target = heap.peek_valid().min(t_end);
+                let target = heap.next_wake().min(t_end);
                 match net.next_event_time() {
                     Some(te) if te <= target => {
                         net.run_until_sampled(te, rng);
@@ -327,7 +402,7 @@ fn drive(
                     }
                 }
             }
-            let t_wake = heap.peek_valid();
+            let t_wake = heap.next_wake();
             if t_wake > t_end {
                 break;
             }
@@ -408,6 +483,8 @@ fn drive(
 
 /// Drain ground-truth logs into per-flow traces and pending-ack queues;
 /// a delivery pulls its flow's wake forward to the delivery instant.
+/// The logs are drained in place, so the network keeps their
+/// allocations for the next event.
 fn harvest(
     net: &mut Network,
     flows: &[FlowEndpoint],
@@ -418,7 +495,8 @@ fn harvest(
     heap: &mut WakeHeap,
 ) {
     let n = traces.len();
-    for (node, d) in net.take_deliveries() {
+    let (deliveries, drops) = net.drain_logs();
+    for (node, d) in deliveries {
         let k = match routing {
             Routing::PerFlow => {
                 let k = d.packet.flow.0 as usize;
@@ -451,7 +529,7 @@ fn harvest(
         pending[k].push(obs);
         heap.pull_wake(k, d.at);
     }
-    for drop in net.take_drops() {
+    for drop in drops {
         match routing {
             Routing::PerFlow => {
                 let k = drop.packet.flow.0 as usize;
@@ -540,5 +618,174 @@ impl<'a> FlowDriver<'a> {
             t_end,
         )?;
         Ok(traces.swap_remove(0))
+    }
+}
+
+/// The lazy-deletion schedule the indexed heap replaced, kept as the
+/// reference core: a binary heap of `(Time, flow index, generation)`
+/// where every reschedule pushes a fresh entry and stales the flow's
+/// older ones by bumping its generation, and stale entries are
+/// discarded when they reach the top.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    pub struct WakeHeap {
+        heap: BinaryHeap<Reverse<(Time, u32, u64)>>,
+        pub wake: Vec<Time>,
+        gen: Vec<u64>,
+        pub tied: Vec<u32>,
+        t_active: Option<Time>,
+    }
+
+    impl WakeHeap {
+        pub fn new(n: usize, start: Time) -> WakeHeap {
+            WakeHeap {
+                heap: (0..n as u32).map(|i| Reverse((start, i, 0))).collect(),
+                wake: vec![start; n],
+                gen: vec![0; n],
+                tied: Vec::new(),
+                t_active: None,
+            }
+        }
+
+        pub fn set_wake(&mut self, i: usize, t: Time) {
+            if self.t_active == Some(self.wake[i]) {
+                if let Ok(pos) = self.tied.binary_search(&(i as u32)) {
+                    self.tied.remove(pos);
+                }
+            }
+            self.wake[i] = t;
+            self.gen[i] += 1;
+            if self.t_active == Some(t) {
+                let pos = self.tied.binary_search(&(i as u32)).unwrap_err();
+                self.tied.insert(pos, i as u32);
+            } else {
+                self.heap.push(Reverse((t, i as u32, self.gen[i])));
+            }
+        }
+
+        pub fn pull_wake(&mut self, i: usize, t: Time) {
+            if t < self.wake[i] {
+                self.set_wake(i, t);
+            }
+        }
+
+        /// Earliest valid wake, discarding stale entries on the way.
+        pub fn next_wake(&mut self) -> Option<Time> {
+            while let Some(&Reverse((t, i, g))) = self.heap.peek() {
+                if self.gen[i as usize] == g {
+                    return Some(t);
+                }
+                self.heap.pop();
+            }
+            None
+        }
+
+        pub fn begin_instant(&mut self, t: Time) {
+            self.t_active = Some(t);
+            while let Some(&Reverse((tt, i, g))) = self.heap.peek() {
+                if self.gen[i as usize] != g {
+                    self.heap.pop();
+                    continue;
+                }
+                if tt > t {
+                    break;
+                }
+                self.heap.pop();
+                self.tied.push(i);
+            }
+        }
+
+        pub fn draw_tied(&mut self, rng: &mut SimRng) -> usize {
+            let j = match self.tied.len() {
+                1 => 0,
+                m => rng.uniform_u64(0, m as u64 - 1) as usize,
+            };
+            self.tied.remove(j) as usize
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Both schedules agree on everything the driver reads — the next
+    /// wake, the tied set, every flow's wake — and the indexed heap holds
+    /// exactly one entry per flow that is neither tied nor being
+    /// dispatched.
+    fn assert_same(new: &WakeHeap, old: &mut reference::WakeHeap, dispatching: bool) {
+        assert_eq!(new.heap.first().map(|e| e.0), old.next_wake(), "next wake");
+        assert_eq!(new.tied, old.tied, "tied set");
+        assert_eq!(new.wake, old.wake, "wake table");
+        assert_eq!(
+            new.heap.len() + new.tied.len(),
+            new.wake.len() - usize::from(dispatching),
+            "one heap entry per queued flow"
+        );
+        for (slot, &(t, i)) in new.heap.iter().enumerate() {
+            assert_eq!(new.pos[i as usize] as usize, slot, "position map");
+            assert_eq!(t, new.wake[i as usize], "heap key is the flow's wake");
+        }
+    }
+
+    /// Seeded schedules in the driver's own call pattern: ACK pulls
+    /// between instants, then per open instant a draw, the dispatched
+    /// flow's next timer, deliveries pulling flows back to the open
+    /// instant or a few µs ahead, and stray reschedules of any flow.
+    #[test]
+    fn indexed_heap_matches_the_lazy_deletion_reference() {
+        let us = Dur::from_micros;
+        for n in [1usize, 2, 17, 1_000] {
+            let mut rng = SimRng::derive(0x4EA9, n as u64);
+            let flow = |rng: &mut SimRng| rng.uniform_u64(0, n as u64 - 1) as usize;
+            let mut new = WakeHeap::new(n, Time::ZERO);
+            let mut old = reference::WakeHeap::new(n, Time::ZERO);
+            assert_same(&new, &mut old, false);
+            let mut dispatched = 0;
+            for _ in 0..40 {
+                let last = new.t_active.unwrap_or(Time::ZERO);
+                for _ in 0..rng.uniform_u64(0, 4) {
+                    let (k, t) = (flow(&mut rng), last + us(rng.uniform_u64(1, 8)));
+                    new.pull_wake(k, t);
+                    old.pull_wake(k, t);
+                    assert_same(&new, &mut old, false);
+                }
+                let t = new.next_wake();
+                new.begin_instant(t);
+                old.begin_instant(t);
+                assert_same(&new, &mut old, false);
+                while !new.tied.is_empty() {
+                    let mut old_rng = rng.clone();
+                    let i = new.draw_tied(&mut rng);
+                    assert_eq!(old.draw_tied(&mut old_rng), i, "dispatch order");
+                    assert_same(&new, &mut old, true);
+                    let next = t + us(rng.uniform_u64(1, 8));
+                    new.set_wake(i, next);
+                    old.set_wake(i, next);
+                    assert_same(&new, &mut old, false);
+                    for _ in 0..rng.uniform_u64(0, 3) {
+                        let k = flow(&mut rng);
+                        let at = match rng.uniform_u64(0, 2) {
+                            0 => t,
+                            _ => t + us(rng.uniform_u64(1, 8)),
+                        };
+                        if rng.uniform_u64(0, 4) == 0 {
+                            new.set_wake(k, at);
+                            old.set_wake(k, at);
+                        } else {
+                            new.pull_wake(k, at);
+                            old.pull_wake(k, at);
+                        }
+                        assert_same(&new, &mut old, false);
+                    }
+                    dispatched += 1;
+                }
+            }
+            assert!(dispatched >= 40, "{n} flows: only {dispatched} dispatches");
+        }
     }
 }

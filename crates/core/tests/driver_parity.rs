@@ -254,9 +254,10 @@ fn tied_wakes_are_dispatched_without_a_standing_favorite() {
 
 /// One shot, then a long timer: send a 12 000-bit packet at t=0 over a
 /// 12 000 bit/s link (delivery at exactly t=1s) while asking to sleep
-/// until t=10s. The probe for lazy heap invalidation: the ACK pulls the
-/// wake from 10s to 1s (staling the 10s entry), and rescheduling 10s
-/// afterward must fire exactly once — no duplicate from the stale entry.
+/// until t=10s. The probe for in-place re-keying: the ACK pulls the
+/// wake from 10s to 1s (re-keying the flow's one heap entry), and
+/// rescheduling 10s afterward must fire exactly once — no duplicate
+/// from the superseded 10s timer.
 struct OneShotAgent {
     sent: bool,
 }

@@ -42,7 +42,7 @@ impl Default for TcpConfig {
 }
 
 /// What a TCP run measured.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TcpTrace {
     /// Per-ACK RTT samples: (ack arrival time, measured RTT).
     pub rtt_samples: Vec<(Time, Dur)>,
