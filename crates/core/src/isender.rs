@@ -22,7 +22,7 @@
 //! [`decide`] — `members`, so the policy cannot diverge between belief
 //! representations.
 
-use crate::planner::{decide, Action, Decision, PlannerConfig};
+use crate::planner::{decide, Action, Decision, PlannerConfig, RolloutCounts};
 use crate::utility::Utility;
 use augur_inference::{Belief, BeliefError, Engine, Observation, ParticleFilter};
 use augur_obs::EventKind;
@@ -82,6 +82,7 @@ impl WakeOutcome {
                 expected_utility: 0.0,
                 evaluations: Vec::new(),
                 members: 0,
+                rollouts: RolloutCounts::default(),
             },
         }
     }
@@ -216,6 +217,10 @@ impl<M, E: Engine<Meta = M>> SenderAgent for ISender<M, E> {
                 idle_eu: decision.evaluations[0].1,
                 send_now_eu: decision.evaluations[1].1,
                 members: decision.members,
+                groups: decision.rollouts.groups,
+                forks_run: decision.rollouts.forks_run,
+                forks_idle: decision.rollouts.forks_idle,
+                forks_shared: decision.rollouts.forks_shared,
             },
         );
         Ok(WakeOutcome {

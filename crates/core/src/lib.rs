@@ -43,5 +43,6 @@ pub use isender::{ISender, ISenderConfig, ParticleSender, SenderAgent, WakeOutco
 pub use multi::{build_many_flow_bottleneck, jain_index, run_multi_agent, MultiFlowTruth};
 pub use planner::{
     decide, decide_weighted, rollout, subsample_weighted, Action, Decision, PlannerConfig,
+    RolloutCounts,
 };
 pub use utility::{discounted_stream_sum, DiscountedThroughput, RolloutReport, Utility, THETA_MS};

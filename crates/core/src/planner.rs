@@ -42,18 +42,31 @@
 //! candidate "send after δ" differs from doing nothing only from `now + δ`
 //! on, so the idle trajectory is walked forward through the candidate
 //! instants in ascending order; at each one it is forked, the fork
-//! receives the hypothetical packet and runs on to the horizon, and the
-//! idle trajectory — finished last — is itself the no-send baseline. A
-//! fork that the injection leaves unchanged — the packet tail-dropped on
-//! arrival, delivering nothing — *is* the idle trajectory from there on:
-//! it is not run, and its candidate is handed the finished idle
-//! trajectory. The stretch before each send is simulated once, and a fork
+//! receives the hypothetical packet, and the idle trajectory — finished
+//! last — is itself the no-send baseline. A fork that the injection leaves
+//! unchanged — the packet tail-dropped on arrival, delivering nothing —
+//! *is* the idle trajectory from there on: it is not run, and its
+//! candidate is handed the finished idle trajectory. Any other fork is not
+//! run to the horizon at once but *paused*, and brought to the next
+//! candidate's instant. If by then it has logged exactly what the idle
+//! trajectory has, and its network equals the new candidate's fork up to
+//! the stamps of the hypothetical packet ([`Network::eq_but_stamps_of`]),
+//! the new candidate *rides* it: a send that would only queue behind a
+//! busy link, sent a little earlier, is the same future. Those stamps are
+//! inert. No element reads a packet's `sent_at`, and only CoDel reads
+//! the instant it was queued, so in a CoDel buffer that stamp must match.
+//! Otherwise the paused fork runs on to the horizon and is handed over
+//! once per candidate riding it, its hypothetical delivery stamped each
+//! time with that candidate's send instant, and the new fork is paused in
+//! its place. The stretch before each send is simulated once, and a fork
 //! inherits the idle prefix's log. As a delivery is appended it is given
 //! its discount (the one `exp()`, a function of its instant alone) and the
 //! position of its packet among the packets that crossed a fractional
 //! LOSS node; a crossing records *which* packet met *which* node, never a
-//! probability. Two scratch trajectories, refilled in place, and a list of
-//! the candidates left to the idle trajectory serve the whole decision.
+//! probability. Three scratch trajectories (idle, paused fork, new fork),
+//! refilled in place, and the lists of candidates left to the idle
+//! trajectory and riding the paused fork serve the whole decision, which
+//! reports how its forks were spent ([`RolloutCounts`]).
 //!
 //! **Once per member** — only what its own loss rates touch. 1 − p is
 //! read once per crossed LOSS node, multiplied along the crossings in
@@ -64,7 +77,9 @@
 //! None of this changes a number. A fork continues from exactly the state
 //! and log a rollout of that candidate alone would have reached (stopping
 //! a network at an instant and resuming is the same as running through
-//! it), and a network equal to the idle one runs into the idle future. A
+//! it), a network equal to the idle one runs into the idle future, and
+//! one equal to a paused fork but for inert stamps runs into that fork's
+//! future, the restamped delivery being the one it would have logged. A
 //! member's probabilities are the products a rollout of that
 //! member alone formed as it went — the same factors in the same order —
 //! and a discount is the same `exp()` of the same argument whoever asks,
@@ -153,6 +168,24 @@ pub struct Decision {
     pub evaluations: Vec<(Option<Dur>, f64)>,
     /// How many weighted members the expectations were taken over.
     pub members: usize,
+    /// How the rollouts behind the expectations were spent.
+    pub rollouts: RolloutCounts,
+}
+
+/// How a decision's rollouts were spent. Every group of branches sharing
+/// a rollout answers every candidate once: by a fork run for it, by the
+/// idle trajectory, or by an earlier candidate's fork it rides.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RolloutCounts {
+    /// Groups of branches rolled out, one idle trajectory each.
+    pub groups: usize,
+    /// Forks run to the horizon.
+    pub forks_run: usize,
+    /// Candidates left to the idle trajectory: the injection changed
+    /// nothing.
+    pub forks_idle: usize,
+    /// Candidates riding an earlier candidate's fork.
+    pub forks_shared: usize,
 }
 
 /// Choose the action that maximizes expected utility for the next packet
@@ -229,7 +262,7 @@ pub fn decide_weighted<M>(
     // Rollouts replay hypothetical networks; their events must never
     // reach the ground-truth trace log.
     let _quiet = augur_obs::suppress();
-    let hypothetical = |t_act| Packet::new(own_flow, seq, size, t_act);
+    let packet = Packet::new(own_flow, seq, size, now);
     let discount = |at| utility.delivery_discount(at, now);
     let net_of = |b: usize| &branches[b].0.net;
     let grouped = rollout_groups(branches.len(), net_of, Network::determinized_key);
@@ -239,7 +272,7 @@ pub fn decide_weighted<M>(
             &mut scratch,
             net_of(leader),
             entry,
-            hypothetical,
+            packet,
             discount,
             &sends,
             t_end,
@@ -264,7 +297,10 @@ pub fn decide_weighted<M>(
         idle_eu += w * row[slots];
     }
 
-    choose(now, cfg, size, branches.len(), idle_eu, &eus)
+    Decision {
+        rollouts: scratch.counts,
+        ..choose(now, cfg, size, branches.len(), idle_eu, &eus)
+    }
 }
 
 /// Pick the action from the expected utilities: `idle_eu` for sending
@@ -306,6 +342,7 @@ fn choose(
         expected_utility: eu,
         evaluations,
         members,
+        rollouts: RolloutCounts::default(),
     }
 }
 
@@ -383,7 +420,7 @@ pub fn rollout(
         &mut RolloutScratch::for_candidates(sends.len()),
         net,
         entry,
-        |t_act| Packet::new(own_flow, seq, size, t_act),
+        Packet::new(own_flow, seq, size, net.now()),
         // No utility is asked here: the discounts go unread.
         |_| 1.0,
         sends,
@@ -432,14 +469,19 @@ fn rollout_groups<'a>(
     grouped
 }
 
-/// The two trajectories a decision rolls every branch with, allocated at
-/// the first branch and refilled in place from then on, and the slots of
-/// a branch's candidates whose forks are the idle trajectory, sized for
-/// every candidate up front.
+/// The three trajectories a decision rolls every branch with — the idle
+/// one, the paused fork and the candidate compared with it — allocated at
+/// the first branch and refilled in place from then on; the slots of a
+/// branch's candidates whose forks are the idle trajectory, and those
+/// riding the paused fork with their send instants, each sized for every
+/// candidate up front; and the fork counts of the decision so far.
 struct RolloutScratch {
     idle: Option<Trajectory>,
     fork: Option<Trajectory>,
+    cand: Option<Trajectory>,
     unchanged: Vec<usize>,
+    riding: Vec<(usize, Time)>,
+    counts: RolloutCounts,
 }
 
 impl RolloutScratch {
@@ -447,7 +489,10 @@ impl RolloutScratch {
         RolloutScratch {
             idle: None,
             fork: None,
+            cand: None,
             unchanged: Vec::with_capacity(n),
+            riding: Vec::with_capacity(n),
+            counts: RolloutCounts::default(),
         }
     }
 }
@@ -455,7 +500,7 @@ impl RolloutScratch {
 /// What a trajectory has logged since the decision instant — everything
 /// the networks sharing it agree on. A packet is known by `(flow, seq)`,
 /// which is unique within a network.
-#[derive(Default)]
+#[derive(Default, PartialEq)]
 struct RolloutLog {
     /// Every delivery stands at probability 1 until
     /// [`Trajectory::priced_for`] folds a network's loss rates in.
@@ -578,6 +623,29 @@ impl Trajectory {
         }
     }
 
+    /// Run this fork on to `t_end` and hand it to `sink` once per slot
+    /// riding it, the delivery of the hypothetical `packet` — if there is
+    /// one — stamped with that slot's send instant: the report a fork of
+    /// that candidate alone logs.
+    fn finish(
+        &mut self,
+        t_end: Time,
+        discount: impl Fn(Time) -> f64,
+        packet: Packet,
+        riding: &[(usize, Time)],
+        sink: &mut impl FnMut(Option<usize>, &mut Trajectory),
+    ) {
+        self.run_to(t_end, discount);
+        let own = (self.log.report.deliveries.iter())
+            .position(|(d, _)| (d.packet.flow, d.packet.seq) == (packet.flow, packet.seq));
+        for &(slot, t_act) in riding {
+            if let Some(i) = own {
+                self.log.report.deliveries[i].0.packet.sent_at = t_act;
+            }
+            sink(Some(slot), self);
+        }
+    }
+
     /// The report as a rollout of `net` itself produces it, and the
     /// discount of each of its deliveries: `net` is the network this
     /// trajectory started from or a determinized-equivalent one, so only
@@ -609,42 +677,83 @@ impl Trajectory {
 
 /// The branch-major kernel: roll `net` forward once under every candidate
 /// in `sends` — `(slot, send time)`, ascending in send time — and under
-/// no send at all. `sink` receives each finished trajectory, to price for
-/// `net` and its equivalents, with the candidate's slot — `None` for the
-/// idle baseline, which comes last, after the candidates whose injection
-/// left the network as it was and delivered nothing: theirs is the idle
-/// trajectory too.
+/// no send at all, the hypothetical packet being `packet` sent at each
+/// candidate's instant. `sink` receives each finished trajectory, to price
+/// for `net` and its equivalents, with the candidate's slot — `None` for
+/// the idle baseline, which comes last, after the candidates whose
+/// injection left the network as it was and delivered nothing: theirs is
+/// the idle trajectory too. A fork is handed over once for every
+/// candidate riding it.
 #[allow(clippy::too_many_arguments)]
 fn roll_branch(
     scratch: &mut RolloutScratch,
     net: &Network,
     entry: NodeId,
-    hypothetical: impl Fn(Time) -> Packet,
+    packet: Packet,
     discount: impl Fn(Time) -> f64 + Copy,
     sends: &[(usize, Time)],
     t_end: Time,
     mut sink: impl FnMut(Option<usize>, &mut Trajectory),
 ) {
-    let idle = Trajectory::refill(&mut scratch.idle, net, &RolloutLog::default());
+    let RolloutScratch {
+        idle,
+        fork,
+        cand,
+        unchanged,
+        riding,
+        counts,
+    } = scratch;
+    let idle = Trajectory::refill(idle, net, &RolloutLog::default());
     // Forks are copies of the idle network, so they are determinized too.
     idle.sim.determinize();
-    scratch.unchanged.clear();
+    unchanged.clear();
+    riding.clear();
     for &(slot, t_act) in sends {
         idle.run_to(t_act, discount);
-        let fork = Trajectory::refill(&mut scratch.fork, &idle.sim, &idle.log);
-        fork.sim.inject(entry, hypothetical(t_act));
-        if fork.sim.deliveries().is_empty() && fork.sim == idle.sim {
-            scratch.unchanged.push(slot);
+        let c = Trajectory::refill(cand, &idle.sim, &idle.log);
+        c.sim.inject(
+            entry,
+            Packet {
+                sent_at: t_act,
+                ..packet
+            },
+        );
+        let delivered = !c.sim.deliveries().is_empty();
+        if !delivered && c.sim == idle.sim {
+            unchanged.push(slot);
             continue;
         }
-        fork.run_to(t_end, discount);
-        sink(Some(slot), fork);
+        // The paused fork, if any, is brought to this instant: if it has
+        // logged what the idle trajectory has and stands where this
+        // candidate's fork starts, the packet's stamps aside, it is that
+        // fork from here on.
+        if let Some(paused) = fork.as_mut().filter(|_| !riding.is_empty()) {
+            paused.run_to(t_act, discount);
+            if !delivered
+                && paused.log == idle.log
+                && paused.sim.eq_but_stamps_of(&c.sim, packet.flow, packet.seq)
+            {
+                riding.push((slot, t_act));
+                counts.forks_shared += 1;
+                continue;
+            }
+            paused.finish(t_end, discount, packet, riding, &mut sink);
+        }
+        std::mem::swap(fork, cand);
+        riding.clear();
+        riding.push((slot, t_act));
+        counts.forks_run += 1;
+    }
+    if let Some(paused) = fork.as_mut().filter(|_| !riding.is_empty()) {
+        paused.finish(t_end, discount, packet, riding, &mut sink);
     }
     idle.run_to(t_end, discount);
-    for &slot in &scratch.unchanged {
+    for &slot in unchanged.iter() {
         sink(Some(slot), idle);
     }
     sink(None, idle);
+    counts.groups += 1;
+    counts.forks_idle += unchanged.len();
 }
 
 /// The candidate-major evaluation the branch-major kernel replaced, kept
@@ -755,8 +864,8 @@ mod tests {
     use super::*;
     use crate::utility::DiscountedThroughput;
     use augur_elements::{
-        build_model, Buffer, DelayEl, Diverter, Either, Element, GateSpec, Link, Loss, ModelParams,
-        NetworkBuilder, Pinger, ReceiverEl, BACKLOG_FLOW, FIG2_ENTRY, FIG2_LOSS,
+        build_model, Buffer, DelayEl, Diverter, Either, Element, Gate, GateSpec, Link, Loss,
+        ModelParams, NetworkBuilder, Pinger, ReceiverEl, BACKLOG_FLOW, FIG2_ENTRY, FIG2_LOSS,
     };
     use augur_sim::{perf, BitRate, Ppm, SimRng};
 
@@ -783,9 +892,17 @@ mod tests {
         /// The entry buffer full at the decision instant: a send now is
         /// tail-dropped on arrival and its fork is the idle trajectory.
         FullBuffer,
+        /// A backlog of several packets draining through a busy link, no
+        /// cross traffic: a send queues behind it, and candidates between
+        /// two service completions ride the earlier candidate's fork.
+        Backlog,
+        /// The backlog in a CoDel entry buffer with cross traffic on,
+        /// CoDel's target drawn among the sojourns a send meets: there a
+        /// send's enqueue instant is read, and no candidate rides.
+        CoDelBacklog,
     }
 
-    const SCENES: [Scene; 10] = [
+    const SCENES: [Scene; 12] = [
         Scene::QuietLink,
         Scene::LossyLastMile,
         Scene::PrefilledBuffer,
@@ -796,6 +913,8 @@ mod tests {
         Scene::LossSiblings,
         Scene::ClosedGate,
         Scene::FullBuffer,
+        Scene::Backlog,
+        Scene::CoDelBacklog,
     ];
 
     /// The Figure-2 topology with the gate replaced by an EITHER whose
@@ -827,6 +946,32 @@ mod tests {
         ]);
         b.connect_alt(either, detour);
         assert_eq!(NodeId(pinger.0 + 2), FIG2_ENTRY);
+        b.build()
+    }
+
+    /// The Figure-2 topology with a CoDel entry buffer in place of the
+    /// tail-drop one, its pinger on from time zero and its gate always
+    /// open. Node ids are the Figure-2 ones.
+    fn codel_model(params: ModelParams, target: Dur, interval: Dur) -> Network {
+        let mut b = NetworkBuilder::new();
+        let (pinger, _) = b.chain(vec![
+            Element::Pinger(Pinger::from_rate(
+                params.cross_rate,
+                params.packet_size,
+                FlowId::CROSS,
+                Time::ZERO,
+            )),
+            Element::Gate(Gate::square_wave(Dur::from_secs(1_000_000_000_000), true)),
+            Element::Buffer(Buffer::codel(params.buffer_capacity, target, interval)),
+            Element::Link(Link::constant(params.link_rate)),
+            Element::Loss(Loss { p: params.loss }),
+            Element::Diverter(Diverter { flow: FlowId::SELF }),
+            Element::Receiver(ReceiverEl),
+        ]);
+        let rx_cross = b.add(Element::Receiver(ReceiverEl));
+        b.connect_alt(NodeId(pinger.0 + 5), rx_cross);
+        assert_eq!(NodeId(pinger.0 + 2), FIG2_ENTRY);
+        b.prefill(FIG2_ENTRY, params.initial_fullness, params.packet_size);
         b.build()
     }
 
@@ -870,7 +1015,7 @@ mod tests {
         let mut branches = Vec::new();
         for _ in 0..6 {
             let link_bps = 1_000 * rng.uniform_u64(10, 16);
-            let cross_on = !matches!(scene, Scene::QuietLink);
+            let cross_on = !matches!(scene, Scene::QuietLink | Scene::Backlog);
             let params = ModelParams {
                 link_rate: BitRate::from_bps(link_bps),
                 cross_rate: BitRate::from_bps(link_bps * rng.uniform_u64(4, 7) / 10),
@@ -899,13 +1044,18 @@ mod tests {
                     | Scene::SquareWaveGate
                     | Scene::EitherDetour
                     | Scene::ClosedGate
-                    | Scene::FullBuffer => Ppm::new(50_000 * rng.uniform_u64(0, 2) as u32),
+                    | Scene::FullBuffer
+                    | Scene::Backlog
+                    | Scene::CoDelBacklog => Ppm::new(50_000 * rng.uniform_u64(0, 2) as u32),
                     _ => Ppm::ZERO,
                 },
                 buffer_capacity: Bits::new(96_000),
                 initial_fullness: match scene {
                     Scene::PrefilledBuffer | Scene::FullBuffer => {
                         Bits::new(12_000 * rng.uniform_u64(1, 8))
+                    }
+                    Scene::Backlog | Scene::CoDelBacklog => {
+                        Bits::new(12_000 * rng.uniform_u64(3, 7))
                     }
                     _ => Bits::ZERO,
                 },
@@ -916,6 +1066,12 @@ mod tests {
                 Scene::EitherDetour => {
                     either_model(params, Dur::from_millis(430), rng.uniform_u64(0, 1) == 1)
                 }
+                // A send waits about a second per packet ahead of it.
+                Scene::CoDelBacklog => codel_model(
+                    params,
+                    Dur::from_millis(rng.uniform_u64(500, 3_000)),
+                    Dur::from_millis(rng.uniform_u64(100, 1_000)),
+                ),
                 _ => build_model(params).net,
             };
             let mut net = warmed_up(net, rng.uniform_u64(0, 3), now);
@@ -982,6 +1138,28 @@ mod tests {
         branches
     }
 
+    /// The paper's utility less a charge on the sender's own packets'
+    /// delay: the one utility here that reads the hypothetical packet's
+    /// `sent_at`, which a candidate riding another's fork must have
+    /// restamped.
+    struct OwnDelayCharged(DiscountedThroughput);
+
+    impl Utility for OwnDelayCharged {
+        fn delivery_discount(&self, at: Time, decision_time: Time) -> f64 {
+            self.0.delivery_discount(at, decision_time)
+        }
+
+        fn evaluate(&self, report: &RolloutReport, discounts: &[f64], own_flow: FlowId) -> f64 {
+            let mut u = self.0.evaluate(report, discounts, own_flow);
+            for (d, p) in &report.deliveries {
+                if d.packet.flow == own_flow {
+                    u -= 100.0 * p * d.delay().as_secs_f64();
+                }
+            }
+            u
+        }
+    }
+
     fn assert_same_decision(got: &Decision, want: &Decision, what: &str) {
         assert_eq!(got.action, want.action, "{what}");
         assert_eq!(
@@ -998,20 +1176,25 @@ mod tests {
 
     #[test]
     fn kernel_matches_candidate_major_reference_bit_for_bit() {
+        let default = PlannerConfig::default();
+        // Unsorted, and 250 ms twice: the second rides the first's fork
+        // whatever the buffer, so shares are counted on `default` alone.
         let unsorted = PlannerConfig {
             delay_grid: [0, 2_000, 250, 4_000, 100, 250, 1_000]
                 .map(Dur::from_millis)
                 .to_vec(),
             ..PlannerConfig::default()
         };
-        let utility = DiscountedThroughput {
+        let paper = DiscountedThroughput {
             alpha: 0.7,
             latency_penalty: 0.01,
             ..DiscountedThroughput::own_only()
         };
+        let own_delay = OwnDelayCharged(paper);
         let size = Bits::new(12_000);
         let mut some_send = false;
         for scene in SCENES {
+            let mut shared = 0;
             for seed in 0..4 {
                 let mut rng = SimRng::seed_from_u64(seed);
                 let (branches, now) = seeded_branches(scene, &mut rng);
@@ -1022,14 +1205,18 @@ mod tests {
                     _ => 5,
                 };
                 let weighted = subsample_weighted(&branches, keep);
-                for cfg in [&PlannerConfig::default(), &unsorted] {
+                let utilities: [&dyn Utility; 2] = [&paper, &own_delay];
+                for (cfg, utility) in [&default, &unsorted]
+                    .into_iter()
+                    .flat_map(|cfg| utilities.map(|u| (cfg, u)))
+                {
                     let before = perf::snapshot();
                     let got = decide_weighted(
                         &weighted,
                         now,
                         FIG2_ENTRY,
                         cfg,
-                        &utility,
+                        utility,
                         FlowId::SELF,
                         9,
                         size,
@@ -1040,13 +1227,23 @@ mod tests {
                         now,
                         FIG2_ENTRY,
                         cfg,
-                        &utility,
+                        utility,
                         FlowId::SELF,
                         9,
                         size,
                     );
                     assert_same_decision(&got, &want, &format!("{scene:?} seed {seed}"));
                     some_send |= got.action != Action::Idle;
+                    // Every group answers every candidate once.
+                    let r = got.rollouts;
+                    assert_eq!(
+                        r.forks_run + r.forks_idle + r.forks_shared,
+                        r.groups * cfg.delay_grid.len(),
+                        "{scene:?} seed {seed}"
+                    );
+                    if std::ptr::eq(cfg, &default) {
+                        shared += r.forks_shared;
+                    }
                     // One idle trajectory and one fork per candidate, per
                     // rolled group: seven siblings cost four groups' worth.
                     if scene == Scene::LossSiblings {
@@ -1058,6 +1255,11 @@ mod tests {
                         );
                     }
                 }
+            }
+            match scene {
+                Scene::Backlog => assert!(shared > 0, "no candidate rode a fork"),
+                Scene::CoDelBacklog => assert_eq!(shared, 0, "a CoDel enqueue instant ignored"),
+                _ => {}
             }
         }
         assert!(

@@ -29,7 +29,7 @@ pub const THETA_MS: f64 = 1e6;
 /// A utility values deliveries only — a drop is worth what it leaves
 /// undelivered — so a rollout reports nothing else, and two rollouts that
 /// deliver the same packets at the same instants are the same report.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RolloutReport {
     /// Deliveries within the horizon, each with the probability that it
     /// actually happens (the last-mile loss fold contributes `1 − p`).

@@ -1,7 +1,8 @@
 //! A decision's heap traffic must not scale with branches × candidates:
-//! the planner kernel allocates its two scratch trajectories at the first
-//! branch and refills them in place from then on, and sizes its list of
-//! forks left to the idle trajectory for every candidate up front.
+//! the planner kernel allocates its three scratch trajectories at the
+//! first branch and refills them in place from then on, and sizes its
+//! lists of forks left to the idle trajectory and of candidates riding a
+//! paused fork for every candidate up front.
 //!
 //! This test binary installs a counting global allocator (the library
 //! crates forbid `unsafe`; an integration test is its own crate). The
@@ -135,9 +136,13 @@ fn decide_allocations_do_not_scale_with_branches_or_candidates() {
         doubled <= base + 4,
         "allocations grew with candidates: {base} for 9, {doubled} for 18"
     );
-    // And the whole decision is a few dozen allocations, where the
-    // candidate-major planner made about a dozen per rollout.
-    assert!(base < 100, "{base} allocations in one decide");
+    // And the whole decision is about a hundred allocations, where the
+    // candidate-major planner made about a dozen per rollout. The cap was
+    // 100 with two scratch trajectories (73 measured); the third — the
+    // candidate compared with the paused fork, cloned and grown like the
+    // other two — and its list of riding slots add 34 (107 measured).
+    const CAP: u64 = 100 + 34;
+    assert!(base < CAP, "{base} allocations in one decide");
     // Every branch its own rollout, a quarter of them (the 96 000-bit
     // prefills, topped up by the first ping) dropping the send now: the
     // groups grow with the branches and the dropped forks fill the list
@@ -145,5 +150,5 @@ fn decide_allocations_do_not_scale_with_branches_or_candidates() {
     // allocated per group or per dropped fork.
     let distinct = allocations_of_one_decide(8, 9, true);
     assert_eq!(allocations_of_one_decide(64, 9, true), distinct);
-    assert!(distinct < 100, "{distinct} allocations in one decide");
+    assert!(distinct < CAP, "{distinct} allocations in one decide");
 }

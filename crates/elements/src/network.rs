@@ -68,6 +68,7 @@ use crate::node::{NodeId, NodeParams};
 use crate::source::PingerState;
 use augur_obs::{DropKind, EventKind};
 use augur_sim::{Bits, Delivery, FlowId, Packet, SimRng, Time};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -330,6 +331,45 @@ fn is_fractional(l: &Loss) -> bool {
     !l.p.is_zero() && !l.p.is_one()
 }
 
+/// Two unequal states of the element `params` compared as
+/// [`Network::eq_but_stamps_of`] compares them: every packet through
+/// `bare`, which blanks the `sent_at` of the packet that is `ours`, and
+/// that packet's enqueue instant left out where the discipline never reads
+/// it. Only the elements that hold packets can differ in that way alone.
+fn states_eq_but_stamps(
+    params: &ElementParams,
+    x: &ElementState,
+    y: &ElementState,
+    ours: impl Fn(&Packet) -> bool,
+    bare: impl Fn(Packet) -> Packet + Copy,
+) -> bool {
+    use {ElementParams as P, ElementState as S};
+    fn pairs<T>(a: &VecDeque<T>, b: &VecDeque<T>, same: impl Fn(&T, &T) -> bool) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same(a, b))
+    }
+    let in_flight =
+        |(ta, pa): &(Time, Packet), (tb, pb): &(Time, Packet)| ta == tb && bare(*pa) == bare(*pb);
+    match (params, x, y) {
+        (P::Buffer(p), S::Buffer(x), S::Buffer(y)) => {
+            let enq_read = matches!(p.kind, BufferKind::CoDel(_));
+            x.queued_bits == y.queued_bits
+                && x.aqm == y.aqm
+                && pairs(&x.queue, &y.queue, |a, b| {
+                    bare(a.packet) == bare(b.packet)
+                        && (a.enq_at == b.enq_at || !enq_read && ours(&a.packet))
+                })
+        }
+        (P::Link(_), S::Link(x), S::Link(y)) => {
+            x.busy_until == y.busy_until
+                && x.in_service.map(bare) == y.in_service.map(bare)
+                && pairs(&x.backlog, &y.backlog, |a, b| bare(*a) == bare(*b))
+        }
+        (P::Delay(_), S::Delay(x), S::Delay(y)) => pairs(&x.in_flight, &y.in_flight, in_flight),
+        (P::Jitter(_), S::Jitter(x), S::Jitter(y)) => pairs(&x.in_flight, &y.in_flight, in_flight),
+        _ => false,
+    }
+}
+
 // ----------------------------------------------------------------------
 // Determinized equivalence: identity up to the probability of fractional
 // LOSS elements.
@@ -413,6 +453,42 @@ impl Network {
             }
             _ => a == b,
         })
+    }
+
+    /// [`PartialEq`] except for the stamps of the packet `(flow, seq)`:
+    /// its `sent_at` wherever it stands, since no element reads it, and
+    /// the instant it entered a DropTail or RED buffer, which neither
+    /// discipline reads — but not the one it entered a CoDel buffer at,
+    /// the instant CoDel's dequeue takes its sojourn from. Networks equal
+    /// in this sense go through the same events and deliver the same
+    /// packets at the same instants; only that packet's `sent_at` tells
+    /// their deliveries apart. Like `==` it ignores the transient logs.
+    pub fn eq_but_stamps_of(&self, other: &Network, flow: FlowId, seq: u64) -> bool {
+        let ours = |p: &Packet| (p.flow, p.seq) == (flow, seq);
+        // The packet with its `sent_at` blanked if it is ours.
+        let bare = |p: Packet| {
+            if ours(&p) {
+                Packet {
+                    sent_at: Time::ZERO,
+                    ..p
+                }
+            } else {
+                p
+            }
+        };
+        let bare_choice = |c: ChoiceSpec| ChoiceSpec {
+            packet: c.packet.map(bare),
+            ..c
+        };
+        let (a, b) = (&self.state, &other.state);
+        (Arc::ptr_eq(&self.structure, &other.structure) || self.structure == other.structure)
+            && a.now == b.now
+            && a.pending.map(bare_choice) == b.pending.map(bare_choice)
+            && (self.structure.nodes.iter())
+                .zip(a.elements.iter().zip(&b.elements))
+                .all(|(node, (x, y))| {
+                    x == y || states_eq_but_stamps(&node.element, x, y, ours, bare)
+                })
     }
 
     /// The loss probability of the LOSS element at `id` — the one
@@ -1551,6 +1627,98 @@ mod tests {
         assert!(!path(12_000, 0, true)
             .0
             .determinized_eq(&path(12_000, 1_000_000, true).0));
+    }
+
+    #[test]
+    fn equality_but_stamps_truth_table() {
+        // buffer -> link -> receiver at one packet per second: a cross
+        // packet sent at `cross_sent` goes into service at t = 0, ours
+        // (seq 9, stamped `sent`) arrives at `at` and queues behind it.
+        let path = |buffer: &Buffer, cross_sent: u64, (sent, at): (u64, u64), until: u64| {
+            let mut b = NetworkBuilder::new();
+            let (entry, _) = b.chain(vec![
+                Element::Buffer(buffer.clone()),
+                Element::Link(Link::constant(BitRate::from_bps(12_000))),
+                Element::Receiver(ReceiverEl),
+            ]);
+            let mut net = b.build();
+            let cross_sent = Time::from_millis(cross_sent);
+            net.inject(
+                entry,
+                Packet::new(FlowId::CROSS, 0, Bits::new(12_000), cross_sent),
+            );
+            net.run_until(Time::from_millis(at));
+            let ours = Packet::new(FlowId::SELF, 9, Bits::new(12_000), Time::from_millis(sent));
+            net.inject(entry, ours);
+            net.run_until(Time::from_millis(until));
+            let _ = net.drain_logs();
+            net
+        };
+        let capacity = Bits::new(96_000);
+        let disciplines = [
+            (Buffer::drop_tail(capacity), "DropTail"),
+            (
+                Buffer::red(
+                    capacity,
+                    Bits::new(24_000),
+                    Bits::new(72_000),
+                    Ppm::from_prob(0.1),
+                    2,
+                ),
+                "RED",
+            ),
+            (
+                Buffer::codel(capacity, Dur::from_millis(5), Dur::from_millis(100)),
+                "CoDel",
+            ),
+        ];
+        for (buffer, kind) in &disciplines {
+            let codel = *kind == "CoDel";
+            let base = path(buffer, 0, (100, 100), 500);
+            let check = |other: &Network, flow: FlowId, seq: u64, equal: bool, what: &str| {
+                assert_eq!(
+                    base.eq_but_stamps_of(other, flow, seq),
+                    equal,
+                    "{kind}: {what}"
+                );
+                assert_eq!(
+                    other.eq_but_stamps_of(&base, flow, seq),
+                    equal,
+                    "{kind}: {what}"
+                );
+            };
+            check(&base.clone(), FlowId::SELF, 9, true, "itself");
+            let sent = path(buffer, 0, (300, 100), 500);
+            assert_ne!(base, sent, "{kind}: `==` reads every stamp");
+            check(&sent, FlowId::SELF, 9, true, "our sent_at");
+            check(&sent, FlowId::SELF, 8, false, "another seq's stamps");
+            check(&sent, FlowId::CROSS, 9, false, "another flow's stamps");
+            // Queued at 0.3 s instead of 0.1 s: only CoDel reads that.
+            let enqueued = path(buffer, 0, (300, 300), 500);
+            check(&enqueued, FlowId::SELF, 9, !codel, "our enqueue instant");
+            // Once dequeued at 1 s (both sojourns over target, the same
+            // CoDel state either way), the enqueue instant is gone.
+            let in_service = path(buffer, 0, (100, 100), 1_500);
+            let later = path(buffer, 0, (300, 300), 1_500);
+            assert!(
+                in_service.eq_but_stamps_of(&later, FlowId::SELF, 9),
+                "{kind}: in service"
+            );
+            check(
+                &path(buffer, 50, (100, 100), 500),
+                FlowId::SELF,
+                9,
+                false,
+                "cross sent_at",
+            );
+            check(
+                &path(buffer, 0, (100, 200), 500),
+                FlowId::CROSS,
+                0,
+                false,
+                "our queueing",
+            );
+        }
     }
 
     #[test]

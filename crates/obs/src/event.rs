@@ -158,6 +158,15 @@ pub enum EventKind {
         send_now_eu: f64,
         /// Weighted posterior members the expectations were taken over.
         members: usize,
+        /// Groups of members that shared one rollout.
+        groups: usize,
+        /// Candidate forks run to the horizon.
+        forks_run: usize,
+        /// Candidates left to the idle trajectory (the send changed
+        /// nothing).
+        forks_idle: usize,
+        /// Candidates riding an earlier candidate's fork.
+        forks_shared: usize,
     },
 }
 
@@ -267,10 +276,14 @@ pub fn event_to_json(r: &EventRecord) -> String {
             idle_eu,
             send_now_eu,
             members,
+            groups,
+            forks_run,
+            forks_idle,
+            forks_shared,
         } => {
             let _ = write!(
                 out,
-                ",\"flow\":{},\"action\":{},\"eu\":{},\"idle_eu\":{},\"send_now_eu\":{},\"members\":{members}",
+                ",\"flow\":{},\"action\":{},\"eu\":{},\"idle_eu\":{},\"send_now_eu\":{},\"members\":{members},\"groups\":{groups},\"forks_run\":{forks_run},\"forks_idle\":{forks_idle},\"forks_shared\":{forks_shared}",
                 flow.0,
                 json_string(action),
                 json_num(*eu),
@@ -337,6 +350,10 @@ mod tests {
                     idle_eu: 1.25,
                     send_now_eu: -0.5,
                     members: 12,
+                    groups: 5,
+                    forks_run: 30,
+                    forks_idle: 4,
+                    forks_shared: 11,
                 },
             },
         ];
@@ -345,7 +362,7 @@ mod tests {
             "{\"at_us\":1000,\"kind\":\"wake\",\"flow\":0,\"acks\":2,\"sent\":1}\n\
              {\"at_us\":2000,\"kind\":\"drop\",\"node\":3,\"flow\":1,\"seq\":42,\"reason\":\"buffer-full\"}\n\
              {\"at_us\":3000,\"kind\":\"snapshot\",\"flow\":0,\"branches\":12,\"effective\":8.5,\"entropy_bits\":2.25,\"rate_bps\":12000}\n\
-             {\"at_us\":4000,\"kind\":\"decision\",\"flow\":0,\"action\":\"sleep\",\"eu\":1.5,\"idle_eu\":1.25,\"send_now_eu\":-0.5,\"members\":12}\n"
+             {\"at_us\":4000,\"kind\":\"decision\",\"flow\":0,\"action\":\"sleep\",\"eu\":1.5,\"idle_eu\":1.25,\"send_now_eu\":-0.5,\"members\":12,\"groups\":5,\"forks_run\":30,\"forks_idle\":4,\"forks_shared\":11}\n"
         );
     }
 

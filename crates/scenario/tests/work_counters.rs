@@ -162,11 +162,11 @@ fn smoke_sweep_counters_are_pinned() {
         (
             0xD9FC_7782_60C8_5538,
             WorkCounters {
-                events_processed: 109_067,
-                packets_forwarded: 151_053,
+                events_processed: 45_941,
+                packets_forwarded: 66_677,
                 hypothesis_updates: 736,
                 particle_resamples: 3,
-                rate_integrations: 67_973,
+                rate_integrations: 28_010,
                 networks_built: 1,
                 state_clones: 6_852,
                 structures_built: 12,
@@ -184,11 +184,11 @@ fn dumbbell_cross_sweep_counters_are_pinned() {
         (
             0xD03A_F72E_6377_97C7,
             WorkCounters {
-                events_processed: 206_398,
-                packets_forwarded: 213_642,
+                events_processed: 126_762,
+                packets_forwarded: 134_006,
                 hypothesis_updates: 758,
                 particle_resamples: 0,
-                rate_integrations: 113_790,
+                rate_integrations: 69_838,
                 networks_built: 0,
                 state_clones: 7_820,
                 structures_built: 258,
@@ -206,11 +206,11 @@ fn parking_lot_sweep_counters_are_pinned() {
         (
             0x3B6F_18E2_72BB_AAFC,
             WorkCounters {
-                events_processed: 200_240,
-                packets_forwarded: 207_174,
+                events_processed: 122_674,
+                packets_forwarded: 129_608,
                 hypothesis_updates: 668,
                 particle_resamples: 0,
-                rate_integrations: 110_758,
+                rate_integrations: 67_810,
                 networks_built: 0,
                 state_clones: 7_380,
                 structures_built: 130,
@@ -250,11 +250,11 @@ fn fig3_sweep_counters_are_pinned() {
         (
             0xC02A_0666_602D_D12E,
             WorkCounters {
-                events_processed: 167_743,
-                packets_forwarded: 250_418,
+                events_processed: 86_386,
+                packets_forwarded: 127_067,
                 hypothesis_updates: 19_440,
                 particle_resamples: 0,
-                rate_integrations: 91_563,
+                rate_integrations: 44_652,
                 networks_built: 1,
                 state_clones: 27_562,
                 structures_built: 4_764,
@@ -272,11 +272,11 @@ fn coexist_fairness_sweep_counters_are_pinned() {
         (
             0xB1B1_17BB_25E4_3E0F,
             WorkCounters {
-                events_processed: 1_270_688,
-                packets_forwarded: 1_315_082,
+                events_processed: 786_022,
+                packets_forwarded: 830_416,
                 hypothesis_updates: 4_266,
                 particle_resamples: 0,
-                rate_integrations: 701_884,
+                rate_integrations: 433_726,
                 networks_built: 0,
                 state_clones: 47_340,
                 structures_built: 898,
@@ -294,11 +294,11 @@ fn coexist_vs_tcp_sweep_counters_are_pinned() {
         (
             0xF5C7_086A_5113_8B66,
             WorkCounters {
-                events_processed: 1_598_934,
-                packets_forwarded: 1_654_794,
+                events_processed: 991_242,
+                packets_forwarded: 1_047_102,
                 hypothesis_updates: 5_253,
                 particle_resamples: 0,
-                rate_integrations: 883_064,
+                rate_integrations: 546_984,
                 networks_built: 0,
                 state_clones: 59_570,
                 structures_built: 1_158,
