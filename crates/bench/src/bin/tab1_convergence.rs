@@ -74,7 +74,6 @@ fn run(c: &mut Checks) {
             sender
                 .belief
                 .members()
-                .iter()
                 .filter(|h| f(&h.meta))
                 .map(|h| h.weight)
                 .sum()

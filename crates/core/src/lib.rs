@@ -42,7 +42,7 @@ pub use experiment::{run_closed_loop, GroundTruth, RunTrace, WakeRecord};
 pub use isender::{ISender, ISenderConfig, ParticleSender, SenderAgent, WakeOutcome};
 pub use multi::{build_many_flow_bottleneck, jain_index, run_multi_agent, MultiFlowTruth};
 pub use planner::{
-    decide, decide_weighted, rollout, subsample_weighted, Action, Decision, PlannerConfig,
+    decide, decide_weighted, rollout, subsample_weighted, Action, Branch, Decision, PlannerConfig,
     RolloutCounts,
 };
 pub use utility::{discounted_stream_sum, DiscountedThroughput, RolloutReport, Utility, THETA_MS};

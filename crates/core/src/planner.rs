@@ -27,10 +27,11 @@
 //! differ in nothing but a fractional loss rate (three to five per state
 //! under the paper prior), the `meta`-only twins `compact()` keeps apart,
 //! a particle filter's resampled duplicates. They are grouped by
-//! [`Network::determinized_eq`] (sorted on its key, equal keys split by
-//! pairwise comparison, as `compact()` merges) and the group's first
-//! member is rolled, so a decision costs horizon × distinct rollouts, not
-//! horizon × branches. A rollout simulates only what can change a
+//! [`NetworkView::determinized_eq`] over the members' views (sorted on its
+//! key, equal keys split by pairwise comparison, as `compact()` merges)
+//! and the group's first member is copied into the scratch trajectory and
+//! rolled, so a decision costs horizon × distinct rollouts, not horizon ×
+//! branches. A rollout simulates only what can change a
 //! delivery, and a utility values nothing else. It starts by
 //! determinizing its private copy ([`Network::determinize`]): every
 //! memoryless switch is put on hold for good — its epoch timer would only
@@ -94,8 +95,8 @@
 //! sorted.
 
 use crate::utility::{RolloutReport, Utility};
-use augur_elements::{ChoiceKind, Network, NodeId, Step};
-use augur_inference::{Engine, Hypothesis};
+use augur_elements::{ChoiceKind, Network, NetworkView, NodeId, Step};
+use augur_inference::{Engine, Hypothesis, Member};
 use augur_sim::{Bits, Dur, FlowId, Packet, Time};
 
 /// Planner tuning.
@@ -219,13 +220,43 @@ pub fn decide<E: Engine>(
     )
 }
 
+/// What the planner reads of a weighted member: its network and its
+/// weight. An engine's [`Member`] view is one, and so is a reference to an
+/// owned [`Hypothesis`].
+pub trait Branch {
+    /// The member's network.
+    fn net(&self) -> NetworkView<'_>;
+    /// The member's weight.
+    fn weight(&self) -> f64;
+}
+
+impl<M> Branch for Member<'_, M> {
+    fn net(&self) -> NetworkView<'_> {
+        self.net
+    }
+
+    fn weight(&self) -> f64 {
+        self.weight
+    }
+}
+
+impl<M> Branch for &Hypothesis<M> {
+    fn net(&self) -> NetworkView<'_> {
+        self.net.view()
+    }
+
+    fn weight(&self) -> f64 {
+        self.weight
+    }
+}
+
 /// [`decide`] over an explicit weighted branch set — the engine-agnostic
 /// core shared by the exact belief and the particle filter. `branches`
 /// must already be subsampled/normalized (see [`subsample_weighted`]);
 /// `now` is the decision instant, `entry` the injection node.
 #[allow(clippy::too_many_arguments)]
-pub fn decide_weighted<M>(
-    branches: &[(&Hypothesis<M>, f64)],
+pub fn decide_weighted<B: Branch>(
+    branches: &[(B, f64)],
     now: Time,
     entry: NodeId,
     cfg: &PlannerConfig,
@@ -264,8 +295,8 @@ pub fn decide_weighted<M>(
     let _quiet = augur_obs::suppress();
     let packet = Packet::new(own_flow, seq, size, now);
     let discount = |at| utility.delivery_discount(at, now);
-    let net_of = |b: usize| &branches[b].0.net;
-    let grouped = rollout_groups(branches.len(), net_of, Network::determinized_key);
+    let net_of = |b: usize| branches[b].0.net();
+    let grouped = rollout_groups(branches.len(), net_of, NetworkView::determinized_key);
     for group in grouped.chunk_by(|a, b| a.0 == b.0) {
         let leader = group[0].0;
         roll_branch(
@@ -358,22 +389,31 @@ fn choose(
 /// same over an exact belief's branches or a particle population. Either
 /// way a member of weight zero (a dead particle) is never selected: it
 /// would be rolled out only to contribute `0 × U`.
-pub fn subsample_weighted<M>(branches: &[Hypothesis<M>], max: usize) -> Vec<(&Hypothesis<M>, f64)> {
-    let total: f64 = branches.iter().map(|h| h.weight).sum();
+pub fn subsample_weighted<I>(branches: I, max: usize) -> Vec<(I::Item, f64)>
+where
+    I: IntoIterator + Clone,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Branch,
+{
+    let total: f64 = branches.clone().into_iter().map(|h| h.weight()).sum();
+    let branches = branches.into_iter();
     if branches.len() <= max {
         // Sized up front: a filtered iterator has no length to collect by.
         let mut out = Vec::with_capacity(branches.len());
-        let live = branches.iter().filter(|h| h.weight > 0.0);
-        out.extend(live.map(|h| (h, h.weight / total)));
+        let live = branches.filter(|h| h.weight() > 0.0);
+        out.extend(live.map(|h| {
+            let w = h.weight() / total;
+            (h, w)
+        }));
         return out;
     }
-    let mut out: Vec<(&Hypothesis<M>, f64)> = Vec::with_capacity(max);
+    let mut out = Vec::with_capacity(max);
     let step = total / max as f64;
     let mut cum = 0.0;
     let mut target = step / 2.0;
     let mut placed = 0usize;
     for h in branches {
-        cum += h.weight;
+        cum += h.weight();
         let mut hits = 0usize;
         while placed < max && target <= cum {
             hits += 1;
@@ -418,7 +458,7 @@ pub fn rollout(
     let mut wanted = RolloutReport::default();
     roll_branch(
         &mut RolloutScratch::for_candidates(sends.len()),
-        net,
+        net.view(),
         entry,
         Packet::new(own_flow, seq, size, net.now()),
         // No utility is asked here: the discounts go unread.
@@ -427,7 +467,7 @@ pub fn rollout(
         t_end,
         |slot, rolled| {
             if slot.is_some() == send_at.is_some() {
-                wanted = rolled.priced_for(net).0.clone();
+                wanted = rolled.priced_for(net.view()).0.clone();
             }
         },
     );
@@ -435,38 +475,22 @@ pub fn rollout(
 }
 
 /// Partition the branches `0..n` into groups whose determinized rollouts
-/// coincide ([`Network::determinized_eq`]). Returns `(leader, member)`
+/// coincide ([`NetworkView::determinized_eq`]), brought together by `key`
+/// (see [`augur_sim::classes`]: a collision costs comparisons and never a
+/// wrong merge, no hash container's order can reach a decision, and the
+/// allocation count does not depend on `n`). Returns `(leader, member)`
 /// pairs in ascending order — each group is one contiguous run, headed by
 /// its leader, the group's lowest index.
-///
-/// As in `compact()`, `key` only brings candidates together: the pairs
-/// are sorted on it and every run of equal keys is split by pairwise
-/// equality, so a collision costs comparisons and never a wrong merge —
-/// and no hash container's order can reach a decision.
 fn rollout_groups<'a>(
     n: usize,
-    net_of: impl Fn(usize) -> &'a Network,
-    key: impl Fn(&Network) -> u64,
+    net_of: impl Fn(usize) -> NetworkView<'a>,
+    key: impl Fn(NetworkView<'a>) -> u64,
 ) -> Vec<(usize, usize)> {
-    let mut keyed: Vec<(u64, usize)> = (0..n).map(|b| (key(net_of(b)), b)).collect();
-    // Unstable sorts only: pairs are distinct, so the order is total, and
-    // a decision's allocation count must not depend on `n`.
-    keyed.sort_unstable();
-    let mut grouped: Vec<(usize, usize)> = Vec::with_capacity(n);
-    // `run` is where the entries of the current key value start.
-    let (mut run, mut run_key) = (0, None);
-    for (k, b) in keyed {
-        if run_key != Some(k) {
-            (run, run_key) = (grouped.len(), Some(k));
-        }
-        let leader = grouped[run..]
-            .iter()
-            .find(|&&(l, m)| l == m && net_of(l).determinized_eq(net_of(b)))
-            .map_or(b, |&(l, _)| l);
-        grouped.push((leader, b));
-    }
-    grouped.sort_unstable();
-    grouped
+    augur_sim::classes(
+        n,
+        |b| key(net_of(b)),
+        |l, b| net_of(l).determinized_eq(net_of(b)),
+    )
 }
 
 /// The three trajectories a decision rolls every branch with — the idle
@@ -562,16 +586,16 @@ impl Trajectory {
     /// filled before. Either way it is one state clone.
     fn refill<'a>(
         slot: &'a mut Option<Trajectory>,
-        sim: &Network,
+        sim: NetworkView<'_>,
         prefix: &RolloutLog,
     ) -> &'a mut Trajectory {
         let t = match slot {
             Some(t) => {
-                t.sim.clone_from(sim);
+                t.sim.refill_from(sim);
                 t
             }
             None => slot.insert(Trajectory {
-                sim: sim.clone(),
+                sim: sim.to_network(),
                 log: RolloutLog::default(),
                 survive: Vec::new(),
                 probs: Vec::new(),
@@ -651,7 +675,7 @@ impl Trajectory {
     /// trajectory started from or a determinized-equivalent one, so only
     /// the delivery probabilities are its own. Each crossing multiplies
     /// 1 − p of the crossed node onto its packet, in crossing order.
-    fn priced_for(&mut self, net: &Network) -> (&RolloutReport, &[f64]) {
+    fn priced_for(&mut self, net: NetworkView<'_>) -> (&RolloutReport, &[f64]) {
         let log = &mut self.log;
         // No crossing: every probability is the 1.0 it was logged with.
         if !log.crossings.is_empty() {
@@ -687,7 +711,7 @@ impl Trajectory {
 #[allow(clippy::too_many_arguments)]
 fn roll_branch(
     scratch: &mut RolloutScratch,
-    net: &Network,
+    net: NetworkView<'_>,
     entry: NodeId,
     packet: Packet,
     discount: impl Fn(Time) -> f64 + Copy,
@@ -710,7 +734,7 @@ fn roll_branch(
     riding.clear();
     for &(slot, t_act) in sends {
         idle.run_to(t_act, discount);
-        let c = Trajectory::refill(cand, &idle.sim, &idle.log);
+        let c = Trajectory::refill(cand, idle.sim.view(), &idle.log);
         c.sim.inject(
             entry,
             Packet {
@@ -1472,8 +1496,8 @@ mod tests {
         for scene in [Scene::LossyLastMile, Scene::LossSiblings] {
             let mut rng = SimRng::seed_from_u64(11);
             let (branches, _) = seeded_branches(scene, &mut rng);
-            let net_of = |b: usize| &branches[b].net;
-            let honest = rollout_groups(branches.len(), net_of, Network::determinized_key);
+            let net_of = |b: usize| branches[b].net.view();
+            let honest = rollout_groups(branches.len(), net_of, NetworkView::determinized_key);
             let collided = rollout_groups(branches.len(), net_of, |_| 0);
             assert_eq!(collided, honest, "{scene:?}");
             for &(leader, b) in &collided {
@@ -1538,9 +1562,11 @@ mod tests {
         filter
             .advance(Time::from_secs(2), &[Observation { seq, at }])
             .unwrap();
-        let live: Vec<_> = filter.members().iter().filter(|h| h.weight > 0.0).collect();
+        let live: Vec<_> = (filter.members())
+            .filter(|h| h.weight > 0.0)
+            .map(|h| h.to_hypothesis())
+            .collect();
         assert!((32..64).contains(&live.len()), "{} live", live.len());
-        let live: Vec<_> = live.into_iter().cloned().collect();
 
         let cfg = PlannerConfig::default();
         let utility = DiscountedThroughput::with_alpha(1.0);

@@ -51,7 +51,8 @@ pub use model::{
     FIG2_GATE, FIG2_LINK, FIG2_LOSS, FIG2_PINGER, FIG2_RX_CROSS, FIG2_RX_SELF,
 };
 pub use network::{
-    DropReason, DropRecord, Network, NetworkBuilder, NetworkStructure, Step, BACKLOG_FLOW,
+    DropReason, DropRecord, Network, NetworkBuilder, NetworkStructure, NetworkView, Step,
+    BACKLOG_FLOW,
 };
 pub use node::{NodeId, NodeParams};
 pub use source::{Pinger, PingerParams, PingerState};

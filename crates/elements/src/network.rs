@@ -31,10 +31,21 @@
 //!
 //! Identity ([`PartialEq`], [`Hash`]) is the *combined* value: clock,
 //! pending choice, and every node's params, state and wiring. The hash
-//! stream is defined in one place, `Network::hash_identity` with
+//! stream is defined in one place, `NetworkView::hash_nodes` with
 //! `hash_element`, and is pinned byte for byte by
 //! `hash_matches_legacy_fingerprints`, because the belief engine orders
 //! equal-weight branches by it.
+//!
+//! # Views
+//!
+//! A [`NetworkView`] is a structure and a state read together without
+//! being stored together: a network's own pair ([`Network::view`]) or its
+//! state read under another structure of the same shape
+//! ([`Network::view_with`]). The exact belief keeps one state for every
+//! member whose network differs from the others' only in a last-mile loss
+//! rate, and hands out each member as its own structure over that shared
+//! state. Identity, the determinized comparisons and the loss rates are
+//! defined on the view; a [`Network`] answers them through its own.
 //!
 //! # Drivers
 //!
@@ -67,9 +78,10 @@ use crate::link::{LinkParams, LinkState};
 use crate::node::{NodeId, NodeParams};
 use crate::source::PingerState;
 use augur_obs::{DropKind, EventKind};
-use augur_sim::{Bits, Delivery, FlowId, Packet, SimRng, Time};
+use augur_sim::{Bits, Delivery, FlowId, Packet, Ppm, SimRng, Time};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Flow id used for packets that pre-fill a buffer (the prior's "initial
@@ -151,6 +163,17 @@ impl NetworkStructure {
             other => unreachable!("{id} is a {}, not a Link", other.kind_name()),
         }
     }
+
+    /// The loss rate of the LOSS element at `id`.
+    ///
+    /// # Panics
+    /// Panics if the node is not a LOSS element.
+    pub fn loss_rate(&self, id: NodeId) -> Ppm {
+        match &self.nodes[id.0].element {
+            ElementParams::Loss(l) => l.p,
+            other => panic!("{id} is a {}, not a Loss", other.kind_name()),
+        }
+    }
 }
 
 /// The compact mutable half of a network: everything a hypothesis fork
@@ -203,11 +226,7 @@ pub struct Network {
 
 impl Clone for Network {
     fn clone(&self) -> Network {
-        augur_sim::perf::count_state_clone();
-        Network {
-            structure: Arc::clone(&self.structure),
-            state: self.state.clone(),
-        }
+        self.view().to_network()
     }
 
     /// Overwrite `self` with `source`, reusing `self`'s allocations — what
@@ -215,21 +234,80 @@ impl Clone for Network {
     /// is the same unit of work as [`Network::clone`] and counts as one
     /// state clone.
     fn clone_from(&mut self, source: &Network) {
-        augur_sim::perf::count_state_clone();
-        if !Arc::ptr_eq(&self.structure, &source.structure) {
-            self.structure = Arc::clone(&source.structure);
-        }
-        self.state.clone_from(&source.state);
+        self.refill_from(source.view());
     }
 }
 
+/// A structure and a state read together as one network without being
+/// stored together (see the module docs). Identity, the determinized
+/// comparisons and the loss rates are defined here; a view is two
+/// references, copied freely.
+#[derive(Debug, Clone, Copy)]
+pub struct NetworkView<'a> {
+    structure: &'a Arc<NetworkStructure>,
+    state: &'a NetworkState,
+}
+
 impl Network {
+    /// This network as a view.
+    pub fn view(&self) -> NetworkView<'_> {
+        NetworkView {
+            structure: &self.structure,
+            state: &self.state,
+        }
+    }
+
+    /// This network's state read under `structure`: the network that
+    /// structure would be in this state. The two structures must have the
+    /// same shape — nodes, wiring and element kinds — and may differ in
+    /// element parameters.
+    pub fn view_with<'a>(&'a self, structure: &'a Arc<NetworkStructure>) -> NetworkView<'a> {
+        debug_assert_eq!(
+            structure.nodes.len(),
+            self.structure.nodes.len(),
+            "a state read under a structure of another shape"
+        );
+        NetworkView {
+            structure,
+            state: &self.state,
+        }
+    }
+
+    /// The shared structure itself, for a holder that keeps a network's
+    /// parameters apart from its state (and reads them together again
+    /// with [`Network::view_with`]).
+    pub fn shared_structure(&self) -> &Arc<NetworkStructure> {
+        &self.structure
+    }
+
+    /// Become a copy of the network `source` shows, reusing `self`'s
+    /// allocations: like [`Network::clone`], one state clone.
+    pub fn refill_from(&mut self, source: NetworkView<'_>) {
+        augur_sim::perf::count_state_clone();
+        if !Arc::ptr_eq(&self.structure, source.structure) {
+            self.structure = Arc::clone(source.structure);
+        }
+        self.state.clone_from(source.state);
+    }
+}
+
+impl NetworkView<'_> {
+    /// An owned copy of the network this view shows: one state clone.
+    pub fn to_network(self) -> Network {
+        augur_sim::perf::count_state_clone();
+        Network {
+            structure: Arc::clone(self.structure),
+            state: self.state.clone(),
+        }
+    }
+
     /// Identity with the structural half compared node by node through
-    /// `same_node`: what `==` and [`Network::determinized_eq`] share.
+    /// `same_node`: what `==` and the determinized and loss-blind
+    /// comparisons share.
     fn same_identity(
-        &self,
-        other: &Network,
-        same_node: impl Fn(&NodeParams, &NodeParams) -> bool,
+        self,
+        other: NetworkView<'_>,
+        same_node: impl Fn(NodeId, &NodeParams, &NodeParams) -> bool,
     ) -> bool {
         // Transient logs are deliberately excluded: drain them before
         // comparing (the belief engine does). Forked hypotheses share one
@@ -239,39 +317,91 @@ impl Network {
         self.state.now == other.state.now
             && self.state.pending == other.state.pending
             && self.state.elements == other.state.elements
-            && (Arc::ptr_eq(&self.structure, &other.structure)
-                || a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same_node(a, b)))
+            && (Arc::ptr_eq(self.structure, other.structure)
+                || a.len() == b.len()
+                    && (a.iter().zip(b).enumerate()).all(|(i, (a, b))| same_node(NodeId(i), a, b)))
     }
 
-    /// The identity hash stream — what [`Hash`] and
-    /// [`Network::determinized_key`] share, and the one place that defines
-    /// it: `now`, the pending choice, the node count, then per node the
-    /// element ([`hash_element`]) and its two successors. This is the
-    /// stream `#[derive(Hash)]` wrote when a network was one `Vec` of
-    /// nodes holding combined elements; `hash_matches_legacy_fingerprints`
-    /// pins it, and with it every `(weight desc, hash asc)` branch order.
-    fn hash_identity<H: Hasher>(&self, h: &mut H, determinized: bool) {
+    /// The identity hash stream — what [`Hash`] and the keys share, and
+    /// the one place that defines it: `now`, the pending choice, the node
+    /// count, then per node the element ([`hash_element`]) and its two
+    /// successors. This is the stream `#[derive(Hash)]` wrote when a
+    /// network was one `Vec` of nodes holding combined elements;
+    /// `hash_matches_legacy_fingerprints` pins it, and with it every
+    /// `(weight desc, hash asc)` branch order. A LOSS element that `loose`
+    /// picks writes an index no variant has and leaves its probability out.
+    fn hash_identity<H: Hasher>(self, h: &mut H, loose: impl Fn(NodeId, &Loss) -> bool) {
+        self.hash_prelude(h);
+        self.hash_nodes(h, 0..self.structure.nodes.len(), loose);
+    }
+
+    /// The part of the identity stream before the first node.
+    fn hash_prelude<H: Hasher>(self, h: &mut H) {
         self.state.now.hash(h);
         self.state.pending.hash(h);
         h.write_usize(self.structure.nodes.len());
-        for (node, st) in self.structure.nodes.iter().zip(&self.state.elements) {
-            hash_element(&node.element, st, determinized, h);
+    }
+
+    /// The part of the identity stream that nodes `nodes` write.
+    fn hash_nodes<H: Hasher>(
+        self,
+        h: &mut H,
+        nodes: Range<usize>,
+        loose: impl Fn(NodeId, &Loss) -> bool,
+    ) {
+        for i in nodes {
+            let node = &self.structure.nodes[i];
+            match &node.element {
+                // 10: the index one past the last variant, hashed as they are.
+                ElementParams::Loss(l) if loose(NodeId(i), l) => h.write_isize(10),
+                element => hash_element(element, &self.state.elements[i], h),
+            }
             node.next.hash(h);
             node.alt.hash(h);
         }
+    }
+
+    /// The identity stream ([`Hash`]) up to node `at`: `now`, the pending
+    /// choice, the node count and the nodes before `at` (`at` may be the
+    /// node count). Written into one hasher, [`NetworkView::hash_head`]
+    /// and then [`NetworkView::hash_tail`] at the same `at` write exactly
+    /// what [`Hash`] does, so views that agree up to `at` can share one
+    /// hasher state for the head.
+    pub fn hash_head<H: Hasher>(self, at: NodeId, h: &mut H) {
+        self.hash_prelude(h);
+        self.hash_nodes(h, 0..at.0, |_, _| false);
+    }
+
+    /// The identity stream from node `at` on: what follows
+    /// [`NetworkView::hash_head`].
+    pub fn hash_tail<H: Hasher>(self, at: NodeId, h: &mut H) {
+        self.hash_nodes(h, at.0..self.structure.nodes.len(), |_, _| false);
+    }
+}
+
+impl PartialEq for NetworkView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.same_identity(*other, |_, a, b| a == b)
+    }
+}
+impl Eq for NetworkView<'_> {}
+
+impl Hash for NetworkView<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.hash_identity(state, |_, _| false);
     }
 }
 
 impl PartialEq for Network {
     fn eq(&self, other: &Self) -> bool {
-        self.same_identity(other, |a, b| a == b)
+        self.view() == other.view()
     }
 }
 impl Eq for Network {}
 
 impl Hash for Network {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.hash_identity(state, false);
+        self.view().hash(state);
     }
 }
 
@@ -280,21 +410,11 @@ impl Hash for Network {
 /// the params' fields, then the state's — every `…Params` and `…State`
 /// derives `Hash` in that field order. Only the buffer interleaves: its
 /// discipline's index, configuration and running state sit between the
-/// capacity and the queue. With `determinized`, a fractional LOSS writes
-/// an index no variant has and leaves its probability out.
-fn hash_element<H: Hasher>(
-    params: &ElementParams,
-    st: &ElementState,
-    determinized: bool,
-    h: &mut H,
-) {
+/// capacity and the queue.
+fn hash_element<H: Hasher>(params: &ElementParams, st: &ElementState, h: &mut H) {
     use std::mem::discriminant;
     use {ElementParams as P, ElementState as S};
-    match params {
-        // 10: the index one past the last variant, hashed as they are.
-        P::Loss(l) if determinized && is_fractional(l) => return h.write_isize(10),
-        _ => discriminant(params).hash(h),
-    }
+    discriminant(params).hash(h);
     match (params, st) {
         (P::Buffer(p), S::Buffer(s)) => {
             p.capacity.hash(h);
@@ -371,8 +491,7 @@ fn states_eq_but_stamps(
 }
 
 // ----------------------------------------------------------------------
-// Determinized equivalence: identity up to the probability of fractional
-// LOSS elements.
+// Identity up to loss probabilities.
 //
 // A determinized rollout (the planner's) resolves every `LossFate` to
 // "delivered" and only prices the delivery with 1 − p afterwards, so the
@@ -380,12 +499,17 @@ fn states_eq_but_stamps(
 // everything else go through the same states and log the same deliveries
 // and drops. p = 0 and p = 1 stay classes of their own — `route` passes
 // the packet on, or drops it, without raising a choice at all.
+//
+// The exact belief's states are the other use: members equal but for the
+// loss rate at one node share one state (`eq_but_loss_at`), and the belief
+// decides which rates may share.
 // ----------------------------------------------------------------------
 
-/// The hasher behind [`Network::determinized_key`]: one rotate, xor and
-/// odd multiply per word written. Its inputs are the program's own
-/// networks, never outside data, and every key match is settled by
-/// `determinized_eq`, so collision resistance buys nothing here.
+/// The hasher behind the keys ([`NetworkView::determinized_key`],
+/// [`NetworkView::key_but_loss_at`]): one rotate, xor and odd multiply per
+/// word written. Its inputs are the program's own networks, never outside
+/// data, and every key match is settled by the comparison the key stands
+/// for, so collision resistance buys nothing here.
 struct KeyHasher(u64);
 
 impl KeyHasher {
@@ -428,24 +552,24 @@ impl Hasher for KeyHasher {
     }
 }
 
-impl Network {
-    /// A fixed-key hash of everything [`Network::determinized_eq`]
+impl NetworkView<'_> {
+    /// A fixed-key hash of everything [`NetworkView::determinized_eq`]
     /// compares: equivalent networks have equal keys, on every run.
     /// Distinct networks may collide; settle a key match with
     /// `determinized_eq`. The value is pinned nowhere and only ever brings
     /// candidates together, so it is a word-at-a-time multiply-rotate
     /// hash rather than the SipHash behind [`Hash`]'s pinned fingerprints.
-    pub fn determinized_key(&self) -> u64 {
+    pub fn determinized_key(self) -> u64 {
         let mut h = KeyHasher(0);
-        self.hash_identity(&mut h, true);
+        self.hash_identity(&mut h, |_, l| is_fractional(l));
         h.finish()
     }
 
     /// [`PartialEq`] except that two LOSS elements at the same node, both
     /// with 0 < p < 1, match whatever their probabilities. Like `==` it
     /// ignores the transient logs.
-    pub fn determinized_eq(&self, other: &Network) -> bool {
-        self.same_identity(other, |a, b| match (&a.element, &b.element) {
+    pub fn determinized_eq(self, other: NetworkView<'_>) -> bool {
+        self.same_identity(other, |_, a, b| match (&a.element, &b.element) {
             (ElementParams::Loss(la), ElementParams::Loss(lb))
                 if is_fractional(la) && is_fractional(lb) =>
             {
@@ -453,6 +577,77 @@ impl Network {
             }
             _ => a == b,
         })
+    }
+
+    /// [`PartialEq`] except for the probability of the LOSS element at
+    /// `node`, whatever the two probabilities are. Like `==` it ignores
+    /// the transient logs.
+    pub fn eq_but_loss_at(self, other: NetworkView<'_>, node: NodeId) -> bool {
+        self.same_identity(other, |id, a, b| match (&a.element, &b.element) {
+            (ElementParams::Loss(_), ElementParams::Loss(_)) if id == node => {
+                a.next == b.next && a.alt == b.alt
+            }
+            _ => a == b,
+        })
+    }
+
+    /// A fixed-key hash of everything [`NetworkView::eq_but_loss_at`] at
+    /// `node` compares, as [`NetworkView::determinized_key`] is for its
+    /// comparison.
+    pub fn key_but_loss_at(self, node: NodeId) -> u64 {
+        let mut h = KeyHasher(0);
+        self.hash_identity(&mut h, |id, _| id == node);
+        h.finish()
+    }
+
+    /// The loss rate of the LOSS element at `id`.
+    ///
+    /// # Panics
+    /// Panics if the node is not a LOSS element.
+    pub fn loss_rate(self, id: NodeId) -> Ppm {
+        self.structure.loss_rate(id)
+    }
+
+    /// The loss probability of the LOSS element at `id` — the one
+    /// parameter `determinized_eq` lets differ.
+    ///
+    /// # Panics
+    /// Panics if the node is not a LOSS element.
+    pub fn loss_prob(self, id: NodeId) -> f64 {
+        self.loss_rate(id).prob()
+    }
+
+    /// Current virtual time (the last processed instant).
+    pub fn now(self) -> Time {
+        self.state.now
+    }
+
+    /// The instantaneous service rate of the topology's first Link
+    /// element at the current instant, in bits/s — the bottleneck-rate
+    /// statistic the belief snapshot channel aggregates across
+    /// hypotheses. NaN when the topology has no link. Pure read: no
+    /// counters, no state change.
+    pub fn first_link_rate_bps(self) -> f64 {
+        self.structure
+            .nodes
+            .iter()
+            .find_map(|n| match &n.element {
+                ElementParams::Link(lp) => Some(lp.rate.rate_at(self.state.now).as_bps() as f64),
+                _ => None,
+            })
+            .unwrap_or(f64::NAN)
+    }
+}
+
+impl Network {
+    /// [`NetworkView::determinized_key`] of this network.
+    pub fn determinized_key(&self) -> u64 {
+        self.view().determinized_key()
+    }
+
+    /// [`NetworkView::determinized_eq`] between two networks.
+    pub fn determinized_eq(&self, other: &Network) -> bool {
+        self.view().determinized_eq(other.view())
     }
 
     /// [`PartialEq`] except for the stamps of the packet `(flow, seq)`:
@@ -491,16 +686,12 @@ impl Network {
                 })
     }
 
-    /// The loss probability of the LOSS element at `id` — the one
-    /// parameter `determinized_eq` lets differ.
+    /// [`NetworkView::loss_prob`] of this network.
     ///
     /// # Panics
     /// Panics if the node is not a LOSS element.
     pub fn loss_prob(&self, id: NodeId) -> f64 {
-        match &self.structure.nodes[id.0].element {
-            ElementParams::Loss(l) => l.p.prob(),
-            other => panic!("{id} is a {}, not a Loss", other.kind_name()),
-        }
+        self.view().loss_prob(id)
     }
 
     /// Put a determinized rollout's private copy in the form it runs in.
@@ -571,7 +762,7 @@ impl Network {
 impl Network {
     /// Current virtual time (the last processed instant).
     pub fn now(&self) -> Time {
-        self.state.now
+        self.view().now()
     }
 
     /// The shared immutable half.
@@ -698,22 +889,6 @@ impl Network {
             "inject while a choice is pending — resolve it first"
         );
         self.state.route(&self.structure, entry, pkt);
-    }
-
-    /// The instantaneous service rate of the topology's first Link
-    /// element at the current instant, in bits/s — the bottleneck-rate
-    /// statistic the belief snapshot channel aggregates across
-    /// hypotheses. NaN when the topology has no link. Pure read: no
-    /// counters, no state change.
-    pub fn first_link_rate_bps(&self) -> f64 {
-        self.structure
-            .nodes
-            .iter()
-            .find_map(|n| match &n.element {
-                ElementParams::Link(lp) => Some(lp.rate.rate_at(self.state.now).as_bps() as f64),
-                _ => None,
-            })
-            .unwrap_or(f64::NAN)
     }
 }
 
@@ -1592,11 +1767,23 @@ mod tests {
             (net, entry)
         };
         let base = path(12_000, 100_000, true).0;
+        // Also the comparison blind to the one LOSS node's rate, whatever
+        // it is: that one tells the certain rates from no others.
+        let check_loss_blind = |other: &Network, equal: bool, what: &str| {
+            let (a, b) = (base.view(), other.view());
+            assert_eq!(a.eq_but_loss_at(b, NodeId(3)), equal, "{what}");
+            assert_eq!(b.eq_but_loss_at(a, NodeId(3)), equal, "{what}");
+            assert!(!a.eq_but_loss_at(b, NodeId(2)) || a == b, "{what}");
+            if equal {
+                assert_eq!(a.key_but_loss_at(NodeId(3)), b.key_but_loss_at(NodeId(3)));
+            }
+        };
         let check = |other: &Network, equivalent: bool, what: &str| {
             assert_eq!(base.determinized_eq(other), equivalent, "{what}");
             assert_eq!(other.determinized_eq(&base), equivalent, "{what}");
             if equivalent {
                 assert_eq!(base.determinized_key(), other.determinized_key(), "{what}");
+                check_loss_blind(other, true, what);
             }
         };
         check(&base.clone(), true, "itself");
@@ -1609,20 +1796,27 @@ mod tests {
             (0.1, 0.2)
         );
 
-        check(&path(12_000, 0, true).0, false, "p = 0 against fractional");
-        check(
-            &path(12_000, 1_000_000, true).0,
-            false,
-            "p = 1 against fractional",
-        );
-        check(&path(14_000, 100_000, true).0, false, "link rate");
-        check(&path(12_000, 200_000, false).0, false, "gate state");
+        for (ppm, what) in [(0, "p = 0"), (1_000_000, "p = 1")] {
+            let certain = path(12_000, ppm, true).0;
+            check(&certain, false, &format!("{what} against fractional"));
+            check_loss_blind(&certain, true, what);
+            assert_eq!(certain.view().loss_rate(NodeId(3)), Ppm::new(ppm));
+        }
+        for (other, what) in [
+            (path(14_000, 100_000, true).0, "link rate"),
+            (path(12_000, 200_000, false).0, "gate state"),
+        ] {
+            check(&other, false, what);
+            check_loss_blind(&other, false, what);
+        }
         let (mut fuller, entry) = path(12_000, 200_000, true);
         fuller.inject(entry, pkt(2));
         check(&fuller, false, "queue contents");
+        check_loss_blind(&fuller, false, "queue contents");
         let (mut later, _) = path(12_000, 200_000, true);
         later.run_until(Time::from_micros(600_000));
         check(&later, false, "now");
+        check_loss_blind(&later, false, "now");
         // The certain rates are classes of their own, not one class.
         assert!(!path(12_000, 0, true)
             .0
@@ -2328,5 +2522,15 @@ mod tests {
             s => panic!("{s:?}"),
         }
         assert_eq!(fingerprint(&net3), NET3_PENDING);
+
+        // Head then tail, split before any node, is the same stream.
+        for net in [&net1, &net2, &net3] {
+            for at in 0..=net.node_count() {
+                let mut h = StableHasher::new();
+                net.view().hash_head(NodeId(at), &mut h);
+                net.view().hash_tail(NodeId(at), &mut h);
+                assert_eq!(h.finish(), fingerprint(net), "split at n{at}");
+            }
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! scalable scheme would use the approximate techniques of Bayesian
 //! inference", §3.2). [`Engine`] is that replaceable part as the sender,
 //! the planner and the scenario runner see it: a weighted set of
-//! [`Hypothesis`] members that can be advanced over a window of
-//! acknowledgments and told about a transmission. [`crate::Belief`] and
+//! [`Member`]s that can be advanced over a window of acknowledgments and
+//! told about a transmission. [`crate::Belief`] and
 //! [`crate::ParticleFilter`] implement it; nothing above this crate names
 //! an engine kind except where it builds one.
 //!
@@ -15,7 +15,7 @@
 //! (`snapshot`).
 
 use crate::exact::BeliefError;
-use crate::hypothesis::{effective_count, Hypothesis};
+use crate::hypothesis::{effective_count, Member};
 use crate::observe::{Observation, ObservationIndex};
 use augur_elements::{ChoiceKind, ChoiceSpec, NodeId};
 use augur_obs::EventKind;
@@ -25,7 +25,7 @@ use std::hash::Hash;
 /// A posterior over network configurations, as its users see it.
 pub trait Engine {
     /// The metadata each member carries (its prior grid point).
-    type Meta;
+    type Meta: Clone;
 
     /// Advance every member to `until`, conditioning on the window's
     /// acknowledgments. Fails when no member is consistent with them.
@@ -34,9 +34,11 @@ pub trait Engine {
     /// Tell the posterior that the sender transmitted `pkt` now.
     fn inject(&mut self, pkt: Packet);
 
-    /// The weighted members: branches or particles. A member of weight
-    /// zero is dead (a particle awaiting resampling) and carries no mass.
-    fn members(&self) -> &[Hypothesis<Self::Meta>];
+    /// The weighted members, branches or particles, in order: views that
+    /// read each member's network in place, never a copy of it. A member of
+    /// weight zero is dead (a particle awaiting resampling) and carries no
+    /// mass.
+    fn members(&self) -> impl ExactSizeIterator<Item = Member<'_, Self::Meta>> + Clone;
 
     /// End of the last advanced window.
     fn now(&self) -> Time;
@@ -48,27 +50,26 @@ pub trait Engine {
     fn own_flow(&self) -> FlowId;
 
     /// Posterior expectation of a numeric statistic.
-    fn expected<F: Fn(&Hypothesis<Self::Meta>) -> f64>(&self, f: F) -> f64 {
-        self.members().iter().map(|h| h.weight * f(h)).sum()
+    fn expected<F: Fn(&Member<'_, Self::Meta>) -> f64>(&self, f: F) -> f64 {
+        self.members().map(|h| h.weight * f(&h)).sum()
     }
 
     /// The maximum-a-posteriori member.
-    fn map_estimate(&self) -> &Hypothesis<Self::Meta> {
+    fn map_estimate(&self) -> Member<'_, Self::Meta> {
         self.members()
-            .iter()
             .max_by(|a, b| a.weight.total_cmp(&b.weight))
             .expect("a posterior is never empty")
     }
 
-    /// Posterior marginal of an arbitrary statistic of the hypothesis.
+    /// Posterior marginal of an arbitrary statistic of the member.
     ///
     /// The return order is deterministic: descending weight, ties broken
     /// by the [`StableHasher`] fingerprint of the key (the keys are only
     /// `Eq + Hash`, not `Ord`), never by `HashMap` iteration order.
-    fn marginal<K: Eq + Hash, F: Fn(&Hypothesis<Self::Meta>) -> K>(&self, f: F) -> Vec<(K, f64)> {
+    fn marginal<K: Eq + Hash, F: Fn(&Member<'_, Self::Meta>) -> K>(&self, f: F) -> Vec<(K, f64)> {
         let mut acc: std::collections::HashMap<K, f64> = std::collections::HashMap::new();
         for h in self.members() {
-            *acc.entry(f(h)).or_insert(0.0) += h.weight;
+            *acc.entry(f(&h)).or_insert(0.0) += h.weight;
         }
         let mut v: Vec<(u64, K, f64)> = acc
             .into_iter()
@@ -80,7 +81,7 @@ pub trait Engine {
 
     /// Effective member count, `1/Σw²`.
     fn effective(&self) -> f64 {
-        effective_count(self.members())
+        effective_count(self.members().map(|h| h.weight))
     }
 }
 
@@ -134,14 +135,18 @@ pub(crate) fn fold(
 /// normalized weights, and the weighted link-rate marginal. Pure reads —
 /// no counters or RNG are touched, so arming snapshots cannot perturb a
 /// run.
-pub(crate) fn snapshot<M>(members: &[Hypothesis<M>], prev: Time, until: Time) {
+pub(crate) fn snapshot<'a, M: 'a>(
+    members: impl Iterator<Item = Member<'a, M>> + Clone,
+    prev: Time,
+    until: Time,
+) {
     if !augur_obs::snapshot_due(prev, until) {
         return;
     }
     let mut live = 0usize;
     let mut entropy_bits = 0.0;
     let mut rate_bps = 0.0;
-    for h in members {
+    for h in members.clone() {
         if h.weight > 0.0 {
             live += 1;
             entropy_bits -= h.weight * h.weight.log2();
@@ -153,7 +158,7 @@ pub(crate) fn snapshot<M>(members: &[Hypothesis<M>], prev: Time, until: Time) {
         EventKind::Snapshot {
             flow: augur_obs::current_flow(),
             branches: live,
-            effective: effective_count(members),
+            effective: effective_count(members.map(|h| h.weight)),
             entropy_bits,
             rate_bps,
         },

@@ -20,15 +20,63 @@
 //! particle filter). Disabling `fold_self_loss` (the ABL-2 ablation)
 //! replays the sender's own packets as explicit forks and must produce
 //! the identical posterior.
+//!
+//! # States and members
+//!
+//! The fold works because a packet lost at the last mile leaves nothing
+//! behind: "the consequences of stochastic loss do not linger". So
+//! hypotheses that differ only in the fold node's loss rate go through the
+//! same network states, and the fold only weights them differently. The
+//! belief therefore keeps two levels (a [`Population`]): the distinct
+//! network *states*, and the *members* standing on them, each with its own
+//! structure (its parameters, the fold-node rate included), meta and
+//! weight. A window runs every state once for all its members.
+//!
+//! **The sharing rule.** Members share a state iff their networks are `==`
+//! but for the probability of the LOSS element at `fold_loss_node` and
+//! none of them has probability 1 there. Every other choice — gate,
+//! EITHER, jitter, ARQ, RED, a LOSS elsewhere, a cross-traffic packet at
+//! the fold node — is then the same choice with the same probability for
+//! every member of the state. States are formed once, from the prior in
+//! [`Belief::new`]; after that they come from descent: each path on which
+//! a state's run ends consistent with the window is a new state, shared by
+//! the members still alive on it. States of different descent that later
+//! converge stay apart (their members still merge in compaction).
+//!
+//! **Why p = 0 joins and p = 1 does not.** A state runs under a structure
+//! with a fractional rate if any member has one, so it stops at the fold
+//! node for every packet. A member with p = 0 would never have stopped
+//! there: for it the packet simply passes. It costs that member nothing
+//! where the state resolves "delivered" (and under injection it follows
+//! only that path, counting no fork); where the fold resolves an own
+//! packet "lost", the member dies, exactly as its own delivery would have
+//! failed the window's acknowledgments. A member with p = 1 drops every
+//! packet at that node without asking, so its queue downstream and its
+//! deliveries differ from its siblings': it stands on a state of its own.
+//!
+//! **Exactness.** Each path of a state's run carries the weight of every
+//! member alive on it, and at each choice a member's weight is multiplied
+//! by its own factor — the member's rate where the choice is the fold
+//! node's, the shared probability elsewhere — and checked where the
+//! member's own run would have checked it. Every member thus performs the
+//! multiplications, in the order, that running its own network alone
+//! performs, and its kills and forks are counted where it would have had
+//! them. The survivors are listed as that per-member run lists them: the
+//! frontier's members in order, each on the paths of its state in the
+//! order the run reached them. Weights, order, [`AdvanceStats`] and the
+//! posterior are those of the per-member engine bit for bit (a
+//! `#[cfg(test)]` reference keeps it).
 
 use crate::engine::{fold, snapshot, Engine};
-use crate::hypothesis::{compact, effective_count, normalize, prune, Hypothesis};
+use crate::hypothesis::{effective_count, Hypothesis, Member, Population, Record};
 use crate::observe::{harvest, Observation, ObservationIndex};
-use augur_elements::{NodeId, Step};
+use augur_elements::{ChoiceKind, ChoiceSpec, Network, NodeId, Step};
 use augur_obs::EventKind;
-use augur_sim::{FlowId, Packet, Time};
+use augur_sim::{FlowId, Packet, Ppm, Time};
 use std::fmt;
 use std::hash::Hash;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Branches lighter than this fraction of the heaviest are dropped at the
 /// end of every window.
@@ -102,16 +150,56 @@ impl fmt::Display for BeliefError {
 
 impl std::error::Error for BeliefError {}
 
-struct Work<M> {
-    h: Hypothesis<M>,
+/// A member alive on a path of its state's run: its index in the frontier,
+/// its loss rate at the fold node, and its weight so far.
+#[derive(Debug, Clone, Copy)]
+struct Alive {
+    member: u32,
+    p: Ppm,
+    weight: f64,
+}
+
+/// A path of one state's run still under way: its network, the window's
+/// acknowledgments it has matched, and the members alive on it — a range
+/// of the window's list of [`Alive`] entries.
+struct Path {
+    net: Network,
     matched: usize,
+    alive: Range<usize>,
+}
+
+/// A path that ended consistent with the window: a new state and the
+/// members alive there.
+struct Leaf {
+    net: Network,
+    alive: Range<usize>,
+}
+
+/// Keep the entries of `range` for which `keep` holds — it may reweight
+/// them — in order, shrinking the range. Returns how many went.
+fn retain(
+    alive: &mut [Alive],
+    range: &mut Range<usize>,
+    mut keep: impl FnMut(&mut Alive) -> bool,
+) -> usize {
+    let mut end = range.start;
+    for j in range.clone() {
+        let mut a = alive[j];
+        if keep(&mut a) {
+            alive[end] = a;
+            end += 1;
+        }
+    }
+    let gone = range.end - end;
+    range.end = end;
+    gone
 }
 
 /// A probability distribution over network configurations, advanced by
 /// sequential Bayes.
 #[derive(Debug, Clone)]
 pub struct Belief<M> {
-    branches: Vec<Hypothesis<M>>,
+    pop: Population<M>,
     /// Node where the sender's packets enter every hypothesis.
     pub entry: NodeId,
     /// The receiver node whose deliveries the sender observes.
@@ -123,10 +211,13 @@ pub struct Belief<M> {
 impl<M: Clone + Eq + Hash> Belief<M> {
     /// Build a belief from prior hypotheses (weights need not be
     /// normalized). All hypotheses must share the same topology ids for
-    /// `entry` and `observed_rx`.
+    /// `entry` and `observed_rx`; the hypotheses differing only in the
+    /// fold node's loss rate are seated on shared states (see the module
+    /// docs).
     ///
     /// # Panics
-    /// Panics if the prior is empty or has non-positive total weight.
+    /// Panics if the prior is empty or has non-positive total weight, or
+    /// if `cfg.fold_loss_node` is not a LOSS element.
     pub fn new(
         prior: Vec<Hypothesis<M>>,
         entry: NodeId,
@@ -134,25 +225,25 @@ impl<M: Clone + Eq + Hash> Belief<M> {
         cfg: BeliefConfig,
     ) -> Belief<M> {
         assert!(!prior.is_empty(), "empty prior");
-        let mut b = Belief {
-            branches: prior,
+        let mut pop = Population::new(prior, cfg.fold_loss_node);
+        pop.normalize();
+        Belief {
+            pop,
             entry,
             observed_rx,
             cfg,
             now: Time::ZERO,
-        };
-        normalize(&mut b.branches);
-        b
+        }
     }
 
     /// Number of branches.
     pub fn branch_count(&self) -> usize {
-        self.branches.len()
+        self.pop.len()
     }
 
     /// Effective branch count, `1/Σw²`.
     pub fn effective_count(&self) -> f64 {
-        effective_count(&self.branches)
+        effective_count(self.pop.members.iter().map(|m| m.weight))
     }
 
     /// The engine configuration.
@@ -165,25 +256,23 @@ impl<M: Clone + Eq + Hash> Belief<M> {
     /// reached before the packet comes to rest) forks branches; the forks
     /// are conditioned at the next [`Belief::advance`].
     pub fn inject(&mut self, pkt: Packet) {
+        self.inject_counted(pkt);
+    }
+
+    /// [`Belief::inject`], returning its forks and kills.
+    fn inject_counted(&mut self, pkt: Packet) -> AdvanceStats {
         let idx = ObservationIndex::new(&[]);
-        let frontier = std::mem::take(&mut self.branches);
-        let mut out = Vec::with_capacity(frontier.len());
-        let mut stack = Vec::new();
         let mut stats = AdvanceStats::default();
         // The replayed hypothetical networks would otherwise emit
         // ground-truth-looking trace events; keep the log about the
         // real network only.
         let _quiet = augur_obs::suppress();
-        for mut h in frontier {
-            h.net.inject(self.entry, pkt);
-            stack.push(Work { h, matched: 0 });
-            self.settle(self.now, &idx, true, &mut stack, &mut out, &mut stats);
-        }
+        self.descend(self.now, &idx, Some(pkt), &mut stats);
         assert!(
-            !out.is_empty(),
+            !self.pop.is_empty(),
             "all branches died during inject — topology delivers instantly?"
         );
-        self.branches = out;
+        stats
     }
 
     /// Advance every branch to `until`, conditioning on the window's
@@ -200,29 +289,19 @@ impl<M: Clone + Eq + Hash> Belief<M> {
         );
         let idx = ObservationIndex::new(obs);
         let mut stats = AdvanceStats::default();
-        let frontier = std::mem::take(&mut self.branches);
-        augur_sim::perf::count_hypothesis_updates(frontier.len() as u64);
-        let mut done = Vec::with_capacity(frontier.len());
-        let mut stack = Vec::new();
+        augur_sim::perf::count_hypothesis_updates(self.pop.len() as u64);
         {
             // Hypothetical replay must not leak trace events.
             let _quiet = augur_obs::suppress();
-            for h in frontier {
-                stack.push(Work { h, matched: 0 });
-                self.settle(until, &idx, false, &mut stack, &mut done, &mut stats);
-            }
+            self.descend(until, &idx, None, &mut stats);
         }
-        if done.is_empty() {
+        if self.pop.is_empty() || self.pop.members.iter().map(|m| m.weight).sum::<f64>() <= 0.0 {
             return Err(BeliefError::Dead { at: until });
         }
-        self.branches = done;
-        if self.branches.iter().map(|h| h.weight).sum::<f64>() <= 0.0 {
-            return Err(BeliefError::Dead { at: until });
-        }
-        stats.compacted = compact(&mut self.branches);
-        stats.pruned = prune(&mut self.branches, self.cfg.max_branches, MIN_REL_WEIGHT);
-        stats.evidence = normalize(&mut self.branches);
-        stats.branches = self.branches.len();
+        stats.compacted = self.pop.compact();
+        stats.pruned = self.pop.prune(self.cfg.max_branches, MIN_REL_WEIGHT);
+        stats.evidence = self.pop.normalize();
+        stats.branches = self.pop.len();
         let prev = self.now;
         self.now = until;
         augur_obs::emit(
@@ -234,79 +313,222 @@ impl<M: Clone + Eq + Hash> Belief<M> {
                 compacted: stats.compacted,
                 pruned: stats.pruned,
                 branches: stats.branches,
+                states: self.pop.state_count(),
             },
         );
-        snapshot(&self.branches, prev, until);
+        snapshot(self.pop.members(), prev, until);
         Ok(stats)
     }
 
-    /// Run the branch on `stack` (and any forks it spawns) to `until`,
-    /// collecting the survivors into `out`. Depth-first; `stack` comes
-    /// back empty, so one allocation serves every branch of a window.
+    /// Run every state to `until` — after injecting `pkt` into it, if
+    /// given — once for all the members standing on it, and replace the
+    /// population with the paths that ended consistent with the window:
+    /// each a new state, its members the ones alive on it.
+    fn descend(
+        &mut self,
+        until: Time,
+        idx: &ObservationIndex,
+        pkt: Option<Packet>,
+        stats: &mut AdvanceStats,
+    ) {
+        let frontier = std::mem::take(&mut self.pop.members);
+        let states = std::mem::take(&mut self.pop.states);
+        // The frontier's members grouped by state, in member order within
+        // each: the first paths' lists of members alive.
+        let mut bounds = vec![0; states.len() + 1];
+        for m in &frontier {
+            bounds[m.state + 1] += 1;
+        }
+        for s in 0..states.len() {
+            bounds[s + 1] += bounds[s];
+        }
+        let mut next = bounds.clone();
+        let mut alive = vec![
+            Alive {
+                member: 0,
+                p: Ppm::ZERO,
+                weight: 0.0,
+            };
+            frontier.len()
+        ];
+        for (i, m) in frontier.iter().enumerate() {
+            alive[next[m.state]] = Alive {
+                member: u32::try_from(i).expect("fewer than 2^32 members"),
+                p: self
+                    .pop
+                    .fold
+                    .map_or(Ppm::ZERO, |f| m.structure.loss_rate(f)),
+                weight: m.weight,
+            };
+            next[m.state] += 1;
+        }
+        let mut stack = Vec::new();
+        let mut leaves = Vec::with_capacity(states.len());
+        let mut leaves_of = Vec::with_capacity(states.len());
+        for (s, mut net) in states.into_iter().enumerate() {
+            let first = leaves.len();
+            if let Some(pkt) = pkt {
+                net.inject(self.entry, pkt);
+            }
+            stack.push(Path {
+                net,
+                matched: 0,
+                alive: bounds[s]..bounds[s + 1],
+            });
+            self.settle(
+                until,
+                idx,
+                pkt.is_some(),
+                &mut stack,
+                &mut alive,
+                &mut leaves,
+                stats,
+            );
+            leaves_of.push(first..leaves.len());
+        }
+        // The survivors as a member-by-member run lists them: the
+        // frontier's members in order, each on the leaves of its state in
+        // the order they were reached.
+        let mut members = Vec::with_capacity(frontier.len());
+        for (i, m) in frontier.into_iter().enumerate() {
+            for l in leaves_of[m.state].clone() {
+                let on: &mut Range<usize> = &mut leaves[l].alive;
+                if on.start < on.end && alive[on.start].member as usize == i {
+                    members.push(Record {
+                        structure: Arc::clone(&m.structure),
+                        meta: m.meta.clone(),
+                        weight: alive[on.start].weight,
+                        state: l,
+                    });
+                    on.start += 1;
+                }
+            }
+        }
+        self.pop.members = members;
+        self.pop.states = leaves.into_iter().map(|l| l.net).collect();
+    }
+
+    /// Run the path on `stack` (and any forks it spawns) to `until`,
+    /// collecting the paths that end consistent with the window into
+    /// `leaves`. Depth-first; `stack` comes back empty, so one allocation
+    /// serves every state of a window. `alive` holds every path's members;
+    /// a fork appends its child's.
+    #[allow(clippy::too_many_arguments)]
     fn settle(
         &self,
         until: Time,
         idx: &ObservationIndex,
         injecting: bool,
-        stack: &mut Vec<Work<M>>,
-        out: &mut Vec<Hypothesis<M>>,
+        stack: &mut Vec<Path>,
+        alive: &mut Vec<Alive>,
+        leaves: &mut Vec<Leaf>,
         stats: &mut AdvanceStats,
     ) {
-        let (last_mile, own_flow) = (self.cfg.fold_loss_node, self.cfg.own_flow);
+        let (last_mile, own_flow) = (self.pop.fold, self.cfg.own_flow);
         let fold_own = self.cfg.fold_self_loss && !injecting;
-        while let Some(mut w) = stack.pop() {
+        while let Some(mut path) = stack.pop() {
             loop {
-                let step = w.h.net.run_until(until);
+                let step = path.net.run_until(until);
                 if !harvest(
-                    &mut w.h.net,
+                    &mut path.net,
                     self.observed_rx,
-                    self.cfg.own_flow,
+                    own_flow,
                     idx,
-                    &mut w.matched,
+                    &mut path.matched,
                 ) {
-                    stats.killed += 1;
+                    stats.killed += path.alive.len();
                     break;
                 }
-                match step {
+                let spec = match step {
                     Step::Idle => {
                         // During injection the window is zero-width and the
                         // matched count is checked by the enclosing advance.
-                        if injecting || w.matched == idx.len() {
-                            out.push(w.h);
+                        if injecting || path.matched == idx.len() {
+                            leaves.push(Leaf {
+                                net: path.net,
+                                alive: path.alive,
+                            });
                         } else {
-                            stats.killed += 1;
+                            stats.killed += path.alive.len();
                         }
                         break;
                     }
-                    Step::Pending(spec) => match fold(&spec, last_mile, own_flow, fold_own, idx) {
-                        Some((option, weight)) => {
-                            w.h.weight *= weight;
-                            if w.h.weight <= 0.0 {
-                                stats.killed += 1;
-                                break;
+                    Step::Pending(spec) => spec,
+                };
+                // The choice as a member meets it: at the fold node with its
+                // own rate. A member with p = 0 there never meets it — the
+                // packet just passes — so it only goes on where the packet
+                // is delivered.
+                let at_fold = spec.kind == ChoiceKind::LossFate && Some(spec.node) == last_mile;
+                let met = |a: &Alive| match at_fold {
+                    true if a.p.is_zero() => None,
+                    true => Some(ChoiceSpec { p1: a.p, ..spec }),
+                    false => Some(spec),
+                };
+                match fold(&spec, last_mile, own_flow, fold_own, idx) {
+                    Some((option, _)) => {
+                        // Each member takes its own factor, and dies where its
+                        // own run would: a weight gone to zero, or (p = 0) an
+                        // own packet the window says was lost.
+                        stats.killed += retain(alive, &mut path.alive, |a| match met(a) {
+                            Some(own) => {
+                                let (_, factor) = fold(&own, last_mile, own_flow, fold_own, idx)
+                                    .expect("a fold at one rate is a fold at every rate");
+                                a.weight *= factor;
+                                a.weight > 0.0
                             }
-                            w.h.net.resolve(option);
+                            None => option == 0,
+                        });
+                        if path.alive.is_empty() {
+                            break;
                         }
-                        None => {
-                            stats.forks += 1;
-                            // Every live option but the last goes to a
-                            // cloned child; the last continues in place.
-                            let mut live = spec.live_options();
-                            let mut o = live.next().expect("a choice has a live option");
-                            for next in live {
-                                let mut child = Work {
-                                    h: w.h.clone(),
-                                    matched: w.matched,
+                        path.net.resolve(option);
+                    }
+                    None => {
+                        stats.forks += path
+                            .alive
+                            .clone()
+                            .filter(|&j| met(&alive[j]).is_some())
+                            .count();
+                        // A member's weight on option `o`'s path, if it goes there.
+                        let on = |a: &Alive, o: usize| match met(a) {
+                            Some(own) => (own.prob(o) > 0.0).then(|| a.weight * own.prob(o)),
+                            None => (o == 0).then_some(a.weight),
+                        };
+                        // Every live option but the last goes to a cloned
+                        // child with its members; the last continues in place.
+                        let mut live = spec.live_options();
+                        let mut o = live.next().expect("a choice has a live option");
+                        for next in live {
+                            let from = alive.len();
+                            for j in path.alive.clone() {
+                                if let Some(weight) = on(&alive[j], o) {
+                                    alive.push(Alive { weight, ..alive[j] });
+                                }
+                            }
+                            if alive.len() > from {
+                                let mut child = Path {
+                                    net: path.net.clone(),
+                                    matched: path.matched,
+                                    alive: from..alive.len(),
                                 };
-                                child.h.weight *= spec.prob(o);
-                                child.h.net.resolve(o);
+                                child.net.resolve(o);
                                 stack.push(child);
-                                o = next;
                             }
-                            w.h.weight *= spec.prob(o);
-                            w.h.net.resolve(o);
+                            o = next;
                         }
-                    },
+                        retain(alive, &mut path.alive, |a| match on(a, o) {
+                            Some(weight) => {
+                                a.weight = weight;
+                                true
+                            }
+                            None => false,
+                        });
+                        if path.alive.is_empty() {
+                            break;
+                        }
+                        path.net.resolve(o);
+                    }
                 }
             }
         }
@@ -324,8 +546,8 @@ impl<M: Clone + Eq + Hash> Engine for Belief<M> {
         Belief::inject(self, pkt);
     }
 
-    fn members(&self) -> &[Hypothesis<M>] {
-        &self.branches
+    fn members(&self) -> impl ExactSizeIterator<Item = Member<'_, M>> + Clone {
+        self.pop.members()
     }
 
     fn now(&self) -> Time {
@@ -338,5 +560,445 @@ impl<M: Clone + Eq + Hash> Engine for Belief<M> {
 
     fn own_flow(&self) -> FlowId {
         self.cfg.own_flow
+    }
+}
+
+/// The exact engine as it was before members shared states, kept as the
+/// naive reference core: every member owns its network and is run, forked
+/// and hashed on its own, and compaction hashes whole networks into a
+/// merge map.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::hypothesis::tests::reference_compact;
+
+    struct Work<M> {
+        h: Hypothesis<M>,
+        matched: usize,
+    }
+
+    pub struct Belief<M> {
+        pub branches: Vec<Hypothesis<M>>,
+        entry: NodeId,
+        observed_rx: NodeId,
+        cfg: BeliefConfig,
+        now: Time,
+    }
+
+    impl<M: Clone + Eq + Hash> Belief<M> {
+        pub fn new(
+            prior: Vec<Hypothesis<M>>,
+            entry: NodeId,
+            observed_rx: NodeId,
+            cfg: BeliefConfig,
+        ) -> Belief<M> {
+            let mut b = Belief {
+                branches: prior,
+                entry,
+                observed_rx,
+                cfg,
+                now: Time::ZERO,
+            };
+            normalize(&mut b.branches);
+            b
+        }
+
+        pub fn inject(&mut self, pkt: Packet) -> AdvanceStats {
+            let idx = ObservationIndex::new(&[]);
+            let frontier = std::mem::take(&mut self.branches);
+            let mut out = Vec::with_capacity(frontier.len());
+            let mut stack = Vec::new();
+            let mut stats = AdvanceStats::default();
+            for mut h in frontier {
+                h.net.inject(self.entry, pkt);
+                stack.push(Work { h, matched: 0 });
+                self.settle(self.now, &idx, true, &mut stack, &mut out, &mut stats);
+            }
+            assert!(!out.is_empty(), "all branches died during inject");
+            self.branches = out;
+            stats
+        }
+
+        pub fn advance(
+            &mut self,
+            until: Time,
+            obs: &[Observation],
+        ) -> Result<AdvanceStats, BeliefError> {
+            let idx = ObservationIndex::new(obs);
+            let mut stats = AdvanceStats::default();
+            let frontier = std::mem::take(&mut self.branches);
+            let mut done = Vec::with_capacity(frontier.len());
+            let mut stack = Vec::new();
+            for h in frontier {
+                stack.push(Work { h, matched: 0 });
+                self.settle(until, &idx, false, &mut stack, &mut done, &mut stats);
+            }
+            if done.is_empty() {
+                return Err(BeliefError::Dead { at: until });
+            }
+            self.branches = done;
+            if self.branches.iter().map(|h| h.weight).sum::<f64>() <= 0.0 {
+                return Err(BeliefError::Dead { at: until });
+            }
+            stats.compacted = reference_compact(&mut self.branches);
+            stats.pruned = prune(&mut self.branches, self.cfg.max_branches, MIN_REL_WEIGHT);
+            stats.evidence = normalize(&mut self.branches);
+            stats.branches = self.branches.len();
+            self.now = until;
+            Ok(stats)
+        }
+
+        fn settle(
+            &self,
+            until: Time,
+            idx: &ObservationIndex,
+            injecting: bool,
+            stack: &mut Vec<Work<M>>,
+            out: &mut Vec<Hypothesis<M>>,
+            stats: &mut AdvanceStats,
+        ) {
+            let (last_mile, own_flow) = (self.cfg.fold_loss_node, self.cfg.own_flow);
+            let fold_own = self.cfg.fold_self_loss && !injecting;
+            while let Some(mut w) = stack.pop() {
+                loop {
+                    let step = w.h.net.run_until(until);
+                    if !harvest(
+                        &mut w.h.net,
+                        self.observed_rx,
+                        own_flow,
+                        idx,
+                        &mut w.matched,
+                    ) {
+                        stats.killed += 1;
+                        break;
+                    }
+                    match step {
+                        Step::Idle => {
+                            if injecting || w.matched == idx.len() {
+                                out.push(w.h);
+                            } else {
+                                stats.killed += 1;
+                            }
+                            break;
+                        }
+                        Step::Pending(spec) => {
+                            match fold(&spec, last_mile, own_flow, fold_own, idx) {
+                                Some((option, weight)) => {
+                                    w.h.weight *= weight;
+                                    if w.h.weight <= 0.0 {
+                                        stats.killed += 1;
+                                        break;
+                                    }
+                                    w.h.net.resolve(option);
+                                }
+                                None => {
+                                    stats.forks += 1;
+                                    let mut live = spec.live_options();
+                                    let mut o = live.next().expect("a choice has a live option");
+                                    for next in live {
+                                        let mut child = Work {
+                                            h: w.h.clone(),
+                                            matched: w.matched,
+                                        };
+                                        child.h.weight *= spec.prob(o);
+                                        child.h.net.resolve(o);
+                                        stack.push(child);
+                                        o = next;
+                                    }
+                                    w.h.weight *= spec.prob(o);
+                                    w.h.net.resolve(o);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn normalize<M>(branches: &mut [Hypothesis<M>]) -> f64 {
+        let total: f64 = branches.iter().map(|h| h.weight).sum();
+        assert!(total > 0.0 && total.is_finite(), "cannot normalize");
+        for h in branches.iter_mut() {
+            h.weight /= total;
+        }
+        total
+    }
+
+    fn prune<M>(branches: &mut Vec<Hypothesis<M>>, max: usize, min_rel: f64) -> usize {
+        let before = branches.len();
+        branches.sort_by(|a, b| b.weight.total_cmp(&a.weight));
+        let floor = branches[0].weight * min_rel;
+        branches.retain(|h| h.weight >= floor);
+        branches.truncate(max);
+        before - branches.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hypothesis::tests::{assert_same_members, checked_hashes};
+    use augur_elements::{
+        build_model, DropReason, GateSpec, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
+    };
+    use augur_sim::{BitRate, Bits, Dur, SimRng};
+
+    /// A Figure-2 hypothesis whose meta is its parameters and a twin tag.
+    fn hyp(params: ModelParams, twin: u32, weight: f64) -> Hypothesis<(ModelParams, u32)> {
+        Hypothesis {
+            net: build_model(params).net,
+            meta: (params, twin),
+            weight,
+        }
+    }
+
+    fn config(fold_loss_node: Option<NodeId>, fold_self_loss: bool) -> BeliefConfig {
+        BeliefConfig {
+            max_branches: 160,
+            fold_loss_node,
+            fold_self_loss,
+            ..BeliefConfig::default()
+        }
+    }
+
+    fn params(link_bps: u64, loss: Ppm, fill: u64, mtts_s: u64, on: bool) -> ModelParams {
+        ModelParams {
+            link_rate: BitRate::from_bps(link_bps),
+            cross_rate: BitRate::from_bps(link_bps * 6 / 10),
+            gate: GateSpec::Intermittent {
+                mtts: Dur::from_secs(mtts_s),
+                epoch: Dur::from_secs(1),
+                initially_connected: on,
+            },
+            loss,
+            buffer_capacity: Bits::new(48_000),
+            initial_fullness: Bits::new(fill),
+            packet_size: Bits::new(12_000),
+            cross_active: true,
+        }
+    }
+
+    #[test]
+    fn shared_states_follow_the_sharing_rule() {
+        let rate = |p: f64| Ppm::from_prob(p);
+        let at = |p: f64| params(12_000, rate(p), 12_000, 100, true);
+        let fold = Some(FIG2_LOSS);
+        // (first, second, fold node, one state?)
+        let table = [
+            (at(0.1), at(0.2), fold, true, "two fractional rates"),
+            (
+                at(0.0),
+                at(0.1),
+                fold,
+                true,
+                "p = 0 joins a fractional sibling",
+            ),
+            (at(0.0), at(0.0), fold, true, "meta-only twins at p = 0"),
+            (at(0.1), at(0.1), fold, true, "meta-only twins"),
+            (
+                at(0.1),
+                at(1.0),
+                fold,
+                false,
+                "p = 1 against a fractional rate",
+            ),
+            (at(0.0), at(1.0), fold, false, "p = 1 against p = 0"),
+            (
+                at(1.0),
+                at(1.0),
+                fold,
+                false,
+                "p = 1 never shares, not even with a twin",
+            ),
+            (
+                at(0.1),
+                params(14_000, rate(0.2), 12_000, 100, true),
+                fold,
+                false,
+                "another link rate",
+            ),
+            (
+                at(0.1),
+                params(12_000, rate(0.2), 24_000, 100, true),
+                fold,
+                false,
+                "another queue",
+            ),
+            (
+                at(0.1),
+                at(0.2),
+                None,
+                false,
+                "no fold node: the rates tell apart",
+            ),
+            (
+                at(0.1),
+                at(0.1),
+                None,
+                true,
+                "no fold node: meta-only twins",
+            ),
+        ];
+        for (a, b, fold, shared, what) in table {
+            for (first, second) in [(a, b), (b, a)] {
+                let belief = Belief::new(
+                    vec![hyp(first, 0, 1.0), hyp(second, 1, 1.0)],
+                    FIG2_ENTRY,
+                    FIG2_RX_SELF,
+                    config(fold, true),
+                );
+                assert_eq!(belief.branch_count(), 2, "{what}");
+                assert_eq!(
+                    belief.pop.state_count(),
+                    if shared { 1 } else { 2 },
+                    "{what}"
+                );
+                // A shared state runs with a fractional rate if a member
+                // has one, so it stops wherever any member would.
+                let fractional = |p: Ppm| !p.is_zero() && !p.is_one();
+                if shared && (fractional(first.loss) || fractional(second.loss)) {
+                    let state = &belief.pop.states[0];
+                    assert!(fractional(state.view().loss_rate(FIG2_LOSS)), "{what}");
+                }
+                // Each member reads its own rate off its own structure.
+                let rates: Vec<Ppm> = belief
+                    .members()
+                    .map(|m| m.net.loss_rate(FIG2_LOSS))
+                    .collect();
+                assert_eq!(rates, [first.loss, second.loss], "{what}");
+            }
+        }
+    }
+
+    /// A generated prior: two configurations, each under loss rates drawn
+    /// from {0, fractional, 1}, with `meta`-only twins, weights near a
+    /// total of one, and one member of the smallest positive weight, which
+    /// its first fork or fold takes to zero while its siblings live on.
+    fn generated_prior(rng: &mut SimRng) -> Vec<Hypothesis<(ModelParams, u32)>> {
+        let rates = [0, 50_000, 100_000, 200_000, 350_000, 1_000_000].map(Ppm::new);
+        let mut prior = Vec::new();
+        for _ in 0..2 {
+            let link_bps = 1_000 * rng.uniform_u64(10, 14);
+            let fill = 12_000 * rng.uniform_u64(0, 2);
+            let (mtts, on) = (rng.uniform_u64(2, 5), rng.uniform_u64(0, 3) > 0);
+            for &p in &rates {
+                if rng.uniform_u64(0, 3) == 0 {
+                    continue;
+                }
+                let params = params(link_bps, p, fill, mtts, on);
+                prior.push(hyp(params, 0, 0.5 + rng.uniform_f64()));
+                if rng.uniform_u64(0, 3) == 0 {
+                    prior.push(hyp(params, 1, 0.5 + rng.uniform_f64()));
+                }
+            }
+        }
+        let total: f64 = prior.iter().map(|h| h.weight).sum();
+        for h in &mut prior {
+            h.weight /= total;
+        }
+        let tiny = rng.uniform_u64(0, prior.len() as u64 - 1) as usize;
+        prior[tiny].weight = f64::from_bits(1);
+        prior
+    }
+
+    #[test]
+    fn shared_states_match_the_per_member_reference() {
+        // Generated runs with the fold (own packets folded or forked) and
+        // without it: after every advance and every injection the
+        // shared-state belief must hold the reference's members in its
+        // order with the bits of its weights, and report its statistics.
+        let (mut shared_windows, mut own_losses, mut killed) = (0, 0, 0);
+        for case in 0..24 {
+            let seed = SimRng::derive_seed(0x5A4ED, case);
+            let mut rng = SimRng::seed_from_u64(seed);
+            let prior = generated_prior(&mut rng);
+            let cfg = match case % 3 {
+                0 => config(Some(FIG2_LOSS), true),
+                1 => config(Some(FIG2_LOSS), false),
+                _ => config(None, true),
+            };
+            // The truth is a fractional-rate member of the prior, so own
+            // packets are lost and the belief lives.
+            let truth_params = prior
+                .iter()
+                .map(|h| h.meta.0)
+                .find(|p| !p.loss.is_zero() && !p.loss.is_one())
+                .unwrap_or(prior[0].meta.0);
+            let mut truth = build_model(truth_params).net;
+            let mut reference =
+                reference::Belief::new(prior.clone(), FIG2_ENTRY, FIG2_RX_SELF, cfg.clone());
+            let mut belief = Belief::new(prior, FIG2_ENTRY, FIG2_RX_SELF, cfg);
+            let what = |t: Time| format!("seed {seed:#x} at {t}");
+            let mut seq = 0;
+            for s in 1..=rng.uniform_u64(6, 10) {
+                let t = Time::from_secs(s);
+                truth.run_until_sampled(t, &mut rng);
+                let acks: Vec<Observation> = (truth.take_deliveries().into_iter())
+                    .filter(|(node, d)| *node == FIG2_RX_SELF && d.packet.flow == FlowId::SELF)
+                    .map(|(_, d)| Observation {
+                        seq: d.packet.seq,
+                        at: d.at,
+                    })
+                    .collect();
+                own_losses += (truth.take_drops().iter())
+                    .filter(|d| d.reason == DropReason::Stochastic && d.packet.flow == FlowId::SELF)
+                    .count();
+                let (got, want) = (belief.advance(t, &acks), reference.advance(t, &acks));
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        assert_same_stats(&got, &want, &what(t));
+                        killed += want.killed;
+                    }
+                    (got, want) => {
+                        assert_eq!(got.err(), want.err(), "{}", what(t));
+                        break;
+                    }
+                }
+                let members: Vec<_> = belief.members().map(|m| m.to_hypothesis()).collect();
+                assert_same_members(&members, &reference.branches, &what(t));
+                checked_hashes(&belief.pop);
+                shared_windows += usize::from(belief.pop.state_count() < belief.branch_count());
+                for _ in 0..rng.uniform_u64(0, 2) {
+                    let pkt = Packet::new(FlowId::SELF, seq, Bits::new(12_000), t);
+                    seq += 1;
+                    truth.inject(FIG2_ENTRY, pkt);
+                    truth.run_until_sampled(t, &mut rng);
+                    let got = belief.inject_counted(pkt);
+                    let want = reference.inject(pkt);
+                    assert_same_stats(&got, &want, &what(t));
+                    let members: Vec<_> = belief.members().map(|m| m.to_hypothesis()).collect();
+                    assert_same_members(&members, &reference.branches, &what(t));
+                }
+            }
+        }
+        assert!(shared_windows > 0, "no state was ever shared");
+        assert!(own_losses > 0, "the truth never lost a packet of ours");
+        assert!(killed > 0, "no member was ever killed");
+    }
+
+    fn assert_same_stats(got: &AdvanceStats, want: &AdvanceStats, what: &str) {
+        assert_eq!(
+            (
+                got.forks,
+                got.killed,
+                got.compacted,
+                got.pruned,
+                got.branches
+            ),
+            (
+                want.forks,
+                want.killed,
+                want.compacted,
+                want.pruned,
+                want.branches
+            ),
+            "{what}: forks, killed, compacted, pruned, branches"
+        );
+        assert_eq!(
+            got.evidence.to_bits(),
+            want.evidence.to_bits(),
+            "{what}: evidence"
+        );
     }
 }

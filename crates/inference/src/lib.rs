@@ -19,7 +19,9 @@
 //!   engine can stand behind them; what both engines do alike (the
 //!   last-mile loss fold, the posterior snapshot) is stated there once.
 //!
-//! Both engines share the hypothesis representation ([`hypothesis`]).
+//! Both engines hand out their members as the same views, and take their
+//! priors as the same hypotheses ([`hypothesis`]); the exact engine stores
+//! its members over shared network states there.
 
 pub mod engine;
 pub mod exact;
@@ -30,7 +32,7 @@ pub mod prior;
 
 pub use engine::Engine;
 pub use exact::{AdvanceStats, Belief, BeliefConfig, BeliefError};
-pub use hypothesis::{compact, effective_count, normalize, prune, Hypothesis};
+pub use hypothesis::{effective_count, Hypothesis, Member, Population};
 pub use observe::{harvest, Observation, ObservationIndex};
 pub use particle::{ParticleConfig, ParticleFilter};
 pub use prior::ModelPrior;

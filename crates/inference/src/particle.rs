@@ -16,7 +16,7 @@
 
 use crate::engine::{fold, snapshot, Engine};
 use crate::exact::BeliefError;
-use crate::hypothesis::{effective_count, Hypothesis};
+use crate::hypothesis::{effective_count, Hypothesis, Member};
 use crate::observe::{harvest, Observation, ObservationIndex};
 use augur_elements::{NodeId, Step};
 use augur_obs::EventKind;
@@ -205,7 +205,7 @@ impl<M: Clone> Engine for ParticleFilter<M> {
         for p in &mut self.particles {
             p.weight /= total;
         }
-        let ess = effective_count(&self.particles);
+        let ess = effective_count(self.particles.iter().map(|p| p.weight));
         let prev = self.now;
         self.now = until;
         if ess < RESAMPLE_FRAC * self.cfg.n_particles as f64 {
@@ -213,7 +213,7 @@ impl<M: Clone> Engine for ParticleFilter<M> {
             let flow = augur_obs::current_flow();
             augur_obs::emit(until, EventKind::Resample { flow, ess, killed });
         }
-        snapshot(&self.particles, prev, until);
+        snapshot(self.members(), prev, until);
         Ok(())
     }
 
@@ -243,8 +243,8 @@ impl<M: Clone> Engine for ParticleFilter<M> {
         }
     }
 
-    fn members(&self) -> &[Hypothesis<M>] {
-        &self.particles
+    fn members(&self) -> impl ExactSizeIterator<Item = Member<'_, M>> + Clone {
+        self.particles.iter().map(Hypothesis::member)
     }
 
     fn now(&self) -> Time {

@@ -1,14 +1,16 @@
 //! One `compact()` call's heap traffic must not scale with the belief: it
-//! sorts two vectors of index tuples and swaps the hypotheses into place,
-//! so it allocates those two vectors and nothing per branch.
+//! hashes each state's shared head into one vector of hashers, sorts two
+//! vectors of index tuples, swaps the members into place and renumbers the
+//! states they stand on, so it allocates those four vectors and nothing
+//! per member.
 //!
 //! This test binary installs a counting global allocator (the library
 //! crates forbid `unsafe`; an integration test is its own crate). The
 //! counter is per thread, so the harness's other threads cannot disturb
 //! it.
 
-use augur_elements::{build_model, ModelParams};
-use augur_inference::{compact, Hypothesis, ModelPrior};
+use augur_elements::{build_model, ModelParams, FIG2_LOSS};
+use augur_inference::{Hypothesis, ModelPrior, Population};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -47,11 +49,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// `n` hypotheses over the small prior's eight networks, every `(net,
-/// meta)` present twice and far from its twin, on three distinct weights.
+/// `n` members over the small prior's eight networks (four states: its two
+/// loss rates share one each), every `(net, meta)` present twice and far
+/// from its twin, on three distinct weights.
 fn allocations_of_one_compact(n: usize) -> u64 {
     let grid = ModelPrior::small().grid();
-    let mut branches: Vec<Hypothesis<(ModelParams, usize)>> = (0..n)
+    let branches: Vec<Hypothesis<(ModelParams, usize)>> = (0..n)
         .map(|i| {
             let params = grid[i % grid.len()];
             Hypothesis {
@@ -61,10 +64,12 @@ fn allocations_of_one_compact(n: usize) -> u64 {
             }
         })
         .collect();
+    let mut members = Population::new(branches, Some(FIG2_LOSS));
+    assert_eq!(members.state_count(), 4);
     let before = ALLOCATIONS.with(Cell::get);
-    let eliminated = compact(&mut branches);
+    let eliminated = members.compact();
     let allocations = ALLOCATIONS.with(Cell::get) - before;
-    assert_eq!((eliminated, branches.len()), (n / 2, n / 2));
+    assert_eq!((eliminated, members.len()), (n / 2, n / 2));
     allocations
 }
 
@@ -73,8 +78,10 @@ fn compact_allocations_do_not_scale_with_branches() {
     let base = allocations_of_one_compact(16);
     assert!(base > 0, "the counting allocator is not installed");
     // The hash-index pairs and the survivor list, whatever the size: not
-    // a copy of the hypotheses, no merge map, no sort buffer.
-    assert_eq!(base, 2);
+    // a copy of the members, no merge map, no sort buffer. Sharing states
+    // added two: the per-state head hashers, and the state renumbering
+    // that drops the states no survivor stands on.
+    assert_eq!(base, 2 + 2);
     assert_eq!(allocations_of_one_compact(400), base);
     assert_eq!(allocations_of_one_compact(6_000), base);
 }

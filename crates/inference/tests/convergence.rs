@@ -15,8 +15,8 @@ use augur_elements::{
     build_model, GateSpec, ModelNet, ModelParams, Step, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
 };
 use augur_inference::{
-    normalize, prune, Belief, BeliefConfig, BeliefError, Engine, Hypothesis, ModelPrior,
-    Observation, ParticleConfig, ParticleFilter,
+    Belief, BeliefConfig, BeliefError, Engine, Hypothesis, ModelPrior, Observation, ParticleConfig,
+    ParticleFilter, Population,
 };
 use augur_sim::{BitRate, Bits, Dur, FlowId, Packet, Ppm, SimRng, Time};
 use std::cell::Cell;
@@ -390,7 +390,7 @@ fn weights_sum_to_one_after_every_advance() {
         let mut belief = ModelPrior::small().belief(BeliefConfig::default());
         let truth = lossy_or_clean_truth(rng);
         generated_run(rng, truth, &mut belief, |belief, t| {
-            let total: f64 = belief.members().iter().map(|h| h.weight).sum();
+            let total: f64 = belief.members().map(|h| h.weight).sum();
             assert!((total - 1.0).abs() < 1e-9, "weights sum to {total} at {t}");
         })
         .expect("truth is inside the prior");
@@ -504,7 +504,7 @@ fn prune_keeps_the_heaviest_and_normalize_restores_a_distribution() {
         let weights: Vec<f64> = (0..rng.uniform_u64(2, 49))
             .map(|_| 1e-12 + rng.uniform_f64() * (1.0 - 1e-12))
             .collect();
-        let mut branches: Vec<Hypothesis<usize>> = weights
+        let branches: Vec<Hypothesis<usize>> = weights
             .iter()
             .enumerate()
             .map(|(meta, &weight)| Hypothesis {
@@ -513,16 +513,19 @@ fn prune_keeps_the_heaviest_and_normalize_restores_a_distribution() {
                 weight,
             })
             .collect();
+        // One network under every meta: one state.
+        let mut branches = Population::new(branches, Some(FIG2_LOSS));
+        assert_eq!(branches.state_count(), 1);
         let keep = (weights.len() / 2).max(1);
-        assert_eq!(prune(&mut branches, keep, 0.0), weights.len() - keep);
+        assert_eq!(branches.prune(keep, 0.0), weights.len() - keep);
         // Exactly the `keep` heaviest survive.
         let mut sorted = weights.clone();
         sorted.sort_by(|a, b| b.total_cmp(a));
-        let kept: Vec<f64> = branches.iter().map(|h| h.weight).collect();
+        let kept: Vec<f64> = branches.members().map(|h| h.weight).collect();
         assert_eq!(kept, sorted[..keep]);
-        let evidence = normalize(&mut branches);
+        let evidence = branches.normalize();
         assert!((evidence - sorted[..keep].iter().sum::<f64>()).abs() < 1e-12);
-        let total: f64 = branches.iter().map(|h| h.weight).sum();
+        let total: f64 = branches.members().map(|h| h.weight).sum();
         assert!((total - 1.0).abs() < 1e-9, "weights sum to {total}");
     });
 }

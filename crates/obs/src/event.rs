@@ -104,7 +104,8 @@ pub enum EventKind {
         reason: DropKind,
     },
     /// One exact-belief advance window: fork/kill/compact/prune
-    /// accounting and the surviving branch count.
+    /// accounting, the surviving branch count and the distinct network
+    /// states those branches stand on.
     BeliefUpdate {
         /// The flow whose belief advanced.
         flow: FlowId,
@@ -118,6 +119,9 @@ pub enum EventKind {
         pruned: usize,
         /// Surviving branches.
         branches: usize,
+        /// Distinct network states after compaction: branches that differ
+        /// only in the last-mile loss rate share one.
+        states: usize,
     },
     /// The particle filter resampled its population.
     Resample {
@@ -238,10 +242,11 @@ pub fn event_to_json(r: &EventRecord) -> String {
             compacted,
             pruned,
             branches,
+            states,
         } => {
             let _ = write!(
                 out,
-                ",\"flow\":{},\"forks\":{forks},\"killed\":{killed},\"compacted\":{compacted},\"pruned\":{pruned},\"branches\":{branches}",
+                ",\"flow\":{},\"forks\":{forks},\"killed\":{killed},\"compacted\":{compacted},\"pruned\":{pruned},\"branches\":{branches},\"states\":{states}",
                 flow.0
             );
         }
@@ -342,6 +347,18 @@ mod tests {
                 },
             },
             EventRecord {
+                at: Time::from_millis(3),
+                kind: EventKind::BeliefUpdate {
+                    flow: FlowId(0),
+                    forks: 40,
+                    killed: 7,
+                    compacted: 9,
+                    pruned: 2,
+                    branches: 24,
+                    states: 6,
+                },
+            },
+            EventRecord {
                 at: Time::from_millis(4),
                 kind: EventKind::Decision {
                     flow: FlowId(0),
@@ -362,6 +379,7 @@ mod tests {
             "{\"at_us\":1000,\"kind\":\"wake\",\"flow\":0,\"acks\":2,\"sent\":1}\n\
              {\"at_us\":2000,\"kind\":\"drop\",\"node\":3,\"flow\":1,\"seq\":42,\"reason\":\"buffer-full\"}\n\
              {\"at_us\":3000,\"kind\":\"snapshot\",\"flow\":0,\"branches\":12,\"effective\":8.5,\"entropy_bits\":2.25,\"rate_bps\":12000}\n\
+             {\"at_us\":3000,\"kind\":\"belief-update\",\"flow\":0,\"forks\":40,\"killed\":7,\"compacted\":9,\"pruned\":2,\"branches\":24,\"states\":6}\n\
              {\"at_us\":4000,\"kind\":\"decision\",\"flow\":0,\"action\":\"sleep\",\"eu\":1.5,\"idle_eu\":1.25,\"send_now_eu\":-0.5,\"members\":12,\"groups\":5,\"forks_run\":30,\"forks_idle\":4,\"forks_shared\":11}\n"
         );
     }

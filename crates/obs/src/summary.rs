@@ -28,6 +28,11 @@ pub struct FlowTally {
     pub drops: u64,
     /// `belief-update` events attributed to this flow.
     pub belief_updates: u64,
+    /// Surviving branches summed over those events.
+    pub branches: u64,
+    /// Distinct network states summed over those events (zero in logs
+    /// written before the field existed).
+    pub states: u64,
     /// `resample` events attributed to this flow.
     pub resamples: u64,
 }
@@ -108,7 +113,12 @@ pub fn scan(objects: &[Object]) -> LogStats {
                     reason: obj.str("reason").unwrap_or("?").to_string(),
                 });
             }
-            "belief-update" => stats.per_flow.entry(flow).or_default().belief_updates += 1,
+            "belief-update" => {
+                let tally = stats.per_flow.entry(flow).or_default();
+                tally.belief_updates += 1;
+                tally.branches += u(obj, "branches");
+                tally.states += u(obj, "states");
+            }
             "resample" => stats.per_flow.entry(flow).or_default().resamples += 1,
             "snapshot" => {
                 stats
@@ -138,7 +148,9 @@ fn f3(v: f64) -> String {
 }
 
 /// The `summary` rendering: kind counts, a per-flow table, and the
-/// per-flow drop timeline.
+/// per-flow drop timeline. The table's `mem/state` is the exact belief's
+/// branches per distinct network state over all its updates (`-` where
+/// the log records no states).
 pub fn summary_text(stats: &LogStats) -> String {
     let mut out = String::new();
     let total: u64 = stats.by_kind.values().sum();
@@ -148,12 +160,17 @@ pub fn summary_text(stats: &LogStats) -> String {
     }
     let _ = writeln!(
         out,
-        "flow   wakes    acks    sent  deliver enqueue    drop  belief resample"
+        "flow   wakes    acks    sent  deliver enqueue    drop  belief resample mem/state"
     );
     for (flow, t) in &stats.per_flow {
+        let per_state = if t.states == 0 {
+            "-".to_string()
+        } else {
+            format!("{:.2}", t.branches as f64 / t.states as f64)
+        };
         let _ = writeln!(
             out,
-            "{flow:>4} {:>7} {:>7} {:>7} {:>8} {:>7} {:>7} {:>7} {:>8}",
+            "{flow:>4} {:>7} {:>7} {:>7} {:>8} {:>7} {:>7} {:>7} {:>8} {per_state:>9}",
             t.wakes, t.acks, t.sent, t.delivers, t.enqueues, t.drops, t.belief_updates, t.resamples
         );
     }
@@ -284,6 +301,30 @@ mod tests {
                 },
             },
             EventRecord {
+                at: Time::from_secs(4),
+                kind: EventKind::BeliefUpdate {
+                    flow: FlowId(0),
+                    forks: 10,
+                    killed: 3,
+                    compacted: 2,
+                    pruned: 0,
+                    branches: 12,
+                    states: 4,
+                },
+            },
+            EventRecord {
+                at: Time::from_secs(5),
+                kind: EventKind::BeliefUpdate {
+                    flow: FlowId(0),
+                    forks: 4,
+                    killed: 8,
+                    compacted: 0,
+                    pruned: 0,
+                    branches: 6,
+                    states: 2,
+                },
+            },
+            EventRecord {
                 at: Time::from_secs(10),
                 kind: EventKind::Snapshot {
                     flow: FlowId(0),
@@ -315,6 +356,7 @@ mod tests {
         assert_eq!(stats.by_kind["snapshot"], 2);
         let f0 = &stats.per_flow[&0];
         assert_eq!((f0.wakes, f0.acks, f0.sent, f0.delivers), (1, 2, 3, 1));
+        assert_eq!((f0.belief_updates, f0.branches, f0.states), (2, 18, 6));
         assert_eq!(stats.per_flow[&1].drops, 1);
         assert_eq!(stats.drops.len(), 1);
         assert_eq!(stats.drops[0].reason, "stochastic");
@@ -333,7 +375,17 @@ mod tests {
     #[test]
     fn renderings_are_deterministic() {
         let stats = scan(&log());
-        assert_eq!(summary_text(&stats), summary_text(&stats));
+        let summary = summary_text(&stats);
+        assert_eq!(summary, summary_text(&stats));
+        // Members per state: 18 branches over 6 states for flow 0; flow 1
+        // holds no belief.
+        let row = |flow: &str| {
+            let row = summary.lines().find(|l| l.trim_start().starts_with(flow));
+            row.and_then(|l| l.split_whitespace().last())
+                .map(str::to_string)
+        };
+        assert_eq!(row("0 ").as_deref(), Some("3.00"));
+        assert_eq!(row("1 ").as_deref(), Some("-"));
         let text = convergence_text(&stats, 1.0);
         assert!(text.contains("time-to-convergence (entropy <= 1 bits): 20.000s"));
         let none = convergence_text(&LogStats::default(), 1.0);

@@ -162,13 +162,13 @@ fn smoke_sweep_counters_are_pinned() {
         (
             0xD9FC_7782_60C8_5538,
             WorkCounters {
-                events_processed: 45_941,
-                packets_forwarded: 66_677,
+                events_processed: 45_645,
+                packets_forwarded: 66_361,
                 hypothesis_updates: 736,
                 particle_resamples: 3,
-                rate_integrations: 28_010,
+                rate_integrations: 27_842,
                 networks_built: 1,
-                state_clones: 6_852,
+                state_clones: 6_764,
                 structures_built: 12,
                 flow_wakes: 19,
             }
@@ -250,13 +250,13 @@ fn fig3_sweep_counters_are_pinned() {
         (
             0xC02A_0666_602D_D12E,
             WorkCounters {
-                events_processed: 86_386,
-                packets_forwarded: 127_067,
+                events_processed: 71_064,
+                packets_forwarded: 111_882,
                 hypothesis_updates: 19_440,
                 particle_resamples: 0,
-                rate_integrations: 44_652,
+                rate_integrations: 42_830,
                 networks_built: 1,
-                state_clones: 27_562,
+                state_clones: 27_520,
                 structures_built: 4_764,
                 flow_wakes: 12,
             }

@@ -146,6 +146,38 @@ impl Hasher for StableHasher {
     }
 }
 
+/// Partition `0..n` into the classes of the equivalence `same`, brought
+/// together by `key`, a hash on which equivalent items agree. The items
+/// are sorted on `(key, index)` and every run of equal keys is split by
+/// `same`, so a collision costs comparisons and never a wrong merge, and
+/// no hash container's order can show through. Returns `(leader, member)`
+/// pairs in ascending order: each class one contiguous run headed by its
+/// leader, its lowest index. Two allocations, whatever `n`.
+pub fn classes(
+    n: usize,
+    key: impl Fn(usize) -> u64,
+    same: impl Fn(usize, usize) -> bool,
+) -> Vec<(usize, usize)> {
+    let mut keyed: Vec<(u64, usize)> = (0..n).map(|i| (key(i), i)).collect();
+    // Unstable sorts only: the pairs are distinct, so the order is total.
+    keyed.sort_unstable();
+    let mut grouped: Vec<(usize, usize)> = Vec::with_capacity(n);
+    // `run` is where the entries of the current key value start.
+    let (mut run, mut run_key) = (0, None);
+    for (k, i) in keyed {
+        if run_key != Some(k) {
+            (run, run_key) = (grouped.len(), Some(k));
+        }
+        let leader = grouped[run..]
+            .iter()
+            .find(|&&(l, m)| l == m && same(l, i))
+            .map_or(i, |&(l, _)| l);
+        grouped.push((leader, i));
+    }
+    grouped.sort_unstable();
+    grouped
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

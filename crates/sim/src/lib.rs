@@ -28,7 +28,7 @@ pub mod time;
 pub mod units;
 
 pub use event::EventQueue;
-pub use hash::StableHasher;
+pub use hash::{classes, StableHasher};
 pub use packet::{Delivery, FlowId, Packet};
 pub use perf::{Stopwatch, WorkCounters};
 pub use rng::SimRng;
