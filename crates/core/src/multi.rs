@@ -9,6 +9,8 @@
 //! over [`crate::FlowDriver`]; see its module docs for the scheduling
 //! and fairness contract (seeded tie-breaks, acknowledgment wakes,
 //! tail accounting to the horizon).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
 
 use crate::driver::{DriverError, FlowDriver, FlowEndpoint, FlowTableError};
 use crate::experiment::RunTrace;
@@ -77,6 +79,7 @@ impl MultiFlowTruth {
 /// routes deliveries back to agents by [`augur_sim::FlowId`], so no
 /// per-flow topology is needed and a delivery costs O(1) routing passes
 /// regardless of N.
+#[expect(clippy::expect_used, reason = "P020: flows >= 1 is asserted at entry")]
 pub fn build_many_flow_bottleneck(
     link: BitRate,
     buffer: Bits,

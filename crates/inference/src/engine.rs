@@ -67,6 +67,12 @@ pub trait Engine {
     /// by the [`StableHasher`] fingerprint of the key (the keys are only
     /// `Eq + Hash`, not `Ord`), never by `HashMap` iteration order.
     fn marginal<K: Eq + Hash, F: Fn(&Member<'_, Self::Meta>) -> K>(&self, f: F) -> Vec<(K, f64)> {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "D003: keys are Eq + Hash, not Ord; drained into a Vec re-sorted by \
+                      (weight desc, StableHasher fingerprint), so iteration order never \
+                      escapes (marginal_order_is_deterministic_under_weight_ties)"
+        )]
         let mut acc: std::collections::HashMap<K, f64> = std::collections::HashMap::new();
         for h in self.members() {
             *acc.entry(f(&h)).or_insert(0.0) += h.weight;

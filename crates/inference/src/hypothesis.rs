@@ -516,6 +516,7 @@ pub(crate) mod tests {
     /// map, then a sort whose comparator hashes both whole hypotheses at
     /// every weight tie. The reference the cached-key order is pinned to,
     /// and the per-member belief reference's compaction.
+    #[expect(clippy::disallowed_types, reason = "D003: its sort fixes the order")]
     pub(crate) fn reference_compact<M: Clone + Eq + Hash>(
         branches: &mut Vec<Hypothesis<M>>,
     ) -> usize {

@@ -7,9 +7,10 @@
 //! (`u32` node ids, [`FlowId`] flows, `u64` sequence numbers) so the
 //! crate stays dependency-free below `augur-sim`.
 //!
-//! `augur-lint` rule C031 keeps this vocabulary honest: every
-//! [`EventKind`] variant must have at least one production emission site
-//! outside `crates/obs`, so dead event kinds cannot accumulate.
+//! The vocabulary stays honest: `event_logs_carry_every_event_family`
+//! (`crates/scenario/tests/observability.rs`) requires every
+//! [`EventKind`] label in the logs of real traced runs, so dead event
+//! kinds cannot accumulate.
 
 use augur_sim::canon::{json_num, json_string};
 use augur_sim::{FlowId, Time};

@@ -25,6 +25,8 @@
 //! together: those live in [`SweepGrid::validate`], which every decoded
 //! grid must pass, and all the decoder adds is the position of the
 //! section or axis a broken rule blames.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
 
 use crate::grid::{rate_point_label, Axis, SweepGrid};
 use crate::spec::{

@@ -7,6 +7,8 @@
 //! via [`SimRng::derive_seed`]. Because the seed is a pure function of
 //! the index, executing the run list serially or across any number of
 //! worker threads yields bit-identical results.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
 
 use crate::spec::{
     Blame, PeerSpec, PriorSpec, QueueSpec, RuleError, ScenarioSpec, SenderSpec, TopologySpec,
@@ -390,6 +392,7 @@ impl SweepGrid {
     pub fn expand(&self) -> Vec<RunSpec> {
         (0..self.len())
             .map(|index| {
+                #[expect(clippy::panic, reason = "P020: the documented # Panics")]
                 let (spec, digits) = self.point(index).unwrap_or_else(|e| panic!("{e}"));
                 let coord = |(axis, &i): (&Axis, &usize)| (axis.name().to_string(), axis.label(i));
                 RunSpec {

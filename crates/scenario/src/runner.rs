@@ -23,8 +23,8 @@
 //!   cellular path runs on [`augur_tcp::TcpRunner`]'s own loop. The same
 //!   endpoint as a [`TcpPeerAgent`] at N=1 through the driver is
 //!   byte-identical but measurably slower and larger on
-//!   `replay-cellular` (ROADMAP item 4), so the private loop stays until
-//!   the element core has a timer index.
+//!   `replay-cellular`, where the driver's per-wake cost dominates, so
+//!   the private loop stays until that cost is measured down.
 //! * **`scripted_ping`** — open loop: sends follow a fixed script and no
 //!   agent decides anything, so there is nothing for the driver to
 //!   schedule; it meters the belief update alone.
@@ -49,7 +49,7 @@ use augur_sim::perf::{self, Stopwatch, WorkCounters};
 use augur_sim::{Bits, Dur, FlowId, Packet, SimRng, Time};
 use augur_tcp::{Cubic, Reno, TcpConfig, TcpEndpoint, TcpTrace};
 use augur_trace::percentile_of_sorted;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -107,8 +107,13 @@ impl RunArtifact {
 /// report bytes are byte-for-byte the same with or without the cache
 /// (`prior_cache_reuses_prototypes` in the scenario tests pins this).
 #[derive(Debug, Clone, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "D003: lookup-only (get/insert by PriorSpec, never iterated); PriorSpec is \
+              Eq + Hash but not Ord (prior_cache_reuses_prototypes)"
+)]
 pub struct PriorCache {
-    map: HashMap<PriorSpec, Arc<Vec<Hypothesis<ModelParams>>>>,
+    map: std::collections::HashMap<PriorSpec, Arc<Vec<Hypothesis<ModelParams>>>>,
 }
 
 impl PriorCache {
@@ -122,8 +127,9 @@ impl PriorCache {
     /// engines will enumerate. Runs whose sender carries no belief over
     /// the scenario prior (TCP senders, coexistence workloads — the
     /// latter derive a dedicated prior from the topology) are skipped.
+    #[expect(clippy::disallowed_types, reason = "D003: fills the lookup-only cache")]
     pub fn for_runs(runs: &[RunSpec]) -> PriorCache {
-        let mut map = HashMap::new();
+        let mut map = std::collections::HashMap::new();
         for run in runs {
             if !uses_scenario_prior(&run.spec) {
                 continue;

@@ -32,6 +32,8 @@
 //! files are reproducible bit-for-bit on any platform
 //! (`sweep --export-traces` rewrites them; tests pin the equality).
 //! Both are authored to loop: the final sample closes the cycle.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
 
 use crate::config::ConfigError;
 use augur_sim::{BitRate, Dur, SimRng};

@@ -46,20 +46,21 @@ fn event_logs_are_byte_identical_across_workers() {
     }
 }
 
+/// Every `EventKind` shows up in real runs; the smoke grid's particle runs resample.
 #[test]
 fn event_logs_carry_every_event_family() {
     let runs = observed_grid().expand();
     let (_, logs) = SweepRunner::serial().run_observed(&runs);
-    let all: String = logs.iter().map(|l| to_jsonl(l)).collect();
-    for kind in [
-        "\"kind\":\"wake\"",
-        "\"kind\":\"deliver\"",
-        "\"kind\":\"enqueue\"",
-        "\"kind\":\"belief-update\"",
-        "\"kind\":\"snapshot\"",
-        "\"kind\":\"decision\"",
-    ] {
-        assert!(all.contains(kind), "no {kind} event in any coexist log");
+    let mut grid = presets::smoke(Dur::from_secs(5), 2);
+    grid.base.observe.trace_events = true;
+    let (_, smoke) = SweepRunner::serial().run_observed(&grid.expand());
+    let all: String = logs.iter().chain(&smoke).map(|l| to_jsonl(l)).collect();
+    let kinds = "wake fire deliver enqueue drop belief-update resample snapshot decision";
+    for kind in kinds.split(' ') {
+        assert!(
+            all.contains(&format!("\"kind\":\"{kind}\"")),
+            "no {kind} event in any coexist or smoke log"
+        );
     }
     // Every log actually carries posterior snapshots once armed.
     for log in &logs {

@@ -12,8 +12,9 @@
 //! sweep also commits the FNV-1a digest of its CSV, so a refactor that
 //! moves a report byte fails here before any shipped-size comparison.
 //!
-//! `augur-lint` C030 requires every `WorkCounters` field to be named in
-//! this file.
+//! Every sweep pin is a full `WorkCounters { … }` literal, so a new field
+//! cannot go unpinned, and the smoke sweep must bump every counter
+//! `WorkCounters::named` lists.
 
 use augur_core::{build_many_flow_bottleneck, run_multi_agent, AimdSender, SenderAgent};
 use augur_elements::{build_model, ModelParams, RateProcess, TraceEnd};
@@ -157,8 +158,12 @@ fn fig3_replicate_grid_enumerates_its_prior_once_shared_and_once_per_run_cold() 
 #[test]
 fn smoke_sweep_counters_are_pinned() {
     let runs = presets::smoke(Dur::from_secs(5), 2).expand();
+    let pin = sweep_pin(&runs);
+    for (name, value) in pin.1.named() {
+        assert!(value > 0, "the smoke sweep never bumps `{name}`");
+    }
     assert_eq!(
-        sweep_pin(&runs),
+        pin,
         (
             0xD9FC_7782_60C8_5538,
             WorkCounters {

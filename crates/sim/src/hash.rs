@@ -182,18 +182,15 @@ pub fn classes(
 mod tests {
     use super::*;
     use crate::SimRng;
-    use std::collections::hash_map::DefaultHasher;
     use std::collections::VecDeque;
 
     /// Both hashers behind one `Hasher`, each write forwarded to the same
     /// method of either.
-    struct Both(StableHasher, DefaultHasher);
+    #[derive(Default)]
+    #[expect(clippy::disallowed_types, reason = "D004: pins StableHasher to std's")]
+    struct Both(StableHasher, std::hash::DefaultHasher);
 
     impl Both {
-        fn new() -> Both {
-            Both(StableHasher::new(), DefaultHasher::new())
-        }
-
         fn assert_agree(&self) {
             assert_eq!(self.0.finish(), self.1.finish());
         }
@@ -241,7 +238,7 @@ mod tests {
         for align in 0..8 {
             for len in 0..=40 {
                 let mut rng = SimRng::derive(0x51B, (align * 41 + len) as u64);
-                let mut h = Both::new();
+                let mut h = Both::default();
                 h.write(&bytes(&mut rng, align));
                 h.write(&bytes(&mut rng, len));
                 h.assert_agree();
@@ -252,7 +249,7 @@ mod tests {
         // Generated mixes of everything the workspace's `Hash` impls write.
         for case in 0..512 {
             let mut rng = SimRng::derive(0x51B13, case);
-            let mut h = Both::new();
+            let mut h = Both::default();
             for _ in 0..rng.uniform_u64(0, 48) {
                 let x = rng.uniform_u64(0, u64::MAX);
                 let len = rng.uniform_u64(0, 40) as usize;

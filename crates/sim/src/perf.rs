@@ -25,6 +25,7 @@
 //! committed constants (`crates/scenario/tests/work_counters.rs`) and
 //! compared exactly between two commits. Wall time ([`Stopwatch`]) is
 //! diagnostic-only and must never flow into deterministic outputs.
+#![expect(clippy::disallowed_types, reason = "D001: the one wall clock")]
 
 use std::cell::Cell;
 use std::ops::AddAssign;
@@ -94,17 +95,29 @@ impl WorkCounters {
     }
 
     /// `(name, value)` pairs in a stable order, for report emission.
+    /// Every field is named, so a new counter cannot be left out.
     pub fn named(&self) -> [(&'static str, u64); 9] {
+        let WorkCounters {
+            events_processed,
+            packets_forwarded,
+            hypothesis_updates,
+            particle_resamples,
+            rate_integrations,
+            networks_built,
+            state_clones,
+            structures_built,
+            flow_wakes,
+        } = *self;
         [
-            ("events_processed", self.events_processed),
-            ("packets_forwarded", self.packets_forwarded),
-            ("hypothesis_updates", self.hypothesis_updates),
-            ("particle_resamples", self.particle_resamples),
-            ("rate_integrations", self.rate_integrations),
-            ("networks_built", self.networks_built),
-            ("state_clones", self.state_clones),
-            ("structures_built", self.structures_built),
-            ("flow_wakes", self.flow_wakes),
+            ("events_processed", events_processed),
+            ("packets_forwarded", packets_forwarded),
+            ("hypothesis_updates", hypothesis_updates),
+            ("particle_resamples", particle_resamples),
+            ("rate_integrations", rate_integrations),
+            ("networks_built", networks_built),
+            ("state_clones", state_clones),
+            ("structures_built", structures_built),
+            ("flow_wakes", flow_wakes),
         ]
     }
 

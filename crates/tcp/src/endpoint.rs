@@ -258,6 +258,7 @@ impl TcpEndpoint {
 /// `HashMap`, retransmitted and out-of-order segments in `BTreeSet`s,
 /// every acknowledged key removed one by one.
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "D003: a lookup-only map")]
 mod reference {
     use super::*;
     use std::collections::{BTreeSet, HashMap};

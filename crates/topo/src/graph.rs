@@ -22,10 +22,12 @@
 //! link-to-link successor relation loops — at compile time with the
 //! closing link named, rather than tripping the runtime
 //! `routing cycle detected` assertion inside the element network.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
 
 use crate::queue::QueueSpec;
 use augur_sim::{BitRate, Bits, Dur, FlowId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use augur_elements::{
@@ -255,15 +257,15 @@ pub fn resolve_routes(topo: &GraphTopology) -> Result<Vec<Vec<usize>>, TopoError
             flows: topo.flows.len(),
         });
     }
-    let mut node_of: HashMap<&str, usize> = HashMap::new();
+    let mut node_of: BTreeMap<&str, usize> = BTreeMap::new();
     for (i, n) in topo.nodes.iter().enumerate() {
         if node_of.insert(n.as_str(), i).is_some() {
             return Err(TopoError::DuplicateNode { node: n.clone() });
         }
     }
 
-    let mut link_names: HashMap<&str, usize> = HashMap::new();
-    let mut link_of_pair: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut link_names: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut link_of_pair: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     // Outgoing links per node, in declaration order (the shortest-path
     // tie-break).
     let mut out: Vec<Vec<usize>> = vec![Vec::new(); topo.nodes.len()];
@@ -301,7 +303,7 @@ pub fn resolve_routes(topo: &GraphTopology) -> Result<Vec<Vec<usize>>, TopoError
         out[from].push(l);
     }
 
-    let mut flow_names: HashMap<&str, usize> = HashMap::new();
+    let mut flow_names: BTreeMap<&str, usize> = BTreeMap::new();
     let mut routes = Vec::with_capacity(topo.flows.len());
     for (fi, flow) in topo.flows.iter().enumerate() {
         if flow_names.insert(flow.name.as_str(), fi).is_some() {
@@ -343,8 +345,8 @@ fn explicit_route(
     topo: &GraphTopology,
     flow: &FlowSpec,
     path: &[String],
-    node_of: &HashMap<&str, usize>,
-    link_of_pair: &HashMap<(usize, usize), usize>,
+    node_of: &BTreeMap<&str, usize>,
+    link_of_pair: &BTreeMap<(usize, usize), usize>,
 ) -> Result<Vec<usize>, TopoError> {
     let first = path.first().map(String::as_str).unwrap_or("");
     if first != flow.src {
@@ -364,7 +366,7 @@ fn explicit_route(
             found: last.to_string(),
         });
     }
-    let mut seen: HashMap<usize, ()> = HashMap::new();
+    let mut seen: BTreeSet<usize> = BTreeSet::new();
     let mut ids = Vec::with_capacity(path.len());
     for node in path {
         let id = *node_of
@@ -373,7 +375,7 @@ fn explicit_route(
                 node: node.clone(),
                 within: format!("path of flow {:?}", flow.name),
             })?;
-        if seen.insert(id, ()).is_some() {
+        if !seen.insert(id) {
             return Err(TopoError::RoutingCycle {
                 flow: flow.name.clone(),
                 node: node.clone(),
@@ -432,6 +434,7 @@ fn shortest_route(
     let mut route = Vec::new();
     let mut at = dst;
     while at != src {
+        #[expect(clippy::expect_used, reason = "P020: dst reached, so it has a parent")]
         let l = parent[at].expect("visited non-source node has a parent link");
         route.push(l);
         at = node_index(topo, &topo.links[l].from);
@@ -441,6 +444,7 @@ fn shortest_route(
 }
 
 /// The declaration index of a node name known to be declared.
+#[expect(clippy::expect_used, reason = "P020: endpoints were validated")]
 fn node_index(topo: &GraphTopology, name: &str) -> usize {
     topo.nodes
         .iter()
@@ -568,6 +572,7 @@ pub fn compile(topo: &GraphTopology) -> Result<CompiledTopo, TopoError> {
 
     // Where flow `fi` goes after link `l`: the next link's buffer, or its
     // receiver when `l` is the route's last hop.
+    #[expect(clippy::expect_used, reason = "P020: l is on the route; pipe built")]
     let target = |fi: usize, l: usize, pipes: &[Option<(NodeId, NodeId)>]| -> NodeId {
         let route = &routes[fi];
         let pos = route
@@ -602,12 +607,14 @@ pub fn compile(topo: &GraphTopology) -> Result<CompiledTopo, TopoError> {
             b.connect(div, target(fi, l, &pipes));
             upstream = div;
         }
+        #[expect(clippy::expect_used, reason = "P020: a chain has >= 2 flows")]
         b.connect_alt(
             upstream,
             target(*on.last().expect("chain is non-empty"), l, &pipes),
         );
     }
 
+    #[expect(clippy::expect_used, reason = "P020: route[0]'s pipe was built")]
     let entries = routes
         .iter()
         .map(|route| pipes[route[0]].expect("first links are built").0)
