@@ -1,7 +1,7 @@
 //! Closed-loop integration tests: the full ISender (belief + planner +
 //! utility) against a sampled ground-truth network. These check the §4
 //! claims on small priors; the full-scale Figure-3 reproduction lives in
-//! `augur-bench`.
+//! `augur-scenario`'s `tests/paper_shapes.rs`.
 
 use augur_core::{run_closed_loop, DiscountedThroughput, GroundTruth, ISender, ISenderConfig};
 use augur_elements::{build_model, GateSpec, ModelParams};

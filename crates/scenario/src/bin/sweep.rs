@@ -31,14 +31,21 @@
 //! byte-identical for any `--workers` value — `--workers 1` is the
 //! reference execution.
 
-use augur_bench::out_dir;
-use augur_scenario::grid::ambient_max_branches;
 use augur_scenario::{load_grid, presets, traces, SweepGrid, SweepRunner};
 use augur_sim::Dur;
 use std::fs;
 use std::io::BufWriter;
 use std::path::PathBuf;
 use std::process::exit;
+
+/// Where sweep CSVs land (override with `AUGUR_OUT`).
+fn out_dir() -> PathBuf {
+    let dir = std::env::var("AUGUR_OUT")
+        .map(PathBuf::from)
+        .unwrap_or_else(|_| PathBuf::from("experiments"));
+    fs::create_dir_all(&dir).expect("create experiment output dir");
+    dir
+}
 
 /// Where the grid comes from.
 enum Source {
@@ -187,11 +194,8 @@ fn apply_overrides(grid: &mut SweepGrid, opts: &Options, label: &str) {
     if let Some(secs) = opts.duration {
         grid.set_duration(Dur::from_secs(secs));
     }
-    // AUGUR_BRANCHES is ambient: an unparsable or zero value is ignored,
-    // and only an explicit --branches on a grid with no branch cap is a
-    // hard authoring error.
-    if let Some(b) = opts.branches.or_else(ambient_max_branches) {
-        if !grid.set_max_branches(b) && opts.branches.is_some() {
+    if let Some(b) = opts.branches {
+        if !grid.set_max_branches(b) {
             eprintln!("{label} does not take --branches (no exact-belief sender in the grid)");
             usage()
         }

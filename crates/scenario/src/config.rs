@@ -1340,6 +1340,7 @@ fn decode_grid(src: &str, source: TraceSource<'_>) -> Result<SweepGrid, ConfigEr
         return Ok(grid);
     };
     match (blame, axis_tables) {
+        (Blame::Scenario, _) => d.bad("scenario", rule),
         (Blame::Topology, _) => d.bad("topology", rule),
         (Blame::Prior, _) => d.bad("prior", rule),
         (Blame::Sender, _) => d.bad("sender", rule),

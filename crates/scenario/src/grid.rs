@@ -235,14 +235,6 @@ pub(crate) fn rate_point_label(rate: &RateProcess) -> String {
     }
 }
 
-/// The ambient `AUGUR_BRANCHES` branch cap for quick runs, for
-/// [`SweepGrid::set_max_branches`]. Unset, unparsable and zero all read
-/// as no cap: a belief with no branches has nothing to normalize.
-pub fn ambient_max_branches() -> Option<usize> {
-    let raw = std::env::var("AUGUR_BRANCHES").ok()?;
-    raw.parse().ok().filter(|&cap: &usize| cap >= 1)
-}
-
 /// One expanded run: a concrete spec, its position in the grid, and its
 /// derived seed.
 #[derive(Debug, Clone)]

@@ -59,8 +59,8 @@ const STREAM_TRUTH: u64 = 0;
 const STREAM_ENGINE: u64 = 1;
 
 /// The time-resolved record a run leaves behind, beyond its summary.
-/// Figure binaries use it for plots and shape checks; summary-only
-/// sweeps drop it as each run completes.
+/// The paper-shape tests check it; summary-only sweeps drop it as each
+/// run completes.
 #[derive(Debug, Clone)]
 pub enum RunArtifact {
     /// The run kind produces no trace (scripted workloads, which
@@ -350,9 +350,9 @@ pub fn execute_run(run: &RunSpec) -> RunSummary {
 /// [`execute_run`] drawing prior hypotheses from `priors` (cache misses
 /// build fresh), additionally returning the run's [`RunArtifact`]:
 /// agent workloads leave the primary flow's [`RunTrace`], TCP runs a
-/// [`TcpTrace`]; scripted workloads summarize inline. Figure binaries
-/// use the artifact for time-resolved plots and shape checks on top of
-/// the summary.
+/// [`TcpTrace`]; scripted workloads summarize inline. The artifact
+/// carries the time-resolved quantities (RTT samples, per-phase send
+/// rates) the summary does not.
 pub fn execute_run_traced_in(run: &RunSpec, priors: &PriorCache) -> (RunSummary, RunArtifact) {
     let (summary, trace, _) = execute_run_observed_in(run, priors);
     (summary, trace)
@@ -433,9 +433,9 @@ fn blank_summary(run: &RunSpec) -> RunSummary {
 }
 
 /// The spec's ground truth wrapped for the closed loop, with the truth
-/// RNG on the run seed's dedicated sub-stream. Public so figure binaries
-/// that need mid-run instrumentation (TAB1's posterior snapshots, TXT1's
-/// belief inspection) can drive the exact network a sweep run would use.
+/// RNG on the run seed's dedicated sub-stream. Public so callers that
+/// read the belief itself (the TAB1 and TXT1 paper-shape tests check the
+/// posterior) can drive the exact network a sweep run would use.
 pub fn spec_ground_truth(spec: &ScenarioSpec, seed: u64) -> GroundTruth {
     let m = spec.build_truth();
     GroundTruth {

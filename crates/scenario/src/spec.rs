@@ -439,8 +439,9 @@ impl ScenarioSpec {
         build_model(*self.topology.model("build_truth"))
     }
 
-    /// Every rule one scenario must satisfy to run — workload × sender ×
-    /// topology compatibility and non-empty belief populations — in one
+    /// Every rule one scenario must satisfy to run — a positive duration,
+    /// workload × sender × topology compatibility and non-empty belief
+    /// populations — in one
     /// place: `Err` carries the rule this scenario breaks and the section
     /// it blames. [`crate::SweepGrid::validate`] applies it to the base
     /// spec and every grid point (the config decoder turns its blame into
@@ -464,6 +465,10 @@ impl ScenarioSpec {
         // The first arm that matches decides: a rule this spec breaks, or
         // a workload × topology pairing with nothing left to break.
         let (blame, rule) = match (&self.workload, &self.topology) {
+            // A run of no time sends nothing and divides by zero seconds.
+            _ if self.duration == Dur::ZERO => {
+                (Blame::Scenario, "`duration_s` must be > 0 seconds".into())
+            }
             _ if no_branches => (Blame::Sender, "`max_branches` must be at least 1".into()),
             _ if no_particles => (Blame::Sender, "`n_particles` must be at least 1".into()),
             _ if no_hypotheses => (
@@ -539,6 +544,8 @@ impl ScenarioSpec {
 /// `file:line:col` points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Blame {
+    /// The `[scenario]` section.
+    Scenario,
     /// The `[topology]` section.
     Topology,
     /// The `[prior]` section.

@@ -249,8 +249,9 @@ count = 2
 fn incompatible_grid_points_are_check_errors_not_run_time_panics() {
     // Each shape is well-formed section by section; the first five used
     // to pass the decoder and fail `ScenarioSpec::check` on an expanded
-    // run, the next four panicked inside `expand()`, and the last two
-    // passed `--check` and panicked or saturated in the run. All are now
+    // run, the next four panicked inside `expand()`, the next two passed
+    // `--check` and panicked or saturated in the run, and the last passed
+    // `--check` and ran for no time, reporting rates over 0 s. All are now
     // `parse_grid` errors: (shipped spec, text to replace, replacement,
     // rule, where the text of the blamed line starts).
     const TCP_RENO: &str = "kind = \"tcp-reno\"\nmax_window = 64";
@@ -336,6 +337,13 @@ fn incompatible_grid_points_are_check_errors_not_run_time_panics() {
             "does not fit in 64-bit microseconds",
             "duration_s = 1e300",
         ),
+        (
+            "smoke",
+            "duration_s = 20.0",
+            "duration_s = 0.0",
+            "`duration_s` must be > 0 seconds",
+            "[scenario]",
+        ),
     ];
     for (spec, from, to, rule, blamed) in cases {
         let text = std::fs::read_to_string(specs_dir().join(format!("{spec}.toml"))).unwrap();
@@ -359,8 +367,11 @@ fn incompatible_grid_points_are_check_errors_not_run_time_panics() {
     // grid, where it used to panic in the first normalize.
     let mut uncapped = presets::by_name("fig3").unwrap();
     assert!(uncapped.set_max_branches(0));
+    let mut instant = presets::by_name("smoke").unwrap();
+    instant.set_duration(augur_sim::Dur::ZERO);
     for (grid, rule, blame) in [
         (uncapped, "`max_branches` must be at least 1", Blame::Sender),
+        (instant, "`duration_s` must be > 0 seconds", Blame::Scenario),
         (
             presets::ext_scaling(vec![101], 0),
             "`n_particles` must be at least 1",

@@ -6,7 +6,8 @@
 //! fixed delay, lossless — the same simplification the paper makes for
 //! the ISender (§3.4) — so the measured RTT is the sum of queueing,
 //! service, ARQ, propagation, and the reverse delay. This reproduces
-//! Figure 1 (see `augur-bench`, `fig1_bufferbloat`).
+//! Figure 1 (the `fig1` preset; its shape is asserted in
+//! `augur-scenario`'s `tests/paper_shapes.rs`).
 //!
 //! [`TcpRunner::over_model`] wires a runner over the built Figure-2
 //! topology, which is how scenario specs dispatch to the TCP baselines.

@@ -1,7 +1,7 @@
 //! Row-record tables — the export surface for sweep reports.
 //!
-//! [`crate::Series`] carries time series; sweeps instead produce one
-//! *record* per run (mixed strings and numbers, fixed columns). A
+//! Sweeps produce one *record* per run (mixed strings and numbers,
+//! fixed columns). A
 //! [`Table`] holds those rows and writes them as CSV or JSON-lines with
 //! deterministic formatting: the same rows always serialize to the same
 //! bytes, which is what lets the scenario subsystem assert that a

@@ -19,23 +19,11 @@ fn main() {
     let mut runner = TcpRunner::new(cell.net, cell.entry, cell.rx, TcpConfig::default(), 1);
     let trace = runner.run(Time::from_secs(120));
 
-    let mut rtt = Series::new("rtt (s)");
-    for (t, r) in &trace.rtt_samples {
-        rtt.push(t.as_secs_f64(), r.as_secs_f64());
-    }
-    println!(
-        "{}",
-        render(
-            &[&rtt],
-            &PlotConfig {
-                title: "TCP RTT over an LTE-like path (log y) — the bufferbloat of Figure 1".into(),
-                log_y: true,
-                ..PlotConfig::default()
-            }
-        )
-    );
-
-    let rtts: Vec<f64> = rtt.values().collect();
+    let rtts: Vec<f64> = trace
+        .rtt_samples
+        .iter()
+        .map(|(_, r)| r.as_secs_f64())
+        .collect();
     let s = augur::trace::summarize(&rtts);
     println!(
         "RTT min {:.3}s / median {:.3}s / max {:.3}s — a {:.0}x blow-up.",

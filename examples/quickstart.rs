@@ -58,19 +58,15 @@ fn main() {
         map.meta.link_rate, map.meta.cross_rate, map.meta.loss, map.meta.buffer_capacity
     );
 
-    // Sequence-number-versus-time, the way Figure 3 plots it.
-    let mut seq = Series::new("sequence number");
-    for (i, (_, t)) in trace.sends.iter().enumerate() {
-        seq.push(t.as_secs_f64(), (i + 1) as f64);
+    // The sending rate over the minute, the slope Figure 3 plots.
+    println!("sends per 10 s:");
+    for start in (0..60).step_by(10) {
+        let (from, to) = (Time::from_secs(start), Time::from_secs(start + 10));
+        let sends = trace
+            .sends
+            .iter()
+            .filter(|(_, t)| *t >= from && *t < to)
+            .count();
+        println!("  {start:>2}-{:<2} s: {sends}", start + 10);
     }
-    println!(
-        "\n{}",
-        render(
-            &[&seq],
-            &PlotConfig {
-                title: "quickstart: sequence number vs time".into(),
-                ..PlotConfig::default()
-            }
-        )
-    );
 }

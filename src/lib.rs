@@ -26,7 +26,8 @@
 //!   experiment harness.
 //! * [`tcp`] — the baseline the paper contrasts with: TCP Reno congestion
 //!   control with Jacobson RTT estimation, over the same element networks.
-//! * [`trace`] — measurement: time series, statistics, CSV, ASCII plots.
+//! * [`trace`] — the sweep report table (deterministic CSV / JSON-lines)
+//!   and summary statistics.
 //! * [`scenario`] — experiments as data: declarative scenario specs,
 //!   cartesian sweep grids, a parallel deterministic sweep runner, and
 //!   CSV/JSONL report export.
@@ -84,5 +85,4 @@ pub mod prelude {
     };
     pub use augur_sim::{BitRate, Bits, Dur, FlowId, Packet, Ppm, SimRng, Time};
     pub use augur_tcp::{TcpConfig, TcpRunner};
-    pub use augur_trace::{render, write_wide, PlotConfig, Series};
 }
