@@ -347,6 +347,7 @@ fn drive(
     let mut pending: Vec<Vec<Observation>> = vec![Vec::new(); n];
     let start = net.now();
     let mut heap = WakeHeap::new(n, start);
+    net.record_events();
 
     // Let the ground truth process its own events at the start instant
     // (pinger emissions, backlog service starts) before any agent's

@@ -50,12 +50,6 @@ pub struct WakeRecord {
 }
 
 impl RunTrace {
-    /// Sent sequence number as a step function of time — Figure 3's
-    /// y-axis.
-    pub fn seq_at(&self, t: Time) -> u64 {
-        self.sends.iter().take_while(|(_, st)| *st <= t).count() as u64
-    }
-
     /// Mean send rate (packets/s) over a window.
     pub fn send_rate(&self, from: Time, to: Time) -> f64 {
         let n = self

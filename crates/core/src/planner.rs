@@ -290,9 +290,6 @@ pub fn decide_weighted<B: Branch>(
     let slots = cfg.delay_grid.len();
     let mut us = vec![0.0; branches.len() * (slots + 1)];
     let mut scratch = RolloutScratch::for_candidates(slots);
-    // Rollouts replay hypothetical networks; their events must never
-    // reach the ground-truth trace log.
-    let _quiet = augur_obs::suppress();
     let packet = Packet::new(own_flow, seq, size, now);
     let discount = |at| utility.delivery_discount(at, now);
     let net_of = |b: usize| branches[b].0.net();
@@ -452,7 +449,6 @@ pub fn rollout(
             "send at {t_act} exceeds rollout end {t_end}"
         );
     }
-    let _quiet = augur_obs::suppress();
     let send = send_at.map(|t_act| (0, t_act));
     let sends = send.as_slice();
     let mut wanted = RolloutReport::default();

@@ -123,12 +123,6 @@ impl ModelParams {
         }
     }
 
-    /// Builder-style override of the bottleneck link speed.
-    pub fn with_link_rate(mut self, link_rate: BitRate) -> ModelParams {
-        self.link_rate = link_rate;
-        self
-    }
-
     /// Builder-style override of the cross-traffic rate (also enables the
     /// cross source).
     pub fn with_cross_rate(mut self, cross_rate: BitRate) -> ModelParams {
@@ -137,21 +131,9 @@ impl ModelParams {
         self
     }
 
-    /// Builder-style override of the cross-traffic gate.
-    pub fn with_gate(mut self, gate: GateSpec) -> ModelParams {
-        self.gate = gate;
-        self
-    }
-
     /// Builder-style override of the last-mile loss rate.
     pub fn with_loss(mut self, loss: Ppm) -> ModelParams {
         self.loss = loss;
-        self
-    }
-
-    /// Builder-style override of the shared buffer capacity.
-    pub fn with_buffer_capacity(mut self, capacity: Bits) -> ModelParams {
-        self.buffer_capacity = capacity;
         self
     }
 

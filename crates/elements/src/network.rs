@@ -59,6 +59,15 @@
 //! * the belief engine clones the network once per live option and
 //!   resolves each clone differently — the paper's "fork".
 //!
+//! # The event log
+//!
+//! Belief members, particles and planner rollouts run through the same
+//! event loop as the real network, but the `augur_obs` event log must
+//! describe the real one only. So only a network marked with
+//! [`Network::record_events`] emits, and every copy starts unmarked. The
+//! three loops that sample a real network mark it: the flow driver's
+//! `drive`, `TcpRunner::run` and the scripted-ping runner.
+//!
 //! # Transient logs
 //!
 //! Deliveries and drops accumulate in logs that are **not** part of the
@@ -185,9 +194,13 @@ struct NetworkState {
     pending: Option<ChoiceSpec>,
     deliveries: Vec<(NodeId, Delivery)>,
     drops: Vec<DropRecord>,
+    /// The ground-truth mark ([`Network::record_events`]): this network's
+    /// events reach the event log. Not part of identity, and never copied.
+    recorded: bool,
 }
 
 impl Clone for NetworkState {
+    /// An unmarked copy.
     fn clone(&self) -> NetworkState {
         NetworkState {
             elements: self.elements.clone(),
@@ -195,11 +208,12 @@ impl Clone for NetworkState {
             pending: self.pending,
             deliveries: self.deliveries.clone(),
             drops: self.drops.clone(),
+            recorded: false,
         }
     }
 
-    /// Refill in place: `Vec::clone_from` overwrites element by element,
-    /// so every queue and log keeps its allocation.
+    /// Refill in place, unmarked: `Vec::clone_from` overwrites element by
+    /// element, so every queue and log keeps its allocation.
     fn clone_from(&mut self, source: &NetworkState) {
         let NetworkState {
             elements,
@@ -207,12 +221,14 @@ impl Clone for NetworkState {
             pending,
             deliveries,
             drops,
+            recorded: _,
         } = source;
         self.elements.clone_from(elements);
         self.now = *now;
         self.pending = *pending;
         self.deliveries.clone_from(deliveries);
         self.drops.clone_from(drops);
+        self.recorded = false;
     }
 }
 
@@ -864,6 +880,14 @@ impl Network {
         self.state.resolve(&self.structure, option)
     }
 
+    /// Mark this network as the ground truth: from now on its `fire`,
+    /// `enqueue`, `deliver` and `drop` events reach the `augur_obs` event
+    /// log. Copies ([`Clone`], [`Network::refill_from`],
+    /// [`NetworkView::to_network`]) are unmarked; identity ignores the mark.
+    pub fn record_events(&mut self) {
+        self.state.recorded = true;
+    }
+
     /// Run to `until`, resolving every choice by sampling with `rng` —
     /// the ground-truth driver.
     pub fn run_until_sampled(&mut self, until: Time, rng: &mut SimRng) {
@@ -928,7 +952,7 @@ impl NetworkState {
                     debug_assert!(t >= self.now, "timer in the past at {nid}");
                     self.now = t;
                     augur_sim::perf::count_event();
-                    augur_obs::emit(t, EventKind::Fire { node: nid.0 as u32 });
+                    self.emit(EventKind::Fire { node: nid.0 as u32 });
                     self.fire(s, nid);
                 }
                 _ => {
@@ -979,14 +1003,11 @@ impl NetworkState {
                 let pkt = p.packet.expect("red fate without packet");
                 if option == 0 {
                     bp.force_enqueue(self.buffer_state_mut(nid), pkt, now);
-                    augur_obs::emit(
-                        now,
-                        EventKind::Enqueue {
-                            node: nid.0 as u32,
-                            flow: pkt.flow,
-                            seq: pkt.seq,
-                        },
-                    );
+                    self.emit(EventKind::Enqueue {
+                        node: nid.0 as u32,
+                        flow: pkt.flow,
+                        seq: pkt.seq,
+                    });
                 } else {
                     self.record_drop(nid, pkt, DropReason::Aqm);
                 }
@@ -995,16 +1016,21 @@ impl NetworkState {
         }
     }
 
+    /// Log `kind` at the current instant if this is the marked ground
+    /// truth; a copy emits nothing.
+    fn emit(&self, kind: EventKind) {
+        if self.recorded {
+            augur_obs::emit(self.now, kind);
+        }
+    }
+
     fn record_drop(&mut self, node: NodeId, packet: Packet, reason: DropReason) {
-        augur_obs::emit(
-            self.now,
-            EventKind::Drop {
-                node: node.0 as u32,
-                flow: packet.flow,
-                seq: packet.seq,
-                reason: reason.obs_kind(),
-            },
-        );
+        self.emit(EventKind::Drop {
+            node: node.0 as u32,
+            flow: packet.flow,
+            seq: packet.seq,
+            reason: reason.obs_kind(),
+        });
         self.drops.push(DropRecord {
             node,
             packet,
@@ -1110,14 +1136,11 @@ impl NetworkState {
             let (next, alt) = (s.nodes[at_node.0].next, s.nodes[at_node.0].alt);
             match &s.nodes[at_node.0].element {
                 ElementParams::Receiver(_) => {
-                    augur_obs::emit(
-                        now,
-                        EventKind::Deliver {
-                            node: at_node.0 as u32,
-                            flow: pkt.flow,
-                            seq: pkt.seq,
-                        },
-                    );
+                    self.emit(EventKind::Deliver {
+                        node: at_node.0 as u32,
+                        flow: pkt.flow,
+                        seq: pkt.seq,
+                    });
                     self.deliveries.push((
                         at_node,
                         Delivery {
@@ -1196,14 +1219,11 @@ impl NetworkState {
                     }
                     match bp.offer(self.buffer_state_mut(at_node), pkt, now) {
                         Admission::Enqueued => {
-                            augur_obs::emit(
-                                now,
-                                EventKind::Enqueue {
-                                    node: at_node.0 as u32,
-                                    flow: pkt.flow,
-                                    seq: pkt.seq,
-                                },
-                            );
+                            self.emit(EventKind::Enqueue {
+                                node: at_node.0 as u32,
+                                flow: pkt.flow,
+                                seq: pkt.seq,
+                            });
                             return;
                         }
                         Admission::TailDrop => {
@@ -1445,6 +1465,7 @@ impl NetworkBuilder {
             pending: None,
             deliveries: Vec::new(),
             drops: Vec::new(),
+            recorded: false,
         };
 
         // Prefills: backlog packets with synthetic sequence numbers.
@@ -2015,6 +2036,42 @@ mod tests {
         b.run_until(Time::from_secs(5));
         assert_eq!(c, b);
         assert_eq!(c.take_deliveries(), b.take_deliveries());
+    }
+
+    #[test]
+    fn only_the_marked_network_emits() {
+        let (mut truth, entry, _) = simple_path(12_000, 12_000);
+        truth.record_events();
+        // A marked target loses its mark when refilled.
+        let (mut refilled, _, _) = simple_path(12_000, 12_000);
+        refilled.record_events();
+        refilled.refill_from(truth.view());
+        let mut copies = [truth.clone(), truth.view().to_network(), refilled];
+
+        augur_obs::start_run(augur_obs::ObsConfig {
+            trace_events: true,
+            snapshot_every: Some(Dur::from_secs(1)),
+        });
+        // One packet into service, one queued, one tail-dropped; both
+        // served ones are delivered.
+        for net in std::iter::once(&mut truth).chain(&mut copies) {
+            for i in 0..3 {
+                net.inject(entry, pkt(i));
+            }
+            net.run_until(Time::from_secs(10));
+        }
+        let events = augur_obs::finish_run();
+        let kinds: Vec<&str> = events.iter().map(|e| e.kind.label()).collect();
+        assert_eq!(
+            kinds,
+            ["enqueue", "drop", "fire", "deliver", "fire", "deliver"],
+            "the truth's records, once"
+        );
+        for copy in &mut copies {
+            assert_eq!(copy.take_deliveries().len(), 2, "copies run all the same");
+            assert!(*copy == truth, "the mark is not part of identity");
+            assert_eq!(fingerprint(copy), fingerprint(&truth));
+        }
     }
 
     #[test]

@@ -263,10 +263,6 @@ impl<M: Clone + Eq + Hash> Belief<M> {
     fn inject_counted(&mut self, pkt: Packet) -> AdvanceStats {
         let idx = ObservationIndex::new(&[]);
         let mut stats = AdvanceStats::default();
-        // The replayed hypothetical networks would otherwise emit
-        // ground-truth-looking trace events; keep the log about the
-        // real network only.
-        let _quiet = augur_obs::suppress();
         self.descend(self.now, &idx, Some(pkt), &mut stats);
         assert!(
             !self.pop.is_empty(),
@@ -290,11 +286,7 @@ impl<M: Clone + Eq + Hash> Belief<M> {
         let idx = ObservationIndex::new(obs);
         let mut stats = AdvanceStats::default();
         augur_sim::perf::count_hypothesis_updates(self.pop.len() as u64);
-        {
-            // Hypothetical replay must not leak trace events.
-            let _quiet = augur_obs::suppress();
-            self.descend(until, &idx, None, &mut stats);
-        }
+        self.descend(until, &idx, None, &mut stats);
         if self.pop.is_empty() || self.pop.members.iter().map(|m| m.weight).sum::<f64>() <= 0.0 {
             return Err(BeliefError::Dead { at: until });
         }

@@ -174,27 +174,23 @@ impl<M: Clone> Engine for ParticleFilter<M> {
         assert!(until >= self.now);
         let idx = ObservationIndex::new(obs);
         let (mut advanced, mut killed) = (0u64, 0usize);
-        {
-            // Sampled replay must not leak trace events.
-            let _quiet = augur_obs::suppress();
-            for p in &mut self.particles {
-                if p.weight <= 0.0 {
-                    continue;
-                }
-                advanced += 1;
-                let ok = Self::settle_one(
-                    p,
-                    until,
-                    &idx,
-                    &self.cfg,
-                    self.observed_rx,
-                    &mut self.rng,
-                    false,
-                );
-                if !ok {
-                    p.weight = 0.0;
-                    killed += 1;
-                }
+        for p in &mut self.particles {
+            if p.weight <= 0.0 {
+                continue;
+            }
+            advanced += 1;
+            let ok = Self::settle_one(
+                p,
+                until,
+                &idx,
+                &self.cfg,
+                self.observed_rx,
+                &mut self.rng,
+                false,
+            );
+            if !ok {
+                p.weight = 0.0;
+                killed += 1;
             }
         }
         augur_sim::perf::count_hypothesis_updates(advanced);
@@ -222,9 +218,6 @@ impl<M: Clone> Engine for ParticleFilter<M> {
     /// alone; resampling replaces them.
     fn inject(&mut self, pkt: Packet) {
         let idx = ObservationIndex::new(&[]);
-        // Sampled trajectories are hypothetical — keep them out of the
-        // ground-truth event log.
-        let _quiet = augur_obs::suppress();
         for p in &mut self.particles {
             if p.weight <= 0.0 {
                 continue;

@@ -24,8 +24,9 @@
 //!   hook, no allocation, no formatting.
 //!
 //! Belief engines replay *hypothetical* networks through the same
-//! simulator code paths that emit ground-truth events; they wrap those
-//! replays in [`sink::suppress`] guards so an event log describes the
+//! simulator code paths that emit ground-truth events. Only the network
+//! a truth loop marks (`Network::record_events` in `augur-elements`)
+//! emits, and copies are never marked, so an event log describes the
 //! one real network, not thousands of imagined ones.
 //!
 //! Artifacts serialize as canonical JSONL through
@@ -39,6 +40,5 @@ pub mod summary;
 
 pub use event::{event_to_json, to_jsonl, DropKind, EventKind, EventRecord};
 pub use sink::{
-    current_flow, emit, emit_snapshot, events_enabled, finish_run, set_flow, snapshot_due,
-    start_run, suppress, ObsConfig, SuppressGuard,
+    current_flow, emit, emit_snapshot, finish_run, set_flow, snapshot_due, start_run, ObsConfig,
 };

@@ -8,12 +8,14 @@
 //! per-run buffers are worker-count independent by construction — the
 //! foundation of the 1-vs-N `--workers` byte-identity contract.
 //!
-//! # Suppression
+//! # Ground truth only
 //!
 //! Belief engines and the planner replay *hypothetical* networks
-//! through the very simulator code that emits ground-truth events. They
-//! hold a [`suppress`] guard (an RAII depth counter) around those
-//! replays, so the log describes one real network only.
+//! through the very simulator code that emits ground-truth events. The
+//! sink does not tell them apart: the network does. Only a network
+//! marked with `Network::record_events` (in `augur-elements`) emits, the
+//! loops that sample a real network mark it, and every copy starts
+//! unmarked — so the log describes one real network only.
 //!
 //! # Flow context
 //!
@@ -49,9 +51,6 @@ struct SinkState {
     events_on: Cell<bool>,
     /// Snapshot cadence in microseconds; 0 disables snapshots.
     cadence_us: Cell<u64>,
-    /// Suppression depth — non-zero while replaying hypothetical
-    /// networks.
-    depth: Cell<u32>,
     /// The flow currently being dispatched (driver-stamped).
     flow: Cell<u16>,
     /// The run's collected events.
@@ -63,7 +62,6 @@ thread_local! {
         SinkState {
             events_on: Cell::new(false),
             cadence_us: Cell::new(0),
-            depth: Cell::new(0),
             flow: Cell::new(0),
             buf: RefCell::new(Vec::new()),
         }
@@ -77,7 +75,6 @@ pub fn start_run(cfg: ObsConfig) {
         s.events_on.set(cfg.trace_events);
         s.cadence_us
             .set(cfg.snapshot_every.map_or(0, Dur::as_micros));
-        s.depth.set(0);
         s.flow.set(0);
         s.buf.borrow_mut().clear();
     });
@@ -89,26 +86,17 @@ pub fn finish_run() -> Vec<EventRecord> {
     SINK.with(|s| {
         s.events_on.set(false);
         s.cadence_us.set(0);
-        s.depth.set(0);
         s.flow.set(0);
         std::mem::take(&mut *s.buf.borrow_mut())
     })
 }
 
-/// Whether full-stream events would currently be recorded. Hooks with
-/// non-trivial argument construction can check this first; plain hooks
-/// just call [`emit`], whose disabled path is the same flag read.
-#[inline]
-pub fn events_enabled() -> bool {
-    SINK.with(|s| s.events_on.get() && s.depth.get() == 0)
-}
-
-/// Record one full-stream event. No-op when the stream is disabled or a
-/// [`suppress`] guard is held. Never touches work counters or RNG.
+/// Record one full-stream event. No-op when the stream is disabled.
+/// Never touches work counters or RNG.
 #[inline]
 pub fn emit(at: Time, kind: EventKind) {
     SINK.with(|s| {
-        if s.events_on.get() && s.depth.get() == 0 {
+        if s.events_on.get() {
             s.buf.borrow_mut().push(EventRecord { at, kind });
         }
     });
@@ -119,7 +107,7 @@ pub fn emit(at: Time, kind: EventKind) {
 #[inline]
 pub fn emit_snapshot(at: Time, kind: EventKind) {
     SINK.with(|s| {
-        if s.cadence_us.get() != 0 && s.depth.get() == 0 {
+        if s.cadence_us.get() != 0 {
             s.buf.borrow_mut().push(EventRecord { at, kind });
         }
     });
@@ -129,13 +117,12 @@ pub fn emit_snapshot(at: Time, kind: EventKind) {
 /// cadence boundary. Advance windows are irregular (event-driven), so a
 /// snapshot fires on the first window that crosses each boundary and is
 /// stamped at the window's end; several boundaries inside one window
-/// coalesce into one snapshot. False when snapshots are disabled or
-/// suppressed.
+/// coalesce into one snapshot. False when snapshots are disabled.
 #[inline]
 pub fn snapshot_due(prev: Time, now: Time) -> bool {
     SINK.with(|s| {
         let c = s.cadence_us.get();
-        c != 0 && s.depth.get() == 0 && now.as_micros() / c > prev.as_micros() / c
+        c != 0 && now.as_micros() / c > prev.as_micros() / c
     })
 }
 
@@ -149,26 +136,6 @@ pub fn set_flow(flow: FlowId) {
 #[inline]
 pub fn current_flow() -> FlowId {
     SINK.with(|s| FlowId(s.flow.get()))
-}
-
-/// Hold to silence all emission on this thread — belief engines wrap
-/// hypothetical-network replays in this. Guards nest.
-#[must_use = "suppression ends when the guard drops"]
-pub struct SuppressGuard {
-    _priv: (),
-}
-
-/// Begin a suppression scope; emission resumes when the returned guard
-/// (and any nested ones) drop.
-pub fn suppress() -> SuppressGuard {
-    SINK.with(|s| s.depth.set(s.depth.get() + 1));
-    SuppressGuard { _priv: () }
-}
-
-impl Drop for SuppressGuard {
-    fn drop(&mut self) {
-        SINK.with(|s| s.depth.set(s.depth.get().saturating_sub(1)));
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +155,6 @@ mod tests {
         emit(Time::ZERO, wake(0));
         emit_snapshot(Time::ZERO, wake(0));
         assert!(finish_run().is_empty());
-        assert!(!events_enabled());
     }
 
     #[test]
@@ -197,7 +163,6 @@ mod tests {
             trace_events: true,
             snapshot_every: None,
         });
-        assert!(events_enabled());
         emit(Time::from_secs(1), wake(3));
         let events = finish_run();
         assert_eq!(events.len(), 1);
@@ -205,26 +170,6 @@ mod tests {
         // The sink is disarmed and empty after finish.
         emit(Time::ZERO, wake(0));
         assert!(finish_run().is_empty());
-    }
-
-    #[test]
-    fn suppression_nests() {
-        start_run(ObsConfig {
-            trace_events: true,
-            snapshot_every: Some(Dur::from_secs(1)),
-        });
-        {
-            let _outer = suppress();
-            emit(Time::ZERO, wake(0));
-            assert!(!snapshot_due(Time::ZERO, Time::from_secs(5)));
-            {
-                let _inner = suppress();
-                emit_snapshot(Time::ZERO, wake(0));
-            }
-            emit(Time::ZERO, wake(0));
-        }
-        emit(Time::from_secs(2), wake(1));
-        assert_eq!(finish_run().len(), 1);
     }
 
     #[test]

@@ -981,6 +981,7 @@ fn scripted_ping_over(
 ) -> RunSummary {
     let spec = &run.spec;
     let mut truth = spec_ground_truth(spec, run.seed);
+    truth.net.record_events();
     let t_end = Time::ZERO + spec.duration;
     let pkt_size = spec.topology.packet_size();
     let mut summary = blank_summary(run);

@@ -296,11 +296,6 @@ pub struct CoexistSpec {
 }
 
 impl CoexistSpec {
-    /// A two-sender run against a single peer — the common §3.5 shape.
-    pub fn with_peer(peer: PeerSpec) -> CoexistSpec {
-        CoexistSpec { peers: vec![peer] }
-    }
-
     /// All peer labels joined into one report token, e.g. `aimd+tcp-reno`.
     pub fn label(&self) -> String {
         self.peers

@@ -148,6 +148,7 @@ impl TcpRunner {
     pub fn run(&mut self, t_end: Time) -> TcpTrace {
         let mut trace = TcpTrace::default();
         let mut now = Time::ZERO;
+        self.net.record_events();
         let pkts = self.ep.poll(now, &mut trace); // initial window fill
         self.inject(pkts, now);
         loop {
