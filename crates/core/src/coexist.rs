@@ -101,8 +101,8 @@ pub struct RestartingSender {
     next_abs_seq: u64,
     /// Number of belief restarts so far.
     pub restarts: usize,
-    /// Absolute send log.
-    pub sends: Vec<(u64, Time)>,
+    /// Packets transmitted so far, across restarts.
+    pub sent: u64,
 }
 
 impl RestartingSender {
@@ -121,7 +121,7 @@ impl RestartingSender {
             base_seq: 0,
             next_abs_seq: 0,
             restarts: 0,
-            sends: Vec::new(),
+            sent: 0,
         }
     }
 
@@ -160,8 +160,8 @@ impl RestartingSender {
                 for pkt in &mut outcome.sent {
                     // Re-base to absolute identifiers for the caller.
                     *pkt = Packet::new(pkt.flow, pkt.seq + self.base_seq, pkt.size, now);
-                    self.sends.push((pkt.seq, now));
                 }
+                self.sent += outcome.sent.len() as u64;
                 self.next_abs_seq = self.inner.next_seq() + self.base_seq;
                 outcome.next_wake += self.t0.since(Time::ZERO);
                 outcome
@@ -213,8 +213,8 @@ pub struct AimdSender {
     last_progress: Time,
     /// Size of every packet transmitted.
     packet_size: Bits,
-    /// Absolute send log.
-    pub sends: Vec<(u64, Time)>,
+    /// Packets transmitted so far, retransmissions included.
+    pub sent: u64,
 }
 
 impl AimdSender {
@@ -228,7 +228,7 @@ impl AimdSender {
             timeout,
             last_progress: Time::ZERO,
             packet_size: Bits::from_bytes(1_500),
-            sends: Vec::new(),
+            sent: 0,
         }
     }
 
@@ -254,9 +254,9 @@ impl AimdSender {
         let mut out = Vec::new();
         while self.next_seq < self.acked + self.window.floor() as u64 {
             out.push(self.next_seq);
-            self.sends.push((self.next_seq, now));
             self.next_seq += 1;
         }
+        self.sent += out.len() as u64;
         out
     }
 }
@@ -367,7 +367,7 @@ mod tests {
         let mut s = restarting_tiny(1.0, 0.0);
         let o1 = s.wake(Time::ZERO, &[]);
         assert!(!o1.sent.is_empty(), "fresh sender should transmit");
-        let sent_before = s.sends.len() as u64;
+        let sent_before = s.sent;
         assert_eq!(s.base_seq(), 0);
         assert_eq!(s.t0(), Time::ZERO);
 

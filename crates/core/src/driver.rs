@@ -3,12 +3,20 @@
 //! many-flow scaling sweeps (N=10 000).
 //!
 //! [`FlowDriver`] owns the co-simulation of N [`SenderAgent`]s against a
-//! sampled ground-truth [`Network`]: per-flow slots (agent, pending
-//! acknowledgments, trace, next wake) plus a wake schedule. The earlier
-//! loops ([`crate::run_multi_agent`], [`crate::run_closed_loop`]) are
-//! thin wrappers over it and produce byte-identical traces — the driver
-//! replays the exact same event, sampling, and tie-break sequence, only
-//! the bookkeeping around it changed from O(N) scans to an indexed heap.
+//! sampled ground-truth [`Network`]: per-flow slots (agent, trace, a
+//! cursor into the trace's acknowledgments, next wake) plus a wake
+//! schedule. The earlier loops ([`crate::run_multi_agent`],
+//! [`crate::run_closed_loop`]) are thin wrappers over it and produce
+//! byte-identical traces — the driver replays the exact same event,
+//! sampling, and tie-break sequence, only the bookkeeping around it
+//! changed from O(N) scans to an indexed heap.
+//!
+//! A slot keeps only what a run's summary reads. No acknowledgment
+//! waits in a queue of its own for the next wake: the cursor marks how
+//! much of [`RunTrace::acks`] the agent has been handed. Buffer overflows
+//! are counted in [`RunTrace::overflow_drops`] under either routing, but
+//! only the single-sender closed loop keeps [`RunTrace::drops`] records
+//! (every flow's drops, for diagnostics); a multi-flow run keeps none.
 //!
 //! # The wake-heap contract
 //!
@@ -23,7 +31,9 @@
 //!   pulls that flow's wake forward to `min(next_wake, d)` — the
 //!   event-driven "ACK wakes the sender early" behavior. Observations
 //!   are batched: every acknowledgment that arrived since the previous
-//!   wake is handed to the next `on_wake` call in one slice.
+//!   wake is handed to the next `on_wake` call in one slice — the
+//!   suffix of the flow's [`RunTrace::acks`] past its cursor, so each
+//!   acknowledgment is stored once.
 //! * **Seeded tie-breaks.** Flows waking at the same instant are
 //!   dispatched in an order drawn from the truth RNG (uniform over the
 //!   standing tied set, ascending by flow index between draws), so no
@@ -51,10 +61,10 @@
 //! per *instant* is dispatching a fully tied instant (e.g. the common
 //! start at t=0, where every flow wakes at once).
 
-use crate::experiment::{GroundTruth, RunTrace, WakeRecord};
+use crate::experiment::{GroundTruth, RunTrace};
 use crate::isender::SenderAgent;
 use crate::multi::MultiFlowTruth;
-use augur_elements::{Network, NodeId};
+use augur_elements::{DropReason, Network, NodeId};
 use augur_inference::{BeliefError, Observation};
 use augur_sim::{perf, Dur, FlowId, Packet, SimRng, Time};
 use std::error::Error;
@@ -144,13 +154,14 @@ impl From<BeliefError> for DriverError {
 enum Routing {
     /// Multi-agent wiring: agent `i` transmits as `FlowId(i)` (packets
     /// are re-stamped on injection), deliveries route to slot
-    /// `flow.0`, drops route to their own flow's trace, foreign flows
-    /// belong to nobody.
+    /// `flow.0`, a buffer overflow is counted on its own flow's trace
+    /// (no drop record is kept), foreign flows belong to nobody.
     PerFlow,
     /// Single-sender accounting (the classic closed loop): the agent
     /// keeps its own wire flow, acknowledgments are its deliveries at
     /// its receiver, cross-traffic deliveries and *all* drops are
-    /// logged to the one trace for diagnostics.
+    /// logged to the one trace for diagnostics, and every buffer
+    /// overflow is counted on it.
     ClosedLoop,
 }
 
@@ -344,7 +355,8 @@ fn drive(
     debug_assert!(n >= 1 && n <= flows.len());
     let own0 = agents[0].own_flow();
     let mut traces: Vec<RunTrace> = vec![RunTrace::default(); n];
-    let mut pending: Vec<Vec<Observation>> = vec![Vec::new(); n];
+    // `traces[i].acks[seen[i]..]` arrived since flow `i`'s last wake.
+    let mut seen: Vec<usize> = vec![0; n];
     let start = net.now();
     let mut heap = WakeHeap::new(n, start);
     net.record_events();
@@ -354,15 +366,7 @@ fn drive(
     // first injection — the beliefs do the same inside their first
     // `advance`, and both sides must agree on same-instant ordering.
     net.run_until_sampled(start, rng);
-    harvest(
-        net,
-        flows,
-        routing,
-        own0,
-        &mut traces,
-        &mut pending,
-        &mut heap,
-    );
+    harvest(net, flows, routing, own0, &mut traces, &mut heap);
 
     loop {
         if heap.tied.is_empty() {
@@ -375,30 +379,14 @@ fn drive(
                 match net.next_event_time() {
                     Some(te) if te <= target => {
                         net.run_until_sampled(te, rng);
-                        harvest(
-                            net,
-                            flows,
-                            routing,
-                            own0,
-                            &mut traces,
-                            &mut pending,
-                            &mut heap,
-                        );
+                        harvest(net, flows, routing, own0, &mut traces, &mut heap);
                         if te >= target {
                             break;
                         }
                     }
                     _ => {
                         net.run_until_sampled(target, rng);
-                        harvest(
-                            net,
-                            flows,
-                            routing,
-                            own0,
-                            &mut traces,
-                            &mut pending,
-                            &mut heap,
-                        );
+                        harvest(net, flows, routing, own0, &mut traces, &mut heap);
                         break;
                     }
                 }
@@ -415,7 +403,7 @@ fn drive(
             if matches!(routing, Routing::ClosedLoop)
                 && t_wake == t_end
                 && t_wake > start
-                && pending[0].is_empty()
+                && seen[0] == traces[0].acks.len()
             {
                 break;
             }
@@ -425,11 +413,11 @@ fn drive(
         let t_wake = heap.t_active.expect("an instant is open");
         let i = heap.draw_tied(rng);
         perf::count_flow_wake();
-        let acks = std::mem::take(&mut pending[i]);
+        let acks = &traces[i].acks[seen[i]..];
         // Stamp the dispatched flow so belief-engine events emitted from
         // inside `on_wake` carry the right attribution.
         augur_obs::set_flow(FlowId(i as u16));
-        let outcome = agents[i].on_wake(t_wake, &acks)?;
+        let outcome = agents[i].on_wake(t_wake, acks)?;
         augur_obs::emit(
             t_wake,
             augur_obs::EventKind::Wake {
@@ -438,13 +426,7 @@ fn drive(
                 sent: outcome.sent.len(),
             },
         );
-        traces[i].wakes.push(WakeRecord {
-            at: t_wake,
-            acks: acks.len(),
-            sent: outcome.sent.len(),
-            branches: agents[i].population(),
-            effective: agents[i].effective_population(),
-        });
+        seen[i] = traces[i].acks.len();
         for pkt in &outcome.sent {
             // The loop owns wire identity in multi-agent runs: agent
             // `i` transmits as `FlowId(i)` no matter what it believes
@@ -464,15 +446,7 @@ fn drive(
         // below may legitimately pull any wake (including agent i's
         // own) back to this instant.
         heap.set_wake(i, outcome.next_wake.max(t_wake + Dur::from_micros(1)));
-        harvest(
-            net,
-            flows,
-            routing,
-            own0,
-            &mut traces,
-            &mut pending,
-            &mut heap,
-        );
+        harvest(net, flows, routing, own0, &mut traces, &mut heap);
     }
 
     // Tail accounting: the advance loop's `min(wake, t_end)` cap ran
@@ -482,8 +456,8 @@ fn drive(
     Ok(traces)
 }
 
-/// Drain ground-truth logs into per-flow traces and pending-ack queues;
-/// a delivery pulls its flow's wake forward to the delivery instant.
+/// Drain ground-truth logs into per-flow traces; a delivery pulls its
+/// flow's wake forward to the delivery instant.
 /// The logs are drained in place, so the network keeps their
 /// allocations for the next event.
 fn harvest(
@@ -492,7 +466,6 @@ fn harvest(
     routing: Routing,
     own0: FlowId,
     traces: &mut [RunTrace],
-    pending: &mut [Vec<Observation>],
     heap: &mut WakeHeap,
 ) {
     let n = traces.len();
@@ -521,24 +494,26 @@ fn harvest(
                 }
             }
         };
-        let obs = Observation {
+        traces[k].acks.push(Observation {
             seq: d.packet.seq,
             at: d.at,
-        };
-        traces[k].acks.push(obs);
+        });
         traces[k].delivered_bits += d.packet.size.as_u64();
-        pending[k].push(obs);
         heap.pull_wake(k, d.at);
     }
     for drop in drops {
-        match routing {
-            Routing::PerFlow => {
-                let k = drop.packet.flow.0 as usize;
-                if k < n {
-                    traces[k].drops.push(drop);
-                }
-            }
-            Routing::ClosedLoop => traces[0].drops.push(drop),
+        let k = match routing {
+            Routing::PerFlow => drop.packet.flow.0 as usize,
+            Routing::ClosedLoop => 0,
+        };
+        let Some(trace) = traces.get_mut(k) else {
+            continue; // backlog / foreign flows belong to nobody
+        };
+        if drop.reason == DropReason::BufferFull {
+            trace.overflow_drops += 1;
+        }
+        if matches!(routing, Routing::ClosedLoop) {
+            trace.drops.push(drop);
         }
     }
 }

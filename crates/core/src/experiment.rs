@@ -14,39 +14,32 @@ use augur_elements::{DropRecord, Network, NodeId};
 use augur_inference::{BeliefError, Observation};
 use augur_sim::{SimRng, Time};
 
-/// A completed run's record.
+/// A completed run's record of one flow, each fact stored once (the
+/// closed loop also logs every flow's drops and the cross traffic on
+/// it). Per-wake facts (acknowledgments handed, packets sent, belief
+/// population) are not kept here; a traced run logs them as `wake`,
+/// `belief-update` and `snapshot` events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunTrace {
     /// Every transmission: (sequence number, send time).
     pub sends: Vec<(u64, Time)>,
-    /// Every acknowledgment: (sequence number, receive time).
+    /// Every acknowledgment: (sequence number, receive time). The driver
+    /// hands each one to the agent once, as part of the slice past the
+    /// flow's cursor at its next wake.
     pub acks: Vec<Observation>,
     /// Total own-flow bits delivered (acknowledged) — per-flow throughput
     /// accounting for multi-sender runs, where packet sizes may differ
     /// between agents.
     pub delivered_bits: u64,
-    /// Ground-truth drops, all flows (buffer overflows, stochastic loss,
-    /// gate closures).
+    /// Ground-truth drops of every flow (buffer overflows, stochastic
+    /// loss, gate closures). Kept by the single-sender closed loop only;
+    /// empty on a multi-flow trace.
     pub drops: Vec<DropRecord>,
+    /// Buffer overflows counted to this trace: every flow's under the
+    /// closed loop, this flow's own in a multi-flow run.
+    pub overflow_drops: u64,
     /// Ground-truth cross-traffic deliveries: (seq, time, bits).
     pub cross_deliveries: Vec<(u64, Time, u64)>,
-    /// Per-wake diagnostics.
-    pub wakes: Vec<WakeRecord>,
-}
-
-/// Diagnostics captured at each sender wake.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WakeRecord {
-    /// Wake time.
-    pub at: Time,
-    /// Acknowledgments processed at this wake.
-    pub acks: usize,
-    /// Packets transmitted at this wake.
-    pub sent: usize,
-    /// Belief branch count after the update.
-    pub branches: usize,
-    /// Effective branch count after the update.
-    pub effective: f64,
 }
 
 impl RunTrace {
@@ -60,7 +53,8 @@ impl RunTrace {
         n as f64 / to.since(from).as_secs_f64()
     }
 
-    /// Buffer overflows recorded at the given node, per flow.
+    /// Buffer overflows recorded at the given node, per flow. Reads
+    /// [`RunTrace::drops`], so it finds none on a multi-flow trace.
     pub fn overflows_at(&self, node: NodeId) -> Vec<&DropRecord> {
         self.drops
             .iter()

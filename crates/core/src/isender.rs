@@ -164,6 +164,10 @@ pub trait SenderAgent {
     fn population(&self) -> usize;
 
     /// Effective population (inverse Simpson index over weights).
+    ///
+    /// No workspace code outside tests calls this: traced runs log the
+    /// effective population in `snapshot` events. It stays because the
+    /// benchmark package's probe agents implement it.
     fn effective_population(&self) -> f64;
 }
 

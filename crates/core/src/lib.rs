@@ -38,7 +38,7 @@ pub mod utility;
 
 pub use coexist::{coexist_belief, AimdSender, BeliefFactory, RestartingSender, UtilityFactory};
 pub use driver::{DriverError, FlowDriver, FlowEndpoint, FlowTableError};
-pub use experiment::{run_closed_loop, GroundTruth, RunTrace, WakeRecord};
+pub use experiment::{run_closed_loop, GroundTruth, RunTrace};
 pub use isender::{ISender, ISenderConfig, ParticleSender, SenderAgent, WakeOutcome};
 pub use multi::{build_many_flow_bottleneck, jain_index, run_multi_agent, MultiFlowTruth};
 pub use planner::{

@@ -539,13 +539,15 @@ enum Truth {
 }
 
 /// Every agent kind a workload can put on a flow, kept concrete so send
-/// and restart counts can be read back after the loop.
+/// and restart counts can be read back after the loop. The large kinds
+/// are boxed, so a many-flow table of AIMD agents is not sized by its
+/// largest variant.
 enum Agent {
-    Exact(ISender<ModelParams>),
-    Particle(ParticleSender<ModelParams>),
-    Restarting(RestartingSender),
+    Exact(Box<ISender<ModelParams>>),
+    Particle(Box<ParticleSender<ModelParams>>),
+    Restarting(Box<RestartingSender>),
     Aimd(AimdSender),
-    Tcp(TcpPeerAgent),
+    Tcp(Box<TcpPeerAgent>),
 }
 
 impl Agent {
@@ -557,17 +559,17 @@ impl Agent {
         restarting: impl FnOnce(f64) -> RestartingSender,
     ) -> Agent {
         let tcp = |max_window: u64, cc: Box<dyn augur_tcp::CongestionControl>| {
-            Agent::Tcp(TcpPeerAgent::new(
+            Agent::Tcp(Box::new(TcpPeerAgent::new(
                 TcpConfig {
                     packet_size,
                     max_window,
                     ..TcpConfig::default()
                 },
                 cc,
-            ))
+            )))
         };
         match *peer {
-            PeerSpec::Isender { alpha } => Agent::Restarting(restarting(alpha)),
+            PeerSpec::Isender { alpha } => Agent::Restarting(Box::new(restarting(alpha))),
             PeerSpec::Aimd { timeout } => {
                 Agent::Aimd(AimdSender::new(timeout).with_packet_size(packet_size))
             }
@@ -578,11 +580,11 @@ impl Agent {
 
     fn as_dyn(&mut self) -> &mut dyn SenderAgent {
         match self {
-            Agent::Exact(s) => s,
-            Agent::Particle(s) => s,
-            Agent::Restarting(s) => s,
+            Agent::Exact(s) => &mut **s,
+            Agent::Particle(s) => &mut **s,
+            Agent::Restarting(s) => &mut **s,
             Agent::Aimd(s) => s,
-            Agent::Tcp(s) => s,
+            Agent::Tcp(s) => &mut **s,
         }
     }
 
@@ -592,8 +594,8 @@ impl Agent {
         match self {
             Agent::Exact(s) => s.sent_log.len() as u64,
             Agent::Particle(s) => s.sent_log.len() as u64,
-            Agent::Restarting(s) => s.sends.len() as u64,
-            Agent::Aimd(s) => s.sends.len() as u64,
+            Agent::Restarting(s) => s.sent,
+            Agent::Aimd(s) => s.sent,
             Agent::Tcp(s) => s.trace.segments_sent,
         }
     }
@@ -635,12 +637,12 @@ fn lower(run: &RunSpec, priors: &PriorCache) -> (Truth, Vec<Agent>, Time) {
                     alpha,
                     latency_penalty,
                     n_particles,
-                } => Agent::Particle(ParticleSender::new(
+                } => Agent::Particle(Box::new(ParticleSender::new(
                     build_filter(spec, *n_particles, run.seed, priors),
                     utility_of(*alpha, *latency_penalty),
                     sender_config(spec),
-                )),
-                _ => Agent::Exact(spec_isender_in(spec, priors)),
+                ))),
+                _ => Agent::Exact(Box::new(spec_isender_in(spec, priors))),
             };
             let truth = Truth::ClosedLoop(spec_ground_truth(spec, run.seed));
             (truth, vec![agent])
@@ -697,7 +699,8 @@ fn lower(run: &RunSpec, priors: &PriorCache) -> (Truth, Vec<Agent>, Time) {
                     sender_config(spec),
                 )
             };
-            let mut agents = vec![Agent::Restarting(restarting(0, alpha, latency_penalty))];
+            let primary = restarting(0, alpha, latency_penalty);
+            let mut agents = vec![Agent::Restarting(Box::new(primary))];
             agents.extend(cx.peers.iter().enumerate().map(|(i, p)| {
                 Agent::from_peer(p, packet_size, |alpha| restarting(i + 1, alpha, 0.0))
             }));
@@ -833,11 +836,7 @@ fn summarize(
         let cross_bits: u64 = primary.cross_deliveries.iter().map(|(_, _, b)| *b).sum();
         summary.utility = summary.goodput_bps + alpha * cross_bits as f64 / dur_s;
     }
-    summary.overflow_drops = traces
-        .iter()
-        .flat_map(|t| t.drops.iter())
-        .filter(|d| d.reason == DropReason::BufferFull)
-        .count() as u64;
+    summary.overflow_drops = traces.iter().map(|t| t.overflow_drops).sum();
     let send_at: BTreeMap<u64, Time> = primary.sends.iter().map(|&(seq, t)| (seq, t)).collect();
     // A retransmitted seq keeps only its latest send time; an ACK of the
     // original copy can predate that retransmit, so such pairs carry no

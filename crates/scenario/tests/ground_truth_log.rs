@@ -10,13 +10,23 @@
 //! 2. Each loop that samples a real network marks it: a short traced run
 //!    of a preset on each loop logs deliveries. A loop that forgot the
 //!    mark would log none and nothing else would notice.
+//! 3. The flow driver's overflow counters agree with the log: in a
+//!    many-flow run each flow's `RunTrace::overflow_drops` is the number
+//!    of its own overflow `drop` records, and in the closed loop it is
+//!    the number of `BufferFull` entries in the trace's drop log.
 
-use augur_core::{DiscountedThroughput, ISender, ISenderConfig, SenderAgent};
-use augur_elements::{build_model, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF};
+use augur_core::{
+    build_many_flow_bottleneck, run_multi_agent, AimdSender, DiscountedThroughput, ISender,
+    ISenderConfig, SenderAgent,
+};
+use augur_elements::{build_model, DropReason, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF};
 use augur_inference::{BeliefConfig, ModelPrior, Observation, ParticleConfig, ParticleFilter};
-use augur_obs::{EventKind, EventRecord, ObsConfig};
-use augur_scenario::{presets, SweepGrid, SweepRunner};
+use augur_obs::{DropKind, EventKind, EventRecord, ObsConfig};
+use augur_scenario::{
+    presets, Axis, PeerSpec, SweepGrid, SweepRunner, TcpPeerAgent, TopologySpec, WorkloadSpec,
+};
 use augur_sim::{Dur, FlowId, SimRng, Time};
+use augur_tcp::{Reno, TcpConfig};
 
 /// Wake `agent` every 250 ms for 20 s against an unmarked network built
 /// from the small prior's first grid point, with the sink armed for events
@@ -129,4 +139,112 @@ fn every_truth_loop_is_marked() {
     assert_truth_delivers("scaling", scaling);
     // The flow driver.
     assert_truth_delivers("smoke", presets::smoke(Dur::from_secs(5), 1));
+}
+
+/// Overflow `drop` records in `log`, per flow, for flows `0..n`.
+fn overflow_records(log: &[EventRecord], n: usize) -> Vec<u64> {
+    let mut per_flow = vec![0; n];
+    for e in log {
+        if let EventKind::Drop {
+            flow,
+            reason: DropKind::BufferFull,
+            ..
+        } = e.kind
+        {
+            if let Some(c) = per_flow.get_mut(flow.0 as usize) {
+                *c += 1;
+            }
+        }
+    }
+    per_flow
+}
+
+#[test]
+fn many_flow_overflow_counts_match_the_drop_records() {
+    const N: usize = 100;
+    let mut grid = presets::ext_scaling_flows(Dur::from_secs(5), 1);
+    grid.axes = vec![Axis::Flows(vec![N])];
+    grid.base.observe.trace_events = true;
+    let runs = grid.expand();
+    assert_eq!(runs.len(), 1);
+    let spec = &runs[0].spec;
+    let (TopologySpec::Model(model), WorkloadSpec::ManyFlows(mf)) =
+        (&spec.topology, &spec.workload)
+    else {
+        panic!("ext-scaling-flows is a many-flow workload over a model topology");
+    };
+
+    // The same population driven by hand, so every flow's trace is kept.
+    let mut truth = build_many_flow_bottleneck(
+        model.link_rate,
+        model.buffer_capacity,
+        model.loss,
+        N,
+        runs[0].seed,
+    );
+    let mut store: Vec<Box<dyn SenderAgent>> = (0..N)
+        .map(|i| -> Box<dyn SenderAgent> {
+            match mf.mix[i % mf.mix.len()] {
+                PeerSpec::Aimd { timeout } => {
+                    Box::new(AimdSender::new(timeout).with_packet_size(model.packet_size))
+                }
+                PeerSpec::TcpReno { max_window } => Box::new(TcpPeerAgent::new(
+                    TcpConfig {
+                        packet_size: model.packet_size,
+                        max_window,
+                        ..TcpConfig::default()
+                    },
+                    Box::<Reno>::default(),
+                )),
+                ref other => panic!("unexpected ext-scaling-flows peer {other:?}"),
+            }
+        })
+        .collect();
+    let mut agents: Vec<&mut dyn SenderAgent> = store
+        .iter_mut()
+        .map(|a| &mut **a as &mut dyn SenderAgent)
+        .collect();
+    augur_obs::start_run(ObsConfig {
+        trace_events: true,
+        snapshot_every: None,
+    });
+    let traces = run_multi_agent(&mut truth, &mut agents, Time::ZERO + spec.duration)
+        .expect("belief-free agents cannot die");
+    let log = augur_obs::finish_run();
+    let counted: Vec<u64> = traces.iter().map(|t| t.overflow_drops).collect();
+    assert_eq!(counted, overflow_records(&log, N));
+    assert!(
+        counted.iter().filter(|&&c| c > 0).count() > 1,
+        "too few flows overflowed to check anything: {counted:?}"
+    );
+    assert!(
+        traces.iter().all(|t| t.drops.is_empty()),
+        "a multi-flow trace keeps no drop records"
+    );
+
+    // The sweep's summary sums the same counters.
+    let (report, logs) = SweepRunner::serial().run_observed(&runs);
+    let logged: u64 = overflow_records(&logs[0], N).iter().sum();
+    assert!(logged > 0);
+    assert_eq!(report.runs[0].overflow_drops, logged);
+}
+
+#[test]
+fn closed_loop_overflow_count_matches_its_drop_log() {
+    let runs = presets::smoke(Dur::from_secs(20), 1).expand();
+    let (_, artifacts) = SweepRunner::serial().run_traced(&runs);
+    let mut checked = 0;
+    for artifact in artifacts {
+        let Some(trace) = artifact.into_closed_loop() else {
+            continue;
+        };
+        let logged = trace
+            .drops
+            .iter()
+            .filter(|d| d.reason == DropReason::BufferFull)
+            .count() as u64;
+        assert_eq!(trace.overflow_drops, logged);
+        checked += logged;
+    }
+    assert!(checked > 0, "no closed-loop run overflowed a buffer");
 }
