@@ -397,7 +397,8 @@ impl SenderAgent for RenoAgent {
             self.ep
                 .on_delivery(Packet::new(flow, o.seq, size, o.at), o.at);
         }
-        let sent = self.ep.poll(now, &mut self.trace);
+        let mut sent = Vec::new();
+        self.ep.poll(now, &mut self.trace, &mut sent);
         let cap = now + Dur::from_secs(2);
         let next_wake = self.ep.next_event_time().map_or(cap, |t| t.min(cap));
         Ok(WakeOutcome {

@@ -787,10 +787,19 @@ impl Network {
     }
 
     /// True iff both networks share the same structure *allocation*
-    /// (i.e. one is a fork of the other, or both were forked from the
-    /// same build).
+    /// (one is a fork of the other, both were forked from the same
+    /// build, or [`Network::share_structure`] found them equal).
     pub fn shares_structure(&self, other: &Network) -> bool {
         Arc::ptr_eq(&self.structure, &other.structure)
+    }
+
+    /// Take `other`'s structure allocation if the two structures are
+    /// equal: a prior whose hypotheses differ only in state keeps one
+    /// structure, and comparing them takes the pointer shortcut.
+    pub fn share_structure(&mut self, other: &Network) {
+        if self.structure == other.structure {
+            self.structure = Arc::clone(&other.structure);
+        }
     }
 
     /// Number of nodes.

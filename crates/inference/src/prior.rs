@@ -131,17 +131,27 @@ impl ModelPrior {
     /// one "network build" in the work counters: the expensive operation
     /// is enumerating a prior, and sweeps that share prototypes (the
     /// runner's `PriorCache`) do it once per *distinct prior*.
+    ///
+    /// Hypotheses with equal structures share one allocation. The grid
+    /// varies the initial state (fullness, gate) innermost, so an equal
+    /// structure is always the previous hypothesis's.
     pub fn hypotheses(&self) -> Vec<Hypothesis<ModelParams>> {
         augur_sim::perf::count_network_build();
         let grid = self.grid();
         let w = 1.0 / grid.len() as f64;
-        grid.into_iter()
-            .map(|params| Hypothesis {
-                net: build_model(params).net,
+        let mut hyps: Vec<Hypothesis<ModelParams>> = Vec::with_capacity(grid.len());
+        for params in grid {
+            let mut net = build_model(params).net;
+            if let Some(prev) = hyps.last() {
+                net.share_structure(&prev.net);
+            }
+            hyps.push(Hypothesis {
+                net,
                 meta: params,
                 weight: w,
-            })
-            .collect()
+            });
+        }
+        hyps
     }
 
     /// Build a ready-to-run belief: hypotheses enumerated, entry/receiver
@@ -158,6 +168,7 @@ impl ModelPrior {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use augur_elements::Network;
 
     #[test]
     fn paper_grid_matches_table() {
@@ -186,6 +197,27 @@ mod tests {
         assert_eq!(hyps.len(), 8);
         for h in &hyps {
             assert!((h.weight - 1.0 / 8.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn paper_hypotheses_share_equal_structures() {
+        // 7 rates × 4 cross fractions × 5 losses × 4 buffer caps: the
+        // fullness a grid point adds is state, not structure.
+        let hyps = ModelPrior::paper().hypotheses();
+        let mut distinct: Vec<&Network> = Vec::new();
+        for h in &hyps {
+            if !distinct.iter().any(|d| d.shares_structure(&h.net)) {
+                distinct.push(&h.net);
+            }
+        }
+        assert_eq!(distinct.len(), 7 * 4 * 5 * 4);
+        // No two distinct allocations hold equal structures, so every
+        // pair of hypotheses with equal structures is `ptr_eq`.
+        for (i, a) in distinct.iter().enumerate() {
+            for b in &distinct[i + 1..] {
+                assert_ne!(a.structure(), b.structure());
+            }
         }
     }
 

@@ -69,7 +69,8 @@ pub enum RunArtifact {
     /// An agent workload's full [`RunTrace`] (for coexistence and
     /// many-flow runs, the primary flow's).
     ClosedLoop(RunTrace),
-    /// A TCP run's [`TcpTrace`] (RTT samples, goodput curve, drops).
+    /// A TCP run's [`TcpTrace`] (RTT samples, received bits, segment
+    /// and drop counts).
     Tcp(TcpTrace),
 }
 
@@ -922,21 +923,13 @@ fn closed_loop_tcp(run: &RunSpec) -> (RunSummary, TcpTrace) {
 fn summarize_tcp(summary: &mut RunSummary, trace: &TcpTrace, spec: &ScenarioSpec) {
     let dur_s = spec.duration.as_secs_f64();
     let pkt_bits = spec.topology.packet_size().as_f64();
-    let received_bits = trace.goodput.last().map_or(0, |(_, bits)| *bits);
+    let received_bits = trace.received_bits;
     summary.sends = trace.segments_sent;
     summary.delivered = (received_bits as f64 / pkt_bits) as u64;
     summary.throughput_pps = summary.delivered as f64 / dur_s;
     summary.goodput_bps = received_bits as f64 / dur_s;
-    summary.overflow_drops = trace
-        .drops
-        .iter()
-        .filter(|d| d.reason == DropReason::BufferFull)
-        .count() as u64;
-    let mut rtts: Vec<f64> = trace
-        .rtt_samples
-        .iter()
-        .map(|(_, r)| r.as_secs_f64())
-        .collect();
+    summary.overflow_drops = trace.overflow_drops;
+    let mut rtts: Vec<f64> = trace.rtt_samples.iter().map(|r| r.as_secs_f64()).collect();
     rtts.sort_by(|a, b| a.total_cmp(b));
     set_delay_percentiles(summary, &rtts);
 }
@@ -1088,7 +1081,8 @@ impl SenderAgent for TcpPeerAgent {
             self.ep
                 .on_delivery(Packet::new(flow, o.seq, size, o.at), o.at);
         }
-        let sent = self.ep.poll(now, &mut self.trace);
+        let mut sent = Vec::new();
+        self.ep.poll(now, &mut self.trace, &mut sent);
         let next_wake = self
             .ep
             .next_event_time()

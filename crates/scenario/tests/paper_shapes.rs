@@ -7,7 +7,7 @@
 //! and work counts, never a clock: timing belongs to `benchmark/`.
 
 use augur_core::{run_closed_loop, RunTrace};
-use augur_elements::{DropReason, ModelParams};
+use augur_elements::ModelParams;
 use augur_inference::Engine;
 use augur_scenario::{
     presets, spec_ground_truth, spec_isender, Axis, RunArtifact, RunSpec, RunStatus, RunSummary,
@@ -22,11 +22,7 @@ const LINK_PPS: f64 = 1.0;
 
 /// Summary of a TCP run's RTT samples, in seconds.
 fn rtt_summary(trace: &TcpTrace) -> Summary {
-    let rtts: Vec<f64> = trace
-        .rtt_samples
-        .iter()
-        .map(|(_, r)| r.as_secs_f64())
-        .collect();
+    let rtts: Vec<f64> = trace.rtt_samples.iter().map(|r| r.as_secs_f64()).collect();
     summarize(&rtts)
 }
 
@@ -50,7 +46,7 @@ fn fig1_tcp_rtt_blows_up_over_a_deep_cellular_buffer() {
         .and_then(RunArtifact::into_tcp)
         .expect("cellular TCP runs produce a TcpTrace");
     let Summary { min, max, .. } = rtt_summary(&trace);
-    let (blowup, drops) = (trace.rtt_blowup(), trace.drops.len());
+    let (blowup, drops) = (trace.rtt_blowup(), trace.drops);
 
     assert!(
         min < 0.2,
@@ -65,10 +61,7 @@ fn fig1_tcp_rtt_blows_up_over_a_deep_cellular_buffer() {
         "RTT blow-up ratio >= 30x (paper: ~100x): max/min = {blowup:.0}x"
     );
     assert!(
-        trace
-            .drops
-            .iter()
-            .all(|d| d.reason == DropReason::BufferFull),
+        drops == trace.overflow_drops,
         "loss fully hidden by link-layer ARQ: {drops} drops, not all buffer overflows"
     );
 }

@@ -10,7 +10,8 @@ use augur_sim::{Dur, Time};
 pub trait CongestionControl {
     /// Whole-packet window currently allowed in flight.
     fn window(&self) -> u64;
-    /// The fractional congestion window (for tracing).
+    /// The fractional congestion window (diagnostics: the endpoint paces
+    /// by [`CongestionControl::window`] and keeps no cwnd series).
     fn cwnd(&self) -> f64;
     /// True while in fast recovery.
     fn in_recovery(&self) -> bool;

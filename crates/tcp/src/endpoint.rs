@@ -13,8 +13,9 @@
 //!   bottleneck with other senders instead of owning it.
 //!
 //! The endpoint never draws randomness and never touches a `Network`:
-//! transmissions accumulate in an outbox that [`TcpEndpoint::poll`]
-//! drains, and the caller decides how to inject them.
+//! [`TcpEndpoint::poll`] appends its transmissions to a packet buffer the
+//! caller owns, and the caller decides how to inject them. A caller that
+//! empties and reuses one buffer allocates nothing per packet.
 
 use crate::cc::CongestionControl;
 use crate::reno::RenoSignal;
@@ -54,9 +55,6 @@ pub struct TcpEndpoint {
     // Reverse path: cumulative-ACK events (ack number = next expected).
     acks: EventQueue<u64>,
     last_ack_seen: u64,
-
-    // Packets emitted since the last poll, in transmission order.
-    outbox: Vec<Packet>,
 }
 
 impl TcpEndpoint {
@@ -78,7 +76,6 @@ impl TcpEndpoint {
             received_bits: 0,
             acks: EventQueue::new(),
             last_ack_seen: 0,
-            outbox: Vec::new(),
         }
     }
 
@@ -129,18 +126,17 @@ impl TcpEndpoint {
     }
 
     /// Process everything due at `now` — ACK arrivals, the retransmission
-    /// timeout, window refill — and return the packets to inject, in
-    /// order.
-    pub fn poll(&mut self, now: Time, trace: &mut TcpTrace) -> Vec<Packet> {
+    /// timeout, window refill — and append the packets to inject to
+    /// `out`, in transmission order.
+    pub fn poll(&mut self, now: Time, trace: &mut TcpTrace, out: &mut Vec<Packet>) {
         while self.acks.peek_time().is_some_and(|t| t <= now) {
             let (_, ack) = self.acks.pop().unwrap();
-            self.sender_on_ack(ack, now, trace);
+            self.sender_on_ack(ack, now, trace, out);
         }
         if self.rto_deadline.is_some_and(|t| t <= now) {
-            self.on_timeout(now, trace);
+            self.on_timeout(now, trace, out);
         }
-        self.fill_window(now, trace);
-        std::mem::take(&mut self.outbox)
+        self.fill_window(now, trace, out);
     }
 
     fn flight(&self) -> u64 {
@@ -149,7 +145,7 @@ impl TcpEndpoint {
         self.next_seq.saturating_sub(self.snd_una)
     }
 
-    fn fill_window(&mut self, now: Time, trace: &mut TcpTrace) {
+    fn fill_window(&mut self, now: Time, trace: &mut TcpTrace, out: &mut Vec<Packet>) {
         let window = self.cc.window().min(self.cfg.max_window);
         while self.flight() < window {
             let seq = self.next_seq;
@@ -157,13 +153,19 @@ impl TcpEndpoint {
             // After a timeout the send pointer rewinds (go-back-N), so a
             // "new" send may be a retransmission of an old sequence.
             let is_retx = seq < self.high_water;
-            self.transmit(seq, now, is_retx, trace);
+            self.transmit(seq, now, is_retx, trace, out);
         }
     }
 
-    fn transmit(&mut self, seq: u64, now: Time, is_retx: bool, trace: &mut TcpTrace) {
-        self.outbox
-            .push(Packet::new(self.cfg.flow, seq, self.cfg.packet_size, now));
+    fn transmit(
+        &mut self,
+        seq: u64,
+        now: Time,
+        is_retx: bool,
+        trace: &mut TcpTrace,
+        out: &mut Vec<Packet>,
+    ) {
+        out.push(Packet::new(self.cfg.flow, seq, self.cfg.packet_size, now));
         trace.segments_sent += 1;
         if is_retx {
             trace.retransmissions += 1;
@@ -194,7 +196,7 @@ impl TcpEndpoint {
             .saturating_mul(1u64 << self.rto_backoff.min(6))
     }
 
-    fn sender_on_ack(&mut self, ack: u64, now: Time, trace: &mut TcpTrace) {
+    fn sender_on_ack(&mut self, ack: u64, now: Time, trace: &mut TcpTrace, out: &mut Vec<Packet>) {
         if ack > self.snd_una {
             let newly = ack - self.snd_una;
             // RTT sample from the *first* newly-acked segment — the one
@@ -206,7 +208,7 @@ impl TcpEndpoint {
                 if let Some(srtt) = self.rtt.srtt() {
                     self.cc.observe_rtt(srtt);
                 }
-                trace.rtt_samples.push((now, rtt));
+                trace.rtt_samples.push(rtt);
             }
             let acked = (newly as usize).min(self.segments.len());
             self.segments.drain(..acked);
@@ -217,7 +219,7 @@ impl TcpEndpoint {
             if was_in_recovery && ack < self.recover {
                 // NewReno partial ACK: the next hole is at the new
                 // snd_una — retransmit it immediately, stay in recovery.
-                self.transmit(self.snd_una, now, true, trace);
+                self.transmit(self.snd_una, now, true, trace, out);
             } else {
                 self.cc.on_new_ack(newly, now);
             }
@@ -226,19 +228,18 @@ impl TcpEndpoint {
             } else {
                 None
             };
-            trace.goodput.push((now, self.received_bits));
+            trace.received_bits = self.received_bits;
         } else if ack == self.last_ack_seen
             && self.flight() > 0
             && self.cc.on_dup_ack(now) == RenoSignal::FastRetransmit
         {
             self.recover = self.next_seq;
-            self.transmit(self.snd_una, now, true, trace);
+            self.transmit(self.snd_una, now, true, trace, out);
         }
         self.last_ack_seen = ack;
-        trace.cwnd_samples.push((now, self.cc.cwnd()));
     }
 
-    fn on_timeout(&mut self, now: Time, trace: &mut TcpTrace) {
+    fn on_timeout(&mut self, now: Time, trace: &mut TcpTrace, out: &mut Vec<Packet>) {
         trace.timeouts += 1;
         self.cc.on_timeout(now);
         self.rtt.on_timeout();
@@ -247,9 +248,8 @@ impl TcpEndpoint {
         // will be resent as the window reopens in slow start.
         self.next_seq = self.snd_una;
         self.recover = self.high_water;
-        self.fill_window(now, trace); // window is 1: resends snd_una
+        self.fill_window(now, trace, out); // window is 1: resends snd_una
         self.rto_deadline = Some(now + self.backed_off_rto());
-        trace.cwnd_samples.push((now, self.cc.cwnd()));
     }
 }
 
@@ -334,7 +334,7 @@ mod reference {
             self.acks.push(at + self.cfg.reverse_delay, self.rcv_next);
         }
 
-        pub fn poll(&mut self, now: Time, trace: &mut TcpTrace) -> Vec<Packet> {
+        pub fn poll(&mut self, now: Time, trace: &mut TcpTrace, out: &mut Vec<Packet>) {
             while self.acks.peek_time().is_some_and(|t| t <= now) {
                 let (_, ack) = self.acks.pop().unwrap();
                 self.sender_on_ack(ack, now, trace);
@@ -343,7 +343,7 @@ mod reference {
                 self.on_timeout(now, trace);
             }
             self.fill_window(now, trace);
-            std::mem::take(&mut self.outbox)
+            out.append(&mut self.outbox);
         }
 
         fn flight(&self) -> u64 {
@@ -393,7 +393,7 @@ mod reference {
                         if let Some(srtt) = self.rtt.srtt() {
                             self.cc.observe_rtt(srtt);
                         }
-                        trace.rtt_samples.push((now, rtt));
+                        trace.rtt_samples.push(rtt);
                     }
                 }
                 for s in self.snd_una..ack {
@@ -414,7 +414,7 @@ mod reference {
                 } else {
                     None
                 };
-                trace.goodput.push((now, self.received_bits));
+                trace.received_bits = self.received_bits;
             } else if ack == self.last_ack_seen
                 && self.flight() > 0
                 && self.cc.on_dup_ack(now) == RenoSignal::FastRetransmit
@@ -423,7 +423,6 @@ mod reference {
                 self.transmit(self.snd_una, now, true, trace);
             }
             self.last_ack_seen = ack;
-            trace.cwnd_samples.push((now, self.cc.cwnd()));
         }
 
         fn on_timeout(&mut self, now: Time, trace: &mut TcpTrace) {
@@ -435,7 +434,6 @@ mod reference {
             self.recover = self.high_water;
             self.fill_window(now, trace);
             self.rto_deadline = Some(now + self.backed_off_rto());
-            trace.cwnd_samples.push((now, self.cc.cwnd()));
         }
     }
 }
@@ -505,16 +503,20 @@ mod tests {
         let mut highest_delivered = None;
         let mut totals = Totals::default();
         let mut now = Time::ZERO;
+        let mut sent = Vec::new();
         loop {
             let (mut a, mut b) = (TcpTrace::default(), TcpTrace::default());
-            let sent = new.poll(now, &mut a);
-            assert_eq!(sent, old.poll(now, &mut b), "packets emitted at {now}");
+            let mut expected = Vec::new();
+            old.poll(now, &mut b, &mut expected);
+            sent.clear();
+            new.poll(now, &mut a, &mut sent);
+            assert_eq!(sent, expected, "packets emitted at {now}");
             assert_eq!(a, b, "trace written at {now}");
             assert_eq!(new.next_event_time(), old.next_event_time(), "at {now}");
             totals.retransmissions += a.retransmissions;
             totals.timeouts += a.timeouts;
             totals.rtt_samples += a.rtt_samples.len();
-            for pkt in sent {
+            for &pkt in &sent {
                 link_free = link_free.max(now) + path.service;
                 let in_outage = path
                     .outages

@@ -15,8 +15,8 @@
 use crate::cc::CongestionControl;
 use crate::endpoint::TcpEndpoint;
 use crate::reno::Reno;
-use augur_elements::{DropRecord, ModelNet, Network, NodeId};
-use augur_sim::{Bits, Dur, FlowId, SimRng, Time};
+use augur_elements::{DropReason, ModelNet, Network, NodeId};
+use augur_sim::{Bits, Dur, FlowId, Packet, SimRng, Time};
 
 /// Configuration of a TCP run.
 #[derive(Debug, Clone)]
@@ -42,49 +42,38 @@ impl Default for TcpConfig {
     }
 }
 
-/// What a TCP run measured.
+/// What a TCP run measured: each fact a summary reads, kept once.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TcpTrace {
-    /// Per-ACK RTT samples: (ack arrival time, measured RTT).
-    pub rtt_samples: Vec<(Time, Dur)>,
-    /// Congestion window after every ACK: (time, cwnd in packets).
-    pub cwnd_samples: Vec<(Time, f64)>,
-    /// Cumulative good-put deliveries at the receiver: (time, total bits
-    /// received in order).
-    pub goodput: Vec<(Time, u64)>,
+    /// RTT of every ACK that took a sample, in arrival order (Karn's
+    /// algorithm takes none from a retransmitted segment).
+    pub rtt_samples: Vec<Dur>,
+    /// In-order bits the receiver had accepted when the sender last saw
+    /// a new cumulative ACK: the run's goodput numerator.
+    pub received_bits: u64,
     /// Total segments transmitted (including retransmissions).
     pub segments_sent: u64,
     /// Retransmitted segments.
     pub retransmissions: u64,
     /// Timeouts taken.
     pub timeouts: u64,
-    /// Network drops observed (all flows).
-    pub drops: Vec<DropRecord>,
+    /// Network drops observed (all flows). Only [`TcpRunner`] sees the
+    /// network; an endpoint driven by another loop leaves this zero.
+    pub drops: u64,
+    /// The drops that were buffer overflows.
+    pub overflow_drops: u64,
 }
 
 impl TcpTrace {
     /// Mean goodput in bits/s over the run.
     pub fn mean_goodput_bps(&self, t_end: Time) -> f64 {
-        match self.goodput.last() {
-            Some((_, bits)) => *bits as f64 / t_end.as_secs_f64(),
-            None => 0.0,
-        }
+        self.received_bits as f64 / t_end.as_secs_f64()
     }
 
     /// Max over min RTT — the bufferbloat ratio Figure 1 visualizes.
     pub fn rtt_blowup(&self) -> f64 {
-        let min = self
-            .rtt_samples
-            .iter()
-            .map(|(_, r)| r.as_micros())
-            .min()
-            .unwrap_or(0);
-        let max = self
-            .rtt_samples
-            .iter()
-            .map(|(_, r)| r.as_micros())
-            .max()
-            .unwrap_or(0);
+        let min = self.rtt_samples.iter().min().map_or(0, |r| r.as_micros());
+        let max = self.rtt_samples.iter().max().map_or(0, |r| r.as_micros());
         if min == 0 {
             0.0
         } else {
@@ -145,12 +134,17 @@ impl TcpRunner {
     }
 
     /// Run the download until `t_end`, returning the measurements.
+    ///
+    /// Nothing is allocated per packet: the network's logs are drained
+    /// in place and one packet buffer is reused for every poll, so the
+    /// only growth is `rtt_samples`.
     pub fn run(&mut self, t_end: Time) -> TcpTrace {
         let mut trace = TcpTrace::default();
+        let mut pkts = Vec::new();
         let mut now = Time::ZERO;
         self.net.record_events();
-        let pkts = self.ep.poll(now, &mut trace); // initial window fill
-        self.inject(pkts, now);
+        self.ep.poll(now, &mut trace, &mut pkts); // initial window fill
+        self.inject(&mut pkts, now);
         loop {
             // Next event: network internal, ACK arrival, or RTO.
             let mut t_next = Time::MAX;
@@ -167,25 +161,28 @@ impl TcpRunner {
 
             // 1. Network events up to now (sampled choices).
             self.net.run_until_sampled(now, &mut self.rng);
-            trace.drops.extend(self.net.take_drops());
-            let deliveries = self.net.take_deliveries();
+            let (deliveries, drops) = self.net.drain_logs();
             for (node, d) in deliveries {
                 if node == self.rx && d.packet.flow == self.ep.cfg().flow {
                     self.ep.on_delivery(d.packet, d.at);
                 }
             }
+            for d in drops {
+                trace.drops += 1;
+                trace.overflow_drops += u64::from(d.reason == DropReason::BufferFull);
+            }
 
             // 2–4. ACKs due now, retransmission timeout, window refill.
-            let pkts = self.ep.poll(now, &mut trace);
-            self.inject(pkts, now);
+            self.ep.poll(now, &mut trace, &mut pkts);
+            self.inject(&mut pkts, now);
         }
         trace
     }
 
     /// Inject emitted packets, sampling through any stochastic element
-    /// reached synchronously.
-    fn inject(&mut self, pkts: Vec<augur_sim::Packet>, now: Time) {
-        for pkt in pkts {
+    /// reached synchronously, and leave the buffer empty for reuse.
+    fn inject(&mut self, pkts: &mut Vec<Packet>, now: Time) {
+        for pkt in pkts.drain(..) {
             self.net.inject(self.entry, pkt);
             self.net.run_until_sampled(now, &mut self.rng);
         }
@@ -236,10 +233,7 @@ mod tests {
         let (net, entry, rx) = path(1_000, 5);
         let mut runner = TcpRunner::new(net, entry, rx, TcpConfig::default(), 2);
         let trace = runner.run(Time::from_secs(60));
-        assert!(
-            !trace.drops.is_empty(),
-            "5-packet buffer must overflow under Reno"
-        );
+        assert!(trace.drops > 0, "5-packet buffer must overflow under Reno");
         assert!(trace.retransmissions > 0);
         // Still gets decent goodput via fast retransmit.
         let goodput = trace.mean_goodput_bps(Time::from_secs(60));
@@ -258,13 +252,7 @@ mod tests {
             let mut r = TcpRunner::new(net, entry, rx, TcpConfig::default(), 3);
             r.run(Time::from_secs(60))
         };
-        let max_rtt = |t: &TcpTrace| {
-            t.rtt_samples
-                .iter()
-                .map(|(_, r)| r.as_micros())
-                .max()
-                .unwrap_or(0)
-        };
+        let max_rtt = |t: &TcpTrace| t.rtt_samples.iter().max().map_or(0, |r| r.as_micros());
         assert!(
             max_rtt(&deep) > 4 * max_rtt(&shallow),
             "deep {}us vs shallow {}us",
@@ -280,7 +268,7 @@ mod tests {
         let trace = runner.run(Time::from_secs(30));
         // All RTT samples must be plausible (>= service time of one
         // packet): retransmission ambiguity would produce wild samples.
-        for (_, rtt) in &trace.rtt_samples {
+        for rtt in &trace.rtt_samples {
             assert!(*rtt >= Dur::from_millis(12), "implausible rtt {rtt}");
         }
     }
@@ -290,8 +278,11 @@ mod tests {
 mod cubic_runner_tests {
     use super::*;
     use crate::cubic::Cubic;
+    use crate::reno::RenoSignal;
     use augur_elements::{Buffer, Element, Link, NetworkBuilder, ReceiverEl};
     use augur_sim::BitRate;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn path(rate_kbps: u64, buffer_pkts: u64) -> (Network, NodeId, NodeId) {
         let mut b = NetworkBuilder::new();
@@ -319,19 +310,63 @@ mod cubic_runner_tests {
         assert!(goodput > 800_000.0, "goodput {goodput} on a 1 Mbps link");
     }
 
+    /// Congestion control that logs `(time, cwnd)` after every ACK and
+    /// timeout it is told of: the cwnd series a run does not keep.
+    struct Logged {
+        inner: Box<dyn CongestionControl>,
+        log: Rc<RefCell<Vec<(Time, f64)>>>,
+    }
+
+    impl Logged {
+        fn note(&self, now: Time) {
+            self.log.borrow_mut().push((now, self.inner.cwnd()));
+        }
+    }
+
+    impl CongestionControl for Logged {
+        fn window(&self) -> u64 {
+            self.inner.window()
+        }
+        fn cwnd(&self) -> f64 {
+            self.inner.cwnd()
+        }
+        fn in_recovery(&self) -> bool {
+            self.inner.in_recovery()
+        }
+        fn on_new_ack(&mut self, newly_acked: u64, now: Time) {
+            self.inner.on_new_ack(newly_acked, now);
+            self.note(now);
+        }
+        fn on_dup_ack(&mut self, now: Time) -> RenoSignal {
+            let signal = self.inner.on_dup_ack(now);
+            self.note(now);
+            signal
+        }
+        fn on_timeout(&mut self, now: Time) {
+            self.inner.on_timeout(now);
+            self.note(now);
+        }
+        fn observe_rtt(&mut self, srtt: Dur) {
+            self.inner.observe_rtt(srtt);
+        }
+    }
+
     #[test]
     fn cubic_recovers_from_loss_faster_than_reno_grows() {
         // On a shallow buffer both lose packets; CUBIC's post-reduction
         // window (β = 0.7) stays above Reno's (1/2), so its cwnd samples
         // after recovery should on average be at least Reno's.
-        let run = |cc: Box<dyn CongestionControl>| {
+        let run = |inner: Box<dyn CongestionControl>| {
             let (net, entry, rx) = path(2_000, 20);
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let cc = Box::new(Logged {
+                inner,
+                log: Rc::clone(&log),
+            });
             let mut runner =
                 TcpRunner::with_congestion_control(net, entry, rx, TcpConfig::default(), 5, cc);
-            let trace = runner.run(Time::from_secs(120));
-            let tail: Vec<f64> = trace
-                .cwnd_samples
-                .iter()
+            runner.run(Time::from_secs(120));
+            let tail: Vec<f64> = (log.borrow().iter())
                 .filter(|(t, _)| *t > Time::from_secs(30))
                 .map(|(_, w)| *w)
                 .collect();

@@ -19,11 +19,7 @@ fn main() {
     let mut runner = TcpRunner::new(cell.net, cell.entry, cell.rx, TcpConfig::default(), 1);
     let trace = runner.run(Time::from_secs(120));
 
-    let rtts: Vec<f64> = trace
-        .rtt_samples
-        .iter()
-        .map(|(_, r)| r.as_secs_f64())
-        .collect();
+    let rtts: Vec<f64> = trace.rtt_samples.iter().map(|r| r.as_secs_f64()).collect();
     let s = augur::trace::summarize(&rtts);
     println!(
         "RTT min {:.3}s / median {:.3}s / max {:.3}s — a {:.0}x blow-up.",
@@ -34,7 +30,7 @@ fn main() {
     );
     println!(
         "All {} drops were buffer overflows; the link layer hid every stochastic loss.",
-        trace.drops.len()
+        trace.drops
     );
     println!(
         "TCP kept the pipe busy ({:.0} bit/s goodput) but at seconds of latency —",
