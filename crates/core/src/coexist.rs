@@ -28,6 +28,7 @@
 use crate::isender::SenderAgent;
 use crate::{ISender, ISenderConfig, Utility, WakeOutcome};
 use augur_elements::{build_model, GateSpec, ModelParams};
+use augur_inference::prior::sharing_structures;
 use augur_inference::{Belief, BeliefConfig, BeliefError, Hypothesis, Observation};
 use augur_sim::{BitRate, Bits, Dur, FlowId, Packet, Ppm, Time};
 
@@ -43,10 +44,13 @@ pub type BeliefFactory = Box<dyn Fn() -> Belief<ModelParams> + Send>;
 /// The prior an ISender holds about a shared link whose competition is
 /// adaptive: link speed known-ish, competitor modeled as an always-on
 /// pinger of unknown rate (including "absent"), queue fullness unknown.
+///
+/// The fullness varies innermost, so each cross fraction's hypotheses
+/// share one structure ([`sharing_structures`]).
 pub fn coexist_belief(link_bps: u64, buffer_bits: u64, max_branches: usize) -> Belief<ModelParams> {
-    let mut hyps = Vec::new();
-    for frac_ppm in [0u32, 125_000, 250_000, 375_000, 500_000, 625_000, 750_000] {
-        for fill_steps in 0..=(buffer_bits / 12_000) {
+    let fracs_ppm = [0u32, 125_000, 250_000, 375_000, 500_000, 625_000, 750_000];
+    let hyps = fracs_ppm.into_iter().flat_map(move |frac_ppm| {
+        (0..=(buffer_bits / 12_000)).map(move |fill_steps| {
             let params = ModelParams {
                 link_rate: BitRate::from_bps(link_bps),
                 cross_rate: BitRate::from_bps(
@@ -59,13 +63,13 @@ pub fn coexist_belief(link_bps: u64, buffer_bits: u64, max_branches: usize) -> B
                 packet_size: Bits::from_bytes(1_500),
                 cross_active: frac_ppm > 0,
             };
-            hyps.push(Hypothesis {
+            Hypothesis {
                 net: build_model(params).net,
                 meta: params,
                 weight: 1.0,
-            });
-        }
-    }
+            }
+        })
+    });
     let probe = build_model(ModelParams {
         link_rate: BitRate::from_bps(link_bps),
         cross_rate: BitRate::from_bps(link_bps / 2),
@@ -77,7 +81,7 @@ pub fn coexist_belief(link_bps: u64, buffer_bits: u64, max_branches: usize) -> B
         cross_active: true,
     });
     Belief::new(
-        hyps,
+        sharing_structures(hyps),
         probe.entry,
         probe.rx_self,
         BeliefConfig {
@@ -360,6 +364,23 @@ mod tests {
         let before = s.restarts;
         let _ = s.wake(now, &[bogus]);
         assert_eq!(s.restarts, before + 1, "bogus ack must kill the belief");
+    }
+
+    #[test]
+    fn coexist_prior_keeps_one_structure_per_cross_fraction() {
+        use augur_elements::Network;
+        use augur_inference::Engine;
+        let belief = coexist_belief(LINK_BPS, BUFFER_BITS, 50_000);
+        // 7 cross fractions × 9 backlogs, the backlog state only.
+        assert_eq!(belief.branch_count(), 7 * 9);
+        let nets: Vec<Network> = belief.members().map(|m| m.net.to_network()).collect();
+        let mut distinct: Vec<&Network> = Vec::new();
+        for net in &nets {
+            if !distinct.iter().any(|d| d.shares_structure(net)) {
+                distinct.push(net);
+            }
+        }
+        assert_eq!(distinct.len(), 7);
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn belief(n: usize, distinct: bool) -> Belief<(ModelParams, usize)> {
         (16_000, 0.1, 96_000),
         (14_000, 0.05, 12_000),
     ];
-    let branches = (0..n)
+    let branches: Vec<_> = (0..n)
         .map(|i| {
             let (link_bps, loss, fullness) = shapes[i % shapes.len()];
             let params = ModelParams {

@@ -793,12 +793,12 @@ impl Network {
         Arc::ptr_eq(&self.structure, &other.structure)
     }
 
-    /// Take `other`'s structure allocation if the two structures are
-    /// equal: a prior whose hypotheses differ only in state keeps one
+    /// Take the allocation `other` if it holds a structure equal to this
+    /// network's: a prior whose hypotheses differ only in state keeps one
     /// structure, and comparing them takes the pointer shortcut.
-    pub fn share_structure(&mut self, other: &Network) {
-        if self.structure == other.structure {
-            self.structure = Arc::clone(&other.structure);
+    pub fn share_structure(&mut self, other: &Arc<NetworkStructure>) {
+        if self.structure == *other {
+            self.structure = Arc::clone(other);
         }
     }
 

@@ -32,16 +32,25 @@
 //! structure (its parameters, the fold-node rate included), meta and
 //! weight. A window runs every state once for all its members.
 //!
+//! A member's structure and meta never change, so they are stored once
+//! per prior hypothesis, in a table all descendants and clones of the
+//! population share, and a member is a 16-byte record: the index of its
+//! hypothesis there, the index of its state and its weight. Descent
+//! copies the index.
+//!
 //! **The sharing rule.** Members share a state iff their networks are `==`
 //! but for the probability of the LOSS element at `fold_loss_node` and
 //! none of them has probability 1 there. Every other choice — gate,
 //! EITHER, jitter, ARQ, RED, a LOSS elsewhere, a cross-traffic packet at
 //! the fold node — is then the same choice with the same probability for
-//! every member of the state. States are formed once, from the prior in
-//! [`Belief::new`]; after that they come from descent: each path on which
-//! a state's run ends consistent with the window is a new state, shared by
-//! the members still alive on it. States of different descent that later
-//! converge stay apart (their members still merge in compaction).
+//! every member of the state. States are formed once, as the prior's
+//! hypotheses are seated one at a time by [`Population::new`] (which
+//! [`Belief::new`] calls; a sweep seats each distinct prior once and
+//! starts every run from a clone through [`Belief::from_population`]).
+//! After that they come from descent: each path on which a state's run
+//! ends consistent with the window is a new state, shared by the members
+//! still alive on it. States of different descent that later converge
+//! stay apart (their members still merge in compaction).
 //!
 //! **Why p = 0 joins and p = 1 does not.** A state runs under a structure
 //! with a fractional rate if any member has one, so it stops at the fold
@@ -68,7 +77,7 @@
 //! `#[cfg(test)]` reference keeps it).
 
 use crate::engine::{fold, snapshot, Engine};
-use crate::hypothesis::{effective_count, Hypothesis, Member, Population, Record};
+use crate::hypothesis::{effective_count, index, Hypothesis, Member, Population, Record};
 use crate::observe::{harvest, Observation, ObservationIndex};
 use augur_elements::{ChoiceKind, ChoiceSpec, Network, NodeId, Step};
 use augur_obs::EventKind;
@@ -76,7 +85,6 @@ use augur_sim::{FlowId, Packet, Ppm, Time};
 use std::fmt;
 use std::hash::Hash;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Branches lighter than this fraction of the heaviest are dropped at the
 /// end of every window.
@@ -210,22 +218,42 @@ pub struct Belief<M> {
 
 impl<M: Clone + Eq + Hash> Belief<M> {
     /// Build a belief from prior hypotheses (weights need not be
-    /// normalized). All hypotheses must share the same topology ids for
-    /// `entry` and `observed_rx`; the hypotheses differing only in the
-    /// fold node's loss rate are seated on shared states (see the module
-    /// docs).
+    /// normalized), seating them one at a time with [`Population::new`].
+    /// All hypotheses must share the same topology ids for `entry` and
+    /// `observed_rx`; the hypotheses differing only in the fold node's loss
+    /// rate are seated on shared states (see the module docs).
     ///
     /// # Panics
     /// Panics if the prior is empty or has non-positive total weight, or
     /// if `cfg.fold_loss_node` is not a LOSS element.
     pub fn new(
-        prior: Vec<Hypothesis<M>>,
+        prior: impl IntoIterator<Item = Hypothesis<M>>,
         entry: NodeId,
         observed_rx: NodeId,
         cfg: BeliefConfig,
     ) -> Belief<M> {
-        assert!(!prior.is_empty(), "empty prior");
-        let mut pop = Population::new(prior, cfg.fold_loss_node);
+        let pop = Population::new(prior, cfg.fold_loss_node);
+        Belief::from_population(pop, entry, observed_rx, cfg)
+    }
+
+    /// Build a belief from a prior already seated on its states — a clone
+    /// of one a sweep keeps for all its runs, say — with its weights
+    /// normalized as [`Belief::new`] normalizes them.
+    ///
+    /// # Panics
+    /// Panics if the prior is empty or has non-positive total weight, or
+    /// if it was seated for another fold node than `cfg.fold_loss_node`.
+    pub fn from_population(
+        mut pop: Population<M>,
+        entry: NodeId,
+        observed_rx: NodeId,
+        cfg: BeliefConfig,
+    ) -> Belief<M> {
+        assert!(!pop.is_empty(), "empty prior");
+        assert_eq!(
+            pop.fold, cfg.fold_loss_node,
+            "a prior seated for another fold node"
+        );
         pop.normalize();
         Belief {
             pop,
@@ -329,7 +357,7 @@ impl<M: Clone + Eq + Hash> Belief<M> {
         // each: the first paths' lists of members alive.
         let mut bounds = vec![0; states.len() + 1];
         for m in &frontier {
-            bounds[m.state + 1] += 1;
+            bounds[m.state as usize + 1] += 1;
         }
         for s in 0..states.len() {
             bounds[s + 1] += bounds[s];
@@ -344,15 +372,14 @@ impl<M: Clone + Eq + Hash> Belief<M> {
             frontier.len()
         ];
         for (i, m) in frontier.iter().enumerate() {
-            alive[next[m.state]] = Alive {
+            let state = m.state as usize;
+            alive[next[state]] = Alive {
                 member: u32::try_from(i).expect("fewer than 2^32 members"),
-                p: self
-                    .pop
-                    .fold
-                    .map_or(Ppm::ZERO, |f| m.structure.loss_rate(f)),
+                p: (self.pop.fold)
+                    .map_or(Ppm::ZERO, |f| self.pop.hyps[m.hyp as usize].0.loss_rate(f)),
                 weight: m.weight,
             };
-            next[m.state] += 1;
+            next[state] += 1;
         }
         let mut stack = Vec::new();
         let mut leaves = Vec::with_capacity(states.len());
@@ -383,14 +410,13 @@ impl<M: Clone + Eq + Hash> Belief<M> {
         // the order they were reached.
         let mut members = Vec::with_capacity(frontier.len());
         for (i, m) in frontier.into_iter().enumerate() {
-            for l in leaves_of[m.state].clone() {
+            for l in leaves_of[m.state as usize].clone() {
                 let on: &mut Range<usize> = &mut leaves[l].alive;
                 if on.start < on.end && alive[on.start].member as usize == i {
                     members.push(Record {
-                        structure: Arc::clone(&m.structure),
-                        meta: m.meta.clone(),
+                        hyp: m.hyp,
+                        state: index(l),
                         weight: alive[on.start].weight,
-                        state: l,
                     });
                     on.start += 1;
                 }

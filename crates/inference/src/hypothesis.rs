@@ -6,15 +6,18 @@
 //! queue contents, gate position, in-service packet) plus a probability
 //! weight and a metadata record `M` naming the prior grid point it descends
 //! from. `M` is for posterior reporting only — every parameter the planner
-//! needs, the loss rate included, is in the network. Priors are lists of
-//! hypotheses, and so is the particle filter's population.
+//! needs, the loss rate included, is in the network. Priors are streams
+//! of hypotheses, and the particle filter's population is a list of them.
 //!
 //! The exact belief stores its members in a [`Population`] instead: the
 //! network *states* apart from the *members* standing on them, each member
 //! with its own parameters, meta and weight, so that members whose
 //! networks differ only in the last-mile loss rate share one state (see
-//! [`crate::exact`] for the rule). Readers of either engine see a member
-//! as a [`Member`] view, its network read through its own structure.
+//! [`crate::exact`] for the rule). A prior is seated there one hypothesis
+//! at a time, its networks dropped as they are seated, and the parameters
+//! and meta of each hypothesis are stored once, in a table every clone
+//! shares. Readers of either engine see a member as a [`Member`] view, its
+//! network read through its own structure.
 //!
 //! [`Population::compact`] hashes each member once (with [`StableHasher`])
 //! — the part of the identity stream its state's members share, once per
@@ -23,6 +26,7 @@
 
 use augur_elements::{Network, NetworkStructure, NetworkView, NodeId};
 use augur_sim::StableHasher;
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -75,16 +79,18 @@ impl<M: Clone> Member<'_, M> {
     }
 }
 
-/// A member as a [`Population`] stores it: its own structure (its
-/// parameters, the fold-node loss rate included), its meta, its weight and
-/// the index of the state it stands on.
-#[derive(Debug, Clone)]
-pub(crate) struct Record<M> {
-    pub(crate) structure: Arc<NetworkStructure>,
-    pub(crate) meta: M,
+/// A member as a [`Population`] stores it, in 16 bytes: the index of its
+/// hypothesis in the population's table (its structure — its parameters,
+/// the fold-node loss rate included — and its meta), the index of the
+/// state it stands on, and its weight.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Record {
+    pub(crate) hyp: u32,
+    pub(crate) state: u32,
     pub(crate) weight: f64,
-    pub(crate) state: usize,
 }
+
+const _: () = assert!(std::mem::size_of::<Record>() == 16);
 
 /// Weighted members over shared network states: the exact belief's
 /// storage.
@@ -94,6 +100,13 @@ pub(crate) struct Record<M> {
 /// are `==` but for the probability of the LOSS element at `fold` (none
 /// of them 1): states are formed that way by [`Population::new`], and
 /// descent keeps them so.
+///
+/// What a member never changes — its structure and its meta — is stored
+/// once per prior hypothesis, in a table every clone of the population
+/// shares; a member is a 16-byte record of two indices and a weight. A clone
+/// therefore copies the states and the records, never a structure or a
+/// meta, which is what lets a sweep keep one seated prior and start every
+/// run from a clone of it.
 #[derive(Debug, Clone)]
 pub struct Population<M> {
     /// The distinct network states. Each is the network of one of its
@@ -101,7 +114,10 @@ pub struct Population<M> {
     /// state runs with a structure that raises every choice any of its
     /// members meets.
     pub(crate) states: Vec<Network>,
-    pub(crate) members: Vec<Record<M>>,
+    pub(crate) members: Vec<Record>,
+    /// Each prior hypothesis's structure and meta, in prior order; a
+    /// record's `hyp` indexes it.
+    pub(crate) hyps: Arc<[(Arc<NetworkStructure>, M)]>,
     /// The LOSS node whose probability members of one state may differ in.
     pub(crate) fold: Option<NodeId>,
 }
@@ -113,94 +129,86 @@ thread_local! {
     static HASHED: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
 }
 
+/// `i` as a record index.
+pub(crate) fn index(i: usize) -> u32 {
+    u32::try_from(i).expect("fewer than 2^32 hypotheses and states")
+}
+
 impl<M: Clone + Eq + Hash> Population<M> {
-    /// Seat the hypotheses of `prior` on shared states, keeping their
-    /// order. Two share a state iff their networks are `==` but for the
-    /// probability of the LOSS element at `fold` and neither probability
-    /// is 1; with no `fold`, iff they are `==`. The classes are formed as
-    /// [`augur_sim::classes`] forms them, on a key that leaves that
-    /// probability out, so a key collision never makes a wrong share.
-    pub fn new(prior: Vec<Hypothesis<M>>, fold: Option<NodeId>) -> Population<M> {
-        let rate = |i: usize| fold.map(|f| prior[i].net.view().loss_rate(f));
-        let below_one = |i: usize| rate(i).is_some_and(|p| !p.is_one());
-        let fractional = |i: usize| rate(i).is_some_and(|p| !p.is_zero() && !p.is_one());
-        let classes = augur_sim::classes(
-            prior.len(),
-            |i| match fold {
-                Some(f) => prior[i].net.view().key_but_loss_at(f),
+    /// Seat the hypotheses of `prior` on shared states as they arrive,
+    /// keeping their order. Two share a state iff their networks are `==`
+    /// but for the probability of the LOSS element at `fold` and neither
+    /// probability is 1; with no `fold`, iff they are `==`.
+    ///
+    /// Each hypothesis is looked up by a key that leaves that probability
+    /// out, among the states seated so far, and a key match is settled by
+    /// the comparison itself, so a key collision never makes a wrong
+    /// share. The states come in the order of their first members, each
+    /// the network of its first member with a fractional rate, else of its
+    /// first; every other network is dropped as soon as its hypothesis is
+    /// seated, so the prior is never held whole.
+    pub fn new(
+        prior: impl IntoIterator<Item = Hypothesis<M>>,
+        fold: Option<NodeId>,
+    ) -> Population<M> {
+        let rate = |net: &Network| fold.map(|f| net.view().loss_rate(f));
+        let fractional = |net: &Network| rate(net).is_some_and(|p| !p.is_zero() && !p.is_one());
+        let mut states: Vec<Network> = Vec::new();
+        let mut members = Vec::new();
+        let mut hyps = Vec::new();
+        // `(key, state)` of every state a later hypothesis may join.
+        let mut seats: BTreeSet<(u64, u32)> = BTreeSet::new();
+        for h in prior {
+            let (key, joins) = match fold {
+                Some(f) => (
+                    h.net.view().key_but_loss_at(f),
+                    rate(&h.net).is_some_and(|p| !p.is_one()),
+                ),
                 // `==` implies equal determinized keys.
-                None => prior[i].net.determinized_key(),
-            },
-            |a, b| match fold {
-                Some(f) => {
-                    below_one(a)
-                        && below_one(b)
-                        && (prior[a].net.view()).eq_but_loss_at(prior[b].net.view(), f)
+                None => (h.net.determinized_key(), true),
+            };
+            let same = |s: &Network| match fold {
+                Some(f) => s.view().eq_but_loss_at(h.net.view(), f),
+                None => *s == h.net,
+            };
+            let seat = if joins {
+                (seats.range((key, 0)..=(key, u32::MAX)))
+                    .map(|&(_, s)| s)
+                    .find(|&s| same(&states[s as usize]))
+            } else {
+                None
+            };
+            let hyp = index(hyps.len());
+            hyps.push((Arc::clone(h.net.shared_structure()), h.meta));
+            let state = match seat {
+                Some(s) => {
+                    let at = &mut states[s as usize];
+                    if fractional(&h.net) && !fractional(at) {
+                        *at = h.net;
+                    }
+                    s
                 }
-                None => prior[a].net == prior[b].net,
-            },
-        );
-        // States in the order of their first members, each the network of
-        // its first member with a fractional rate, else of its first.
-        let mut state_of = vec![0; prior.len()];
-        let mut reps = Vec::new();
-        for class in classes.chunk_by(|a, b| a.0 == b.0) {
-            for &(_, i) in class {
-                state_of[i] = reps.len();
-            }
-            let mut members = class.iter().map(|&(_, i)| i);
-            reps.push(members.find(|&i| fractional(i)).unwrap_or(class[0].0));
+                None => {
+                    let s = index(states.len());
+                    if joins {
+                        seats.insert((key, s));
+                    }
+                    states.push(h.net);
+                    s
+                }
+            };
+            members.push(Record {
+                hyp,
+                state,
+                weight: h.weight,
+            });
         }
-        let mut states: Vec<Option<Network>> = (0..reps.len()).map(|_| None).collect();
-        let members = prior
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| {
-                let state = state_of[i];
-                let structure = Arc::clone(h.net.shared_structure());
-                if reps[state] == i {
-                    states[state] = Some(h.net);
-                }
-                Record {
-                    structure,
-                    meta: h.meta,
-                    weight: h.weight,
-                    state,
-                }
-            })
-            .collect();
         Population {
-            states: states
-                .into_iter()
-                .map(|s| s.expect("every state is some member's network"))
-                .collect(),
+            states,
             members,
+            hyps: hyps.into(),
             fold,
         }
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True iff there are no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Number of distinct states the members stand on.
-    pub fn state_count(&self) -> usize {
-        self.states.len()
-    }
-
-    /// The members in order, each its state under its own structure.
-    pub fn members(&self) -> impl ExactSizeIterator<Item = Member<'_, M>> + Clone {
-        self.members.iter().map(|m| Member {
-            net: self.states[m.state].view_with(&m.structure),
-            meta: m.meta.clone(),
-            weight: m.weight,
-        })
     }
 
     /// `(identity hash, index)` of every member: [`StableHasher`] over
@@ -222,10 +230,11 @@ impl<M: Clone + Eq + Hash> Population<M> {
         HASHED.with(|n| n.set((n.get().0 + heads.len(), n.get().1 + self.members.len())));
         (self.members.iter())
             .map(|m| {
-                let s = &self.states[m.state];
-                let mut h = heads[m.state].clone();
-                s.view_with(&m.structure).hash_tail(split(s), &mut h);
-                m.meta.hash(&mut h);
+                let (s, (structure, meta)) =
+                    (&self.states[m.state as usize], &self.hyps[m.hyp as usize]);
+                let mut h = heads[m.state as usize].clone();
+                s.view_with(structure).hash_tail(split(s), &mut h);
+                meta.hash(&mut h);
                 h.finish()
             })
             .zip(0..)
@@ -274,6 +283,7 @@ impl<M: Clone + Eq + Hash> Population<M> {
         let Population {
             states,
             members,
+            hyps,
             fold,
         } = &mut *self;
         // `(weight, hash, index)` per survivor; `run` is where the survivors of
@@ -285,14 +295,16 @@ impl<M: Clone + Eq + Hash> Population<M> {
                 (run, run_hash) = (survivors.len(), Some(hash));
             }
             let m = &members[i];
+            let (m_structure, m_meta) = &hyps[m.hyp as usize];
             let same = |s: usize| {
                 let o = &members[s];
-                o.meta == m.meta
+                let (o_structure, o_meta) = &hyps[o.hyp as usize];
+                (o.hyp == m.hyp || o_meta == m_meta)
                     && if o.state == m.state {
-                        fold.is_none_or(|f| o.structure.loss_rate(f) == m.structure.loss_rate(f))
+                        fold.is_none_or(|f| o_structure.loss_rate(f) == m_structure.loss_rate(f))
                     } else {
-                        states[o.state].view_with(&o.structure)
-                            == states[m.state].view_with(&m.structure)
+                        states[o.state as usize].view_with(o_structure)
+                            == states[m.state as usize].view_with(m_structure)
                     }
             };
             match survivors[run..].iter_mut().find(|s| same(s.2)) {
@@ -316,6 +328,35 @@ impl<M: Clone + Eq + Hash> Population<M> {
         members.truncate(survivors.len());
         self.retain_referenced_states();
         eliminated
+    }
+}
+
+impl<M: Clone> Population<M> {
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// True iff there are no members.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// Number of distinct states the members stand on.
+    pub fn state_count(&self) -> usize {
+        self.states.len()
+    }
+
+    /// The members in order, each its state under its own structure.
+    pub fn members(&self) -> impl ExactSizeIterator<Item = Member<'_, M>> + Clone {
+        self.members.iter().map(|m| {
+            let (structure, meta) = &self.hyps[m.hyp as usize];
+            Member {
+                net: self.states[m.state as usize].view_with(structure),
+                meta: meta.clone(),
+                weight: m.weight,
+            }
+        })
     }
 }
 
@@ -357,17 +398,17 @@ impl<M> Population<M> {
 
     /// Drop the states no member stands on, keeping the others in order.
     fn retain_referenced_states(&mut self) {
-        const UNUSED: usize = usize::MAX;
+        const UNUSED: u32 = u32::MAX;
         let mut renumber = vec![UNUSED; self.states.len()];
         for m in &self.members {
-            renumber[m.state] = 0;
+            renumber[m.state as usize] = 0;
         }
         let mut kept = 0;
         for r in renumber.iter_mut().filter(|r| **r != UNUSED) {
             *r = kept;
             kept += 1;
         }
-        if kept == self.states.len() {
+        if kept as usize == self.states.len() {
             return;
         }
         let mut s = 0;
@@ -376,7 +417,7 @@ impl<M> Population<M> {
             renumber[s - 1] != UNUSED
         });
         for m in &mut self.members {
-            m.state = renumber[m.state];
+            m.state = renumber[m.state as usize];
         }
     }
 }
@@ -427,6 +468,130 @@ pub(crate) mod tests {
     /// Owned copies of the members, in order.
     fn owned<M: Clone + Eq + Hash>(p: &Population<M>) -> Vec<Hypothesis<M>> {
         p.members().map(|m| m.to_hypothesis()).collect()
+    }
+
+    /// `Population::new` as it was before it seated hypotheses as they
+    /// arrive: the whole prior held at once, its classes formed by
+    /// [`augur_sim::classes`] on the loss-blind key, and each class's state
+    /// its first member with a fractional rate, else its first. The
+    /// reference the streaming seating is checked against.
+    fn reference_seating<M: Clone>(
+        prior: Vec<Hypothesis<M>>,
+        fold: Option<NodeId>,
+    ) -> Population<M> {
+        let rate = |i: usize| fold.map(|f| prior[i].net.view().loss_rate(f));
+        let below_one = |i: usize| rate(i).is_some_and(|p| !p.is_one());
+        let fractional = |i: usize| rate(i).is_some_and(|p| !p.is_zero() && !p.is_one());
+        let classes = augur_sim::classes(
+            prior.len(),
+            |i| match fold {
+                Some(f) => prior[i].net.view().key_but_loss_at(f),
+                None => prior[i].net.determinized_key(),
+            },
+            |a, b| match fold {
+                Some(f) => {
+                    below_one(a)
+                        && below_one(b)
+                        && (prior[a].net.view()).eq_but_loss_at(prior[b].net.view(), f)
+                }
+                None => prior[a].net == prior[b].net,
+            },
+        );
+        let mut state_of = vec![0; prior.len()];
+        let mut reps = Vec::new();
+        for class in classes.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, i) in class {
+                state_of[i] = index(reps.len());
+            }
+            let mut members = class.iter().map(|&(_, i)| i);
+            reps.push(members.find(|&i| fractional(i)).unwrap_or(class[0].0));
+        }
+        let mut states: Vec<Option<Network>> = (0..reps.len()).map(|_| None).collect();
+        let mut hyps = Vec::new();
+        let members = (prior.into_iter().enumerate())
+            .map(|(i, h)| {
+                let state = state_of[i];
+                hyps.push((Arc::clone(h.net.shared_structure()), h.meta));
+                if reps[state as usize] == i {
+                    states[state as usize] = Some(h.net);
+                }
+                Record {
+                    hyp: index(i),
+                    state,
+                    weight: h.weight,
+                }
+            })
+            .collect();
+        Population {
+            states: states.into_iter().map(Option::unwrap).collect(),
+            members,
+            hyps: hyps.into(),
+            fold,
+        }
+    }
+
+    #[test]
+    fn streaming_seating_matches_the_classes_reference() {
+        use augur_elements::{build_model, ModelParams, FIG2_LOSS};
+        use augur_sim::{BitRate, Bits, SimRng};
+        // Generated priors over a pool of Figure-2 configurations — two
+        // link rates, two backlogs, loss rates of 0, fractional and 1 at
+        // the fold node — drawn with replacement (duplicates, far apart or
+        // adjacent) in shuffled order under a few metas, seated with and
+        // without a fold.
+        let fractional = |p: Ppm| !p.is_zero() && !p.is_one();
+        let (mut shared, mut certain) = (0, 0);
+        for case in 0..64 {
+            let seed = SimRng::derive_seed(0x5EA7, case);
+            let mut rng = SimRng::seed_from_u64(seed);
+            let prior: Vec<Hypothesis<u32>> = (0..rng.uniform_u64(1, 60))
+                .map(|_| {
+                    let link = BitRate::from_bps(1_000 * rng.uniform_u64(10, 11));
+                    let mut params = ModelParams::simple_link(link, Bits::new(48_000))
+                        .with_cross_rate(BitRate::from_bps(6_000));
+                    params.initial_fullness = Bits::new(12_000 * rng.uniform_u64(0, 1));
+                    params.loss = [0, 50_000, 200_000, 1_000_000].map(Ppm::new)
+                        [rng.uniform_u64(0, 3) as usize];
+                    Hypothesis {
+                        net: build_model(params).net,
+                        meta: rng.uniform_u64(0, 2) as u32,
+                        weight: rng.uniform_f64(),
+                    }
+                })
+                .collect();
+            let fold = (case % 2 == 0).then_some(FIG2_LOSS);
+            let want = reference_seating(prior.clone(), fold);
+            let got = Population::new(prior, fold);
+            let what = format!("seed {seed:#x}, fold {fold:?}");
+            assert!(got.states == want.states, "{what}: states");
+            let records = |p: &Population<u32>| -> Vec<(u32, u32, u64)> {
+                (p.members.iter())
+                    .map(|m| (m.hyp, m.state, m.weight.to_bits()))
+                    .collect()
+            };
+            assert_eq!(records(&got), records(&want), "{what}: members");
+            for (i, state) in got.states.iter().enumerate() {
+                let on = (got.members.iter()).filter(|m| m.state as usize == i);
+                let rates: Vec<Ppm> = on
+                    .map(|m| got.hyps[m.hyp as usize].0.loss_rate(FIG2_LOSS))
+                    .collect();
+                if fold.is_some() && rates.iter().any(|&p| fractional(p)) {
+                    assert!(
+                        fractional(state.view().loss_rate(FIG2_LOSS)),
+                        "{what}: state {i}"
+                    );
+                }
+                if fold.is_some() && rates.iter().any(|p| p.is_one()) {
+                    assert_eq!(rates.len(), 1, "{what}: p = 1 shares state {i}");
+                    certain += 1;
+                }
+                shared += usize::from(rates.len() > 1);
+            }
+        }
+        assert!(
+            shared > 0 && certain > 0,
+            "nothing was shared, or no p = 1 was seated"
+        );
     }
 
     /// The members' hashes as `compact` forms them, each checked against
@@ -633,7 +798,7 @@ pub(crate) mod tests {
             checked_hashes(&got);
             assert_eq!(got.compact(), eliminated, "seed {seed:#x}");
             assert_same_members(&owned(&got), &expected, &format!("seed {seed:#x}"));
-            let used: std::collections::BTreeSet<usize> =
+            let used: std::collections::BTreeSet<u32> =
                 got.members.iter().map(|m| m.state).collect();
             assert_eq!(
                 used.len(),

@@ -16,11 +16,12 @@
 
 use crate::engine::{fold, snapshot, Engine};
 use crate::exact::BeliefError;
-use crate::hypothesis::{effective_count, Hypothesis, Member};
+use crate::hypothesis::{effective_count, Hypothesis, Member, Population};
 use crate::observe::{harvest, Observation, ObservationIndex};
 use augur_elements::{NodeId, Step};
 use augur_obs::EventKind;
 use augur_sim::{FlowId, Packet, SimRng, Time};
+use std::hash::Hash;
 
 /// Resample when the effective sample size falls below this fraction of
 /// the population.
@@ -61,13 +62,36 @@ pub struct ParticleFilter<M> {
     now: Time,
 }
 
-impl<M: Clone> ParticleFilter<M> {
-    /// Draw `cfg.n_particles` particles i.i.d. from a weighted prior.
+impl<M: Clone + Eq + Hash> ParticleFilter<M> {
+    /// Draw `cfg.n_particles` particles i.i.d. from a weighted prior given
+    /// as hypotheses: [`ParticleFilter::from_population`] over the prior
+    /// seated by [`Population::new`].
     ///
     /// # Panics
     /// Panics if the prior is empty.
-    pub fn from_prior(
-        prior: &[Hypothesis<M>],
+    pub fn from_prior<P>(
+        prior: &P,
+        entry: NodeId,
+        observed_rx: NodeId,
+        cfg: ParticleConfig,
+        seed: u64,
+    ) -> ParticleFilter<M>
+    where
+        P: IntoIterator<Item = Hypothesis<M>> + Clone,
+    {
+        let prior = Population::new(prior.clone(), cfg.fold_loss_node);
+        ParticleFilter::from_population(&prior, entry, observed_rx, cfg, seed)
+    }
+}
+
+impl<M: Clone> ParticleFilter<M> {
+    /// Draw `cfg.n_particles` particles i.i.d. from a weighted prior: each
+    /// a copy of a member picked by weight, in member order.
+    ///
+    /// # Panics
+    /// Panics if the prior is empty.
+    pub fn from_population(
+        prior: &Population<M>,
         entry: NodeId,
         observed_rx: NodeId,
         cfg: ParticleConfig,
@@ -76,16 +100,13 @@ impl<M: Clone> ParticleFilter<M> {
         assert!(!prior.is_empty(), "empty prior");
         assert!(cfg.n_particles > 0, "need at least one particle");
         let mut rng = SimRng::seed_from_u64(seed);
-        let weights: Vec<f64> = prior.iter().map(|h| h.weight).collect();
+        let members: Vec<Member<'_, M>> = prior.members().collect();
+        let weights: Vec<f64> = members.iter().map(|m| m.weight).collect();
         let w = 1.0 / cfg.n_particles as f64;
         let particles = (0..cfg.n_particles)
-            .map(|_| {
-                let i = rng.pick_weighted(&weights);
-                Hypothesis {
-                    net: prior[i].net.clone(),
-                    meta: prior[i].meta.clone(),
-                    weight: w,
-                }
+            .map(|_| Hypothesis {
+                weight: w,
+                ..members[rng.pick_weighted(&weights)].to_hypothesis()
             })
             .collect();
         ParticleFilter {

@@ -17,14 +17,17 @@
 
 use crate::exact::{Belief, BeliefConfig};
 use crate::hypothesis::Hypothesis;
-use augur_elements::{build_model, GateSpec, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF};
+use augur_elements::{
+    build_model, GateSpec, ModelParams, NetworkStructure, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
+};
 use augur_sim::{BitRate, Bits, Dur, Ppm};
+use std::sync::Arc;
 
 /// A discretized uniform prior over the Figure-2 model.
 ///
 /// All fields are integer-valued units, so the prior is `Eq + Hash` —
-/// which lets sweep-level caches key shared hypothesis prototypes by the
-/// prior that produced them.
+/// which lets sweep-level caches key seated priors by the prior that
+/// produced them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModelPrior {
     /// Grid of link speeds `c` (bits/s).
@@ -127,31 +130,10 @@ impl ModelPrior {
         out
     }
 
-    /// Enumerate the prior as uniformly-weighted hypotheses. One call is
-    /// one "network build" in the work counters: the expensive operation
-    /// is enumerating a prior, and sweeps that share prototypes (the
-    /// runner's `PriorCache`) do it once per *distinct prior*.
-    ///
-    /// Hypotheses with equal structures share one allocation. The grid
-    /// varies the initial state (fullness, gate) innermost, so an equal
-    /// structure is always the previous hypothesis's.
-    pub fn hypotheses(&self) -> Vec<Hypothesis<ModelParams>> {
-        augur_sim::perf::count_network_build();
-        let grid = self.grid();
-        let w = 1.0 / grid.len() as f64;
-        let mut hyps: Vec<Hypothesis<ModelParams>> = Vec::with_capacity(grid.len());
-        for params in grid {
-            let mut net = build_model(params).net;
-            if let Some(prev) = hyps.last() {
-                net.share_structure(&prev.net);
-            }
-            hyps.push(Hypothesis {
-                net,
-                meta: params,
-                weight: w,
-            });
-        }
-        hyps
+    /// Enumerate the prior as uniformly-weighted hypotheses, one at a time
+    /// ([`uniform_hypotheses`] over [`ModelPrior::grid`]).
+    pub fn hypotheses(&self) -> impl Iterator<Item = Hypothesis<ModelParams>> + Clone {
+        uniform_hypotheses(self.grid())
     }
 
     /// Build a ready-to-run belief: hypotheses enumerated, entry/receiver
@@ -163,6 +145,45 @@ impl ModelPrior {
         cfg.fold_loss_node = Some(FIG2_LOSS);
         Belief::new(self.hypotheses(), FIG2_ENTRY, FIG2_RX_SELF, cfg)
     }
+}
+
+/// The grid points as uniformly-weighted hypotheses, built one at a time
+/// as they are taken. One call is one "network build" in the work
+/// counters: the expensive operation is enumerating a prior, and sweeps
+/// that share a seated prior (the runner's `PriorCache`) do it once per
+/// *distinct prior*.
+///
+/// Hypotheses with equal structures share one allocation
+/// ([`sharing_structures`]). A grid that varies the initial state
+/// (fullness, gate) innermost, as [`ModelPrior::grid`] does, lists equal
+/// structures together.
+pub fn uniform_hypotheses(
+    grid: Vec<ModelParams>,
+) -> impl Iterator<Item = Hypothesis<ModelParams>> + Clone {
+    augur_sim::perf::count_network_build();
+    let w = 1.0 / grid.len() as f64;
+    sharing_structures(grid.into_iter().map(move |params| Hypothesis {
+        net: build_model(params).net,
+        meta: params,
+        weight: w,
+    }))
+}
+
+/// `hyps` with each hypothesis holding the previous one's structure
+/// allocation where the two structures are equal: a prior that lists
+/// hypotheses differing only in state together keeps one structure for
+/// each such run of them. Only the previous hypothesis's `Arc` is held,
+/// never the hypothesis.
+pub fn sharing_structures<M>(
+    hyps: impl Iterator<Item = Hypothesis<M>> + Clone,
+) -> impl Iterator<Item = Hypothesis<M>> + Clone {
+    hyps.scan(None, |prev: &mut Option<Arc<NetworkStructure>>, mut h| {
+        if let Some(prev) = prev {
+            h.net.share_structure(prev);
+        }
+        *prev = Some(Arc::clone(h.net.shared_structure()));
+        Some(h)
+    })
 }
 
 #[cfg(test)]
@@ -193,7 +214,7 @@ mod tests {
     #[test]
     fn hypotheses_are_uniform() {
         let prior = ModelPrior::small();
-        let hyps = prior.hypotheses();
+        let hyps: Vec<_> = prior.hypotheses().collect();
         assert_eq!(hyps.len(), 8);
         for h in &hyps {
             assert!((h.weight - 1.0 / 8.0).abs() < 1e-12);
@@ -204,7 +225,7 @@ mod tests {
     fn paper_hypotheses_share_equal_structures() {
         // 7 rates × 4 cross fractions × 5 losses × 4 buffer caps: the
         // fullness a grid point adds is state, not structure.
-        let hyps = ModelPrior::paper().hypotheses();
+        let hyps: Vec<_> = ModelPrior::paper().hypotheses().collect();
         let mut distinct: Vec<&Network> = Vec::new();
         for h in &hyps {
             if !distinct.iter().any(|d| d.shares_structure(&h.net)) {

@@ -41,8 +41,8 @@ use augur_elements::{
     build_cellular_with_buffer, DropReason, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
 };
 use augur_inference::{
-    Belief, BeliefConfig, BeliefError, Engine, Hypothesis, Observation, ParticleConfig,
-    ParticleFilter,
+    Belief, BeliefConfig, BeliefError, Engine, Observation, ParticleConfig, ParticleFilter,
+    Population,
 };
 use augur_obs::EventRecord;
 use augur_sim::perf::{self, Stopwatch, WorkCounters};
@@ -92,20 +92,20 @@ impl RunArtifact {
     }
 }
 
-/// Shared hypothesis `Network` prototypes, built once per sweep.
+/// Each distinct prior of a sweep, seated once.
 ///
-/// A run's belief engine enumerates its prior into hypotheses, each
-/// holding a freshly built [`augur_elements::Network`]. Rebuilding that
-/// enumeration inside every run made prior construction the dominant
-/// sweep startup cost on big priors (the paper grid is ~4,800 networks
-/// *per run*). Hypotheses are values — cloning a prototype yields a
-/// network identical to a fresh build — so [`SweepRunner`] builds each
-/// distinct [`PriorSpec`]'s prototypes once up front and every run
-/// clones them instead.
+/// A run's belief engine starts from its prior seated on shared states (a
+/// [`Population`]): the paper grid is 4,760 hypotheses on 952 states.
+/// Enumerating and seating that inside every run made prior construction
+/// the dominant sweep startup cost on big priors, so [`SweepRunner`]
+/// seats each distinct [`PriorSpec`] once up front, one hypothesis at a
+/// time, and keeps it in the form the belief holds: an exact run starts
+/// from a clone of it (its states copied, its structures and metas
+/// shared), and a particle filter draws from its members.
 ///
-/// Determinism is unaffected: a cloned prototype is bit-identical to the
-/// network `PriorSpec::hypotheses` would have built, so summaries and
-/// report bytes are byte-for-byte the same with or without the cache
+/// Determinism is unaffected: a clone is the population a fresh seating
+/// of `PriorSpec::hypotheses` would build, so summaries and report bytes
+/// are byte-for-byte the same with or without the cache
 /// (`prior_cache_reuses_prototypes` in the scenario tests pins this).
 #[derive(Debug, Clone, Default)]
 #[expect(
@@ -114,20 +114,20 @@ impl RunArtifact {
               Eq + Hash but not Ord (prior_cache_reuses_prototypes)"
 )]
 pub struct PriorCache {
-    map: std::collections::HashMap<PriorSpec, Arc<Vec<Hypothesis<ModelParams>>>>,
+    map: std::collections::HashMap<PriorSpec, Arc<Population<ModelParams>>>,
 }
 
 impl PriorCache {
-    /// A cache with no entries: every lookup builds fresh (the behavior
-    /// of the standalone [`execute_run`] path).
+    /// A cache with no entries: every lookup seats the prior afresh (the
+    /// behavior of the standalone [`execute_run`] path).
     pub fn empty() -> PriorCache {
         PriorCache::default()
     }
 
-    /// Build prototypes for every distinct prior the runs' belief
-    /// engines will enumerate. Runs whose sender carries no belief over
-    /// the scenario prior (TCP senders, coexistence workloads — the
-    /// latter derive a dedicated prior from the topology) are skipped.
+    /// Seat every distinct prior the runs' belief engines will start
+    /// from. Runs whose sender carries no belief over the scenario prior
+    /// (TCP senders, coexistence workloads — the latter derive a
+    /// dedicated prior from the topology) are skipped.
     #[expect(clippy::disallowed_types, reason = "D003: fills the lookup-only cache")]
     pub fn for_runs(runs: &[RunSpec]) -> PriorCache {
         let mut map = std::collections::HashMap::new();
@@ -136,32 +136,24 @@ impl PriorCache {
                 continue;
             }
             map.entry(run.spec.prior.clone())
-                .or_insert_with_key(|prior: &PriorSpec| Arc::new(prior.hypotheses()));
+                .or_insert_with_key(|prior: &PriorSpec| Arc::new(seat(prior)));
         }
         PriorCache { map }
     }
 
-    /// The prior's hypotheses: cloned from the shared prototypes on a
-    /// cache hit, enumerated from scratch otherwise.
-    fn hypotheses(&self, prior: &PriorSpec) -> Vec<Hypothesis<ModelParams>> {
+    /// The prior seated: shared on a cache hit, seated afresh otherwise.
+    fn population(&self, prior: &PriorSpec) -> Arc<Population<ModelParams>> {
         match self.map.get(prior) {
-            Some(protos) => protos.as_ref().clone(),
-            None => prior.hypotheses(),
+            Some(seated) => Arc::clone(seated),
+            None => Arc::new(seat(prior)),
         }
     }
+}
 
-    /// Run `f` over the prior's hypotheses without cloning them (the
-    /// particle filter samples from a borrowed prior).
-    fn with_hypotheses<R>(
-        &self,
-        prior: &PriorSpec,
-        f: impl FnOnce(&[Hypothesis<ModelParams>]) -> R,
-    ) -> R {
-        match self.map.get(prior) {
-            Some(protos) => f(protos),
-            None => f(&prior.hypotheses()),
-        }
-    }
+/// The prior's hypotheses seated on shared states at the Figure-2 model's
+/// last-mile loss node, the fold every scenario belief uses.
+fn seat(prior: &PriorSpec) -> Population<ModelParams> {
+    Population::new(prior.hypotheses(), Some(FIG2_LOSS))
 }
 
 /// Does this scenario's belief engine enumerate `spec.prior`?
@@ -279,8 +271,8 @@ impl SweepRunner {
         let done = AtomicUsize::new(0);
         let slots: Vec<Slot> = runs.iter().map(|_| Mutex::new(None)).collect();
         let workers = self.effective_workers(runs.len());
-        // Build each distinct prior's hypothesis prototypes once; every
-        // run clones from the shared set instead of re-enumerating.
+        // Seat each distinct prior once; every run starts from a clone
+        // of it instead of re-enumerating.
         let priors = PriorCache::for_runs(runs);
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -341,7 +333,7 @@ impl SweepRunner {
 }
 
 /// Execute one run to completion and summarize it, building the prior
-/// from scratch ([`SweepRunner`] shares prototypes across runs via
+/// from scratch ([`SweepRunner`] shares a seated prior across runs via
 /// [`PriorCache`] instead; `tests/work_counters.rs` pins the
 /// enumeration counts of both paths).
 pub fn execute_run(run: &RunSpec) -> RunSummary {
@@ -458,8 +450,8 @@ fn spec_belief_in(
     // network is needed — but keep the model-topology guard so non-model
     // specs still fail loudly here.
     let _ = spec.topology.model("spec_belief_in");
-    Belief::new(
-        priors.hypotheses(&spec.prior),
+    Belief::from_population(
+        Arc::unwrap_or_clone(priors.population(&spec.prior)),
         FIG2_ENTRY,
         FIG2_RX_SELF,
         BeliefConfig {
@@ -500,19 +492,17 @@ fn build_filter(
     priors: &PriorCache,
 ) -> ParticleFilter<ModelParams> {
     let _ = spec.topology.model("build_filter");
-    priors.with_hypotheses(&spec.prior, |hyps| {
-        ParticleFilter::from_prior(
-            hyps,
-            FIG2_ENTRY,
-            FIG2_RX_SELF,
-            ParticleConfig {
-                n_particles,
-                fold_loss_node: Some(FIG2_LOSS),
-                ..ParticleConfig::default()
-            },
-            SimRng::derive_seed(seed, STREAM_ENGINE),
-        )
-    })
+    ParticleFilter::from_population(
+        &priors.population(&spec.prior),
+        FIG2_ENTRY,
+        FIG2_RX_SELF,
+        ParticleConfig {
+            n_particles,
+            fold_loss_node: Some(FIG2_LOSS),
+            ..ParticleConfig::default()
+        },
+        SimRng::derive_seed(seed, STREAM_ENGINE),
+    )
 }
 
 fn utility_of(alpha: f64, latency_penalty: f64) -> Box<DiscountedThroughput> {
@@ -1100,5 +1090,85 @@ impl SenderAgent for TcpPeerAgent {
 
     fn effective_population(&self) -> f64 {
         0.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::presets;
+    use augur_elements::Network;
+    use augur_inference::Hypothesis;
+
+    /// A cache seated for `grid`'s runs, and the prior they share.
+    fn cache_of(grid: crate::SweepGrid) -> (PriorCache, PriorSpec) {
+        let runs = grid.expand();
+        let prior = runs[0].spec.prior.clone();
+        let cache = PriorCache::for_runs(&runs);
+        assert!(cache.map.contains_key(&prior), "the runs' prior is cached");
+        (cache, prior)
+    }
+
+    #[test]
+    fn cached_paper_prior_holds_each_fact_once() {
+        let (cache, prior) = cache_of(presets::fig3(Dur::from_secs(1), 64));
+        assert_eq!(prior, PriorSpec::Paper);
+        let seated = cache.population(&prior);
+        assert_eq!((seated.state_count(), seated.len()), (952, 4_760));
+        // 7 rates × 4 cross fractions × 5 losses × 4 buffer caps.
+        let owned: Vec<Network> = seated.members().map(|m| m.net.to_network()).collect();
+        let mut distinct: Vec<&Network> = Vec::new();
+        for net in &owned {
+            if !distinct.iter().any(|d| d.shares_structure(net)) {
+                distinct.push(net);
+            }
+        }
+        assert_eq!(distinct.len(), 560);
+    }
+
+    #[test]
+    fn particles_drawn_from_the_cached_prior_are_the_collected_priors() {
+        let cfg = ParticleConfig {
+            n_particles: 256,
+            fold_loss_node: Some(FIG2_LOSS),
+            ..ParticleConfig::default()
+        };
+        for grid in [
+            presets::fig3(Dur::from_secs(1), 64),
+            presets::smoke(Dur::from_secs(1), 1),
+        ] {
+            let (cache, prior) = cache_of(grid);
+            let collected: Vec<Hypothesis<ModelParams>> = prior.hypotheses().collect();
+            let weights: Vec<f64> = collected.iter().map(|h| h.weight).collect();
+            for seed in [1, 0xF17, u64::MAX] {
+                let what = format!("{prior:?}, seed {seed:#x}");
+                let cached = ParticleFilter::from_population(
+                    &cache.population(&prior),
+                    FIG2_ENTRY,
+                    FIG2_RX_SELF,
+                    cfg.clone(),
+                    seed,
+                );
+                let fresh = ParticleFilter::from_prior(
+                    &collected,
+                    FIG2_ENTRY,
+                    FIG2_RX_SELF,
+                    cfg.clone(),
+                    seed,
+                );
+                // Each particle is the hypothesis `pick_weighted` takes
+                // over the collected prior's weights, in its order.
+                let mut rng = SimRng::seed_from_u64(seed);
+                for (k, (c, f)) in cached.members().zip(fresh.members()).enumerate() {
+                    let want = &collected[rng.pick_weighted(&weights)];
+                    for (m, from) in [(&c, "cached"), (&f, "collected")] {
+                        assert!(m.net == want.net.view(), "{what}: {from} particle {k}");
+                        assert_eq!(m.meta, want.meta, "{what}: {from} particle {k}");
+                        assert_eq!(m.weight.to_bits(), (1.0 / 256.0f64).to_bits());
+                    }
+                }
+                assert_eq!(cached.members().len(), 256);
+            }
+        }
     }
 }

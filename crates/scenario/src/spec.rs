@@ -7,6 +7,7 @@
 //! sweep runner can expand, parallelize, and reproduce.
 
 use augur_elements::{build_model, CellularParams, ModelNet, ModelParams};
+use augur_inference::prior::uniform_hypotheses;
 use augur_inference::{Hypothesis, ModelPrior};
 use augur_sim::{BitRate, Bits, Dur};
 use augur_topo::GraphTopology;
@@ -161,7 +162,7 @@ impl SenderSpec {
 /// The sender's prior over network configurations.
 ///
 /// `Eq + Hash` so the sweep runner's [`crate::runner::PriorCache`] can
-/// key shared hypothesis prototypes by the prior that built them.
+/// key seated priors by the prior that built them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PriorSpec {
     /// The paper's Figure-2 table prior (≈4,800 configurations).
@@ -188,23 +189,18 @@ impl PriorSpec {
     /// Number of grid points without building any networks.
     pub fn size(&self) -> usize {
         match self {
-            PriorSpec::Paper => ModelPrior::paper().grid().len(),
-            PriorSpec::Small => ModelPrior::small().grid().len(),
-            PriorSpec::Custom(p) => p.grid().len(),
             PriorSpec::FineLinkRate { n, .. } => *n,
+            _ => self.grid().len(),
         }
     }
 
-    /// Enumerate the prior as uniformly-weighted hypotheses.
-    pub fn hypotheses(&self) -> Vec<Hypothesis<ModelParams>> {
+    /// The parameter grid points, in enumeration order.
+    fn grid(&self) -> Vec<ModelParams> {
         match self {
-            PriorSpec::Paper => ModelPrior::paper().hypotheses(),
-            PriorSpec::Small => ModelPrior::small().hypotheses(),
-            PriorSpec::Custom(p) => p.hypotheses(),
+            PriorSpec::Paper => ModelPrior::paper().grid(),
+            PriorSpec::Small => ModelPrior::small().grid(),
+            PriorSpec::Custom(p) => p.grid(),
             PriorSpec::FineLinkRate { n, lo_bps, hi_bps } => {
-                // The ModelPrior-backed arms count inside
-                // `ModelPrior::hypotheses`; this arm enumerates directly.
-                augur_sim::perf::count_network_build();
                 let n = *n;
                 assert!(n > 0, "FineLinkRate prior needs at least one hypothesis");
                 // Backstop for hand-built specs; config decoding rejects
@@ -213,7 +209,6 @@ impl PriorSpec {
                     lo_bps <= hi_bps,
                     "FineLinkRate prior has an inverted range ({lo_bps} > {hi_bps})"
                 );
-                let w = 1.0 / n as f64;
                 (0..n)
                     .map(|i| {
                         let bps = if n == 1 {
@@ -221,20 +216,18 @@ impl PriorSpec {
                         } else {
                             lo_bps + (i as u64 * (hi_bps - lo_bps)) / (n as u64 - 1)
                         };
-                        let params = ModelParams::simple_link(
-                            BitRate::from_bps(bps.max(1)),
-                            Bits::new(96_000),
-                        )
-                        .with_cross_rate(BitRate::from_bps((bps * 7 / 10).max(1)));
-                        Hypothesis {
-                            net: build_model(params).net,
-                            meta: params,
-                            weight: w,
-                        }
+                        ModelParams::simple_link(BitRate::from_bps(bps.max(1)), Bits::new(96_000))
+                            .with_cross_rate(BitRate::from_bps((bps * 7 / 10).max(1)))
                     })
                     .collect()
             }
         }
+    }
+
+    /// Enumerate the prior as uniformly-weighted hypotheses, one at a time
+    /// ([`uniform_hypotheses`] over its grid points).
+    pub fn hypotheses(&self) -> impl Iterator<Item = Hypothesis<ModelParams>> + Clone {
+        uniform_hypotheses(self.grid())
     }
 }
 
@@ -582,7 +575,7 @@ mod tests {
             hi_bps: 16_000,
         };
         assert_eq!(p.size(), 101);
-        let hyps = p.hypotheses();
+        let hyps: Vec<_> = p.hypotheses().collect();
         assert_eq!(hyps.len(), 101);
         assert!(hyps
             .iter()
@@ -598,7 +591,8 @@ mod tests {
             lo_bps: 8_000,
             hi_bps: 16_000,
         };
-        assert_eq!(p.hypotheses()[0].meta.link_rate, BitRate::from_bps(12_000));
+        let first = p.hypotheses().next().expect("one hypothesis");
+        assert_eq!(first.meta.link_rate, BitRate::from_bps(12_000));
     }
 
     #[test]

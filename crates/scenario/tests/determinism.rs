@@ -117,11 +117,11 @@ fn scripted_sweep_is_reproducible_across_workers() {
 
 #[test]
 fn prior_cache_reuses_prototypes_without_changing_results() {
-    // The runner shares each prior's hypothesis prototypes across runs
-    // (PriorCache); executing the same runs standalone builds every
-    // prior from scratch. Results must be byte-identical — a cloned
-    // prototype is the same network a fresh enumeration would build —
-    // while the cached path builds strictly fewer networks.
+    // The runner seats each prior once and starts every run from a
+    // clone of it (PriorCache); executing the same runs standalone builds
+    // every prior from scratch. Results must be byte-identical — a clone
+    // is the population a fresh seating would build — while the cached
+    // path builds strictly fewer networks.
     let runs = grid(0xCAC4E).expand();
     let cached = SweepRunner::serial().run(&runs);
     let uncached = augur_scenario::SweepReport {
@@ -134,7 +134,7 @@ fn prior_cache_reuses_prototypes_without_changing_results() {
     );
     for (c, u) in cached.runs.iter().zip(&uncached.runs) {
         // Simulation work is identical counter-for-counter; only the
-        // network-build count may drop (prototypes built once up front
+        // network-build count may drop (priors built once up front
         // instead of once per run).
         assert_eq!(c.work.events_processed, u.work.events_processed);
         assert_eq!(c.work.packets_forwarded, u.work.packets_forwarded);

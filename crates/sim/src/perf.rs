@@ -53,9 +53,9 @@ pub struct WorkCounters {
     /// `service_end` evaluations on time-varying links).
     pub rate_integrations: u64,
     /// Full prior enumerations: hypothesis sets built from scratch, one
-    /// network construction per grid point. The sweep-level prototype
-    /// cache exists to keep this at one per *distinct prior*, not one
-    /// per run.
+    /// network construction per grid point. The sweep-level cache of
+    /// seated priors exists to keep this at one per *distinct prior*, not
+    /// one per run.
     pub networks_built: u64,
     /// Network state clones: per-hypothesis mutable state copied while
     /// the immutable structure is shared by `Arc`. Belief forks and
@@ -208,7 +208,7 @@ pub fn count_rate_integration() {
 }
 
 /// Record one full prior enumeration (a hypothesis set built from
-/// scratch rather than forked from a cached prototype).
+/// scratch rather than cloned from a cached seated prior).
 #[inline]
 pub fn count_network_build() {
     bump(|c| &c.networks_built, 1);
