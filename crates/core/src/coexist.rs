@@ -13,33 +13,23 @@
 //! under model misspecification. [`RestartingSender`] handles this with
 //! a **restart protocol**:
 //!
-//! * rebuild the belief from the prior, with the *time origin shifted to
-//!   the restart instant* — the unknown "initial fullness" grid then
-//!   absorbs whatever is sitting in the real queue (including the
-//!   sender's own still-unacknowledged packets);
+//! * start again from a clone of the prior the sender began with, with
+//!   the *time origin shifted to the restart instant* — the unknown
+//!   "initial fullness" grid then absorbs whatever is sitting in the real
+//!   queue (including the sender's own still-unacknowledged packets);
 //! * acknowledgments for pre-restart packets are ignored (the fresh
 //!   belief knows nothing about them);
-//! * the utility is rebuilt through the same *factory* that made the
-//!   original, so a restart preserves the configured α and latency
-//!   penalty instead of silently resetting them;
+//! * the utility and the configuration are kept, so a restart preserves
+//!   the configured α and latency penalty;
 //! * restarts are counted and reported — they are a *result*, not noise:
 //!   they measure how badly the pinger model fits an adaptive peer.
 
 use crate::isender::SenderAgent;
 use crate::{ISender, ISenderConfig, Utility, WakeOutcome};
-use augur_elements::{build_model, GateSpec, ModelParams};
+use augur_elements::{build_model, GateSpec, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF};
 use augur_inference::prior::sharing_structures;
 use augur_inference::{Belief, BeliefConfig, BeliefError, Hypothesis, Observation};
 use augur_sim::{BitRate, Bits, Dur, FlowId, Packet, Ppm, Time};
-
-/// Builds a fresh utility for a (re)started sender. A factory rather
-/// than a value because [`Utility`] is object-safe but not cloneable —
-/// and because a restart must reproduce the *configured* utility, not a
-/// hard-coded default.
-pub type UtilityFactory = Box<dyn Fn() -> Box<dyn Utility + Send> + Send>;
-
-/// Builds the prior belief for a (re)started sender.
-pub type BeliefFactory = Box<dyn Fn() -> Belief<ModelParams> + Send>;
 
 /// The prior an ISender holds about a shared link whose competition is
 /// adaptive: link speed known-ish, competitor modeled as an always-on
@@ -70,23 +60,13 @@ pub fn coexist_belief(link_bps: u64, buffer_bits: u64, max_branches: usize) -> B
             }
         })
     });
-    let probe = build_model(ModelParams {
-        link_rate: BitRate::from_bps(link_bps),
-        cross_rate: BitRate::from_bps(link_bps / 2),
-        gate: GateSpec::AlwaysOn,
-        loss: Ppm::ZERO,
-        buffer_capacity: Bits::new(buffer_bits),
-        initial_fullness: Bits::ZERO,
-        packet_size: Bits::from_bytes(1_500),
-        cross_active: true,
-    });
     Belief::new(
         sharing_structures(hyps),
-        probe.entry,
-        probe.rx_self,
+        FIG2_ENTRY,
+        FIG2_RX_SELF,
         BeliefConfig {
             max_branches,
-            fold_loss_node: Some(probe.loss),
+            fold_loss_node: Some(FIG2_LOSS),
             ..BeliefConfig::default()
         },
     )
@@ -95,8 +75,9 @@ pub fn coexist_belief(link_bps: u64, buffer_bits: u64, max_branches: usize) -> B
 /// An ISender plus the restart machinery.
 pub struct RestartingSender {
     inner: ISender<ModelParams>,
-    build: BeliefFactory,
-    make_utility: UtilityFactory,
+    /// The belief the sender began with, never advanced: every restart
+    /// starts from a clone of it.
+    prior: Belief<ModelParams>,
     /// Absolute time of the current belief's origin.
     t0: Time,
     /// First (absolute) sequence number the current belief knows about.
@@ -110,17 +91,15 @@ pub struct RestartingSender {
 }
 
 impl RestartingSender {
-    /// Wrap a fresh sender. Both the belief and the utility come from
-    /// factories: restarts rebuild each identically configured.
+    /// Wrap a fresh sender over `prior`, which it keeps for its restarts.
     pub fn new(
-        build: BeliefFactory,
-        make_utility: UtilityFactory,
+        prior: Belief<ModelParams>,
+        utility: Box<dyn Utility + Send>,
         cfg: ISenderConfig,
     ) -> RestartingSender {
         RestartingSender {
-            inner: ISender::new(build(), make_utility(), cfg),
-            build,
-            make_utility,
+            inner: ISender::new(prior.clone(), utility, cfg),
+            prior,
             t0: Time::ZERO,
             base_seq: 0,
             next_abs_seq: 0,
@@ -171,14 +150,12 @@ impl RestartingSender {
                 outcome
             }
             Err(_) => {
-                // Misspecification caught us: restart the belief with the
-                // clock re-zeroed at `now` and the utility rebuilt from
-                // the factory (preserving α / latency-penalty settings).
+                // Misspecification caught us: restart from the prior with
+                // the clock re-zeroed at `now`, keeping the utility.
                 self.restarts += 1;
                 self.t0 = now;
                 self.base_seq = self.next_abs_seq;
-                let cfg = self.inner.config().clone();
-                self.inner = ISender::new((self.build)(), (self.make_utility)(), cfg);
+                self.inner.restart(self.prior.clone());
                 WakeOutcome::idle(now + Dur::from_millis(500))
             }
         }
@@ -310,14 +287,16 @@ mod tests {
     const LINK_BPS: u64 = 24_000;
     const BUFFER_BITS: u64 = 96_000;
 
+    fn utility(alpha: f64, latency_penalty: f64) -> Box<dyn Utility + Send> {
+        let mut u = DiscountedThroughput::with_alpha(alpha);
+        u.latency_penalty = latency_penalty;
+        Box::new(u)
+    }
+
     fn restarting(alpha: f64, latency_penalty: f64) -> RestartingSender {
         RestartingSender::new(
-            Box::new(|| coexist_belief(LINK_BPS, BUFFER_BITS, 50_000)),
-            Box::new(move || {
-                let mut u = DiscountedThroughput::with_alpha(alpha);
-                u.latency_penalty = latency_penalty;
-                Box::new(u)
-            }),
+            coexist_belief(LINK_BPS, BUFFER_BITS, 50_000),
+            utility(alpha, latency_penalty),
             ISenderConfig::default(),
         )
     }
@@ -344,12 +323,8 @@ mod tests {
 
     fn restarting_tiny(alpha: f64, latency_penalty: f64) -> RestartingSender {
         RestartingSender::new(
-            Box::new(tiny_belief),
-            Box::new(move || {
-                let mut u = DiscountedThroughput::with_alpha(alpha);
-                u.latency_penalty = latency_penalty;
-                Box::new(u)
-            }),
+            tiny_belief(),
+            utility(alpha, latency_penalty),
             ISenderConfig::default(),
         )
     }
@@ -381,6 +356,36 @@ mod tests {
             }
         }
         assert_eq!(distinct.len(), 7);
+    }
+
+    #[test]
+    fn restart_starts_from_the_prior_it_began_with() {
+        use augur_inference::Engine;
+        use augur_sim::perf;
+        // A belief's state count is what cloning it copies.
+        let states = |b: &Belief<ModelParams>| {
+            let before = perf::snapshot();
+            drop(b.clone());
+            perf::snapshot().since(&before).state_clones
+        };
+        let mut s = restarting(1.0, 0.0);
+        let _ = s.wake(Time::ZERO, &[]);
+        let _ = s.wake(Time::from_secs(1), &[]);
+        assert_eq!(s.inner().belief.now(), Time::from_secs(1), "advanced");
+        force_restart(&mut s, Time::from_secs(2));
+
+        let fresh = coexist_belief(LINK_BPS, BUFFER_BITS, 50_000);
+        let got = &s.inner().belief;
+        assert_eq!(got.now(), fresh.now());
+        assert_eq!(got.members().len(), fresh.members().len());
+        for (i, (a, b)) in got.members().zip(fresh.members()).enumerate() {
+            assert!(a.net == b.net, "member {i}: network");
+            assert_eq!(a.meta, b.meta, "member {i}: meta");
+            assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "member {i}: weight");
+        }
+        assert_eq!(states(got), states(&fresh));
+        assert_eq!(s.inner().next_seq(), 0, "sequence numbers count afresh");
+        assert!(s.inner().sent_log.is_empty());
     }
 
     #[test]
@@ -436,9 +441,9 @@ mod tests {
 
     #[test]
     fn restart_preserves_the_configured_utility() {
-        // α = 5 with a latency penalty: after a restart the rebuilt
-        // utility must behave identically to the configured one — the
-        // old harness silently reset to α = 1, λ = 0.
+        // α = 5 with a latency penalty: after a restart the kept utility
+        // must behave identically to the configured one — the old harness
+        // silently reset to α = 1, λ = 0.
         let mut s = restarting_tiny(5.0, 0.5);
         force_restart(&mut s, Time::from_secs(1));
 

@@ -135,6 +135,15 @@ impl<M, E: Engine<Meta = M>> ISender<M, E> {
     pub fn utility(&self) -> &dyn Utility {
         self.utility.as_ref()
     }
+
+    /// Start over from `belief`, as a fresh sender would: sequence numbers
+    /// count from zero again and the send log is emptied. The utility and
+    /// the configuration are kept.
+    pub fn restart(&mut self, belief: E) {
+        self.belief = belief;
+        self.next_seq = 0;
+        self.sent_log.clear();
+    }
 }
 
 impl<M, E> std::fmt::Debug for ISender<M, E> {
@@ -172,8 +181,10 @@ pub trait SenderAgent {
 }
 
 impl<M, E: Engine<Meta = M>> SenderAgent for ISender<M, E> {
+    /// Every ISender believes it is [`FlowId::SELF`]: the driver owns wire
+    /// identity.
     fn own_flow(&self) -> FlowId {
-        self.belief.own_flow()
+        FlowId::SELF
     }
 
     /// Updates the belief, transmits while the planner says "send now" (up
@@ -181,20 +192,20 @@ impl<M, E: Engine<Meta = M>> SenderAgent for ISender<M, E> {
     /// then maps the final action to the next timer.
     fn on_wake(&mut self, now: Time, acks: &[Observation]) -> Result<WakeOutcome, BeliefError> {
         self.belief.advance(now, acks)?;
-        let (cfg, own_flow) = (&self.cfg, self.belief.own_flow());
+        let cfg = &self.cfg;
         let mut sent = Vec::new();
         let decision = loop {
             let d = decide(
                 &self.belief,
                 &cfg.planner,
                 self.utility.as_ref(),
-                own_flow,
+                FlowId::SELF,
                 self.next_seq,
                 cfg.packet_size,
             );
             match d.action {
                 Action::SendNow if sent.len() < cfg.max_sends_per_wake => {
-                    let pkt = Packet::new(own_flow, self.next_seq, cfg.packet_size, now);
+                    let pkt = Packet::new(FlowId::SELF, self.next_seq, cfg.packet_size, now);
                     self.belief.inject(pkt);
                     self.sent_log.push((self.next_seq, now));
                     self.next_seq += 1;

@@ -36,7 +36,7 @@ pub mod multi;
 pub mod planner;
 pub mod utility;
 
-pub use coexist::{coexist_belief, AimdSender, BeliefFactory, RestartingSender, UtilityFactory};
+pub use coexist::{coexist_belief, AimdSender, RestartingSender};
 pub use driver::{DriverError, FlowDriver, FlowEndpoint, FlowTableError};
 pub use experiment::{run_closed_loop, GroundTruth, RunTrace};
 pub use isender::{ISender, ISenderConfig, ParticleSender, SenderAgent, WakeOutcome};

@@ -1548,7 +1548,6 @@ mod tests {
             ParticleConfig {
                 n_particles: 64,
                 fold_loss_node: Some(FIG2_LOSS),
-                own_flow: FlowId::SELF,
             },
             7,
         );

@@ -46,9 +46,6 @@ pub trait Engine {
     /// Node where the sender's packets enter every member.
     fn entry(&self) -> NodeId;
 
-    /// The sender's own flow (what the observed receiver reports).
-    fn own_flow(&self) -> FlowId;
-
     /// Posterior expectation of a numeric statistic.
     fn expected<F: Fn(&Member<'_, Self::Meta>) -> f64>(&self, f: F) -> f64 {
         self.members().map(|h| h.weight * f(&h)).sum()
@@ -115,7 +112,6 @@ pub trait Engine {
 pub(crate) fn fold(
     spec: &ChoiceSpec,
     last_mile: Option<NodeId>,
-    own_flow: FlowId,
     fold_own: bool,
     idx: &ObservationIndex,
 ) -> Option<(usize, f64)> {
@@ -123,7 +119,7 @@ pub(crate) fn fold(
         return None;
     }
     let pkt = spec.packet.expect("loss fate carries its packet");
-    if pkt.flow != own_flow {
+    if pkt.flow != FlowId::SELF {
         return Some((0, 1.0));
     }
     if !fold_own {

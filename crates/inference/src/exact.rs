@@ -81,7 +81,7 @@ use crate::hypothesis::{effective_count, index, Hypothesis, Member, Population, 
 use crate::observe::{harvest, Observation, ObservationIndex};
 use augur_elements::{ChoiceKind, ChoiceSpec, Network, NodeId, Step};
 use augur_obs::EventKind;
-use augur_sim::{FlowId, Packet, Ppm, Time};
+use augur_sim::{Packet, Ppm, Time};
 use std::fmt;
 use std::hash::Hash;
 use std::ops::Range;
@@ -101,8 +101,6 @@ pub struct BeliefConfig {
     /// Fold the sender's own packets at the fold node (true) or fork them
     /// explicitly (false; the ABL-2 ablation — same posterior, more work).
     pub fold_self_loss: bool,
-    /// The sender's own flow id (what the observed receiver reports).
-    pub own_flow: FlowId,
 }
 
 impl Default for BeliefConfig {
@@ -111,7 +109,6 @@ impl Default for BeliefConfig {
             max_branches: 50_000,
             fold_loss_node: None,
             fold_self_loss: true,
-            own_flow: FlowId::SELF,
         }
     }
 }
@@ -442,18 +439,12 @@ impl<M: Clone + Eq + Hash> Belief<M> {
         leaves: &mut Vec<Leaf>,
         stats: &mut AdvanceStats,
     ) {
-        let (last_mile, own_flow) = (self.pop.fold, self.cfg.own_flow);
+        let last_mile = self.pop.fold;
         let fold_own = self.cfg.fold_self_loss && !injecting;
         while let Some(mut path) = stack.pop() {
             loop {
                 let step = path.net.run_until(until);
-                if !harvest(
-                    &mut path.net,
-                    self.observed_rx,
-                    own_flow,
-                    idx,
-                    &mut path.matched,
-                ) {
+                if !harvest(&mut path.net, self.observed_rx, idx, &mut path.matched) {
                     stats.killed += path.alive.len();
                     break;
                 }
@@ -483,14 +474,14 @@ impl<M: Clone + Eq + Hash> Belief<M> {
                     true => Some(ChoiceSpec { p1: a.p, ..spec }),
                     false => Some(spec),
                 };
-                match fold(&spec, last_mile, own_flow, fold_own, idx) {
+                match fold(&spec, last_mile, fold_own, idx) {
                     Some((option, _)) => {
                         // Each member takes its own factor, and dies where its
                         // own run would: a weight gone to zero, or (p = 0) an
                         // own packet the window says was lost.
                         stats.killed += retain(alive, &mut path.alive, |a| match met(a) {
                             Some(own) => {
-                                let (_, factor) = fold(&own, last_mile, own_flow, fold_own, idx)
+                                let (_, factor) = fold(&own, last_mile, fold_own, idx)
                                     .expect("a fold at one rate is a fold at every rate");
                                 a.weight *= factor;
                                 a.weight > 0.0
@@ -574,10 +565,6 @@ impl<M: Clone + Eq + Hash> Engine for Belief<M> {
 
     fn entry(&self) -> NodeId {
         self.entry
-    }
-
-    fn own_flow(&self) -> FlowId {
-        self.cfg.own_flow
     }
 }
 
@@ -675,18 +662,12 @@ mod reference {
             out: &mut Vec<Hypothesis<M>>,
             stats: &mut AdvanceStats,
         ) {
-            let (last_mile, own_flow) = (self.cfg.fold_loss_node, self.cfg.own_flow);
+            let last_mile = self.cfg.fold_loss_node;
             let fold_own = self.cfg.fold_self_loss && !injecting;
             while let Some(mut w) = stack.pop() {
                 loop {
                     let step = w.h.net.run_until(until);
-                    if !harvest(
-                        &mut w.h.net,
-                        self.observed_rx,
-                        own_flow,
-                        idx,
-                        &mut w.matched,
-                    ) {
+                    if !harvest(&mut w.h.net, self.observed_rx, idx, &mut w.matched) {
                         stats.killed += 1;
                         break;
                     }
@@ -699,35 +680,33 @@ mod reference {
                             }
                             break;
                         }
-                        Step::Pending(spec) => {
-                            match fold(&spec, last_mile, own_flow, fold_own, idx) {
-                                Some((option, weight)) => {
-                                    w.h.weight *= weight;
-                                    if w.h.weight <= 0.0 {
-                                        stats.killed += 1;
-                                        break;
-                                    }
-                                    w.h.net.resolve(option);
+                        Step::Pending(spec) => match fold(&spec, last_mile, fold_own, idx) {
+                            Some((option, weight)) => {
+                                w.h.weight *= weight;
+                                if w.h.weight <= 0.0 {
+                                    stats.killed += 1;
+                                    break;
                                 }
-                                None => {
-                                    stats.forks += 1;
-                                    let mut live = spec.live_options();
-                                    let mut o = live.next().expect("a choice has a live option");
-                                    for next in live {
-                                        let mut child = Work {
-                                            h: w.h.clone(),
-                                            matched: w.matched,
-                                        };
-                                        child.h.weight *= spec.prob(o);
-                                        child.h.net.resolve(o);
-                                        stack.push(child);
-                                        o = next;
-                                    }
-                                    w.h.weight *= spec.prob(o);
-                                    w.h.net.resolve(o);
-                                }
+                                w.h.net.resolve(option);
                             }
-                        }
+                            None => {
+                                stats.forks += 1;
+                                let mut live = spec.live_options();
+                                let mut o = live.next().expect("a choice has a live option");
+                                for next in live {
+                                    let mut child = Work {
+                                        h: w.h.clone(),
+                                        matched: w.matched,
+                                    };
+                                    child.h.weight *= spec.prob(o);
+                                    child.h.net.resolve(o);
+                                    stack.push(child);
+                                    o = next;
+                                }
+                                w.h.weight *= spec.prob(o);
+                                w.h.net.resolve(o);
+                            }
+                        },
                     }
                 }
             }
@@ -760,7 +739,7 @@ mod tests {
     use augur_elements::{
         build_model, DropReason, GateSpec, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
     };
-    use augur_sim::{BitRate, Bits, Dur, SimRng};
+    use augur_sim::{BitRate, Bits, Dur, FlowId, SimRng};
 
     /// A Figure-2 hypothesis whose meta is its parameters and a twin tag.
     fn hyp(params: ModelParams, twin: u32, weight: f64) -> Hypothesis<(ModelParams, u32)> {
@@ -776,7 +755,6 @@ mod tests {
             max_branches: 160,
             fold_loss_node,
             fold_self_loss,
-            ..BeliefConfig::default()
         }
     }
 

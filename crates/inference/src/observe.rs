@@ -85,7 +85,6 @@ impl ObservationIndex {
 pub fn harvest(
     net: &mut Network,
     observed_rx: NodeId,
-    own_flow: FlowId,
     obs: &ObservationIndex,
     matched: &mut usize,
 ) -> bool {
@@ -93,7 +92,7 @@ pub fn harvest(
     // window, and its logs keep their allocation for the next one.
     let (deliveries, _drops) = net.drain_logs();
     for (node, d) in deliveries {
-        if node == observed_rx && d.packet.flow == own_flow {
+        if node == observed_rx && d.packet.flow == FlowId::SELF {
             match obs.time_of(d.packet.seq) {
                 Some(t) if t == d.at => *matched += 1,
                 _ => return false,

@@ -20,7 +20,7 @@ use crate::hypothesis::{effective_count, Hypothesis, Member, Population};
 use crate::observe::{harvest, Observation, ObservationIndex};
 use augur_elements::{NodeId, Step};
 use augur_obs::EventKind;
-use augur_sim::{FlowId, Packet, SimRng, Time};
+use augur_sim::{Packet, SimRng, Time};
 use std::hash::Hash;
 
 /// Resample when the effective sample size falls below this fraction of
@@ -35,18 +35,6 @@ pub struct ParticleConfig {
     /// The last-mile LOSS node to fold analytically (as in the exact
     /// engine); other nondeterminism is sampled.
     pub fold_loss_node: Option<NodeId>,
-    /// The sender's own flow.
-    pub own_flow: FlowId,
-}
-
-impl Default for ParticleConfig {
-    fn default() -> Self {
-        ParticleConfig {
-            n_particles: 1_000,
-            fold_loss_node: None,
-            own_flow: FlowId::SELF,
-        }
-    }
 }
 
 /// A fixed-size population of sampled network trajectories.
@@ -133,25 +121,23 @@ impl<M: Clone> ParticleFilter<M> {
         let mut matched = 0usize;
         loop {
             let step = p.net.run_until(until);
-            if !harvest(&mut p.net, observed_rx, cfg.own_flow, idx, &mut matched) {
+            if !harvest(&mut p.net, observed_rx, idx, &mut matched) {
                 return false;
             }
             match step {
                 Step::Idle => {
                     return injecting || matched == idx.len();
                 }
-                Step::Pending(spec) => {
-                    match fold(&spec, cfg.fold_loss_node, cfg.own_flow, !injecting, idx) {
-                        Some((option, weight)) => {
-                            p.weight *= weight;
-                            p.net.resolve(option);
-                            if p.weight <= 0.0 {
-                                return false;
-                            }
+                Step::Pending(spec) => match fold(&spec, cfg.fold_loss_node, !injecting, idx) {
+                    Some((option, weight)) => {
+                        p.weight *= weight;
+                        p.net.resolve(option);
+                        if p.weight <= 0.0 {
+                            return false;
                         }
-                        None => p.net.resolve(usize::from(rng.bernoulli(spec.p1))),
                     }
-                }
+                    None => p.net.resolve(usize::from(rng.bernoulli(spec.p1))),
+                },
             }
         }
     }
@@ -267,9 +253,5 @@ impl<M: Clone> Engine for ParticleFilter<M> {
 
     fn entry(&self) -> NodeId {
         self.entry
-    }
-
-    fn own_flow(&self) -> FlowId {
-        self.cfg.own_flow
     }
 }

@@ -155,7 +155,6 @@ fn check_run(prior: &ModelPrior, rng: &mut SimRng) -> bool {
         ParticleConfig {
             n_particles: PARTICLES,
             fold_loss_node: Some(FIG2_LOSS),
-            own_flow: FlowId::SELF,
         },
         filter_seed,
     ));

@@ -186,7 +186,6 @@ fn particle_filter_tracks_the_same_truth() {
         ParticleConfig {
             n_particles: 400,
             fold_loss_node: Some(probe.loss),
-            own_flow: FlowId::SELF,
         },
         99,
     );
@@ -472,7 +471,6 @@ fn a_truth_drawn_from_the_prior_survives_in_both_engines() {
             ParticleConfig {
                 n_particles: PARTICLES,
                 fold_loss_node: Some(FIG2_LOSS),
-                own_flow: FlowId::SELF,
             },
             filter_seed,
         );

@@ -35,7 +35,7 @@ use crate::spec::{PeerSpec, PriorSpec, ScenarioSpec, SenderSpec, TopologySpec, W
 use augur_core::{
     build_many_flow_bottleneck, coexist_belief, jain_index, AimdSender, DiscountedThroughput,
     DriverError, FlowDriver, FlowEndpoint, GroundTruth, ISender, ISenderConfig, MultiFlowTruth,
-    ParticleSender, RestartingSender, RunTrace, SenderAgent, Utility, WakeOutcome,
+    ParticleSender, RestartingSender, RunTrace, SenderAgent, WakeOutcome,
 };
 use augur_elements::{
     build_cellular_with_buffer, DropReason, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
@@ -106,12 +106,13 @@ impl RunArtifact {
 /// Determinism is unaffected: a clone is the population a fresh seating
 /// of `PriorSpec::hypotheses` would build, so summaries and report bytes
 /// are byte-for-byte the same with or without the cache
-/// (`prior_cache_reuses_prototypes` in the scenario tests pins this).
+/// (`prior_cache_reuses_prototypes_without_changing_results` in the
+/// scenario tests pins this).
 #[derive(Debug, Clone, Default)]
 #[expect(
     clippy::disallowed_types,
     reason = "D003: lookup-only (get/insert by PriorSpec, never iterated); PriorSpec is \
-              Eq + Hash but not Ord (prior_cache_reuses_prototypes)"
+              Eq + Hash but not Ord (prior_cache_reuses_prototypes_without_changing_results)"
 )]
 pub struct PriorCache {
     map: std::collections::HashMap<PriorSpec, Arc<Population<ModelParams>>>,
@@ -499,7 +500,6 @@ fn build_filter(
         ParticleConfig {
             n_particles,
             fold_loss_node: Some(FIG2_LOSS),
-            ..ParticleConfig::default()
         },
         SimRng::derive_seed(seed, STREAM_ENGINE),
     )
@@ -685,8 +685,8 @@ fn lower(run: &RunSpec, priors: &PriorCache) -> (Truth, Vec<Agent>, Time) {
             let restarting = |flow: usize, alpha: f64, latency_penalty: f64| {
                 let (link_bps, buffer_bits) = bottlenecks[flow];
                 RestartingSender::new(
-                    Box::new(move || coexist_belief(link_bps, buffer_bits, max_branches)),
-                    Box::new(move || utility_of(alpha, latency_penalty) as Box<dyn Utility + Send>),
+                    coexist_belief(link_bps, buffer_bits, max_branches),
+                    utility_of(alpha, latency_penalty),
                     sender_config(spec),
                 )
             };
@@ -1131,7 +1131,6 @@ mod tests {
         let cfg = ParticleConfig {
             n_particles: 256,
             fold_loss_node: Some(FIG2_LOSS),
-            ..ParticleConfig::default()
         };
         for grid in [
             presets::fig3(Dur::from_secs(1), 64),

@@ -106,7 +106,6 @@ fn hypothetical_work_is_silent() {
     let cfg = ParticleConfig {
         n_particles: 200,
         fold_loss_node: Some(FIG2_LOSS),
-        ..ParticleConfig::default()
     };
     let filter = ParticleFilter::from_prior(&prior.hypotheses(), FIG2_ENTRY, FIG2_RX_SELF, cfg, 3);
     let particle = ISender::new(filter, utility(), ISenderConfig::default());

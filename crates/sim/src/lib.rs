@@ -4,8 +4,8 @@
 //! This crate provides the vocabulary the rest of the system is written
 //! in: integer virtual [`Time`], integer physical units ([`BitRate`],
 //! [`Bits`], [`Ppm`]), [`Packet`]s and [`Delivery`] observations, a
-//! deterministic [`EventQueue`], a seeded [`SimRng`], the fixed-algorithm
-//! identity hasher [`StableHasher`], the always-on
+//! seeded [`SimRng`], the fixed-algorithm identity hasher
+//! [`StableHasher`], the always-on
 //! work counters / stopwatch of [`perf`], and the canonical number/JSON
 //! formatting of [`canon`] that every deterministic artifact writer
 //! shares.
@@ -19,7 +19,6 @@
 //!   pure function of its configuration and seed.
 
 pub mod canon;
-pub mod event;
 pub mod hash;
 pub mod packet;
 pub mod perf;
@@ -27,7 +26,6 @@ pub mod rng;
 pub mod time;
 pub mod units;
 
-pub use event::EventQueue;
 pub use hash::{classes, StableHasher};
 pub use packet::{Delivery, FlowId, Packet};
 pub use perf::{Stopwatch, WorkCounters};

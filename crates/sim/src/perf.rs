@@ -38,8 +38,8 @@ use std::time::Instant;
 /// addition (`+=`), so per-run deltas can be aggregated across threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkCounters {
-    /// Timer events fired: network-element timers plus deterministic
-    /// [`crate::EventQueue`] pops.
+    /// Timer events fired: network-element timers plus reverse-path ACK
+    /// arrivals at TCP endpoints.
     pub events_processed: u64,
     /// Packet movements routed through a network (one per routing pass:
     /// injection, link completion, delay release, …).

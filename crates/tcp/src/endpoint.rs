@@ -21,7 +21,7 @@ use crate::cc::CongestionControl;
 use crate::reno::RenoSignal;
 use crate::rtt::RttEstimator;
 use crate::runner::{TcpConfig, TcpTrace};
-use augur_sim::{Dur, EventQueue, Packet, Time};
+use augur_sim::{perf, Dur, Packet, Time};
 use std::collections::VecDeque;
 
 /// The co-simulated TCP sender + receiver pair, network-free.
@@ -52,8 +52,10 @@ pub struct TcpEndpoint {
     out_of_order: VecDeque<bool>,
     received_bits: u64,
 
-    // Reverse path: cumulative-ACK events (ack number = next expected).
-    acks: EventQueue<u64>,
+    // Reverse path: each cumulative ACK (ack number = next expected) with
+    // its arrival time. The path's delay is fixed and deliveries arrive in
+    // time order, so the ACKs are in arrival order too: a FIFO.
+    acks: VecDeque<(Time, u64)>,
     last_ack_seen: u64,
 }
 
@@ -74,7 +76,7 @@ impl TcpEndpoint {
             rcv_next: 0,
             out_of_order: VecDeque::new(),
             received_bits: 0,
-            acks: EventQueue::new(),
+            acks: VecDeque::new(),
             last_ack_seen: 0,
         }
     }
@@ -92,9 +94,9 @@ impl TcpEndpoint {
     /// The earliest internal event (ACK arrival or retransmission
     /// timeout), if any is scheduled.
     pub fn next_event_time(&self) -> Option<Time> {
-        match (self.acks.peek_time(), self.rto_deadline) {
-            (Some(a), Some(r)) => Some(a.min(r)),
-            (Some(a), None) => Some(a),
+        match (self.acks.front(), self.rto_deadline) {
+            (Some(&(a, _)), Some(r)) => Some(a.min(r)),
+            (Some(&(a, _)), None) => Some(a),
             (None, r) => r,
         }
     }
@@ -122,15 +124,20 @@ impl TcpEndpoint {
                 self.out_of_order[k] = true;
             }
         }
-        self.acks.push(at + self.cfg.reverse_delay, self.rcv_next);
+        let arrival = at + self.cfg.reverse_delay;
+        debug_assert!(
+            self.acks.back().is_none_or(|&(t, _)| t <= arrival),
+            "deliveries out of time order: an ACK arriving at {arrival} queued behind a later one"
+        );
+        self.acks.push_back((arrival, self.rcv_next));
     }
 
     /// Process everything due at `now` — ACK arrivals, the retransmission
     /// timeout, window refill — and append the packets to inject to
     /// `out`, in transmission order.
     pub fn poll(&mut self, now: Time, trace: &mut TcpTrace, out: &mut Vec<Packet>) {
-        while self.acks.peek_time().is_some_and(|t| t <= now) {
-            let (_, ack) = self.acks.pop().unwrap();
+        while let Some((_, ack)) = self.acks.pop_front_if(|&mut (t, _)| t <= now) {
+            perf::count_event();
             self.sender_on_ack(ack, now, trace, out);
         }
         if self.rto_deadline.is_some_and(|t| t <= now) {
@@ -254,14 +261,44 @@ impl TcpEndpoint {
 }
 
 /// The endpoint as it stood before its segment records became
-/// sequence-indexed rings, kept as the reference core: send times in a
-/// `HashMap`, retransmitted and out-of-order segments in `BTreeSet`s,
-/// every acknowledged key removed one by one.
+/// sequence-indexed rings and its reverse path a FIFO, kept as the
+/// reference core: send times in a `HashMap`, retransmitted and
+/// out-of-order segments in `BTreeSet`s, every acknowledged key removed
+/// one by one, ACKs in a time-ordered queue.
 #[cfg(test)]
 #[expect(clippy::disallowed_types, reason = "D003: a lookup-only map")]
 mod reference {
     use super::*;
-    use std::collections::{BTreeSet, HashMap};
+    use std::cmp::Reverse;
+    use std::collections::{BTreeSet, BinaryHeap, HashMap};
+
+    /// A time-ordered queue, first in first out among equal times.
+    pub struct TimeQueue<E> {
+        heap: BinaryHeap<Reverse<(Time, u64, E)>>,
+        pushed: u64,
+    }
+
+    impl<E: Ord> TimeQueue<E> {
+        pub fn new() -> TimeQueue<E> {
+            TimeQueue {
+                heap: BinaryHeap::new(),
+                pushed: 0,
+            }
+        }
+
+        pub fn push(&mut self, at: Time, event: E) {
+            self.heap.push(Reverse((at, self.pushed, event)));
+            self.pushed += 1;
+        }
+
+        pub fn peek_time(&self) -> Option<Time> {
+            self.heap.peek().map(|Reverse((at, ..))| *at)
+        }
+
+        pub fn pop(&mut self) -> Option<(Time, E)> {
+            self.heap.pop().map(|Reverse((at, _, event))| (at, event))
+        }
+    }
 
     pub struct TcpEndpoint {
         cfg: TcpConfig,
@@ -278,7 +315,7 @@ mod reference {
         rcv_next: u64,
         out_of_order: BTreeSet<u64>,
         received_bits: u64,
-        acks: EventQueue<u64>,
+        acks: TimeQueue<u64>,
         last_ack_seen: u64,
         outbox: Vec<Packet>,
     }
@@ -300,7 +337,7 @@ mod reference {
                 rcv_next: 0,
                 out_of_order: BTreeSet::new(),
                 received_bits: 0,
-                acks: EventQueue::new(),
+                acks: TimeQueue::new(),
                 last_ack_seen: 0,
                 outbox: Vec::new(),
             }
@@ -498,7 +535,7 @@ mod tests {
         let mut new = TcpEndpoint::new(cfg.clone(), cc());
         let mut old = reference::TcpEndpoint::new(cfg, cc());
         let mut rng = SimRng::seed_from_u64(seed);
-        let mut wire: EventQueue<Packet> = EventQueue::new();
+        let mut wire = reference::TimeQueue::new();
         let mut link_free = Time::ZERO;
         let mut highest_delivered = None;
         let mut totals = Totals::default();
@@ -561,6 +598,17 @@ mod tests {
 
     fn cubic() -> Box<dyn CongestionControl> {
         Box::<Cubic>::default()
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "deliveries out of time order")]
+    fn deliveries_out_of_time_order_are_rejected() {
+        let cfg = TcpConfig::default();
+        let pkt = Packet::new(cfg.flow, 0, cfg.packet_size, Time::ZERO);
+        let mut ep = TcpEndpoint::new(cfg, reno());
+        ep.on_delivery(pkt, Time::from_secs(2));
+        ep.on_delivery(pkt, Time::from_secs(1));
     }
 
     #[test]

@@ -58,7 +58,6 @@ fn main() {
         ParticleConfig {
             n_particles: 200,
             fold_loss_node: Some(probe.loss),
-            own_flow: FlowId::SELF,
         },
         99,
     );

@@ -14,7 +14,7 @@
 //! # Crates
 //!
 //! * [`sim`] — discrete-event substrate: integer virtual time, packets,
-//!   deterministic event queue, seeded RNG.
+//!   seeded RNG.
 //! * [`elements`] — the paper's element language (§3.1): BUFFER,
 //!   THROUGHPUT, DELAY, LOSS, JITTER, PINGER, INTERMITTENT, SQUAREWAVE,
 //!   RECEIVER, with SERIES / DIVERTER / EITHER composition, plus AQM
