@@ -389,13 +389,13 @@ struct RenoAgent {
 
 impl SenderAgent for RenoAgent {
     fn own_flow(&self) -> FlowId {
-        self.ep.cfg().flow
+        FlowId::SELF
     }
     fn on_wake(&mut self, now: Time, acks: &[Observation]) -> Result<WakeOutcome, BeliefError> {
-        let (flow, size) = (self.ep.cfg().flow, self.ep.cfg().packet_size);
+        let size = self.ep.cfg().packet_size;
         for o in acks {
             self.ep
-                .on_delivery(Packet::new(flow, o.seq, size, o.at), o.at);
+                .on_delivery(Packet::new(FlowId::SELF, o.seq, size, o.at), o.at);
         }
         let mut sent = Vec::new();
         self.ep.poll(now, &mut self.trace, &mut sent);

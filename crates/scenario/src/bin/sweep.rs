@@ -14,9 +14,8 @@
 //! `experiments/specs/<name>.toml` compiled into the binary, so it runs
 //! from any directory; give it positionally or via `--preset`.
 //! `--spec <file.toml>` loads a grid from a spec file on disk instead —
-//! to change a shipped sweep, edit its file. `--export-traces <dir>`
-//! writes the canonical CSV for every shipped synthetic rate trace.
-//! `--check` parses, validates, and expands the grid without running it.
+//! to change a shipped sweep, edit its file. `--check` parses,
+//! validates, and expands the grid without running it.
 //!
 //! `--duration`, `--branches`, and `--replicates` override the grid the
 //! same way for presets and spec files, and are rejected when the grid
@@ -31,7 +30,7 @@
 //! byte-identical for any `--workers` value — `--workers 1` is the
 //! reference execution.
 
-use augur_scenario::{load_grid, presets, traces, SweepGrid, SweepRunner};
+use augur_scenario::{load_grid, presets, SweepGrid, SweepRunner};
 use augur_sim::Dur;
 use std::fs;
 use std::io::BufWriter;
@@ -55,7 +54,6 @@ enum Source {
 
 struct Options {
     source: Option<Source>,
-    export_traces: Option<PathBuf>,
     check: bool,
     workers: Option<usize>,
     duration: Option<u64>,
@@ -71,7 +69,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: sweep [--preset] <{}>\n\
          \x20      sweep --spec <file.toml>\n\
-         \x20      sweep --export-traces <dir>\n\
          \x20 options: [--check] [--workers N] [--duration SECS] [--branches B] \
          [--replicates K] [--jsonl] [--trace-events [DIR]] [--belief-snapshots SECS] \
          [--progress]\n\
@@ -95,7 +92,6 @@ fn parse_from(args: impl Iterator<Item = String>) -> Options {
     let mut args = args.peekable();
     let mut opts = Options {
         source: None,
-        export_traces: None,
         check: false,
         workers: None,
         duration: None,
@@ -160,7 +156,6 @@ fn parse_from(args: impl Iterator<Item = String>) -> Options {
                 let path = value("--spec");
                 set_source(&mut opts, Source::Spec(PathBuf::from(path)));
             }
-            "--export-traces" => opts.export_traces = Some(PathBuf::from(value("--export-traces"))),
             "--check" => opts.check = true,
             "--workers" => opts.workers = Some(at_least_one("--workers", value("--workers"))),
             "--duration" => opts.duration = Some(numeric("--duration", value("--duration"))),
@@ -208,39 +203,8 @@ fn apply_overrides(grid: &mut SweepGrid, opts: &Options, label: &str) {
     }
 }
 
-/// Write the canonical CSV for every shipped synthetic trace into `dir`.
-fn export_traces(dir: &PathBuf) {
-    fs::create_dir_all(dir).expect("create trace dir");
-    for name in traces::NAMES {
-        let samples = traces::by_name(name).expect("registry names resolve");
-        let path = dir.join(format!("{name}.csv"));
-        fs::write(&path, traces::trace_to_csv(name, &samples)).expect("write trace file");
-        println!("  wrote {}", path.display());
-    }
-}
-
 fn main() {
     let opts = parse_args();
-    if let Some(dir) = &opts.export_traces {
-        // Export writes the canonical default artifacts; a run flag here
-        // would be silently ignored, so reject the combination.
-        if opts.source.is_some()
-            || opts.check
-            || opts.workers.is_some()
-            || opts.duration.is_some()
-            || opts.branches.is_some()
-            || opts.replicates.is_some()
-            || opts.jsonl
-            || opts.trace_events.is_some()
-            || opts.belief_snapshots.is_some()
-            || opts.progress
-        {
-            eprintln!("--export-traces takes no preset, spec, or run flags");
-            usage()
-        }
-        export_traces(dir);
-        return;
-    }
     let (mut grid, label) = match &opts.source {
         Some(Source::Preset(name)) => match presets::by_name(name) {
             Some(grid) => (grid, format!("preset {name:?}")),

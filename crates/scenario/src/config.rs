@@ -16,9 +16,10 @@
 //! per sweep dimension. The files under `experiments/specs/` are the
 //! only definition of the shipped sweeps: [`crate::presets`] compiles
 //! their text in and decodes it here, with each `../traces/<stem>.csv`
-//! reference answered by the [`traces`] generators, so a preset needs
-//! no file on disk. There is no writer: a sweep is changed by editing
-//! its spec file.
+//! reference answered by that file's text as [`traces::SHIPPED`]
+//! compiles it in, so a preset needs no file on disk. There is no
+//! writer: a sweep is changed by editing its spec file, a trace by
+//! editing its CSV.
 //!
 //! This module owns the format — what each key and `kind` is and what
 //! one value may be — and no rule about how sections and axes fit
@@ -38,6 +39,7 @@ use augur_elements::{CellularParams, GateSpec, ModelParams, RateProcess, TraceEn
 use augur_inference::ModelPrior;
 use augur_sim::{BitRate, Bits, Dur, Ppm};
 use augur_topo::{FlowSpec, GraphTopology, LinkSpec};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 
 /// A parse or decode failure, located in the source text.
@@ -781,17 +783,22 @@ fn each<'a, T>(
 /// A length of simulated time in float seconds, kept as whole
 /// microseconds — a value past `u64` microseconds would otherwise
 /// saturate silently in [`Dur::from_secs_f64`].
-fn read_seconds(v: &Value, what: &str) -> Result<Dur, ConfigError> {
-    let s = read_f64(v, what)?;
+/// `s` seconds on the microsecond grid, or what is wrong with it — the
+/// one range rule for every time in a spec or trace file.
+pub(crate) fn seconds(s: f64) -> Result<Dur, String> {
     if !s.is_finite() || s < 0.0 {
-        return v.bad(format!("`{what}` must be >= 0 seconds"));
+        Err(format!("must be >= 0 seconds, got {s}"))
+    } else if s * 1e6 >= u64::MAX as f64 {
+        Err(format!(
+            "= {s:e} seconds does not fit in 64-bit microseconds"
+        ))
+    } else {
+        Ok(Dur::from_secs_f64(s))
     }
-    if s * 1e6 >= u64::MAX as f64 {
-        return v.bad(format!(
-            "`{what}` = {s:e} seconds does not fit in 64-bit microseconds"
-        ));
-    }
-    Ok(Dur::from_secs_f64(s))
+}
+
+fn read_seconds(v: &Value, what: &str) -> Result<Dur, ConfigError> {
+    seconds(read_f64(v, what)?).or_else(|m| v.bad(format!("`{what}` {m}")))
 }
 
 /// A positive bits-per-second read — [`BitRate::from_bps`] panics on
@@ -833,16 +840,16 @@ fn decode_gate(v: &Value, what: &str) -> Result<GateSpec, ConfigError> {
     )
 }
 
-/// Where a `file = "…"` trace reference gets its samples.
+/// Where a `file = "…"` trace reference gets its text.
 #[derive(Clone, Copy)]
 enum TraceSource<'a> {
     /// The named CSV file; a relative path resolves against this
     /// directory (the current one when `None`).
     Files(Option<&'a Path>),
-    /// The [`traces`] generator behind `../traces/<stem>.csv` — what the
-    /// specs compiled into [`crate::presets`] load from, so decoding
-    /// them reads nothing from disk.
-    Generators,
+    /// `../traces/<stem>.csv` as [`traces::SHIPPED`] compiles it in —
+    /// what the specs compiled into [`crate::presets`] load from, so
+    /// decoding them reads nothing from disk.
+    Embedded,
 }
 
 /// Decode the `file = "…", end = "loop" | "hold-last"` keys of a trace
@@ -857,32 +864,31 @@ fn decode_trace(d: &mut Dec<'_>, source: TraceSource<'_>) -> Result<RateProcess,
             ("hold-last", &|_| Ok(TraceEnd::HoldLast)),
         ],
     )?;
-    // `origin` names where the samples came from in error messages.
-    let (samples, origin) = match source {
-        TraceSource::Generators => {
+    // `origin` names where the text came from in error messages.
+    let (src, origin) = match source {
+        TraceSource::Embedded => {
             let stem = file
                 .strip_prefix("../traces/")
                 .and_then(|name| name.strip_suffix(".csv"));
-            match stem.and_then(traces::by_name) {
-                Some(samples) => (samples, file.to_string()),
-                None => return d.bad("file", format!("no shipped trace generator behind {file}")),
+            match stem.and_then(traces::shipped_text) {
+                Some(text) => (Cow::Borrowed(text), file.to_string()),
+                None => return d.bad("file", format!("no shipped trace behind {file}")),
             }
         }
         TraceSource::Files(base) => {
             let resolved = base.map_or_else(|| PathBuf::from(file), |dir| dir.join(file));
             let origin = resolved.display().to_string();
-            let src = match std::fs::read_to_string(&resolved) {
-                Ok(src) => src,
+            match std::fs::read_to_string(&resolved) {
+                Ok(src) => (Cow::Owned(src), origin),
                 Err(e) => return d.bad("file", format!("cannot read trace file {origin}: {e}")),
-            };
-            // Loader errors are positioned inside the CSV; carry that
-            // position in the message and point the spec error at the
-            // `file` value.
-            match traces::parse_trace_csv(&src) {
-                Ok(samples) => (samples, origin),
-                Err(te) => return d.bad("file", format!("{origin}:{te}")),
             }
         }
+    };
+    // Loader errors are positioned inside the CSV; carry that position in
+    // the message and point the spec error at the `file` value.
+    let samples = match traces::parse_trace_csv(&src) {
+        Ok(samples) => samples,
+        Err(te) => return d.bad("file", format!("{origin}:{te}")),
     };
     let rate = RateProcess::Trace {
         label: file.to_string(),
@@ -1279,10 +1285,10 @@ pub fn parse_grid_at(src: &str, base: Option<&Path>) -> Result<SweepGrid, Config
 }
 
 /// Decode a spec compiled into [`crate::presets`]: its trace references
-/// load from the [`traces`] generators, so no file is read and the
-/// working directory does not matter.
+/// load from [`traces::SHIPPED`], so no file is read and the working
+/// directory does not matter.
 pub(crate) fn parse_embedded(src: &str) -> Result<SweepGrid, ConfigError> {
-    decode_grid(src, TraceSource::Generators)
+    decode_grid(src, TraceSource::Embedded)
 }
 
 fn decode_grid(src: &str, source: TraceSource<'_>) -> Result<SweepGrid, ConfigError> {
@@ -1850,6 +1856,25 @@ mod tests {
         let e = parse_grid(&toml).unwrap_err();
         assert!(e.message.contains("cannot read trace file"), "got: {e}");
         assert!(e.line > 0 && e.col > 0);
+    }
+
+    #[test]
+    fn embedded_spec_naming_an_unshipped_trace_is_a_positioned_error() {
+        let toml = shipped("replay-cellular").replace("lte-fade.csv", "lte-nowhere.csv");
+        let e = parse_embedded(&toml).unwrap_err();
+        assert!(
+            e.message
+                .contains("no shipped trace behind ../traces/lte-nowhere.csv"),
+            "got: {e}"
+        );
+        // At the `file` value: its line, the column of its opening quote.
+        let (i, line) = toml
+            .lines()
+            .enumerate()
+            .find(|(_, l)| l.contains("lte-nowhere.csv"))
+            .unwrap();
+        let col = line.find("\"../traces/lte-nowhere.csv\"").unwrap();
+        assert_eq!((e.line, e.col), (i as u32 + 1, col as u32 + 1));
     }
 
     #[test]

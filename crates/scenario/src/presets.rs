@@ -1,5 +1,5 @@
-//! The shipped sweeps, shared by the generic `sweep` CLI and the
-//! per-figure experiment binaries.
+//! The shipped sweeps: what `sweep <name>` runs, and what the library's
+//! callers and tests build on.
 //!
 //! A preset *is* its spec file: `experiments/specs/<name>.toml` is
 //! compiled in and decoded on request, so there is exactly one
@@ -56,7 +56,7 @@ pub(crate) fn spec_text(name: &str) -> Option<&'static str> {
 
 /// The shipped grid for a preset name: what `sweep <name>` runs with no
 /// overrides. Decoding reads no file — trace references load from the
-/// [`crate::traces`] generators.
+/// CSVs [`crate::traces::SHIPPED`] compiles in.
 ///
 /// # Panics
 /// Panics if the compiled-in spec does not decode — a broken file under

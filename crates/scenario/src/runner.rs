@@ -554,7 +554,6 @@ impl Agent {
                 TcpConfig {
                     packet_size,
                     max_window,
-                    ..TcpConfig::default()
                 },
                 cc,
             )))
@@ -884,7 +883,6 @@ fn closed_loop_tcp(run: &RunSpec) -> (RunSummary, TcpTrace) {
     let cfg = TcpConfig {
         packet_size: spec.topology.packet_size(),
         max_window,
-        ..TcpConfig::default()
     };
     let seed = SimRng::derive_seed(run.seed, STREAM_TRUTH);
     let trace = match &spec.topology {
@@ -1044,9 +1042,10 @@ pub struct TcpPeerAgent {
     ep: TcpEndpoint,
     /// The endpoint's measurements (segments, retransmissions, RTTs).
     pub trace: TcpTrace,
-    /// Timer cap when the endpoint has nothing scheduled.
-    max_sleep: Dur,
 }
+
+/// A [`TcpPeerAgent`]'s timer cap when its endpoint has nothing scheduled.
+const PEER_MAX_SLEEP: Dur = Dur::from_secs(2);
 
 impl TcpPeerAgent {
     /// A fresh peer with the given TCP configuration and congestion
@@ -1055,29 +1054,28 @@ impl TcpPeerAgent {
         TcpPeerAgent {
             ep: TcpEndpoint::new(cfg, cc),
             trace: TcpTrace::default(),
-            max_sleep: Dur::from_secs(2),
         }
     }
 }
 
 impl SenderAgent for TcpPeerAgent {
     fn own_flow(&self) -> FlowId {
-        self.ep.cfg().flow
+        FlowId::SELF
     }
 
     fn on_wake(&mut self, now: Time, acks: &[Observation]) -> Result<WakeOutcome, BeliefError> {
-        let (flow, size) = (self.ep.cfg().flow, self.ep.cfg().packet_size);
+        let size = self.ep.cfg().packet_size;
         for o in acks {
             self.ep
-                .on_delivery(Packet::new(flow, o.seq, size, o.at), o.at);
+                .on_delivery(Packet::new(FlowId::SELF, o.seq, size, o.at), o.at);
         }
         let mut sent = Vec::new();
         self.ep.poll(now, &mut self.trace, &mut sent);
         let next_wake = self
             .ep
             .next_event_time()
-            .unwrap_or(now + self.max_sleep)
-            .min(now + self.max_sleep);
+            .unwrap_or(now + PEER_MAX_SLEEP)
+            .min(now + PEER_MAX_SLEEP);
         Ok(WakeOutcome {
             sent,
             ..WakeOutcome::idle(next_wake)

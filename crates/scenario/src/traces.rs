@@ -23,95 +23,40 @@
 //! last sample. Loader errors carry the CSV's own line and column, and
 //! the spec decoder prefixes them with the trace file's path.
 //!
-//! # Shipped synthetic traces
+//! # Shipped traces
 //!
 //! Real measured traces (e.g. the Verizon LTE download behind the
 //! paper's Figure 1) are not redistributable, so the repo ships
-//! *synthetic* LTE-like traces produced by the deterministic generators
-//! here — pure integer arithmetic over [`SimRng`], so the committed
-//! files are reproducible bit-for-bit on any platform
-//! (`sweep --export-traces` rewrites them; tests pin the equality).
-//! Both are authored to loop: the final sample closes the cycle.
+//! synthetic LTE-like traces. Each committed CSV is the only definition
+//! of its trace, and its header comment says how it was made; to change
+//! a trace, edit its file. [`SHIPPED`] compiles the files in, so a
+//! preset that names one reads no file. Both are authored to loop: the
+//! final sample closes the cycle.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::panic, clippy::unreachable)]
 
-use crate::config::ConfigError;
-use augur_sim::{BitRate, Dur, SimRng};
-use std::fmt::Write as _;
+use crate::config::{self, ConfigError};
+use augur_sim::{BitRate, Dur};
 
-/// Every shipped synthetic trace, in the order `--export-traces` writes
-/// them. Each name is the file stem under `experiments/traces/`.
-pub const NAMES: [&str; 2] = ["lte-fade", "lte-scatter"];
+/// Every shipped trace: its file stem under `experiments/traces/` and
+/// the text of that file.
+pub const SHIPPED: [(&str, &str); 2] = [
+    (
+        "lte-fade",
+        include_str!("../../../experiments/traces/lte-fade.csv"),
+    ),
+    (
+        "lte-scatter",
+        include_str!("../../../experiments/traces/lte-scatter.csv"),
+    ),
+];
 
-/// The samples of a shipped trace, by file stem.
-pub fn by_name(name: &str) -> Option<Vec<(Dur, BitRate)>> {
-    match name {
-        "lte-fade" => Some(lte_fade()),
-        "lte-scatter" => Some(lte_scatter()),
-        _ => None,
-    }
-}
-
-/// `lte-fade`: a 60-second loop sampled every 500 ms — one deep, slow
-/// fade from 4 Mbit/s down to 250 kbit/s and back (the cell-edge
-/// drive-away-and-return profile), with ±10 % multiplicative jitter on
-/// every sample.
-pub fn lte_fade() -> Vec<(Dur, BitRate)> {
-    let mut rng = SimRng::seed_from_u64(0xFADE);
-    let (hi, lo) = (4_000_000u64, 250_000u64);
-    let half = 60u64; // samples per half-cycle: 30 s down, 30 s up
-    (0..=2 * half)
-        .map(|i| {
-            let base = if i <= half {
-                hi - (hi - lo) * i / half
-            } else {
-                lo + (hi - lo) * (i - half) / half
-            };
-            let bps = base * rng.uniform_u64(900, 1_100) / 1_000;
-            (Dur::from_millis(i * 500), BitRate::from_bps(bps))
-        })
-        .collect()
-}
-
-/// `lte-scatter`: a 45-second loop sampled every 250 ms — a fast
-/// multiplicative random walk between 100 kbit/s and 8 Mbit/s, the
-/// small-scale-fading counterpoint to `lte-fade`'s smooth excursion.
-pub fn lte_scatter() -> Vec<(Dur, BitRate)> {
-    let mut rng = SimRng::seed_from_u64(0x5CA7);
-    let (floor, ceil) = (100_000u64, 8_000_000u64);
-    let mut bps = 2_000_000u64;
-    (0..=180u64)
-        .map(|i| {
-            let sample = (Dur::from_millis(i * 250), BitRate::from_bps(bps));
-            bps = (bps * rng.uniform_u64(800, 1_250) / 1_000).clamp(floor, ceil);
-            sample
-        })
-        .collect()
-}
-
-/// Format a float so parsing reads back the same `f64`: Rust's shortest
-/// round-trip formatting, with a `.0` forced onto integral values.
-fn fmt_f64(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains(['.', 'e', 'E']) {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-/// The canonical CSV emission of a trace — what `--export-traces`
-/// writes and [`parse_trace_csv`] reads back sample-for-sample.
-pub fn trace_to_csv(name: &str, samples: &[(Dur, BitRate)]) -> String {
-    let mut out = format!(
-        "# Synthetic LTE-like rate trace `{name}` (see `augur_scenario::traces`);\n\
-         # regenerate with `sweep --export-traces experiments/traces`.\n\
-         time_s,bps\n"
-    );
-    for (t, r) in samples {
-        let _ = writeln!(out, "{},{}", fmt_f64(t.as_secs_f64()), r.as_bps());
-    }
-    out
+/// The text of the shipped trace `experiments/traces/<stem>.csv`.
+pub fn shipped_text(stem: &str) -> Option<&'static str> {
+    SHIPPED
+        .iter()
+        .find(|(s, _)| *s == stem)
+        .map(|(_, text)| *text)
 }
 
 /// Parse trace-CSV text into validated samples. Errors are positioned
@@ -154,13 +99,7 @@ pub fn parse_trace_csv(src: &str) -> Result<Vec<(Dur, BitRate)>, ConfigError> {
                 format!("bad time (seconds) {:?}", time_field.trim()),
             )
         })?;
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(err(
-                lineno,
-                indent + 1,
-                format!("time must be >= 0 seconds, got {secs}"),
-            ));
-        }
+        let t = config::seconds(secs).map_err(|m| err(lineno, indent + 1, format!("time {m}")))?;
         let bps: u64 = bps_field.trim().parse().map_err(|_| {
             err(
                 lineno,
@@ -171,7 +110,6 @@ pub fn parse_trace_csv(src: &str) -> Result<Vec<(Dur, BitRate)>, ConfigError> {
         if bps == 0 {
             return Err(err(lineno, bps_col, "rate must be positive".into()));
         }
-        let t = Dur::from_secs_f64(secs);
         match samples.last() {
             None if t != Dur::ZERO => {
                 return Err(err(
@@ -202,31 +140,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn generators_are_deterministic_and_loopable() {
-        for name in NAMES {
-            let a = by_name(name).unwrap();
-            let b = by_name(name).unwrap();
-            assert_eq!(a, b, "{name}: generator must be deterministic");
-            assert!(a.len() >= 2, "{name}: loopable traces need >= 2 samples");
-            assert_eq!(a[0].0, Dur::ZERO, "{name}: first sample at 0");
+    fn shipped_traces_decode_and_loop() {
+        for (stem, text) in SHIPPED {
+            let samples = parse_trace_csv(text).unwrap_or_else(|e| panic!("{stem}.csv:{e}"));
             assert!(
-                a.windows(2).all(|w| w[0].0 < w[1].0),
-                "{name}: times must increase"
+                samples.len() >= 2,
+                "{stem}: loopable traces need >= 2 samples"
             );
         }
-        // The two traces cover different cycle lengths and cadences.
-        assert_eq!(lte_fade().last().unwrap().0, Dur::from_secs(60));
-        assert_eq!(lte_scatter().last().unwrap().0, Dur::from_secs(45));
-    }
-
-    #[test]
-    fn csv_round_trips_sample_for_sample() {
-        for name in NAMES {
-            let samples = by_name(name).unwrap();
-            let csv = trace_to_csv(name, &samples);
-            let parsed = parse_trace_csv(&csv).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(samples, parsed, "{name}: CSV round-trip");
-        }
+        // The two traces cover different cycle lengths.
+        let last = |stem| {
+            parse_trace_csv(shipped_text(stem).unwrap())
+                .unwrap()
+                .last()
+                .unwrap()
+                .0
+        };
+        assert_eq!(last("lte-fade"), Dur::from_secs(60));
+        assert_eq!(last("lte-scatter"), Dur::from_secs(45));
     }
 
     #[test]
@@ -253,5 +184,10 @@ mod tests {
         let zero_rate = "time_s,bps\n0.0,0\n";
         let e = parse_trace_csv(zero_rate).unwrap_err();
         assert!(e.message.contains("must be positive"), "got: {e}");
+
+        let huge_time = "time_s,bps\n0.0,1000\n 1e300,900\n";
+        let e = parse_trace_csv(huge_time).unwrap_err();
+        assert!(e.message.contains("does not fit in 64-bit"), "got: {e}");
+        assert_eq!((e.line, e.col), (3, 2));
     }
 }

@@ -5,9 +5,8 @@
 //!    with no file access — to the grid `sweep --spec` loads from disk,
 //!    and each constructor being that grid with its arguments written
 //!    over it;
-//! 2. the committed trace CSVs agree with what the shipped files say, and
-//!    the shipped graph topologies compile to the shapes their names
-//!    promise;
+//! 2. the committed trace CSVs are exactly the ones compiled in, and the
+//!    shipped graph topologies compile to the shapes their names promise;
 //! 3. spec files can reach configurations the presets don't, like N > 2
 //!    coexistence peers, and those run deterministically;
 //! 4. a spec whose sections each decode but that holds a grid point the
@@ -49,8 +48,8 @@ fn presets_and_shipped_spec_files_are_the_same_sweeps() {
     names.sort();
     assert_eq!(files, names, "experiments/specs/ vs presets::NAMES");
     // The same grids: the compiled-in text (trace references answered
-    // by the generators) against the file on disk (by the committed
-    // CSVs), down to every run's coordinates and derived seed.
+    // by the compiled-in CSVs) against the file on disk (by the CSVs on
+    // disk), down to every run's coordinates and derived seed.
     for name in presets::NAMES {
         let preset = presets::by_name(name).unwrap();
         let loaded = load_grid(&specs_dir().join(format!("{name}.toml")))
@@ -99,33 +98,20 @@ fn parking_lot_long_flow_crosses_every_hop() {
 }
 
 #[test]
-fn shipped_trace_files_match_the_generators_exactly() {
-    let dir = traces_dir();
-    for name in traces::NAMES {
-        let path = dir.join(format!("{name}.csv"));
-        let shipped = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing shipped trace {} ({e}); regenerate with `sweep --export-traces \
-                 experiments/traces`",
-                path.display()
-            )
-        });
-        let canonical = traces::trace_to_csv(name, &traces::by_name(name).unwrap());
-        assert_eq!(
-            shipped, canonical,
-            "{name}.csv drifted from its generator; regenerate with `sweep --export-traces \
-             experiments/traces`"
-        );
-    }
-    // And nothing extra: every committed trace must be a known generator's.
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let file = entry.unwrap().file_name().into_string().unwrap();
-        let stem = file.trim_end_matches(".csv");
-        assert!(
-            traces::NAMES.contains(&stem),
-            "unexpected trace file {file}; add its generator to `traces::NAMES` or remove it"
-        );
-    }
+fn shipped_trace_files_are_the_embedded_list() {
+    // Nothing extra shipped: every committed trace is one the presets can
+    // name, and the list names no file that is not there.
+    let mut files: Vec<String> = std::fs::read_dir(traces_dir())
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    let mut stems: Vec<String> = traces::SHIPPED
+        .iter()
+        .map(|(s, _)| format!("{s}.csv"))
+        .collect();
+    stems.sort();
+    assert_eq!(files, stems, "experiments/traces/ vs traces::SHIPPED");
 }
 
 #[test]

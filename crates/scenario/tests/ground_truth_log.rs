@@ -191,7 +191,6 @@ fn many_flow_overflow_counts_match_the_drop_records() {
                     TcpConfig {
                         packet_size: model.packet_size,
                         max_window,
-                        ..TcpConfig::default()
                     },
                     Box::<Reno>::default(),
                 )),

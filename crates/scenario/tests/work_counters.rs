@@ -49,7 +49,7 @@ fn rate_integrations_count_service_end_calls_and_never_rate_at() {
     const N: u64 = 50_000;
     let process = RateProcess::Trace {
         label: "lte-fade".into(),
-        samples: traces::lte_fade(),
+        samples: traces::parse_trace_csv(traces::shipped_text("lte-fade").unwrap()).unwrap(),
         end: TraceEnd::Loop,
     };
     // Start offsets cover mid-segment starts, boundary crossings and

@@ -20,8 +20,8 @@
 use crate::cc::CongestionControl;
 use crate::reno::RenoSignal;
 use crate::rtt::RttEstimator;
-use crate::runner::{TcpConfig, TcpTrace};
-use augur_sim::{perf, Dur, Packet, Time};
+use crate::runner::{TcpConfig, TcpTrace, REVERSE_DELAY};
+use augur_sim::{perf, Dur, FlowId, Packet, Time};
 use std::collections::VecDeque;
 
 /// The co-simulated TCP sender + receiver pair, network-free.
@@ -124,7 +124,7 @@ impl TcpEndpoint {
                 self.out_of_order[k] = true;
             }
         }
-        let arrival = at + self.cfg.reverse_delay;
+        let arrival = at + REVERSE_DELAY;
         debug_assert!(
             self.acks.back().is_none_or(|&(t, _)| t <= arrival),
             "deliveries out of time order: an ACK arriving at {arrival} queued behind a later one"
@@ -172,7 +172,7 @@ impl TcpEndpoint {
         trace: &mut TcpTrace,
         out: &mut Vec<Packet>,
     ) {
-        out.push(Packet::new(self.cfg.flow, seq, self.cfg.packet_size, now));
+        out.push(Packet::new(FlowId::SELF, seq, self.cfg.packet_size, now));
         trace.segments_sent += 1;
         if is_retx {
             trace.retransmissions += 1;
@@ -368,7 +368,7 @@ mod reference {
                     self.out_of_order.insert(pkt.seq);
                 }
             }
-            self.acks.push(at + self.cfg.reverse_delay, self.rcv_next);
+            self.acks.push(at + REVERSE_DELAY, self.rcv_next);
         }
 
         pub fn poll(&mut self, now: Time, trace: &mut TcpTrace, out: &mut Vec<Packet>) {
@@ -399,7 +399,7 @@ mod reference {
 
         fn transmit(&mut self, seq: u64, now: Time, is_retx: bool, trace: &mut TcpTrace) {
             self.outbox
-                .push(Packet::new(self.cfg.flow, seq, self.cfg.packet_size, now));
+                .push(Packet::new(FlowId::SELF, seq, self.cfg.packet_size, now));
             trace.segments_sent += 1;
             if is_retx {
                 trace.retransmissions += 1;
@@ -605,7 +605,7 @@ mod tests {
     #[should_panic(expected = "deliveries out of time order")]
     fn deliveries_out_of_time_order_are_rejected() {
         let cfg = TcpConfig::default();
-        let pkt = Packet::new(cfg.flow, 0, cfg.packet_size, Time::ZERO);
+        let pkt = Packet::new(FlowId::SELF, 0, cfg.packet_size, Time::ZERO);
         let mut ep = TcpEndpoint::new(cfg, reno());
         ep.on_delivery(pkt, Time::from_secs(2));
         ep.on_delivery(pkt, Time::from_secs(1));

@@ -18,15 +18,16 @@ use crate::reno::Reno;
 use augur_elements::{DropReason, ModelNet, Network, NodeId};
 use augur_sim::{Bits, Dur, FlowId, Packet, SimRng, Time};
 
-/// Configuration of a TCP run.
+/// The fixed reverse-path (ACK) delay of every TCP connection.
+pub(crate) const REVERSE_DELAY: Dur = Dur::from_millis(25);
+
+/// Configuration of a TCP run. The connection sends as
+/// [`FlowId::SELF`] and its ACKs return after a fixed 25 ms
+/// (`REVERSE_DELAY`).
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// Segment size on the wire.
     pub packet_size: Bits,
-    /// Fixed reverse-path (ACK) delay.
-    pub reverse_delay: Dur,
-    /// Flow id of this connection.
-    pub flow: FlowId,
     /// Cap on the flight size in packets (receiver window stand-in).
     pub max_window: u64,
 }
@@ -35,8 +36,6 @@ impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
             packet_size: Bits::from_bytes(1_500),
-            reverse_delay: Dur::from_millis(25),
-            flow: FlowId::SELF,
             max_window: 1_000,
         }
     }
@@ -163,7 +162,7 @@ impl TcpRunner {
             self.net.run_until_sampled(now, &mut self.rng);
             let (deliveries, drops) = self.net.drain_logs();
             for (node, d) in deliveries {
-                if node == self.rx && d.packet.flow == self.ep.cfg().flow {
+                if node == self.rx && d.packet.flow == FlowId::SELF {
                     self.ep.on_delivery(d.packet, d.at);
                 }
             }
