@@ -22,10 +22,16 @@
 //! * the utility and the configuration are kept, so a restart preserves
 //!   the configured α and latency penalty;
 //! * restarts are counted and reported — they are a *result*, not noise:
-//!   they measure how badly the pinger model fits an adaptive peer.
+//!   they measure how badly the pinger model fits an adaptive peer;
+//! * a repeated wake history replays its plans: after a restart the
+//!   sender is a fresh one again and planning is deterministic, so the
+//!   decisions of a wake are a function of the belief-relative wakes
+//!   since the restart. The sender keeps them in a plan tree and serves
+//!   a wake whose history it has seen from the tree instead of running
+//!   the planner; the belief is still advanced and told of every send.
 
-use crate::isender::SenderAgent;
-use crate::{ISender, ISenderConfig, Utility, WakeOutcome};
+use crate::isender::{decide_next, SenderAgent};
+use crate::{Decision, ISender, ISenderConfig, Utility, WakeOutcome};
 use augur_elements::{build_model, GateSpec, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF};
 use augur_inference::prior::sharing_structures;
 use augur_inference::{Belief, BeliefConfig, BeliefError, Hypothesis, Observation};
@@ -72,12 +78,30 @@ pub fn coexist_belief(link_bps: u64, buffer_bits: u64, max_branches: usize) -> B
     )
 }
 
+/// One wake the belief survived, under the wake before it in a plan tree.
+#[derive(Default)]
+struct PlanNode {
+    /// The belief-relative instant of the wake.
+    now: Time,
+    /// Its belief-relative acknowledgments.
+    acks: Vec<Observation>,
+    /// The decisions it made: one per packet sent, then the final one.
+    decisions: Vec<Decision>,
+    /// The wakes recorded after it.
+    children: Vec<usize>,
+}
+
 /// An ISender plus the restart machinery.
 pub struct RestartingSender {
     inner: ISender<ModelParams>,
     /// The belief the sender began with, never advanced: every restart
     /// starts from a clone of it.
     prior: Belief<ModelParams>,
+    /// Every wake history since a restart, as a tree of the wakes the
+    /// belief survived, rooted at the fresh sender (node 0).
+    plans: Vec<PlanNode>,
+    /// The node of the current belief's last wake.
+    cursor: usize,
     /// Absolute time of the current belief's origin.
     t0: Time,
     /// First (absolute) sequence number the current belief knows about.
@@ -100,6 +124,8 @@ impl RestartingSender {
         RestartingSender {
             inner: ISender::new(prior.clone(), utility, cfg),
             prior,
+            plans: vec![PlanNode::default()],
+            cursor: 0,
             t0: Time::ZERO,
             base_seq: 0,
             next_abs_seq: 0,
@@ -138,8 +164,43 @@ impl RestartingSender {
             })
             .collect();
         let rel_now = now - self.t0.since(Time::ZERO);
-        match self.inner.on_wake(rel_now, &rel_acks) {
+        let seen = self.plans[self.cursor]
+            .children
+            .iter()
+            .copied()
+            .find(|&c| self.plans[c].now == rel_now && self.plans[c].acks == rel_acks);
+        // A wake whose history since the restart was seen serves the
+        // decisions it made then.
+        let mut replay = seen.map(|node| self.plans[node].decisions.iter());
+        let mut decisions = Vec::new();
+        let woke = self
+            .inner
+            .wake_with(rel_now, &rel_acks, |belief, cfg, utility, seq| {
+                if let Some(recorded) = replay.as_mut() {
+                    return recorded
+                        .next()
+                        .expect("a replay has every decision")
+                        .clone();
+                }
+                let d = decide_next(belief, cfg, utility, seq);
+                decisions.push(d.clone());
+                d
+            });
+        match woke {
             Ok(mut outcome) => {
+                // The belief survived: a wake planned afresh is recorded
+                // under the wake before it.
+                self.cursor = seen.unwrap_or_else(|| {
+                    let node = self.plans.len();
+                    self.plans[self.cursor].children.push(node);
+                    self.plans.push(PlanNode {
+                        now: rel_now,
+                        acks: rel_acks,
+                        decisions,
+                        children: Vec::new(),
+                    });
+                    node
+                });
                 for pkt in &mut outcome.sent {
                     // Re-base to absolute identifiers for the caller.
                     *pkt = Packet::new(pkt.flow, pkt.seq + self.base_seq, pkt.size, now);
@@ -156,6 +217,7 @@ impl RestartingSender {
                 self.t0 = now;
                 self.base_seq = self.next_abs_seq;
                 self.inner.restart(self.prior.clone());
+                self.cursor = 0;
                 WakeOutcome::idle(now + Dur::from_millis(500))
             }
         }
@@ -386,6 +448,184 @@ mod tests {
         assert_eq!(states(got), states(&fresh));
         assert_eq!(s.inner().next_seq(), 0, "sequence numbers count afresh");
         assert!(s.inner().sent_log.is_empty());
+    }
+
+    /// A plain ISender with [`RestartingSender`]'s rebasing and restart:
+    /// it plans every decision of every wake afresh.
+    struct Replanning {
+        inner: ISender<ModelParams>,
+        prior: Belief<ModelParams>,
+        t0: Time,
+        base_seq: u64,
+    }
+
+    impl Replanning {
+        fn wake(&mut self, now: Time, acks: &[Observation]) -> WakeOutcome {
+            let shift = self.t0.since(Time::ZERO);
+            let rel_acks: Vec<Observation> = acks
+                .iter()
+                .filter(|o| o.seq >= self.base_seq)
+                .map(|o| Observation {
+                    seq: o.seq - self.base_seq,
+                    at: o.at - shift,
+                })
+                .collect();
+            match self.inner.on_wake(now - shift, &rel_acks) {
+                Ok(mut outcome) => {
+                    for pkt in &mut outcome.sent {
+                        *pkt = Packet::new(pkt.flow, pkt.seq + self.base_seq, pkt.size, now);
+                    }
+                    outcome.next_wake += shift;
+                    outcome
+                }
+                Err(_) => {
+                    self.t0 = now;
+                    self.base_seq += self.inner.next_seq();
+                    self.inner.restart(self.prior.clone());
+                    WakeOutcome::idle(now + Dur::from_millis(500))
+                }
+            }
+        }
+    }
+
+    fn assert_same_outcome(at: &str, got: &WakeOutcome, want: &WakeOutcome) {
+        assert_eq!(got.sent, want.sent, "{at}: sent");
+        assert_eq!(got.next_wake, want.next_wake, "{at}: next wake");
+        let (g, w) = (&got.decision, &want.decision);
+        assert_eq!(g.action, w.action, "{at}: action");
+        assert_eq!(
+            g.expected_utility.to_bits(),
+            w.expected_utility.to_bits(),
+            "{at}: EU"
+        );
+        let bits = |d: &Decision| -> Vec<(Option<Dur>, u64)> {
+            d.evaluations
+                .iter()
+                .map(|&(delay, eu)| (delay, eu.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(g), bits(w), "{at}: evaluations");
+        assert_eq!(g.members, w.members, "{at}: members");
+        assert_eq!(g.rollouts, w.rollouts, "{at}: rollouts");
+    }
+
+    #[test]
+    fn replayed_wakes_match_a_sender_that_replans() {
+        use augur_inference::Engine;
+        use augur_sim::{perf, SimRng};
+        let prior = coexist_belief(LINK_BPS, BUFFER_BITS, 50_000);
+        // Truths drawn from the prior: no cross traffic over a queue
+        // `fill` packets deep. Six packets drain in 3 s, so the sends of
+        // the first wakes are acknowledged later than over an empty one.
+        let truth = |fill: u64| {
+            let params = prior
+                .members()
+                .map(|m| m.meta)
+                .find(|p| !p.cross_active && p.initial_fullness == Bits::new(fill * 12_000))
+                .expect("the prior holds every fullness step");
+            build_model(params).net
+        };
+        // Each history is a truth and the belief-relative wake instants
+        // (ms) after a restart; a forced restart follows each. The second
+        // replays the first; the third replays its first wakes, then its
+        // acknowledgments differ at the same instants; the fourth replays
+        // a prefix, then wakes at an instant not seen before; the last
+        // replays the first among the siblings the others added.
+        let wakes: &[u64] = &[500, 1_000, 1_500, 2_000, 3_000, 4_000];
+        let histories: [(u64, &[u64]); 5] = [
+            (0, wakes),
+            (0, wakes),
+            (6, wakes),
+            (0, &[500, 1_000, 1_250, 2_500]),
+            (0, wakes),
+        ];
+        let mut s =
+            RestartingSender::new(prior.clone(), utility(1.0, 0.0), ISenderConfig::default());
+        let mut r = Replanning {
+            inner: ISender::new(prior.clone(), utility(1.0, 0.0), ISenderConfig::default()),
+            prior: prior.clone(),
+            t0: Time::ZERO,
+            base_seq: 0,
+        };
+        let events = |wake: &mut dyn FnMut() -> WakeOutcome| {
+            let before = perf::snapshot();
+            let outcome = wake();
+            (outcome, perf::snapshot().since(&before).events_processed)
+        };
+        // Every surviving wake history seen since a restart, relative.
+        let mut seen: Vec<Vec<(Time, Vec<Observation>)>> = Vec::new();
+        let (mut replayed, mut diverged) = (0, 0);
+        for (h, &(fill, instants)) in histories.iter().enumerate() {
+            let mut truth = truth(fill);
+            let mut rng = SimRng::seed_from_u64(0);
+            let mut path: Vec<(Time, Vec<Observation>)> = Vec::new();
+            let mut replaying = false;
+            for &ms in instants {
+                let at = format!("history {h}, {ms} ms");
+                let rel_now = Time::from_millis(ms);
+                truth.run_until_sampled(rel_now, &mut rng);
+                let rel_acks: Vec<Observation> = truth
+                    .take_deliveries()
+                    .into_iter()
+                    .filter(|(node, _)| *node == FIG2_RX_SELF)
+                    .map(|(_, d)| Observation {
+                        seq: d.packet.seq,
+                        at: d.at,
+                    })
+                    .collect();
+                let (t0, base) = (s.t0().since(Time::ZERO), s.base_seq());
+                let now = rel_now + t0;
+                let acks: Vec<Observation> = rel_acks
+                    .iter()
+                    .map(|o| Observation {
+                        seq: o.seq + base,
+                        at: o.at + t0,
+                    })
+                    .collect();
+                path.push((rel_now, rel_acks));
+                let expect_replay = seen.iter().any(|h| h.starts_with(&path));
+
+                let (got, got_events) = events(&mut || s.wake(now, &acks));
+                let (want, want_events) = events(&mut || r.wake(now, &acks));
+                assert_eq!(s.restarts, h, "{at}: the truth's belief survives");
+                assert_same_outcome(&at, &got, &want);
+                let (a, b) = (&s.inner().belief, &r.inner.belief);
+                assert_eq!(a.now(), b.now(), "{at}: belief instant");
+                assert_eq!(a.members().len(), b.members().len(), "{at}: members");
+                for (i, (x, y)) in a.members().zip(b.members()).enumerate() {
+                    assert!(x.net == y.net, "{at}: member {i}: network");
+                    assert_eq!(x.weight.to_bits(), y.weight.to_bits(), "{at}: member {i}");
+                }
+                if expect_replay {
+                    // A replayed wake advances the belief but runs no
+                    // rollout.
+                    assert!(got_events < want_events, "{at}: replayed");
+                    replayed += 1;
+                } else {
+                    assert_eq!(got_events, want_events, "{at}: planned afresh");
+                    diverged += usize::from(replaying);
+                }
+                replaying = expect_replay;
+                for pkt in &got.sent {
+                    let seq = pkt.seq - base;
+                    truth.inject(FIG2_ENTRY, Packet::new(pkt.flow, seq, pkt.size, rel_now));
+                }
+            }
+            seen.push(path);
+
+            let last = instants.last().expect("a history has wakes");
+            let now = s.t0() + Dur::from_millis(last + 500);
+            let bogus = [Observation {
+                seq: s.base_seq() + 10_000,
+                at: now,
+            }];
+            let got = s.wake(now, &bogus);
+            assert_same_outcome(&format!("restart {h}"), &got, &r.wake(now, &bogus));
+            assert_eq!(s.restarts, h + 1, "bogus ack must kill the belief");
+            assert_eq!((s.t0(), s.base_seq()), (r.t0, r.base_seq));
+        }
+        // 17 replayed wakes; histories 2 and 3 diverge after a replay.
+        assert_eq!((replayed, diverged), (17, 2));
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! `E` stands behind the [`Engine`] seam: the exact [`Belief`] (the
 //! default, so `ISender<M>` names the paper's sender) or the
 //! [`ParticleFilter`] ([`ParticleSender`]). The wake cycle is written once
-//! and reaches the engine through `advance`, `inject` and — inside
-//! [`decide`] — `members`, so the policy cannot diverge between belief
-//! representations.
+//! ([`ISender::wake_with`]) and reaches the engine through `advance`,
+//! `inject` and — inside [`decide`] — `members`, so the policy cannot
+//! diverge between belief representations.
 
 use crate::planner::{decide, Action, Decision, PlannerConfig, RolloutCounts};
 use crate::utility::Utility;
@@ -107,6 +107,24 @@ pub struct ISender<M, E = Belief<M>> {
 /// observation mismatch rather than forked branches.
 pub type ParticleSender<M> = ISender<M, ParticleFilter<M>>;
 
+/// The planner call of a wake: [`decide`] for the sender's next packet,
+/// `seq`, on its own flow.
+pub(crate) fn decide_next<E: Engine>(
+    belief: &E,
+    cfg: &ISenderConfig,
+    utility: &dyn Utility,
+    seq: u64,
+) -> Decision {
+    decide(
+        belief,
+        &cfg.planner,
+        utility,
+        FlowId::SELF,
+        seq,
+        cfg.packet_size,
+    )
+}
+
 impl<M, E: Engine<Meta = M>> ISender<M, E> {
     /// Create a sender over a prior belief with the given utility.
     pub fn new(belief: E, utility: Box<dyn Utility + Send>, cfg: ISenderConfig) -> ISender<M, E> {
@@ -143,6 +161,71 @@ impl<M, E: Engine<Meta = M>> ISender<M, E> {
         self.belief = belief;
         self.next_seq = 0;
         self.sent_log.clear();
+    }
+
+    /// The wake cycle, written once, with the planner call as its
+    /// argument: advance the belief over the window since the last wake
+    /// (conditioning on `acks`), then transmit while `plan(belief, config,
+    /// utility, seq)` says "send now" (up to the per-wake cap), telling
+    /// the belief about each transmission, and map the final action to
+    /// the next timer.
+    ///
+    /// [`SenderAgent::on_wake`] passes [`decide`]. A caller may instead
+    /// serve decisions it already holds, provided each is the one
+    /// `decide` would return for the same belief and `seq`: the belief is
+    /// still advanced and told of every send, and each wake's decision is
+    /// emitted and returned as if it had been planned.
+    pub fn wake_with(
+        &mut self,
+        now: Time,
+        acks: &[Observation],
+        mut plan: impl FnMut(&E, &ISenderConfig, &dyn Utility, u64) -> Decision,
+    ) -> Result<WakeOutcome, BeliefError> {
+        self.belief.advance(now, acks)?;
+        let cfg = &self.cfg;
+        let mut sent = Vec::new();
+        let decision = loop {
+            let d = plan(&self.belief, cfg, self.utility.as_ref(), self.next_seq);
+            match d.action {
+                Action::SendNow if sent.len() < cfg.max_sends_per_wake => {
+                    let pkt = Packet::new(FlowId::SELF, self.next_seq, cfg.packet_size, now);
+                    self.belief.inject(pkt);
+                    self.sent_log.push((self.next_seq, now));
+                    self.next_seq += 1;
+                    sent.push(pkt);
+                }
+                _ => break d,
+            }
+        };
+
+        let (action, next_wake) = match decision.action {
+            Action::SendNow => ("send-now", now + cfg.max_sleep), // send cap hit
+            Action::SleepUntil(t) => ("sleep", t.min(now + cfg.max_sleep)),
+            // No send looks profitable: wait for news (ACKs wake earlier).
+            Action::Idle => ("idle", now + cfg.max_sleep),
+        };
+        // `evaluations` opens with the idle baseline, then the grid, whose
+        // first delay is zero.
+        augur_obs::emit(
+            now,
+            EventKind::Decision {
+                flow: augur_obs::current_flow(),
+                action,
+                eu: decision.expected_utility,
+                idle_eu: decision.evaluations[0].1,
+                send_now_eu: decision.evaluations[1].1,
+                members: decision.members,
+                groups: decision.rollouts.groups,
+                forks_run: decision.rollouts.forks_run,
+                forks_idle: decision.rollouts.forks_idle,
+                forks_shared: decision.rollouts.forks_shared,
+            },
+        );
+        Ok(WakeOutcome {
+            sent,
+            next_wake,
+            decision,
+        })
     }
 }
 
@@ -187,62 +270,9 @@ impl<M, E: Engine<Meta = M>> SenderAgent for ISender<M, E> {
         FlowId::SELF
     }
 
-    /// Updates the belief, transmits while the planner says "send now" (up
-    /// to the per-wake cap), telling the belief about each transmission,
-    /// then maps the final action to the next timer.
+    /// [`ISender::wake_with`] the [`decide`] planner.
     fn on_wake(&mut self, now: Time, acks: &[Observation]) -> Result<WakeOutcome, BeliefError> {
-        self.belief.advance(now, acks)?;
-        let cfg = &self.cfg;
-        let mut sent = Vec::new();
-        let decision = loop {
-            let d = decide(
-                &self.belief,
-                &cfg.planner,
-                self.utility.as_ref(),
-                FlowId::SELF,
-                self.next_seq,
-                cfg.packet_size,
-            );
-            match d.action {
-                Action::SendNow if sent.len() < cfg.max_sends_per_wake => {
-                    let pkt = Packet::new(FlowId::SELF, self.next_seq, cfg.packet_size, now);
-                    self.belief.inject(pkt);
-                    self.sent_log.push((self.next_seq, now));
-                    self.next_seq += 1;
-                    sent.push(pkt);
-                }
-                _ => break d,
-            }
-        };
-
-        let (action, next_wake) = match decision.action {
-            Action::SendNow => ("send-now", now + cfg.max_sleep), // send cap hit
-            Action::SleepUntil(t) => ("sleep", t.min(now + cfg.max_sleep)),
-            // No send looks profitable: wait for news (ACKs wake earlier).
-            Action::Idle => ("idle", now + cfg.max_sleep),
-        };
-        // `evaluations` opens with the idle baseline, then the grid, whose
-        // first delay is zero.
-        augur_obs::emit(
-            now,
-            EventKind::Decision {
-                flow: augur_obs::current_flow(),
-                action,
-                eu: decision.expected_utility,
-                idle_eu: decision.evaluations[0].1,
-                send_now_eu: decision.evaluations[1].1,
-                members: decision.members,
-                groups: decision.rollouts.groups,
-                forks_run: decision.rollouts.forks_run,
-                forks_idle: decision.rollouts.forks_idle,
-                forks_shared: decision.rollouts.forks_shared,
-            },
-        );
-        Ok(WakeOutcome {
-            sent,
-            next_wake,
-            decision,
-        })
+        self.wake_with(now, acks, decide_next)
     }
 
     fn population(&self) -> usize {

@@ -268,14 +268,16 @@ fn coexist_fairness_sweep_counters_are_pinned() {
                 // clone of it (63 states); each restart clones it again
                 // instead of enumerating it (63 structures, and 56 service
                 // integrations for the backlogged hypotheses): 4 agents and
-                // 10 restarts.
-                events_processed: 786_022,
-                packets_forwarded: 830_416,
+                // 10 restarts. A wake that repeats a history since a
+                // restart replays its recorded decisions and runs no
+                // rollouts (events, forwards, integrations and clones).
+                events_processed: 637_536,
+                packets_forwarded: 673_722,
                 hypothesis_updates: 4_266,
                 particle_resamples: 0,
-                rate_integrations: 433_166,
+                rate_integrations: 352_218,
                 networks_built: 0,
-                state_clones: 48_222,
+                state_clones: 39_102,
                 structures_built: 254,
                 flow_wakes: 124,
             }
@@ -296,14 +298,16 @@ fn coexist_vs_tcp_sweep_counters_are_pinned() {
                 // clone of it (63 states); each restart clones it again
                 // instead of enumerating it (63 structures, and 56 service
                 // integrations for the backlogged hypotheses): 6 agents and
-                // 12 restarts.
-                events_processed: 991_242,
-                packets_forwarded: 1_047_102,
+                // 12 restarts. A wake that repeats a history since a
+                // restart replays its recorded decisions and runs no
+                // rollouts (events, forwards, integrations and clones).
+                events_processed: 812_559,
+                packets_forwarded: 858_546,
                 hypothesis_updates: 5_253,
                 particle_resamples: 0,
-                rate_integrations: 546_312,
+                rate_integrations: 448_942,
                 networks_built: 0,
-                state_clones: 60_704,
+                state_clones: 49_734,
                 structures_built: 384,
                 flow_wakes: 417,
             }
