@@ -498,7 +498,6 @@ fn harvest(
             seq: d.packet.seq,
             at: d.at,
         });
-        traces[k].delivered_bits += d.packet.size.as_u64();
         heap.pull_wake(k, d.at);
     }
     for drop in drops {

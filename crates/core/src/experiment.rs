@@ -27,10 +27,6 @@ pub struct RunTrace {
     /// hands each one to the agent once, as part of the slice past the
     /// flow's cursor at its next wake.
     pub acks: Vec<Observation>,
-    /// Total own-flow bits delivered (acknowledged) — per-flow throughput
-    /// accounting for multi-sender runs, where packet sizes may differ
-    /// between agents.
-    pub delivered_bits: u64,
     /// Ground-truth drops of every flow (buffer overflows, stochastic
     /// loss, gate closures). Kept by the single-sender closed loop only;
     /// empty on a multi-flow trace.

@@ -30,6 +30,7 @@
 //! byte-identical for any `--workers` value — `--workers 1` is the
 //! reference execution.
 
+use augur_scenario::config::positive_seconds;
 use augur_scenario::{load_grid, presets, SweepGrid, SweepRunner};
 use augur_sim::Dur;
 use std::fs;
@@ -56,12 +57,12 @@ struct Options {
     source: Option<Source>,
     check: bool,
     workers: Option<usize>,
-    duration: Option<u64>,
+    duration: Option<Dur>,
     branches: Option<usize>,
     replicates: Option<usize>,
     jsonl: bool,
     trace_events: Option<PathBuf>,
-    belief_snapshots: Option<f64>,
+    belief_snapshots: Option<Dur>,
     progress: bool,
 }
 
@@ -82,6 +83,16 @@ fn usage() -> ! {
         presets::NAMES.join("|")
     );
     exit(2)
+}
+
+/// A time flag's value, by the rule every time in a spec file follows:
+/// `--duration` and `--belief-snapshots` must name a positive time that
+/// fits in 64-bit microseconds.
+fn flag_seconds(name: &str, raw: &str) -> Result<Dur, String> {
+    let secs: f64 = raw
+        .parse()
+        .map_err(|_| format!("bad value {raw:?} for {name}"))?;
+    positive_seconds(secs).map_err(|rule| format!("{name} {rule}"))
 }
 
 fn parse_args() -> Options {
@@ -140,6 +151,12 @@ fn parse_from(args: impl Iterator<Item = String>) -> Options {
             }
             n
         }
+        fn time(name: &str, raw: String) -> Dur {
+            flag_seconds(name, &raw).unwrap_or_else(|message| {
+                eprintln!("{message}");
+                usage()
+            })
+        }
         let set_source = |opts: &mut Options, source: Source| {
             if opts.source.is_some() {
                 eprintln!("give exactly one of a preset or --spec");
@@ -158,19 +175,15 @@ fn parse_from(args: impl Iterator<Item = String>) -> Options {
             }
             "--check" => opts.check = true,
             "--workers" => opts.workers = Some(at_least_one("--workers", value("--workers"))),
-            "--duration" => opts.duration = Some(numeric("--duration", value("--duration"))),
+            "--duration" => opts.duration = Some(time("--duration", value("--duration"))),
             "--branches" => opts.branches = Some(at_least_one("--branches", value("--branches"))),
             "--replicates" => {
                 opts.replicates = Some(at_least_one("--replicates", value("--replicates")))
             }
             "--jsonl" => opts.jsonl = true,
             "--belief-snapshots" => {
-                let secs: f64 = numeric("--belief-snapshots", value("--belief-snapshots"));
-                if !secs.is_finite() || secs <= 0.0 {
-                    eprintln!("--belief-snapshots must be a positive number of seconds");
-                    usage()
-                }
-                opts.belief_snapshots = Some(secs);
+                opts.belief_snapshots =
+                    Some(time("--belief-snapshots", value("--belief-snapshots")))
             }
             "--progress" => opts.progress = true,
             _ => {
@@ -186,8 +199,8 @@ fn parse_from(args: impl Iterator<Item = String>) -> Options {
 /// same semantics for presets and spec files — rejecting any override
 /// the grid cannot consume.
 fn apply_overrides(grid: &mut SweepGrid, opts: &Options, label: &str) {
-    if let Some(secs) = opts.duration {
-        grid.set_duration(Dur::from_secs(secs));
+    if let Some(duration) = opts.duration {
+        grid.set_duration(duration);
     }
     if let Some(b) = opts.branches {
         if !grid.set_max_branches(b) {
@@ -236,8 +249,8 @@ fn main() {
     if opts.trace_events.is_some() {
         grid.base.observe.trace_events = true;
     }
-    if let Some(secs) = opts.belief_snapshots {
-        grid.base.observe.snapshot_every = Some(Dur::from_secs_f64(secs));
+    if let Some(every) = opts.belief_snapshots {
+        grid.base.observe.snapshot_every = Some(every);
     }
 
     // `load_grid` has validated the file as written; validate again the
@@ -357,7 +370,7 @@ mod tests {
         let opts = parse(&["fig3", "--workers", "8", "--duration", "30"]);
         assert!(matches!(opts.source, Some(Source::Preset(ref p)) if p == "fig3"));
         assert_eq!(opts.workers, Some(8));
-        assert_eq!(opts.duration, Some(30));
+        assert_eq!(opts.duration, Some(Dur::from_secs(30)));
     }
 
     #[test]
@@ -367,6 +380,22 @@ mod tests {
         assert!(opts.check);
         assert!(opts.jsonl);
         assert_eq!(opts.workers, None);
+    }
+
+    #[test]
+    fn time_flags_follow_the_spec_time_rule() {
+        assert_eq!(flag_seconds("--duration", "30"), Ok(Dur::from_secs(30)));
+        // A wrapped duration, a cadence rounded to zero (snapshots off) and
+        // a saturated one each used to run.
+        for (flag, raw, rule) in [
+            ("--duration", "18446744073710", "does not fit"),
+            ("--belief-snapshots", "1e-7", "must be > 0 seconds"),
+            ("--belief-snapshots", "1e300", "does not fit"),
+        ] {
+            let message = flag_seconds(flag, raw).unwrap_err();
+            assert!(message.starts_with(flag), "{message}");
+            assert!(message.contains(rule), "{message}");
+        }
     }
 
     #[test]

@@ -797,6 +797,18 @@ pub(crate) fn seconds(s: f64) -> Result<Dur, String> {
     }
 }
 
+/// `s` seconds on the microsecond grid when that is more than zero and
+/// fits in 64-bit microseconds, or what is wrong with it — the time rule a
+/// spec file's times follow, plus `> 0`. A spec's `snapshot_every_s` and
+/// the `sweep` binary's `--duration` and `--belief-snapshots` are read by
+/// this one rule.
+pub fn positive_seconds(s: f64) -> Result<Dur, String> {
+    match seconds(s)? {
+        Dur::ZERO => Err(format!("must be > 0 seconds, got {s}")),
+        d => Ok(d),
+    }
+}
+
 fn read_seconds(v: &Value, what: &str) -> Result<Dur, ConfigError> {
     seconds(read_f64(v, what)?).or_else(|m| v.bad(format!("`{what}` {m}")))
 }
@@ -1191,16 +1203,14 @@ fn decode_workload(v: &Value, what: &str) -> Result<WorkloadSpec, ConfigError> {
 /// snapshot cadence. Both default off, matching `ObserveSpec::default()`.
 fn decode_observe(v: &Value, what: &str) -> Result<ObserveSpec, ConfigError> {
     let mut d = Dec::table(v, what)?;
+    let every = |v: &Value, what: &str| {
+        positive_seconds(read_f64(v, what)?)
+            .or_else(|m| v.bad(format!("`{what}` {m} (omit the key to disable snapshots)")))
+    };
     let spec = ObserveSpec {
         trace_events: d.opt("trace_events", read_bool)?.unwrap_or_default(),
-        snapshot_every: d.opt("snapshot_every_s", read_seconds)?,
+        snapshot_every: d.opt("snapshot_every_s", every)?,
     };
-    if spec.snapshot_every == Some(Dur::ZERO) {
-        return d.bad(
-            "snapshot_every_s",
-            "`snapshot_every_s` must be > 0 seconds (omit the key to disable snapshots)",
-        );
-    }
     d.finish()?;
     Ok(spec)
 }

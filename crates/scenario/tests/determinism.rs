@@ -1,11 +1,11 @@
-//! The sweep subsystem's reproducibility contract:
+//! The sweep subsystem's reproducibility contract beyond the digests
+//! `byte_identity.rs` pins at 1 and 4 workers:
 //!
-//! 1. the same `ScenarioSpec` grid run with 1 worker and with N workers
-//!    produces identical `SweepReport`s (per-run seeds derive from
-//!    `(base_seed, run_index)`, so scheduling cannot matter);
-//! 2. the same base seed twice yields byte-identical CSV;
-//! 3. a different base seed yields a different (but equally reproducible)
-//!    sweep.
+//! 1. the same base seed twice yields byte-identical CSV and JSONL, and
+//!    the same work counters at any worker count;
+//! 2. a different base seed yields a different (but equally
+//!    reproducible) sweep;
+//! 3. the rows each workload writes have the shape its report promises.
 
 use augur_scenario::{Axis, PriorSpec, ScenarioSpec, SenderSpec, SweepGrid, SweepRunner};
 use augur_sim::Dur;
@@ -34,26 +34,6 @@ fn grid(base_seed: u64) -> SweepGrid {
 }
 
 #[test]
-fn parallel_sweep_is_byte_identical_to_serial() {
-    let runs = grid(0xD0_0D).expand();
-    let serial = SweepRunner::serial().run(&runs);
-    let parallel = SweepRunner::with_workers(4).run(&runs);
-    assert_eq!(
-        serial.to_csv_string(),
-        parallel.to_csv_string(),
-        "worker count leaked into sweep results"
-    );
-    // And not merely CSV-equal in aggregate: per-run metrics line up.
-    for (s, p) in serial.runs.iter().zip(&parallel.runs) {
-        assert_eq!(s.index, p.index);
-        assert_eq!(s.seed, p.seed);
-        assert_eq!(s.sends, p.sends);
-        assert_eq!(s.delivered, p.delivered);
-        assert_eq!(s.overflow_drops, p.overflow_drops);
-    }
-}
-
-#[test]
 fn same_base_seed_twice_is_byte_identical() {
     let a = SweepRunner::with_workers(2).run(&grid(0xFEED).expand());
     let b = SweepRunner::with_workers(3).run(&grid(0xFEED).expand());
@@ -77,7 +57,7 @@ fn different_base_seed_changes_the_sweep() {
 }
 
 #[test]
-fn scripted_sweep_is_reproducible_across_workers() {
+fn scripted_exact_sender_pins_the_true_link_rate() {
     let mut base = ScenarioSpec::paper_baseline("determinism-scripted");
     base.prior = PriorSpec::FineLinkRate {
         n: 51,
@@ -103,10 +83,7 @@ fn scripted_sweep_is_reproducible_across_workers() {
             n_particles: 200,
         },
     ]));
-    let runs = grid.expand();
-    let serial = SweepRunner::serial().run(&runs);
-    let parallel = SweepRunner::with_workers(2).run(&runs);
-    assert_eq!(serial.to_csv_string(), parallel.to_csv_string());
+    let serial = SweepRunner::serial().run(&grid.expand());
     // The exact engine must pin the true 12 kbps link from 20 s of pings.
     assert!(
         serial.runs[0].rate_err_bps < 500.0,
@@ -163,20 +140,9 @@ fn work_counters_are_deterministic_across_workers() {
 }
 
 #[test]
-fn coexist_sweep_is_byte_identical_across_workers() {
-    // The multi-agent loop draws wake tie-breaks from the truth RNG;
-    // those draws must stay inside the per-run seed stream, or worker
-    // scheduling would leak into fairness numbers.
+fn coexist_rows_carry_peer_restarts_and_jain() {
     let grid = augur_scenario::presets::coexist_vs_tcp(Dur::from_secs(20), 2, 50_000);
-    let runs = grid.expand();
-    let serial = SweepRunner::serial().run(&runs);
-    let parallel = SweepRunner::with_workers(4).run(&runs);
-    assert_eq!(
-        serial.to_csv_string(),
-        parallel.to_csv_string(),
-        "worker count leaked into coexistence results"
-    );
-    for r in &serial.runs {
+    for r in &SweepRunner::serial().run(&grid.expand()).runs {
         assert!(!r.peer.is_empty(), "coexist rows carry the peer label");
         assert!(
             r.restarts_a.is_some() && r.restarts_b.is_some(),
@@ -191,20 +157,9 @@ fn coexist_sweep_is_byte_identical_across_workers() {
 }
 
 #[test]
-fn graph_sweep_is_byte_identical_across_workers() {
-    // Graph topologies add per-flow injection points and diverter-chain
-    // routing on top of the multi-agent loop; none of it may observe
-    // worker scheduling.
+fn graph_rows_split_goodput_by_flow_class() {
     let grid = augur_scenario::presets::dumbbell_cross(Dur::from_secs(20), 2, 2_048);
-    let runs = grid.expand();
-    let serial = SweepRunner::serial().run(&runs);
-    let parallel = SweepRunner::with_workers(4).run(&runs);
-    assert_eq!(
-        serial.to_csv_string(),
-        parallel.to_csv_string(),
-        "worker count leaked into graph-topology results"
-    );
-    for r in &serial.runs {
+    for r in &SweepRunner::serial().run(&grid.expand()).runs {
         assert!(
             r.class_goodput.starts_with("primary=") && r.class_goodput.contains(" cross="),
             "graph rows split goodput by flow class: {:?}",

@@ -9,6 +9,7 @@
 use augur_core::{run_closed_loop, RunTrace};
 use augur_elements::ModelParams;
 use augur_inference::Engine;
+use augur_obs::{EventKind, EventRecord};
 use augur_scenario::{
     presets, spec_ground_truth, spec_isender, Axis, RunArtifact, RunSpec, RunStatus, RunSummary,
     SenderSpec, SweepRunner,
@@ -46,7 +47,13 @@ fn fig1_tcp_rtt_blows_up_over_a_deep_cellular_buffer() {
         .and_then(RunArtifact::into_tcp)
         .expect("cellular TCP runs produce a TcpTrace");
     let Summary { min, max, .. } = rtt_summary(&trace);
-    let (blowup, drops) = (trace.rtt_blowup(), trace.drops);
+    let blowup = trace.rtt_blowup();
+    // Every drop the real network logs, whatever its reason.
+    let mut logged = presets::fig1(Dur::from_secs(250));
+    logged.base.observe.trace_events = true;
+    let (_, logs) = SweepRunner::serial().run_observed(&logged.expand());
+    let is_drop = |e: &&EventRecord| matches!(e.kind, EventKind::Drop { .. });
+    let drops = logs.iter().flatten().filter(is_drop).count() as u64;
 
     assert!(
         min < 0.2,

@@ -16,23 +16,19 @@
 //! cannot go unpinned, and the smoke sweep must bump every counter
 //! `WorkCounters::named` lists.
 
+mod common;
+
 use augur_core::{build_many_flow_bottleneck, run_multi_agent, AimdSender, SenderAgent};
 use augur_elements::{build_model, ModelParams, RateProcess, TraceEnd};
 use augur_scenario::{execute_run, presets, traces, Axis, RunSpec, SweepRunner};
 use augur_sim::{perf, BitRate, Bits, Dur, Ppm, Time, WorkCounters};
+use common::fnv1a;
 
 /// The calling thread's work while `f` runs, and what `f` returned.
 fn work_of<R>(f: impl FnOnce() -> R) -> (WorkCounters, R) {
     let before = perf::snapshot();
     let out = f();
     (perf::snapshot().since(&before), out)
-}
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// What one serial sweep leaves behind and costs: the digest of its CSV,

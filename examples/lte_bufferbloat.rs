@@ -29,8 +29,8 @@ fn main() {
         s.max / s.min
     );
     println!(
-        "All {} drops were buffer overflows; the link layer hid every stochastic loss.",
-        trace.drops
+        "The buffer overflowed {} times; link-layer ARQ hid every stochastic loss.",
+        trace.overflow_drops
     );
     println!(
         "TCP kept the pipe busy ({:.0} bit/s goodput) but at seconds of latency —",
