@@ -23,15 +23,22 @@
 //!   the configured α and latency penalty;
 //! * restarts are counted and reported — they are a *result*, not noise:
 //!   they measure how badly the pinger model fits an adaptive peer;
-//! * a repeated wake history replays its plans: after a restart the
-//!   sender is a fresh one again and planning is deterministic, so the
-//!   decisions of a wake are a function of the belief-relative wakes
-//!   since the restart. The sender keeps them in a plan tree and serves
-//!   a wake whose history it has seen from the tree instead of running
-//!   the planner; the belief is still advanced and told of every send.
+//! * a class of members planned before is served, not rolled again: a
+//!   restarted belief starts from the same prior on a belief-relative
+//!   clock, so it meets the networks of earlier ones again, whatever
+//!   wakes led there. A member's utility row is a function of the
+//!   decision instant, the packet's sequence number and the member's
+//!   network alone, so the sender keeps every row its planner rolled in
+//!   a memo ([`crate::planner`]'s `PlanMemo`), kept across restarts. A row
+//!   is served only to a network equal to the one it was rolled for — the
+//!   same structure allocation and an equal state — and a class only when
+//!   every member is found, so each decision, its expected utilities and
+//!   its rollout counts are bit for bit what planning afresh gives. The
+//!   belief is still advanced and told of every send.
 
 use crate::isender::{decide_next, SenderAgent};
-use crate::{Decision, ISender, ISenderConfig, Utility, WakeOutcome};
+use crate::planner::PlanMemo;
+use crate::{ISender, ISenderConfig, Utility, WakeOutcome};
 use augur_elements::{build_model, GateSpec, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF};
 use augur_inference::prior::sharing_structures;
 use augur_inference::{Belief, BeliefConfig, BeliefError, Hypothesis, Observation};
@@ -78,30 +85,16 @@ pub fn coexist_belief(link_bps: u64, buffer_bits: u64, max_branches: usize) -> B
     )
 }
 
-/// One wake the belief survived, under the wake before it in a plan tree.
-#[derive(Default)]
-struct PlanNode {
-    /// The belief-relative instant of the wake.
-    now: Time,
-    /// Its belief-relative acknowledgments.
-    acks: Vec<Observation>,
-    /// The decisions it made: one per packet sent, then the final one.
-    decisions: Vec<Decision>,
-    /// The wakes recorded after it.
-    children: Vec<usize>,
-}
-
 /// An ISender plus the restart machinery.
 pub struct RestartingSender {
     inner: ISender<ModelParams>,
     /// The belief the sender began with, never advanced: every restart
     /// starts from a clone of it.
     prior: Belief<ModelParams>,
-    /// Every wake history since a restart, as a tree of the wakes the
-    /// belief survived, rooted at the fresh sender (node 0).
-    plans: Vec<PlanNode>,
-    /// The node of the current belief's last wake.
-    cursor: usize,
+    /// Every row the planner has rolled, across restarts: a restarted
+    /// belief meets the states of earlier ones again, and its times are
+    /// belief-relative.
+    memo: PlanMemo,
     /// Absolute time of the current belief's origin.
     t0: Time,
     /// First (absolute) sequence number the current belief knows about.
@@ -124,8 +117,7 @@ impl RestartingSender {
         RestartingSender {
             inner: ISender::new(prior.clone(), utility, cfg),
             prior,
-            plans: vec![PlanNode::default()],
-            cursor: 0,
+            memo: PlanMemo::new(),
             t0: Time::ZERO,
             base_seq: 0,
             next_abs_seq: 0,
@@ -164,43 +156,14 @@ impl RestartingSender {
             })
             .collect();
         let rel_now = now - self.t0.since(Time::ZERO);
-        let seen = self.plans[self.cursor]
-            .children
-            .iter()
-            .copied()
-            .find(|&c| self.plans[c].now == rel_now && self.plans[c].acks == rel_acks);
-        // A wake whose history since the restart was seen serves the
-        // decisions it made then.
-        let mut replay = seen.map(|node| self.plans[node].decisions.iter());
-        let mut decisions = Vec::new();
+        let memo = &mut self.memo;
         let woke = self
             .inner
             .wake_with(rel_now, &rel_acks, |belief, cfg, utility, seq| {
-                if let Some(recorded) = replay.as_mut() {
-                    return recorded
-                        .next()
-                        .expect("a replay has every decision")
-                        .clone();
-                }
-                let d = decide_next(belief, cfg, utility, seq);
-                decisions.push(d.clone());
-                d
+                decide_next(belief, cfg, utility, seq, Some(&mut *memo))
             });
         match woke {
             Ok(mut outcome) => {
-                // The belief survived: a wake planned afresh is recorded
-                // under the wake before it.
-                self.cursor = seen.unwrap_or_else(|| {
-                    let node = self.plans.len();
-                    self.plans[self.cursor].children.push(node);
-                    self.plans.push(PlanNode {
-                        now: rel_now,
-                        acks: rel_acks,
-                        decisions,
-                        children: Vec::new(),
-                    });
-                    node
-                });
                 for pkt in &mut outcome.sent {
                     // Re-base to absolute identifiers for the caller.
                     *pkt = Packet::new(pkt.flow, pkt.seq + self.base_seq, pkt.size, now);
@@ -217,7 +180,6 @@ impl RestartingSender {
                 self.t0 = now;
                 self.base_seq = self.next_abs_seq;
                 self.inner.restart(self.prior.clone());
-                self.cursor = 0;
                 WakeOutcome::idle(now + Dur::from_millis(500))
             }
         }
@@ -407,13 +369,15 @@ mod tests {
     fn coexist_prior_keeps_one_structure_per_cross_fraction() {
         use augur_elements::Network;
         use augur_inference::Engine;
+        use std::sync::Arc;
         let belief = coexist_belief(LINK_BPS, BUFFER_BITS, 50_000);
         // 7 cross fractions × 9 backlogs, the backlog state only.
         assert_eq!(belief.branch_count(), 7 * 9);
         let nets: Vec<Network> = belief.members().map(|m| m.net.to_network()).collect();
         let mut distinct: Vec<&Network> = Vec::new();
         for net in &nets {
-            if !distinct.iter().any(|d| d.shares_structure(net)) {
+            if !(distinct.iter()).any(|d| Arc::ptr_eq(d.shared_structure(), net.shared_structure()))
+            {
                 distinct.push(net);
             }
         }
@@ -450,6 +414,44 @@ mod tests {
         assert!(s.inner().sent_log.is_empty());
     }
 
+    /// [`coexist_belief`]'s prior over three cross rates, each state
+    /// under two fractional last-mile loss rates: the belief keeps the two
+    /// members of a state on one network state under two structures, and
+    /// one class rolls for both.
+    fn sibling_belief() -> Belief<ModelParams> {
+        let hyps = [0, 6_000, 12_000].into_iter().flat_map(|cross_bps: u64| {
+            [50_000, 100_000].into_iter().flat_map(move |loss_ppm| {
+                (0..=BUFFER_BITS / 12_000).map(move |fill_steps| {
+                    let params = ModelParams {
+                        link_rate: BitRate::from_bps(LINK_BPS),
+                        cross_rate: BitRate::from_bps(cross_bps.max(1)),
+                        gate: GateSpec::AlwaysOn,
+                        loss: Ppm::new(loss_ppm),
+                        buffer_capacity: Bits::new(BUFFER_BITS),
+                        initial_fullness: Bits::new(fill_steps * 12_000),
+                        packet_size: Bits::from_bytes(1_500),
+                        cross_active: cross_bps > 0,
+                    };
+                    Hypothesis {
+                        net: build_model(params).net,
+                        meta: params,
+                        weight: 1.0,
+                    }
+                })
+            })
+        });
+        Belief::new(
+            sharing_structures(hyps),
+            FIG2_ENTRY,
+            FIG2_RX_SELF,
+            BeliefConfig {
+                max_branches: 50_000,
+                fold_loss_node: Some(FIG2_LOSS),
+                ..BeliefConfig::default()
+            },
+        )
+    }
+
     /// A plain ISender with [`RestartingSender`]'s rebasing and restart:
     /// it plans every decision of every wake afresh.
     struct Replanning {
@@ -460,7 +462,8 @@ mod tests {
     }
 
     impl Replanning {
-        fn wake(&mut self, now: Time, acks: &[Observation]) -> WakeOutcome {
+        /// The wake and the classes its decisions rolled.
+        fn wake(&mut self, now: Time, acks: &[Observation]) -> (WakeOutcome, usize) {
             let shift = self.t0.since(Time::ZERO);
             let rel_acks: Vec<Observation> = acks
                 .iter()
@@ -470,7 +473,15 @@ mod tests {
                     at: o.at - shift,
                 })
                 .collect();
-            match self.inner.on_wake(now - shift, &rel_acks) {
+            let mut classes = 0;
+            let woke = self
+                .inner
+                .wake_with(now - shift, &rel_acks, |belief, cfg, utility, seq| {
+                    let d = decide_next(belief, cfg, utility, seq, None);
+                    classes += d.rollouts.groups;
+                    d
+                });
+            let outcome = match woke {
                 Ok(mut outcome) => {
                     for pkt in &mut outcome.sent {
                         *pkt = Packet::new(pkt.flow, pkt.seq + self.base_seq, pkt.size, now);
@@ -484,7 +495,8 @@ mod tests {
                     self.inner.restart(self.prior.clone());
                     WakeOutcome::idle(now + Dur::from_millis(500))
                 }
-            }
+            };
+            (outcome, classes)
         }
     }
 
@@ -498,7 +510,7 @@ mod tests {
             w.expected_utility.to_bits(),
             "{at}: EU"
         );
-        let bits = |d: &Decision| -> Vec<(Option<Dur>, u64)> {
+        let bits = |d: &crate::Decision| -> Vec<(Option<Dur>, u64)> {
             d.evaluations
                 .iter()
                 .map(|&(delay, eu)| (delay, eu.to_bits()))
@@ -510,33 +522,40 @@ mod tests {
     }
 
     #[test]
-    fn replayed_wakes_match_a_sender_that_replans() {
+    fn remembered_classes_match_a_sender_that_replans() {
         use augur_inference::Engine;
         use augur_sim::{perf, SimRng};
-        let prior = coexist_belief(LINK_BPS, BUFFER_BITS, 50_000);
-        // Truths drawn from the prior: no cross traffic over a queue
-        // `fill` packets deep. Six packets drain in 3 s, so the sends of
-        // the first wakes are acknowledged later than over an empty one.
+        let prior = sibling_belief();
+        // A lossless truth with no cross traffic over a queue `fill`
+        // packets deep. Six packets drain in 3 s, so the sends of the
+        // first wakes are acknowledged later than over an empty one.
         let truth = |fill: u64| {
-            let params = prior
-                .members()
-                .map(|m| m.meta)
-                .find(|p| !p.cross_active && p.initial_fullness == Bits::new(fill * 12_000))
-                .expect("the prior holds every fullness step");
-            build_model(params).net
+            build_model(ModelParams {
+                link_rate: BitRate::from_bps(LINK_BPS),
+                cross_rate: BitRate::from_bps(1),
+                gate: GateSpec::AlwaysOn,
+                loss: Ppm::ZERO,
+                buffer_capacity: Bits::new(BUFFER_BITS),
+                initial_fullness: Bits::new(fill * 12_000),
+                packet_size: Bits::from_bytes(1_500),
+                cross_active: false,
+            })
+            .net
         };
         // Each history is a truth and the belief-relative wake instants
         // (ms) after a restart; a forced restart follows each. The second
-        // replays the first; the third replays its first wakes, then its
-        // acknowledgments differ at the same instants; the fourth replays
-        // a prefix, then wakes at an instant not seen before; the last
-        // replays the first among the siblings the others added.
+        // repeats the first; the third repeats its first wakes, then its
+        // acknowledgments differ at the same instants; the fourth repeats
+        // a prefix, then wakes at an instant not seen before; the fifth
+        // wakes once more, with no acknowledgment, on the first's path,
+        // and the last repeats the first.
         let wakes: &[u64] = &[500, 1_000, 1_500, 2_000, 3_000, 4_000];
-        let histories: [(u64, &[u64]); 5] = [
+        let histories: [(u64, &[u64]); 6] = [
             (0, wakes),
             (0, wakes),
             (6, wakes),
             (0, &[500, 1_000, 1_250, 2_500]),
+            (0, &[500, 750, 1_000, 1_500, 2_000, 3_000, 4_000]),
             (0, wakes),
         ];
         let mut s =
@@ -547,19 +566,24 @@ mod tests {
             t0: Time::ZERO,
             base_seq: 0,
         };
-        let events = |wake: &mut dyn FnMut() -> WakeOutcome| {
+        // A rolled class clones its idle trajectory and one fork per
+        // candidate; the belief's own work is the same for both senders.
+        let per_class = 1 + ISenderConfig::default().planner.delay_grid.len() as u64;
+        let work = |wake: &mut dyn FnMut() -> (WakeOutcome, usize)| {
             let before = perf::snapshot();
-            let outcome = wake();
-            (outcome, perf::snapshot().since(&before).events_processed)
+            let (outcome, classes) = wake();
+            let spent = perf::snapshot().since(&before);
+            (outcome, classes, spent.events_processed, spent.state_clones)
         };
         // Every surviving wake history seen since a restart, relative.
         let mut seen: Vec<Vec<(Time, Vec<Observation>)>> = Vec::new();
-        let (mut replayed, mut diverged) = (0, 0);
+        // Classes served on wakes that repeat a history and on wakes that
+        // do not, and the wakes that served some classes and rolled others.
+        let (mut served_repeated, mut served_new, mut partial) = (0, 0, 0);
         for (h, &(fill, instants)) in histories.iter().enumerate() {
             let mut truth = truth(fill);
             let mut rng = SimRng::seed_from_u64(0);
             let mut path: Vec<(Time, Vec<Observation>)> = Vec::new();
-            let mut replaying = false;
             for &ms in instants {
                 let at = format!("history {h}, {ms} ms");
                 let rel_now = Time::from_millis(ms);
@@ -583,10 +607,10 @@ mod tests {
                     })
                     .collect();
                 path.push((rel_now, rel_acks));
-                let expect_replay = seen.iter().any(|h| h.starts_with(&path));
+                let repeated = seen.iter().any(|h| h.starts_with(&path));
 
-                let (got, got_events) = events(&mut || s.wake(now, &acks));
-                let (want, want_events) = events(&mut || r.wake(now, &acks));
+                let (got, _, got_events, got_clones) = work(&mut || (s.wake(now, &acks), 0));
+                let (want, classes, want_events, want_clones) = work(&mut || r.wake(now, &acks));
                 assert_eq!(s.restarts, h, "{at}: the truth's belief survives");
                 assert_same_outcome(&at, &got, &want);
                 let (a, b) = (&s.inner().belief, &r.inner.belief);
@@ -596,16 +620,24 @@ mod tests {
                     assert!(x.net == y.net, "{at}: member {i}: network");
                     assert_eq!(x.weight.to_bits(), y.weight.to_bits(), "{at}: member {i}");
                 }
-                if expect_replay {
-                    // A replayed wake advances the belief but runs no
-                    // rollout.
-                    assert!(got_events < want_events, "{at}: replayed");
-                    replayed += 1;
+                let saved = want_clones - got_clones;
+                assert_eq!(saved % per_class, 0, "{at}: a class is served whole");
+                let served = (saved / per_class) as usize;
+                if repeated {
+                    // A wake history seen before finds every class.
+                    assert_eq!(served, classes, "{at}: repeated");
+                    served_repeated += served;
+                } else {
+                    served_new += served;
+                }
+                if served > 0 {
+                    // The belief is still advanced, but a served class
+                    // runs no rollout.
+                    assert!(got_events < want_events, "{at}: served");
+                    partial += usize::from(served < classes);
                 } else {
                     assert_eq!(got_events, want_events, "{at}: planned afresh");
-                    diverged += usize::from(replaying);
                 }
-                replaying = expect_replay;
                 for pkt in &got.sent {
                     let seq = pkt.seq - base;
                     truth.inject(FIG2_ENTRY, Packet::new(pkt.flow, seq, pkt.size, rel_now));
@@ -620,12 +652,15 @@ mod tests {
                 at: now,
             }];
             let got = s.wake(now, &bogus);
-            assert_same_outcome(&format!("restart {h}"), &got, &r.wake(now, &bogus));
+            assert_same_outcome(&format!("restart {h}"), &got, &r.wake(now, &bogus).0);
             assert_eq!(s.restarts, h + 1, "bogus ack must kill the belief");
             assert_eq!((s.t0(), s.base_seq()), (r.t0, r.base_seq));
         }
-        // 17 replayed wakes; histories 2 and 3 diverge after a replay.
-        assert_eq!((replayed, diverged), (17, 2));
+        // 395 classes served on repeated histories. 83 more on new ones,
+        // which no path-keyed reuse reaches: the 81 of the fifth history
+        // after its extra wake, which left the belief where the first's
+        // was, and 2 of 23 at the third's first new wake.
+        assert_eq!((served_repeated, served_new, partial), (395, 83, 1));
     }
 
     #[test]

@@ -48,15 +48,6 @@ impl RunTrace {
             .count();
         n as f64 / to.since(from).as_secs_f64()
     }
-
-    /// Buffer overflows recorded at the given node, per flow. Reads
-    /// [`RunTrace::drops`], so it finds none on a multi-flow trace.
-    pub fn overflows_at(&self, node: NodeId) -> Vec<&DropRecord> {
-        self.drops
-            .iter()
-            .filter(|d| d.node == node && d.reason == augur_elements::DropReason::BufferFull)
-            .collect()
-    }
 }
 
 /// The ground truth side of a closed loop.

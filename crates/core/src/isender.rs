@@ -19,10 +19,12 @@
 //! default, so `ISender<M>` names the paper's sender) or the
 //! [`ParticleFilter`] ([`ParticleSender`]). The wake cycle is written once
 //! ([`ISender::wake_with`]) and reaches the engine through `advance`,
-//! `inject` and — inside [`decide`] — `members`, so the policy cannot
+//! `inject` and — inside [`decide`](crate::decide) — `members`, so the policy cannot
 //! diverge between belief representations.
 
-use crate::planner::{decide, Action, Decision, PlannerConfig, RolloutCounts};
+use crate::planner::{
+    decide_remembering, Action, Decision, PlanMemo, PlannerConfig, RolloutCounts,
+};
 use crate::utility::Utility;
 use augur_inference::{Belief, BeliefError, Engine, Observation, ParticleFilter};
 use augur_obs::EventKind;
@@ -107,21 +109,23 @@ pub struct ISender<M, E = Belief<M>> {
 /// observation mismatch rather than forked branches.
 pub type ParticleSender<M> = ISender<M, ParticleFilter<M>>;
 
-/// The planner call of a wake: [`decide`] for the sender's next packet,
-/// `seq`, on its own flow.
+/// The planner call of a wake: [`decide`](crate::decide) for the sender's next packet,
+/// `seq`, on its own flow, served from `memo` where it can be.
 pub(crate) fn decide_next<E: Engine>(
     belief: &E,
     cfg: &ISenderConfig,
     utility: &dyn Utility,
     seq: u64,
+    memo: Option<&mut PlanMemo>,
 ) -> Decision {
-    decide(
+    decide_remembering(
         belief,
         &cfg.planner,
         utility,
         FlowId::SELF,
         seq,
         cfg.packet_size,
+        memo,
     )
 }
 
@@ -170,11 +174,13 @@ impl<M, E: Engine<Meta = M>> ISender<M, E> {
     /// the belief about each transmission, and map the final action to
     /// the next timer.
     ///
-    /// [`SenderAgent::on_wake`] passes [`decide`]. A caller may instead
-    /// serve decisions it already holds, provided each is the one
-    /// `decide` would return for the same belief and `seq`: the belief is
-    /// still advanced and told of every send, and each wake's decision is
-    /// emitted and returned as if it had been planned.
+    /// [`SenderAgent::on_wake`] passes [`decide`](crate::decide). A caller
+    /// may instead serve what it already holds, provided each decision is
+    /// the one `decide` would return for the same belief and `seq`: the
+    /// belief is still advanced and told of every send, and each wake's
+    /// decision is emitted and returned as if it had been planned.
+    /// [`crate::RestartingSender`] serves the rows of the member classes
+    /// its planner rolled before.
     pub fn wake_with(
         &mut self,
         now: Time,
@@ -270,9 +276,11 @@ impl<M, E: Engine<Meta = M>> SenderAgent for ISender<M, E> {
         FlowId::SELF
     }
 
-    /// [`ISender::wake_with`] the [`decide`] planner.
+    /// [`ISender::wake_with`] the [`decide`](crate::decide) planner.
     fn on_wake(&mut self, now: Time, acks: &[Observation]) -> Result<WakeOutcome, BeliefError> {
-        self.wake_with(now, acks, decide_next)
+        self.wake_with(now, acks, |belief, cfg, utility, seq| {
+            decide_next(belief, cfg, utility, seq, None)
+        })
     }
 
     fn population(&self) -> usize {

@@ -15,7 +15,7 @@
 use crate::driver::{DriverError, FlowDriver, FlowEndpoint, FlowTableError};
 use crate::experiment::RunTrace;
 use crate::isender::SenderAgent;
-use augur_elements::{Buffer, Element, Link, Loss, Network, NetworkBuilder, NodeId, ReceiverEl};
+use augur_elements::{Buffer, Element, Link, Loss, Network, NetworkBuilder, ReceiverEl};
 use augur_sim::{BitRate, Bits, Ppm, SimRng, Time};
 
 /// Ground truth for the multi-sender loop: a network plus a validated
@@ -51,24 +51,9 @@ impl MultiFlowTruth {
         Ok(MultiFlowTruth { net, flows, rng })
     }
 
-    /// Number of declared flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
     /// The validated per-flow endpoint table.
     pub fn endpoints(&self) -> &[FlowEndpoint] {
         &self.flows
-    }
-
-    /// Where flow `i` enters the network.
-    pub fn entry_for(&self, flow: usize) -> NodeId {
-        self.flows[flow].entry
-    }
-
-    /// The receiver acknowledging flow `i`.
-    pub fn rx_for(&self, flow: usize) -> NodeId {
-        self.flows[flow].rx
     }
 }
 
@@ -154,11 +139,12 @@ mod tests {
             1000,
             7,
         );
-        assert_eq!(truth.flow_count(), 1000);
-        assert_eq!(truth.rx_for(0), truth.rx_for(999));
+        let flows = truth.endpoints().to_vec();
+        assert_eq!(flows.len(), 1000);
+        assert_eq!(flows[0].rx, flows[999].rx);
         for f in [0usize, 500, 999] {
             truth.net.inject(
-                truth.entry_for(f),
+                flows[f].entry,
                 Packet::new(FlowId(f as u16), 0, Bits::new(12_000), Time::ZERO),
             );
         }
@@ -168,7 +154,7 @@ mod tests {
         let d = truth.net.take_deliveries();
         assert_eq!(d.len(), 3);
         for (node, del) in &d {
-            assert_eq!(*node, truth.rx_for(del.packet.flow.0 as usize));
+            assert_eq!(*node, flows[del.packet.flow.0 as usize].rx);
         }
     }
 

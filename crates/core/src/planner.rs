@@ -75,6 +75,12 @@
 //! deliveries by position, and the utility sums the deliveries left to
 //! right with the discounts supplied.
 //!
+//! **Once per sender** — for the restarting sender, which keeps a memo of
+//! every member's row its planner rolled: a group whose every member it
+//! holds, planned at the same instant for the same packet, is served from
+//! it and not rolled, its fork counts added as rolling it would count
+//! them.
+//!
 //! None of this changes a number. A fork continues from exactly the state
 //! and log a rollout of that candidate alone would have reached (stopping
 //! a network at an instant and resuming is the same as running through
@@ -95,9 +101,11 @@
 //! sorted.
 
 use crate::utility::{RolloutReport, Utility};
-use augur_elements::{ChoiceKind, Network, NetworkView, NodeId, Step};
+use augur_elements::{ChoiceKind, Network, NetworkStructure, NetworkView, NodeId, Step};
 use augur_inference::{Engine, Hypothesis, Member};
 use augur_sim::{Bits, Dur, FlowId, Packet, Time};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Planner tuning.
 #[derive(Debug, Clone)]
@@ -189,6 +197,15 @@ pub struct RolloutCounts {
     pub forks_shared: usize,
 }
 
+impl RolloutCounts {
+    fn add(&mut self, other: RolloutCounts) {
+        self.groups += other.groups;
+        self.forks_run += other.forks_run;
+        self.forks_idle += other.forks_idle;
+        self.forks_shared += other.forks_shared;
+    }
+}
+
 /// Choose the action that maximizes expected utility for the next packet
 /// (`seq`, `size`) given the current belief.
 ///
@@ -207,8 +224,22 @@ pub fn decide<E: Engine>(
     seq: u64,
     size: Bits,
 ) -> Decision {
+    decide_remembering(belief, cfg, utility, own_flow, seq, size, None)
+}
+
+/// [`decide`], serving every class of members that `memo` holds from it
+/// and keeping the rows of every class it rolls there (see [`PlanMemo`]).
+pub(crate) fn decide_remembering<E: Engine>(
+    belief: &E,
+    cfg: &PlannerConfig,
+    utility: &dyn Utility,
+    own_flow: FlowId,
+    seq: u64,
+    size: Bits,
+    memo: Option<&mut PlanMemo>,
+) -> Decision {
     let branches = subsample_weighted(belief.members(), cfg.max_planning_branches);
-    decide_weighted(
+    plan_classes(
         &branches,
         belief.now(),
         belief.entry(),
@@ -217,6 +248,7 @@ pub fn decide<E: Engine>(
         own_flow,
         seq,
         size,
+        memo,
     )
 }
 
@@ -265,6 +297,26 @@ pub fn decide_weighted<B: Branch>(
     seq: u64,
     size: Bits,
 ) -> Decision {
+    plan_classes(
+        branches, now, entry, cfg, utility, own_flow, seq, size, None,
+    )
+}
+
+/// The kernel behind [`decide_weighted`]: each class of members whose
+/// determinized futures coincide is served from `memo` if it holds every
+/// member's row, and rolled otherwise — its rows and counts then kept.
+#[allow(clippy::too_many_arguments)]
+fn plan_classes<B: Branch>(
+    branches: &[(B, f64)],
+    now: Time,
+    entry: NodeId,
+    cfg: &PlannerConfig,
+    utility: &dyn Utility,
+    own_flow: FlowId,
+    seq: u64,
+    size: Bits,
+    mut memo: Option<&mut PlanMemo>,
+) -> Decision {
     assert!(
         cfg.delay_grid.first() == Some(&Dur::ZERO),
         "delay grid must start with ZERO (send now)"
@@ -288,14 +340,26 @@ pub fn decide_weighted<B: Branch>(
     // coincide, re-priced for every member. `us` holds each branch's
     // utilities, one row per branch: a column per grid slot, idle last.
     let slots = cfg.delay_grid.len();
-    let mut us = vec![0.0; branches.len() * (slots + 1)];
+    let width = slots + 1;
+    let mut us = vec![0.0; branches.len() * width];
     let mut scratch = RolloutScratch::for_candidates(slots);
+    let mut rollouts = RolloutCounts::default();
     let packet = Packet::new(own_flow, seq, size, now);
     let discount = |at| utility.delivery_discount(at, now);
     let net_of = |b: usize| branches[b].0.net();
     let grouped = rollout_groups(branches.len(), net_of, NetworkView::determinized_key);
     for group in grouped.chunk_by(|a, b| a.0 == b.0) {
         let leader = group[0].0;
+        let members = || group.iter().map(|&(_, b)| net_of(b));
+        if let Some(memo) = memo.as_deref_mut() {
+            if let Some(served) = memo.look_up(now, seq, members(), width) {
+                for (&(_, b), row) in group.iter().zip(memo.rows(width)) {
+                    us[b * width..][..width].copy_from_slice(row);
+                }
+                rollouts.add(served);
+                continue;
+            }
+        }
         roll_branch(
             &mut scratch,
             net_of(leader),
@@ -307,18 +371,24 @@ pub fn decide_weighted<B: Branch>(
             |slot, rolled| {
                 for &(_, b) in group {
                     let (report, discounts) = rolled.priced_for(net_of(b));
-                    us[b * (slots + 1) + slot.unwrap_or(slots)] =
+                    us[b * width + slot.unwrap_or(slots)] =
                         utility.evaluate(report, discounts, own_flow);
                 }
             },
         );
+        let rolled = std::mem::take(&mut scratch.counts);
+        rollouts.add(rolled);
+        if let Some(memo) = memo.as_deref_mut() {
+            let rows = group.iter().map(|&(_, b)| &us[b * width..][..width]);
+            memo.remember(members(), rows, rolled);
+        }
     }
 
     // Every accumulator adds its `w × U` terms in branch order, whatever
     // order the groups were rolled in.
     let mut idle_eu = 0.0;
     let mut eus = vec![0.0; slots];
-    for ((_, w), row) in branches.iter().zip(us.chunks_exact(slots + 1)) {
+    for ((_, w), row) in branches.iter().zip(us.chunks_exact(width)) {
         for (eu, u) in eus.iter_mut().zip(row) {
             *eu += w * u;
         }
@@ -326,7 +396,7 @@ pub fn decide_weighted<B: Branch>(
     }
 
     Decision {
-        rollouts: scratch.counts,
+        rollouts,
         ..choose(now, cfg, size, branches.len(), idle_eu, &eus)
     }
 }
@@ -371,6 +441,171 @@ fn choose(
         evaluations,
         members,
         rollouts: RolloutCounts::default(),
+    }
+}
+
+/// The utility rows one sender has planned, kept by content so that a
+/// class of members planned before is served instead of rolled again.
+///
+/// For a sender whose configuration and utility stay as they are, a
+/// member's row — its utility under every candidate and under idling — is
+/// a function of the decision instant, the packet's sequence number and
+/// the member's network alone: its class's rollout is the rollout of any
+/// network determinized-equal to it, and its own loss rates price it.
+/// What the class's rollout spent is likewise a function of the class. So
+/// the memo keeps every row it is given under `(now, seq, key)`, `key`
+/// being the class's [`NetworkView::determinized_key`], with the class's
+/// [`RolloutCounts`]. A key only says where to look: a row is served to a
+/// network whose structure is the very allocation it was planned over
+/// ([`Arc::ptr_eq`] against an `Arc` the memo holds, so that allocation is
+/// never freed and its address never reused) and whose
+/// [`NetworkView::state_record`] is the one stored, which holds exactly
+/// when the two networks are equal. A class is served only if every
+/// member is found; the rows served, and the counts added, are then the
+/// ones rolling it would give, bit for bit.
+///
+/// Nothing is ever evicted: a memo lives as long as its sender.
+pub(crate) struct PlanMemo {
+    /// Brings a class's candidates together; settles nothing.
+    key: fn(NetworkView<'_>) -> u64,
+    /// The latest entry under each `(now, seq, key)`; each entry links to
+    /// the one stored before it under the same.
+    heads: BTreeMap<(Time, u64, u64), u32>,
+    entries: Vec<MemoEntry>,
+    /// Every entry's state record, back to back in entry order.
+    records: Vec<u8>,
+    /// Every entry's row, back to back in entry order.
+    rows: Vec<f64>,
+    /// The class last looked up: its key, its members' records back to
+    /// back, where each ends, and the entry found for each.
+    probe_key: (Time, u64, u64),
+    probe: Vec<u8>,
+    probe_ends: Vec<usize>,
+    found: Vec<Option<u32>>,
+}
+
+/// One member row a [`PlanMemo`] holds.
+struct MemoEntry {
+    /// The structure the row was planned over.
+    structure: Arc<NetworkStructure>,
+    /// Where its state record ends in `records`; it starts where the
+    /// previous entry's ends.
+    record_end: u32,
+    /// The entry stored before it under the same key, if any.
+    next: Option<u32>,
+    /// What rolling its class cost.
+    counts: RolloutCounts,
+}
+
+impl PlanMemo {
+    /// An empty memo.
+    pub(crate) fn new() -> PlanMemo {
+        PlanMemo::keyed_by(|net| net.determinized_key())
+    }
+
+    /// An empty memo that brings classes together by `key`, which must
+    /// give determinized-equal networks one value.
+    fn keyed_by(key: fn(NetworkView<'_>) -> u64) -> PlanMemo {
+        PlanMemo {
+            key,
+            heads: BTreeMap::new(),
+            entries: Vec::new(),
+            records: Vec::new(),
+            rows: Vec::new(),
+            probe_key: (Time::ZERO, 0, 0),
+            probe: Vec::new(),
+            probe_ends: Vec::new(),
+            found: Vec::new(),
+        }
+    }
+
+    fn record(&self, entry: u32) -> &[u8] {
+        let end = self.entries[entry as usize].record_end as usize;
+        let start = match entry.checked_sub(1) {
+            Some(before) => self.entries[before as usize].record_end as usize,
+            None => 0,
+        };
+        &self.records[start..end]
+    }
+
+    /// Look up every member of one class, `nets`, planned at `now` for
+    /// packet `seq`: if the memo holds each one's row (`width` values),
+    /// what rolling the class cost. [`PlanMemo::rows`] then reads the rows
+    /// found, in member order.
+    fn look_up<'a>(
+        &mut self,
+        now: Time,
+        seq: u64,
+        mut nets: impl Iterator<Item = NetworkView<'a>>,
+        width: usize,
+    ) -> Option<RolloutCounts> {
+        debug_assert_eq!(self.rows.len(), self.entries.len() * width);
+        self.probe.clear();
+        self.probe_ends.clear();
+        self.found.clear();
+        let first = nets.next().expect("a class has a leader");
+        self.probe_key = (now, seq, (self.key)(first));
+        for net in std::iter::once(first).chain(nets) {
+            let start = self.probe.len();
+            net.state_record(&mut self.probe);
+            self.probe_ends.push(self.probe.len());
+            let record = &self.probe[start..];
+            let mut at = self.heads.get(&self.probe_key).copied();
+            while let Some(entry) = at {
+                let e = &self.entries[entry as usize];
+                if Arc::ptr_eq(&e.structure, net.shared_structure()) && self.record(entry) == record
+                {
+                    break;
+                }
+                at = e.next;
+            }
+            self.found.push(at);
+        }
+        let mut found = self.found.iter();
+        match found.next() {
+            Some(&Some(leader)) if found.all(Option::is_some) => {
+                Some(self.entries[leader as usize].counts)
+            }
+            _ => None,
+        }
+    }
+
+    /// The rows of the class last looked up, each `width` values, in
+    /// member order: every member must have been found.
+    fn rows(&self, width: usize) -> impl Iterator<Item = &[f64]> {
+        self.found.iter().map(move |entry| {
+            let entry = entry.expect("every member was found") as usize;
+            &self.rows[entry * width..][..width]
+        })
+    }
+
+    /// Keep the rows of the class last looked up, `nets` (the same
+    /// networks, in the same order), which rolling it gave together with
+    /// `counts`: every member not found becomes an entry.
+    fn remember<'a, 'r>(
+        &mut self,
+        nets: impl Iterator<Item = NetworkView<'a>>,
+        rows: impl Iterator<Item = &'r [f64]>,
+        counts: RolloutCounts,
+    ) {
+        let index = |n: usize| u32::try_from(n).expect("memo offsets fit in 32 bits");
+        let mut start = 0;
+        for (m, (net, row)) in nets.zip(rows).enumerate() {
+            let end = self.probe_ends[m];
+            if self.found[m].is_none() {
+                self.records.extend_from_slice(&self.probe[start..end]);
+                self.rows.extend_from_slice(row);
+                let entry = index(self.entries.len());
+                let next = self.heads.insert(self.probe_key, entry);
+                self.entries.push(MemoEntry {
+                    structure: Arc::clone(net.shared_structure()),
+                    record_end: index(self.records.len()),
+                    next,
+                    counts,
+                });
+            }
+            start = end;
+        }
     }
 }
 
@@ -1013,15 +1248,15 @@ mod tests {
     }
 
     /// Top the entry buffer up to capacity at `net.now()` with backlog
-    /// packets, numbered clear of the prefill's.
+    /// packets, numbered clear of the prefill's: the first one it has no
+    /// room for is tail-dropped, and leaves nothing but its drop record.
     fn fill_entry_buffer(net: &mut Network) {
-        let capacity = net.buffer_params(FIG2_ENTRY).capacity;
         for seq in 1_000.. {
-            if net.buffer_state(FIG2_ENTRY).fullness() + Bits::new(12_000) > capacity {
-                break;
-            }
             let backlog = Packet::new(BACKLOG_FLOW, seq, Bits::new(12_000), net.now());
             net.inject(FIG2_ENTRY, backlog);
+            if !net.take_drops().is_empty() {
+                break;
+            }
         }
     }
 
@@ -1286,6 +1521,65 @@ mod tests {
             some_send,
             "every scene idled: the sends were never compared"
         );
+    }
+
+    #[test]
+    fn a_memo_serves_the_decision_planning_afresh_makes() {
+        let cfg = PlannerConfig::default();
+        let utility = DiscountedThroughput::with_alpha(0.7);
+        let size = Bits::new(12_000);
+        let per_class = 1 + cfg.delay_grid.len() as u64;
+        let now = Time::from_millis(1_700);
+        // Sibling sets of one instant: in each, four members share a state
+        // under four structures, and under the collided key every member
+        // of every set is filed under one key.
+        let sets: Vec<Vec<Hypothesis<ModelParams>>> = (0..4)
+            .map(|seed| loss_siblings(now, &mut SimRng::seed_from_u64(seed)))
+            .collect();
+        let keys: [fn(NetworkView<'_>) -> u64; 2] = [|net| net.determinized_key(), |_| 0];
+        let mut spent = Vec::new();
+        for key in keys {
+            let mut memo = PlanMemo::keyed_by(key);
+            // Classes served and rolled on each pass.
+            let mut classes = [(0, 0); 2];
+            for pass in &mut classes {
+                for set in &sets {
+                    // A part of the set, then all of it, then a packet of
+                    // another sequence number: the second finds some
+                    // members of a class and not others, the third none.
+                    for (keep, seq) in [(4, 9), (set.len(), 9), (set.len(), 10)] {
+                        let weighted = subsample_weighted(&set[..keep], keep);
+                        let fresh = |memo| {
+                            let (entry, own) = (FIG2_ENTRY, FlowId::SELF);
+                            let before = perf::snapshot();
+                            let d = plan_classes(
+                                &weighted, now, entry, &cfg, &utility, own, seq, size, memo,
+                            );
+                            (d, perf::snapshot().since(&before).state_clones)
+                        };
+                        let (want, want_clones) = fresh(None);
+                        let (got, got_clones) = fresh(Some(&mut memo));
+                        assert_same_decision(&got, &want, &format!("{keep} members, seq {seq}"));
+                        assert_eq!(got.members, want.members);
+                        assert_eq!(got.rollouts, want.rollouts);
+                        // Every class is served or rolled, and a served
+                        // class clones nothing.
+                        assert_eq!(want_clones, want.rollouts.groups as u64 * per_class);
+                        assert_eq!(got_clones % per_class, 0);
+                        let rolled = (got_clones / per_class) as usize;
+                        pass.0 += want.rollouts.groups - rolled;
+                        pass.1 += rolled;
+                    }
+                }
+            }
+            spent.push(classes);
+        }
+        // On the first pass each full set's decision is served the 6
+        // classes whose every member the partial one rolled, 42 classes
+        // in all; the second pass serves every class, and a collided key
+        // changes nothing.
+        assert_eq!(spent[0], [(6, 36), (42, 0)]);
+        assert_eq!(spent[1], spent[0]);
     }
 
     #[test]

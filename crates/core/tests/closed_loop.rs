@@ -4,7 +4,7 @@
 //! `augur-scenario`'s `tests/paper_shapes.rs`.
 
 use augur_core::{run_closed_loop, DiscountedThroughput, GroundTruth, ISender, ISenderConfig};
-use augur_elements::{build_model, GateSpec, ModelParams};
+use augur_elements::{build_model, DropReason, GateSpec, ModelParams};
 use augur_inference::{BeliefConfig, Engine, ModelPrior};
 use augur_sim::{BitRate, Bits, Dur, Ppm, SimRng, Time};
 
@@ -192,7 +192,9 @@ fn no_buffer_overflows_with_alpha_one() {
         ISenderConfig::default(),
     );
     let trace = run_closed_loop(&mut truth, &mut sender, Time::from_secs(60)).expect("run failed");
-    let overflows = trace.overflows_at(entry);
+    let overflows: Vec<_> = (trace.drops.iter())
+        .filter(|d| d.node == entry && d.reason == DropReason::BufferFull)
+        .collect();
     assert!(
         overflows.is_empty(),
         "sender caused {} buffer overflows",

@@ -130,18 +130,6 @@ impl ModelParams {
         self.cross_active = true;
         self
     }
-
-    /// Builder-style override of the last-mile loss rate.
-    pub fn with_loss(mut self, loss: Ppm) -> ModelParams {
-        self.loss = loss;
-        self
-    }
-
-    /// Builder-style override of the initial buffer backlog.
-    pub fn with_initial_fullness(mut self, fullness: Bits) -> ModelParams {
-        self.initial_fullness = fullness;
-        self
-    }
 }
 
 /// A built Figure-2 network with named nodes.
@@ -369,10 +357,12 @@ mod tests {
 
     #[test]
     fn simple_link_builders_compose() {
-        let p = ModelParams::simple_link(BitRate::from_bps(24_000), Bits::new(48_000))
-            .with_cross_rate(BitRate::from_bps(8_400))
-            .with_loss(Ppm::from_prob(0.1))
-            .with_initial_fullness(Bits::new(12_000));
+        let p = ModelParams {
+            loss: Ppm::from_prob(0.1),
+            initial_fullness: Bits::new(12_000),
+            ..ModelParams::simple_link(BitRate::from_bps(24_000), Bits::new(48_000))
+                .with_cross_rate(BitRate::from_bps(8_400))
+        };
         assert_eq!(p.link_rate, BitRate::from_bps(24_000));
         assert_eq!(p.buffer_capacity, Bits::new(48_000));
         assert!(p.cross_active, "with_cross_rate enables the source");

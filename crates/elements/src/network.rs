@@ -395,6 +395,109 @@ impl NetworkView<'_> {
     }
 }
 
+impl<'a> NetworkView<'a> {
+    /// The structure allocation this view reads its parameters from. With
+    /// [`NetworkView::state_record`] it recognises the network again
+    /// without a copy of it: hold the `Arc` and compare with
+    /// [`Arc::ptr_eq`], which keeps the allocation from being freed and
+    /// its address reused.
+    pub fn shared_structure(self) -> &'a Arc<NetworkStructure> {
+        self.structure
+    }
+
+    /// Append the state half of this view to `out`: `now`, the pending
+    /// choice, the node count, then per node its state's variant index and
+    /// the integers its derived [`Hash`] writes, each as a LEB128 varint.
+    /// Two records are equal exactly when the states are — `now`, pending
+    /// choice and element states, what `==` compares besides the structure
+    /// — because every derived `Hash` here writes each enum's variant and
+    /// each queue's length before the contents, and every integer is
+    /// written whole in a code no prefix of another. Like `==` it leaves
+    /// out the transient logs.
+    //
+    // `#[inline]`, here and on `StateRecord`'s writes, leaves the code to
+    // the crate that records (the planner): compiled in this crate, it
+    // moved the event loop's code generation and cost `replay-cellular`,
+    // which never records, +5 % `wall_s` (benchmark pairs, 2 vCPUs).
+    #[inline]
+    pub fn state_record(self, out: &mut Vec<u8>) {
+        use ElementState as S;
+        let mut h = StateRecord(out);
+        self.state.now.hash(&mut h);
+        self.state.pending.hash(&mut h);
+        h.write_usize(self.state.elements.len());
+        for st in &self.state.elements {
+            std::mem::discriminant(st).hash(&mut h);
+            match st {
+                S::Buffer(s) => s.hash(&mut h),
+                S::Link(s) => s.hash(&mut h),
+                S::Delay(s) => s.hash(&mut h),
+                S::Jitter(s) => s.hash(&mut h),
+                S::Pinger(s) => s.hash(&mut h),
+                S::Gate(s) => s.hash(&mut h),
+                S::Either(s) => s.hash(&mut h),
+                S::Loss | S::Diverter | S::Receiver => {}
+            }
+        }
+    }
+}
+
+/// The [`Hasher`] behind [`NetworkView::state_record`]: every integer
+/// written becomes its LEB128 varint, and a byte string its length and
+/// then its bytes, so no two write sequences leave the same bytes. The
+/// times, sizes and sequence numbers of a state are small, so a record
+/// takes a few bytes per field where words would take eight.
+struct StateRecord<'a>(&'a mut Vec<u8>);
+
+impl StateRecord<'_> {
+    #[inline]
+    fn varint(&mut self, mut i: u64) {
+        while i >= 0x80 {
+            self.0.push(i as u8 | 0x80);
+            i >>= 7;
+        }
+        self.0.push(i as u8);
+    }
+}
+
+impl Hasher for StateRecord<'_> {
+    #[inline]
+    fn finish(&self) -> u64 {
+        unreachable!("a state record is read as its bytes")
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.varint(bytes.len() as u64);
+        self.0.extend_from_slice(bytes);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.varint(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.varint(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.varint(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.varint(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.varint(i as u64);
+    }
+}
+
 impl PartialEq for NetworkView<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.same_identity(*other, |_, a, b| a == b)
@@ -786,13 +889,6 @@ impl Network {
         &self.structure
     }
 
-    /// True iff both networks share the same structure *allocation*
-    /// (one is a fork of the other, both were forked from the same
-    /// build, or [`Network::share_structure`] found them equal).
-    pub fn shares_structure(&self, other: &Network) -> bool {
-        Arc::ptr_eq(&self.structure, &other.structure)
-    }
-
     /// Take the allocation `other` if it holds a structure equal to this
     /// network's: a prior whose hypotheses differ only in state keeps one
     /// structure, and comparing them takes the pointer shortcut.
@@ -813,20 +909,6 @@ impl Network {
     /// Panics if the node is not a buffer.
     pub fn buffer_params(&self, id: NodeId) -> &BufferParams {
         self.structure.buffer_params(id)
-    }
-
-    /// The buffer state at `id`.
-    ///
-    /// # Panics
-    /// Panics if the node is not a buffer.
-    pub fn buffer_state(&self, id: NodeId) -> &BufferState {
-        match &self.state.elements[id.0] {
-            ElementState::Buffer(b) => b,
-            _ => panic!(
-                "{id} is a {}, not a Buffer",
-                self.structure.nodes[id.0].element.kind_name()
-            ),
-        }
     }
 
     /// The delivery log as it stands, undrained.
@@ -1541,6 +1623,13 @@ mod tests {
         Packet::new(FlowId::SELF, seq, Bits::new(12_000), Time::ZERO)
     }
 
+    /// True iff both networks hold the same structure *allocation* (one
+    /// is a fork of the other, both were forked from the same build, or
+    /// [`Network::share_structure`] found them equal).
+    fn shares(a: &Network, b: &Network) -> bool {
+        Arc::ptr_eq(&a.structure, &b.structure)
+    }
+
     fn fingerprint(net: &Network) -> u64 {
         StableHasher::hash_of(net)
     }
@@ -1767,7 +1856,7 @@ mod tests {
         assert!(a.logs_empty() && b.logs_empty());
         // Separately-built structures: equality falls back to the deep
         // comparison (no shared allocation).
-        assert!(!a.shares_structure(&b));
+        assert!(!shares(&a, &b));
         assert_eq!(a, b);
         assert_eq!(fingerprint(&a), fingerprint(&b));
     }
@@ -1945,6 +2034,176 @@ mod tests {
         }
     }
 
+    fn record(net: &Network) -> Vec<u8> {
+        let mut out = Vec::new();
+        net.view().state_record(&mut out);
+        out
+    }
+
+    #[test]
+    fn state_record_equality_is_network_equality() {
+        use crate::delay::JitterEl;
+        use crate::model::{build_model, GateSpec, ModelParams};
+        // Networks of one build share its structure, so there `==` is the
+        // states' equality: records must be equal exactly when `==` holds.
+        let model = |gate, loss: f64, cross_active| {
+            build_model(ModelParams {
+                link_rate: BitRate::from_bps(12_000),
+                cross_rate: BitRate::from_bps(6_000),
+                gate,
+                loss: Ppm::from_prob(loss),
+                buffer_capacity: Bits::new(48_000),
+                initial_fullness: Bits::new(12_000),
+                packet_size: Bits::new(12_000),
+                cross_active,
+            })
+        };
+        let intermittent = GateSpec::Intermittent {
+            mtts: Dur::from_secs(2),
+            epoch: Dur::from_millis(500),
+            initially_connected: true,
+        };
+        let square = GateSpec::SquareWave {
+            half_period: Dur::from_millis(700),
+            initially_connected: false,
+        };
+        let mut b = NetworkBuilder::new();
+        let (aqm, _) = b.chain(vec![
+            Element::Buffer(Buffer::red(
+                Bits::new(48_000),
+                Bits::new(6_000),
+                Bits::new(24_000),
+                Ppm::from_prob(0.1),
+                2,
+            )),
+            Element::Link(Link::new(
+                RateProcess::Const(BitRate::from_bps(24_000)),
+                Ppm::from_prob(0.1),
+                Dur::from_millis(40),
+            )),
+            Element::Buffer(Buffer::codel(
+                Bits::new(48_000),
+                Dur::from_millis(5),
+                Dur::from_millis(100),
+            )),
+            Element::Link(Link::constant(BitRate::from_bps(9_600))),
+            Element::Delay(DelayEl::new(Dur::from_millis(25))),
+            Element::Jitter(JitterEl::new(Ppm::from_prob(0.3), Dur::from_millis(200))),
+            Element::Receiver(ReceiverEl),
+        ]);
+        let builds = [
+            (model(intermittent, 0.2, true).net, crate::FIG2_ENTRY),
+            (model(square, 0.0, true).net, crate::FIG2_ENTRY),
+            (b.build(), aqm),
+        ];
+        for (build, entry) in &builds {
+            // Few packets, few instants: many histories meet again.
+            let mut nets = Vec::new();
+            for seed in 0..24 {
+                let mut rng = SimRng::seed_from_u64(seed);
+                let mut net = build.clone();
+                let mut at = 0;
+                for seq in 0..rng.uniform_u64(0, 3) {
+                    at += 250 * rng.uniform_u64(0, 2);
+                    net.run_until_sampled(Time::from_millis(at), &mut rng);
+                    let sent = Time::from_millis(at - 50 * rng.uniform_u64(0, at.min(100) / 50));
+                    net.inject(
+                        *entry,
+                        Packet::new(FlowId::SELF, seq, Bits::new(12_000), sent),
+                    );
+                }
+                net.run_until_sampled(
+                    Time::from_millis(1_500 + 500 * rng.uniform_u64(0, 1)),
+                    &mut rng,
+                );
+                let _ = net.drain_logs();
+                nets.push(net);
+            }
+            let (mut equal, mut unequal) = (0, 0);
+            for (i, a) in nets.iter().enumerate() {
+                for b in &nets[i..] {
+                    assert!(shares(a, b));
+                    assert_eq!(record(a) == record(b), a == b, "{a:?} against {b:?}");
+                    if a == b {
+                        equal += 1;
+                    } else {
+                        unequal += 1;
+                    }
+                }
+            }
+            assert!(equal > nets.len() && unequal > 0, "{equal} equal pairs");
+        }
+
+        // One queued packet's `sent_at` apart, all else equal.
+        let (path, entry, _) = simple_path(96_000, 12_000);
+        let queued = |sent: u64| {
+            let mut net = path.clone();
+            net.inject(
+                entry,
+                Packet::new(FlowId::CROSS, 0, Bits::new(12_000), Time::ZERO),
+            );
+            let ours = Packet::new(FlowId::SELF, 9, Bits::new(12_000), Time::from_millis(sent));
+            net.inject(entry, ours);
+            net
+        };
+        let (a, b) = (queued(0), queued(1));
+        assert!(shares(&a, &b));
+        assert!(a != b && record(&a) != record(&b));
+        assert_eq!(record(&a), record(&queued(0)));
+
+        // A pending choice set or not, all else equal: the packet waiting
+        // on a fractional LOSS is held by the choice alone.
+        let mut b = NetworkBuilder::new();
+        let (entry, _) = b.chain(vec![
+            Element::Loss(Loss {
+                p: Ppm::from_prob(0.5),
+            }),
+            Element::Receiver(ReceiverEl),
+        ]);
+        let idle = b.build();
+        let mut pending = idle.clone();
+        pending.inject(entry, pkt(0));
+        assert!(pending.state.pending.is_some());
+        assert_eq!(pending.state.elements, idle.state.elements);
+        assert_eq!(pending.state.now, idle.state.now);
+        assert!(pending != idle && record(&pending) != record(&idle));
+
+        // A DIVERTER and a LOSS swapped: two unit-variant states, told
+        // apart by their variant alone.
+        let swapped = |loss_first: bool| {
+            let mut b = NetworkBuilder::new();
+            let (entry, link) = b.chain(vec![
+                Element::Buffer(Buffer::drop_tail(Bits::new(96_000))),
+                Element::Link(Link::constant(BitRate::from_bps(12_000))),
+            ]);
+            let loss = Element::Loss(Loss { p: Ppm::ZERO });
+            let divert = Element::Diverter(Diverter { flow: FlowId::SELF });
+            let (first, second) = if loss_first {
+                (loss, divert)
+            } else {
+                (divert, loss)
+            };
+            let (first, second) = (b.add(first), b.add(second));
+            let (rx, rx_alt) = (
+                b.add(Element::Receiver(ReceiverEl)),
+                b.add(Element::Receiver(ReceiverEl)),
+            );
+            b.connect(link, first)
+                .connect(first, second)
+                .connect(second, rx);
+            b.connect_alt(if loss_first { second } else { first }, rx_alt);
+            let mut net = b.build();
+            net.inject(entry, pkt(0));
+            net
+        };
+        let (a, b) = (swapped(true), swapped(false));
+        assert!(matches!(a.state.elements[2], ElementState::Loss));
+        assert!(matches!(b.state.elements[2], ElementState::Diverter));
+        let states = |n: &Network| (n.state.now, n.state.pending, n.state.elements[..2].to_vec());
+        assert_eq!(states(&a), states(&b));
+        assert!(a != b && record(&a) != record(&b));
+    }
+
     #[test]
     fn diverged_then_reconverged_states_compact() {
         // Two branches: one lost a packet at the last-mile LOSS, one
@@ -1980,7 +2239,7 @@ mod tests {
         delivered.take_deliveries();
         // Forks keep sharing one structure allocation, compare equal, and
         // hash identically — the dedup map folds them into one branch.
-        assert!(lost.shares_structure(&delivered));
+        assert!(shares(&lost, &delivered));
         assert_eq!(lost, delivered);
         assert_eq!(fingerprint(&lost), fingerprint(&delivered));
     }
@@ -1993,15 +2252,12 @@ mod tests {
         let d = augur_sim::perf::snapshot().since(&before);
         assert_eq!(d.state_clones, 1, "clone is a state copy");
         assert_eq!(d.structures_built, 0, "clone builds no structure");
-        assert!(fork.shares_structure(&net));
+        assert!(shares(&fork, &net));
 
         fork.inject(entry, pkt(0));
         fork.run_until(Time::from_secs(1));
         fork.take_deliveries();
-        assert!(
-            fork.shares_structure(&net),
-            "running mutates only the state half"
-        );
+        assert!(shares(&fork, &net), "running mutates only the state half");
         assert_ne!(fork, net, "diverged state compares unequal");
     }
 
@@ -2036,9 +2292,9 @@ mod tests {
         // Across separately built structures the target adopts the
         // source's allocation.
         let (mut c, _, _) = simple_path(12_000, 12_000);
-        assert!(!c.shares_structure(&b));
+        assert!(!shares(&c, &b));
         c.clone_from(&b);
-        assert!(c.shares_structure(&b));
+        assert!(shares(&c, &b));
         assert_eq!(c, b);
         // And the refilled copy runs on exactly like the original.
         c.run_until(Time::from_secs(5));

@@ -228,7 +228,9 @@ mod tests {
         let hyps: Vec<_> = ModelPrior::paper().hypotheses().collect();
         let mut distinct: Vec<&Network> = Vec::new();
         for h in &hyps {
-            if !distinct.iter().any(|d| d.shares_structure(&h.net)) {
+            if !(distinct.iter())
+                .any(|d| Arc::ptr_eq(d.shared_structure(), h.net.shared_structure()))
+            {
                 distinct.push(&h.net);
             }
         }

@@ -1117,7 +1117,8 @@ mod tests {
         let owned: Vec<Network> = seated.members().map(|m| m.net.to_network()).collect();
         let mut distinct: Vec<&Network> = Vec::new();
         for net in &owned {
-            if !distinct.iter().any(|d| d.shares_structure(net)) {
+            if !(distinct.iter()).any(|d| Arc::ptr_eq(d.shared_structure(), net.shared_structure()))
+            {
                 distinct.push(net);
             }
         }

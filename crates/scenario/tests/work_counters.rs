@@ -264,16 +264,19 @@ fn coexist_fairness_sweep_counters_are_pinned() {
                 // clone of it (63 states); each restart clones it again
                 // instead of enumerating it (63 structures, and 56 service
                 // integrations for the backlogged hypotheses): 4 agents and
-                // 10 restarts. A wake that repeats a history since a
-                // restart replays its recorded decisions and runs no
-                // rollouts (events, forwards, integrations and clones).
-                events_processed: 637_536,
-                packets_forwarded: 673_722,
+                // 10 restarts. A class of members whose rows the agent
+                // planned before, at the same belief-relative instant and
+                // sequence number, is served from its memo and runs no
+                // rollout, where only a repeated wake history used to be:
+                // events 637 536 → 419 652, forwards 673 722 → 444 138,
+                // integrations 352 218 → 232 920, clones 39 102 → 26 102.
+                events_processed: 419_652,
+                packets_forwarded: 444_138,
                 hypothesis_updates: 4_266,
                 particle_resamples: 0,
-                rate_integrations: 352_218,
+                rate_integrations: 232_920,
                 networks_built: 0,
-                state_clones: 39_102,
+                state_clones: 26_102,
                 structures_built: 254,
                 flow_wakes: 124,
             }
@@ -294,16 +297,19 @@ fn coexist_vs_tcp_sweep_counters_are_pinned() {
                 // clone of it (63 states); each restart clones it again
                 // instead of enumerating it (63 structures, and 56 service
                 // integrations for the backlogged hypotheses): 6 agents and
-                // 12 restarts. A wake that repeats a history since a
-                // restart replays its recorded decisions and runs no
-                // rollouts (events, forwards, integrations and clones).
-                events_processed: 812_559,
-                packets_forwarded: 858_546,
+                // 12 restarts. A class of members whose rows the agent
+                // planned before, at the same belief-relative instant and
+                // sequence number, is served from its memo and runs no
+                // rollout, where only a repeated wake history used to be:
+                // events 812 559 → 602 705, forwards 858 546 → 637 181,
+                // integrations 448 942 → 334 229, clones 49 734 → 36 944.
+                events_processed: 602_705,
+                packets_forwarded: 637_181,
                 hypothesis_updates: 5_253,
                 particle_resamples: 0,
-                rate_integrations: 448_942,
+                rate_integrations: 334_229,
                 networks_built: 0,
-                state_clones: 49_734,
+                state_clones: 36_944,
                 structures_built: 384,
                 flow_wakes: 417,
             }

@@ -29,11 +29,6 @@ impl BitRate {
         BitRate::from_bps(kbps * 1_000)
     }
 
-    /// Construct from megabits per second.
-    pub fn from_mbps(mbps: u64) -> BitRate {
-        BitRate::from_bps(mbps * 1_000_000)
-    }
-
     /// The rate in bits per second.
     pub const fn as_bps(self) -> u64 {
         self.0
@@ -234,7 +229,6 @@ mod tests {
     #[test]
     fn rate_constructors() {
         assert_eq!(BitRate::from_kbps(12).as_bps(), 12_000);
-        assert_eq!(BitRate::from_mbps(1).as_bps(), 1_000_000);
     }
 
     #[test]
@@ -261,7 +255,7 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(BitRate::from_bps(12_000).to_string(), "12.000kbps");
-        assert_eq!(BitRate::from_mbps(3).to_string(), "3.000Mbps");
+        assert_eq!(BitRate::from_bps(3_000_000).to_string(), "3.000Mbps");
         assert_eq!(Bits::new(42).to_string(), "42b");
         assert_eq!(Ppm::from_prob(0.25).to_string(), "0.2500");
     }
