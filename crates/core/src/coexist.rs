@@ -29,14 +29,17 @@
 //!   wakes led there. A member's utility row is a function of the
 //!   decision instant, the packet's sequence number and the member's
 //!   network alone, so the sender keeps every row its planner rolled in
-//!   a memo ([`crate::planner`]'s `PlanMemo`), kept across restarts. A row
-//!   is served only to a network equal to the one it was rolled for — the
-//!   same structure allocation and an equal state — and a class only when
-//!   every member is found, so each decision, its expected utilities and
-//!   its rollout counts are bit for bit what planning afresh gives. The
-//!   belief is still advanced and told of every send.
+//!   a memo ([`crate::planner`]'s `PlanMemo`), kept across restarts and
+//!   handed to the wrapped sender's wake cycle. The memo files a row
+//!   under the member's exact content — the decision instant, the
+//!   sequence number, the structure allocation and the state's record —
+//!   so a row is served only to a network equal to the one it was rolled
+//!   for, and a class only when every member is found: each decision, its
+//!   expected utilities and its rollout counts are bit for bit what
+//!   planning afresh gives. The belief is still advanced and told of
+//!   every send.
 
-use crate::isender::{decide_next, SenderAgent};
+use crate::isender::SenderAgent;
 use crate::planner::PlanMemo;
 use crate::{ISender, ISenderConfig, Utility, WakeOutcome};
 use augur_elements::{build_model, GateSpec, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF};
@@ -117,7 +120,7 @@ impl RestartingSender {
         RestartingSender {
             inner: ISender::new(prior.clone(), utility, cfg),
             prior,
-            memo: PlanMemo::new(),
+            memo: PlanMemo::default(),
             t0: Time::ZERO,
             base_seq: 0,
             next_abs_seq: 0,
@@ -156,13 +159,7 @@ impl RestartingSender {
             })
             .collect();
         let rel_now = now - self.t0.since(Time::ZERO);
-        let memo = &mut self.memo;
-        let woke = self
-            .inner
-            .wake_with(rel_now, &rel_acks, |belief, cfg, utility, seq| {
-                decide_next(belief, cfg, utility, seq, Some(&mut *memo))
-            });
-        match woke {
+        match self.inner.wake(rel_now, &rel_acks, Some(&mut self.memo)) {
             Ok(mut outcome) => {
                 for pkt in &mut outcome.sent {
                     // Re-base to absolute identifiers for the caller.
@@ -305,8 +302,8 @@ impl SenderAgent for AimdSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DiscountedThroughput;
     use crate::{build_many_flow_bottleneck, jain_index, run_multi_agent};
+    use crate::{Action, DiscountedThroughput};
 
     const LINK_BPS: u64 = 24_000;
     const BUFFER_BITS: u64 = 96_000;
@@ -452,11 +449,15 @@ mod tests {
         )
     }
 
-    /// A plain ISender with [`RestartingSender`]'s rebasing and restart:
-    /// it plans every decision of every wake afresh.
+    /// [`RestartingSender`]'s rebasing and restart around a wake loop of
+    /// its own over [`crate::decide`]: it plans every decision of every
+    /// wake afresh and shares no code with the sender under test.
     struct Replanning {
-        inner: ISender<ModelParams>,
+        belief: Belief<ModelParams>,
         prior: Belief<ModelParams>,
+        utility: Box<dyn Utility + Send>,
+        cfg: ISenderConfig,
+        next_seq: u64,
         t0: Time,
         base_seq: u64,
     }
@@ -473,28 +474,36 @@ mod tests {
                     at: o.at - shift,
                 })
                 .collect();
-            let mut classes = 0;
-            let woke = self
-                .inner
-                .wake_with(now - shift, &rel_acks, |belief, cfg, utility, seq| {
-                    let d = decide_next(belief, cfg, utility, seq, None);
-                    classes += d.rollouts.groups;
-                    d
-                });
-            let outcome = match woke {
-                Ok(mut outcome) => {
-                    for pkt in &mut outcome.sent {
-                        *pkt = Packet::new(pkt.flow, pkt.seq + self.base_seq, pkt.size, now);
-                    }
-                    outcome.next_wake += shift;
-                    outcome
+            let rel_now = now - shift;
+            if self.belief.advance(rel_now, &rel_acks).is_err() {
+                self.t0 = now;
+                self.base_seq += self.next_seq;
+                self.next_seq = 0;
+                self.belief = self.prior.clone();
+                return (WakeOutcome::idle(now + Dur::from_millis(500)), 0);
+            }
+            let (cfg, utility) = (&self.cfg, self.utility.as_ref());
+            let (planner, size, own) = (&cfg.planner, cfg.packet_size, FlowId::SELF);
+            let (mut sent, mut classes) = (Vec::new(), 0);
+            let decision = loop {
+                let seq = self.next_seq;
+                let d = crate::decide(&self.belief, planner, utility, own, seq, size);
+                classes += d.rollouts.groups;
+                if d.action != Action::SendNow || sent.len() == cfg.max_sends_per_wake {
+                    break d;
                 }
-                Err(_) => {
-                    self.t0 = now;
-                    self.base_seq += self.inner.next_seq();
-                    self.inner.restart(self.prior.clone());
-                    WakeOutcome::idle(now + Dur::from_millis(500))
-                }
+                self.belief.inject(Packet::new(own, seq, size, rel_now));
+                sent.push(Packet::new(own, seq + self.base_seq, size, now));
+                self.next_seq += 1;
+            };
+            let next_wake = match decision.action {
+                Action::SleepUntil(t) => t.min(rel_now + cfg.max_sleep),
+                _ => rel_now + cfg.max_sleep,
+            } + shift;
+            let outcome = WakeOutcome {
+                sent,
+                next_wake,
+                decision,
             };
             (outcome, classes)
         }
@@ -561,8 +570,11 @@ mod tests {
         let mut s =
             RestartingSender::new(prior.clone(), utility(1.0, 0.0), ISenderConfig::default());
         let mut r = Replanning {
-            inner: ISender::new(prior.clone(), utility(1.0, 0.0), ISenderConfig::default()),
+            belief: prior.clone(),
             prior: prior.clone(),
+            utility: utility(1.0, 0.0),
+            cfg: ISenderConfig::default(),
+            next_seq: 0,
             t0: Time::ZERO,
             base_seq: 0,
         };
@@ -613,7 +625,7 @@ mod tests {
                 let (want, classes, want_events, want_clones) = work(&mut || r.wake(now, &acks));
                 assert_eq!(s.restarts, h, "{at}: the truth's belief survives");
                 assert_same_outcome(&at, &got, &want);
-                let (a, b) = (&s.inner().belief, &r.inner.belief);
+                let (a, b) = (&s.inner().belief, &r.belief);
                 assert_eq!(a.now(), b.now(), "{at}: belief instant");
                 assert_eq!(a.members().len(), b.members().len(), "{at}: members");
                 for (i, (x, y)) in a.members().zip(b.members()).enumerate() {

@@ -18,13 +18,13 @@
 //! `E` stands behind the [`Engine`] seam: the exact [`Belief`] (the
 //! default, so `ISender<M>` names the paper's sender) or the
 //! [`ParticleFilter`] ([`ParticleSender`]). The wake cycle is written once
-//! ([`ISender::wake_with`]) and reaches the engine through `advance`,
-//! `inject` and — inside [`decide`](crate::decide) — `members`, so the policy cannot
-//! diverge between belief representations.
+//! and reaches the engine through `advance`, `inject` and — inside the
+//! planner — `members`, so the policy cannot diverge between belief
+//! representations. [`SenderAgent::on_wake`] plans every decision afresh;
+//! [`crate::RestartingSender`] runs the same cycle with the memo it keeps
+//! across restarts.
 
-use crate::planner::{
-    decide_remembering, Action, Decision, PlanMemo, PlannerConfig, RolloutCounts,
-};
+use crate::planner::{plan, Action, Decision, PlanMemo, PlannerConfig, RolloutCounts};
 use crate::utility::Utility;
 use augur_inference::{Belief, BeliefError, Engine, Observation, ParticleFilter};
 use augur_obs::EventKind;
@@ -109,26 +109,6 @@ pub struct ISender<M, E = Belief<M>> {
 /// observation mismatch rather than forked branches.
 pub type ParticleSender<M> = ISender<M, ParticleFilter<M>>;
 
-/// The planner call of a wake: [`decide`](crate::decide) for the sender's next packet,
-/// `seq`, on its own flow, served from `memo` where it can be.
-pub(crate) fn decide_next<E: Engine>(
-    belief: &E,
-    cfg: &ISenderConfig,
-    utility: &dyn Utility,
-    seq: u64,
-    memo: Option<&mut PlanMemo>,
-) -> Decision {
-    decide_remembering(
-        belief,
-        &cfg.planner,
-        utility,
-        FlowId::SELF,
-        seq,
-        cfg.packet_size,
-        memo,
-    )
-}
-
 impl<M, E: Engine<Meta = M>> ISender<M, E> {
     /// Create a sender over a prior belief with the given utility.
     pub fn new(belief: E, utility: Box<dyn Utility + Send>, cfg: ISenderConfig) -> ISender<M, E> {
@@ -167,34 +147,29 @@ impl<M, E: Engine<Meta = M>> ISender<M, E> {
         self.sent_log.clear();
     }
 
-    /// The wake cycle, written once, with the planner call as its
-    /// argument: advance the belief over the window since the last wake
-    /// (conditioning on `acks`), then transmit while `plan(belief, config,
-    /// utility, seq)` says "send now" (up to the per-wake cap), telling
-    /// the belief about each transmission, and map the final action to
-    /// the next timer.
-    ///
-    /// [`SenderAgent::on_wake`] passes [`decide`](crate::decide). A caller
-    /// may instead serve what it already holds, provided each decision is
-    /// the one `decide` would return for the same belief and `seq`: the
-    /// belief is still advanced and told of every send, and each wake's
-    /// decision is emitted and returned as if it had been planned.
-    /// [`crate::RestartingSender`] serves the rows of the member classes
-    /// its planner rolled before.
-    pub fn wake_with(
+    /// The wake cycle, written once: advance the belief over the window
+    /// since the last wake (conditioning on `acks`), then transmit while
+    /// the planner says "send now" (up to the per-wake cap), telling the
+    /// belief about each transmission, and map the final action to the
+    /// next timer. The planner serves every class of members `memo` holds
+    /// and keeps there every class it rolls; each decision is the one
+    /// [`decide`](crate::decide) returns for the same belief and packet.
+    pub(crate) fn wake(
         &mut self,
         now: Time,
         acks: &[Observation],
-        mut plan: impl FnMut(&E, &ISenderConfig, &dyn Utility, u64) -> Decision,
+        mut memo: Option<&mut PlanMemo>,
     ) -> Result<WakeOutcome, BeliefError> {
         self.belief.advance(now, acks)?;
-        let cfg = &self.cfg;
+        let (cfg, utility) = (&self.cfg, self.utility.as_ref());
+        let (planner, size) = (&cfg.planner, cfg.packet_size);
         let mut sent = Vec::new();
         let decision = loop {
-            let d = plan(&self.belief, cfg, self.utility.as_ref(), self.next_seq);
+            let memo = memo.as_deref_mut();
+            let d = plan(&self.belief, planner, utility, self.next_seq, size, memo);
             match d.action {
                 Action::SendNow if sent.len() < cfg.max_sends_per_wake => {
-                    let pkt = Packet::new(FlowId::SELF, self.next_seq, cfg.packet_size, now);
+                    let pkt = Packet::new(FlowId::SELF, self.next_seq, size, now);
                     self.belief.inject(pkt);
                     self.sent_log.push((self.next_seq, now));
                     self.next_seq += 1;
@@ -276,11 +251,9 @@ impl<M, E: Engine<Meta = M>> SenderAgent for ISender<M, E> {
         FlowId::SELF
     }
 
-    /// [`ISender::wake_with`] the [`decide`](crate::decide) planner.
+    /// The wake cycle, every decision planned afresh.
     fn on_wake(&mut self, now: Time, acks: &[Observation]) -> Result<WakeOutcome, BeliefError> {
-        self.wake_with(now, acks, |belief, cfg, utility, seq| {
-            decide_next(belief, cfg, utility, seq, None)
-        })
+        self.wake(now, acks, None)
     }
 
     fn population(&self) -> usize {

@@ -75,8 +75,9 @@
 //! deliveries by position, and the utility sums the deliveries left to
 //! right with the discounts supplied.
 //!
-//! **Once per sender** — for the restarting sender, which keeps a memo of
-//! every member's row its planner rolled: a group whose every member it
+//! **Once per sender** — for the restarting sender, which hands its wake
+//! loop a memo of every member's row its planner rolled, filed by the
+//! member's exact content (`PlanMemo`): a group whose every member it
 //! holds, planned at the same instant for the same packet, is served from
 //! it and not rolled, its fork counts added as rolling it would count
 //! them.
@@ -224,32 +225,26 @@ pub fn decide<E: Engine>(
     seq: u64,
     size: Bits,
 ) -> Decision {
-    decide_remembering(belief, cfg, utility, own_flow, seq, size, None)
+    let branches = subsample_weighted(belief.members(), cfg.max_planning_branches);
+    let (now, entry) = (belief.now(), belief.entry());
+    decide_weighted(&branches, now, entry, cfg, utility, own_flow, seq, size)
 }
 
-/// [`decide`], serving every class of members that `memo` holds from it
-/// and keeping the rows of every class it rolls there (see [`PlanMemo`]).
-pub(crate) fn decide_remembering<E: Engine>(
+/// The sender's planner call: [`decide`] for its own next packet on
+/// [`FlowId::SELF`], serving every class of members that `memo` holds from
+/// it and keeping the rows of every class it rolls there (see
+/// [`PlanMemo`]).
+pub(crate) fn plan<E: Engine>(
     belief: &E,
     cfg: &PlannerConfig,
     utility: &dyn Utility,
-    own_flow: FlowId,
     seq: u64,
     size: Bits,
     memo: Option<&mut PlanMemo>,
 ) -> Decision {
     let branches = subsample_weighted(belief.members(), cfg.max_planning_branches);
-    plan_classes(
-        &branches,
-        belief.now(),
-        belief.entry(),
-        cfg,
-        utility,
-        own_flow,
-        seq,
-        size,
-        memo,
-    )
+    let (now, entry, own) = (belief.now(), belief.entry(), FlowId::SELF);
+    plan_classes(&branches, now, entry, cfg, utility, own, seq, size, memo)
 }
 
 /// What the planner reads of a weighted member: its network and its
@@ -352,7 +347,7 @@ fn plan_classes<B: Branch>(
         let leader = group[0].0;
         let members = || group.iter().map(|&(_, b)| net_of(b));
         if let Some(memo) = memo.as_deref_mut() {
-            if let Some(served) = memo.look_up(now, seq, members(), width) {
+            if let Some(served) = memo.look_up(now, seq, members()) {
                 for (&(_, b), row) in group.iter().zip(memo.rows(width)) {
                     us[b * width..][..width].copy_from_slice(row);
                 }
@@ -380,7 +375,7 @@ fn plan_classes<B: Branch>(
         rollouts.add(rolled);
         if let Some(memo) = memo.as_deref_mut() {
             let rows = group.iter().map(|&(_, b)| &us[b * width..][..width]);
-            memo.remember(members(), rows, rolled);
+            memo.remember(now, seq, members(), rows, rolled);
         }
     }
 
@@ -453,158 +448,100 @@ fn choose(
 /// the member's network alone: its class's rollout is the rollout of any
 /// network determinized-equal to it, and its own loss rates price it.
 /// What the class's rollout spent is likewise a function of the class. So
-/// the memo keeps every row it is given under `(now, seq, key)`, `key`
-/// being the class's [`NetworkView::determinized_key`], with the class's
-/// [`RolloutCounts`]. A key only says where to look: a row is served to a
-/// network whose structure is the very allocation it was planned over
-/// ([`Arc::ptr_eq`] against an `Arc` the memo holds, so that allocation is
-/// never freed and its address never reused) and whose
-/// [`NetworkView::state_record`] is the one stored, which holds exactly
-/// when the two networks are equal. A class is served only if every
-/// member is found; the rows served, and the counts added, are then the
-/// ones rolling it would give, bit for bit.
+/// the memo files every row it is given, with its class's
+/// [`RolloutCounts`], under the member's key: the decision instant, the
+/// sequence number, the index of the member's structure among the
+/// structures the memo holds, and the member's
+/// [`NetworkView::state_record`]. A structure is held once, by `Arc`, and
+/// found by [`Arc::ptr_eq`], so its allocation is never freed and its
+/// address never reused; two records are equal exactly when the states
+/// are. Two members share a key exactly when they are the same network
+/// planned at the same instant for the same packet. A class is served
+/// only if every member is found; the rows served, and the counts added,
+/// are then the ones rolling it would give, bit for bit.
 ///
 /// Nothing is ever evicted: a memo lives as long as its sender.
+#[derive(Default)]
 pub(crate) struct PlanMemo {
-    /// Brings a class's candidates together; settles nothing.
-    key: fn(NetworkView<'_>) -> u64,
-    /// The latest entry under each `(now, seq, key)`; each entry links to
-    /// the one stored before it under the same.
-    heads: BTreeMap<(Time, u64, u64), u32>,
-    entries: Vec<MemoEntry>,
-    /// Every entry's state record, back to back in entry order.
-    records: Vec<u8>,
-    /// Every entry's row, back to back in entry order.
+    /// Each member's key to the index of its row.
+    index: BTreeMap<Box<[u8]>, usize>,
+    /// Every structure a key names, each once.
+    structures: Vec<Arc<NetworkStructure>>,
+    /// Every row, back to back in the order they were kept.
     rows: Vec<f64>,
-    /// The class last looked up: its key, its members' records back to
-    /// back, where each ends, and the entry found for each.
-    probe_key: (Time, u64, u64),
-    probe: Vec<u8>,
-    probe_ends: Vec<usize>,
-    found: Vec<Option<u32>>,
-}
-
-/// One member row a [`PlanMemo`] holds.
-struct MemoEntry {
-    /// The structure the row was planned over.
-    structure: Arc<NetworkStructure>,
-    /// Where its state record ends in `records`; it starts where the
-    /// previous entry's ends.
-    record_end: u32,
-    /// The entry stored before it under the same key, if any.
-    next: Option<u32>,
-    /// What rolling its class cost.
-    counts: RolloutCounts,
+    /// What rolling each row's class cost.
+    counts: Vec<RolloutCounts>,
+    /// The key last written.
+    key: Vec<u8>,
+    /// The rows found for the members of the class last looked up.
+    found: Vec<usize>,
 }
 
 impl PlanMemo {
-    /// An empty memo.
-    pub(crate) fn new() -> PlanMemo {
-        PlanMemo::keyed_by(|net| net.determinized_key())
+    /// Write `net`'s key at `now` for packet `seq` to `self.key`, its
+    /// structure being the memo's `structure`-th.
+    fn write_key(&mut self, now: Time, seq: u64, structure: usize, net: NetworkView<'_>) {
+        self.key.clear();
+        self.key.extend_from_slice(&now.as_micros().to_le_bytes());
+        self.key.extend_from_slice(&seq.to_le_bytes());
+        self.key.extend_from_slice(&structure.to_le_bytes());
+        net.state_record(&mut self.key);
     }
 
-    /// An empty memo that brings classes together by `key`, which must
-    /// give determinized-equal networks one value.
-    fn keyed_by(key: fn(NetworkView<'_>) -> u64) -> PlanMemo {
-        PlanMemo {
-            key,
-            heads: BTreeMap::new(),
-            entries: Vec::new(),
-            records: Vec::new(),
-            rows: Vec::new(),
-            probe_key: (Time::ZERO, 0, 0),
-            probe: Vec::new(),
-            probe_ends: Vec::new(),
-            found: Vec::new(),
-        }
-    }
-
-    fn record(&self, entry: u32) -> &[u8] {
-        let end = self.entries[entry as usize].record_end as usize;
-        let start = match entry.checked_sub(1) {
-            Some(before) => self.entries[before as usize].record_end as usize,
-            None => 0,
-        };
-        &self.records[start..end]
+    fn structure_of(&self, net: NetworkView<'_>) -> Option<usize> {
+        let structure = net.shared_structure();
+        self.structures
+            .iter()
+            .position(|s| Arc::ptr_eq(s, structure))
     }
 
     /// Look up every member of one class, `nets`, planned at `now` for
-    /// packet `seq`: if the memo holds each one's row (`width` values),
-    /// what rolling the class cost. [`PlanMemo::rows`] then reads the rows
-    /// found, in member order.
+    /// packet `seq`: if the memo holds each one's row, what rolling the
+    /// class cost. [`PlanMemo::rows`] then reads the rows found, in member
+    /// order.
     fn look_up<'a>(
         &mut self,
         now: Time,
         seq: u64,
-        mut nets: impl Iterator<Item = NetworkView<'a>>,
-        width: usize,
+        nets: impl Iterator<Item = NetworkView<'a>>,
     ) -> Option<RolloutCounts> {
-        debug_assert_eq!(self.rows.len(), self.entries.len() * width);
-        self.probe.clear();
-        self.probe_ends.clear();
         self.found.clear();
-        let first = nets.next().expect("a class has a leader");
-        self.probe_key = (now, seq, (self.key)(first));
-        for net in std::iter::once(first).chain(nets) {
-            let start = self.probe.len();
-            net.state_record(&mut self.probe);
-            self.probe_ends.push(self.probe.len());
-            let record = &self.probe[start..];
-            let mut at = self.heads.get(&self.probe_key).copied();
-            while let Some(entry) = at {
-                let e = &self.entries[entry as usize];
-                if Arc::ptr_eq(&e.structure, net.shared_structure()) && self.record(entry) == record
-                {
-                    break;
-                }
-                at = e.next;
-            }
-            self.found.push(at);
+        for net in nets {
+            let structure = self.structure_of(net)?;
+            self.write_key(now, seq, structure, net);
+            self.found.push(*self.index.get(&self.key[..])?);
         }
-        let mut found = self.found.iter();
-        match found.next() {
-            Some(&Some(leader)) if found.all(Option::is_some) => {
-                Some(self.entries[leader as usize].counts)
-            }
-            _ => None,
-        }
+        Some(self.counts[self.found[0]])
     }
 
     /// The rows of the class last looked up, each `width` values, in
     /// member order: every member must have been found.
     fn rows(&self, width: usize) -> impl Iterator<Item = &[f64]> {
-        self.found.iter().map(move |entry| {
-            let entry = entry.expect("every member was found") as usize;
-            &self.rows[entry * width..][..width]
-        })
+        (self.found.iter()).map(move |&row| &self.rows[row * width..][..width])
     }
 
-    /// Keep the rows of the class last looked up, `nets` (the same
-    /// networks, in the same order), which rolling it gave together with
-    /// `counts`: every member not found becomes an entry.
+    /// Keep the rows that rolling one class, `nets`, at `now` for packet
+    /// `seq` gave, together with `counts`: every member not held yet
+    /// becomes a row.
     fn remember<'a, 'r>(
         &mut self,
+        now: Time,
+        seq: u64,
         nets: impl Iterator<Item = NetworkView<'a>>,
         rows: impl Iterator<Item = &'r [f64]>,
         counts: RolloutCounts,
     ) {
-        let index = |n: usize| u32::try_from(n).expect("memo offsets fit in 32 bits");
-        let mut start = 0;
-        for (m, (net, row)) in nets.zip(rows).enumerate() {
-            let end = self.probe_ends[m];
-            if self.found[m].is_none() {
-                self.records.extend_from_slice(&self.probe[start..end]);
+        for (net, row) in nets.zip(rows) {
+            let structure = self.structure_of(net).unwrap_or_else(|| {
+                self.structures.push(Arc::clone(net.shared_structure()));
+                self.structures.len() - 1
+            });
+            self.write_key(now, seq, structure, net);
+            if !self.index.contains_key(&self.key[..]) {
+                self.index.insert(self.key[..].into(), self.counts.len());
                 self.rows.extend_from_slice(row);
-                let entry = index(self.entries.len());
-                let next = self.heads.insert(self.probe_key, entry);
-                self.entries.push(MemoEntry {
-                    structure: Arc::clone(net.shared_structure()),
-                    record_end: index(self.records.len()),
-                    next,
-                    counts,
-                });
+                self.counts.push(counts);
             }
-            start = end;
         }
     }
 }
@@ -1531,55 +1468,47 @@ mod tests {
         let per_class = 1 + cfg.delay_grid.len() as u64;
         let now = Time::from_millis(1_700);
         // Sibling sets of one instant: in each, four members share a state
-        // under four structures, and under the collided key every member
-        // of every set is filed under one key.
+        // under four structures.
         let sets: Vec<Vec<Hypothesis<ModelParams>>> = (0..4)
             .map(|seed| loss_siblings(now, &mut SimRng::seed_from_u64(seed)))
             .collect();
-        let keys: [fn(NetworkView<'_>) -> u64; 2] = [|net| net.determinized_key(), |_| 0];
-        let mut spent = Vec::new();
-        for key in keys {
-            let mut memo = PlanMemo::keyed_by(key);
-            // Classes served and rolled on each pass.
-            let mut classes = [(0, 0); 2];
-            for pass in &mut classes {
-                for set in &sets {
-                    // A part of the set, then all of it, then a packet of
-                    // another sequence number: the second finds some
-                    // members of a class and not others, the third none.
-                    for (keep, seq) in [(4, 9), (set.len(), 9), (set.len(), 10)] {
-                        let weighted = subsample_weighted(&set[..keep], keep);
-                        let fresh = |memo| {
-                            let (entry, own) = (FIG2_ENTRY, FlowId::SELF);
-                            let before = perf::snapshot();
-                            let d = plan_classes(
-                                &weighted, now, entry, &cfg, &utility, own, seq, size, memo,
-                            );
-                            (d, perf::snapshot().since(&before).state_clones)
-                        };
-                        let (want, want_clones) = fresh(None);
-                        let (got, got_clones) = fresh(Some(&mut memo));
-                        assert_same_decision(&got, &want, &format!("{keep} members, seq {seq}"));
-                        assert_eq!(got.members, want.members);
-                        assert_eq!(got.rollouts, want.rollouts);
-                        // Every class is served or rolled, and a served
-                        // class clones nothing.
-                        assert_eq!(want_clones, want.rollouts.groups as u64 * per_class);
-                        assert_eq!(got_clones % per_class, 0);
-                        let rolled = (got_clones / per_class) as usize;
-                        pass.0 += want.rollouts.groups - rolled;
-                        pass.1 += rolled;
-                    }
+        let mut memo = PlanMemo::default();
+        // Classes served and rolled on each pass.
+        let mut classes = [(0, 0); 2];
+        for pass in &mut classes {
+            for set in &sets {
+                // A part of the set, then all of it, then a packet of
+                // another sequence number: the second finds some members
+                // of a class and not others, the third none.
+                for (keep, seq) in [(4, 9), (set.len(), 9), (set.len(), 10)] {
+                    let weighted = subsample_weighted(&set[..keep], keep);
+                    let fresh = |memo| {
+                        let (entry, own) = (FIG2_ENTRY, FlowId::SELF);
+                        let before = perf::snapshot();
+                        let d = plan_classes(
+                            &weighted, now, entry, &cfg, &utility, own, seq, size, memo,
+                        );
+                        (d, perf::snapshot().since(&before).state_clones)
+                    };
+                    let (want, want_clones) = fresh(None);
+                    let (got, got_clones) = fresh(Some(&mut memo));
+                    assert_same_decision(&got, &want, &format!("{keep} members, seq {seq}"));
+                    assert_eq!(got.members, want.members);
+                    assert_eq!(got.rollouts, want.rollouts);
+                    // Every class is served or rolled, and a served class
+                    // clones nothing.
+                    assert_eq!(want_clones, want.rollouts.groups as u64 * per_class);
+                    assert_eq!(got_clones % per_class, 0);
+                    let rolled = (got_clones / per_class) as usize;
+                    pass.0 += want.rollouts.groups - rolled;
+                    pass.1 += rolled;
                 }
             }
-            spent.push(classes);
         }
         // On the first pass each full set's decision is served the 6
-        // classes whose every member the partial one rolled, 42 classes
-        // in all; the second pass serves every class, and a collided key
-        // changes nothing.
-        assert_eq!(spent[0], [(6, 36), (42, 0)]);
-        assert_eq!(spent[1], spent[0]);
+        // classes whose every member the partial one rolled, 42 classes in
+        // all; the second pass serves every class.
+        assert_eq!(classes, [(6, 36), (42, 0)]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ enum Check {
 
 /// `(where checked, sweep arguments, CSV digest, event-log digest)`. Every
 /// preset at shipped size, in `presets::NAMES` order; the run where the
-/// restarting senders' plan trees grow deepest; the traced runs of the
+/// restarting senders' memos grow largest; the traced runs of the
 /// multi-agent loop, both ISenders, the TCP and scripted-ping runners and
 /// the paper prior.
 #[rustfmt::skip]

@@ -50,11 +50,6 @@ impl Packet {
             sent_at,
         }
     }
-
-    /// The one-way delay if the packet is delivered at `now`.
-    pub fn delay_at(&self, now: Time) -> crate::time::Dur {
-        now.since(self.sent_at)
-    }
 }
 
 impl fmt::Display for Packet {
@@ -90,7 +85,6 @@ mod tests {
     #[test]
     fn delay_accounting() {
         let p = Packet::new(FlowId::SELF, 7, Bits::from_bytes(1500), Time::from_secs(1));
-        assert_eq!(p.delay_at(Time::from_secs(3)), Dur::from_secs(2));
         let d = Delivery {
             packet: p,
             at: Time::from_millis(1_250),

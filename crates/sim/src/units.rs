@@ -41,12 +41,6 @@ impl BitRate {
         let us = (bits.as_u64() as u128 * 1_000_000).div_ceil(self.0 as u128);
         Dur::from_micros(u64::try_from(us).expect("service time overflows u64 microseconds"))
     }
-
-    /// How many whole bits drain in `d` at this rate (truncating).
-    pub fn bits_in(self, d: Dur) -> Bits {
-        let bits = self.0 as u128 * d.as_micros() as u128 / 1_000_000;
-        Bits::new(u64::try_from(bits).expect("drained bits overflow u64"))
-    }
 }
 
 impl fmt::Display for BitRate {
@@ -211,13 +205,6 @@ mod tests {
         // 1 bit at 3 bps: 333_333.33 us rounds up to 333_334.
         let r = BitRate::from_bps(3);
         assert_eq!(r.service_time(Bits::new(1)), Dur::from_micros(333_334));
-    }
-
-    #[test]
-    fn bits_in_truncates() {
-        let r = BitRate::from_bps(12_000);
-        assert_eq!(r.bits_in(Dur::from_millis(500)), Bits::new(6_000));
-        assert_eq!(r.bits_in(Dur::from_micros(1)), Bits::ZERO);
     }
 
     #[test]
