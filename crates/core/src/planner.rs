@@ -1378,9 +1378,8 @@ mod tests {
             ..PlannerConfig::default()
         };
         let paper = DiscountedThroughput {
-            alpha: 0.7,
             latency_penalty: 0.01,
-            ..DiscountedThroughput::own_only()
+            ..DiscountedThroughput::with_alpha(0.7)
         };
         let own_delay = OwnDelayCharged(paper);
         let size = Bits::new(12_000);
@@ -1505,10 +1504,51 @@ mod tests {
                 }
             }
         }
+
+        // A utility that reads the packet's sequence number prices a send
+        // at seq 9 and at seq 10 apart, so a memo that filed both under
+        // one key would serve seq 9's utilities to seq 10.
+        let by_seq = OddSeqDoubled(utility);
+        let mut memo = PlanMemo::default();
+        for set in &sets {
+            let weighted = subsample_weighted(set, set.len());
+            let plan = |seq, memo: Option<&mut PlanMemo>| {
+                let (entry, own) = (FIG2_ENTRY, FlowId::SELF);
+                plan_classes(&weighted, now, entry, &cfg, &by_seq, own, seq, size, memo)
+            };
+            let (odd, even) = (plan(9, None), plan(10, None));
+            let eus = |d: &Decision| d.evaluations.iter().map(|e| e.1).collect::<Vec<_>>();
+            assert_ne!(eus(&odd), eus(&even));
+            for (seq, want) in [(9, odd), (10, even)] {
+                let got = plan(seq, Some(&mut memo));
+                assert_same_decision(&got, &want, &format!("seq {seq}, utility reading it"));
+            }
+        }
+
         // On the first pass each full set's decision is served the 6
         // classes whose every member the partial one rolled, 42 classes in
         // all; the second pass serves every class.
         assert_eq!(classes, [(6, 36), (42, 0)]);
+    }
+
+    /// The paper's utility with the sender's own odd-numbered packets
+    /// worth twice as much: a utility whose rows depend on `seq`.
+    struct OddSeqDoubled(DiscountedThroughput);
+
+    impl Utility for OddSeqDoubled {
+        fn delivery_discount(&self, at: Time, decision_time: Time) -> f64 {
+            self.0.delivery_discount(at, decision_time)
+        }
+
+        fn evaluate(&self, report: &RolloutReport, discounts: &[f64], own_flow: FlowId) -> f64 {
+            let mut u = self.0.evaluate(report, discounts, own_flow);
+            for ((d, p), discount) in report.deliveries.iter().zip(discounts) {
+                if d.packet.flow == own_flow && d.packet.seq % 2 == 1 {
+                    u += p * d.packet.size.as_f64() * discount;
+                }
+            }
+            u
+        }
     }
 
     #[test]
@@ -1540,7 +1580,7 @@ mod tests {
                     assert_eq!(got.deliveries.len(), want.deliveries.len());
                     // Every packet crosses the last-mile LOSS node once:
                     // p = 1 delivers nothing, any other rate prices it all.
-                    let survive = 1.0 - h.net.loss_prob(FIG2_LOSS);
+                    let survive = 1.0 - h.net.view().loss_prob(FIG2_LOSS);
                     assert!(got.deliveries.iter().all(|(_, p)| *p == survive));
                     if matches!(scene, Scene::LossyLastMile | Scene::LossSiblings) {
                         assert_eq!(got.deliveries.is_empty(), h.meta.loss.is_one());

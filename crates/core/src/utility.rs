@@ -69,15 +69,6 @@ pub struct DiscountedThroughput {
 }
 
 impl DiscountedThroughput {
-    /// Pure own-throughput utility (α = 0, no latency penalty).
-    pub fn own_only() -> DiscountedThroughput {
-        DiscountedThroughput {
-            theta_ms: THETA_MS,
-            alpha: 0.0,
-            latency_penalty: 0.0,
-        }
-    }
-
     /// The Figure-3 family: own throughput + α · cross throughput.
     pub fn with_alpha(alpha: f64) -> DiscountedThroughput {
         DiscountedThroughput {
@@ -170,7 +161,7 @@ mod tests {
     fn discount_never_grows_with_delay() {
         let seed = 0xD15C;
         let mut rng = SimRng::seed_from_u64(seed);
-        let u = DiscountedThroughput::own_only();
+        let u = DiscountedThroughput::with_alpha(0.0);
         for _ in 0..64 {
             let (tau, later) = (1e6 * rng.uniform_f64(), 1e6 * rng.uniform_f64());
             assert!(
@@ -197,7 +188,7 @@ mod tests {
 
     #[test]
     fn delivery_probability_scales_value() {
-        let u = DiscountedThroughput::own_only();
+        let u = DiscountedThroughput::with_alpha(0.0);
         let full = RolloutReport {
             deliveries: vec![(delivery(FlowId::SELF, 0, 0), 1.0)],
         };
@@ -211,7 +202,7 @@ mod tests {
 
     #[test]
     fn later_delivery_is_worth_less() {
-        let u = DiscountedThroughput::own_only();
+        let u = DiscountedThroughput::with_alpha(0.0);
         let early = RolloutReport {
             deliveries: vec![(delivery(FlowId::SELF, 1_000, 0), 1.0)],
         };
@@ -240,7 +231,7 @@ mod tests {
 
     #[test]
     fn deliveries_before_decision_time_not_negatively_discounted() {
-        let u = DiscountedThroughput::own_only();
+        let u = DiscountedThroughput::with_alpha(0.0);
         let report = RolloutReport {
             deliveries: vec![(delivery(FlowId::SELF, 100, 0), 1.0)],
         };

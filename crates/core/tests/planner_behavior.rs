@@ -102,7 +102,7 @@ fn loss_scales_expected_utility() {
         let d = decide(
             &belief,
             &PlannerConfig::default(),
-            &DiscountedThroughput::own_only(),
+            &DiscountedThroughput::with_alpha(0.0),
             FlowId::SELF,
             0,
             Bits::from_bytes(1_500),

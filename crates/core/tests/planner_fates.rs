@@ -115,9 +115,8 @@ fn fate_expectation(
 /// longest run of loss fates the oracle met.
 fn planner_and_oracle(scene: &Scene, cfg: &PlannerConfig) -> (Vec<(f64, f64)>, usize) {
     let utility = DiscountedThroughput {
-        alpha: 0.7,
         latency_penalty: 0.01,
-        ..DiscountedThroughput::own_only()
+        ..DiscountedThroughput::with_alpha(0.7)
     };
     let weighted = subsample_weighted(&scene.branches, scene.branches.len());
     let decision = decide_weighted(

@@ -764,11 +764,6 @@ impl Network {
         self.view().determinized_key()
     }
 
-    /// [`NetworkView::determinized_eq`] between two networks.
-    pub fn determinized_eq(&self, other: &Network) -> bool {
-        self.view().determinized_eq(other.view())
-    }
-
     /// [`PartialEq`] except for the stamps of the packet `(flow, seq)`:
     /// its `sent_at` wherever it stands, since no element reads it, and
     /// the instant it entered a DropTail or RED buffer, which neither
@@ -803,14 +798,6 @@ impl Network {
                 .all(|(node, (x, y))| {
                     x == y || states_eq_but_stamps(&node.element, x, y, ours, bare)
                 })
-    }
-
-    /// [`NetworkView::loss_prob`] of this network.
-    ///
-    /// # Panics
-    /// Panics if the node is not a LOSS element.
-    pub fn loss_prob(&self, id: NodeId) -> f64 {
-        self.view().loss_prob(id)
     }
 
     /// Put a determinized rollout's private copy in the form it runs in.
@@ -1898,8 +1885,9 @@ mod tests {
             }
         };
         let check = |other: &Network, equivalent: bool, what: &str| {
-            assert_eq!(base.determinized_eq(other), equivalent, "{what}");
-            assert_eq!(other.determinized_eq(&base), equivalent, "{what}");
+            let (a, b) = (base.view(), other.view());
+            assert_eq!(a.determinized_eq(b), equivalent, "{what}");
+            assert_eq!(b.determinized_eq(a), equivalent, "{what}");
             if equivalent {
                 assert_eq!(base.determinized_key(), other.determinized_key(), "{what}");
                 check_loss_blind(other, true, what);
@@ -1911,7 +1899,10 @@ mod tests {
         check(&sibling, true, "another fractional loss rate");
         assert_ne!(base, sibling, "`==` still tells loss siblings apart");
         assert_eq!(
-            (base.loss_prob(NodeId(3)), sibling.loss_prob(NodeId(3))),
+            (
+                base.view().loss_prob(NodeId(3)),
+                sibling.view().loss_prob(NodeId(3))
+            ),
             (0.1, 0.2)
         );
 
@@ -1937,9 +1928,8 @@ mod tests {
         check(&later, false, "now");
         check_loss_blind(&later, false, "now");
         // The certain rates are classes of their own, not one class.
-        assert!(!path(12_000, 0, true)
-            .0
-            .determinized_eq(&path(12_000, 1_000_000, true).0));
+        let (p0, p1) = (path(12_000, 0, true).0, path(12_000, 1_000_000, true).0);
+        assert!(!p0.view().determinized_eq(p1.view()));
     }
 
     #[test]
@@ -2502,7 +2492,7 @@ mod tests {
         // A held network is another network; belief hypotheses are never
         // held, so their `==` / `Hash` / `determinized_eq` see no change.
         assert_ne!(held, original);
-        assert!(!held.determinized_eq(&original));
+        assert!(!held.view().determinized_eq(original.view()));
         let mut again = original.clone();
         again.determinize();
         again.run_until(Time::from_secs(900));

@@ -322,7 +322,8 @@ impl SweepGrid {
         applied
     }
 
-    /// Total number of runs (product of axis lengths).
+    /// Total number of runs (product of axis lengths), which
+    /// [`SweepGrid::validate`] checks fits in a `usize`.
     pub fn len(&self) -> usize {
         self.axes.iter().map(Axis::len).product()
     }
@@ -330,6 +331,23 @@ impl SweepGrid {
     /// True iff some axis is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The run count, or the rule it breaks: blame on the axis at which
+    /// the product of the axis lengths overflows a `usize`.
+    fn run_count(&self) -> Result<usize, RuleError> {
+        let mut runs = 1usize;
+        for (k, axis) in self.axes.iter().enumerate() {
+            runs = runs.checked_mul(axis.len()).ok_or_else(|| RuleError {
+                blame: Blame::Axis(k),
+                rule: format!(
+                    "the grid's run count overflows at its `{}` axis: {runs} × {}",
+                    axis.name(),
+                    axis.len()
+                ),
+            })?;
+        }
+        Ok(runs)
     }
 
     /// Grid point `index` — the base spec with one point of every axis
@@ -356,11 +374,12 @@ impl SweepGrid {
     /// find its knob in the spec it is applied to. `Err` names the first
     /// broken rule and blames a base section or — for a rule the base
     /// keeps and a point breaks — the last axis that wrote the blamed
-    /// section. The config decoder runs this on every grid it builds, so
-    /// a grid from [`crate::load_grid`] is already valid.
+    /// section — or the axis at which the run count overflows. The config
+    /// decoder runs this on every grid it builds, so a grid from
+    /// [`crate::load_grid`] is already valid.
     pub fn validate(&self) -> Result<(), RuleError> {
         self.base.check()?;
-        for index in 0..self.len() {
+        for index in 0..self.run_count()? {
             let (spec, _) = self.point(index)?;
             spec.check().map_err(|mut e| {
                 let wrote = |axis: &Axis| axis.writes() == Some(e.blame);
@@ -378,11 +397,13 @@ impl SweepGrid {
     /// run's seed is `SimRng::derive_seed(base.base_seed, index)`.
     ///
     /// # Panics
-    /// Panics with the rule if an axis has no knob to write in this
-    /// grid's spec — a hand-built grid that skipped
+    /// Panics with the rule if the run count overflows or an axis has no
+    /// knob to write in this grid's spec — a hand-built grid that skipped
     /// [`SweepGrid::validate`]; one decoded from a spec file cannot.
     pub fn expand(&self) -> Vec<RunSpec> {
-        (0..self.len())
+        #[expect(clippy::panic, reason = "P020: the documented # Panics")]
+        let runs = self.run_count().unwrap_or_else(|e| panic!("{e}"));
+        (0..runs)
             .map(|index| {
                 #[expect(clippy::panic, reason = "P020: the documented # Panics")]
                 let (spec, digits) = self.point(index).unwrap_or_else(|e| panic!("{e}"));
@@ -488,6 +509,17 @@ mod tests {
             .axis(Axis::Seeds(1));
         let runs = grid.expand();
         assert_eq!(runs[0].point(), "alpha=2.5 replicate=0");
+    }
+
+    #[test]
+    #[should_panic(expected = "the grid's run count overflows at its `replicate` axis")]
+    fn an_overflowing_run_count_is_a_spec_error_not_an_empty_sweep() {
+        // 2 × 2^63 runs wrap to exactly 0 in an unchecked product.
+        let grid = SweepGrid::new(base())
+            .axis(Axis::Alpha(vec![0.9, 1.0]))
+            .axis(Axis::Seeds(1 << 63));
+        assert_eq!(grid.validate().unwrap_err().blame, Blame::Axis(1));
+        let _ = grid.expand();
     }
 
     #[test]

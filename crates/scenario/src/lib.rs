@@ -27,10 +27,9 @@
 //!
 //! ```no_run
 //! use augur_scenario::{presets, SweepRunner};
-//! use augur_sim::Dur;
 //!
 //! // Figure 3's α sweep, executed across all cores.
-//! let runs = presets::fig3(Dur::from_secs(300), 50_000).expand();
+//! let runs = presets::by_name("fig3").expect("a shipped sweep").expand();
 //! let report = SweepRunner::parallel().run(&runs);
 //! print!("{}", report.to_csv_string());
 //! ```
@@ -48,8 +47,8 @@ pub use config::{load_grid, parse_grid, parse_grid_at, ConfigError};
 pub use grid::{Axis, RunSpec, SweepGrid};
 pub use report::{RunStatus, RunSummary, SweepReport};
 pub use runner::{
-    execute_run, execute_run_traced_in, spec_ground_truth, spec_isender, PriorCache, RunArtifact,
-    SweepRunner, TcpPeerAgent,
+    execute_run_traced_in, spec_ground_truth, spec_isender, PriorCache, RunArtifact, SweepRunner,
+    TcpPeerAgent,
 };
 pub use spec::{
     Blame, CoexistSpec, ObserveSpec, PeerSpec, PriorSpec, QueueSpec, RuleError, ScenarioSpec,

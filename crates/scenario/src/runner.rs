@@ -3,7 +3,7 @@
 //! [`SweepRunner`] pulls [`RunSpec`]s off a shared work queue onto
 //! `std::thread::scope` worker threads. Every run is self-contained: its
 //! ground truth, belief engine, and RNGs are all (re)built inside
-//! [`execute_run`] from the spec and the run's derived seed, and results
+//! [`execute_run_traced_in`] from the spec and the run's derived seed, and results
 //! land in a per-run slot. No state is shared between runs, so a sweep
 //! executed with one worker or N workers produces identical
 //! [`SweepReport`]s — the determinism test pins this.
@@ -74,24 +74,6 @@ pub enum RunArtifact {
     Tcp(TcpTrace),
 }
 
-impl RunArtifact {
-    /// The closed-loop trace, if this run produced one.
-    pub fn into_closed_loop(self) -> Option<RunTrace> {
-        match self {
-            RunArtifact::ClosedLoop(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The TCP trace, if this run produced one.
-    pub fn into_tcp(self) -> Option<TcpTrace> {
-        match self {
-            RunArtifact::Tcp(t) => Some(t),
-            _ => None,
-        }
-    }
-}
-
 /// Each distinct prior of a sweep, seated once.
 ///
 /// A run's belief engine starts from its prior seated on shared states (a
@@ -119,8 +101,7 @@ pub struct PriorCache {
 }
 
 impl PriorCache {
-    /// A cache with no entries: every lookup seats the prior afresh (the
-    /// behavior of the standalone [`execute_run`] path).
+    /// A cache with no entries: every lookup seats the prior afresh.
     pub fn empty() -> PriorCache {
         PriorCache::default()
     }
@@ -333,17 +314,10 @@ impl SweepRunner {
     }
 }
 
-/// Execute one run to completion and summarize it, building the prior
-/// from scratch ([`SweepRunner`] shares a seated prior across runs via
-/// [`PriorCache`] instead; `tests/work_counters.rs` pins the
-/// enumeration counts of both paths).
-pub fn execute_run(run: &RunSpec) -> RunSummary {
-    execute_run_traced_in(run, &PriorCache::empty()).0
-}
-
-/// [`execute_run`] drawing prior hypotheses from `priors` (cache misses
-/// build fresh), additionally returning the run's [`RunArtifact`]:
-/// agent workloads leave the primary flow's [`RunTrace`], TCP runs a
+/// Execute one run to completion and summarize it, drawing prior
+/// hypotheses from `priors` (a miss, as on [`PriorCache::empty`], seats
+/// the prior inside the run), and return its [`RunArtifact`]: agent
+/// workloads leave the primary flow's [`RunTrace`], TCP runs a
 /// [`TcpTrace`]; scripted workloads summarize inline. The artifact
 /// carries the time-resolved quantities (RTT samples, per-phase send
 /// rates) the summary does not.
@@ -887,16 +861,14 @@ fn closed_loop_tcp(run: &RunSpec) -> (RunSummary, TcpTrace) {
     let seed = SimRng::derive_seed(run.seed, STREAM_TRUTH);
     let trace = match &spec.topology {
         TopologySpec::Model(_) => {
-            let mut runner = TcpRunner::over_model(spec.build_truth(), cfg, seed, cc);
-            runner.run(t_end)
+            let m = spec.build_truth();
+            TcpRunner::new(m.net, m.entry, m.rx_self, cfg, seed, cc).run(t_end)
         }
         TopologySpec::Cellular { params, queue } => {
             // The shared cellular path, with the deep buffer's queue
             // discipline swapped per the spec (FIG1 / EXT-D).
             let cell = build_cellular_with_buffer(params, queue.build(params.buffer_capacity));
-            let mut runner =
-                TcpRunner::with_congestion_control(cell.net, cell.entry, cell.rx, cfg, seed, cc);
-            runner.run(t_end)
+            TcpRunner::new(cell.net, cell.entry, cell.rx, cfg, seed, cc).run(t_end)
         }
         TopologySpec::Graph(_) => {
             unreachable!("ScenarioSpec::check allows only the coexist workload over a graph")
@@ -1098,9 +1070,10 @@ mod tests {
     use augur_elements::Network;
     use augur_inference::Hypothesis;
 
-    /// A cache seated for `grid`'s runs, and the prior they share.
-    fn cache_of(grid: crate::SweepGrid) -> (PriorCache, PriorSpec) {
-        let runs = grid.expand();
+    /// A cache seated for the runs of the shipped sweep `name`, and the
+    /// prior they share.
+    fn cache_of(name: &str) -> (PriorCache, PriorSpec) {
+        let runs = presets::by_name(name).unwrap().expand();
         let prior = runs[0].spec.prior.clone();
         let cache = PriorCache::for_runs(&runs);
         assert!(cache.map.contains_key(&prior), "the runs' prior is cached");
@@ -1109,7 +1082,7 @@ mod tests {
 
     #[test]
     fn cached_paper_prior_holds_each_fact_once() {
-        let (cache, prior) = cache_of(presets::fig3(Dur::from_secs(1), 64));
+        let (cache, prior) = cache_of("fig3");
         assert_eq!(prior, PriorSpec::Paper);
         let seated = cache.population(&prior);
         assert_eq!((seated.state_count(), seated.len()), (952, 4_760));
@@ -1131,11 +1104,8 @@ mod tests {
             n_particles: 256,
             fold_loss_node: Some(FIG2_LOSS),
         };
-        for grid in [
-            presets::fig3(Dur::from_secs(1), 64),
-            presets::smoke(Dur::from_secs(1), 1),
-        ] {
-            let (cache, prior) = cache_of(grid);
+        for name in ["fig3", "smoke"] {
+            let (cache, prior) = cache_of(name);
             let collected: Vec<Hypothesis<ModelParams>> = prior.hypotheses().collect();
             let weights: Vec<f64> = collected.iter().map(|h| h.weight).collect();
             for seed in [1, 0xF17, u64::MAX] {

@@ -434,7 +434,7 @@ impl ScenarioSpec {
     /// it blames. [`crate::SweepGrid::validate`] applies it to the base
     /// spec and every grid point (the config decoder turns its blame into
     /// a `file:line:col`), the runner's lowering assumes a checked spec,
-    /// and `execute_run*` refuses an unchecked one up front.
+    /// and [`crate::execute_run_traced_in`] refuses an unchecked one up front.
     pub fn check(&self) -> Result<(), RuleError> {
         use {SenderSpec as S, TopologySpec as T, WorkloadSpec as W};
         let sender = self.sender.label();

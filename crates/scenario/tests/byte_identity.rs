@@ -16,8 +16,7 @@ mod common;
 
 use augur_obs::{to_jsonl, EventKind, EventRecord};
 use augur_scenario::{presets, ObserveSpec, SweepGrid, SweepRunner};
-use augur_sim::Dur;
-use common::fnv1a;
+use common::{fnv1a, grid_of};
 use Check::{Always, Release};
 
 /// Which profiles check a row: `Release` rows are too slow for `cargo test`.
@@ -58,27 +57,6 @@ const TABLE: &[(Check, &str, u64, Option<u64>)] = &[
     (Release, "fig3 --duration 30 --branches 2000 --trace-events --belief-snapshots 5",
         0x67BC_B96A_927D_F52E, Some(0x0EB0_E6A9_BCF8_7538)),
 ];
-
-/// The grid `sweep <args>` runs.
-fn grid_of(args: &str) -> SweepGrid {
-    let mut words = args.split(' ');
-    let mut grid = presets::by_name(words.next().unwrap()).expect("a preset");
-    while let Some(flag) = words.next() {
-        if flag == "--trace-events" {
-            grid.base.observe.trace_events = true;
-            continue;
-        }
-        let value: u64 = words.next().unwrap().parse().unwrap();
-        match flag {
-            "--duration" => grid.set_duration(Dur::from_secs(value)),
-            "--replicates" => assert!(grid.set_replicates(value as usize)),
-            "--branches" => assert!(grid.set_max_branches(value as usize)),
-            "--belief-snapshots" => grid.base.observe.snapshot_every = Some(Dur::from_secs(value)),
-            _ => panic!("`{args}`: unknown flag {flag}"),
-        }
-    }
-    grid
-}
 
 /// The digests of what `runner` writes for `grid`: its CSV, and its event
 /// logs when the grid is traced.

@@ -3,8 +3,7 @@
 //! 1. the spec files shipped under `experiments/specs/` are the presets:
 //!    the same set of names, each preset's compiled-in text decoding —
 //!    with no file access — to the grid `sweep --spec` loads from disk,
-//!    and each constructor being that grid with its arguments written
-//!    over it;
+//!    and `sweep`'s overrides writing their arguments over that grid;
 //! 2. the committed trace CSVs are exactly the ones compiled in, and the
 //!    shipped graph topologies compile to the shapes their names promise;
 //! 3. spec files can reach configurations the presets don't, like N > 2
@@ -13,10 +12,13 @@
 //!    runner cannot execute fails `parse_grid` with the rule it breaks,
 //!    at the line of the section or axis to blame.
 
+mod common;
+
 use augur_scenario::{
     load_grid, parse_grid, presets, traces, Blame, SweepGrid, SweepRunner, TopologySpec,
     WorkloadSpec,
 };
+use common::{grid_of, scaling_grid};
 use std::path::PathBuf;
 
 fn specs_dir() -> PathBuf {
@@ -330,6 +332,13 @@ fn incompatible_grid_points_are_check_errors_not_run_time_panics() {
             "`duration_s` must be > 0 seconds",
             "[scenario]",
         ),
+        (
+            "smoke",
+            "count = 4",
+            "count = 9223372036854775808",
+            "the grid's run count overflows at its `replicate` axis: 2 × 9223372036854775808",
+            "[[axis]]\nkind = \"seeds\"",
+        ),
     ];
     for (spec, from, to, rule, blamed) in cases {
         let text = std::fs::read_to_string(specs_dir().join(format!("{spec}.toml"))).unwrap();
@@ -359,12 +368,12 @@ fn incompatible_grid_points_are_check_errors_not_run_time_panics() {
         (uncapped, "`max_branches` must be at least 1", Blame::Sender),
         (instant, "`duration_s` must be > 0 seconds", Blame::Scenario),
         (
-            presets::ext_scaling(vec![101], 0),
+            scaling_grid(&[101], 0),
             "`n_particles` must be at least 1",
             Blame::Axis(0),
         ),
         (
-            presets::ext_scaling(vec![0], 1000),
+            scaling_grid(&[0], 1000),
             "a fine-link-rate prior needs at least one hypothesis",
             Blame::Axis(1),
         ),
@@ -378,93 +387,59 @@ fn incompatible_grid_points_are_check_errors_not_run_time_panics() {
 }
 
 #[test]
-fn preset_constructors_are_the_shipped_files_plus_their_arguments() {
-    // Every constructor, called with non-default arguments, against the
+fn sweep_overrides_are_the_shipped_files_plus_their_arguments() {
+    // `sweep`'s overrides, with non-default arguments, against the
     // shipped file mutated by hand — direct field assignment only, so
-    // this pins the constructors without leaning on the override
-    // methods they may be built from.
+    // this pins the overrides without leaning on the setters they are
+    // built from.
     use augur_scenario::{Axis, SenderSpec};
     use augur_sim::Dur;
-    let secs = Dur::from_secs;
-    // (constructed grid, shipped file, duration, base branch cap, replicates)
-    type Case = (
-        SweepGrid,
-        &'static str,
-        Option<Dur>,
-        Option<usize>,
-        Option<usize>,
-    );
-    let cases: Vec<Case> = vec![
-        (presets::fig1(secs(7)), "fig1", Some(secs(7)), None, None),
-        (
-            presets::fig3(secs(3), 77),
-            "fig3",
-            Some(secs(3)),
-            Some(77),
-            None,
-        ),
-        (
-            presets::tab1(secs(9), 77),
-            "tab1",
-            Some(secs(9)),
-            Some(77),
-            None,
-        ),
-        (presets::txt1(secs(11)), "txt1", Some(secs(11)), None, None),
-        (presets::txt2(secs(11)), "txt2", Some(secs(11)), None, None),
-        (
-            presets::ext_aqm(secs(11)),
-            "ext-aqm",
-            Some(secs(11)),
-            None,
-            None,
-        ),
-        (
-            presets::smoke(secs(3), 5),
-            "smoke",
-            Some(secs(3)),
-            None,
-            Some(5),
-        ),
-        (
-            presets::coexist_fairness(secs(3), 5, 77),
-            "coexist-fairness",
-            Some(secs(3)),
+    // (grid, shipped file, duration in s, base branch cap, replicates)
+    let overridden = |args: &'static str, d: u64, b: Option<usize>, k: Option<usize>| {
+        (grid_of(args), args.split(' ').next().unwrap(), d, b, k)
+    };
+    let cases = [
+        overridden("fig1 --duration 7", 7, None, None),
+        overridden("fig3 --duration 3 --branches 77", 3, Some(77), None),
+        overridden("tab1 --duration 9 --branches 77", 9, Some(77), None),
+        overridden("txt1 --duration 11", 11, None, None),
+        overridden("txt2 --duration 11", 11, None, None),
+        overridden("ext-aqm --duration 11", 11, None, None),
+        overridden("smoke --duration 3 --replicates 5", 3, None, Some(5)),
+        overridden(
+            "coexist-fairness --duration 3 --replicates 5 --branches 77",
+            3,
             Some(77),
             Some(5),
         ),
-        (
-            presets::coexist_vs_tcp(secs(3), 5, 77),
-            "coexist-vs-tcp",
-            Some(secs(3)),
+        overridden(
+            "coexist-vs-tcp --duration 3 --replicates 5 --branches 77",
+            3,
             Some(77),
             Some(5),
         ),
-        (
-            presets::dumbbell_cross(secs(3), 5, 77),
-            "dumbbell-cross",
-            Some(secs(3)),
+        overridden(
+            "dumbbell-cross --duration 3 --replicates 5 --branches 77",
+            3,
             Some(77),
             Some(5),
         ),
-        (
-            presets::parking_lot(secs(3), 5, 77),
-            "parking-lot",
-            Some(secs(3)),
+        overridden(
+            "parking-lot --duration 3 --replicates 5 --branches 77",
+            3,
             Some(77),
             Some(5),
         ),
-        (
-            presets::ext_scaling_flows(secs(3), 5),
-            "ext-scaling-flows",
-            Some(secs(3)),
+        overridden(
+            "ext-scaling-flows --duration 3 --replicates 5",
+            3,
             None,
             Some(5),
         ),
         (
-            presets::replay_cellular(secs(3)),
+            presets::replay_cellular(Dur::from_secs(3)),
             "replay-cellular",
-            Some(secs(3)),
+            3,
             None,
             None,
         ),
@@ -472,9 +447,7 @@ fn preset_constructors_are_the_shipped_files_plus_their_arguments() {
     let shipped = |name: &str| load_grid(&specs_dir().join(format!("{name}.toml"))).unwrap();
     for (built, name, duration, branches, replicates) in cases {
         let mut want = shipped(name);
-        if let Some(d) = duration {
-            want.base.duration = d;
-        }
+        want.base.duration = Dur::from_secs(duration);
         if let Some(b) = branches {
             match &mut want.base.sender {
                 SenderSpec::IsenderExact { max_branches, .. } => *max_branches = b,
@@ -490,20 +463,4 @@ fn preset_constructors_are_the_shipped_files_plus_their_arguments() {
         }
         assert_grid_eq(name, &built, &want);
     }
-    // ext_scaling's arguments are the prior sizes and the particle count.
-    let mut want = shipped("scaling");
-    for axis in &mut want.axes {
-        match axis {
-            Axis::PriorSize(sizes) => *sizes = vec![51, 201],
-            Axis::Sender(senders) => {
-                for s in senders {
-                    if let SenderSpec::IsenderParticle { n_particles, .. } = s {
-                        *n_particles = 33;
-                    }
-                }
-            }
-            other => panic!("scaling: unexpected axis {other:?}"),
-        }
-    }
-    assert_grid_eq("scaling", &presets::ext_scaling(vec![51, 201], 33), &want);
 }

@@ -7,8 +7,14 @@
 //!    reproducible) sweep;
 //! 3. the rows each workload writes have the shape its report promises.
 
-use augur_scenario::{Axis, PriorSpec, ScenarioSpec, SenderSpec, SweepGrid, SweepRunner};
+mod common;
+
+use augur_scenario::{
+    execute_run_traced_in, Axis, PriorCache, PriorSpec, ScenarioSpec, SenderSpec, SweepGrid,
+    SweepRunner,
+};
 use augur_sim::Dur;
+use common::grid_of;
 
 /// A small but non-trivial grid: exact and particle senders, two seed
 /// replicates, a 20 s closed loop over the paper's square-wave truth.
@@ -102,7 +108,9 @@ fn prior_cache_reuses_prototypes_without_changing_results() {
     let runs = grid(0xCAC4E).expand();
     let cached = SweepRunner::serial().run(&runs);
     let uncached = augur_scenario::SweepReport {
-        runs: runs.iter().map(augur_scenario::execute_run).collect(),
+        runs: (runs.iter())
+            .map(|run| execute_run_traced_in(run, &PriorCache::empty()).0)
+            .collect(),
     };
     assert_eq!(
         cached.to_csv_string(),
@@ -141,7 +149,7 @@ fn work_counters_are_deterministic_across_workers() {
 
 #[test]
 fn coexist_rows_carry_peer_restarts_and_jain() {
-    let grid = augur_scenario::presets::coexist_vs_tcp(Dur::from_secs(20), 2, 50_000);
+    let grid = grid_of("coexist-vs-tcp --duration 20 --replicates 2 --branches 50000");
     for r in &SweepRunner::serial().run(&grid.expand()).runs {
         assert!(!r.peer.is_empty(), "coexist rows carry the peer label");
         assert!(
@@ -158,7 +166,7 @@ fn coexist_rows_carry_peer_restarts_and_jain() {
 
 #[test]
 fn graph_rows_split_goodput_by_flow_class() {
-    let grid = augur_scenario::presets::dumbbell_cross(Dur::from_secs(20), 2, 2_048);
+    let grid = grid_of("dumbbell-cross --duration 20 --replicates 2 --branches 2048");
     for r in &SweepRunner::serial().run(&grid.expand()).runs {
         assert!(
             r.class_goodput.starts_with("primary=") && r.class_goodput.contains(" cross="),

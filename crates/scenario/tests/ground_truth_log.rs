@@ -15,6 +15,8 @@
 //!    of its own overflow `drop` records, and in the closed loop it is
 //!    the number of `BufferFull` entries in the trace's drop log.
 
+mod common;
+
 use augur_core::{
     build_many_flow_bottleneck, run_multi_agent, AimdSender, DiscountedThroughput, ISender,
     ISenderConfig, SenderAgent,
@@ -23,10 +25,11 @@ use augur_elements::{build_model, DropReason, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SEL
 use augur_inference::{BeliefConfig, ModelPrior, Observation, ParticleConfig, ParticleFilter};
 use augur_obs::{DropKind, EventKind, EventRecord, ObsConfig};
 use augur_scenario::{
-    presets, Axis, PeerSpec, SweepGrid, SweepRunner, TcpPeerAgent, TopologySpec, WorkloadSpec,
+    Axis, PeerSpec, RunArtifact, SweepGrid, SweepRunner, TcpPeerAgent, TopologySpec, WorkloadSpec,
 };
 use augur_sim::{Dur, FlowId, SimRng, Time};
 use augur_tcp::{Reno, TcpConfig};
+use common::{grid_of, scaling_grid};
 
 /// Wake `agent` every 250 ms for 20 s against an unmarked network built
 /// from the small prior's first grid point, with the sink armed for events
@@ -131,13 +134,13 @@ fn assert_truth_delivers(name: &str, mut grid: SweepGrid) {
 #[test]
 fn every_truth_loop_is_marked() {
     // `TcpRunner::run`.
-    assert_truth_delivers("fig1", presets::fig1(Dur::from_secs(10)));
+    assert_truth_delivers("fig1", grid_of("fig1 --duration 10"));
     // The scripted-ping runner, over both belief engines.
-    let mut scaling = presets::ext_scaling(vec![101], 100);
+    let mut scaling = scaling_grid(&[101], 100);
     scaling.set_duration(Dur::from_secs(10));
     assert_truth_delivers("scaling", scaling);
     // The flow driver.
-    assert_truth_delivers("smoke", presets::smoke(Dur::from_secs(5), 1));
+    assert_truth_delivers("smoke", grid_of("smoke --duration 5 --replicates 1"));
 }
 
 /// Overflow `drop` records in `log`, per flow, for flows `0..n`.
@@ -161,7 +164,7 @@ fn overflow_records(log: &[EventRecord], n: usize) -> Vec<u64> {
 #[test]
 fn many_flow_overflow_counts_match_the_drop_records() {
     const N: usize = 100;
-    let mut grid = presets::ext_scaling_flows(Dur::from_secs(5), 1);
+    let mut grid = grid_of("ext-scaling-flows --duration 5 --replicates 1");
     grid.axes = vec![Axis::Flows(vec![N])];
     grid.base.observe.trace_events = true;
     let runs = grid.expand();
@@ -229,11 +232,11 @@ fn many_flow_overflow_counts_match_the_drop_records() {
 
 #[test]
 fn closed_loop_overflow_count_matches_its_drop_log() {
-    let runs = presets::smoke(Dur::from_secs(20), 1).expand();
+    let runs = grid_of("smoke --duration 20 --replicates 1").expand();
     let (_, artifacts) = SweepRunner::serial().run_traced(&runs);
     let mut checked = 0;
     for artifact in artifacts {
-        let Some(trace) = artifact.into_closed_loop() else {
+        let RunArtifact::ClosedLoop(trace) = artifact else {
             continue;
         };
         let logged = trace

@@ -10,15 +10,18 @@
 //! 3. the `--progress` ticker writes only to stderr, so report bytes
 //!    are identical with and without it.
 
+mod common;
+
 use augur_obs::{to_jsonl, EventKind};
-use augur_scenario::{presets, ObserveSpec, SweepGrid, SweepRunner};
+use augur_scenario::{ObserveSpec, SweepGrid, SweepRunner};
 use augur_sim::Dur;
+use common::grid_of;
 
 /// The coexist-fairness grid with observability armed: the multi-agent
 /// loop exercises every event source (wakes, fires, queue churn, drops,
 /// belief updates and planner decisions against a TCP peer).
 fn observed_grid() -> SweepGrid {
-    let mut grid = presets::coexist_vs_tcp(Dur::from_secs(20), 2, 50_000);
+    let mut grid = grid_of("coexist-vs-tcp --duration 20 --replicates 2 --branches 50000");
     grid.base.observe = ObserveSpec {
         trace_events: true,
         snapshot_every: Some(Dur::from_secs(5)),
@@ -31,7 +34,7 @@ fn observed_grid() -> SweepGrid {
 fn event_logs_carry_every_event_family() {
     let runs = observed_grid().expand();
     let (_, logs) = SweepRunner::serial().run_observed(&runs);
-    let mut grid = presets::smoke(Dur::from_secs(5), 2);
+    let mut grid = grid_of("smoke --duration 5 --replicates 2");
     grid.base.observe.trace_events = true;
     let (_, smoke) = SweepRunner::serial().run_observed(&grid.expand());
     let all: String = logs.iter().chain(&smoke).map(|l| to_jsonl(l)).collect();
@@ -54,7 +57,7 @@ fn event_logs_carry_every_event_family() {
 
 #[test]
 fn observing_leaves_report_and_counters_byte_identical() {
-    let plain_grid = presets::coexist_vs_tcp(Dur::from_secs(20), 2, 50_000);
+    let plain_grid = grid_of("coexist-vs-tcp --duration 20 --replicates 2 --branches 50000");
     let plain_runs = plain_grid.expand();
     let observed_runs = observed_grid().expand();
     let plain = SweepRunner::serial().run(&plain_runs);
@@ -79,7 +82,7 @@ fn observing_leaves_report_and_counters_byte_identical() {
 
 #[test]
 fn progress_ticker_leaves_report_bytes_identical() {
-    let runs = presets::coexist_vs_tcp(Dur::from_secs(20), 2, 50_000).expand();
+    let runs = grid_of("coexist-vs-tcp --duration 20 --replicates 2 --branches 50000").expand();
     let quiet = SweepRunner::serial().run(&runs);
     let ticking = SweepRunner::serial().progress().run(&runs);
     assert_eq!(
@@ -91,7 +94,7 @@ fn progress_ticker_leaves_report_bytes_identical() {
 
 #[test]
 fn unobserved_runs_emit_no_events() {
-    let runs = presets::coexist_vs_tcp(Dur::from_secs(20), 1, 50_000).expand();
+    let runs = grid_of("coexist-vs-tcp --duration 20 --replicates 1 --branches 50000").expand();
     let (_, logs) = SweepRunner::serial().run_observed(&runs);
     assert!(
         logs.iter().all(Vec::is_empty),

@@ -6,17 +6,20 @@
 //! and carries the measured value. Every check reads simulated quantities
 //! and work counts, never a clock: timing belongs to `benchmark/`.
 
+mod common;
+
 use augur_core::{run_closed_loop, RunTrace};
 use augur_elements::ModelParams;
 use augur_inference::Engine;
 use augur_obs::{EventKind, EventRecord};
 use augur_scenario::{
-    presets, spec_ground_truth, spec_isender, Axis, RunArtifact, RunSpec, RunStatus, RunSummary,
-    SenderSpec, SweepRunner,
+    spec_ground_truth, spec_isender, Axis, RunArtifact, RunSpec, RunStatus, RunSummary, SenderSpec,
+    SweepRunner,
 };
-use augur_sim::{BitRate, Bits, Dur, FlowId, Ppm, Time};
+use augur_sim::{BitRate, Bits, FlowId, Ppm, Time};
 use augur_tcp::TcpTrace;
 use augur_trace::{summarize, Summary};
+use common::{grid_of, scaling_grid};
 
 /// The Figure-2 link speed in packets per second: 12 kbit/s, 1500 B.
 const LINK_PPS: f64 = 1.0;
@@ -39,17 +42,15 @@ fn link_bps(run: &RunSpec) -> f64 {
 /// Reno download. RTT climbs from the propagation floor into seconds.
 #[test]
 fn fig1_tcp_rtt_blows_up_over_a_deep_cellular_buffer() {
-    let runs = presets::fig1(Dur::from_secs(250)).expand();
+    let runs = grid_of("fig1 --duration 250").expand();
     let (_, artifacts) = SweepRunner::serial().run_traced(&runs);
-    let trace = artifacts
-        .into_iter()
-        .next()
-        .and_then(RunArtifact::into_tcp)
-        .expect("cellular TCP runs produce a TcpTrace");
+    let Some(RunArtifact::Tcp(trace)) = artifacts.into_iter().next() else {
+        panic!("cellular TCP runs produce a TcpTrace");
+    };
     let Summary { min, max, .. } = rtt_summary(&trace);
-    let blowup = trace.rtt_blowup();
+    let blowup = max / min;
     // Every drop the real network logs, whatever its reason.
-    let mut logged = presets::fig1(Dur::from_secs(250));
+    let mut logged = grid_of("fig1 --duration 250");
     logged.base.observe.trace_events = true;
     let (_, logs) = SweepRunner::serial().run_observed(&logged.expand());
     let is_drop = |e: &&EventRecord| matches!(e.kind, EventKind::Drop { .. });
@@ -93,11 +94,14 @@ fn fig1_tcp_rtt_blows_up_over_a_deep_cellular_buffer() {
 /// than α < 1.
 #[test]
 fn fig3_larger_alpha_defers_more_to_cross_traffic() {
-    let runs = presets::fig3(Dur::from_secs(300), 50_000).expand();
+    let runs = grid_of("fig3 --duration 300 --branches 50000").expand();
     let (report, artifacts) = SweepRunner::parallel().run_traced(&runs);
     let traces: Vec<RunTrace> = artifacts
         .into_iter()
-        .map(|a| a.into_closed_loop().expect("closed-loop runs leave traces"))
+        .map(|a| match a {
+            RunArtifact::ClosedLoop(trace) => trace,
+            _ => panic!("closed-loop runs leave traces"),
+        })
         .collect();
     let at = |a: f64| {
         let i = runs.iter().position(|r| r.spec.sender.alpha() == Some(a));
@@ -159,7 +163,7 @@ fn fig3_larger_alpha_defers_more_to_cross_traffic() {
 /// test drives the `tab1` preset's truth and sender itself.
 #[test]
 fn tab1_posterior_concentrates_on_the_actual_parameters() {
-    let run = &presets::tab1(Dur::from_secs(120), 50_000).expand()[0];
+    let run = &grid_of("tab1 --duration 120 --branches 50000").expand()[0];
     let mut truth = spec_ground_truth(&run.spec, run.seed);
     let mut sender = spec_isender(&run.spec);
     run_closed_loop(&mut truth, &mut sender, Time::from_secs(120)).expect("belief died");
@@ -197,7 +201,7 @@ fn tab1_posterior_concentrates_on_the_actual_parameters() {
 /// for 90 s; the test drives it to read the posterior afterwards.
 #[test]
 fn txt1_single_sender_infers_the_link_and_sends_at_its_speed() {
-    let run = &presets::txt1(Dur::from_secs(90)).expand()[0];
+    let run = &grid_of("txt1 --duration 90").expand()[0];
     let mut truth = spec_ground_truth(&run.spec, run.seed);
     let mut sender = spec_isender(&run.spec);
     let trace = run_closed_loop(&mut truth, &mut sender, Time::from_secs(90)).expect("belief died");
@@ -256,7 +260,7 @@ fn mean_cross_delay(trace: &RunTrace, topology: &ModelParams) -> f64 {
 /// cross traffic at 0.35c and a buffer that starts half full.
 #[test]
 fn txt2_latency_penalty_drains_the_buffer_first() {
-    let runs = presets::txt2(Dur::from_secs(120)).expand();
+    let runs = grid_of("txt2 --duration 120").expand();
     let (_, artifacts) = SweepRunner::parallel().run_traced(&runs);
     // Found by the spec's latency penalty, so axis order cannot swap them.
     let trace_with = |lp: f64| -> RunTrace {
@@ -266,8 +270,10 @@ fn txt2_latency_penalty_drains_the_buffer_first() {
             } => latency_penalty == lp,
             _ => false,
         });
-        let trace = i.and_then(|i| artifacts[i].clone().into_closed_loop());
-        trace.unwrap_or_else(|| panic!("latency_penalty={lp} run produces a trace"))
+        match i.map(|i| &artifacts[i]) {
+            Some(RunArtifact::ClosedLoop(trace)) => trace.clone(),
+            _ => panic!("latency_penalty={lp} run produces a trace"),
+        }
     };
     let (plain, penalized) = (trace_with(0.0), trace_with(0.5));
     let topology = runs[0].spec.topology.model("txt2");
@@ -299,7 +305,7 @@ fn txt2_latency_penalty_drains_the_buffer_first() {
 /// restarts measure how badly that fits an adaptive peer.
 #[test]
 fn ext_fairness_two_isenders_share_a_bottleneck() {
-    let runs = presets::coexist_fairness(Dur::from_secs(200), 1, 50_000).expand();
+    let runs = grid_of("coexist-fairness --duration 200 --replicates 1 --branches 50000").expand();
     let report = SweepRunner::serial().run(&runs);
     let (r, link) = (&report.runs[0], link_bps(&runs[0]));
     let (ra, rb, jain) = (r.goodput_bps, r.goodput_b_bps, r.jain);
@@ -328,7 +334,7 @@ fn ext_fairness_two_isenders_share_a_bottleneck() {
 /// loss-based sender out-competes the deferential one.
 #[test]
 fn ext_vs_tcp_loss_based_peer_outcompetes_the_isender() {
-    let runs = presets::coexist_vs_tcp(Dur::from_secs(200), 1, 50_000).expand();
+    let runs = grid_of("coexist-vs-tcp --duration 200 --replicates 1 --branches 50000").expand();
     let report = SweepRunner::serial().run(&runs);
     let link = link_bps(&runs[0]);
     let aimd = report
@@ -383,7 +389,7 @@ fn ext_scaling_exact_cost_grows_with_the_prior_particle_cost_does_not() {
     // (engine, prior size) cell over its surviving replicates.
     const REPLICATES: usize = 3;
     let sizes = [101usize, 1_001, 10_001, 100_001];
-    let grid = presets::ext_scaling(sizes.to_vec(), 1_000).axis(Axis::Seeds(REPLICATES));
+    let grid = scaling_grid(&sizes, 1_000).axis(Axis::Seeds(REPLICATES));
     let runs = grid.expand();
     let report = SweepRunner::serial().run(&runs);
     // Cells by what each run was, so axis order cannot mislabel them.
@@ -460,16 +466,17 @@ fn ext_scaling_exact_cost_grows_with_the_prior_particle_cost_does_not() {
 /// drop-tail's multi-second RTTs, and goodput stays comparable.
 #[test]
 fn ext_aqm_codel_and_red_tame_the_drop_tail_bufferbloat() {
-    let runs = presets::ext_aqm(Dur::from_secs(120)).expand();
+    let runs = grid_of("ext-aqm --duration 120").expand();
     let t_end = Time::ZERO + runs[0].spec.duration;
     let (_, artifacts) = SweepRunner::parallel().run_traced(&runs);
     let by_queue = |q: &str| -> (f64, f64) {
         let i = runs
             .iter()
             .position(|run| run.point() == format!("queue={q}"));
-        let trace = i.and_then(|i| artifacts[i].clone().into_tcp());
-        let trace = trace.unwrap_or_else(|| panic!("queue={q} run leaves a TCP trace"));
-        (rtt_summary(&trace).p95, trace.mean_goodput_bps(t_end))
+        let Some(RunArtifact::Tcp(trace)) = i.map(|i| &artifacts[i]) else {
+            panic!("queue={q} run leaves a TCP trace");
+        };
+        (rtt_summary(trace).p95, trace.mean_goodput_bps(t_end))
     };
     let (droptail, droptail_gp) = by_queue("drop-tail");
     let (red, _) = by_queue("red");

@@ -20,9 +20,9 @@ mod common;
 
 use augur_core::{build_many_flow_bottleneck, run_multi_agent, AimdSender, SenderAgent};
 use augur_elements::{build_model, ModelParams, RateProcess, TraceEnd};
-use augur_scenario::{execute_run, presets, traces, Axis, RunSpec, SweepRunner};
+use augur_scenario::{execute_run_traced_in, traces, Axis, PriorCache, RunSpec, SweepRunner};
 use augur_sim::{perf, BitRate, Bits, Dur, Ppm, Time, WorkCounters};
-use common::fnv1a;
+use common::{fnv1a, grid_of};
 
 /// The calling thread's work while `f` runs, and what `f` returned.
 fn work_of<R>(f: impl FnOnce() -> R) -> (WorkCounters, R) {
@@ -100,7 +100,7 @@ fn network_clone_copies_state_and_builds_no_structure() {
 #[test]
 fn fig3_replicate_grid_enumerates_its_prior_once_shared_and_once_per_run_cold() {
     // 4 α values × 3 replicates, all over one prior.
-    let runs = presets::fig3(Dur::from_secs(1), 64)
+    let runs = grid_of("fig3 --duration 1 --branches 64")
         .axis(Axis::Seeds(3))
         .expand();
     assert_eq!(runs.len(), 12);
@@ -112,7 +112,7 @@ fn fig3_replicate_grid_enumerates_its_prior_once_shared_and_once_per_run_cold() 
     // Standalone: every run enumerates for itself.
     let mut cold = WorkCounters::default();
     for run in &runs {
-        let work = execute_run(run).work;
+        let work = execute_run_traced_in(run, &PriorCache::empty()).0.work;
         assert_eq!(work.networks_built, 1, "run {}", run.index);
         cold += work;
     }
@@ -121,7 +121,7 @@ fn fig3_replicate_grid_enumerates_its_prior_once_shared_and_once_per_run_cold() 
 
 #[test]
 fn smoke_sweep_counters_are_pinned() {
-    let runs = presets::smoke(Dur::from_secs(5), 2).expand();
+    let runs = grid_of("smoke --duration 5 --replicates 2").expand();
     let pin = sweep_pin(&runs);
     for (name, value) in pin.1.named() {
         assert!(value > 0, "the smoke sweep never bumps `{name}`");
@@ -150,7 +150,7 @@ fn smoke_sweep_counters_are_pinned() {
 
 #[test]
 fn dumbbell_cross_sweep_counters_are_pinned() {
-    let runs = presets::dumbbell_cross(Dur::from_secs(5), 2, 256).expand();
+    let runs = grid_of("dumbbell-cross --duration 5 --replicates 2 --branches 256").expand();
     assert_eq!(
         sweep_pin(&runs),
         (
@@ -178,7 +178,7 @@ fn dumbbell_cross_sweep_counters_are_pinned() {
 
 #[test]
 fn parking_lot_sweep_counters_are_pinned() {
-    let runs = presets::parking_lot(Dur::from_secs(5), 2, 256).expand();
+    let runs = grid_of("parking-lot --duration 5 --replicates 2 --branches 256").expand();
     assert_eq!(
         sweep_pin(&runs),
         (
@@ -206,7 +206,7 @@ fn parking_lot_sweep_counters_are_pinned() {
 
 #[test]
 fn replay_cellular_sweep_counters_are_pinned() {
-    let runs = presets::replay_cellular(Dur::from_secs(5)).expand();
+    let runs = grid_of("replay-cellular --duration 5").expand();
     assert_eq!(
         sweep_pin(&runs),
         (
@@ -228,7 +228,7 @@ fn replay_cellular_sweep_counters_are_pinned() {
 
 #[test]
 fn fig3_sweep_counters_are_pinned() {
-    let runs = presets::fig3(Dur::from_secs(4), 64).expand();
+    let runs = grid_of("fig3 --duration 4 --branches 64").expand();
     assert_eq!(
         sweep_pin(&runs),
         (
@@ -253,7 +253,7 @@ fn fig3_sweep_counters_are_pinned() {
 
 #[test]
 fn coexist_fairness_sweep_counters_are_pinned() {
-    let runs = presets::coexist_fairness(Dur::from_secs(20), 2, 256).expand();
+    let runs = grid_of("coexist-fairness --duration 20 --replicates 2 --branches 256").expand();
     assert_eq!(
         sweep_pin(&runs),
         (
@@ -286,7 +286,7 @@ fn coexist_fairness_sweep_counters_are_pinned() {
 
 #[test]
 fn coexist_vs_tcp_sweep_counters_are_pinned() {
-    let runs = presets::coexist_vs_tcp(Dur::from_secs(20), 2, 256).expand();
+    let runs = grid_of("coexist-vs-tcp --duration 20 --replicates 2 --branches 256").expand();
     assert_eq!(
         sweep_pin(&runs),
         (

@@ -1,21 +1,22 @@
 //! An event-driven TCP download over an element network.
 //!
-//! The runner co-simulates a bulk-transfer Reno sender, a cumulative-ACK
-//! receiver attached to the network's terminal receiver node, and the
-//! network itself (with sampled nondeterminism). The reverse path is a
+//! The runner co-simulates a bulk-transfer sender under the congestion
+//! control it is given (Reno or CUBIC), a cumulative-ACK receiver
+//! attached to the network's terminal receiver node, and the network
+//! itself (with sampled nondeterminism). The reverse path is a
 //! fixed delay, lossless — the same simplification the paper makes for
 //! the ISender (§3.4) — so the measured RTT is the sum of queueing,
 //! service, ARQ, propagation, and the reverse delay. This reproduces
 //! Figure 1 (the `fig1` preset; its shape is asserted in
 //! `augur-scenario`'s `tests/paper_shapes.rs`).
 //!
-//! [`TcpRunner::over_model`] wires a runner over the built Figure-2
-//! topology, which is how scenario specs dispatch to the TCP baselines.
+//! [`TcpRunner::new`] is the one constructor: a scenario spec's TCP
+//! baselines pass it the built Figure-2 model's shared buffer and self
+//! receiver, or the cellular path's entry and receiver.
 
 use crate::cc::CongestionControl;
 use crate::endpoint::TcpEndpoint;
-use crate::reno::Reno;
-use augur_elements::{DropReason, ModelNet, Network, NodeId};
+use augur_elements::{DropReason, Network, NodeId};
 use augur_sim::{Bits, Dur, FlowId, Packet, SimRng, Time};
 
 /// The fixed reverse-path (ACK) delay of every TCP connection.
@@ -67,17 +68,6 @@ impl TcpTrace {
     pub fn mean_goodput_bps(&self, t_end: Time) -> f64 {
         self.received_bits as f64 / t_end.as_secs_f64()
     }
-
-    /// Max over min RTT — the bufferbloat ratio Figure 1 visualizes.
-    pub fn rtt_blowup(&self) -> f64 {
-        let min = self.rtt_samples.iter().min().map_or(0, |r| r.as_micros());
-        let max = self.rtt_samples.iter().max().map_or(0, |r| r.as_micros());
-        if min == 0 {
-            0.0
-        } else {
-            max as f64 / min as f64
-        }
-    }
 }
 
 /// The co-simulated TCP endpoint pair.
@@ -95,26 +85,10 @@ pub struct TcpRunner {
 }
 
 impl TcpRunner {
-    /// A runner over the given forward path, using TCP Reno.
-    pub fn new(net: Network, entry: NodeId, rx: NodeId, cfg: TcpConfig, seed: u64) -> TcpRunner {
-        TcpRunner::with_congestion_control(net, entry, rx, cfg, seed, Box::new(Reno::default()))
-    }
-
-    /// A runner over a built Figure-2 model: inject at the shared buffer,
-    /// observe the self receiver — the wiring every scenario spec and
-    /// paper experiment uses.
-    pub fn over_model(
-        m: ModelNet,
-        cfg: TcpConfig,
-        seed: u64,
-        cc: Box<dyn CongestionControl>,
-    ) -> TcpRunner {
-        TcpRunner::with_congestion_control(m.net, m.entry, m.rx_self, cfg, seed, cc)
-    }
-
-    /// A runner with an explicit congestion-control algorithm (e.g.
-    /// [`crate::cubic::Cubic`]).
-    pub fn with_congestion_control(
+    /// A runner over the forward path `net`, injecting at `entry` and
+    /// receiving at `rx`, under the congestion control `cc` (e.g.
+    /// [`crate::reno::Reno`] or [`crate::cubic::Cubic`]).
+    pub fn new(
         net: Network,
         entry: NodeId,
         rx: NodeId,
@@ -189,6 +163,7 @@ impl TcpRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reno::Reno;
     use augur_elements::{Buffer, Element, Link, NetworkBuilder, ReceiverEl};
     use augur_sim::BitRate;
 
@@ -214,7 +189,7 @@ mod tests {
             max_window: 64,
             ..TcpConfig::default()
         };
-        let mut runner = TcpRunner::new(net, entry, rx, cfg, 1);
+        let mut runner = TcpRunner::new(net, entry, rx, cfg, 1, Box::<Reno>::default());
         let trace = runner.run(Time::from_secs(60));
         // 1 Mbps link, long run: goodput should be close to the link rate.
         let goodput = trace.mean_goodput_bps(Time::from_secs(60));
@@ -228,7 +203,14 @@ mod tests {
     #[test]
     fn shallow_buffer_causes_loss_and_recovery() {
         let (net, entry, rx) = path(1_000, 5);
-        let mut runner = TcpRunner::new(net, entry, rx, TcpConfig::default(), 2);
+        let mut runner = TcpRunner::new(
+            net,
+            entry,
+            rx,
+            TcpConfig::default(),
+            2,
+            Box::<Reno>::default(),
+        );
         let trace = runner.run(Time::from_secs(60));
         assert!(trace.overflow_drops > 0, "5-packet buffer must overflow");
         assert!(trace.retransmissions > 0);
@@ -241,12 +223,26 @@ mod tests {
     fn deep_buffer_inflates_rtt() {
         let shallow = {
             let (net, entry, rx) = path(500, 10);
-            let mut r = TcpRunner::new(net, entry, rx, TcpConfig::default(), 3);
+            let mut r = TcpRunner::new(
+                net,
+                entry,
+                rx,
+                TcpConfig::default(),
+                3,
+                Box::<Reno>::default(),
+            );
             r.run(Time::from_secs(60))
         };
         let deep = {
             let (net, entry, rx) = path(500, 400);
-            let mut r = TcpRunner::new(net, entry, rx, TcpConfig::default(), 3);
+            let mut r = TcpRunner::new(
+                net,
+                entry,
+                rx,
+                TcpConfig::default(),
+                3,
+                Box::<Reno>::default(),
+            );
             r.run(Time::from_secs(60))
         };
         let max_rtt = |t: &TcpTrace| t.rtt_samples.iter().max().map_or(0, |r| r.as_micros());
@@ -261,7 +257,14 @@ mod tests {
     #[test]
     fn rtt_samples_skip_retransmissions() {
         let (net, entry, rx) = path(1_000, 3);
-        let mut runner = TcpRunner::new(net, entry, rx, TcpConfig::default(), 4);
+        let mut runner = TcpRunner::new(
+            net,
+            entry,
+            rx,
+            TcpConfig::default(),
+            4,
+            Box::<Reno>::default(),
+        );
         let trace = runner.run(Time::from_secs(30));
         // All RTT samples must be plausible (>= service time of one
         // packet): retransmission ambiguity would produce wild samples.
@@ -300,8 +303,7 @@ mod cubic_runner_tests {
             max_window: 64,
             ..TcpConfig::default()
         };
-        let mut runner =
-            TcpRunner::with_congestion_control(net, entry, rx, cfg, 1, Box::new(Cubic::default()));
+        let mut runner = TcpRunner::new(net, entry, rx, cfg, 1, Box::new(Cubic::default()));
         let trace = runner.run(Time::from_secs(60));
         let goodput = trace.mean_goodput_bps(Time::from_secs(60));
         assert!(goodput > 800_000.0, "goodput {goodput} on a 1 Mbps link");
@@ -360,8 +362,7 @@ mod cubic_runner_tests {
                 inner,
                 log: Rc::clone(&log),
             });
-            let mut runner =
-                TcpRunner::with_congestion_control(net, entry, rx, TcpConfig::default(), 5, cc);
+            let mut runner = TcpRunner::new(net, entry, rx, TcpConfig::default(), 5, cc);
             runner.run(Time::from_secs(120));
             let tail: Vec<f64> = (log.borrow().iter())
                 .filter(|(t, _)| *t > Time::from_secs(30))

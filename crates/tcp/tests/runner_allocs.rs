@@ -10,7 +10,7 @@
 
 use augur_elements::{build_cellular, CellularParams, RateProcess, TraceEnd};
 use augur_sim::{BitRate, Bits, Dur, Ppm, Time};
-use augur_tcp::{TcpConfig, TcpRunner, TcpTrace};
+use augur_tcp::{Reno, TcpConfig, TcpRunner, TcpTrace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -82,7 +82,14 @@ fn allocations_of_run(seconds: u64) -> (u64, TcpTrace) {
         max_window: 1_000,
         ..TcpConfig::default()
     };
-    let mut runner = TcpRunner::new(cell.net, cell.entry, cell.rx, cfg, 7);
+    let mut runner = TcpRunner::new(
+        cell.net,
+        cell.entry,
+        cell.rx,
+        cfg,
+        7,
+        Box::<Reno>::default(),
+    );
     let before = ALLOCATIONS.with(Cell::get);
     let trace = runner.run(Time::from_secs(seconds));
     (ALLOCATIONS.with(Cell::get) - before, trace)

@@ -7,6 +7,7 @@
 //! ```
 
 use augur::prelude::*;
+use augur::tcp::Reno;
 
 fn main() {
     // A synthetic LTE-like downlink: 750 kB drop-tail buffer, fading rate
@@ -16,7 +17,15 @@ fn main() {
     let cell = build_cellular(&params);
 
     // TCP Reno bulk download for two minutes.
-    let mut runner = TcpRunner::new(cell.net, cell.entry, cell.rx, TcpConfig::default(), 1);
+    let cfg = TcpConfig::default();
+    let mut runner = TcpRunner::new(
+        cell.net,
+        cell.entry,
+        cell.rx,
+        cfg,
+        1,
+        Box::<Reno>::default(),
+    );
     let trace = runner.run(Time::from_secs(120));
 
     let rtts: Vec<f64> = trace.rtt_samples.iter().map(|r| r.as_secs_f64()).collect();
