@@ -44,7 +44,7 @@ use crate::planner::PlanMemo;
 use crate::{ISender, ISenderConfig, Utility, WakeOutcome};
 use augur_elements::{build_model, GateSpec, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF};
 use augur_inference::prior::sharing_structures;
-use augur_inference::{Belief, BeliefConfig, BeliefError, Hypothesis, Observation};
+use augur_inference::{Belief, BeliefConfig, BeliefError, Hypothesis, Observation, Population};
 use augur_sim::{BitRate, Bits, Dur, FlowId, Packet, Ppm, Time};
 
 /// The prior an ISender holds about a shared link whose competition is
@@ -76,13 +76,12 @@ pub fn coexist_belief(link_bps: u64, buffer_bits: u64, max_branches: usize) -> B
             }
         })
     });
-    Belief::new(
-        sharing_structures(hyps),
+    Belief::from_population(
+        Population::new(sharing_structures(hyps), Some(FIG2_LOSS)),
         FIG2_ENTRY,
         FIG2_RX_SELF,
         BeliefConfig {
             max_branches,
-            fold_loss_node: Some(FIG2_LOSS),
             ..BeliefConfig::default()
         },
     )
@@ -327,18 +326,16 @@ mod tests {
     fn tiny_belief() -> Belief<ModelParams> {
         let params = ModelParams::simple_link(BitRate::from_bps(12_000), Bits::new(96_000));
         let m = build_model(params);
-        Belief::new(
-            vec![Hypothesis {
-                net: m.net,
-                meta: params,
-                weight: 1.0,
-            }],
+        let prior = vec![Hypothesis {
+            net: m.net,
+            meta: params,
+            weight: 1.0,
+        }];
+        Belief::from_population(
+            Population::new(prior, Some(m.loss)),
             m.entry,
             m.rx_self,
-            BeliefConfig {
-                fold_loss_node: Some(m.loss),
-                ..BeliefConfig::default()
-            },
+            BeliefConfig::default(),
         )
     }
 
@@ -437,13 +434,12 @@ mod tests {
                 })
             })
         });
-        Belief::new(
-            sharing_structures(hyps),
+        Belief::from_population(
+            Population::new(sharing_structures(hyps), Some(FIG2_LOSS)),
             FIG2_ENTRY,
             FIG2_RX_SELF,
             BeliefConfig {
                 max_branches: 50_000,
-                fold_loss_node: Some(FIG2_LOSS),
                 ..BeliefConfig::default()
             },
         )

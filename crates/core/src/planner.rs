@@ -1781,7 +1781,7 @@ mod tests {
     #[test]
     fn a_filters_dead_particles_are_not_planned_over() {
         use augur_elements::FIG2_RX_SELF;
-        use augur_inference::{Observation, ParticleConfig, ParticleFilter};
+        use augur_inference::{Observation, ParticleFilter, Population};
         // Two link rates, three to one; the truth is the likelier. One
         // ACK kills every particle of the other rate — about a quarter of
         // the population, too few to trigger the resample that would
@@ -1804,14 +1804,12 @@ mod tests {
                 weight,
             }
         };
-        let mut filter = ParticleFilter::from_prior(
-            &[hypothesis(12_000, 3.0), hypothesis(10_000, 1.0)],
+        let prior = [hypothesis(12_000, 3.0), hypothesis(10_000, 1.0)];
+        let mut filter = ParticleFilter::from_population(
+            &Population::new(prior, Some(FIG2_LOSS)),
             FIG2_ENTRY,
             FIG2_RX_SELF,
-            ParticleConfig {
-                n_particles: 64,
-                fold_loss_node: Some(FIG2_LOSS),
-            },
+            64,
             7,
         );
         let size = Bits::new(12_000);

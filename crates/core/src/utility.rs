@@ -56,8 +56,6 @@ pub trait Utility {
 /// traffic's, minus an optional latency penalty on the cross traffic.
 #[derive(Debug, Clone, Copy)]
 pub struct DiscountedThroughput {
-    /// Discount timescale in milliseconds (default [`THETA_MS`]).
-    pub theta_ms: f64,
     /// "Our utility function is our own instantaneous throughput, times
     /// some multiple α of the throughput achieved by the cross traffic"
     /// (§4).
@@ -72,15 +70,15 @@ impl DiscountedThroughput {
     /// The Figure-3 family: own throughput + α · cross throughput.
     pub fn with_alpha(alpha: f64) -> DiscountedThroughput {
         DiscountedThroughput {
-            theta_ms: THETA_MS,
             alpha,
             latency_penalty: 0.0,
         }
     }
 
-    /// The discount factor for a packet delivered `tau_ms` in the future.
+    /// The discount factor for a packet delivered `tau_ms` in the future,
+    /// on the timescale [`THETA_MS`].
     pub fn discount(&self, tau_ms: f64) -> f64 {
-        (-tau_ms / self.theta_ms).exp()
+        (-tau_ms / THETA_MS).exp()
     }
 }
 

@@ -5,7 +5,7 @@
 
 use augur_core::{run_closed_loop, DiscountedThroughput, GroundTruth, ISender, ISenderConfig};
 use augur_elements::{build_model, DropReason, GateSpec, ModelParams};
-use augur_inference::{BeliefConfig, Engine, ModelPrior};
+use augur_inference::{BeliefConfig, Engine, ModelPrior, Population};
 use augur_sim::{BitRate, Bits, Dur, Ppm, SimRng, Time};
 
 fn quiet_truth(c_bps: u64) -> GroundTruth {
@@ -73,11 +73,13 @@ fn quiet_belief() -> augur_inference::Belief<ModelParams> {
         packet_size: Bits::from_bytes(1_500),
         cross_active: false,
     });
-    let cfg = BeliefConfig {
-        fold_loss_node: Some(probe.loss),
-        ..BeliefConfig::default()
-    };
-    augur_inference::Belief::new(hyps, probe.entry, probe.rx_self, cfg)
+    let prior = Population::new(hyps, Some(probe.loss));
+    augur_inference::Belief::from_population(
+        prior,
+        probe.entry,
+        probe.rx_self,
+        BeliefConfig::default(),
+    )
 }
 
 #[test]
@@ -157,19 +159,16 @@ fn tentative_start_under_uncertainty() {
             cross_active: false,
         };
         let m = build_model(params);
-        let cfg = BeliefConfig {
-            fold_loss_node: Some(m.loss),
-            ..BeliefConfig::default()
-        };
-        augur_inference::Belief::new(
-            vec![augur_inference::Hypothesis {
-                net: m.net,
-                meta: params,
-                weight: 1.0,
-            }],
+        let prior = vec![augur_inference::Hypothesis {
+            net: m.net,
+            meta: params,
+            weight: 1.0,
+        }];
+        augur_inference::Belief::from_population(
+            Population::new(prior, Some(m.loss)),
             m.entry,
             m.rx_self,
-            cfg,
+            BeliefConfig::default(),
         )
     };
 

@@ -13,7 +13,9 @@ use augur_core::{
 use augur_elements::{
     build_model, Buffer, Element, GateSpec, JitterEl, Link, ModelParams, NetworkBuilder, ReceiverEl,
 };
-use augur_inference::{Belief, BeliefConfig, BeliefError, Hypothesis, ModelPrior, Observation};
+use augur_inference::{
+    Belief, BeliefConfig, BeliefError, Hypothesis, ModelPrior, Observation, Population,
+};
 use augur_sim::{BitRate, Bits, Dur, FlowId, Packet, Ppm, SimRng, Time};
 use augur_tcp::{Reno, TcpConfig, TcpEndpoint, TcpTrace};
 use std::cell::RefCell;
@@ -74,11 +76,8 @@ fn quiet_belief() -> Belief<ModelParams> {
         packet_size: Bits::from_bytes(1_500),
         cross_active: false,
     });
-    let cfg = BeliefConfig {
-        fold_loss_node: Some(probe.loss),
-        ..BeliefConfig::default()
-    };
-    Belief::new(hyps, probe.entry, probe.rx_self, cfg)
+    let prior = Population::new(hyps, Some(probe.loss));
+    Belief::from_population(prior, probe.entry, probe.rx_self, BeliefConfig::default())
 }
 
 /// FNV-1a fold over every observable field of a trace, including event

@@ -11,7 +11,7 @@
 
 use augur_core::{decide, DiscountedThroughput, PlannerConfig};
 use augur_elements::{build_model, GateSpec, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF};
-use augur_inference::{Belief, BeliefConfig, Hypothesis};
+use augur_inference::{Belief, BeliefConfig, Hypothesis, Population};
 use augur_sim::{BitRate, Bits, Dur, FlowId, Ppm};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -84,14 +84,11 @@ fn belief(n: usize, distinct: bool) -> Belief<(ModelParams, usize)> {
             }
         })
         .collect();
-    Belief::new(
-        branches,
+    Belief::from_population(
+        Population::new(branches, Some(FIG2_LOSS)),
         FIG2_ENTRY,
         FIG2_RX_SELF,
-        BeliefConfig {
-            fold_loss_node: Some(FIG2_LOSS),
-            ..BeliefConfig::default()
-        },
+        BeliefConfig::default(),
     )
 }
 

@@ -3,23 +3,21 @@
 
 use augur_core::{decide, Action, DiscountedThroughput, PlannerConfig};
 use augur_elements::{build_model, GateSpec, ModelParams};
-use augur_inference::{Belief, BeliefConfig, Hypothesis};
+use augur_inference::{Belief, BeliefConfig, Hypothesis, Population};
 use augur_sim::{BitRate, Bits, FlowId, Ppm};
 
 fn pinpoint(params: ModelParams) -> Belief<ModelParams> {
     let m = build_model(params);
-    Belief::new(
-        vec![Hypothesis {
-            net: m.net,
-            meta: params,
-            weight: 1.0,
-        }],
+    let prior = vec![Hypothesis {
+        net: m.net,
+        meta: params,
+        weight: 1.0,
+    }];
+    Belief::from_population(
+        Population::new(prior, Some(m.loss)),
         m.entry,
         m.rx_self,
-        BeliefConfig {
-            fold_loss_node: Some(m.loss),
-            ..BeliefConfig::default()
-        },
+        BeliefConfig::default(),
     )
 }
 

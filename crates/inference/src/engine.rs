@@ -104,9 +104,9 @@ pub trait Engine {
 /// their fate leaves no state behind, so they are marginalized (resolved
 /// "delivered" with unchanged weight). Both folds are exact.
 ///
-/// `last_mile` is the engine's `fold_loss_node`; `fold_own` is false for
-/// the sender's own packet mid-inject (its ACK cannot have arrived yet)
-/// and under the ABL-2 ablation. Returns the option to resolve and the
+/// `last_mile` is the fold node the engine's prior was seated for;
+/// `fold_own` is false for the sender's own packet mid-inject (its ACK
+/// cannot have arrived yet) and under the ABL-2 ablation. Returns the option to resolve and the
 /// factor to weight it by, or `None` when the choice is not foldable: the
 /// exact engine then forks, the filter samples.
 pub(crate) fn fold(

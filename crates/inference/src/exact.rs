@@ -39,14 +39,14 @@
 //! copies the index.
 //!
 //! **The sharing rule.** Members share a state iff their networks are `==`
-//! but for the probability of the LOSS element at `fold_loss_node` and
+//! but for the probability of the LOSS element at the fold node and
 //! none of them has probability 1 there. Every other choice — gate,
 //! EITHER, jitter, ARQ, RED, a LOSS elsewhere, a cross-traffic packet at
 //! the fold node — is then the same choice with the same probability for
 //! every member of the state. States are formed once, as the prior's
-//! hypotheses are seated one at a time by [`Population::new`] (which
-//! [`Belief::new`] calls; a sweep seats each distinct prior once and
-//! starts every run from a clone through [`Belief::from_population`]).
+//! hypotheses are seated one at a time by [`Population::new`], which also
+//! fixes the fold node; a sweep seats each distinct prior once and starts
+//! every run from a clone through [`Belief::from_population`].
 //! After that they come from descent: each path on which a state's run
 //! ends consistent with the window is a new state, shared by the members
 //! still alive on it. States of different descent that later converge
@@ -77,7 +77,7 @@
 //! `#[cfg(test)]` reference keeps it).
 
 use crate::engine::{fold, snapshot, Engine};
-use crate::hypothesis::{effective_count, index, Hypothesis, Member, Population, Record};
+use crate::hypothesis::{effective_count, index, Member, Population, Record};
 use crate::observe::{harvest, Observation, ObservationIndex};
 use augur_elements::{ChoiceKind, ChoiceSpec, Network, NodeId, Step};
 use augur_obs::EventKind;
@@ -95,9 +95,6 @@ const MIN_REL_WEIGHT: f64 = 1e-9;
 pub struct BeliefConfig {
     /// Hard cap on the branch population (lowest weights pruned first).
     pub max_branches: usize,
-    /// The LOSS node eligible for analytic folding, if the topology has a
-    /// last-mile loss element. `None` forks every loss decision.
-    pub fold_loss_node: Option<NodeId>,
     /// Fold the sender's own packets at the fold node (true) or fork them
     /// explicitly (false; the ABL-2 ablation — same posterior, more work).
     pub fold_self_loss: bool,
@@ -107,7 +104,6 @@ impl Default for BeliefConfig {
     fn default() -> Self {
         BeliefConfig {
             max_branches: 50_000,
-            fold_loss_node: None,
             fold_self_loss: true,
         }
     }
@@ -204,7 +200,7 @@ fn retain(
 /// sequential Bayes.
 #[derive(Debug, Clone)]
 pub struct Belief<M> {
-    pop: Population<M>,
+    pub(crate) pop: Population<M>,
     /// Node where the sender's packets enter every hypothesis.
     pub entry: NodeId,
     /// The receiver node whose deliveries the sender observes.
@@ -214,32 +210,14 @@ pub struct Belief<M> {
 }
 
 impl<M: Clone + Eq + Hash> Belief<M> {
-    /// Build a belief from prior hypotheses (weights need not be
-    /// normalized), seating them one at a time with [`Population::new`].
-    /// All hypotheses must share the same topology ids for `entry` and
-    /// `observed_rx`; the hypotheses differing only in the fold node's loss
-    /// rate are seated on shared states (see the module docs).
+    /// Build a belief from a prior seated on its states by
+    /// [`Population::new`] — a clone of one a sweep keeps for all its
+    /// runs, say — normalizing its weights. The fold node is the one the
+    /// prior was seated for. All hypotheses must share the same topology
+    /// ids for `entry` and `observed_rx`.
     ///
     /// # Panics
-    /// Panics if the prior is empty or has non-positive total weight, or
-    /// if `cfg.fold_loss_node` is not a LOSS element.
-    pub fn new(
-        prior: impl IntoIterator<Item = Hypothesis<M>>,
-        entry: NodeId,
-        observed_rx: NodeId,
-        cfg: BeliefConfig,
-    ) -> Belief<M> {
-        let pop = Population::new(prior, cfg.fold_loss_node);
-        Belief::from_population(pop, entry, observed_rx, cfg)
-    }
-
-    /// Build a belief from a prior already seated on its states — a clone
-    /// of one a sweep keeps for all its runs, say — with its weights
-    /// normalized as [`Belief::new`] normalizes them.
-    ///
-    /// # Panics
-    /// Panics if the prior is empty or has non-positive total weight, or
-    /// if it was seated for another fold node than `cfg.fold_loss_node`.
+    /// Panics if the prior is empty or has non-positive total weight.
     pub fn from_population(
         mut pop: Population<M>,
         entry: NodeId,
@@ -247,10 +225,6 @@ impl<M: Clone + Eq + Hash> Belief<M> {
         cfg: BeliefConfig,
     ) -> Belief<M> {
         assert!(!pop.is_empty(), "empty prior");
-        assert_eq!(
-            pop.fold, cfg.fold_loss_node,
-            "a prior seated for another fold node"
-        );
         pop.normalize();
         Belief {
             pop,
@@ -576,6 +550,7 @@ impl<M: Clone + Eq + Hash> Engine for Belief<M> {
 mod reference {
     use super::*;
     use crate::hypothesis::tests::reference_compact;
+    use crate::hypothesis::Hypothesis;
 
     struct Work<M> {
         h: Hypothesis<M>,
@@ -586,6 +561,7 @@ mod reference {
         pub branches: Vec<Hypothesis<M>>,
         entry: NodeId,
         observed_rx: NodeId,
+        fold: Option<NodeId>,
         cfg: BeliefConfig,
         now: Time,
     }
@@ -595,12 +571,14 @@ mod reference {
             prior: Vec<Hypothesis<M>>,
             entry: NodeId,
             observed_rx: NodeId,
+            fold: Option<NodeId>,
             cfg: BeliefConfig,
         ) -> Belief<M> {
             let mut b = Belief {
                 branches: prior,
                 entry,
                 observed_rx,
+                fold,
                 cfg,
                 now: Time::ZERO,
             };
@@ -662,7 +640,7 @@ mod reference {
             out: &mut Vec<Hypothesis<M>>,
             stats: &mut AdvanceStats,
         ) {
-            let last_mile = self.cfg.fold_loss_node;
+            let last_mile = self.fold;
             let fold_own = self.cfg.fold_self_loss && !injecting;
             while let Some(mut w) = stack.pop() {
                 loop {
@@ -736,6 +714,7 @@ mod reference {
 mod tests {
     use super::*;
     use crate::hypothesis::tests::{assert_same_members, checked_hashes};
+    use crate::hypothesis::Hypothesis;
     use augur_elements::{
         build_model, DropReason, GateSpec, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
     };
@@ -750,12 +729,17 @@ mod tests {
         }
     }
 
-    fn config(fold_loss_node: Option<NodeId>, fold_self_loss: bool) -> BeliefConfig {
-        BeliefConfig {
+    /// A belief over `prior` seated for `fold`.
+    fn seated<M: Clone + Eq + Hash>(
+        prior: Vec<Hypothesis<M>>,
+        fold: Option<NodeId>,
+        fold_self_loss: bool,
+    ) -> Belief<M> {
+        let cfg = BeliefConfig {
             max_branches: 160,
-            fold_loss_node,
             fold_self_loss,
-        }
+        };
+        Belief::from_population(Population::new(prior, fold), FIG2_ENTRY, FIG2_RX_SELF, cfg)
     }
 
     fn params(link_bps: u64, loss: Ppm, fill: u64, mtts_s: u64, on: bool) -> ModelParams {
@@ -838,12 +822,7 @@ mod tests {
         ];
         for (a, b, fold, shared, what) in table {
             for (first, second) in [(a, b), (b, a)] {
-                let belief = Belief::new(
-                    vec![hyp(first, 0, 1.0), hyp(second, 1, 1.0)],
-                    FIG2_ENTRY,
-                    FIG2_RX_SELF,
-                    config(fold, true),
-                );
+                let belief = seated(vec![hyp(first, 0, 1.0), hyp(second, 1, 1.0)], fold, true);
                 assert_eq!(belief.branch_count(), 2, "{what}");
                 assert_eq!(
                     belief.pop.state_count(),
@@ -909,10 +888,10 @@ mod tests {
             let seed = SimRng::derive_seed(0x5A4ED, case);
             let mut rng = SimRng::seed_from_u64(seed);
             let prior = generated_prior(&mut rng);
-            let cfg = match case % 3 {
-                0 => config(Some(FIG2_LOSS), true),
-                1 => config(Some(FIG2_LOSS), false),
-                _ => config(None, true),
+            let (fold, fold_self_loss) = match case % 3 {
+                0 => (Some(FIG2_LOSS), true),
+                1 => (Some(FIG2_LOSS), false),
+                _ => (None, true),
             };
             // The truth is a fractional-rate member of the prior, so own
             // packets are lost and the belief lives.
@@ -922,9 +901,9 @@ mod tests {
                 .find(|p| !p.loss.is_zero() && !p.loss.is_one())
                 .unwrap_or(prior[0].meta.0);
             let mut truth = build_model(truth_params).net;
-            let mut reference =
-                reference::Belief::new(prior.clone(), FIG2_ENTRY, FIG2_RX_SELF, cfg.clone());
-            let mut belief = Belief::new(prior, FIG2_ENTRY, FIG2_RX_SELF, cfg);
+            let mut belief = seated(prior.clone(), fold, fold_self_loss);
+            let cfg = belief.config().clone();
+            let mut reference = reference::Belief::new(prior, FIG2_ENTRY, FIG2_RX_SELF, fold, cfg);
             let what = |t: Time| format!("seed {seed:#x} at {t}");
             let mut seq = 0;
             for s in 1..=rng.uniform_u64(6, 10) {

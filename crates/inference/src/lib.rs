@@ -34,5 +34,5 @@ pub use engine::Engine;
 pub use exact::{AdvanceStats, Belief, BeliefConfig, BeliefError};
 pub use hypothesis::{effective_count, Hypothesis, Member, Population};
 pub use observe::{harvest, Observation, ObservationIndex};
-pub use particle::{ParticleConfig, ParticleFilter};
+pub use particle::ParticleFilter;
 pub use prior::ModelPrior;

@@ -4,12 +4,13 @@
 //! inference that have been developed in the literature of POMDPs").
 //!
 //! Each particle is a concrete network trajectory: parameters drawn from
-//! the prior, stochastic transitions *sampled* rather than forked. Because
-//! observations are exact-time events (see [`crate::observe`]), the
-//! likelihood of a mismatch is zero — a particle either predicts the
-//! window's ACKs exactly (weight kept, last-mile loss folded analytically
-//! like the exact engine) or dies. Systematic resampling replenishes the population from
-//! the survivors when the effective sample size drops.
+//! a prior seated by [`Population::new`], stochastic transitions *sampled*
+//! rather than forked. Because observations are exact-time events (see
+//! [`crate::observe`]), the likelihood of a mismatch is zero — a particle
+//! either predicts the window's ACKs exactly (weight kept, loss at the
+//! prior's fold node folded analytically like the exact engine) or dies.
+//! Systematic resampling replenishes the population from the survivors
+//! when the effective sample size drops.
 //!
 //! Cost per update is O(particles), independent of the prior's size —
 //! the point of the EXT-C scaling experiment.
@@ -21,21 +22,10 @@ use crate::observe::{harvest, Observation, ObservationIndex};
 use augur_elements::{NodeId, Step};
 use augur_obs::EventKind;
 use augur_sim::{Packet, SimRng, Time};
-use std::hash::Hash;
 
 /// Resample when the effective sample size falls below this fraction of
 /// the population.
 const RESAMPLE_FRAC: f64 = 0.5;
-
-/// Tuning knobs for the particle filter.
-#[derive(Debug, Clone)]
-pub struct ParticleConfig {
-    /// Population size.
-    pub n_particles: usize,
-    /// The last-mile LOSS node to fold analytically (as in the exact
-    /// engine); other nondeterminism is sampled.
-    pub fold_loss_node: Option<NodeId>,
-}
 
 /// A fixed-size population of sampled network trajectories.
 #[derive(Debug, Clone)]
@@ -45,53 +35,35 @@ pub struct ParticleFilter<M> {
     pub entry: NodeId,
     /// Observed receiver node.
     pub observed_rx: NodeId,
-    cfg: ParticleConfig,
+    /// The last-mile LOSS node folded analytically (as in the exact
+    /// engine), the one the prior was seated for; other nondeterminism is
+    /// sampled.
+    fold: Option<NodeId>,
     rng: SimRng,
     now: Time,
 }
 
-impl<M: Clone + Eq + Hash> ParticleFilter<M> {
-    /// Draw `cfg.n_particles` particles i.i.d. from a weighted prior given
-    /// as hypotheses: [`ParticleFilter::from_population`] over the prior
-    /// seated by [`Population::new`].
-    ///
-    /// # Panics
-    /// Panics if the prior is empty.
-    pub fn from_prior<P>(
-        prior: &P,
-        entry: NodeId,
-        observed_rx: NodeId,
-        cfg: ParticleConfig,
-        seed: u64,
-    ) -> ParticleFilter<M>
-    where
-        P: IntoIterator<Item = Hypothesis<M>> + Clone,
-    {
-        let prior = Population::new(prior.clone(), cfg.fold_loss_node);
-        ParticleFilter::from_population(&prior, entry, observed_rx, cfg, seed)
-    }
-}
-
 impl<M: Clone> ParticleFilter<M> {
-    /// Draw `cfg.n_particles` particles i.i.d. from a weighted prior: each
-    /// a copy of a member picked by weight, in member order.
+    /// Draw `n_particles` particles i.i.d. from a weighted prior seated by
+    /// [`Population::new`]: each a copy of a member picked by weight, in
+    /// member order. The fold node is the one the prior was seated for.
     ///
     /// # Panics
-    /// Panics if the prior is empty.
+    /// Panics if the prior is empty or `n_particles` is 0.
     pub fn from_population(
         prior: &Population<M>,
         entry: NodeId,
         observed_rx: NodeId,
-        cfg: ParticleConfig,
+        n_particles: usize,
         seed: u64,
     ) -> ParticleFilter<M> {
         assert!(!prior.is_empty(), "empty prior");
-        assert!(cfg.n_particles > 0, "need at least one particle");
+        assert!(n_particles > 0, "need at least one particle");
         let mut rng = SimRng::seed_from_u64(seed);
         let members: Vec<Member<'_, M>> = prior.members().collect();
         let weights: Vec<f64> = members.iter().map(|m| m.weight).collect();
-        let w = 1.0 / cfg.n_particles as f64;
-        let particles = (0..cfg.n_particles)
+        let w = 1.0 / n_particles as f64;
+        let particles = (0..n_particles)
             .map(|_| Hypothesis {
                 weight: w,
                 ..members[rng.pick_weighted(&weights)].to_hypothesis()
@@ -101,7 +73,7 @@ impl<M: Clone> ParticleFilter<M> {
             particles,
             entry,
             observed_rx,
-            cfg,
+            fold: prior.fold,
             rng,
             now: Time::ZERO,
         }
@@ -113,7 +85,7 @@ impl<M: Clone> ParticleFilter<M> {
         p: &mut Hypothesis<M>,
         until: Time,
         idx: &ObservationIndex,
-        cfg: &ParticleConfig,
+        last_mile: Option<NodeId>,
         observed_rx: NodeId,
         rng: &mut SimRng,
         injecting: bool,
@@ -128,7 +100,7 @@ impl<M: Clone> ParticleFilter<M> {
                 Step::Idle => {
                     return injecting || matched == idx.len();
                 }
-                Step::Pending(spec) => match fold(&spec, cfg.fold_loss_node, !injecting, idx) {
+                Step::Pending(spec) => match fold(&spec, last_mile, !injecting, idx) {
                     Some((option, weight)) => {
                         p.weight *= weight;
                         p.net.resolve(option);
@@ -190,7 +162,7 @@ impl<M: Clone> Engine for ParticleFilter<M> {
                 p,
                 until,
                 &idx,
-                &self.cfg,
+                self.fold,
                 self.observed_rx,
                 &mut self.rng,
                 false,
@@ -211,7 +183,7 @@ impl<M: Clone> Engine for ParticleFilter<M> {
         let ess = effective_count(self.particles.iter().map(|p| p.weight));
         let prev = self.now;
         self.now = until;
-        if ess < RESAMPLE_FRAC * self.cfg.n_particles as f64 {
+        if ess < RESAMPLE_FRAC * self.particles.len() as f64 {
             self.resample();
             let flow = augur_obs::current_flow();
             augur_obs::emit(until, EventKind::Resample { flow, ess, killed });
@@ -235,7 +207,7 @@ impl<M: Clone> Engine for ParticleFilter<M> {
                 p,
                 self.now,
                 &idx,
-                &self.cfg,
+                self.fold,
                 self.observed_rx,
                 &mut self.rng,
                 true,

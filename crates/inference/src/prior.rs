@@ -16,7 +16,7 @@
 //! | initial fullness   | 0 ≤ x ≤ capacity          | 0        |
 
 use crate::exact::{Belief, BeliefConfig};
-use crate::hypothesis::Hypothesis;
+use crate::hypothesis::{Hypothesis, Population};
 use augur_elements::{
     build_model, GateSpec, ModelParams, NetworkStructure, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
 };
@@ -136,14 +136,14 @@ impl ModelPrior {
         uniform_hypotheses(self.grid())
     }
 
-    /// Build a ready-to-run belief: hypotheses enumerated, entry/receiver
-    /// node ids wired, last-mile loss fold enabled.
-    pub fn belief(&self, mut cfg: BeliefConfig) -> Belief<ModelParams> {
+    /// Build a ready-to-run belief: hypotheses enumerated and seated for
+    /// the last-mile loss fold, entry/receiver node ids wired.
+    pub fn belief(&self, cfg: BeliefConfig) -> Belief<ModelParams> {
         // All grid points share the topology of `build_model`, so the
         // fixed Figure-2 node ids apply to every hypothesis — no probe
         // network needed.
-        cfg.fold_loss_node = Some(FIG2_LOSS);
-        Belief::new(self.hypotheses(), FIG2_ENTRY, FIG2_RX_SELF, cfg)
+        let pop = Population::new(self.hypotheses(), Some(FIG2_LOSS));
+        Belief::from_population(pop, FIG2_ENTRY, FIG2_RX_SELF, cfg)
     }
 }
 
@@ -247,7 +247,7 @@ mod tests {
     #[test]
     fn belief_wires_fold_node() {
         let belief = ModelPrior::small().belief(BeliefConfig::default());
-        assert!(belief.config().fold_loss_node.is_some());
+        assert_eq!(belief.pop.fold, Some(FIG2_LOSS));
         assert_eq!(belief.branch_count(), 8);
     }
 

@@ -25,7 +25,7 @@ use augur_elements::{
     build_model, ModelParams, Network, Step, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
 };
 use augur_inference::{
-    Belief, BeliefConfig, Engine, ModelPrior, Observation, ParticleConfig, ParticleFilter,
+    Belief, BeliefConfig, Engine, ModelPrior, Observation, ParticleFilter, Population,
 };
 use augur_obs::{EventKind, ObsConfig};
 use augur_sim::{Bits, Dur, FlowId, Packet, Ppm, SimRng, Time};
@@ -144,18 +144,14 @@ fn check_run(prior: &ModelPrior, rng: &mut SimRng) -> bool {
         prior.belief(BeliefConfig {
             max_branches: usize::MAX,
             fold_self_loss,
-            ..BeliefConfig::default()
         })
     };
     let mut beliefs: [Belief<ModelParams>; 2] = [exact(true), exact(false)];
-    let mut filter = Some(ParticleFilter::from_prior(
-        &hypotheses,
+    let mut filter = Some(ParticleFilter::from_population(
+        &Population::new(hypotheses, Some(FIG2_LOSS)),
         FIG2_ENTRY,
         FIG2_RX_SELF,
-        ParticleConfig {
-            n_particles: PARTICLES,
-            fold_loss_node: Some(FIG2_LOSS),
-        },
+        PARTICLES,
         filter_seed,
     ));
     // How many independent draws from the posterior over hypotheses the

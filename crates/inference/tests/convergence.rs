@@ -15,8 +15,8 @@ use augur_elements::{
     build_model, GateSpec, ModelNet, ModelParams, Step, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
 };
 use augur_inference::{
-    Belief, BeliefConfig, BeliefError, Engine, Hypothesis, ModelPrior, Observation, ParticleConfig,
-    ParticleFilter, Population,
+    Belief, BeliefConfig, BeliefError, Engine, Hypothesis, ModelPrior, Observation, ParticleFilter,
+    Population,
 };
 use augur_sim::{BitRate, Bits, Dur, FlowId, Packet, Ppm, SimRng, Time};
 use std::cell::Cell;
@@ -179,14 +179,11 @@ fn particle_filter_tracks_the_same_truth() {
         packet_size: Bits::from_bytes(1_500),
         cross_active: true,
     });
-    let mut pf = ParticleFilter::from_prior(
-        &hyps,
+    let mut pf = ParticleFilter::from_population(
+        &Population::new(hyps, Some(probe.loss)),
         probe.entry,
         probe.rx_self,
-        ParticleConfig {
-            n_particles: 400,
-            fold_loss_node: Some(probe.loss),
-        },
+        400,
         99,
     );
     let mut send_seq = 0u64;
@@ -403,12 +400,11 @@ fn fold_and_fork_agree_on_the_posterior() {
     // branches.
     let posterior = |rng: &mut SimRng, fold_self_loss: bool| {
         let probe = ground_truth(0.0);
-        let mut belief = Belief::new(
-            ModelPrior::small().hypotheses(),
+        let mut belief = Belief::from_population(
+            Population::new(ModelPrior::small().hypotheses(), Some(probe.loss)),
             probe.entry,
             probe.rx_self,
             BeliefConfig {
-                fold_loss_node: Some(probe.loss),
                 fold_self_loss,
                 ..BeliefConfig::default()
             },
@@ -464,14 +460,11 @@ fn a_truth_drawn_from_the_prior_survives_in_both_engines() {
         })
         .expect("the exact belief outlives a truth drawn from its prior");
 
-        let mut filter = ParticleFilter::from_prior(
-            &hypotheses,
+        let mut filter = ParticleFilter::from_population(
+            &Population::new(hypotheses.clone(), Some(FIG2_LOSS)),
             FIG2_ENTRY,
             FIG2_RX_SELF,
-            ParticleConfig {
-                n_particles: PARTICLES,
-                fold_loss_node: Some(FIG2_LOSS),
-            },
+            PARTICLES,
             filter_seed,
         );
         if generated_run(&mut same_run, build_model(params), &mut filter, |_, _| {}).is_err() {

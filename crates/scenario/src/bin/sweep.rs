@@ -260,13 +260,13 @@ fn main() {
         eprintln!("{label}: {rule}");
         exit(2)
     }
-    let runs = grid.expand();
 
     if opts.check {
+        // The run count `validate` checked, without building every run.
         println!(
             "OK {label}: scenario {:?}, {} runs ({}), base seed {:#x}",
             grid.base.name,
-            runs.len(),
+            grid.len(),
             if grid.axes.is_empty() {
                 "no axes".to_string()
             } else {
@@ -280,6 +280,7 @@ fn main() {
         );
         return;
     }
+    let runs = grid.expand();
     // Clamp the worker count to the run count: a sweep never benefits
     // from more threads than runs, and silently spawning idle workers
     // would misreport the execution shape.

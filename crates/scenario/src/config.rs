@@ -31,12 +31,13 @@
 
 use crate::grid::{rate_point_label, Axis, SweepGrid};
 use crate::spec::{
-    Blame, CoexistSpec, ManyFlowSpec, ObserveSpec, PeerSpec, PriorSpec, QueueSpec, RuleError,
-    ScenarioSpec, SenderSpec, TopologySpec, WorkloadSpec,
+    Blame, CoexistSpec, ManyFlowSpec, PeerSpec, PriorSpec, QueueSpec, RuleError, ScenarioSpec,
+    SenderSpec, TopologySpec, WorkloadSpec,
 };
 use crate::traces;
 use augur_elements::{CellularParams, GateSpec, ModelParams, RateProcess, TraceEnd};
 use augur_inference::ModelPrior;
+use augur_obs::ObsConfig;
 use augur_sim::{BitRate, Bits, Dur, Ppm};
 use augur_topo::{FlowSpec, GraphTopology, LinkSpec};
 use std::borrow::Cow;
@@ -826,8 +827,32 @@ fn read_bits(v: &Value, what: &str) -> Result<Bits, ConfigError> {
     read_u64(v, what).map(Bits::new)
 }
 
+/// A packet size: a packet of no bits is never sent, and at the slowest
+/// rate there is (1 b/s) a packet must still serve in 64-bit microseconds.
+fn read_packet_bits(v: &Value, what: &str) -> Result<Bits, ConfigError> {
+    const MAX: u64 = u64::MAX / 1_000_000;
+    match read_u64(v, what)? {
+        n @ 1..=MAX => Ok(Bits::new(n)),
+        n => v.bad(format!("`{what}` must be between 1 and {MAX}, got {n}")),
+    }
+}
+
+/// A probability in parts per million.
 fn read_ppm(v: &Value, what: &str) -> Result<Ppm, ConfigError> {
-    read_u32(v, what).map(Ppm::new)
+    match read_u32(v, what)? {
+        n @ 0..=1_000_000 => Ok(Ppm::new(n)),
+        n => v.bad(format!(
+            "`{what}` must be at most 1000000 (a probability), got {n}"
+        )),
+    }
+}
+
+/// A positive length of simulated time.
+fn read_positive_seconds(v: &Value, what: &str) -> Result<Dur, ConfigError> {
+    match read_seconds(v, what)? {
+        Dur::ZERO => v.bad(format!("`{what}` must be positive")),
+        d => Ok(d),
+    }
 }
 
 fn decode_gate(v: &Value, what: &str) -> Result<GateSpec, ConfigError> {
@@ -837,7 +862,7 @@ fn decode_gate(v: &Value, what: &str) -> Result<GateSpec, ConfigError> {
             ("always-on", &|_| Ok(GateSpec::AlwaysOn)),
             ("square-wave", &|d| {
                 Ok(GateSpec::SquareWave {
-                    half_period: d.field("half_period_s", read_seconds)?,
+                    half_period: d.field("half_period_s", read_positive_seconds)?,
                     initially_connected: d.field("initially_connected", read_bool)?,
                 })
             }),
@@ -917,10 +942,7 @@ fn decode_trace(d: &mut Dec<'_>, source: TraceSource<'_>) -> Result<RateProcess,
 /// violation points at the offending step — `--check` must reject here
 /// what `Link::new` would otherwise panic on.
 fn decode_schedule(d: &mut Dec<'_>) -> Result<RateProcess, ConfigError> {
-    let period = d.field("period_s", read_seconds)?;
-    if period == Dur::ZERO {
-        return d.bad("period_s", "`period_s` must be positive");
-    }
+    let period = d.field("period_s", read_positive_seconds)?;
     let mut steps: Vec<(Dur, BitRate)> = Vec::new();
     for (i, sv) in d.field("steps", read_array)?.iter().enumerate() {
         let mut sd = Dec::table(sv, &format!("steps[{i}]"))?;
@@ -1032,7 +1054,7 @@ fn decode_topology(
                     loss: d.field("loss_ppm", read_ppm)?,
                     buffer_capacity: d.field("buffer_bits", read_bits)?,
                     initial_fullness: d.field("initial_fullness_bits", read_bits)?,
-                    packet_size: d.field("packet_bits", read_bits)?,
+                    packet_size: d.field("packet_bits", read_packet_bits)?,
                     cross_active: d.field("cross_active", read_bool)?,
                 }))
             }),
@@ -1053,7 +1075,7 @@ fn decode_topology(
                     nodes: d.list("nodes", read_string)?,
                     links: d.list("links", decode_link)?,
                     flows: d.list("flows", decode_flow)?,
-                    packet_size: d.field("packet_bits", read_bits)?,
+                    packet_size: d.field("packet_bits", read_packet_bits)?,
                 };
                 // Routing problems (unknown nodes, cycles, unreachable
                 // destinations, …) are authoring errors: surface them
@@ -1089,6 +1111,18 @@ fn decode_prior(v: &Value, what: &str) -> Result<PriorSpec, ConfigError> {
                         format!("`lo_bps` ({lo_bps}) must not exceed `hi_bps` ({hi_bps})"),
                     );
                 }
+                // The grid's fastest link must take at least a microsecond,
+                // the simulation's tick, to serve its 1500-byte packet.
+                const FASTEST: u64 = 12_000 * 1_000_000;
+                if hi_bps > FASTEST {
+                    return d.bad(
+                        "hi_bps",
+                        format!(
+                            "`hi_bps` ({hi_bps}) must be at most {FASTEST}: faster links serve a \
+                             packet in under 1 µs"
+                        ),
+                    );
+                }
                 Ok(PriorSpec::FineLinkRate { n, lo_bps, hi_bps })
             }),
             ("custom", &|d| {
@@ -1101,7 +1135,7 @@ fn decode_prior(v: &Value, what: &str) -> Result<PriorSpec, ConfigError> {
                     gate_initial: d.list("gate_initial", read_bool)?,
                     mtts: d.field("mtts_s", read_seconds)?,
                     epoch: d.field("epoch_s", read_seconds)?,
-                    packet_size: d.field("packet_bits", read_bits)?,
+                    packet_size: d.field("packet_bits", read_packet_bits)?,
                     cross_active: d.field("cross_active", read_bool)?,
                 }))
             }),
@@ -1200,14 +1234,14 @@ fn decode_workload(v: &Value, what: &str) -> Result<WorkloadSpec, ConfigError> {
 
 /// `[observe]` — optional observability arming: `trace_events` records
 /// the structured event stream, `snapshot_every_s` sets the posterior
-/// snapshot cadence. Both default off, matching `ObserveSpec::default()`.
-fn decode_observe(v: &Value, what: &str) -> Result<ObserveSpec, ConfigError> {
+/// snapshot cadence. Both default off, matching `ObsConfig::default()`.
+fn decode_observe(v: &Value, what: &str) -> Result<ObsConfig, ConfigError> {
     let mut d = Dec::table(v, what)?;
     let every = |v: &Value, what: &str| {
         positive_seconds(read_f64(v, what)?)
             .or_else(|m| v.bad(format!("`{what}` {m} (omit the key to disable snapshots)")))
     };
-    let spec = ObserveSpec {
+    let spec = ObsConfig {
         trace_events: d.opt("trace_events", read_bool)?.unwrap_or_default(),
         snapshot_every: d.opt("snapshot_every_s", every)?,
     };
@@ -1395,10 +1429,7 @@ mod tests {
         // Default-off: no shipped spec carries an [observe] table.
         let text = shipped("fig3");
         assert!(!text.contains("[observe]"), "shipped spec grew [observe]");
-        assert_eq!(
-            parse_grid(text).unwrap().base.observe,
-            ObserveSpec::default()
-        );
+        assert_eq!(parse_grid(text).unwrap().base.observe, ObsConfig::default());
         // Armed: both keys decode together, and each alone.
         let observe = |keys: &str| {
             parse_grid(&format!("{text}\n[observe]\n{keys}"))
@@ -1409,21 +1440,21 @@ mod tests {
         let every = Some(Dur::from_secs_f64(2.5));
         assert_eq!(
             observe("trace_events = true\nsnapshot_every_s = 2.5\n"),
-            ObserveSpec {
+            ObsConfig {
                 trace_events: true,
                 snapshot_every: every,
             }
         );
         assert_eq!(
             observe("trace_events = true\n"),
-            ObserveSpec {
+            ObsConfig {
                 trace_events: true,
                 snapshot_every: None,
             }
         );
         assert_eq!(
             observe("snapshot_every_s = 2.5\n"),
-            ObserveSpec {
+            ObsConfig {
                 trace_events: false,
                 snapshot_every: every,
             }

@@ -376,11 +376,20 @@ impl SweepGrid {
     /// keeps and a point breaks — the last axis that wrote the blamed
     /// section — or the axis at which the run count overflows. The config
     /// decoder runs this on every grid it builds, so a grid from
-    /// [`crate::load_grid`] is already valid.
+    /// [`crate::load_grid`] is already valid. A replicate writes nothing,
+    /// so the points that differ only in their replicates are one spec,
+    /// checked once: the cost does not grow with the replicate count.
     pub fn validate(&self) -> Result<(), RuleError> {
         self.base.check()?;
-        for index in 0..self.run_count()? {
-            let (spec, _) = self.point(index)?;
+        self.run_count()?;
+        let mut specs = self.clone();
+        for axis in &mut specs.axes {
+            if let Axis::Seeds(k) = axis {
+                *k = (*k).min(1);
+            }
+        }
+        for index in 0..specs.len() {
+            let (spec, _) = specs.point(index)?;
             spec.check().map_err(|mut e| {
                 let wrote = |axis: &Axis| axis.writes() == Some(e.blame);
                 if let Some(k) = self.axes.iter().rposition(wrote) {
@@ -520,6 +529,16 @@ mod tests {
             .axis(Axis::Seeds(1 << 63));
         assert_eq!(grid.validate().unwrap_err().blame, Blame::Axis(1));
         let _ = grid.expand();
+    }
+
+    #[test]
+    fn validating_does_not_visit_each_replicate() {
+        // 2^41 runs: one check per replicate would not finish.
+        let grid = SweepGrid::new(base())
+            .axis(Axis::Alpha(vec![0.9, 1.0]))
+            .axis(Axis::Seeds(1 << 40));
+        assert_eq!(grid.validate(), Ok(()));
+        assert_eq!(grid.len(), 1 << 41);
     }
 
     #[test]

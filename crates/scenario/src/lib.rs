@@ -51,6 +51,6 @@ pub use runner::{
     TcpPeerAgent,
 };
 pub use spec::{
-    Blame, CoexistSpec, ObserveSpec, PeerSpec, PriorSpec, QueueSpec, RuleError, ScenarioSpec,
-    SenderSpec, TopologySpec, WorkloadSpec,
+    Blame, CoexistSpec, PeerSpec, PriorSpec, QueueSpec, RuleError, ScenarioSpec, SenderSpec,
+    TopologySpec, WorkloadSpec,
 };

@@ -41,8 +41,7 @@ use augur_elements::{
     build_cellular_with_buffer, DropReason, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
 };
 use augur_inference::{
-    Belief, BeliefConfig, BeliefError, Engine, Observation, ParticleConfig, ParticleFilter,
-    Population,
+    Belief, BeliefConfig, BeliefError, Engine, Observation, ParticleFilter, Population,
 };
 use augur_obs::EventRecord;
 use augur_sim::perf::{self, Stopwatch, WorkCounters};
@@ -327,8 +326,8 @@ pub fn execute_run_traced_in(run: &RunSpec, priors: &PriorCache) -> (RunSummary,
 }
 
 /// [`execute_run_traced_in`], additionally returning the run's
-/// structured event log (empty unless the spec's [`crate::ObserveSpec`]
-/// arms a channel). The sink is armed for exactly the duration of the
+/// structured event log (empty unless the spec's `observe` arms a
+/// channel). The sink is armed for exactly the duration of the
 /// run on the executing thread, so per-run logs are independent of
 /// worker count and scheduling. Wall time and work-done counters come
 /// from `augur_sim::perf`: the counter delta around the run is that
@@ -345,7 +344,7 @@ fn execute_run_observed_in(
     if let Err(rule) = run.spec.check() {
         panic!("run {} ({}): {rule}", run.index, run.point());
     }
-    augur_obs::start_run(run.spec.observe.obs_config());
+    augur_obs::start_run(run.spec.observe);
     let watch = Stopwatch::start();
     let counters_before = perf::snapshot();
     let (mut summary, trace) = match (&run.spec.workload, &run.spec.sender) {
@@ -431,7 +430,6 @@ fn spec_belief_in(
         FIG2_RX_SELF,
         BeliefConfig {
             max_branches,
-            fold_loss_node: Some(FIG2_LOSS),
             ..BeliefConfig::default()
         },
     )
@@ -471,10 +469,7 @@ fn build_filter(
         &priors.population(&spec.prior),
         FIG2_ENTRY,
         FIG2_RX_SELF,
-        ParticleConfig {
-            n_particles,
-            fold_loss_node: Some(FIG2_LOSS),
-        },
+        n_particles,
         SimRng::derive_seed(seed, STREAM_ENGINE),
     )
 }
@@ -1100,10 +1095,6 @@ mod tests {
 
     #[test]
     fn particles_drawn_from_the_cached_prior_are_the_collected_priors() {
-        let cfg = ParticleConfig {
-            n_particles: 256,
-            fold_loss_node: Some(FIG2_LOSS),
-        };
         for name in ["fig3", "smoke"] {
             let (cache, prior) = cache_of(name);
             let collected: Vec<Hypothesis<ModelParams>> = prior.hypotheses().collect();
@@ -1114,14 +1105,14 @@ mod tests {
                     &cache.population(&prior),
                     FIG2_ENTRY,
                     FIG2_RX_SELF,
-                    cfg.clone(),
+                    256,
                     seed,
                 );
-                let fresh = ParticleFilter::from_prior(
-                    &collected,
+                let fresh = ParticleFilter::from_population(
+                    &Population::new(collected.clone(), Some(FIG2_LOSS)),
                     FIG2_ENTRY,
                     FIG2_RX_SELF,
-                    cfg.clone(),
+                    256,
                     seed,
                 );
                 // Each particle is the hypothesis `pick_weighted` takes

@@ -209,15 +209,19 @@ impl PriorSpec {
                     lo_bps <= hi_bps,
                     "FineLinkRate prior has an inverted range ({lo_bps} > {hi_bps})"
                 );
+                // In u128, so no product or sum of two u64 rates wraps;
+                // every rate lies in `lo..=hi`, so it fits a u64 again.
+                let (lo, hi) = (u128::from(*lo_bps), u128::from(*hi_bps));
+                let rate = |bps: u128| BitRate::from_bps((bps as u64).max(1));
                 (0..n)
                     .map(|i| {
                         let bps = if n == 1 {
-                            (*lo_bps + *hi_bps) / 2
+                            (lo + hi) / 2
                         } else {
-                            lo_bps + (i as u64 * (hi_bps - lo_bps)) / (n as u64 - 1)
+                            lo + i as u128 * (hi - lo) / (n as u128 - 1)
                         };
-                        ModelParams::simple_link(BitRate::from_bps(bps.max(1)), Bits::new(96_000))
-                            .with_cross_rate(BitRate::from_bps((bps * 7 / 10).max(1)))
+                        ModelParams::simple_link(rate(bps), Bits::new(96_000))
+                            .with_cross_rate(rate(bps * 7 / 10))
                     })
                     .collect()
             }
@@ -346,36 +350,6 @@ pub enum WorkloadSpec {
     ManyFlows(ManyFlowSpec),
 }
 
-/// Observability arming for a scenario's runs (the `[observe]` config
-/// table, `sweep --trace-events` / `--belief-snapshots`). Default-off:
-/// a non-armed run takes the same no-op fast path the sink has always
-/// had, and arming either channel leaves CSVs, work counters, and RNG
-/// streams byte-identical (pinned by tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ObserveSpec {
-    /// Record the full structured event stream (wakes, fires,
-    /// deliveries, enqueues, drops, belief updates).
-    pub trace_events: bool,
-    /// Posterior snapshot cadence in sim time; `None` disables the
-    /// belief introspection channel.
-    pub snapshot_every: Option<Dur>,
-}
-
-impl ObserveSpec {
-    /// Is any channel armed?
-    pub fn active(&self) -> bool {
-        self.trace_events || self.snapshot_every.is_some()
-    }
-
-    /// The sink configuration this spec arms.
-    pub fn obs_config(&self) -> augur_obs::ObsConfig {
-        augur_obs::ObsConfig {
-            trace_events: self.trace_events,
-            snapshot_every: self.snapshot_every,
-        }
-    }
-}
-
 /// One fully-described experiment.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
@@ -393,8 +367,12 @@ pub struct ScenarioSpec {
     pub duration: Dur,
     /// Base seed; per-run seeds derive from `(base_seed, run_index)`.
     pub base_seed: u64,
-    /// Event tracing / belief introspection arming (default off).
-    pub observe: ObserveSpec,
+    /// Observability arming for the scenario's runs (the `[observe]`
+    /// config table, `sweep --trace-events` / `--belief-snapshots`).
+    /// Default-off: a non-armed run takes the sink's no-op fast path, and
+    /// arming either channel leaves CSVs, work counters, and RNG streams
+    /// byte-identical (pinned by tests).
+    pub observe: augur_obs::ObsConfig,
 }
 
 impl ScenarioSpec {
@@ -413,7 +391,7 @@ impl ScenarioSpec {
             workload: WorkloadSpec::ClosedLoop,
             duration: Dur::from_secs(300),
             base_seed: 0xF13,
-            observe: ObserveSpec::default(),
+            observe: augur_obs::ObsConfig::default(),
         }
     }
 
@@ -462,6 +440,14 @@ impl ScenarioSpec {
             _ if no_hypotheses => (
                 Blame::Prior,
                 "a fine-link-rate prior needs at least one hypothesis".into(),
+            ),
+            // A buffer cannot start fuller than it holds.
+            (_, T::Model(m)) if m.initial_fullness > m.buffer_capacity => (
+                Blame::Topology,
+                format!(
+                    "`initial_fullness_bits` ({}) must not exceed `buffer_bits` ({})",
+                    m.initial_fullness, m.buffer_capacity
+                ),
             ),
             (W::ClosedLoop, T::Model(_)) => return Ok(()),
             (W::ClosedLoop, T::Cellular { .. }) if !belief_sender => return Ok(()),
@@ -582,6 +568,23 @@ mod tests {
             .any(|h| h.meta.link_rate == BitRate::from_bps(12_000)));
         let total: f64 = hyps.iter().map(|h| h.weight).sum();
         assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fine_prior_rates_do_not_wrap() {
+        // i · (hi − lo) is 2^64 at i = 2, and each rate · 7 wraps a u64.
+        let p = PriorSpec::FineLinkRate {
+            n: 3,
+            lo_bps: 1 << 62,
+            hi_bps: 3 << 62,
+        };
+        let rates: Vec<_> = p
+            .hypotheses()
+            .map(|h| (h.meta.link_rate.as_bps(), h.meta.cross_rate.as_bps()))
+            .collect();
+        let cross = |bps: u64| (u128::from(bps) * 7 / 10) as u64;
+        let want = [1 << 62, 2 << 62, 3 << 62].map(|bps| (bps, cross(bps)));
+        assert_eq!(rates, want);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 
 mod common;
 
-use augur_obs::{to_jsonl, EventKind, EventRecord};
-use augur_scenario::{presets, ObserveSpec, SweepGrid, SweepRunner};
+use augur_obs::{to_jsonl, EventKind, EventRecord, ObsConfig};
+use augur_scenario::{presets, SweepGrid, SweepRunner};
 use common::{fnv1a, grid_of};
 use Check::{Always, Release};
 
@@ -106,7 +106,7 @@ fn every_row_reproduces_its_digests_serially_and_on_four_workers() {
         }
         if log.is_some() {
             let mut plain = grid.clone();
-            plain.base.observe = ObserveSpec::default();
+            plain.base.observe = ObsConfig::default();
             let untraced = digests(args, &plain, &SweepRunner::serial()).0;
             if untraced != csv {
                 moved.push(format!("`{args}` untraced: {}", show((untraced, None))));

@@ -15,8 +15,8 @@
 mod common;
 
 use augur_scenario::{
-    load_grid, parse_grid, presets, traces, Blame, SweepGrid, SweepRunner, TopologySpec,
-    WorkloadSpec,
+    load_grid, parse_grid, parse_grid_at, presets, traces, Blame, SweepGrid, SweepRunner,
+    TopologySpec, WorkloadSpec,
 };
 use common::{grid_of, scaling_grid};
 use std::path::PathBuf;
@@ -238,10 +238,11 @@ fn incompatible_grid_points_are_check_errors_not_run_time_panics() {
     // Each shape is well-formed section by section; the first five used
     // to pass the decoder and fail `ScenarioSpec::check` on an expanded
     // run, the next four panicked inside `expand()`, the next two passed
-    // `--check` and panicked or saturated in the run, and the last passed
-    // `--check` and ran for no time, reporting rates over 0 s. All are now
-    // `parse_grid` errors: (shipped spec, text to replace, replacement,
-    // rule, where the text of the blamed line starts).
+    // `--check` and panicked or saturated in the run, `duration_s = 0.0`
+    // passed `--check` and ran for no time, reporting rates over 0 s, and
+    // the two overfull buffers passed `--check` and panicked in the run's
+    // prefill. All are now `parse_grid` errors: (shipped spec, text to
+    // replace, replacement, rule, where the text of the blamed line starts).
     const TCP_RENO: &str = "kind = \"tcp-reno\"\nmax_window = 64";
     const EXACT: &str =
         "kind = \"isender-exact\"\nalpha = 1.0\nlatency_penalty = 0.0\nmax_branches = 50000";
@@ -331,6 +332,22 @@ fn incompatible_grid_points_are_check_errors_not_run_time_panics() {
             "duration_s = 0.0",
             "`duration_s` must be > 0 seconds",
             "[scenario]",
+        ),
+        (
+            "smoke",
+            "initial_fullness_bits = 0",
+            "initial_fullness_bits = 200000",
+            "`initial_fullness_bits` (200000b) must not exceed `buffer_bits` (96000b)",
+            "[topology]",
+        ),
+        (
+            "smoke",
+            "[[axis]]\nkind = \"seeds\"",
+            "[[axis]]\nkind = \"buffer-capacity\"\nvalues = [96000, 12000]\n\n\
+             [[axis]]\nkind = \"initial-fullness\"\nvalues = [0, 48000]\n\n\
+             [[axis]]\nkind = \"seeds\"",
+            "`initial_fullness_bits` (48000b) must not exceed `buffer_bits` (12000b)",
+            "[[axis]]\nkind = \"initial-fullness\"",
         ),
         (
             "smoke",
@@ -463,4 +480,89 @@ fn sweep_overrides_are_the_shipped_files_plus_their_arguments() {
         }
         assert_grid_eq(name, &built, &want);
     }
+}
+
+/// The byte range of every number in a spec text, and whether it is a
+/// float — the literals outside comments and strings that start with a
+/// digit (or a sign and a digit) and do not continue a name.
+fn number_literals(text: &str) -> Vec<(std::ops::Range<usize>, bool)> {
+    let bytes = text.as_bytes();
+    let word = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'+' | b'-');
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'#' => i += text[i..].find('\n').unwrap_or(text.len() - i),
+            b'"' => i += 1 + text[i + 1..].find('"').map_or(text.len(), |n| n + 1),
+            b if b.is_ascii_digit() && (i == 0 || !word(bytes[i - 1])) => {
+                let end = (i..bytes.len())
+                    .find(|&j| !word(bytes[j]))
+                    .unwrap_or(bytes.len());
+                let lit = &text[i..end];
+                let float = !lit.starts_with("0x") && lit.contains(['.', 'e', 'E']);
+                out.push((i..end, float));
+                i = end;
+            }
+            _ => i += 1,
+        }
+    }
+    out
+}
+
+/// The ground truth a run of `spec` would build first, per topology kind.
+fn build_ground_truth(spec: &augur_scenario::ScenarioSpec) {
+    match &spec.topology {
+        TopologySpec::Model(_) => drop(spec.build_truth()),
+        TopologySpec::Cellular { params, queue } => drop(
+            augur_elements::build_cellular_with_buffer(params, queue.build(params.buffer_capacity)),
+        ),
+        TopologySpec::Graph(g) => drop(augur_topo::compile(g).expect("a validated graph")),
+    }
+}
+
+#[test]
+fn numbers_pushed_to_their_extremes_decode_to_an_error_or_build() {
+    // Each number of each shipped spec, in turn, at 0 and at the largest
+    // value of its type (a u32 and a u64 key both read integers): the
+    // decoder either refuses the mutant at a position, or it accepts a
+    // grid whose base spec passes `check()` and whose ground truth builds.
+    // No mutant is expanded, has its prior enumerated, or runs.
+    let mut broken = Vec::new();
+    for name in presets::NAMES {
+        let text = std::fs::read_to_string(specs_dir().join(format!("{name}.toml"))).unwrap();
+        for (range, float) in number_literals(&text) {
+            let extremes: &[&str] = if float {
+                &["0.0", "1.7976931348623157e308"]
+            } else {
+                &["0", "4294967295", "18446744073709551615"]
+            };
+            for value in extremes {
+                let mutant = format!("{}{value}{}", &text[..range.start], &text[range.end..]);
+                let line = text[..range.start].lines().count().max(1);
+                let what = format!("{name}.toml:{line}: {} -> {value}", &text[range.clone()]);
+                let decoded =
+                    std::panic::catch_unwind(|| parse_grid_at(&mutant, Some(&specs_dir())));
+                match decoded {
+                    Err(_) => broken.push(format!("{what}: the decoder panicked")),
+                    Ok(Err(e)) if e.line == 0 => broken.push(format!("{what}: unpositioned {e}")),
+                    Ok(Err(_)) => {}
+                    Ok(Ok(grid)) => {
+                        if let Err(rule) = grid.base.check() {
+                            broken.push(format!("{what}: decoded past a broken rule: {rule}"));
+                        } else if std::panic::catch_unwind(|| build_ground_truth(&grid.base))
+                            .is_err()
+                        {
+                            broken.push(format!("{what}: decoded, then the ground truth panicked"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        broken.is_empty(),
+        "{} mutants:\n{}",
+        broken.len(),
+        broken.join("\n")
+    );
 }

@@ -22,7 +22,7 @@ use augur_core::{
     ISenderConfig, SenderAgent,
 };
 use augur_elements::{build_model, DropReason, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF};
-use augur_inference::{BeliefConfig, ModelPrior, Observation, ParticleConfig, ParticleFilter};
+use augur_inference::{BeliefConfig, ModelPrior, Observation, ParticleFilter, Population};
 use augur_obs::{DropKind, EventKind, EventRecord, ObsConfig};
 use augur_scenario::{
     Axis, PeerSpec, RunArtifact, SweepGrid, SweepRunner, TcpPeerAgent, TopologySpec, WorkloadSpec,
@@ -106,11 +106,8 @@ fn hypothetical_work_is_silent() {
     assert_only_agent_records("exact", &log, sent);
     assert!(log.iter().any(|e| e.kind.label() == "belief-update"));
 
-    let cfg = ParticleConfig {
-        n_particles: 200,
-        fold_loss_node: Some(FIG2_LOSS),
-    };
-    let filter = ParticleFilter::from_prior(&prior.hypotheses(), FIG2_ENTRY, FIG2_RX_SELF, cfg, 3);
+    let seated = Population::new(prior.hypotheses(), Some(FIG2_LOSS));
+    let filter = ParticleFilter::from_population(&seated, FIG2_ENTRY, FIG2_RX_SELF, 200, 3);
     let particle = ISender::new(filter, utility(), ISenderConfig::default());
     let (log, sent) = hand_driven_log(particle);
     assert_only_agent_records("particle", &log, sent);

@@ -12,8 +12,8 @@
 
 mod common;
 
-use augur_obs::{to_jsonl, EventKind};
-use augur_scenario::{ObserveSpec, SweepGrid, SweepRunner};
+use augur_obs::{to_jsonl, EventKind, ObsConfig};
+use augur_scenario::{SweepGrid, SweepRunner};
 use augur_sim::Dur;
 use common::grid_of;
 
@@ -22,7 +22,7 @@ use common::grid_of;
 /// belief updates and planner decisions against a TCP peer).
 fn observed_grid() -> SweepGrid {
     let mut grid = grid_of("coexist-vs-tcp --duration 20 --replicates 2 --branches 50000");
-    grid.base.observe = ObserveSpec {
+    grid.base.observe = ObsConfig {
         trace_events: true,
         snapshot_every: Some(Dur::from_secs(5)),
     };

@@ -1,9 +1,10 @@
 //! The congestion-control interface the transport runner drives — the
 //! "different increase/decrease rules for cwnd within this architectural
-//! framework" of the paper's §2, as a trait.
+//! framework" of the paper's §2, as a trait. Each rule is written once,
+//! in its implementation next to its type: [`crate::Reno`] and
+//! [`crate::Cubic`].
 
-use crate::cubic::Cubic;
-use crate::reno::{Reno, RenoSignal};
+use crate::reno::RenoSignal;
 use augur_sim::{Dur, Time};
 
 /// Window-based congestion control, ACK-clocked.
@@ -25,54 +26,10 @@ pub trait CongestionControl {
     fn observe_rtt(&mut self, _srtt: Dur) {}
 }
 
-impl CongestionControl for Reno {
-    fn window(&self) -> u64 {
-        Reno::window(self)
-    }
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-    fn in_recovery(&self) -> bool {
-        self.in_recovery
-    }
-    fn on_new_ack(&mut self, newly_acked: u64, _now: Time) {
-        Reno::on_new_ack(self, newly_acked);
-    }
-    fn on_dup_ack(&mut self, _now: Time) -> RenoSignal {
-        Reno::on_dup_ack(self)
-    }
-    fn on_timeout(&mut self, _now: Time) {
-        Reno::on_timeout(self);
-    }
-}
-
-impl CongestionControl for Cubic {
-    fn window(&self) -> u64 {
-        Cubic::window(self)
-    }
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-    fn in_recovery(&self) -> bool {
-        self.in_recovery
-    }
-    fn on_new_ack(&mut self, newly_acked: u64, now: Time) {
-        Cubic::on_new_ack(self, newly_acked, now);
-    }
-    fn on_dup_ack(&mut self, now: Time) -> RenoSignal {
-        Cubic::on_dup_ack(self, now)
-    }
-    fn on_timeout(&mut self, now: Time) {
-        Cubic::on_timeout(self, now);
-    }
-    fn observe_rtt(&mut self, srtt: Dur) {
-        Cubic::observe_rtt(self, srtt);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Cubic, Reno};
 
     #[test]
     fn trait_objects_dispatch() {

@@ -10,6 +10,7 @@
 //! (C = 0.4, β = 0.7), the TCP-friendly region, and Reno-style slow
 //! start below `ssthresh`.
 
+use crate::cc::CongestionControl;
 use crate::reno::RenoSignal;
 use augur_sim::{Dur, Time};
 
@@ -59,19 +60,26 @@ impl Cubic {
         self.c * (t - k).powi(3) + self.w_max
     }
 
-    /// Feed the smoothed RTT (used by the TCP-friendly region).
-    pub fn observe_rtt(&mut self, srtt: Dur) {
-        self.srtt = srtt;
-    }
-
     /// True while in slow start.
     pub fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
+}
 
-    /// A new cumulative ACK at time `now` advanced the window by
-    /// `newly_acked` packets.
-    pub fn on_new_ack(&mut self, newly_acked: u64, now: Time) {
+impl CongestionControl for Cubic {
+    fn window(&self) -> u64 {
+        self.cwnd.floor().max(1.0) as u64
+    }
+
+    fn cwnd(&self) -> f64 {
+        self.cwnd
+    }
+
+    fn in_recovery(&self) -> bool {
+        self.in_recovery
+    }
+
+    fn on_new_ack(&mut self, newly_acked: u64, now: Time) {
         self.dupacks = 0;
         if self.in_recovery {
             self.in_recovery = false;
@@ -98,8 +106,8 @@ impl Cubic {
         }
     }
 
-    /// A duplicate ACK at `now`; the third triggers fast retransmit.
-    pub fn on_dup_ack(&mut self, now: Time) -> RenoSignal {
+    /// The third duplicate ACK triggers fast retransmit.
+    fn on_dup_ack(&mut self, now: Time) -> RenoSignal {
         if self.in_recovery {
             return RenoSignal::None;
         }
@@ -116,8 +124,7 @@ impl Cubic {
         }
     }
 
-    /// Retransmission timeout at `now`.
-    pub fn on_timeout(&mut self, now: Time) {
+    fn on_timeout(&mut self, now: Time) {
         self.w_max = self.cwnd;
         self.ssthresh = (self.cwnd * self.beta).max(2.0);
         self.cwnd = 1.0;
@@ -126,9 +133,9 @@ impl Cubic {
         self.epoch_start = Some(now);
     }
 
-    /// Whole-packet window.
-    pub fn window(&self) -> u64 {
-        self.cwnd.floor().max(1.0) as u64
+    /// Feeds the TCP-friendly region.
+    fn observe_rtt(&mut self, srtt: Dur) {
+        self.srtt = srtt;
     }
 }
 

@@ -5,7 +5,11 @@
 //! and use incoming ACKs to adjust this value and send out data" (§2).
 //! The window is kept in (fractional) packets; slow start, congestion
 //! avoidance, fast retransmit / fast recovery, and timeout recovery are
-//! implemented; SACK and pacing are not.
+//! implemented; SACK and pacing are not. Reno ignores the event times
+//! [`CongestionControl`] passes.
+
+use crate::cc::CongestionControl;
+use augur_sim::Time;
 
 /// What the control asked the transport to do after an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,9 +52,22 @@ impl Reno {
     pub fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
+}
 
-    /// A new cumulative ACK advanced `snd_una` by `newly_acked` packets.
-    pub fn on_new_ack(&mut self, newly_acked: u64) {
+impl CongestionControl for Reno {
+    fn window(&self) -> u64 {
+        self.cwnd.floor().max(1.0) as u64
+    }
+
+    fn cwnd(&self) -> f64 {
+        self.cwnd
+    }
+
+    fn in_recovery(&self) -> bool {
+        self.in_recovery
+    }
+
+    fn on_new_ack(&mut self, newly_acked: u64, _now: Time) {
         self.dupacks = 0;
         if self.in_recovery {
             // NewReno-lite: leave recovery, deflate to ssthresh.
@@ -67,8 +84,8 @@ impl Reno {
         }
     }
 
-    /// A duplicate ACK arrived. Returns `FastRetransmit` on the third.
-    pub fn on_dup_ack(&mut self) -> RenoSignal {
+    /// Returns `FastRetransmit` on the third duplicate ACK.
+    fn on_dup_ack(&mut self, _now: Time) -> RenoSignal {
         if self.in_recovery {
             // Window inflation during recovery.
             self.cwnd += 1.0;
@@ -85,17 +102,11 @@ impl Reno {
         }
     }
 
-    /// The retransmission timer fired.
-    pub fn on_timeout(&mut self) {
+    fn on_timeout(&mut self, _now: Time) {
         self.ssthresh = (self.cwnd / 2.0).max(2.0);
         self.cwnd = 1.0;
         self.dupacks = 0;
         self.in_recovery = false;
-    }
-
-    /// The window in whole packets (what may be in flight).
-    pub fn window(&self) -> u64 {
-        self.cwnd.floor().max(1.0) as u64
     }
 }
 
@@ -109,7 +120,7 @@ mod tests {
         assert!(r.in_slow_start());
         let w0 = r.cwnd;
         // One ACK per outstanding packet: cwnd grows by the window.
-        r.on_new_ack(w0 as u64);
+        r.on_new_ack(w0 as u64, Time::ZERO);
         assert!((r.cwnd - 2.0 * w0).abs() < 1e-9);
     }
 
@@ -123,7 +134,7 @@ mod tests {
         assert!(!r.in_slow_start());
         // 10 ACKs ≈ one RTT worth: cwnd += ~1.
         for _ in 0..10 {
-            r.on_new_ack(1);
+            r.on_new_ack(1, Time::ZERO);
         }
         assert!((r.cwnd - 11.0).abs() < 0.1, "cwnd = {}", r.cwnd);
     }
@@ -135,9 +146,9 @@ mod tests {
             ssthresh: 4.0,
             ..Reno::default()
         };
-        assert_eq!(r.on_dup_ack(), RenoSignal::None);
-        assert_eq!(r.on_dup_ack(), RenoSignal::None);
-        assert_eq!(r.on_dup_ack(), RenoSignal::FastRetransmit);
+        assert_eq!(r.on_dup_ack(Time::ZERO), RenoSignal::None);
+        assert_eq!(r.on_dup_ack(Time::ZERO), RenoSignal::None);
+        assert_eq!(r.on_dup_ack(Time::ZERO), RenoSignal::FastRetransmit);
         assert!(r.in_recovery);
         assert!((r.ssthresh - 8.0).abs() < 1e-9);
         assert!((r.cwnd - 11.0).abs() < 1e-9); // ssthresh + 3
@@ -151,9 +162,9 @@ mod tests {
             ..Reno::default()
         };
         for _ in 0..3 {
-            r.on_dup_ack();
+            r.on_dup_ack(Time::ZERO);
         }
-        r.on_new_ack(5);
+        r.on_new_ack(5, Time::ZERO);
         assert!(!r.in_recovery);
         assert!((r.cwnd - 8.0).abs() < 1e-9);
     }
@@ -165,7 +176,7 @@ mod tests {
             ssthresh: 50.0,
             ..Reno::default()
         };
-        r.on_timeout();
+        r.on_timeout(Time::ZERO);
         assert_eq!(r.window(), 1);
         assert!((r.ssthresh - 10.0).abs() < 1e-9);
         assert!(r.in_slow_start());

@@ -42,25 +42,12 @@ fn main() {
         .collect();
     let probe = build_model(truth_params);
 
-    let mut exact = Belief::new(
-        hypotheses.clone(),
-        probe.entry,
-        probe.rx_self,
-        BeliefConfig {
-            fold_loss_node: Some(probe.loss),
-            ..BeliefConfig::default()
-        },
-    );
-    let mut particle = ParticleFilter::from_prior(
-        &hypotheses,
-        probe.entry,
-        probe.rx_self,
-        ParticleConfig {
-            n_particles: 200,
-            fold_loss_node: Some(probe.loss),
-        },
-        99,
-    );
+    // Seated once for the last-mile loss fold, which both engines take
+    // from it.
+    let prior = Population::new(hypotheses, Some(probe.loss));
+    let mut particle = ParticleFilter::from_population(&prior, probe.entry, probe.rx_self, 200, 99);
+    let mut exact =
+        Belief::from_population(prior, probe.entry, probe.rx_self, BeliefConfig::default());
 
     // Scripted sender: one packet every 2 s; both engines see the ACKs.
     let mut seq = 0u64;

@@ -21,6 +21,8 @@
 //!   (RED, CoDel), time-varying links and link-layer ARQ.
 //! * [`inference`] — the belief engines (§3.2): exact enumeration with
 //!   forking, compaction and pruning; and a bootstrap particle filter.
+//!   Both start from a prior seated by `Population::new`, which fixes the
+//!   last-mile loss node they fold.
 //! * [`core`] — the ISender (§3.2–3.4): utility functions, the
 //!   expected-utility planner, the sender agent and the closed-loop
 //!   experiment harness.
@@ -76,8 +78,8 @@ pub mod prelude {
         ModelParams, Network, NetworkBuilder, NodeId, RateProcess, ReceiverEl, Step,
     };
     pub use augur_inference::{
-        Belief, BeliefConfig, Engine, Hypothesis, ModelPrior, Observation, ParticleConfig,
-        ParticleFilter,
+        Belief, BeliefConfig, Engine, Hypothesis, ModelPrior, Observation, ParticleFilter,
+        Population,
     };
     pub use augur_scenario::{
         Axis, PriorSpec, ScenarioSpec, SenderSpec, SweepGrid, SweepReport, SweepRunner,
