@@ -70,7 +70,7 @@ pub fn coexist_belief(link_bps: u64, buffer_bits: u64, max_branches: usize) -> B
                 cross_active: frac_ppm > 0,
             };
             Hypothesis {
-                net: build_model(params).net,
+                net: build_model(params),
                 meta: params,
                 weight: 1.0,
             }
@@ -325,16 +325,16 @@ mod tests {
     /// the very first wake, which the rebase tests rely on.
     fn tiny_belief() -> Belief<ModelParams> {
         let params = ModelParams::simple_link(BitRate::from_bps(12_000), Bits::new(96_000));
-        let m = build_model(params);
+        let net = build_model(params);
         let prior = vec![Hypothesis {
-            net: m.net,
+            net,
             meta: params,
             weight: 1.0,
         }];
         Belief::from_population(
-            Population::new(prior, Some(m.loss)),
-            m.entry,
-            m.rx_self,
+            Population::new(prior, Some(FIG2_LOSS)),
+            FIG2_ENTRY,
+            FIG2_RX_SELF,
             BeliefConfig::default(),
         )
     }
@@ -427,7 +427,7 @@ mod tests {
                         cross_active: cross_bps > 0,
                     };
                     Hypothesis {
-                        net: build_model(params).net,
+                        net: build_model(params),
                         meta: params,
                         weight: 1.0,
                     }
@@ -545,7 +545,6 @@ mod tests {
                 packet_size: Bits::from_bytes(1_500),
                 cross_active: false,
             })
-            .net
         };
         // Each history is a truth and the belief-relative wake instants
         // (ms) after a restart; a forced restart follows each. The second

@@ -70,19 +70,7 @@ use augur_sim::{perf, Dur, FlowId, Packet, SimRng, Time};
 use std::error::Error;
 use std::fmt;
 
-/// Where one flow touches the ground-truth network: its packets are
-/// injected at `entry` and its acknowledgments come from deliveries of
-/// its [`FlowId`] (at `rx` for single-flow accounting; multi-flow
-/// routing is by flow id, so topologies may share one receiver).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowEndpoint {
-    /// Injection point for this flow's packets.
-    pub entry: NodeId,
-    /// The receiver whose deliveries acknowledge this flow.
-    pub rx: NodeId,
-}
-
-/// A per-flow table that failed validation at construction time.
+/// A per-flow entry table that failed validation at construction time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowTableError {
     /// The table declares no flows at all.
@@ -159,10 +147,13 @@ enum Routing {
     PerFlow,
     /// Single-sender accounting (the classic closed loop): the agent
     /// keeps its own wire flow, acknowledgments are its deliveries at
-    /// its receiver, cross-traffic deliveries and *all* drops are
-    /// logged to the one trace for diagnostics, and every buffer
-    /// overflow is counted on it.
-    ClosedLoop,
+    /// `rx`, cross-traffic deliveries and *all* drops are logged to the
+    /// one trace for diagnostics, and every buffer overflow is counted
+    /// on it.
+    ClosedLoop {
+        /// The receiver whose deliveries acknowledge the sender.
+        rx: NodeId,
+    },
 }
 
 /// Position-map value of a flow that has no heap entry: it stands in
@@ -346,13 +337,13 @@ impl WakeHeap {
 fn drive(
     net: &mut Network,
     rng: &mut SimRng,
-    flows: &[FlowEndpoint],
+    entries: &[NodeId],
     routing: Routing,
     agents: &mut [&mut dyn SenderAgent],
     t_end: Time,
 ) -> Result<Vec<RunTrace>, BeliefError> {
     let n = agents.len();
-    debug_assert!(n >= 1 && n <= flows.len());
+    debug_assert!(n >= 1 && n <= entries.len());
     let own0 = agents[0].own_flow();
     let mut traces: Vec<RunTrace> = vec![RunTrace::default(); n];
     // `traces[i].acks[seen[i]..]` arrived since flow `i`'s last wake.
@@ -366,7 +357,7 @@ fn drive(
     // first injection — the beliefs do the same inside their first
     // `advance`, and both sides must agree on same-instant ordering.
     net.run_until_sampled(start, rng);
-    harvest(net, flows, routing, own0, &mut traces, &mut heap);
+    harvest(net, routing, own0, &mut traces, &mut heap);
 
     loop {
         if heap.tied.is_empty() {
@@ -379,14 +370,14 @@ fn drive(
                 match net.next_event_time() {
                     Some(te) if te <= target => {
                         net.run_until_sampled(te, rng);
-                        harvest(net, flows, routing, own0, &mut traces, &mut heap);
+                        harvest(net, routing, own0, &mut traces, &mut heap);
                         if te >= target {
                             break;
                         }
                     }
                     _ => {
                         net.run_until_sampled(target, rng);
-                        harvest(net, flows, routing, own0, &mut traces, &mut heap);
+                        harvest(net, routing, own0, &mut traces, &mut heap);
                         break;
                     }
                 }
@@ -400,7 +391,7 @@ fn drive(
             // instant or when an acknowledgment pulled it there (the
             // multi-flow loop, by contrast, dispatches every wake with
             // `t ≤ t_end`).
-            if matches!(routing, Routing::ClosedLoop)
+            if matches!(routing, Routing::ClosedLoop { .. })
                 && t_wake == t_end
                 && t_wake > start
                 && seen[0] == traces[0].acks.len()
@@ -434,10 +425,10 @@ fn drive(
             // stamp, exactly as the classic closed loop injected `*pkt`.
             let pkt = match routing {
                 Routing::PerFlow => Packet::new(FlowId(i as u16), pkt.seq, pkt.size, t_wake),
-                Routing::ClosedLoop => *pkt,
+                Routing::ClosedLoop { .. } => *pkt,
             };
             traces[i].sends.push((pkt.seq, t_wake));
-            net.inject(flows[i].entry, pkt);
+            net.inject(entries[i], pkt);
             // Injection may stop at a stochastic element reached
             // synchronously; resolve by sampling.
             net.run_until_sampled(t_wake, rng);
@@ -446,7 +437,7 @@ fn drive(
         // below may legitimately pull any wake (including agent i's
         // own) back to this instant.
         heap.set_wake(i, outcome.next_wake.max(t_wake + Dur::from_micros(1)));
-        harvest(net, flows, routing, own0, &mut traces, &mut heap);
+        harvest(net, routing, own0, &mut traces, &mut heap);
     }
 
     // Tail accounting: the advance loop's `min(wake, t_end)` cap ran
@@ -462,7 +453,6 @@ fn drive(
 /// allocations for the next event.
 fn harvest(
     net: &mut Network,
-    flows: &[FlowEndpoint],
     routing: Routing,
     own0: FlowId,
     traces: &mut [RunTrace],
@@ -479,8 +469,8 @@ fn harvest(
                 }
                 k
             }
-            Routing::ClosedLoop => {
-                if d.packet.flow == own0 && node == flows[0].rx {
+            Routing::ClosedLoop { rx } => {
+                if d.packet.flow == own0 && node == rx {
                     0
                 } else {
                     if d.packet.flow == FlowId::CROSS {
@@ -503,7 +493,7 @@ fn harvest(
     for drop in drops {
         let k = match routing {
             Routing::PerFlow => drop.packet.flow.0 as usize,
-            Routing::ClosedLoop => 0,
+            Routing::ClosedLoop { .. } => 0,
         };
         let Some(trace) = traces.get_mut(k) else {
             continue; // backlog / foreign flows belong to nobody
@@ -511,7 +501,7 @@ fn harvest(
         if drop.reason == DropReason::BufferFull {
             trace.overflow_drops += 1;
         }
-        if matches!(routing, Routing::ClosedLoop) {
+        if matches!(routing, Routing::ClosedLoop { .. }) {
             trace.drops.push(drop);
         }
     }
@@ -527,16 +517,17 @@ fn harvest(
 pub struct FlowDriver<'a> {
     net: &'a mut Network,
     rng: &'a mut SimRng,
-    flows: Vec<FlowEndpoint>,
+    /// Where each flow's packets enter the network.
+    entries: Vec<NodeId>,
     routing: Routing,
 }
 
 impl<'a> FlowDriver<'a> {
     /// Drive agents over a validated multi-flow ground truth: agent `i`
-    /// transmits as `FlowId(i)` from `truth`'s i-th endpoint.
+    /// transmits as `FlowId(i)` into `truth`'s i-th entry.
     pub fn over(truth: &'a mut MultiFlowTruth) -> FlowDriver<'a> {
         FlowDriver {
-            flows: truth.endpoints().to_vec(),
+            entries: truth.entries().to_vec(),
             net: &mut truth.net,
             rng: &mut truth.rng,
             routing: Routing::PerFlow,
@@ -548,32 +539,36 @@ impl<'a> FlowDriver<'a> {
     /// logged to the trace).
     pub fn closed_loop(truth: &'a mut GroundTruth) -> FlowDriver<'a> {
         FlowDriver {
-            flows: vec![FlowEndpoint {
-                entry: truth.entry,
-                rx: truth.rx_self,
-            }],
+            entries: vec![truth.entry],
             net: &mut truth.net,
             rng: &mut truth.rng,
-            routing: Routing::ClosedLoop,
+            routing: Routing::ClosedLoop { rx: truth.rx_self },
         }
     }
 
     /// Run N agents until `t_end`; returns one [`RunTrace`] per agent
     /// (same order). Fewer agents than declared flows is allowed (the
-    /// extra endpoints stay silent); more is a [`DriverError`].
+    /// extra entries stay silent); more is a [`DriverError`].
     pub fn run(
         self,
         agents: &mut [&mut dyn SenderAgent],
         t_end: Time,
     ) -> Result<Vec<RunTrace>, DriverError> {
-        if agents.is_empty() || agents.len() > self.flows.len() {
+        if agents.is_empty() || agents.len() > self.entries.len() {
             return Err(DriverError::AgentCount {
                 agents: agents.len(),
-                flows: self.flows.len(),
+                flows: self.entries.len(),
             });
         }
-        drive(self.net, self.rng, &self.flows, self.routing, agents, t_end)
-            .map_err(DriverError::from)
+        drive(
+            self.net,
+            self.rng,
+            &self.entries,
+            self.routing,
+            agents,
+            t_end,
+        )
+        .map_err(DriverError::from)
     }
 
     /// Run a single sender until `t_end` — the N=1 path
@@ -583,11 +578,11 @@ impl<'a> FlowDriver<'a> {
         sender: &mut dyn SenderAgent,
         t_end: Time,
     ) -> Result<RunTrace, BeliefError> {
-        debug_assert!(!self.flows.is_empty());
+        debug_assert!(!self.entries.is_empty());
         let mut traces = drive(
             self.net,
             self.rng,
-            &self.flows,
+            &self.entries,
             self.routing,
             &mut [sender],
             t_end,

@@ -37,7 +37,7 @@ pub mod planner;
 pub mod utility;
 
 pub use coexist::{coexist_belief, AimdSender, RestartingSender};
-pub use driver::{DriverError, FlowDriver, FlowEndpoint, FlowTableError};
+pub use driver::{DriverError, FlowDriver, FlowTableError};
 pub use experiment::{run_closed_loop, GroundTruth, RunTrace};
 pub use isender::{ISender, ISenderConfig, ParticleSender, SenderAgent, WakeOutcome};
 pub use multi::{build_many_flow_bottleneck, jain_index, run_multi_agent, MultiFlowTruth};

@@ -12,15 +12,16 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::panic, clippy::unreachable)]
 
-use crate::driver::{DriverError, FlowDriver, FlowEndpoint, FlowTableError};
+use crate::driver::{DriverError, FlowDriver, FlowTableError};
 use crate::experiment::RunTrace;
 use crate::isender::SenderAgent;
-use augur_elements::{Buffer, Element, Link, Loss, Network, NetworkBuilder, ReceiverEl};
+use augur_elements::{Buffer, Element, Link, Loss, Network, NetworkBuilder, NodeId, ReceiverEl};
 use augur_sim::{BitRate, Bits, Ppm, SimRng, Time};
 
 /// Ground truth for the multi-sender loop: a network plus a validated
-/// per-flow endpoint table (`flows[i]` is where `FlowId(i)` enters and
-/// is received).
+/// per-flow entry table (`entries[i]` is where `FlowId(i)` enters). A
+/// delivery is attributed to a flow by its packet's [`augur_sim::FlowId`],
+/// wherever it is received, so the table names no receivers.
 ///
 /// The table is constructed once through [`MultiFlowTruth::new`], which
 /// rejects empty tables and flow counts beyond the u16 wire-id space —
@@ -29,8 +30,8 @@ use augur_sim::{BitRate, Bits, Ppm, SimRng, Time};
 pub struct MultiFlowTruth {
     /// The network.
     pub net: Network,
-    /// Per-flow endpoints; validated non-empty and within `FlowId` range.
-    pub(crate) flows: Vec<FlowEndpoint>,
+    /// Per-flow entries; validated non-empty and within `FlowId` range.
+    entries: Vec<NodeId>,
     /// Sampling RNG — network choices *and* wake tie-breaks draw from it.
     pub rng: SimRng,
 }
@@ -39,28 +40,30 @@ impl MultiFlowTruth {
     /// Validate and assemble a per-flow ground truth.
     pub fn new(
         net: Network,
-        flows: Vec<FlowEndpoint>,
+        entries: Vec<NodeId>,
         rng: SimRng,
     ) -> Result<MultiFlowTruth, FlowTableError> {
-        if flows.is_empty() {
+        if entries.is_empty() {
             return Err(FlowTableError::Empty);
         }
-        if flows.len() > usize::from(u16::MAX) + 1 {
-            return Err(FlowTableError::TooManyFlows { flows: flows.len() });
+        if entries.len() > usize::from(u16::MAX) + 1 {
+            return Err(FlowTableError::TooManyFlows {
+                flows: entries.len(),
+            });
         }
-        Ok(MultiFlowTruth { net, flows, rng })
+        Ok(MultiFlowTruth { net, entries, rng })
     }
 
-    /// The validated per-flow endpoint table.
-    pub fn endpoints(&self) -> &[FlowEndpoint] {
-        &self.flows
+    /// The validated per-flow entry table.
+    pub fn entries(&self) -> &[NodeId] {
+        &self.entries
     }
 }
 
 /// Build `buffer → link → loss → rx` shared by *all* `flows` senders:
 /// the single-bottleneck shape of the coexistence studies (2–4 flows)
 /// and the many-flow scaling runs alike. Every flow injects at the one
-/// drop-tail buffer and is acknowledged at the one receiver; the driver
+/// drop-tail buffer and is received at the one receiver; the driver
 /// routes deliveries back to agents by [`augur_sim::FlowId`], so no
 /// per-flow topology is needed and a delivery costs O(1) routing passes
 /// regardless of N.
@@ -81,17 +84,14 @@ pub fn build_many_flow_bottleneck(
     b.connect(buf, link_n);
     b.connect(link_n, loss_n);
     b.connect(loss_n, rx);
-    let table = (0..flows)
-        .map(|_| FlowEndpoint { entry: buf, rx })
-        .collect();
-    MultiFlowTruth::new(b.build(), table, SimRng::seed_from_u64(seed))
+    MultiFlowTruth::new(b.build(), vec![buf; flows], SimRng::seed_from_u64(seed))
         .expect("many-flow bottleneck flow table is non-empty; flow count checked by caller")
 }
 
 /// Run N agents over a shared ground truth until `t_end`; returns one
 /// [`RunTrace`] per agent (same order). Agent `i`'s packets are
 /// re-stamped to `FlowId(i)` on injection and injected at the truth's
-/// i-th endpoint, so every agent may keep believing it is
+/// i-th entry, so every agent may keep believing it is
 /// [`augur_sim::FlowId::SELF`] internally — the loop owns wire identity.
 ///
 /// Thin wrapper over [`FlowDriver::over`] + [`FlowDriver::run`]. Errors
@@ -139,12 +139,12 @@ mod tests {
             1000,
             7,
         );
-        let flows = truth.endpoints().to_vec();
-        assert_eq!(flows.len(), 1000);
-        assert_eq!(flows[0].rx, flows[999].rx);
+        let entries = truth.entries().to_vec();
+        assert_eq!(entries.len(), 1000);
+        assert_eq!(entries[0], entries[999]);
         for f in [0usize, 500, 999] {
             truth.net.inject(
-                flows[f].entry,
+                entries[f],
                 Packet::new(FlowId(f as u16), 0, Bits::new(12_000), Time::ZERO),
             );
         }
@@ -153,8 +153,8 @@ mod tests {
             .run_until_sampled(Time::from_secs(20), &mut truth.rng);
         let d = truth.net.take_deliveries();
         assert_eq!(d.len(), 3);
-        for (node, del) in &d {
-            assert_eq!(*node, flows[del.packet.flow.0 as usize].rx);
+        for (node, _) in &d {
+            assert_eq!(*node, d[0].0);
         }
     }
 
@@ -167,7 +167,7 @@ mod tests {
             1,
             7,
         );
-        let ep = probe.endpoints()[0];
+        let entry = probe.entries()[0];
         let err = MultiFlowTruth::new(probe.net, Vec::new(), SimRng::seed_from_u64(7))
             .err()
             .expect("empty flow table must be rejected");
@@ -180,7 +180,7 @@ mod tests {
             1,
             7,
         );
-        let too_many = vec![ep; usize::from(u16::MAX) + 2];
+        let too_many = vec![entry; usize::from(u16::MAX) + 2];
         let err = MultiFlowTruth::new(probe.net, too_many, SimRng::seed_from_u64(7))
             .err()
             .expect("oversized flow table must be rejected");

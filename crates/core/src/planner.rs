@@ -1264,7 +1264,7 @@ mod tests {
                     Dur::from_millis(rng.uniform_u64(500, 3_000)),
                     Dur::from_millis(rng.uniform_u64(100, 1_000)),
                 ),
-                _ => build_model(params).net,
+                _ => build_model(params),
             };
             let mut net = warmed_up(net, rng.uniform_u64(0, 3), now);
             if scene == Scene::FullBuffer {
@@ -1314,7 +1314,7 @@ mod tests {
                     ..base
                 };
                 Hypothesis {
-                    net: warmed_up(build_model(params).net, in_flight, now),
+                    net: warmed_up(build_model(params), in_flight, now),
                     // The twin is branch 2's network under a `meta` of
                     // its own, as `compact()` would keep it.
                     meta: ModelParams {
@@ -1685,7 +1685,7 @@ mod tests {
                     packet_size: Bits::new(12_000),
                     cross_active,
                 };
-                let net = warmed_up(build_model(params).net, in_flight, now);
+                let net = warmed_up(build_model(params), in_flight, now);
                 [Hypothesis {
                     net,
                     meta: params,
@@ -1797,7 +1797,7 @@ mod tests {
                 packet_size: Bits::new(12_000),
                 cross_active: false,
             };
-            let net = build_model(params).net;
+            let net = build_model(params);
             Hypothesis {
                 net,
                 meta: params,
@@ -1874,25 +1874,14 @@ mod tests {
             packet_size: Bits::new(12_000),
             cross_active: false,
         })
-        .net
     }
 
     #[test]
     fn rollout_delivers_hypothetical_packet() {
         let net = quiet_model(0.0, 0);
-        let m = build_model(ModelParams {
-            link_rate: BitRate::from_bps(12_000),
-            cross_rate: BitRate::from_bps(8_400),
-            gate: GateSpec::AlwaysOn,
-            loss: Ppm::ZERO,
-            buffer_capacity: Bits::new(96_000),
-            initial_fullness: Bits::ZERO,
-            packet_size: Bits::new(12_000),
-            cross_active: false,
-        });
         let report = rollout(
             &net,
-            m.entry,
+            FIG2_ENTRY,
             FlowId::SELF,
             Some(Time::ZERO),
             Time::from_secs(10),
@@ -1912,19 +1901,9 @@ mod tests {
     #[test]
     fn rollout_folds_loss_probability() {
         let net = quiet_model(0.2, 0);
-        let m = build_model(ModelParams {
-            link_rate: BitRate::from_bps(12_000),
-            cross_rate: BitRate::from_bps(8_400),
-            gate: GateSpec::AlwaysOn,
-            loss: Ppm::ZERO,
-            buffer_capacity: Bits::new(96_000),
-            initial_fullness: Bits::ZERO,
-            packet_size: Bits::new(12_000),
-            cross_active: false,
-        });
         let report = rollout(
             &net,
-            m.entry,
+            FIG2_ENTRY,
             FlowId::SELF,
             Some(Time::ZERO),
             Time::from_secs(10),
@@ -1943,19 +1922,9 @@ mod tests {
     #[test]
     fn rollout_sees_backlog_deliveries() {
         let net = quiet_model(0.0, 24_000);
-        let m = build_model(ModelParams {
-            link_rate: BitRate::from_bps(12_000),
-            cross_rate: BitRate::from_bps(8_400),
-            gate: GateSpec::AlwaysOn,
-            loss: Ppm::ZERO,
-            buffer_capacity: Bits::new(96_000),
-            initial_fullness: Bits::ZERO,
-            packet_size: Bits::new(12_000),
-            cross_active: false,
-        });
         let report = rollout(
             &net,
-            m.entry,
+            FIG2_ENTRY,
             FlowId::SELF,
             Some(Time::from_secs(4)), // send after backlog drains
             Time::from_secs(10),

@@ -4,12 +4,14 @@
 //! `augur-scenario`'s `tests/paper_shapes.rs`.
 
 use augur_core::{run_closed_loop, DiscountedThroughput, GroundTruth, ISender, ISenderConfig};
-use augur_elements::{build_model, DropReason, GateSpec, ModelParams};
+use augur_elements::{
+    build_model, DropReason, GateSpec, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
+};
 use augur_inference::{BeliefConfig, Engine, ModelPrior, Population};
 use augur_sim::{BitRate, Bits, Dur, Ppm, SimRng, Time};
 
 fn quiet_truth(c_bps: u64) -> GroundTruth {
-    let m = build_model(ModelParams {
+    let net = build_model(ModelParams {
         link_rate: BitRate::from_bps(c_bps),
         cross_rate: BitRate::from_bps(c_bps * 7 / 10),
         gate: GateSpec::AlwaysOn,
@@ -20,9 +22,9 @@ fn quiet_truth(c_bps: u64) -> GroundTruth {
         cross_active: false, // no cross traffic in the simple config
     });
     GroundTruth {
-        net: m.net,
-        entry: m.entry,
-        rx_self: m.rx_self,
+        net,
+        entry: FIG2_ENTRY,
+        rx_self: FIG2_RX_SELF,
         rng: SimRng::seed_from_u64(21),
     }
 }
@@ -58,26 +60,16 @@ fn quiet_belief() -> augur_inference::Belief<ModelParams> {
     for mut params in prior.grid() {
         params.cross_active = false;
         hyps.push(augur_inference::Hypothesis {
-            net: build_model(params).net,
+            net: build_model(params),
             meta: params,
             weight: 1.0,
         });
     }
-    let probe = build_model(ModelParams {
-        link_rate: BitRate::from_bps(12_000),
-        cross_rate: BitRate::from_bps(8_400),
-        gate: GateSpec::AlwaysOn,
-        loss: Ppm::ZERO,
-        buffer_capacity: Bits::new(96_000),
-        initial_fullness: Bits::ZERO,
-        packet_size: Bits::from_bytes(1_500),
-        cross_active: false,
-    });
-    let prior = Population::new(hyps, Some(probe.loss));
+    let prior = Population::new(hyps, Some(FIG2_LOSS));
     augur_inference::Belief::from_population(
         prior,
-        probe.entry,
-        probe.rx_self,
+        FIG2_ENTRY,
+        FIG2_RX_SELF,
         BeliefConfig::default(),
     )
 }
@@ -158,16 +150,16 @@ fn tentative_start_under_uncertainty() {
             packet_size: Bits::from_bytes(1_500),
             cross_active: false,
         };
-        let m = build_model(params);
+        let net = build_model(params);
         let prior = vec![augur_inference::Hypothesis {
-            net: m.net,
+            net,
             meta: params,
             weight: 1.0,
         }];
         augur_inference::Belief::from_population(
-            Population::new(prior, Some(m.loss)),
-            m.entry,
-            m.rx_self,
+            Population::new(prior, Some(FIG2_LOSS)),
+            FIG2_ENTRY,
+            FIG2_RX_SELF,
             BeliefConfig::default(),
         )
     };

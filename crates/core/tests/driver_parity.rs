@@ -7,11 +7,11 @@
 
 use augur_core::{
     build_many_flow_bottleneck, run_closed_loop, run_multi_agent, AimdSender, DiscountedThroughput,
-    FlowEndpoint, GroundTruth, ISender, ISenderConfig, MultiFlowTruth, RunTrace, SenderAgent,
-    WakeOutcome,
+    GroundTruth, ISender, ISenderConfig, MultiFlowTruth, RunTrace, SenderAgent, WakeOutcome,
 };
 use augur_elements::{
-    build_model, Buffer, Element, GateSpec, JitterEl, Link, ModelParams, NetworkBuilder, ReceiverEl,
+    build_model, Buffer, Element, GateSpec, JitterEl, Link, ModelParams, NetworkBuilder,
+    ReceiverEl, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
 };
 use augur_inference::{
     Belief, BeliefConfig, BeliefError, Hypothesis, ModelPrior, Observation, Population,
@@ -22,7 +22,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 fn quiet_truth(c_bps: u64) -> GroundTruth {
-    let m = build_model(ModelParams {
+    let net = build_model(ModelParams {
         link_rate: BitRate::from_bps(c_bps),
         cross_rate: BitRate::from_bps(c_bps * 7 / 10),
         gate: GateSpec::AlwaysOn,
@@ -33,9 +33,9 @@ fn quiet_truth(c_bps: u64) -> GroundTruth {
         cross_active: false,
     });
     GroundTruth {
-        net: m.net,
-        entry: m.entry,
-        rx_self: m.rx_self,
+        net,
+        entry: FIG2_ENTRY,
+        rx_self: FIG2_RX_SELF,
         rng: SimRng::seed_from_u64(21),
     }
 }
@@ -61,23 +61,13 @@ fn quiet_belief() -> Belief<ModelParams> {
     for mut params in prior.grid() {
         params.cross_active = false;
         hyps.push(Hypothesis {
-            net: build_model(params).net,
+            net: build_model(params),
             meta: params,
             weight: 1.0,
         });
     }
-    let probe = build_model(ModelParams {
-        link_rate: BitRate::from_bps(12_000),
-        cross_rate: BitRate::from_bps(8_400),
-        gate: GateSpec::AlwaysOn,
-        loss: Ppm::ZERO,
-        buffer_capacity: Bits::new(96_000),
-        initial_fullness: Bits::ZERO,
-        packet_size: Bits::from_bytes(1_500),
-        cross_active: false,
-    });
-    let prior = Population::new(hyps, Some(probe.loss));
-    Belief::from_population(prior, probe.entry, probe.rx_self, BeliefConfig::default())
+    let prior = Population::new(hyps, Some(FIG2_LOSS));
+    Belief::from_population(prior, FIG2_ENTRY, FIG2_RX_SELF, BeliefConfig::default())
 }
 
 /// FNV-1a fold over every observable field of a trace, including event
@@ -430,8 +420,8 @@ fn jittered_bottleneck(flows: usize, seed: u64) -> MultiFlowTruth {
     b.connect(buf, link);
     b.connect(link, jitter);
     b.connect(jitter, rx);
-    let table = vec![FlowEndpoint { entry: buf, rx }; flows];
-    MultiFlowTruth::new(b.build(), table, SimRng::seed_from_u64(seed)).expect("valid flow table")
+    MultiFlowTruth::new(b.build(), vec![buf; flows], SimRng::seed_from_u64(seed))
+        .expect("valid flow table")
 }
 
 #[test]

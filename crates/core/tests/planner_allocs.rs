@@ -77,7 +77,7 @@ fn belief(n: usize, distinct: bool) -> Belief<(ModelParams, usize)> {
                 cross_active: true,
             };
             Hypothesis {
-                net: build_model(params).net,
+                net: build_model(params),
                 // The index keeps repeated shapes distinct hypotheses.
                 meta: (params, i),
                 weight: 1.0,

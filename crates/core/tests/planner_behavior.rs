@@ -2,21 +2,21 @@
 //! the expected-utility argmax can be reasoned out by hand.
 
 use augur_core::{decide, Action, DiscountedThroughput, PlannerConfig};
-use augur_elements::{build_model, GateSpec, ModelParams};
+use augur_elements::{build_model, GateSpec, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF};
 use augur_inference::{Belief, BeliefConfig, Hypothesis, Population};
 use augur_sim::{BitRate, Bits, FlowId, Ppm};
 
 fn pinpoint(params: ModelParams) -> Belief<ModelParams> {
-    let m = build_model(params);
+    let net = build_model(params);
     let prior = vec![Hypothesis {
-        net: m.net,
+        net,
         meta: params,
         weight: 1.0,
     }];
     Belief::from_population(
-        Population::new(prior, Some(m.loss)),
-        m.entry,
-        m.rx_self,
+        Population::new(prior, Some(FIG2_LOSS)),
+        FIG2_ENTRY,
+        FIG2_RX_SELF,
         BeliefConfig::default(),
     )
 }

@@ -210,7 +210,7 @@ fn last_mile_scene(rng: &mut SimRng, fullness_packets: u64) -> Scene {
             packet_size: PACKET,
             cross_active: true,
         };
-        warmed_up(build_model(params).net, FIG2_ENTRY, in_flight, now)
+        warmed_up(build_model(params), FIG2_ENTRY, in_flight, now)
     })
     .collect();
     Scene {

@@ -67,17 +67,13 @@ impl CellularParams {
     }
 }
 
-/// A built cellular path with named nodes.
+/// A built cellular path with the two nodes its senders use.
 #[derive(Debug, Clone)]
 pub struct CellularNet {
     /// The network.
     pub net: Network,
     /// Injection point (the deep buffer).
     pub entry: NodeId,
-    /// The deep buffer.
-    pub buffer: NodeId,
-    /// The radio link.
-    pub link: NodeId,
     /// The terminal receiver.
     pub rx: NodeId,
 }
@@ -106,8 +102,6 @@ pub fn build_cellular_with_buffer(params: &CellularParams, buffer_el: Buffer) ->
     CellularNet {
         net: b.build(),
         entry: buffer,
-        buffer,
-        link,
         rx,
     }
 }

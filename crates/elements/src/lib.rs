@@ -47,8 +47,8 @@ pub use element::{Diverter, Element, ElementParams, ElementState, Loss, Receiver
 pub use gate::{Either, EitherParams, EitherState, Gate, GateKind, GateParams, GateState};
 pub use link::{Link, LinkParams, LinkState, RateProcess, TraceEnd};
 pub use model::{
-    build_model, GateSpec, ModelNet, ModelParams, FIG2_BUFFER, FIG2_DIVERTER, FIG2_ENTRY,
-    FIG2_GATE, FIG2_LINK, FIG2_LOSS, FIG2_PINGER, FIG2_RX_CROSS, FIG2_RX_SELF,
+    build_model, GateSpec, ModelParams, FIG2_DIVERTER, FIG2_ENTRY, FIG2_GATE, FIG2_LINK, FIG2_LOSS,
+    FIG2_PINGER, FIG2_RX_CROSS, FIG2_RX_SELF,
 };
 pub use network::{
     DropReason, DropRecord, Network, NetworkBuilder, NetworkStructure, NetworkView, Step,

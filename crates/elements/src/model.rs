@@ -10,7 +10,9 @@
 //! The same builder constructs both the **ground truth** (where the gate
 //! may really be a deterministic SQUAREWAVE, as in the paper's experiment)
 //! and every **hypothesis** in the sender's prior (where the gate is
-//! believed INTERMITTENT) — one parameter grid point per hypothesis.
+//! believed INTERMITTENT) — one parameter grid point per hypothesis. All
+//! of them number their nodes alike; the `FIG2_*` constants name those
+//! ids.
 
 use crate::buffer::Buffer;
 use crate::element::{Diverter, Element, Loss, ReceiverEl};
@@ -132,43 +134,15 @@ impl ModelParams {
     }
 }
 
-/// A built Figure-2 network with named nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ModelNet {
-    /// The network itself.
-    pub net: Network,
-    /// Where the ISender injects its packets (the shared buffer).
-    pub entry: NodeId,
-    /// The cross-traffic source.
-    pub pinger: NodeId,
-    /// The gate in front of the cross traffic.
-    pub gate: NodeId,
-    /// The shared tail-drop buffer.
-    pub buffer: NodeId,
-    /// The bottleneck link.
-    pub link: NodeId,
-    /// The last-mile stochastic loss element.
-    pub loss: NodeId,
-    /// The ISender's receiver (its deliveries are the observations).
-    pub rx_self: NodeId,
-    /// The cross traffic's receiver.
-    pub rx_cross: NodeId,
-    /// The parameters this network was built from.
-    pub params: ModelParams,
-}
-
-/// Fixed node ids of the Figure-2 topology. `build_model` adds its nodes
-/// in one fixed order, so every Figure-2 network — every hypothesis in
-/// every prior — shares these ids. Callers that need a node id before any
-/// network exists (the runner's belief wiring, the prior's loss fold) use
-/// these instead of building a probe network.
+/// Node ids of the Figure-2 topology. `build_model` adds its nodes in one
+/// fixed order, so every Figure-2 network — the ground truth and every
+/// hypothesis in every prior — shares these ids, and these constants are
+/// the only names for them. This one is the cross-traffic source.
 pub const FIG2_PINGER: NodeId = NodeId(0);
 /// The gate in front of the cross traffic.
 pub const FIG2_GATE: NodeId = NodeId(1);
-/// The shared tail-drop buffer — also the ISender's injection point.
-pub const FIG2_BUFFER: NodeId = NodeId(2);
-/// Alias for [`FIG2_BUFFER`]: where the ISender injects.
-pub const FIG2_ENTRY: NodeId = FIG2_BUFFER;
+/// The shared tail-drop buffer, where the ISender injects.
+pub const FIG2_ENTRY: NodeId = NodeId(2);
 /// The bottleneck link.
 pub const FIG2_LINK: NodeId = NodeId(3);
 /// The last-mile stochastic loss element.
@@ -180,8 +154,9 @@ pub const FIG2_RX_SELF: NodeId = NodeId(6);
 /// The cross traffic's receiver.
 pub const FIG2_RX_CROSS: NodeId = NodeId(7);
 
-/// Build the Figure-2 topology from parameters.
-pub fn build_model(params: ModelParams) -> ModelNet {
+/// Build the Figure-2 topology from parameters; its nodes are the `FIG2_*`
+/// ids.
+pub fn build_model(params: ModelParams) -> Network {
     let mut b = NetworkBuilder::new();
     let start_at = if params.cross_active {
         Time::ZERO
@@ -214,18 +189,7 @@ pub fn build_model(params: ModelParams) -> ModelNet {
         b.prefill(buffer, params.initial_fullness, params.packet_size);
     }
 
-    ModelNet {
-        net: b.build(),
-        entry: buffer,
-        pinger,
-        gate,
-        buffer,
-        link,
-        loss,
-        rx_self,
-        rx_cross,
-        params,
-    }
+    b.build()
 }
 
 #[cfg(test)]
@@ -235,22 +199,29 @@ mod tests {
 
     #[test]
     fn paper_ground_truth_builds() {
-        let m = build_model(ModelParams::paper_ground_truth());
-        assert_eq!(m.net.node_count(), 8);
-        assert_eq!(m.net.buffer_params(m.buffer).capacity, Bits::new(96_000));
+        let net = build_model(ModelParams::paper_ground_truth());
+        assert_eq!(net.node_count(), 8);
+        assert_eq!(net.buffer_params(FIG2_ENTRY).capacity, Bits::new(96_000));
     }
 
     #[test]
     fn node_ids_match_the_fig2_constants() {
-        let m = build_model(ModelParams::paper_ground_truth());
-        assert_eq!(m.pinger, FIG2_PINGER);
-        assert_eq!(m.gate, FIG2_GATE);
-        assert_eq!(m.buffer, FIG2_BUFFER);
-        assert_eq!(m.entry, FIG2_ENTRY);
-        assert_eq!(m.link, FIG2_LINK);
-        assert_eq!(m.loss, FIG2_LOSS);
-        assert_eq!(m.rx_self, FIG2_RX_SELF);
-        assert_eq!(m.rx_cross, FIG2_RX_CROSS);
+        let net = build_model(ModelParams::paper_ground_truth());
+        let kind = |id: NodeId| net.structure().nodes[id.0].element.kind_name();
+        let layout = [
+            (FIG2_PINGER, "Pinger"),
+            (FIG2_GATE, "Gate"),
+            (FIG2_ENTRY, "Buffer"),
+            (FIG2_LINK, "Link"),
+            (FIG2_LOSS, "Loss"),
+            (FIG2_DIVERTER, "Diverter"),
+            (FIG2_RX_SELF, "Receiver"),
+            (FIG2_RX_CROSS, "Receiver"),
+        ];
+        assert_eq!(net.node_count(), layout.len());
+        for (id, want) in layout {
+            assert_eq!(kind(id), want, "{id}");
+        }
     }
 
     #[test]
@@ -258,16 +229,16 @@ mod tests {
         let mut params = ModelParams::paper_ground_truth();
         params.loss = Ppm::ZERO;
         params.cross_active = false;
-        let mut m = build_model(params);
-        m.net.inject(
-            m.entry,
+        let mut net = build_model(params);
+        net.inject(
+            FIG2_ENTRY,
             Packet::new(FlowId::SELF, 0, Bits::from_bytes(1_500), Time::ZERO),
         );
         let mut rng = SimRng::seed_from_u64(1);
-        m.net.run_until_sampled(Time::from_secs(5), &mut rng);
-        let d = m.net.take_deliveries();
+        net.run_until_sampled(Time::from_secs(5), &mut rng);
+        let d = net.take_deliveries();
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].0, m.rx_self);
+        assert_eq!(d[0].0, FIG2_RX_SELF);
         assert_eq!(d[0].1.at, Time::from_secs(1));
     }
 
@@ -278,14 +249,13 @@ mod tests {
         let mut params = ModelParams::paper_ground_truth();
         params.loss = Ppm::ZERO;
         params.gate = GateSpec::AlwaysOn;
-        let mut m = build_model(params);
+        let mut net = build_model(params);
         let mut rng = SimRng::seed_from_u64(2);
-        m.net.run_until_sampled(Time::from_secs(100), &mut rng);
-        let bits: u64 = m
-            .net
+        net.run_until_sampled(Time::from_secs(100), &mut rng);
+        let bits: u64 = net
             .take_deliveries()
             .iter()
-            .filter(|(n, _)| *n == m.rx_cross)
+            .filter(|(n, _)| *n == FIG2_RX_CROSS)
             .map(|(_, d)| d.packet.size.as_u64())
             .sum();
         assert!(
@@ -298,17 +268,15 @@ mod tests {
     fn loss_rate_measured_end_to_end() {
         let mut params = ModelParams::paper_ground_truth();
         params.gate = GateSpec::AlwaysOn;
-        let mut m = build_model(params);
+        let mut net = build_model(params);
         let mut rng = SimRng::seed_from_u64(3);
-        m.net.run_until_sampled(Time::from_secs(3_000), &mut rng);
-        let delivered = m
-            .net
+        net.run_until_sampled(Time::from_secs(3_000), &mut rng);
+        let delivered = net
             .take_deliveries()
             .iter()
-            .filter(|(n, _)| *n == m.rx_cross)
+            .filter(|(n, _)| *n == FIG2_RX_CROSS)
             .count();
-        let dropped = m
-            .net
+        let dropped = net
             .take_drops()
             .iter()
             .filter(|d| d.reason == crate::network::DropReason::Stochastic)
@@ -325,12 +293,12 @@ mod tests {
     fn square_wave_gate_stops_cross_traffic_in_second_phase() {
         let mut params = ModelParams::paper_ground_truth();
         params.loss = Ppm::ZERO;
-        let mut m = build_model(params);
+        let mut net = build_model(params);
         let mut rng = SimRng::seed_from_u64(4);
-        m.net.run_until_sampled(Time::from_secs(100), &mut rng);
-        let on_phase = m.net.take_deliveries().len();
-        m.net.run_until_sampled(Time::from_secs(200), &mut rng);
-        let off_phase = m.net.take_deliveries().len();
+        net.run_until_sampled(Time::from_secs(100), &mut rng);
+        let on_phase = net.take_deliveries().len();
+        net.run_until_sampled(Time::from_secs(200), &mut rng);
+        let off_phase = net.take_deliveries().len();
         assert!(on_phase > 50, "on phase delivered {on_phase}");
         // Queue drains a couple of packets after the gate closes.
         assert!(off_phase <= 2, "off phase delivered {off_phase}");
@@ -342,15 +310,15 @@ mod tests {
         params.loss = Ppm::ZERO;
         params.cross_active = false;
         params.initial_fullness = Bits::new(24_000); // 2 packets = 2 s
-        let mut m = build_model(params);
-        m.net.inject(
-            m.entry,
+        let mut net = build_model(params);
+        net.inject(
+            FIG2_ENTRY,
             Packet::new(FlowId::SELF, 0, Bits::from_bytes(1_500), Time::ZERO),
         );
         let mut rng = SimRng::seed_from_u64(5);
-        m.net.run_until_sampled(Time::from_secs(10), &mut rng);
-        let d = m.net.take_deliveries();
-        let ours: Vec<_> = d.iter().filter(|(n, _)| *n == m.rx_self).collect();
+        net.run_until_sampled(Time::from_secs(10), &mut rng);
+        let d = net.take_deliveries();
+        let ours: Vec<_> = d.iter().filter(|(n, _)| *n == FIG2_RX_SELF).collect();
         assert_eq!(ours.len(), 1);
         assert_eq!(ours[0].1.at, Time::from_secs(3));
     }
@@ -368,14 +336,14 @@ mod tests {
         assert!(p.cross_active, "with_cross_rate enables the source");
         assert_eq!(p.loss, Ppm::from_prob(0.1));
         // And the result builds a runnable network.
-        let m = build_model(p);
-        assert_eq!(m.net.node_count(), 8);
+        let net = build_model(p);
+        assert_eq!(net.node_count(), 8);
     }
 
     #[test]
     fn identical_params_build_identical_networks() {
         let a = build_model(ModelParams::paper_ground_truth());
         let b = build_model(ModelParams::paper_ground_truth());
-        assert_eq!(a.net, b.net);
+        assert_eq!(a, b);
     }
 }

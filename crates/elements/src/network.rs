@@ -2082,8 +2082,8 @@ mod tests {
             Element::Receiver(ReceiverEl),
         ]);
         let builds = [
-            (model(intermittent, 0.2, true).net, crate::FIG2_ENTRY),
-            (model(square, 0.0, true).net, crate::FIG2_ENTRY),
+            (model(intermittent, 0.2, true), crate::FIG2_ENTRY),
+            (model(square, 0.0, true), crate::FIG2_ENTRY),
             (b.build(), aqm),
         ];
         for (build, entry) in &builds {

@@ -723,7 +723,7 @@ mod tests {
     /// A Figure-2 hypothesis whose meta is its parameters and a twin tag.
     fn hyp(params: ModelParams, twin: u32, weight: f64) -> Hypothesis<(ModelParams, u32)> {
         Hypothesis {
-            net: build_model(params).net,
+            net: build_model(params),
             meta: (params, twin),
             weight,
         }
@@ -900,7 +900,7 @@ mod tests {
                 .map(|h| h.meta.0)
                 .find(|p| !p.loss.is_zero() && !p.loss.is_one())
                 .unwrap_or(prior[0].meta.0);
-            let mut truth = build_model(truth_params).net;
+            let mut truth = build_model(truth_params);
             let mut belief = seated(prior.clone(), fold, fold_self_loss);
             let cfg = belief.config().clone();
             let mut reference = reference::Belief::new(prior, FIG2_ENTRY, FIG2_RX_SELF, fold, cfg);

@@ -553,7 +553,7 @@ pub(crate) mod tests {
                     params.loss = [0, 50_000, 200_000, 1_000_000].map(Ppm::new)
                         [rng.uniform_u64(0, 3) as usize];
                     Hypothesis {
-                        net: build_model(params).net,
+                        net: build_model(params),
                         meta: rng.uniform_u64(0, 2) as u32,
                         weight: rng.uniform_f64(),
                     }

@@ -163,7 +163,7 @@ pub fn uniform_hypotheses(
     augur_sim::perf::count_network_build();
     let w = 1.0 / grid.len() as f64;
     sharing_structures(grid.into_iter().map(move |params| Hypothesis {
-        net: build_model(params).net,
+        net: build_model(params),
         meta: params,
         weight: w,
     }))

@@ -135,7 +135,7 @@ fn check_run(prior: &ModelPrior, rng: &mut SimRng) -> bool {
     assert!(n <= 16, "brute force is for tiny priors");
     let hypotheses = prior.hypotheses();
 
-    let mut truth = build_model(grid[rng.uniform_u64(0, n as u64 - 1) as usize]).net;
+    let mut truth = build_model(grid[rng.uniform_u64(0, n as u64 - 1) as usize]);
     let t_end_s = rng.uniform_u64(6, 8);
     let sends: Vec<bool> = (0..t_end_s).map(|_| rng.uniform_u64(0, 1) == 1).collect();
     let filter_seed = rng.uniform_u64(0, u64::MAX);
@@ -169,7 +169,7 @@ fn check_run(prior: &ModelPrior, rng: &mut SimRng) -> bool {
             hypothesis,
             prob: 1.0,
             acked: Vec::new(),
-            net: build_model(params).net,
+            net: build_model(params),
         })
         .collect();
     let mut seen: Vec<Observation> = Vec::new();

@@ -58,7 +58,7 @@ fn allocations_of_one_compact(n: usize) -> u64 {
         .map(|i| {
             let params = grid[i % grid.len()];
             Hypothesis {
-                net: build_model(params).net,
+                net: build_model(params),
                 meta: (params, i % (n / 2)),
                 weight: [0.5, 0.25, 0.125][i % 3],
             }

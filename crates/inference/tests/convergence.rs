@@ -12,7 +12,7 @@
 //! as explicit forking.
 
 use augur_elements::{
-    build_model, GateSpec, ModelNet, ModelParams, Step, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
+    build_model, GateSpec, ModelParams, Network, Step, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
 };
 use augur_inference::{
     Belief, BeliefConfig, BeliefError, Engine, Hypothesis, ModelPrior, Observation, ParticleFilter,
@@ -27,7 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// c = 12,000 bps, r = 0.7c, p as given, buffer 96,000 bits, empty, cross
 /// traffic always on (mtts 100 s means switching is unlikely in a short
 /// window, and the true gate here genuinely is intermittent-but-idle).
-fn ground_truth(loss: f64) -> ModelNet {
+fn ground_truth(loss: f64) -> Network {
     build_model(ModelParams {
         link_rate: BitRate::from_bps(12_000),
         cross_rate: BitRate::from_bps(8_400),
@@ -48,7 +48,7 @@ fn ground_truth(loss: f64) -> ModelNet {
 /// `t_end`; deliver each window's ACKs to `update`, a callback receiving
 /// `(window_end, acks)`.
 fn drive<F: FnMut(Time, &[Observation])>(
-    truth: &mut ModelNet,
+    truth: &mut Network,
     rng: &mut SimRng,
     send_every: u64,
     t_end_s: u64,
@@ -58,26 +58,25 @@ fn drive<F: FnMut(Time, &[Observation])>(
     // Wake once per second; send on multiples of send_every.
     for s in 0..=t_end_s {
         let t = Time::from_secs(s);
-        truth.net.run_until_sampled(t, rng);
+        truth.run_until_sampled(t, rng);
         let acks: Vec<Observation> = truth
-            .net
             .take_deliveries()
             .into_iter()
-            .filter(|(n, d)| *n == truth.rx_self && d.packet.flow == FlowId::SELF)
+            .filter(|(n, d)| *n == FIG2_RX_SELF && d.packet.flow == FlowId::SELF)
             .map(|(_, d)| Observation {
                 seq: d.packet.seq,
                 at: d.at,
             })
             .collect();
-        truth.net.take_drops();
+        truth.take_drops();
         update(t, &acks);
         if s % send_every == 0 && s < t_end_s {
             let pkt = Packet::new(FlowId::SELF, seq, Bits::from_bytes(1_500), t);
             seq += 1;
-            truth.net.inject(truth.entry, pkt);
-            while let Step::Pending(spec) = truth.net.run_until(t) {
+            truth.inject(FIG2_ENTRY, pkt);
+            while let Step::Pending(spec) = truth.run_until(t) {
                 let pick = usize::from(rng.bernoulli(spec.p1));
-                truth.net.resolve(pick);
+                truth.resolve(pick);
             }
         }
     }
@@ -169,20 +168,10 @@ fn particle_filter_tracks_the_same_truth() {
     let mut rng = SimRng::seed_from_u64(5);
     let prior = ModelPrior::small();
     let hyps = prior.hypotheses();
-    let probe = build_model(ModelParams {
-        link_rate: BitRate::from_bps(12_000),
-        cross_rate: BitRate::from_bps(8_400),
-        gate: GateSpec::AlwaysOn,
-        loss: Ppm::ZERO,
-        buffer_capacity: Bits::new(96_000),
-        initial_fullness: Bits::ZERO,
-        packet_size: Bits::from_bytes(1_500),
-        cross_active: true,
-    });
     let mut pf = ParticleFilter::from_population(
-        &Population::new(hyps, Some(probe.loss)),
-        probe.entry,
-        probe.rx_self,
+        &Population::new(hyps, Some(FIG2_LOSS)),
+        FIG2_ENTRY,
+        FIG2_RX_SELF,
         400,
         99,
     );
@@ -330,7 +319,7 @@ fn for_each_case(base_seed: u64, check: impl Fn(&mut SimRng)) {
 
 /// A ground truth inside the small prior's support with everything but
 /// the loss rate fixed: 0 or 20 %.
-fn lossy_or_clean_truth(rng: &mut SimRng) -> ModelNet {
+fn lossy_or_clean_truth(rng: &mut SimRng) -> Network {
     ground_truth(if rng.uniform_u64(0, 1) == 1 { 0.2 } else { 0.0 })
 }
 
@@ -342,7 +331,7 @@ fn lossy_or_clean_truth(rng: &mut SimRng) -> ModelNet {
 /// and its error returned.
 fn generated_run<E: Engine<Meta = ModelParams>>(
     rng: &mut SimRng,
-    mut truth: ModelNet,
+    mut truth: Network,
     engine: &mut E,
     mut after: impl FnMut(&E, Time),
 ) -> Result<(), BeliefError> {
@@ -399,11 +388,10 @@ fn fold_and_fork_agree_on_the_posterior() {
     // loss decisions are the same Bayesian update: same marginal, more
     // branches.
     let posterior = |rng: &mut SimRng, fold_self_loss: bool| {
-        let probe = ground_truth(0.0);
         let mut belief = Belief::from_population(
-            Population::new(ModelPrior::small().hypotheses(), Some(probe.loss)),
-            probe.entry,
-            probe.rx_self,
+            Population::new(ModelPrior::small().hypotheses(), Some(FIG2_LOSS)),
+            FIG2_ENTRY,
+            FIG2_RX_SELF,
             BeliefConfig {
                 fold_self_loss,
                 ..BeliefConfig::default()
@@ -490,7 +478,7 @@ fn a_truth_drawn_from_the_prior_survives_in_both_engines() {
 
 #[test]
 fn prune_keeps_the_heaviest_and_normalize_restores_a_distribution() {
-    let net = ground_truth(0.0).net;
+    let net = ground_truth(0.0);
     for_each_case(0x9121, |rng| {
         let weights: Vec<f64> = (0..rng.uniform_u64(2, 49))
             .map(|_| 1e-12 + rng.uniform_f64() * (1.0 - 1e-12))

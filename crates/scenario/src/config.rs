@@ -725,9 +725,9 @@ fn read_u32(v: &Value, what: &str) -> Result<u32, ConfigError> {
     read_int(v, what, "u32")
 }
 
-/// A population size (branch cap, particle count, prior size): zero
-/// decodes but leaves the belief engine nothing to normalize, so it
-/// panics mid-run.
+/// A population size (branch cap, particle count, prior size) or a TCP
+/// window cap: a zero population leaves the belief engine nothing to
+/// normalize, so it panics mid-run, and a zero window never sends.
 fn read_count(v: &Value, what: &str) -> Result<usize, ConfigError> {
     match read_u64(v, what)? {
         0 => v.bad(format!("`{what}` must be at least 1, got 0")),
@@ -1162,11 +1162,11 @@ fn decode_sender(v: &Value, what: &str) -> Result<SenderSpec, ConfigError> {
                 })
             }),
             ("tcp-reno", &|d| {
-                let max_window = d.field("max_window", read_u64)?;
+                let max_window = d.field("max_window", read_count)? as u64;
                 Ok(SenderSpec::TcpReno { max_window })
             }),
             ("tcp-cubic", &|d| {
-                let max_window = d.field("max_window", read_u64)?;
+                let max_window = d.field("max_window", read_count)? as u64;
                 Ok(SenderSpec::TcpCubic { max_window })
             }),
         ],
@@ -1182,15 +1182,15 @@ fn decode_peer(v: &Value, what: &str) -> Result<PeerSpec, ConfigError> {
                 Ok(PeerSpec::Isender { alpha })
             }),
             ("aimd", &|d| {
-                let timeout = d.field("timeout_s", read_seconds)?;
+                let timeout = d.field("timeout_s", read_positive_seconds)?;
                 Ok(PeerSpec::Aimd { timeout })
             }),
             ("tcp-reno", &|d| {
-                let max_window = d.field("max_window", read_u64)?;
+                let max_window = d.field("max_window", read_count)? as u64;
                 Ok(PeerSpec::TcpReno { max_window })
             }),
             ("tcp-cubic", &|d| {
-                let max_window = d.field("max_window", read_u64)?;
+                let max_window = d.field("max_window", read_count)? as u64;
                 Ok(PeerSpec::TcpCubic { max_window })
             }),
         ],
@@ -1539,6 +1539,39 @@ mod tests {
         assert_eq!(e.message, "`max_branches` must be at least 1, got 0");
         let line = toml.lines().position(|l| l == "max_branches = 0").unwrap();
         assert_eq!((e.line as usize, e.col), (line + 1, 16));
+    }
+
+    #[test]
+    fn zero_tcp_window_and_aimd_timeout_are_rejected_at_decode_time() {
+        // A window as the closed-loop sender and as a many-flows mix
+        // entry, and an AIMD peer's timeout.
+        let window = "`max_window` must be at least 1, got 0";
+        for (name, from, to, message) in [
+            ("fig1", "max_window = 1000", "max_window = 0", window),
+            (
+                "ext-scaling-flows",
+                "reno\", max_window = 64",
+                "reno\", max_window = 0",
+                window,
+            ),
+            (
+                "ext-scaling-flows",
+                "timeout_s = 8.0",
+                "timeout_s = 0.0",
+                "`timeout_s` must be positive",
+            ),
+        ] {
+            let toml = shipped(name).replacen(from, to, 1);
+            let e = parse_grid(&toml).unwrap_err();
+            assert_eq!(e.message, message);
+            let (line, text) = toml
+                .lines()
+                .enumerate()
+                .find(|(_, l)| l.contains(to))
+                .unwrap();
+            let col = text.find(to).unwrap() + to.rfind(' ').unwrap() + 2;
+            assert_eq!((e.line as usize, e.col as usize), (line + 1, col), "{to}");
+        }
     }
 
     #[test]

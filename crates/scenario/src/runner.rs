@@ -34,8 +34,8 @@ use crate::report::{RunStatus, RunSummary, SweepReport};
 use crate::spec::{PeerSpec, PriorSpec, ScenarioSpec, SenderSpec, TopologySpec, WorkloadSpec};
 use augur_core::{
     build_many_flow_bottleneck, coexist_belief, jain_index, AimdSender, DiscountedThroughput,
-    DriverError, FlowDriver, FlowEndpoint, GroundTruth, ISender, ISenderConfig, MultiFlowTruth,
-    ParticleSender, RestartingSender, RunTrace, SenderAgent, WakeOutcome,
+    DriverError, FlowDriver, GroundTruth, ISender, ISenderConfig, MultiFlowTruth, ParticleSender,
+    RestartingSender, RunTrace, SenderAgent, WakeOutcome,
 };
 use augur_elements::{
     build_cellular_with_buffer, DropReason, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
@@ -404,11 +404,10 @@ fn blank_summary(run: &RunSpec) -> RunSummary {
 /// read the belief itself (the TAB1 and TXT1 paper-shape tests check the
 /// posterior) can drive the exact network a sweep run would use.
 pub fn spec_ground_truth(spec: &ScenarioSpec, seed: u64) -> GroundTruth {
-    let m = spec.build_truth();
     GroundTruth {
-        net: m.net,
-        entry: m.entry,
-        rx_self: m.rx_self,
+        net: spec.build_truth(),
+        entry: FIG2_ENTRY,
+        rx_self: FIG2_RX_SELF,
         rng: SimRng::derive(seed, STREAM_TRUTH),
     }
 }
@@ -621,15 +620,12 @@ fn lower(run: &RunSpec, priors: &PriorCache) -> (Truth, Vec<Agent>, Time) {
                 TopologySpec::Graph(g) => {
                     let compiled = augur_topo::compile(g)
                         .unwrap_or_else(|e| panic!("invalid graph topology: {e}"));
-                    let table = compiled
-                        .entries
-                        .iter()
-                        .zip(&compiled.rxs)
-                        .map(|(&entry, &rx)| FlowEndpoint { entry, rx })
-                        .collect();
-                    let truth =
-                        MultiFlowTruth::new(compiled.net, table, SimRng::seed_from_u64(truth_seed))
-                            .unwrap_or_else(|e| panic!("invalid graph flow table: {e}"));
+                    let truth = MultiFlowTruth::new(
+                        compiled.net,
+                        compiled.entries,
+                        SimRng::seed_from_u64(truth_seed),
+                    )
+                    .unwrap_or_else(|e| panic!("invalid graph flow table: {e}"));
                     let bottlenecks = compiled
                         .bottlenecks
                         .iter()
@@ -856,8 +852,7 @@ fn closed_loop_tcp(run: &RunSpec) -> (RunSummary, TcpTrace) {
     let seed = SimRng::derive_seed(run.seed, STREAM_TRUTH);
     let trace = match &spec.topology {
         TopologySpec::Model(_) => {
-            let m = spec.build_truth();
-            TcpRunner::new(m.net, m.entry, m.rx_self, cfg, seed, cc).run(t_end)
+            TcpRunner::new(spec.build_truth(), FIG2_ENTRY, FIG2_RX_SELF, cfg, seed, cc).run(t_end)
         }
         TopologySpec::Cellular { params, queue } => {
             // The shared cellular path, with the deep buffer's queue

@@ -6,7 +6,7 @@
 //! paper's experiment binaries used to hand-wire becomes data that the
 //! sweep runner can expand, parallelize, and reproduce.
 
-use augur_elements::{build_model, CellularParams, ModelNet, ModelParams};
+use augur_elements::{build_model, CellularParams, ModelParams, Network};
 use augur_inference::prior::uniform_hypotheses;
 use augur_inference::{Hypothesis, ModelPrior};
 use augur_sim::{BitRate, Bits, Dur};
@@ -396,12 +396,12 @@ impl ScenarioSpec {
     }
 
     /// The ground-truth network this scenario runs against, for
-    /// model-family topologies.
+    /// model-family topologies; its nodes are the `FIG2_*` ids.
     ///
     /// # Panics
     /// Panics for cellular and graph topologies, which are built by the
     /// runner's TCP-over-cellular and compiled-graph paths instead.
-    pub fn build_truth(&self) -> ModelNet {
+    pub fn build_truth(&self) -> Network {
         build_model(*self.topology.model("build_truth"))
     }
 

@@ -29,8 +29,9 @@ enum Check {
 /// `(where checked, sweep arguments, CSV digest, event-log digest)`. Every
 /// preset at shipped size, in `presets::NAMES` order; the run where the
 /// restarting senders' memos grow largest; the traced runs of the
-/// multi-agent loop, both ISenders, the TCP and scripted-ping runners and
-/// the paper prior.
+/// multi-agent loop, both ISenders, the TCP and scripted-ping runners, the
+/// paper prior and both compiled graph topologies (their node numbering and
+/// per-flow deliveries).
 #[rustfmt::skip]
 const TABLE: &[(Check, &str, u64, Option<u64>)] = &[
     (Always, "fig1", 0xBD03_E690_B795_8896, None),
@@ -56,6 +57,10 @@ const TABLE: &[(Check, &str, u64, Option<u64>)] = &[
     (Always, "scaling --duration 10 --trace-events", 0xA2FA_A72A_A1DF_C5CC, Some(0x99FC_1947_36CB_04BF)),
     (Release, "fig3 --duration 30 --branches 2000 --trace-events --belief-snapshots 5",
         0x67BC_B96A_927D_F52E, Some(0x0EB0_E6A9_BCF8_7538)),
+    (Always, "dumbbell-cross --duration 30 --trace-events",
+        0xA4E6_F3C3_D57C_D36E, Some(0x7CBA_8536_2387_7FDB)),
+    (Always, "parking-lot --duration 30 --trace-events",
+        0xC3D9_C6BB_1A71_03A2, Some(0x3FAF_590C_F235_8C77)),
 ];
 
 /// The digests of what `runner` writes for `grid`: its CSV, and its event

@@ -35,8 +35,8 @@ use common::{grid_of, scaling_grid};
 /// from the small prior's first grid point, with the sink armed for events
 /// and snapshots. Returns the log and the number of packets sent.
 fn hand_driven_log(mut agent: impl SenderAgent) -> (Vec<EventRecord>, usize) {
-    let m = build_model(ModelPrior::small().grid()[0]);
-    let (mut net, entry, rx) = (m.net, m.entry, m.rx_self);
+    let mut net = build_model(ModelPrior::small().grid()[0]);
+    let (entry, rx) = (FIG2_ENTRY, FIG2_RX_SELF);
     let mut rng = SimRng::seed_from_u64(7);
     augur_obs::start_run(ObsConfig {
         trace_events: true,

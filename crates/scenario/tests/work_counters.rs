@@ -75,7 +75,7 @@ fn rate_integrations_count_service_end_calls_and_never_rate_at() {
 #[test]
 fn network_clone_copies_state_and_builds_no_structure() {
     const N: u64 = 256;
-    let (build, proto) = work_of(|| build_model(ModelParams::paper_ground_truth()).net);
+    let (build, proto) = work_of(|| build_model(ModelParams::paper_ground_truth()));
     assert_eq!(
         build,
         WorkCounters {

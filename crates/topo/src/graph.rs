@@ -536,22 +536,25 @@ pub struct CompiledTopo {
 /// lowering; errors are exactly [`resolve_routes`]'s.
 pub fn compile(topo: &GraphTopology) -> Result<CompiledTopo, TopoError> {
     let routes = resolve_routes(topo)?;
-    let nl = topo.links.len();
-    // Flows through each link, in flow order.
-    let mut flows_on: Vec<Vec<usize>> = vec![Vec::new(); nl];
+    // Walk each route once: `hops[l]` lists, in flow order, every flow on
+    // link `l` with the link it takes next (`None`: its receiver).
+    let mut hops: Vec<Vec<(usize, Option<usize>)>> = vec![Vec::new(); topo.links.len()];
     for (fi, route) in routes.iter().enumerate() {
-        for &l in route {
-            flows_on[l].push(fi);
+        for (k, &l) in route.iter().enumerate() {
+            hops[l].push((fi, route.get(k + 1).copied()));
         }
     }
 
     let mut b = NetworkBuilder::new();
-    // (ingress buffer, egress tail) per used link, declaration order.
-    let mut pipes: Vec<Option<(NodeId, NodeId)>> = vec![None; nl];
-    for (l, spec) in topo.links.iter().enumerate() {
-        if flows_on[l].is_empty() {
-            continue; // declared but routed around: build nothing
-        }
+    // (ingress buffer, egress tail) per used link, declaration order; a
+    // link declared but routed around builds nothing.
+    let mut pipes: BTreeMap<usize, (NodeId, NodeId)> = BTreeMap::new();
+    for (l, spec) in topo
+        .links
+        .iter()
+        .enumerate()
+        .filter(|&(l, _)| !hops[l].is_empty())
+    {
         let buf = b.add(Element::Buffer(spec.queue.build(spec.buffer)));
         let link = b.add(Element::Link(Link::constant(spec.rate)));
         b.connect(buf, link);
@@ -562,7 +565,7 @@ pub fn compile(topo: &GraphTopology) -> Result<CompiledTopo, TopoError> {
         } else {
             link
         };
-        pipes[l] = Some((buf, tail));
+        pipes.insert(l, (buf, tail));
     }
     let rxs: Vec<NodeId> = topo
         .flows
@@ -570,55 +573,27 @@ pub fn compile(topo: &GraphTopology) -> Result<CompiledTopo, TopoError> {
         .map(|_| b.add(Element::Receiver(ReceiverEl)))
         .collect();
 
-    // Where flow `fi` goes after link `l`: the next link's buffer, or its
-    // receiver when `l` is the route's last hop.
-    #[expect(clippy::expect_used, reason = "P020: l is on the route; pipe built")]
-    let target = |fi: usize, l: usize, pipes: &[Option<(NodeId, NodeId)>]| -> NodeId {
-        let route = &routes[fi];
-        let pos = route
-            .iter()
-            .position(|&x| x == l)
-            .expect("flow is on this link");
-        match route.get(pos + 1) {
-            Some(&next) => pipes[next].expect("links on routes are built").0,
-            None => rxs[fi],
-        }
-    };
-    for l in 0..nl {
-        let on = &flows_on[l];
-        let Some((_, tail)) = pipes[l] else { continue };
-        if let [only] = on[..] {
-            b.connect(tail, target(only, l, &pipes));
+    let target = |(fi, next): (usize, Option<usize>)| next.map_or(rxs[fi], |n| pipes[&n].0);
+    for (&l, &(_, tail)) in &pipes {
+        // diverter(f).next → f's next hop; its alt continues the chain,
+        // with the last alt edge going straight to the final flow's next
+        // hop. A link one flow uses wires its tail there directly.
+        let Some((&last, diverted)) = hops[l].split_last() else {
             continue;
-        }
-        // diverter(f).next → f's target; its alt continues the chain,
-        // with the last alt edge going straight to the final flow's
-        // target.
+        };
         let mut upstream = tail;
-        for (j, &fi) in on.iter().take(on.len() - 1).enumerate() {
+        for &hop in diverted {
             let div = b.add(Element::Diverter(Diverter {
-                flow: FlowId(fi as u16),
+                flow: FlowId(hop.0 as u16),
             }));
-            if j == 0 {
-                b.connect(upstream, div);
-            } else {
-                b.connect_alt(upstream, div);
-            }
-            b.connect(div, target(fi, l, &pipes));
+            wire(&mut b, tail, upstream, div);
+            b.connect(div, target(hop));
             upstream = div;
         }
-        #[expect(clippy::expect_used, reason = "P020: a chain has >= 2 flows")]
-        b.connect_alt(
-            upstream,
-            target(*on.last().expect("chain is non-empty"), l, &pipes),
-        );
+        wire(&mut b, tail, upstream, target(last));
     }
 
-    #[expect(clippy::expect_used, reason = "P020: route[0]'s pipe was built")]
-    let entries = routes
-        .iter()
-        .map(|route| pipes[route[0]].expect("first links are built").0)
-        .collect();
+    let entries = routes.iter().map(|route| pipes[&route[0]].0).collect();
     let bottlenecks = routes
         .iter()
         .map(|route| {
@@ -638,6 +613,17 @@ pub fn compile(topo: &GraphTopology) -> Result<CompiledTopo, TopoError> {
         routes,
         bottlenecks,
     })
+}
+
+/// Connect `from → to` on a link's diverter chain: the link's own tail
+/// feeds the chain's head, every diverter passes non-matching flows on
+/// through its alt edge.
+fn wire(b: &mut NetworkBuilder, tail: NodeId, from: NodeId, to: NodeId) {
+    if from == tail {
+        b.connect(from, to);
+    } else {
+        b.connect_alt(from, to);
+    }
 }
 
 #[cfg(test)]

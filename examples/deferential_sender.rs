@@ -10,11 +10,10 @@
 use augur::prelude::*;
 
 fn run(alpha: f64) -> (f64, usize) {
-    let m = build_model(ModelParams::paper_ground_truth());
     let mut truth = GroundTruth {
-        net: m.net,
-        entry: m.entry,
-        rx_self: m.rx_self,
+        net: build_model(ModelParams::paper_ground_truth()),
+        entry: FIG2_ENTRY,
+        rx_self: FIG2_RX_SELF,
         rng: SimRng::seed_from_u64(7),
     };
     let belief = ModelPrior::paper().belief(BeliefConfig::default());

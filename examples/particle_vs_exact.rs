@@ -8,6 +8,7 @@
 //! cargo run --release --example particle_vs_exact
 //! ```
 
+use augur::elements::FIG2_LOSS;
 use augur::prelude::*;
 
 fn main() {
@@ -34,37 +35,34 @@ fn main() {
                 cross_active: true,
             };
             Hypothesis {
-                net: build_model(p).net,
+                net: build_model(p),
                 meta: p,
                 weight: 1.0,
             }
         })
         .collect();
-    let probe = build_model(truth_params);
-
     // Seated once for the last-mile loss fold, which both engines take
     // from it.
-    let prior = Population::new(hypotheses, Some(probe.loss));
-    let mut particle = ParticleFilter::from_population(&prior, probe.entry, probe.rx_self, 200, 99);
+    let prior = Population::new(hypotheses, Some(FIG2_LOSS));
+    let mut particle = ParticleFilter::from_population(&prior, FIG2_ENTRY, FIG2_RX_SELF, 200, 99);
     let mut exact =
-        Belief::from_population(prior, probe.entry, probe.rx_self, BeliefConfig::default());
+        Belief::from_population(prior, FIG2_ENTRY, FIG2_RX_SELF, BeliefConfig::default());
 
     // Scripted sender: one packet every 2 s; both engines see the ACKs.
     let mut seq = 0u64;
     for s in 0..=20u64 {
         let t = Time::from_secs(s);
-        truth.net.run_until_sampled(t, &mut rng);
+        truth.run_until_sampled(t, &mut rng);
         let acks: Vec<Observation> = truth
-            .net
             .take_deliveries()
             .into_iter()
-            .filter(|(n, d)| *n == truth.rx_self && d.packet.flow == FlowId::SELF)
+            .filter(|(n, d)| *n == FIG2_RX_SELF && d.packet.flow == FlowId::SELF)
             .map(|(_, d)| Observation {
                 seq: d.packet.seq,
                 at: d.at,
             })
             .collect();
-        truth.net.take_drops();
+        truth.take_drops();
         exact.advance(t, &acks).expect("exact belief died");
         particle.advance(t, &acks).expect("particles died");
         if s % 2 == 0 && s < 20 {
@@ -72,10 +70,10 @@ fn main() {
             seq += 1;
             exact.inject(pkt);
             particle.inject(pkt);
-            truth.net.inject(truth.entry, pkt);
-            while let Step::Pending(spec) = truth.net.run_until(t) {
+            truth.inject(FIG2_ENTRY, pkt);
+            while let Step::Pending(spec) = truth.run_until(t) {
                 let pick = usize::from(rng.bernoulli(spec.p1));
-                truth.net.resolve(pick);
+                truth.resolve(pick);
             }
         }
         let e = exact.expected(|h| h.meta.link_rate.as_bps() as f64);

@@ -12,11 +12,10 @@ fn main() {
     // parameters — a 12 kbit/s link, 96 kbit tail-drop buffer, 20 %
     // last-mile loss, and cross traffic at 0.7c behind a 100 s square
     // wave.
-    let m = build_model(ModelParams::paper_ground_truth());
     let mut truth = GroundTruth {
-        net: m.net,
-        entry: m.entry,
-        rx_self: m.rx_self,
+        net: build_model(ModelParams::paper_ground_truth()),
+        entry: FIG2_ENTRY,
+        rx_self: FIG2_RX_SELF,
         rng: SimRng::seed_from_u64(42),
     };
 

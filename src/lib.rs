@@ -40,11 +40,10 @@
 //! use augur::prelude::*;
 //!
 //! // The paper's Figure-2 network with its "actual" parameters...
-//! let m = build_model(ModelParams::paper_ground_truth());
 //! let mut truth = GroundTruth {
-//!     net: m.net,
-//!     entry: m.entry,
-//!     rx_self: m.rx_self,
+//!     net: build_model(ModelParams::paper_ground_truth()),
+//!     entry: FIG2_ENTRY,
+//!     rx_self: FIG2_RX_SELF,
 //!     rng: SimRng::seed_from_u64(7),
 //! };
 //! // ...a sender holding the paper's prior and the α = 1 utility...
@@ -74,8 +73,8 @@ pub mod prelude {
         ParticleSender, PlannerConfig, RunTrace, SenderAgent, Utility,
     };
     pub use augur_elements::{
-        build_cellular, build_model, Buffer, CellularParams, Element, GateSpec, Link, ModelNet,
-        ModelParams, Network, NetworkBuilder, NodeId, RateProcess, ReceiverEl, Step,
+        build_cellular, build_model, Buffer, CellularParams, Element, GateSpec, Link, ModelParams,
+        Network, NetworkBuilder, NodeId, RateProcess, ReceiverEl, Step, FIG2_ENTRY, FIG2_RX_SELF,
     };
     pub use augur_inference::{
         Belief, BeliefConfig, Engine, Hypothesis, ModelPrior, Observation, ParticleFilter,

@@ -10,11 +10,11 @@ fn run_once() -> (Vec<(u64, Time)>, Vec<Observation>, usize) {
         gate: GateSpec::AlwaysOn,
         ..ModelParams::paper_ground_truth()
     };
-    let m = build_model(truth_params);
+    let net = build_model(truth_params);
     let mut truth = GroundTruth {
-        net: m.net,
-        entry: m.entry,
-        rx_self: m.rx_self,
+        net,
+        entry: FIG2_ENTRY,
+        rx_self: FIG2_RX_SELF,
         rng: SimRng::seed_from_u64(123),
     };
     let prior = ModelPrior::small();
@@ -43,8 +43,7 @@ fn closed_loop_is_reproducible() {
 #[test]
 fn different_seeds_give_different_loss_patterns() {
     let run = |seed: u64| {
-        let m = build_model(ModelParams::paper_ground_truth());
-        let mut net = m.net;
+        let mut net = build_model(ModelParams::paper_ground_truth());
         let mut rng = SimRng::seed_from_u64(seed);
         net.run_until_sampled(Time::from_secs(200), &mut rng);
         net.take_deliveries().len()
@@ -61,8 +60,7 @@ fn different_seeds_give_different_loss_patterns() {
 #[test]
 fn ground_truth_sampling_is_seed_deterministic() {
     let run = || {
-        let m = build_model(ModelParams::paper_ground_truth());
-        let mut net = m.net;
+        let mut net = build_model(ModelParams::paper_ground_truth());
         let mut rng = SimRng::seed_from_u64(9);
         net.run_until_sampled(Time::from_secs(150), &mut rng);
         net.take_deliveries()
