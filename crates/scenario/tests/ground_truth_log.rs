@@ -36,7 +36,6 @@ use common::{grid_of, scaling_grid};
 /// and snapshots. Returns the log and the number of packets sent.
 fn hand_driven_log(mut agent: impl SenderAgent) -> (Vec<EventRecord>, usize) {
     let mut net = build_model(ModelPrior::small().grid()[0]);
-    let (entry, rx) = (FIG2_ENTRY, FIG2_RX_SELF);
     let mut rng = SimRng::seed_from_u64(7);
     augur_obs::start_run(ObsConfig {
         trace_events: true,
@@ -47,7 +46,7 @@ fn hand_driven_log(mut agent: impl SenderAgent) -> (Vec<EventRecord>, usize) {
         let now = Time::ZERO + Dur::from_millis(250 * k);
         net.run_until_sampled(now, &mut rng);
         let acks: Vec<Observation> = (net.take_deliveries().into_iter())
-            .filter(|(node, d)| *node == rx && d.packet.flow == FlowId::SELF)
+            .filter(|(node, d)| *node == FIG2_RX_SELF && d.packet.flow == FlowId::SELF)
             .map(|(_, d)| Observation {
                 seq: d.packet.seq,
                 at: d.at,
@@ -57,7 +56,7 @@ fn hand_driven_log(mut agent: impl SenderAgent) -> (Vec<EventRecord>, usize) {
             .on_wake(now, &acks)
             .expect("the truth is on the prior's grid");
         for pkt in outcome.sent {
-            net.inject(entry, pkt);
+            net.inject(FIG2_ENTRY, pkt);
             net.run_until_sampled(now, &mut rng);
             sent += 1;
         }
